@@ -41,8 +41,11 @@ TARGET_NAMES = {
 def _load_unitary(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    u = np.array([[complex(re, im) for re, im in row] for row in doc], dtype=complex)
-    if u.shape != (2, 2) or not sv.is_unitary(u):
+    try:
+        u = np.array([[complex(re, im) for re, im in row] for row in doc], dtype=complex)
+    except (TypeError, ValueError):
+        u = None
+    if u is None or u.shape != (2, 2) or not sv.is_unitary(u):
         raise PatternFormatError(f"{path} does not hold a 2x2 unitary")
     return u
 
@@ -183,7 +186,7 @@ def cmd_verify(args) -> int:
     secondary, secondary_name = None, ""
     if primary is None:
         try:
-            primary = oracle.derive_corrections(pattern, seed=args.seed)
+            primary = oracle.derive_corrections(pattern)
         except oracle.DerivationError as exc:
             print(f"pattern: {pattern.name}")
             for note in notes:
@@ -197,7 +200,7 @@ def cmd_verify(args) -> int:
         # pattern file); check it against a freshly derived one.
         try:
             secondary, secondary_name = (
-                oracle.derive_corrections(pattern, seed=args.seed),
+                oracle.derive_corrections(pattern),
                 "derived",
             )
         except oracle.DerivationError as exc:
@@ -259,7 +262,7 @@ def cmd_derive(args) -> int:
         table = (
             pattern.corrections
             if args.pattern == "toffoli" and pattern.corrections is not None
-            else oracle.derive_corrections(pattern, seed=args.seed)
+            else oracle.derive_corrections(pattern)
         )
     except oracle.DerivationError as exc:
         print(f"derivation failed: {exc}")
@@ -347,7 +350,7 @@ def cmd_reproduce_table(args) -> int:
             "phase/pi8/controlled-phase/cnot/swap"
         )
     pattern = catalog.build_pattern(table_id)
-    derived = oracle.derive_corrections(pattern, seed=args.seed)
+    derived = oracle.derive_corrections(pattern)
     printed = tables.printed_table_for(table_id)
     diff = oracle.compare_tables(derived, printed, pattern.num_outputs)
 

@@ -5,11 +5,12 @@ the outcome corrections, certifies that each corrected branch implements the
 target gate up to global phase, and detects information loss caused by
 resource/basis mismatch.
 
-Everything here is deterministic: random probe states come from a seeded
-generator (default seed below), outcome records are emitted in lexicographic
-label order, and dictionary search order is fixed (fewest factors first,
-then lexicographic rendering), so two runs with the same seed produce
-bit-identical reports.
+Derivation reads each outcome's correction off its input->output map, with
+no probe states. Everything here is deterministic: the random verification
+and loss-check inputs come from a seeded generator (default seed below),
+outcome records are emitted in lexicographic label order, and dictionary
+search order is fixed (fewest factors first, then lexicographic rendering),
+so two runs with the same seed produce bit-identical reports.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ FIDELITY_TOL = 1e-9          # equivalence threshold is 1 - FIDELITY_TOL
 ZERO_PROB = 1e-12            # outcomes below this probability count as zero
 SUSPICIOUS_PROB = 1e-6       # (ZERO_PROB, SUSPICIOUS_PROB) flags numerical dust
 MIN_GENERIC_AMP = 1e-6       # generic probe states keep every amplitude above this
+RANK_TOL = 1e-10             # singular values and column norms below this count as zero
 
 
 class MissingCorrectionError(LookupError):
@@ -41,11 +43,11 @@ class MissingCorrectionError(LookupError):
 
 
 class DerivationError(RuntimeError):
-    """No dictionary element repairs some outcome; carries the worst cases."""
+    """No correction repairs some outcome; carries each one with its reason."""
 
-    def __init__(self, failures: list[tuple[OutcomeKey, float]]):
+    def __init__(self, failures: list[tuple[OutcomeKey, str]]):
         self.failures = failures
-        worst = ", ".join(f"{format_key(k)} (best fidelity {f:.6f})" for k, f in failures[:4])
+        worst = ", ".join(f"{format_key(k)} ({reason})" for k, reason in failures[:4])
         extra = "" if len(failures) <= 4 else f" and {len(failures) - 4} more"
         super().__init__(f"no correction found for outcomes {worst}{extra}")
 
@@ -278,34 +280,22 @@ def correction_dictionary(num_wires: int, vocabulary: str = "pauli_phase") -> Co
     return CorrectionDictionary(num_wires, vocabulary, tuple(ops), matrices)
 
 
-def probe_inputs(dim: int, seed: int = DEFAULT_SEED, num_random: int = 6) -> np.ndarray:
-    """Derivation probes: all basis states plus seeded random states."""
-    rng = np.random.default_rng(seed)
-    num_qubits = dim.bit_length() - 1
-    cols = [np.eye(dim, dtype=complex)]
-    cols.append(
-        np.column_stack([random_state(num_qubits, rng, MIN_GENERIC_AMP) for _ in range(num_random)])
-    )
-    return np.hstack(cols)
-
-
 def derive_corrections(
     pattern: GatePattern,
     dictionary: CorrectionDictionary | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> CorrectionTable:
-    """First dictionary element repairing each outcome on every probe input.
+    """The correction repairing each outcome, found from its map alone.
 
-    An outcome is repaired by R when R applied to the outcome's output
-    reaches the target's output with fidelity >= 1 - 1e-9 for all probes.
-    Unreachable outcomes (zero map) get the identity. With the ``full``
-    vocabulary, outcomes whose needed recovery lies outside the enumerated
-    candidates but inside the vocabulary-generated group (a signed
-    permutation with quarter-turn phases) are factored exactly by
-    :func:`decompose_monomial`. Raises :class:`DerivationError` listing
-    outcomes no candidate repairs.
+    An outcome whose map M is zero is unreachable and gets the identity.
+    Otherwise M must be proportional to a unitary, and the needed recovery
+    is T·M†/s with T the target and s the scale of M†M. It is named by the
+    first dictionary element equal to it up to phase; with the ``full``
+    vocabulary, a recovery outside the enumerated candidates but inside the
+    vocabulary-generated group (a signed permutation with quarter-turn
+    phases) is factored exactly by :func:`decompose_monomial`. Raises
+    :class:`DerivationError` listing the outcomes no correction repairs.
     """
-    table, failures = derive_corrections_with_failures(pattern, dictionary, seed)
+    table, failures = derive_corrections_with_failures(pattern, dictionary)
     if failures:
         raise DerivationError(failures)
     return table
@@ -314,52 +304,33 @@ def derive_corrections(
 def derive_corrections_with_failures(
     pattern: GatePattern,
     dictionary: CorrectionDictionary | None = None,
-    seed: int = DEFAULT_SEED,
-) -> tuple[CorrectionTable, list[tuple[OutcomeKey, float]]]:
+) -> tuple[CorrectionTable, list[tuple[OutcomeKey, str]]]:
     """Like :func:`derive_corrections`, but returns unrepairable outcomes
-    (with the best fidelity any candidate reached) instead of raising;
-    such outcomes are filled with the identity."""
+    (with the reason read off their map) instead of raising; such outcomes
+    are filled with the identity."""
     if dictionary is None:
         dictionary = correction_dictionary(pattern.num_outputs, pattern.vocabulary)
     if dictionary.num_wires != pattern.num_outputs:
         raise sv.UsageError("dictionary wire count does not match pattern outputs")
-    dim = 1 << pattern.num_outputs
-    maps = outcome_maps(pattern)
-    probes = probe_inputs(dim, seed=seed)
-    target_out = pattern.target @ probes
-    mats_flat = dictionary.matrices.reshape(-1, dim)
 
     entries: dict[OutcomeKey, CorrectionOp] = {}
-    failures: list[tuple[OutcomeKey, float]] = []
-    for key, m in maps.items():
+    failures: list[tuple[OutcomeKey, str]] = []
+    for key, m in outcome_maps(pattern).items():
         if np.linalg.norm(m) < ZERO_PROB:
             entries[key] = CorrectionOp.identity()
             continue
-        chosen = _fast_match(m, pattern.target, dictionary)
-        if chosen is not None:
-            entries[key] = dictionary.ops[chosen]
-            continue
         needed = _needed_correction(m, pattern.target)
-        if needed is not None and dictionary.vocabulary == "full":
-            op = decompose_monomial(needed, pattern.num_outputs)
+        if needed is None:
+            rank = int(np.linalg.matrix_rank(m, tol=RANK_TOL))
+            reason = f"rank {rank}/{m.shape[1]}, not proportional to a unitary"
+        else:
+            op = _name_recovery(needed, dictionary)
             if op is not None:
                 entries[key] = op
                 continue
-        # Full scan for the error report: fidelity of every candidate on
-        # every probe.
-        mp = m @ probes
-        norms = np.linalg.norm(mp, axis=0)
-        outs = (mats_flat @ mp).reshape(len(dictionary.ops), dim, -1)
-        overlaps = np.abs((target_out.conj()[None, :, :] * outs).sum(axis=1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fids = np.where(norms > ZERO_PROB, overlaps / norms, 0.0)
-        min_fids = fids.min(axis=1)
-        passing = np.flatnonzero(min_fids >= 1.0 - FIDELITY_TOL)
-        if passing.size:
-            entries[key] = dictionary.ops[int(passing[0])]
-        else:
-            entries[key] = CorrectionOp.identity()
-            failures.append((key, float(min_fids.max())))
+            reason = f"needed recovery lies outside the {dictionary.vocabulary} vocabulary"
+        entries[key] = CorrectionOp.identity()
+        failures.append((key, reason))
     return CorrectionTable(entries), failures
 
 
@@ -371,6 +342,21 @@ def _needed_correction(m: np.ndarray, target: np.ndarray) -> np.ndarray | None:
     if scale < ZERO_PROB or np.linalg.norm(gram - scale * np.eye(dim)) > 1e-9 * max(scale, 1.0):
         return None
     return target @ m.conj().T / scale
+
+
+def _name_recovery(needed: np.ndarray, dictionary: CorrectionDictionary) -> CorrectionOp | None:
+    """The dictionary element equal to ``needed`` up to phase (candidates are
+    phase-inequivalent, so a match is unique), else, for the ``full``
+    vocabulary, its exact factorization; None when neither exists."""
+    dim = needed.shape[0]
+    overlaps = np.abs(np.einsum("kab,ab->k", dictionary.matrices.conj(), needed))
+    bound = (1.0 - FIDELITY_TOL) * np.sqrt(dim) * np.linalg.norm(needed)
+    matches = np.flatnonzero(overlaps >= bound)
+    if matches.size:
+        return dictionary.ops[int(matches[0])]
+    if dictionary.vocabulary == "full":
+        return decompose_monomial(needed, dictionary.num_wires)
+    return None
 
 
 @lru_cache(maxsize=4)
@@ -480,22 +466,6 @@ def decompose_monomial(r: np.ndarray, num_wires: int) -> CorrectionOp | None:
     if not _equal_up_to_phase(op.matrix(num_wires), u):
         return None
     return op
-
-
-def _fast_match(m: np.ndarray, target: np.ndarray, dictionary: CorrectionDictionary) -> int | None:
-    """Match target @ m^{-1} against the dictionary when m is proportional
-    to a unitary (the generic case); candidates are phase-inequivalent, so
-    the match. if any, is the unique passing element."""
-    dim = m.shape[0]
-    gram = m.conj().T @ m
-    scale = float(np.real(np.trace(gram))) / dim
-    if scale < ZERO_PROB or np.linalg.norm(gram - scale * np.eye(dim)) > 1e-9 * max(scale, 1.0):
-        return None
-    needed = target @ m.conj().T / scale
-    overlaps = np.abs(np.einsum("kab,ab->k", dictionary.matrices.conj(), needed))
-    bound = (1.0 - FIDELITY_TOL) * np.sqrt(dim) * np.linalg.norm(needed)
-    matches = np.flatnonzero(overlaps >= bound)
-    return int(matches[0]) if matches.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +679,8 @@ def detect_information_loss(pattern: GatePattern, seed: int = DEFAULT_SEED) -> L
             zero_prob.append(key)
             continue
         col_norms = np.linalg.norm(m, axis=0)
-        annihilated = tuple(int(i) for i in np.flatnonzero(col_norms < 1e-10))
-        rank = int(np.linalg.matrix_rank(m, tol=1e-10))
+        annihilated = tuple(int(i) for i in np.flatnonzero(col_norms < RANK_TOL))
+        rank = int(np.linalg.matrix_rank(m, tol=RANK_TOL))
         if annihilated or rank < dim:
             outcomes.append(LossOutcome(key, prob, rank, annihilated))
         annihilated_all.update(annihilated)
@@ -751,7 +721,7 @@ def parity_experiment(max_n: int, seed: int = DEFAULT_SEED) -> list[ParityResult
     for n in range(1, max_n + 1):
         pattern = chain_cz_pattern(n).with_target(CZ)
         try:
-            table = derive_corrections(pattern, seed=seed)
+            table = derive_corrections(pattern)
         except DerivationError as exc:
             results.append(ParityResult(n, False, f"derivation failed: {exc}"))
             continue
@@ -781,7 +751,7 @@ def select_toffoli_variant(seed: int = DEFAULT_SEED) -> tuple[GatePattern, Corre
             record[variant] = f"rejected: {exc}"
             continue
         try:
-            table = derive_corrections(pattern, seed=seed)
+            table = derive_corrections(pattern)
         except DerivationError as exc:
             record[variant] = f"rejected: {exc}"
             continue

@@ -77,16 +77,10 @@ class CorrectionOp:
     @staticmethod
     def from_wire_products(
         wire_tails: tuple[tuple[str, ...], ...],
-        cz_prefix: bool = False,
         cz_pairs: tuple[tuple[int, int], ...] = (),
     ) -> "CorrectionOp":
         """Tensor product of per-wire factor chains, optionally left-composed
-        with controlled-Z factors on output-wire pairs (``cz_prefix`` is the
-        two-wire shorthand for ``cz_pairs=((0, 1),)``)."""
-        if cz_prefix:
-            if len(wire_tails) != 2:
-                raise PatternFormatError("Ucz prefix requires exactly two output wires")
-            cz_pairs = ((0, 1),) + tuple(cz_pairs)
+        with controlled-Z factors on output-wire pairs."""
         factors: list[tuple[str, tuple[int, ...]]] = [
             ("Ucz", tuple(pair)) for pair in cz_pairs
         ]
@@ -162,9 +156,6 @@ class MeasurementGroup:
     @property
     def size(self) -> int:
         return self.basis.size
-
-    def label_index(self, label: Label) -> int:
-        return self.labels.index(label)
 
 
 @dataclass(frozen=True)
@@ -333,8 +324,8 @@ def _state_of(terms: list[dict], num_qubits: int, where: str) -> sv.StateVector:
 
 
 def _label_of(raw) -> Label:
-    if not isinstance(raw, list):
-        raise PatternFormatError(f"label {raw!r} is not a list")
+    if not isinstance(raw, list) or not all(isinstance(x, (int, str)) for x in raw):
+        raise PatternFormatError(f"label {raw!r} is not a list of bits and signs")
     return tuple(raw)
 
 
@@ -386,61 +377,60 @@ def pattern_from_document(doc: dict) -> GatePattern:
         num_qubits = int(doc["num_qubits"])
         inputs = tuple(int(q) for q in doc["inputs"])
         outputs = tuple(int(q) for q in doc["outputs"])
-        raw_resources = doc["resources"]
-        raw_groups = doc["groups"]
-        raw_target = doc["target"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PatternFormatError(f"missing or malformed field: {exc}") from exc
 
-    resources = []
-    for ri, res in enumerate(raw_resources):
-        qubits = tuple(int(q) for q in res["qubits"])
-        state = _state_of(res["terms"], len(qubits), f"resource {ri}")
-        resources.append((qubits, state))
+        resources = []
+        for ri, res in enumerate(doc["resources"]):
+            qubits = tuple(int(q) for q in res["qubits"])
+            state = _state_of(res["terms"], len(qubits), f"resource {ri}")
+            resources.append((qubits, state))
 
-    groups = []
-    for gi, grp in enumerate(raw_groups):
-        qubits = tuple(int(q) for q in grp["qubits"])
-        labels = []
-        states = []
-        for vec in grp["vectors"]:
-            labels.append(_label_of(vec["label"]))
-            states.append(_state_of(vec["terms"], len(qubits), f"group {gi}"))
-        groups.append(
-            MeasurementGroup(qubits, sv.basis_from_states(states), tuple(labels))
+        groups = []
+        for gi, grp in enumerate(doc["groups"]):
+            qubits = tuple(int(q) for q in grp["qubits"])
+            labels = []
+            states = []
+            for vec in grp["vectors"]:
+                labels.append(_label_of(vec["label"]))
+                states.append(_state_of(vec["terms"], len(qubits), f"group {gi}"))
+            groups.append(
+                MeasurementGroup(qubits, sv.basis_from_states(states), tuple(labels))
+            )
+
+        dim = int(doc["target"]["dim"])
+        entries = doc["target"]["entries"]
+        if len(entries) != dim or any(len(row) != dim for row in entries):
+            raise PatternFormatError("target entries do not form a dim x dim matrix")
+        target = np.array(
+            [[complex(re, im) for re, im in row] for row in entries], dtype=complex
         )
 
-    dim = int(raw_target["dim"])
-    entries = raw_target["entries"]
-    if len(entries) != dim or any(len(row) != dim for row in entries):
-        raise PatternFormatError("target entries do not form a dim x dim matrix")
-    target = np.array(
-        [[complex(re, im) for re, im in row] for row in entries], dtype=complex
-    )
+        corrections = None
+        if "corrections" in doc:
+            table: dict[OutcomeKey, CorrectionOp] = {}
+            for cell in doc["corrections"]:
+                key = tuple(_label_of(label) for label in cell["labels"])
+                factors = tuple(
+                    (op["name"], tuple(int(w) for w in op["wires"])) for op in cell["ops"]
+                )
+                table[key] = CorrectionOp(factors)
+            corrections = CorrectionTable(table)
 
-    corrections = None
-    if "corrections" in doc:
-        table: dict[OutcomeKey, CorrectionOp] = {}
-        for cell in doc["corrections"]:
-            key = tuple(_label_of(label) for label in cell["labels"])
-            factors = tuple(
-                (op["name"], tuple(int(w) for w in op["wires"])) for op in cell["ops"]
-            )
-            table[key] = CorrectionOp(factors)
-        corrections = CorrectionTable(table)
-
-    pattern = GatePattern(
-        name=name,
-        num_qubits=num_qubits,
-        input_wires=inputs,
-        resources=tuple(resources),
-        groups=tuple(groups),
-        output_wires=outputs,
-        target=target,
-        corrections=corrections,
-        vocabulary=doc.get("vocabulary", "pauli_phase"),
-        variant=doc.get("variant", ""),
-    )
+        pattern = GatePattern(
+            name=name,
+            num_qubits=num_qubits,
+            input_wires=inputs,
+            resources=tuple(resources),
+            groups=tuple(groups),
+            output_wires=outputs,
+            target=target,
+            corrections=corrections,
+            vocabulary=doc.get("vocabulary", "pauli_phase"),
+            variant=doc.get("variant", ""),
+        )
+    except (PatternFormatError, sv.UsageError):
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise PatternFormatError(f"missing or malformed field: {exc}") from exc
     validate_pattern(pattern)
     return pattern
 

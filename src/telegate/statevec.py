@@ -9,7 +9,7 @@ Conventions used throughout the package:
   expressions are ignored (the physics is invariant to normalization).
 - Measurement removes the measured qubits from the register; the residual
   state lives on the remaining qubits in ascending original order (see
-  :func:`remaining_index_map`).
+  :func:`project`).
 
 All operations are pure functions of their inputs and safe to share across
 threads.
@@ -142,12 +142,6 @@ def apply_unitary(
     out = (u @ mat).reshape([2] * n)
     out = np.moveaxis(out, range(k), targets)
     return StateVector(n, np.ascontiguousarray(out.reshape(-1)))
-
-
-def remaining_index_map(num_qubits: int, measured: tuple[int, ...]) -> dict[int, int]:
-    """Old-index -> new-index map after removing the measured qubits."""
-    remaining = [q for q in range(num_qubits) if q not in set(measured)]
-    return {old: new for new, old in enumerate(remaining)}
 
 
 def project(

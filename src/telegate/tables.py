@@ -36,7 +36,7 @@ def parse_correction(cell: str) -> CorrectionOp:
         tails.append(names)
     if len(tails) == 1 and tails[0] == ("I",) and not cz:
         return CorrectionOp.identity()
-    return CorrectionOp.from_wire_products(tuple(tails), cz_prefix=cz)
+    return CorrectionOp.from_wire_products(tuple(tails), cz_pairs=((0, 1),) if cz else ())
 
 
 def _single_wire_table(cells: list[str]) -> CorrectionTable:

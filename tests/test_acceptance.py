@@ -65,7 +65,7 @@ def test_criterion_2_phase_and_pi8_tables():
         (catalog.phase_gate_pattern(), tables.phase_table(), tables.PHASE_TABLE_STATES),
         (catalog.pi8_gate_pattern(), tables.pi8_table(), tables.PI8_TABLE_STATES),
     ):
-        derived = oracle.derive_corrections(pattern, seed=SEED)
+        derived = oracle.derive_corrections(pattern)
         diff = oracle.compare_tables(derived, printed, 1)
         assert diff.mismatch_count == 0, f"{pattern.name}: {diff.mismatches}"
         records = oracle.enumerate_outcomes(pattern, sv.StateVector(1, amps))
@@ -81,7 +81,7 @@ def test_criterion_2_phase_and_pi8_tables():
 def test_criterion_3_controlled_z_rows_and_information_loss():
     for row in ("h", "bell"):
         pattern = catalog.controlled_z_pattern(row)
-        table = oracle.derive_corrections(pattern, seed=SEED)
+        table = oracle.derive_corrections(pattern)
         report = oracle.verify_pattern(pattern, corrections=table, seed=SEED)
         assert len(report.outcome_keys) == 64
         assert report.passed and report.min_fidelity >= 1 - TOL
@@ -132,7 +132,7 @@ def test_criterion_4_parity_law():
     assert verdicts == {1: True, 2: False, 3: True, 4: False, 5: True}
     for n in (2, 4):
         pattern = catalog.chain_cz_pattern(n)
-        table = oracle.derive_corrections(pattern, seed=SEED)
+        table = oracle.derive_corrections(pattern)
         report = oracle.verify_pattern(pattern, corrections=table, seed=SEED)
         assert report.passed  # identity-signed target
     elapsed = time.perf_counter() - start
@@ -144,7 +144,7 @@ def test_criterion_4_parity_law():
 def test_criterion_5_triple_cz():
     pattern = catalog.triple_cz_pattern()
     assert np.allclose(pattern.target, double_cz())
-    table = oracle.derive_corrections(pattern, seed=SEED)
+    table = oracle.derive_corrections(pattern)
     rng = np.random.default_rng(SEED)
     inputs, labels = _random_inputs(3, 10, rng)
     report = _verify_over(pattern, table, inputs, labels)
@@ -279,7 +279,7 @@ def test_criterion_9_engine_properties():
     # Byte-stable reports under a fixed seed.
     def render_once():
         p = catalog.controlled_z_pattern("h")
-        t = oracle.derive_corrections(p, seed=SEED)
+        t = oracle.derive_corrections(p)
         rep = oracle.verify_pattern(p, corrections=t, seed=SEED)
         return (
             reports.render_verification(rep),

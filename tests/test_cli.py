@@ -1,6 +1,8 @@
 """CLI contract: exit codes, formats, round-trips, byte stability."""
 import json
 
+import pytest
+
 from telegate import catalog, reports
 from telegate.cli import main
 from telegate.patterns import pattern_to_document
@@ -48,6 +50,48 @@ class TestExitCodes:
     def test_missing_pattern_arg_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2
+
+
+def _cnot_document_with(path, value):
+    """The cnot pattern document with the field at ``path`` set to ``value``,
+    or deleted when ``value`` is None."""
+    doc = pattern_to_document(catalog.cnot_pattern())
+    *parents, last = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    if value is None:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+# Flag -> input file contents; pattern-file cases are (path, value) edits of
+# the cnot document.
+MALFORMED_INPUTS = {
+    "resource-without-qubits": ("--pattern-file", (("resources", 0, "qubits"), None)),
+    "short-target-entry": ("--pattern-file", (("target", "entries", 0, 0), [1])),
+    "list-valued-label": ("--pattern-file", (("groups", 0, "vectors", 0, "label"), [[0, 1]])),
+    "ragged-unitary": ("--u", [[[1, 0], [0, 0]], [[0, 0]]]),
+    "object-unitary": ("--u", {"a": 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, case):
+    flag, document = MALFORMED_INPUTS[case]
+    argv = ["verify", flag, str(tmp_path / "input.json")]
+    if flag == "--u":
+        argv += ["--pattern", "single-qubit"]
+    else:
+        document = _cnot_document_with(*document)
+    (tmp_path / "input.json").write_text(json.dumps(document))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestList:

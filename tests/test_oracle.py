@@ -1,4 +1,6 @@
 """Oracle behaviour: enumeration, derivation, verification, loss, parity."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -538,6 +540,85 @@ class TestFredkin:
         report = oracle.detect_information_loss(pattern)
         assert len(report.outcomes) == 4096
         assert all(o.rank == 4 for o in report.outcomes)
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(sorted(lines)).encode("utf-8")).hexdigest()[:16]
+
+
+# Derivation pinned per pattern: digest of the rendered table cells, number
+# of unrepairable outcomes and digest of their keys. Fredkin reuses the
+# session-wide ``fredkin_partial`` derivation.
+GOLDEN_PATTERNS = {
+    **{
+        name: (lambda name=name: catalog.build_pattern(name))
+        for name in catalog.catalog_entries()
+        if name not in ("chain-cz", "fredkin")
+    },
+    "chain-cz": lambda: catalog.chain_cz_pattern(1),
+    "chain-cz-2-vs-cz": lambda: catalog.chain_cz_pattern(2).with_target(CZ),
+    "chain-cz-4-vs-cz": lambda: catalog.chain_cz_pattern(4).with_target(CZ),
+    "cz-h-output": lambda: catalog.cz_layout_pattern("h", "h", "phi+", "ghz", name="cz-var"),
+}
+NO_FAILURES = (0, "e3b0c44298fc1c14")
+DERIVATION_GOLDEN = {
+    "single-qubit": ("1bc0bebdd02705d7", *NO_FAILURES),
+    "phase": ("34b6e5e19547c0ad", *NO_FAILURES),
+    "pi8": ("a7c5521c0007cf60", *NO_FAILURES),
+    "cz": ("902417c525e0cf62", *NO_FAILURES),
+    "cz-mismatched": ("c0e6fda75659a4ce", 64, "621ea86cb2388650"),
+    "cz-no-ee": ("c0e6fda75659a4ce", 64, "621ea86cb2388650"),
+    "chain-cz": ("902417c525e0cf62", *NO_FAILURES),
+    "triple-cz": ("54ff88b3a95baab6", *NO_FAILURES),
+    "controlled-phase": ("caec96bf7718e55a", *NO_FAILURES),
+    "cnot": ("d9dc34a4e8bb3c5d", *NO_FAILURES),
+    "swap": ("f42ed14ff1f41e70", *NO_FAILURES),
+    "toffoli": ("9c343be2ce09bc5d", *NO_FAILURES),
+    "fredkin": ("b9ad99350d3f81d0", 4096, "cc6edf87aebc0861"),
+    "chain-cz-2-vs-cz": ("3c755dd472f17fab", 256, "5fa59a4659ae280b"),
+    "chain-cz-4-vs-cz": ("d42c12b36dc76b07", 4096, "abcec943993494f3"),
+    "cz-h-output": ("c0e6fda75659a4ce", 64, "621ea86cb2388650"),
+}
+
+
+class TestDerivationGolden:
+    @staticmethod
+    def _derive(name, request):
+        if name == "fredkin":
+            return request.getfixturevalue("fredkin_partial")
+        pattern = GOLDEN_PATTERNS[name]()
+        return (pattern, *oracle.derive_corrections_with_failures(pattern))
+
+    def test_covers_every_catalog_pattern(self):
+        assert set(catalog.catalog_entries()) <= set(DERIVATION_GOLDEN)
+        assert set(DERIVATION_GOLDEN) == set(GOLDEN_PATTERNS) | {"fredkin"}
+
+    @pytest.mark.parametrize("name", sorted(DERIVATION_GOLDEN))
+    def test_table_and_failure_keys_unchanged(self, name, request):
+        cells, num_failures, failure_keys = DERIVATION_GOLDEN[name]
+        pattern, table, failures = self._derive(name, request)
+        n = pattern.num_outputs
+        assert _digest(f"{oracle.format_key(k)}\t{table[k].render(n)}" for k in table.keys()) == cells
+        assert len(failures) == num_failures
+        assert _digest(oracle.format_key(k) for k, _ in failures) == failure_keys
+
+    @pytest.mark.parametrize(
+        "name,reason",
+        [
+            ("fredkin", "rank 4/8, not proportional to a unitary"),
+            ("cz-mismatched", "rank 2/4, not proportional to a unitary"),
+            ("chain-cz-2-vs-cz", "needed recovery lies outside the pauli_phase vocabulary"),
+            ("chain-cz-4-vs-cz", "needed recovery lies outside the pauli_phase vocabulary"),
+        ],
+    )
+    def test_failure_reasons_come_from_the_operator(self, name, reason, request):
+        _, _, failures = self._derive(name, request)
+        assert failures and {r for _, r in failures} == {reason}
+
+    def test_derivation_error_names_the_reason(self):
+        pattern = catalog.chain_cz_pattern(2).with_target(CZ)
+        with pytest.raises(oracle.DerivationError, match="outside the pauli_phase vocabulary"):
+            oracle.derive_corrections(pattern)
 
 
 class TestVerifyMechanics:

@@ -33,7 +33,7 @@ class TestCorrectionOp:
         assert np.allclose(op.matrix(1), SZ @ SX)
 
     def test_cz_composite(self):
-        op = CorrectionOp.from_wire_products((("sz", "Up"), ("I",)), cz_prefix=True)
+        op = CorrectionOp.from_wire_products((("sz", "Up"), ("I",)), cz_pairs=((0, 1),))
         expected = CZ @ np.kron(SZ @ PHASE, np.eye(2))
         assert np.allclose(op.matrix(2), expected)
 
@@ -47,13 +47,13 @@ class TestCorrectionOp:
 
     def test_render_forms(self):
         assert CorrectionOp.identity().render(2) == "I x I"
-        op = CorrectionOp.from_wire_products((("sz", "Up"), ("I",)), cz_prefix=True)
+        op = CorrectionOp.from_wire_products((("sz", "Up"), ("I",)), cz_pairs=((0, 1),))
         assert op.render(2) == "Ucz(sz.Up x I)"
         op3 = CorrectionOp((("Ucx", (1, 2)), ("sz", (0,))))
         assert op3.render(3) == "Ucx[1,2](sz x I x I)"
 
     def test_weight_counts_non_identity(self):
-        op = CorrectionOp.from_wire_products((("sz", "sx"), ("I",)), cz_prefix=True)
+        op = CorrectionOp.from_wire_products((("sz", "sx"), ("I",)), cz_pairs=((0, 1),))
         assert op.weight == 3
 
     def test_unknown_factor_rejected(self):

@@ -218,9 +218,6 @@ class TestProject:
                 p, _ = sv.project(phi, probe, measured)
                 assert p > 1e-3
 
-    def test_remaining_index_map(self):
-        assert sv.remaining_index_map(5, (1, 3)) == {0: 0, 2: 1, 4: 2}
-
 
 class TestFidelity:
     def test_global_phase_invariance(self):
