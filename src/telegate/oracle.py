@@ -14,8 +14,9 @@ so two runs with the same seed produce bit-identical reports.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -28,6 +29,7 @@ from .patterns import (
     GatePattern,
     OutcomeKey,
     PatternFormatError,
+    VOCABULARIES,
 )
 
 DEFAULT_SEED = 1337
@@ -60,63 +62,84 @@ def format_key(key: OutcomeKey) -> str:
 # Pattern execution
 # ---------------------------------------------------------------------------
 
-def _register_columns(pattern: GatePattern, inputs: np.ndarray) -> np.ndarray:
-    """Full register states for a batch of input columns, shape (2^n, batch)."""
-    n = pattern.num_qubits
+# Derivation, verification, loss checks and enumeration walk the stacked
+# outcome maps this many outcomes at a time, which bounds their temporaries.
+_BLOCK = 256
+
+
+def _register(pattern: GatePattern, inputs: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Full register states for a batch of input columns, as a tensor of
+    shape (1, 2, ..., 2, batch) with one axis per qubit in input-then-resource
+    order, plus that qubit order. Built by the successive outer products of
+    np.kron."""
     batch = inputs.shape[1]
-    order = list(pattern.input_wires)
-    for qubits, _ in pattern.resources:
-        order.extend(qubits)
-    columns = np.empty((1 << n, batch), dtype=complex)
-    for b in range(batch):
-        amps = inputs[:, b]
-        for _, state in pattern.resources:
-            amps = np.kron(amps, state.amps)
-        t = amps.reshape([2] * n)
-        t = np.moveaxis(t, range(n), order)
-        columns[:, b] = t.reshape(-1)
-    return columns
+    amps = inputs.T
+    qubits = list(pattern.input_wires)
+    for resource_qubits, state in pattern.resources:
+        amps = (amps[:, :, None] * state.amps[None, None, :]).reshape(batch, -1)
+        qubits.extend(resource_qubits)
+    return amps.T.reshape([1] + [2] * len(qubits) + [batch]), qubits
 
 
-def _branch_maps(pattern: GatePattern, inputs: np.ndarray) -> dict[OutcomeKey, np.ndarray]:
+def _stacked_maps(pattern: GatePattern, inputs: np.ndarray) -> np.ndarray:
     """Residual output amplitudes for every outcome tuple and input column.
 
-    ``inputs`` has one normalized input state per column. Returns
-    key -> array of shape (2^num_outputs, batch), unnormalized: squared
-    column norms are the outcome probabilities. Keys appear in
-    lexicographic label order.
+    ``inputs`` has one normalized input state per column. Returns an array
+    of shape (outcomes, 2^num_outputs, batch), unnormalized: squared column
+    norms are the outcome probabilities. Outcomes are in lexicographic label
+    order. The register is contracted one measurement group at a time: one
+    matmul of the group's conjugated basis against the group's axes turns
+    every outcome so far into one outcome per basis vector. Each step drops
+    its input before the matmul, so at most two register-sized arrays live.
     """
     batch = inputs.shape[1]
-    state = _register_columns(pattern, inputs)
-    out: dict[OutcomeKey, np.ndarray] = {}
-
-    def recurse(amps: np.ndarray, qubits: list[int], gi: int, key: OutcomeKey) -> None:
-        m = len(qubits)
-        if gi == len(pattern.groups):
-            t = amps.reshape([2] * m + [batch])
-            perm = [qubits.index(w) for w in pattern.output_wires]
-            out[key] = t.transpose(perm + [m]).reshape(-1, batch)
-            return
-        group = pattern.groups[gi]
-        axes = [qubits.index(q) for q in group.qubits]
+    t, qubits = _register(pattern, inputs)
+    for group in pattern.groups:
+        axes = [qubits.index(q) + 1 for q in group.qubits]
         k = len(axes)
-        t = amps.reshape([2] * m + [batch])
-        t = np.moveaxis(t, axes, range(k))
-        residuals = group.basis.vectors.conj() @ t.reshape(1 << k, -1)
-        remaining = [q for q in qubits if q not in set(group.qubits)]
-        for idx in range(group.size):
-            recurse(
-                residuals[idx].reshape(-1, batch),
-                remaining,
-                gi + 1,
-                key + (group.labels[idx],),
-            )
-
-    recurse(state, list(range(pattern.num_qubits)), 0, ())
-    return out
+        flat = np.moveaxis(t, axes, range(1, k + 1)).reshape(t.shape[0], 1 << k, -1)
+        del t
+        measured = set(group.qubits)
+        qubits = [q for q in qubits if q not in measured]
+        t = (group.basis.vectors.conj() @ flat).reshape([-1] + [2] * len(qubits) + [batch])
+        del flat
+    perm = [qubits.index(w) + 1 for w in pattern.output_wires]
+    return t.transpose([0] + perm + [len(qubits) + 1]).reshape(t.shape[0], -1, batch)
 
 
-def outcome_maps(pattern: GatePattern) -> dict[OutcomeKey, np.ndarray]:
+class OutcomeMaps(Mapping):
+    """Read-only view of every outcome's input->output map.
+
+    ``stack`` holds all maps as one array of shape (outcomes, d_out, d_in)
+    in lexicographic label order, the order of
+    :attr:`GatePattern.outcome_keys`; ``maps[key]`` is one slice of it.
+    """
+
+    def __init__(self, pattern: GatePattern, stack: np.ndarray):
+        stack.flags.writeable = False
+        self.stack = stack
+        self._labels = [g.labels for g in pattern.groups]
+        self._positions = [{label: i for i, label in enumerate(g.labels)} for g in pattern.groups]
+
+    def __len__(self) -> int:
+        return self.stack.shape[0]
+
+    def __iter__(self):
+        return product(*self._labels)
+
+    def __getitem__(self, key: OutcomeKey) -> np.ndarray:
+        if not isinstance(key, tuple) or len(key) != len(self._positions):
+            raise KeyError(key)
+        index = 0
+        for label, positions in zip(key, self._positions):
+            try:
+                index = index * len(positions) + positions[label]
+            except (KeyError, TypeError):
+                raise KeyError(key) from None
+        return self.stack[index]
+
+
+def outcome_maps(pattern: GatePattern) -> OutcomeMaps:
     """The linear input->output map of every outcome tuple.
 
     Map columns are the residual (unnormalized) output amplitudes for each
@@ -124,7 +147,30 @@ def outcome_maps(pattern: GatePattern) -> dict[OutcomeKey, np.ndarray]:
     matrices determine the pattern's action on any input.
     """
     dim = 1 << len(pattern.input_wires)
-    return _branch_maps(pattern, np.eye(dim, dtype=complex))
+    return OutcomeMaps(pattern, _stacked_maps(pattern, np.eye(dim, dtype=complex)))
+
+
+def _blocks(count: int):
+    """Consecutive outcome slices of at most ``_BLOCK`` outcomes."""
+    for lo in range(0, count, _BLOCK):
+        yield slice(lo, min(lo + _BLOCK, count))
+
+
+def _correction_matrices(
+    table: CorrectionTable, keys: list[OutcomeKey], num_wires: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix of each distinct op ``table`` assigns to ``keys``, built
+    once, and each key's row in that stack (-1 where the table has none)."""
+    rows: dict[CorrectionOp, int] = {}
+    index = np.array(
+        [-1 if op is None else rows.setdefault(op, len(rows)) for op in map(table.entries.get, keys)],
+        dtype=np.intp,
+    )
+    dim = 1 << num_wires
+    mats = np.empty((len(rows), dim, dim), dtype=complex)
+    for op, row in rows.items():
+        mats[row] = op.matrix(num_wires)
+    return mats, index
 
 
 @dataclass(frozen=True)
@@ -144,21 +190,35 @@ def enumerate_outcomes(pattern: GatePattern, input_state: sv.StateVector) -> lis
             f"input on {input_state.num_qubits} qubits does not fit "
             f"{len(pattern.input_wires)} input wires"
         )
-    branches = _branch_maps(pattern, input_state.amps[:, None])
+    branches = _stacked_maps(pattern, input_state.amps[:, None])[:, :, 0]
+    keys = pattern.outcome_keys
     num_out = len(pattern.output_wires)
+    if pattern.corrections is not None:
+        mats, op_index = _correction_matrices(pattern.corrections, keys, num_out)
+    else:
+        mats, op_index = np.empty((0, 1 << num_out, 1 << num_out)), np.full(len(keys), -1)
     records = []
-    for key, column in branches.items():
-        amps = column[:, 0]
-        prob = float(np.real(np.vdot(amps, amps)))
-        if prob <= ZERO_PROB:
-            records.append(OutcomeRecord(key, prob, None, None))
-            continue
-        pre = sv.StateVector(num_out, amps / np.sqrt(prob))
-        corrected = None
-        if pattern.corrections is not None and key in pattern.corrections.entries:
-            r = pattern.corrections[key].matrix(num_out)
-            corrected = sv.StateVector(num_out, r @ pre.amps)
-        records.append(OutcomeRecord(key, prob, pre, corrected))
+    for block in _blocks(len(keys)):
+        amps = branches[block]
+        probs = np.real(np.sum(amps.conj() * amps, axis=1))
+        live = probs > ZERO_PROB
+        pre = np.zeros_like(amps)
+        pre[live] = amps[live] / np.sqrt(probs[live])[:, None]
+        corrected = np.zeros_like(amps)
+        fixed = live & (op_index[block] >= 0)
+        corrected[fixed] = (mats[op_index[block][fixed]] @ pre[fixed][:, :, None])[:, :, 0]
+        for i, key in enumerate(keys[block]):
+            if not live[i]:
+                records.append(OutcomeRecord(key, float(probs[i]), None, None))
+                continue
+            records.append(
+                OutcomeRecord(
+                    key,
+                    float(probs[i]),
+                    sv.StateVector(num_out, pre[i]),
+                    sv.StateVector(num_out, corrected[i]) if fixed[i] else None,
+                )
+            )
     return records
 
 
@@ -201,6 +261,16 @@ def _canonical_tails() -> list[tuple[str, ...]]:
     return [combo for combo, _ in kept]
 
 
+def _signatures(mats: np.ndarray) -> np.ndarray:
+    """Per matrix in a (k, d, d) stack: each column's largest-magnitude row,
+    then that entry's phase relative to column 0's in eighth turns. For a
+    phased permutation this pins the matrix up to global phase."""
+    rows = np.abs(mats).argmax(axis=1)
+    lead = np.take_along_axis(mats, rows[:, None, :], axis=1)[:, 0, :]
+    turns = np.rint(np.angle(lead / lead[:, :1]) / (np.pi / 4)).astype(np.intp) % 8
+    return np.concatenate([rows, turns], axis=1)
+
+
 @dataclass(frozen=True)
 class CorrectionDictionary:
     """Deterministically ordered candidate corrections for derivation."""
@@ -209,6 +279,16 @@ class CorrectionDictionary:
     vocabulary: str
     ops: tuple[CorrectionOp, ...]
     matrices: np.ndarray  # stacked (len(ops), d, d)
+
+    @cached_property
+    def index(self) -> dict[bytes, int]:
+        """Signature -> position of the first op carrying it. Every op is a
+        phased permutation, so ops sharing a signature are equal up to phase
+        and the first is the one a scan in dictionary order would pick."""
+        index: dict[bytes, int] = {}
+        for k, sig in enumerate(_signatures(self.matrices)):
+            index.setdefault(sig.tobytes(), k)
+        return index
 
 
 Factor = tuple[str, tuple[int, ...]]
@@ -266,7 +346,7 @@ def correction_dictionary(num_wires: int, vocabulary: str = "pauli_phase") -> Co
     pairs (byproducts on the control/target channels of non-Clifford
     targets propagate into exactly such controlled-Z/controlled-X
     recoveries)."""
-    if vocabulary not in ("pauli_phase", "full"):
+    if vocabulary not in VOCABULARIES:
         raise PatternFormatError(f"unknown correction vocabulary {vocabulary!r}")
     tails = _canonical_tails()
     prefixes = _entangler_prefixes(num_wires) if vocabulary == "full" else [()]
@@ -275,9 +355,22 @@ def correction_dictionary(num_wires: int, vocabulary: str = "pauli_phase") -> Co
         local = CorrectionOp.from_wire_products(wire_tails)
         for prefix in prefixes:
             ops.append(CorrectionOp(prefix + local.factors))
-    ops.sort(key=lambda op: (op.weight, op.render(num_wires)))
-    matrices = np.stack([op.matrix(num_wires) for op in ops])
-    return CorrectionDictionary(num_wires, vocabulary, tuple(ops), matrices)
+    # Local parts are krons of per-wire tail matrices (wire 0 most
+    # significant), in the product order above; each op is its entangler
+    # prefix times its local part. All entries are 0, +-1 or +-i, so these
+    # products equal CorrectionOp.matrix exactly.
+    tail_mats = np.stack([_matrix_of_tail(tail) for tail in tails])
+    local_mats = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(num_wires):
+        size = 2 * local_mats.shape[1]
+        local_mats = np.einsum("lab,tcd->ltacbd", local_mats, tail_mats).reshape(-1, size, size)
+    prefix_mats = np.stack([CorrectionOp(prefix).matrix(num_wires) for prefix in prefixes])
+    dim = 1 << num_wires
+    matrices = (prefix_mats[None] @ local_mats[:, None]).reshape(-1, dim, dim)
+    order = sorted(range(len(ops)), key=lambda i: (ops[i].weight, ops[i].render(num_wires)))
+    return CorrectionDictionary(
+        num_wires, vocabulary, tuple(ops[i] for i in order), matrices[order]
+    )
 
 
 def derive_corrections(
@@ -289,10 +382,12 @@ def derive_corrections(
     An outcome whose map M is zero is unreachable and gets the identity.
     Otherwise M must be proportional to a unitary, and the needed recovery
     is T·M†/s with T the target and s the scale of M†M. It is named by the
-    first dictionary element equal to it up to phase; with the ``full``
-    vocabulary, a recovery outside the enumerated candidates but inside the
-    vocabulary-generated group (a signed permutation with quarter-turn
-    phases) is factored exactly by :func:`decompose_monomial`. Raises
+    first dictionary element equal to it up to phase, found through the
+    dictionary's signature index; with the ``full`` vocabulary, a recovery
+    outside the enumerated candidates but inside the vocabulary-generated
+    group (a signed permutation with quarter-turn phases) is factored
+    exactly by :func:`decompose_monomial`. Outcomes are processed in blocks
+    of the stacked maps. Raises
     :class:`DerivationError` listing the outcomes no correction repairs.
     """
     table, failures = derive_corrections_with_failures(pattern, dictionary)
@@ -313,50 +408,83 @@ def derive_corrections_with_failures(
     if dictionary.num_wires != pattern.num_outputs:
         raise sv.UsageError("dictionary wire count does not match pattern outputs")
 
+    maps = outcome_maps(pattern)
+    keys = pattern.outcome_keys
+    factored: dict[bytes, tuple[CorrectionOp, np.ndarray]] = {}
     entries: dict[OutcomeKey, CorrectionOp] = {}
     failures: list[tuple[OutcomeKey, str]] = []
-    for key, m in outcome_maps(pattern).items():
-        if np.linalg.norm(m) < ZERO_PROB:
-            entries[key] = CorrectionOp.identity()
-            continue
-        needed = _needed_correction(m, pattern.target)
-        if needed is None:
-            rank = int(np.linalg.matrix_rank(m, tol=RANK_TOL))
-            reason = f"rank {rank}/{m.shape[1]}, not proportional to a unitary"
-        else:
-            op = _name_recovery(needed, dictionary)
-            if op is not None:
-                entries[key] = op
-                continue
-            reason = f"needed recovery lies outside the {dictionary.vocabulary} vocabulary"
-        entries[key] = CorrectionOp.identity()
-        failures.append((key, reason))
+    outside = f"needed recovery lies outside the {dictionary.vocabulary} vocabulary"
+    for block in _blocks(len(keys)):
+        stack = maps.stack[block]
+        nonzero = np.linalg.norm(stack, axis=(1, 2)) >= ZERO_PROB
+        unitary, needed = _needed_corrections(stack, pattern.target)
+        unitary &= nonzero
+        named = iter(_name_recoveries(needed[unitary], dictionary, factored))
+        ranks = iter(np.linalg.matrix_rank(stack[nonzero & ~unitary], tol=RANK_TOL).tolist())
+        for i, key in enumerate(keys[block]):
+            op = next(named) if unitary[i] else None
+            if op is None and nonzero[i]:
+                reason = (
+                    outside
+                    if unitary[i]
+                    else f"rank {next(ranks)}/{stack.shape[2]}, not proportional to a unitary"
+                )
+                failures.append((key, reason))
+            entries[key] = op if op is not None else CorrectionOp.identity()
     return CorrectionTable(entries), failures
 
 
-def _needed_correction(m: np.ndarray, target: np.ndarray) -> np.ndarray | None:
-    """target @ m^{-1} rescaled to a unitary, when m is proportional to one."""
-    dim = m.shape[0]
-    gram = m.conj().T @ m
-    scale = float(np.real(np.trace(gram))) / dim
-    if scale < ZERO_PROB or np.linalg.norm(gram - scale * np.eye(dim)) > 1e-9 * max(scale, 1.0):
-        return None
-    return target @ m.conj().T / scale
+def _needed_corrections(maps: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which maps in a (k, d, d) stack are proportional to a unitary, and for
+    every map target @ m^{-1} rescaled to a unitary (meaningful only there)."""
+    dim = maps.shape[1]
+    adjoint = maps.conj().transpose(0, 2, 1)
+    gram = adjoint @ maps
+    scale = np.real(np.trace(gram, axis1=1, axis2=2)) / dim
+    spread = np.linalg.norm(gram - scale[:, None, None] * np.eye(dim), axis=(1, 2))
+    unitary = (scale >= ZERO_PROB) & (spread <= 1e-9 * np.maximum(scale, 1.0))
+    safe = np.where(unitary, scale, 1.0)
+    return unitary, target @ adjoint / safe[:, None, None]
 
 
-def _name_recovery(needed: np.ndarray, dictionary: CorrectionDictionary) -> CorrectionOp | None:
-    """The dictionary element equal to ``needed`` up to phase (candidates are
-    phase-inequivalent, so a match is unique), else, for the ``full``
-    vocabulary, its exact factorization; None when neither exists."""
-    dim = needed.shape[0]
-    overlaps = np.abs(np.einsum("kab,ab->k", dictionary.matrices.conj(), needed))
-    bound = (1.0 - FIDELITY_TOL) * np.sqrt(dim) * np.linalg.norm(needed)
-    matches = np.flatnonzero(overlaps >= bound)
-    if matches.size:
-        return dictionary.ops[int(matches[0])]
-    if dictionary.vocabulary == "full":
-        return decompose_monomial(needed, dictionary.num_wires)
-    return None
+def _matches(candidates: np.ndarray, needed: np.ndarray) -> np.ndarray:
+    """Whether each candidate equals its needed recovery up to phase."""
+    dim = needed.shape[-1]
+    overlaps = np.abs(np.sum(candidates.conj() * needed, axis=(-2, -1)))
+    bound = (1.0 - FIDELITY_TOL) * np.sqrt(dim) * np.linalg.norm(needed, axis=(-2, -1))
+    return overlaps >= bound
+
+
+def _name_recoveries(
+    needed: np.ndarray,
+    dictionary: CorrectionDictionary,
+    factored: dict[bytes, tuple[CorrectionOp, np.ndarray]],
+) -> list[CorrectionOp | None]:
+    """Name each needed recovery in a (k, d, d) stack: the dictionary op with
+    its signature, confirmed equal up to phase; else, for the ``full``
+    vocabulary, its exact factorization by :func:`decompose_monomial`
+    (memoised in ``factored`` by signature, each reuse confirmed the same
+    way); None when neither exists."""
+    sigs = [sig.tobytes() for sig in _signatures(needed)]
+    hits = np.array([dictionary.index.get(sig, -1) for sig in sigs], dtype=np.intp)
+    confirmed = np.zeros(len(sigs), dtype=bool)
+    found = hits >= 0
+    confirmed[found] = _matches(dictionary.matrices[hits[found]], needed[found])
+    named: list[CorrectionOp | None] = []
+    for i, sig in enumerate(sigs):
+        if confirmed[i]:
+            named.append(dictionary.ops[hits[i]])
+            continue
+        op = None
+        if dictionary.vocabulary == "full":
+            if sig in factored and _matches(factored[sig][1], needed[i]):
+                op = factored[sig][0]
+            else:
+                op = decompose_monomial(needed[i], dictionary.num_wires)
+                if op is not None:
+                    factored[sig] = (op, op.matrix(dictionary.num_wires))
+        named.append(op)
+    return named
 
 
 @lru_cache(maxsize=4)
@@ -561,27 +689,25 @@ def verify_pattern(
     generic_col = dim if inputs.shape[1] > dim else inputs.shape[1] - 1
 
     maps = outcome_maps(pattern)
+    keys = pattern.outcome_keys
+    mats, op_index = _correction_matrices(table, keys, pattern.num_outputs)
+    if (op_index < 0).any():
+        missing = keys[int(np.argmax(op_index < 0))]
+        raise MissingCorrectionError(f"no correction entry for outcome {format_key(missing)}")
     target_out = pattern.target @ inputs
-    keys = list(maps.keys())
     fids = np.full((len(keys), inputs.shape[1]), np.nan)
     probs = np.zeros_like(fids)
-    zero_prob: list[OutcomeKey] = []
-    suspicious: list[OutcomeKey] = []
-    for i, key in enumerate(keys):
-        if key not in table.entries:
-            raise MissingCorrectionError(
-                f"no correction entry for outcome {format_key(key)}"
-            )
-        out = table[key].matrix(pattern.num_outputs) @ (maps[key] @ inputs)
-        norms = np.linalg.norm(out, axis=0)
-        probs[i] = norms**2
-        live = norms > np.sqrt(ZERO_PROB)
-        overlaps = np.abs(np.sum(target_out.conj() * out, axis=0))
-        fids[i, live] = overlaps[live] / norms[live]
-        if probs[i, generic_col] < ZERO_PROB:
-            zero_prob.append(key)
-        elif probs[i, generic_col] < SUSPICIOUS_PROB:
-            suspicious.append(key)
+    for block in _blocks(len(keys)):
+        out = mats[op_index[block]] @ (maps.stack[block] @ inputs)
+        norms = np.linalg.norm(out, axis=1)
+        probs[block] = norms**2
+        overlaps = np.abs(np.sum(target_out.conj() * out, axis=1))
+        np.divide(overlaps, norms, out=fids[block], where=norms > np.sqrt(ZERO_PROB))
+    generic = probs[:, generic_col]
+    zero_prob = [keys[i] for i in np.flatnonzero(generic < ZERO_PROB)]
+    suspicious = [
+        keys[i] for i in np.flatnonzero((generic >= ZERO_PROB) & (generic < SUSPICIOUS_PROB))
+    ]
 
     finite = np.isfinite(fids)
     min_fidelity = float(fids[finite].min()) if finite.any() else 0.0
@@ -670,20 +796,26 @@ def detect_information_loss(pattern: GatePattern, seed: int = DEFAULT_SEED) -> L
     rng = np.random.default_rng(seed)
     generic = random_state(dim.bit_length() - 1, rng, MIN_GENERIC_AMP)
     maps = outcome_maps(pattern)
+    keys = pattern.outcome_keys
     zero_prob: list[OutcomeKey] = []
     outcomes: list[LossOutcome] = []
     annihilated_all: set[int] = set()
-    for key, m in maps.items():
-        prob = float(np.linalg.norm(m @ generic) ** 2)
-        if prob < ZERO_PROB:
-            zero_prob.append(key)
-            continue
-        col_norms = np.linalg.norm(m, axis=0)
-        annihilated = tuple(int(i) for i in np.flatnonzero(col_norms < RANK_TOL))
-        rank = int(np.linalg.matrix_rank(m, tol=RANK_TOL))
-        if annihilated or rank < dim:
-            outcomes.append(LossOutcome(key, prob, rank, annihilated))
-        annihilated_all.update(annihilated)
+    for block in _blocks(len(keys)):
+        stack, block_keys = maps.stack[block], keys[block]
+        # Probabilities formed as np.linalg.norm(m @ generic) ** 2 forms them
+        # for one map (dot products of the real and imaginary parts, then
+        # the root squared), so the printed values do not depend on batching.
+        out = (stack @ generic)[:, None, :]
+        sq = out.real @ out.real.transpose(0, 2, 1) + out.imag @ out.imag.transpose(0, 2, 1)
+        probs = [x**2 for x in np.sqrt(sq[:, 0, 0]).tolist()]
+        live = np.array(probs) >= ZERO_PROB
+        dead = (np.linalg.norm(stack, axis=1) < RANK_TOL) & live[:, None]
+        ranks = np.linalg.matrix_rank(stack, tol=RANK_TOL)
+        for i in np.flatnonzero(live & (dead.any(axis=1) | (ranks < dim))).tolist():
+            annihilated = tuple(np.flatnonzero(dead[i]).tolist())
+            outcomes.append(LossOutcome(block_keys[i], probs[i], int(ranks[i]), annihilated))
+        annihilated_all.update(np.flatnonzero(dead.any(axis=0)).tolist())
+        zero_prob += [block_keys[i] for i in np.flatnonzero(~live).tolist()]
     return LossReport(
         pattern=pattern.name,
         seed=seed,

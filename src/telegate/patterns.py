@@ -47,6 +47,9 @@ ELEMENTARY_OPS: dict[str, np.ndarray] = {
 
 ENTANGLING_OPS = ("Ucz", "Ucx")
 
+# Correction vocabularies derivation can search (see oracle.correction_dictionary).
+VOCABULARIES = ("pauli_phase", "full")
+
 
 def _embed(op: np.ndarray, wires: tuple[int, ...], num_wires: int) -> np.ndarray:
     """Operator acting as ``op`` on ``wires`` and identity elsewhere."""
@@ -234,6 +237,11 @@ def validate_pattern(pattern: GatePattern) -> None:
             raise PatternFormatError(
                 f"group {gi} labels are not a bijection onto its basis vectors"
             )
+        # Outcome keys are sorted, so labels must compare slot by slot.
+        if len({tuple(isinstance(x, str) for x in label) for label in group.labels}) > 1:
+            raise PatternFormatError(
+                f"group {gi} labels differ in length or in which slots hold signs"
+            )
 
     outputs = set(pattern.output_wires)
     if outputs & set(measured):
@@ -253,6 +261,8 @@ def validate_pattern(pattern: GatePattern) -> None:
         )
     if not sv.is_unitary(target):
         raise PatternFormatError("target matrix is not unitary")
+    if not isinstance(pattern.vocabulary, str) or pattern.vocabulary not in VOCABULARIES:
+        raise PatternFormatError(f"unknown correction vocabulary {pattern.vocabulary!r}")
 
     if pattern.corrections is not None:
         expected = 1

@@ -73,15 +73,16 @@ MALFORMED_INPUTS = {
     "resource-without-qubits": ("--pattern-file", (("resources", 0, "qubits"), None)),
     "short-target-entry": ("--pattern-file", (("target", "entries", 0, 0), [1])),
     "list-valued-label": ("--pattern-file", (("groups", 0, "vectors", 0, "label"), [[0, 1]])),
+    "sign-in-bit-slot": ("--pattern-file", (("groups", 0, "vectors", 1, "label"), ["+", 0, 0, "+"])),
+    "object-vocabulary": ("--pattern-file", (("vocabulary",), {"a": 1})),
     "ragged-unitary": ("--u", [[[1, 0], [0, 0]], [[0, 0]]]),
     "object-unitary": ("--u", {"a": 1}),
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
-def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, case):
+def _run_malformed(capsys, tmp_path, command, case):
     flag, document = MALFORMED_INPUTS[case]
-    argv = ["verify", flag, str(tmp_path / "input.json")]
+    argv = [command, flag, str(tmp_path / "input.json")]
     if flag == "--u":
         argv += ["--pattern", "single-qubit"]
     else:
@@ -92,6 +93,16 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, case):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, case):
+    _run_malformed(capsys, tmp_path, "verify", case)
+
+
+@pytest.mark.parametrize("case", ["sign-in-bit-slot", "object-vocabulary"])
+def test_malformed_document_is_one_line_usage_error_for_derive(capsys, tmp_path, case):
+    _run_malformed(capsys, tmp_path, "derive", case)
 
 
 class TestList:

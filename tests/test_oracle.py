@@ -119,9 +119,13 @@ class TestEnumerationAgainstNaivePath:
             results[key] = (prob, amps)
         return results
 
-    @pytest.mark.parametrize("name", ["phase", "cz"])
+    @pytest.mark.parametrize("name", ["phase", "cz", "chain-cz-2", "triple-cz"])
     def test_matches_batched_executor(self, name):
-        pattern = catalog.build_pattern(name)
+        # chain-cz n=2 and triple-cz contract two and three groups of
+        # four and three qubits.
+        pattern = (
+            catalog.chain_cz_pattern(2) if name == "chain-cz-2" else catalog.build_pattern(name)
+        )
         rng = np.random.default_rng(21)
         state = sv.StateVector(
             len(pattern.input_wires), random_state(len(pattern.input_wires), rng)
@@ -137,6 +141,32 @@ class TestEnumerationAgainstNaivePath:
             else:
                 fid = abs(np.vdot(amps, record.pre_correction_state.amps))
                 assert fid == pytest.approx(1.0, abs=1e-10)
+
+
+class TestOutcomeMaps:
+    @pytest.mark.parametrize("name", ["phase", "cnot", "triple-cz"])
+    def test_mapping_follows_outcome_keys_and_stack(self, name):
+        pattern = catalog.build_pattern(name)
+        maps = oracle.outcome_maps(pattern)
+        keys = pattern.outcome_keys
+        assert list(maps) == keys
+        assert len(maps) == len(keys) == maps.stack.shape[0]
+        dim_in = 1 << len(pattern.input_wires)
+        assert maps.stack.shape[1:] == (1 << pattern.num_outputs, dim_in)
+        for i, key in enumerate(keys):
+            assert np.array_equal(maps[key], maps.stack[i])
+        assert [k for k, _ in maps.items()] == keys
+        assert all(np.array_equal(m, maps.stack[i]) for i, m in enumerate(maps.values()))
+
+    def test_unknown_keys_are_absent_and_maps_read_only(self):
+        pattern = catalog.phase_gate_pattern()
+        maps = oracle.outcome_maps(pattern)
+        for key in (((9,),), ((1,), (1,)), (1,), "1", ([1],)):
+            assert key not in maps
+        with pytest.raises(KeyError):
+            maps[((9,),)]
+        with pytest.raises(ValueError):
+            maps[((1,),)][0, 0] = 0
 
 
 class TestProbabilityConservation:
@@ -183,6 +213,19 @@ class TestDictionary:
         d = oracle.correction_dictionary(2, "full")
         weights = [op.weight for op in d.ops]
         assert weights == sorted(weights)
+
+    @pytest.mark.parametrize("num_wires,vocabulary", [(1, "pauli_phase"), (2, "full"), (3, "full")])
+    def test_matrices_equal_op_matrices_exactly(self, num_wires, vocabulary):
+        d = oracle.correction_dictionary(num_wires, vocabulary)
+        assert np.array_equal(d.matrices, np.stack([op.matrix(num_wires) for op in d.ops]))
+        assert set(np.unique(d.matrices).tolist()) <= {0, 1, -1, 1j, -1j}
+
+    def test_signature_index_names_the_first_equivalent_op(self):
+        d = oracle.correction_dictionary(3, "full")
+        for k in (0, 1, 100, 2000, len(d.ops) - 1):
+            found = d.index[oracle._signatures(d.matrices[k : k + 1] * 1j)[0].tobytes()]
+            assert found <= k
+            assert oracle._equal_up_to_phase(d.matrices[found], d.matrices[k])
 
     def test_full_three_wire_includes_entanglers(self):
         d = oracle.correction_dictionary(3, "full")
