@@ -94,7 +94,8 @@ def two_branch_group(
     """Group measured in {(prod_k op_k^{b_k}) (B0 +- B1)/sqrt(2)}.
 
     ``index_slots`` lists (operator, slot) pairs, one per label bit; the
-    remaining slot carries no index operator. Labels are (*bits, sign) with
+    remaining slot carries no index operator. Index operators are one-qubit
+    phased permutations such as sx and sz. Labels are (*bits, sign) with
     "+" ordered before "-".
     """
     k = len(qubits)
@@ -103,17 +104,33 @@ def two_branch_group(
     b0, b1 = _product_state(parts0), _product_state(parts1)
     if abs(np.vdot(b0, b1)) > 1e-12:
         raise PatternFormatError("branch products must be orthogonal")
+    actions = [_index_action(op, slot, k) for op, slot in index_slots]
     states: list[sv.StateVector] = []
     labels: list[tuple] = []
     for bits in product((0, 1), repeat=len(index_slots)):
         for sign, signed in (("+", b0 + b1), ("-", b0 - b1)):
-            vec = sv.StateVector(k, signed / np.sqrt(2))
-            for bit, (op, slot) in zip(bits, index_slots):
+            amps = signed / np.sqrt(2)
+            for bit, (source, factor) in zip(bits, actions):
                 if bit:
-                    vec = sv.apply_unitary(vec, op, (slot,))
-            states.append(vec)
+                    amps = factor * amps[source]
+            states.append(sv.StateVector(k, amps))
             labels.append((*bits, sign))
     return MeasurementGroup(qubits, sv.basis_from_states(states), tuple(labels))
+
+
+def _index_action(op: np.ndarray, slot: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``op`` on ``slot`` of a k-qubit amplitude vector as ``factor *
+    amps[source]``: for a one-qubit op with one nonzero entry per row, an
+    index flip (sx) or a sign (sz) in place of a matrix product."""
+    op = np.asarray(op, dtype=complex)
+    cols = np.abs(op).argmax(axis=1)
+    if op.shape != (2, 2) or np.count_nonzero(op) != 2 or cols[0] == cols[1]:
+        raise PatternFormatError("index operators must be one-qubit phased permutations")
+    (slot,) = sv.check_subset((slot,), k)
+    shift = k - 1 - slot
+    index = np.arange(1 << k)
+    bit = (index >> shift) & 1
+    return index ^ ((bit ^ cols[bit]) << shift), op[bit, cols[bit]]
 
 
 def ghz_group(qubits: tuple[int, ...], flip_slots: list[int]) -> MeasurementGroup:
@@ -306,6 +323,11 @@ def chain_cz_pattern(n: int) -> GatePattern:
     """
     if n < 1:
         raise PatternFormatError("chain length must be at least 1")
+    if 2 * n + 6 > sv.MAX_REGISTER_QUBITS:
+        raise PatternFormatError(
+            f"chain length {n} needs {2 * n + 6} qubits, over the "
+            f"{sv.MAX_REGISTER_QUBITS}-qubit register limit"
+        )
     c = 2 + 2 * n
     resources = [((2 + 2 * k, 3 + 2 * k), pair_state("h")) for k in range(n)]
     resources += [((c, c + 1), pair_state("phi+")), ((c + 2, c + 3), pair_state("phi+"))]

@@ -109,9 +109,9 @@ def _printed_reference(args, pattern: GatePattern):
     return tables.printed_table_for(name or "")
 
 
-def _emit(args, text_fn, doc_fn, csv_fn=None) -> None:
+def _emit(args, text_fn, json_fn, csv_fn=None) -> None:
     if args.format == "json":
-        print(reports.dumps(doc_fn()))
+        print(json_fn())
     elif args.format == "csv":
         if csv_fn is None:
             raise PatternFormatError("csv output is not available for this command")
@@ -250,7 +250,7 @@ def cmd_verify(args) -> int:
     _emit(
         args,
         lambda: reports.render_verification(report),
-        lambda: reports.verification_to_doc(report),
+        lambda: reports.verification_to_json(report),
         lambda: reports.verification_to_csv(report),
     )
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -279,15 +279,15 @@ def cmd_derive(args) -> int:
         lines += [f"note: {n}" for n in notes]
         return "\n".join(lines)
 
-    def doc():
-        return reports.table_to_doc(pattern.name, keys, rendered)
+    def json_text():
+        return reports.dumps(reports.table_to_doc(pattern.name, keys, rendered))
 
     def csv():
         lines = ["outcome,op"]
         lines += [f"\"{oracle.format_key(k)}\",\"{rendered[k]}\"" for k in keys]
         return "\n".join(lines) + "\n"
 
-    _emit(args, text, doc, csv)
+    _emit(args, text, json_text, csv)
     return EXIT_PASS
 
 
@@ -297,7 +297,7 @@ def cmd_loss_check(args) -> int:
     _emit(
         args,
         lambda: reports.render_loss(report),
-        lambda: reports.loss_to_doc(report),
+        lambda: reports.dumps(reports.loss_to_doc(report)),
         lambda: reports.loss_to_csv(report),
     )
     return EXIT_PASS
@@ -308,7 +308,7 @@ def cmd_parity(args) -> int:
     _emit(
         args,
         lambda: reports.render_parity(results),
-        lambda: reports.parity_to_doc(results),
+        lambda: reports.dumps(reports.parity_to_doc(results)),
     )
     return EXIT_PASS
 
@@ -368,11 +368,11 @@ def cmd_reproduce_table(args) -> int:
             lines.append(reports.render_table_diff(diff))
             return "\n".join(lines)
 
-        def doc():
+        def json_text():
             rendered = {k: derived[k].render(1) for k in keys}
             d = reports.table_to_doc(table_id, keys, rendered, {"printed": reports.table_diff_to_doc(diff)})
             d["states"] = [{"labels": oracle.format_key(k), "state": states[k]} for k in keys]
-            return d
+            return reports.dumps(d)
 
         def csv():
             lines = ["outcome,state,op"]
@@ -382,7 +382,7 @@ def cmd_reproduce_table(args) -> int:
                 )
             return "\n".join(lines) + "\n"
 
-        _emit(args, text, doc, csv)
+        _emit(args, text, json_text, csv)
         return EXIT_PASS
 
     alpha_labels = list(pattern.groups[0].labels)
@@ -416,15 +416,15 @@ def cmd_reproduce_table(args) -> int:
         )
         return grid + "\n" + reports.render_table_diff(diff) + extra
 
-    def doc():
+    def json_text():
         keys = sorted(derived.keys())
         rendered = {k: derived[k].render(2) for k in keys}
-        return reports.table_to_doc(table_id, keys, rendered, diffs, footer)
+        return reports.dumps(reports.table_to_doc(table_id, keys, rendered, diffs, footer))
 
     def csv():
         return reports.grid_to_csv(alpha_labels, beta_labels, cell)
 
-    _emit(args, text, doc, csv)
+    _emit(args, text, json_text, csv)
     return EXIT_PASS
 
 

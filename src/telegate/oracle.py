@@ -144,10 +144,17 @@ def outcome_maps(pattern: GatePattern) -> OutcomeMaps:
 
     Map columns are the residual (unnormalized) output amplitudes for each
     computational-basis input; measurement branching is linear, so these
-    matrices determine the pattern's action on any input.
+    matrices determine the pattern's action on any input. The maps are
+    contracted once per pattern object and the same read-only mapping is
+    returned to every later call; a pattern made by ``with_target`` or
+    ``with_corrections`` starts afresh.
     """
-    dim = 1 << len(pattern.input_wires)
-    return OutcomeMaps(pattern, _stacked_maps(pattern, np.eye(dim, dtype=complex)))
+    maps = pattern._memo.get("outcome_maps")
+    if maps is None:
+        dim = 1 << len(pattern.input_wires)
+        maps = OutcomeMaps(pattern, _stacked_maps(pattern, np.eye(dim, dtype=complex)))
+        pattern._memo["outcome_maps"] = maps
+    return maps
 
 
 def _blocks(count: int):
@@ -160,12 +167,16 @@ def _correction_matrices(
     table: CorrectionTable, keys: list[OutcomeKey], num_wires: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The matrix of each distinct op ``table`` assigns to ``keys``, built
-    once, and each key's row in that stack (-1 where the table has none)."""
+    once, and each key's row in that stack (-1 where the table has none).
+    Ops are told apart by identity before they are hashed, so a table that
+    reuses op objects, as every derived table does, hashes each one once."""
+    ops = list(map(table.entries.get, keys))
     rows: dict[CorrectionOp, int] = {}
-    index = np.array(
-        [-1 if op is None else rows.setdefault(op, len(rows)) for op in map(table.entries.get, keys)],
-        dtype=np.intp,
-    )
+    row_of = {
+        id(op): -1 if op is None else rows.setdefault(op, len(rows))
+        for op in {id(op): op for op in ops}.values()
+    }
+    index = np.fromiter(map(row_of.__getitem__, map(id, ops)), dtype=np.intp, count=len(ops))
     dim = 1 << num_wires
     mats = np.empty((len(rows), dim, dim), dtype=complex)
     for op, row in rows.items():
@@ -269,6 +280,23 @@ def _signatures(mats: np.ndarray) -> np.ndarray:
     lead = np.take_along_axis(mats, rows[:, None, :], axis=1)[:, 0, :]
     turns = np.rint(np.angle(lead / lead[:, :1]) / (np.pi / 4)).astype(np.intp) % 8
     return np.concatenate([rows, turns], axis=1)
+
+
+def _signature_keys(sigs: np.ndarray) -> np.ndarray:
+    """One int64 per row of a (k, 2d) signature array, equal exactly when
+    the rows are equal: the digits read in mixed radix max(8, d), so for
+    d <= 8 in radix 8, at most 8^16 values. Wider matrices renumber the
+    distinct prefixes densely whenever the next digit could overflow."""
+    radix = max(8, sigs.shape[1] // 2)
+    keys = np.zeros(len(sigs), dtype=np.int64)
+    span = 1
+    for digit in sigs.T:
+        if span * radix > 1 << 62:
+            keys = np.unique(keys, return_inverse=True)[1].astype(np.int64)
+            span = len(sigs)
+        keys = keys * radix + digit
+        span *= radix
+    return keys
 
 
 @dataclass(frozen=True)
@@ -414,23 +442,28 @@ def derive_corrections_with_failures(
     entries: dict[OutcomeKey, CorrectionOp] = {}
     failures: list[tuple[OutcomeKey, str]] = []
     outside = f"needed recovery lies outside the {dictionary.vocabulary} vocabulary"
+    identity = CorrectionOp.identity()
     for block in _blocks(len(keys)):
-        stack = maps.stack[block]
+        stack, block_keys = maps.stack[block], keys[block]
         nonzero = np.linalg.norm(stack, axis=(1, 2)) >= ZERO_PROB
         unitary, needed = _needed_corrections(stack, pattern.target)
         unitary &= nonzero
-        named = iter(_name_recoveries(needed[unitary], dictionary, factored))
-        ranks = iter(np.linalg.matrix_rank(stack[nonzero & ~unitary], tol=RANK_TOL).tolist())
-        for i, key in enumerate(keys[block]):
-            op = next(named) if unitary[i] else None
-            if op is None and nonzero[i]:
-                reason = (
-                    outside
-                    if unitary[i]
-                    else f"rank {next(ranks)}/{stack.shape[2]}, not proportional to a unitary"
-                )
-                failures.append((key, reason))
-            entries[key] = op if op is not None else CorrectionOp.identity()
+        named = _name_recoveries(needed[unitary], dictionary, factored)
+        unnamed = np.zeros(len(block_keys), dtype=bool)
+        unnamed[unitary] = [op is None for op in named]
+        ops = np.full(len(block_keys), identity, dtype=object)
+        ops[unitary] = named
+        ops[unnamed] = identity
+        entries.update(zip(block_keys, ops.tolist()))
+        lossy = nonzero & ~unitary
+        ranks = iter(np.linalg.matrix_rank(stack[lossy], tol=RANK_TOL).tolist())
+        for i in np.flatnonzero(unnamed | lossy).tolist():
+            reason = (
+                outside
+                if unnamed[i]
+                else f"rank {next(ranks)}/{stack.shape[2]}, not proportional to a unitary"
+            )
+            failures.append((block_keys[i], reason))
     return CorrectionTable(entries), failures
 
 
@@ -464,26 +497,29 @@ def _name_recoveries(
     its signature, confirmed equal up to phase; else, for the ``full``
     vocabulary, its exact factorization by :func:`decompose_monomial`
     (memoised in ``factored`` by signature, each reuse confirmed the same
-    way); None when neither exists."""
-    sigs = [sig.tobytes() for sig in _signatures(needed)]
-    hits = np.array([dictionary.index.get(sig, -1) for sig in sigs], dtype=np.intp)
+    way); None when neither exists. The index is consulted once per
+    distinct signature; every recovery is still confirmed on its own."""
+    sigs = _signatures(needed)
+    _, first, inverse = np.unique(_signature_keys(sigs), return_index=True, return_inverse=True)
+    hits = np.array(
+        [dictionary.index.get(sigs[i].tobytes(), -1) for i in first.tolist()], dtype=np.intp
+    )[inverse]
     confirmed = np.zeros(len(sigs), dtype=bool)
     found = hits >= 0
     confirmed[found] = _matches(dictionary.matrices[hits[found]], needed[found])
-    named: list[CorrectionOp | None] = []
-    for i, sig in enumerate(sigs):
-        if confirmed[i]:
-            named.append(dictionary.ops[hits[i]])
-            continue
-        op = None
-        if dictionary.vocabulary == "full":
-            if sig in factored and _matches(factored[sig][1], needed[i]):
-                op = factored[sig][0]
-            else:
-                op = decompose_monomial(needed[i], dictionary.num_wires)
-                if op is not None:
-                    factored[sig] = (op, op.matrix(dictionary.num_wires))
-        named.append(op)
+    named: list[CorrectionOp | None] = [
+        dictionary.ops[hit] if ok else None for hit, ok in zip(hits.tolist(), confirmed.tolist())
+    ]
+    if dictionary.vocabulary != "full":
+        return named
+    for i in np.flatnonzero(~confirmed).tolist():
+        sig = sigs[i].tobytes()
+        if sig in factored and _matches(factored[sig][1], needed[i]):
+            named[i] = factored[sig][0]
+        else:
+            named[i] = decompose_monomial(needed[i], dictionary.num_wires)
+            if named[i] is not None:
+                factored[sig] = (named[i], named[i].matrix(dictionary.num_wires))
     return named
 
 

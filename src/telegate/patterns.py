@@ -14,7 +14,7 @@ are keyed by one label per group in declared group order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -175,6 +175,10 @@ class GatePattern:
     corrections: CorrectionTable | None = None
     vocabulary: str = "pauli_phase"  # correction vocabulary hint for derivation
     variant: str = ""                # basis-variant note, when applicable
+    # Results computed once per pattern object (outcome_keys and
+    # oracle.outcome_maps); a pattern made by dataclasses.replace starts
+    # with an empty memo.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_outputs(self) -> int:
@@ -182,7 +186,12 @@ class GatePattern:
 
     @property
     def outcome_keys(self) -> list[OutcomeKey]:
-        return [tuple(combo) for combo in product(*(g.labels for g in self.groups))]
+        """One label per group, in lexicographic label order; a fresh list
+        over key tuples built once per pattern object."""
+        keys = self._memo.get("outcome_keys")
+        if keys is None:
+            keys = self._memo["outcome_keys"] = tuple(product(*(g.labels for g in self.groups)))
+        return list(keys)
 
     def with_target(self, target: np.ndarray) -> "GatePattern":
         return replace(self, target=np.asarray(target, dtype=complex), corrections=None)
@@ -385,18 +394,22 @@ def pattern_from_document(doc: dict) -> GatePattern:
     try:
         name = doc["name"]
         num_qubits = int(doc["num_qubits"])
+        if num_qubits > sv.MAX_REGISTER_QUBITS:
+            raise PatternFormatError(
+                f"{num_qubits} qubits exceed the {sv.MAX_REGISTER_QUBITS}-qubit register limit"
+            )
         inputs = tuple(int(q) for q in doc["inputs"])
         outputs = tuple(int(q) for q in doc["outputs"])
 
         resources = []
         for ri, res in enumerate(doc["resources"]):
-            qubits = tuple(int(q) for q in res["qubits"])
+            qubits = sv.check_subset(res["qubits"], num_qubits)
             state = _state_of(res["terms"], len(qubits), f"resource {ri}")
             resources.append((qubits, state))
 
         groups = []
         for gi, grp in enumerate(doc["groups"]):
-            qubits = tuple(int(q) for q in grp["qubits"])
+            qubits = sv.check_subset(grp["qubits"], num_qubits)
             labels = []
             states = []
             for vec in grp["vectors"]:

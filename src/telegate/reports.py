@@ -8,7 +8,8 @@ flag and the minimum fidelity bit-exactly.
 from __future__ import annotations
 
 import json
-import math
+
+import numpy as np
 
 from .oracle import (
     LossReport,
@@ -31,7 +32,28 @@ def dumps(doc: dict) -> str:
 # Verification reports
 # ---------------------------------------------------------------------------
 
-def verification_to_doc(report: VerificationReport, include_grid: bool = True) -> dict:
+def _cell_texts(values: np.ndarray, text) -> list[list[str]]:
+    """``text(x)`` for every cell of a 2-D float array, as nested lists,
+    called once per distinct float64 bit pattern (so -0.0 and each NaN
+    keep their own text)."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array([text(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+    return texts[inverse.reshape(values.shape)].tolist()
+
+
+def _json_fidelity(x: float) -> str:
+    return "null" if x != x else json.dumps(x)
+
+
+def _csv_fidelity(x: float) -> str:
+    return "" if x != x else _f(x)
+
+
+def verification_to_doc(report: VerificationReport) -> dict:
+    """The headline fields of a verification report; the per-outcome grid
+    is written by :func:`verification_to_json` and
+    :func:`verification_to_csv`."""
     doc = {
         "kind": "verification",
         "pattern": report.pattern,
@@ -51,18 +73,34 @@ def verification_to_doc(report: VerificationReport, include_grid: bool = True) -
     }
     if report.table_diff is not None:
         doc["table_diff"] = table_diff_to_doc(report.table_diff)
-    if include_grid:
-        doc["outcomes"] = [
-            {
-                "labels": format_key(key),
-                "probabilities": [float(p) for p in report.probabilities[i]],
-                "fidelities": [
-                    None if math.isnan(f) else float(f) for f in report.fidelities[i]
-                ],
-            }
-            for i, key in enumerate(report.outcome_keys)
-        ]
     return doc
+
+
+def verification_to_json(report: VerificationReport) -> str:
+    """The report with its per-outcome grid as JSON: the bytes
+    ``dumps`` writes for the headline fields plus an ``outcomes`` list of
+    {fidelities, labels, probabilities} per outcome (NaN fidelities as
+    null). The grid is joined from one text per distinct cell value."""
+    doc = verification_to_doc(report)
+    doc["outcomes"] = None
+    # Only top-level keys start a line with one space of indent, so the
+    # placeholder is found exactly once.
+    head, tail = dumps(doc).split('\n "outcomes": null', 1)
+    fids = _cell_texts(report.fidelities, _json_fidelity)
+    probs = _cell_texts(report.probabilities, json.dumps)
+    rows = [
+        '  {\n   "fidelities": ' + _json_list(fids[i])
+        + ',\n   "labels": ' + json.dumps(format_key(key))
+        + ',\n   "probabilities": ' + _json_list(probs[i]) + "\n  }"
+        for i, key in enumerate(report.outcome_keys)
+    ]
+    grid = "[\n" + ",\n".join(rows) + "\n ]" if rows else "[]"
+    return f'{head}\n "outcomes": {grid}{tail}'
+
+
+def _json_list(texts: list[str]) -> str:
+    """Number texts as ``dumps`` writes a list three levels deep."""
+    return "[\n    " + ",\n    ".join(texts) + "\n   ]" if texts else "[]"
 
 
 def verification_from_doc(doc: dict) -> dict:
@@ -147,14 +185,13 @@ def render_table_diff(diff: TableDiff, max_listed: int = 8) -> str:
 
 
 def verification_to_csv(report: VerificationReport) -> str:
+    fids = _cell_texts(report.fidelities, _csv_fidelity)
+    probs = _cell_texts(report.probabilities, _f)
     lines = ["outcome,input,probability,fidelity"]
     for i, key in enumerate(report.outcome_keys):
-        for j, label in enumerate(report.input_labels):
-            fid = report.fidelities[i, j]
-            fid_s = "" if math.isnan(fid) else _f(fid)
-            lines.append(
-                f"\"{format_key(key)}\",{label},{_f(report.probabilities[i, j])},{fid_s}"
-            )
+        outcome = f"\"{format_key(key)}\""
+        for label, prob, fid in zip(report.input_labels, probs[i], fids[i]):
+            lines.append(f"{outcome},{label},{prob},{fid}")
     return "\n".join(lines) + "\n"
 
 

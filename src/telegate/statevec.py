@@ -23,6 +23,7 @@ import numpy as np
 ATOL_ORTHO = 1e-10      # orthonormality / unitarity tolerance
 ATOL_PROB = 1e-12       # below this a projection probability counts as zero
 ATOL_EXACT = 1e-12      # tolerance for identities that should hold exactly
+MAX_REGISTER_QUBITS = 22  # widest register simulated densely (chain-cz n=8)
 
 
 class UsageError(ValueError):

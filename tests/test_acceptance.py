@@ -283,7 +283,7 @@ def test_criterion_9_engine_properties():
         rep = oracle.verify_pattern(p, corrections=t, seed=SEED)
         return (
             reports.render_verification(rep),
-            reports.dumps(reports.verification_to_doc(rep)),
+            reports.verification_to_json(rep),
         )
 
     assert render_once() == render_once()

@@ -68,8 +68,14 @@ def _cnot_document_with(path, value):
 
 
 # Flag -> input file contents; pattern-file cases are (path, value) edits of
-# the cnot document.
+# the cnot document, and "--n" cases give chain-cz's chain length instead.
+# The register cases are one qubit or one chain link past
+# MAX_REGISTER_QUBITS, or a resource declaring more qubits than the
+# register has: each must be refused before any state is allocated.
 MALFORMED_INPUTS = {
+    "chain-past-register-limit": ("--n", 9),
+    "document-past-register-limit": ("--pattern-file", (("num_qubits",), 64)),
+    "resource-past-register": ("--pattern-file", (("resources", 0, "qubits"), list(range(64)))),
     "resource-without-qubits": ("--pattern-file", (("resources", 0, "qubits"), None)),
     "short-target-entry": ("--pattern-file", (("target", "entries", 0, 0), [1])),
     "list-valued-label": ("--pattern-file", (("groups", 0, "vectors", 0, "label"), [[0, 1]])),
@@ -83,7 +89,9 @@ MALFORMED_INPUTS = {
 def _run_malformed(capsys, tmp_path, command, case):
     flag, document = MALFORMED_INPUTS[case]
     argv = [command, flag, str(tmp_path / "input.json")]
-    if flag == "--u":
+    if flag == "--n":
+        argv = [command, "--pattern", "chain-cz", "--n", str(document)]
+    elif flag == "--u":
         argv += ["--pattern", "single-qubit"]
     else:
         document = _cnot_document_with(*document)
@@ -164,6 +172,20 @@ class TestVerify:
         assert code == 0
         assert "transposed reading (0/64 mismatches)" in out
         assert "captioned (56/64 mismatches)" in out
+
+    @pytest.mark.parametrize(
+        "argv", [("--pattern", "cnot"), ("--pattern", "chain-cz", "--n", "3")], ids=["cnot", "chain-cz-3"]
+    )
+    def test_register_contracted_once(self, capsys, monkeypatch, argv):
+        # Derivation and both verifications share one contraction.
+        from telegate import oracle
+
+        calls = []
+        contract = oracle._stacked_maps
+        monkeypatch.setattr(oracle, "_stacked_maps", lambda *a: calls.append(1) or contract(*a))
+        code, _, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_tolerance_flag(self, capsys):
         code, _, _ = run(

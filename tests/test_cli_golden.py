@@ -5,13 +5,16 @@ The digests are sha256 of the standard output of each command run with
 walked in blocks. Every printed fidelity and probability is written with
 ``repr``, so a digest changes if any computed value moves by one ulp.
 """
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from telegate import catalog, oracle
+from telegate import catalog, oracle, reports
 from telegate.cli import main
+from telegate.patterns import CorrectionOp, CorrectionTable
 
 GOLDEN = [
     ("verify --pattern single-qubit", 0, "4180b90ade33b9f20ebc3d56812b3fc400c19398326717d7b4aa24bc4534014c"),
@@ -78,3 +81,46 @@ def test_block_boundaries_do_not_change_results(monkeypatch, make):
     ):
         assert getattr(report7, name) == getattr(report, name), name
     assert np.array_equal(report7.probability_sums, report.probability_sums)
+
+
+def _phase_with_special_values():
+    report = oracle.verify_pattern(catalog.phase_gate_pattern())
+    probs = report.probabilities.copy()
+    probs[0, :4] = [-0.0, np.nan, np.inf, -np.inf]
+    fids = report.fidelities.copy()
+    fids[1, :3] = [-0.0, np.nan, 5e-324]
+    return dataclasses.replace(report, probabilities=probs, fidelities=fids)
+
+
+def _all_identity_loss_demo():
+    pattern = catalog.build_pattern("cz-mismatched")
+    table = CorrectionTable({key: CorrectionOp.identity() for key in pattern.outcome_keys})
+    return oracle.verify_pattern(pattern, corrections=table, loss_demo=True)
+
+
+def _derived(pattern):
+    return oracle.verify_pattern(pattern, corrections=oracle.derive_corrections(pattern))
+
+
+REPORTS = {
+    "phase": lambda: oracle.verify_pattern(catalog.phase_gate_pattern()),
+    "phase-special-values": _phase_with_special_values,
+    "cnot": lambda: _derived(catalog.cnot_pattern()),
+    "chain-cz-3": lambda: _derived(catalog.chain_cz_pattern(3)),
+    "cz-mismatched-identity": _all_identity_loss_demo,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_grid_writers_match_json_and_repr(name):
+    report = REPORTS[name]()
+    if name == "cz-mismatched-identity":
+        assert np.isnan(report.fidelities).sum() == 128
+    text = reports.verification_to_json(report)
+    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True)
+    rows = reports.verification_to_csv(report).splitlines()[1:]
+    assert len(rows) == report.fidelities.size
+    for row, prob, fid in zip(rows, report.probabilities.ravel(), report.fidelities.ravel()):
+        cells = row.rsplit(",", 2)
+        assert cells[1] == repr(float(prob))
+        assert cells[2] == ("" if np.isnan(fid) else repr(float(fid)))

@@ -168,6 +168,19 @@ class TestOutcomeMaps:
         with pytest.raises(ValueError):
             maps[((1,),)][0, 0] = 0
 
+    def test_contracted_once_per_pattern_object(self, monkeypatch):
+        calls = []
+        contract = oracle._stacked_maps
+        monkeypatch.setattr(oracle, "_stacked_maps", lambda *a: calls.append(1) or contract(*a))
+        pattern = catalog.cnot_pattern()
+        maps = oracle.outcome_maps(pattern)
+        assert oracle.outcome_maps(pattern) is maps
+        assert len(calls) == 1
+        retargeted = pattern.with_target(pattern.target)
+        assert oracle.outcome_maps(retargeted) is not maps
+        assert np.array_equal(oracle.outcome_maps(retargeted).stack, maps.stack)
+        assert len(calls) == 2
+
 
 class TestProbabilityConservation:
     @pytest.mark.parametrize(
@@ -226,6 +239,30 @@ class TestDictionary:
             found = d.index[oracle._signatures(d.matrices[k : k + 1] * 1j)[0].tobytes()]
             assert found <= k
             assert oracle._equal_up_to_phase(d.matrices[found], d.matrices[k])
+
+    @pytest.mark.parametrize("dim", [2, 8, 16, 64])
+    def test_signature_keys_tell_rows_apart_exactly(self, dim):
+        rng = np.random.default_rng(dim)
+        rows = rng.integers(0, dim, size=(300, dim))
+        turns = rng.integers(0, 8, size=(300, dim))
+        sigs = np.concatenate([rows, turns], axis=1)[rng.integers(0, 300, size=600)]
+        sigs[::7, -1] = sigs[1::7, -1][: len(sigs[::7])]  # near-duplicates
+        keys = oracle._signature_keys(sigs)
+        _, by_rows = np.unique(sigs, axis=0, return_inverse=True)
+        _, by_keys = np.unique(keys, return_inverse=True)
+        same_rows = by_rows[:, None] == by_rows[None, :]
+        assert np.array_equal(same_rows, by_keys[:, None] == by_keys[None, :])
+
+    @pytest.mark.parametrize("vocabulary", ["pauli_phase", "full"])
+    def test_shared_signature_still_confirms_each_recovery(self, vocabulary):
+        d = oracle.correction_dictionary(2, vocabulary)
+        k = 5
+        perturbed = d.matrices[k].copy()
+        perturbed[np.abs(perturbed) == 0] += 0.1  # same signature, not a match
+        stack = np.stack([d.matrices[k], perturbed])
+        sigs = oracle._signatures(stack)
+        assert np.array_equal(sigs[0], sigs[1])
+        assert oracle._name_recoveries(stack, d, {}) == [d.ops[k], None]
 
     def test_full_three_wire_includes_entanglers(self):
         d = oracle.correction_dictionary(3, "full")
@@ -727,7 +764,7 @@ class TestVerifyMechanics:
             report = oracle.verify_pattern(pattern, corrections=table)
             return (
                 reports.render_verification(report),
-                reports.dumps(reports.verification_to_doc(report)),
+                reports.verification_to_json(report),
             )
 
         assert run() == run()
