@@ -62,8 +62,9 @@ def format_key(key: OutcomeKey) -> str:
 # Pattern execution
 # ---------------------------------------------------------------------------
 
-# Derivation, verification, loss checks and enumeration walk the stacked
-# outcome maps this many outcomes at a time, which bounds their temporaries.
+# The dedupe of outcome maps and enumeration walk the stacked maps this many
+# outcomes at a time, and derivation, verification and loss checks walk the
+# distinct maps this many at a time, which bounds their temporaries.
 _BLOCK = 256
 
 
@@ -107,12 +108,39 @@ def _stacked_maps(pattern: GatePattern, inputs: np.ndarray) -> np.ndarray:
     return t.transpose([0] + perm + [len(qubits) + 1]).reshape(t.shape[0], -1, batch)
 
 
+def _words(maps: np.ndarray) -> np.ndarray:
+    """A (k, d_out, d_in) stack as k rows of its raw 64-bit words."""
+    return np.ascontiguousarray(maps).reshape(len(maps), -1).view(np.uint64)
+
+
+# splitmix64's constants: the golden-ratio increment and the two multipliers.
+_MIX = (
+    np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+)
+
+
+def _row_hashes(words: np.ndarray) -> np.ndarray:
+    """One 64-bit hash per row of words: each word is salted by its
+    position and scrambled by the splitmix64 finalizer, then the row sums
+    them modulo 2^64. Equal rows hash equal; unequal rows almost never do,
+    and callers compare rows before trusting a shared hash."""
+    x = words ^ (np.arange(words.shape[1], dtype=np.uint64) * _MIX[0])
+    x ^= x >> np.uint64(30)
+    x *= _MIX[1]
+    x ^= x >> np.uint64(27)
+    x *= _MIX[2]
+    x ^= x >> np.uint64(31)
+    return x.sum(axis=1, dtype=np.uint64)
+
+
 class OutcomeMaps(Mapping):
     """Read-only view of every outcome's input->output map.
 
     ``stack`` holds all maps as one array of shape (outcomes, d_out, d_in)
     in lexicographic label order, the order of
     :attr:`GatePattern.outcome_keys`; ``maps[key]`` is one slice of it.
+    Byproduct repairs leave few distinct maps among many outcomes, so
+    per-map work runs once per entry of :attr:`classes`.
     """
 
     def __init__(self, pattern: GatePattern, stack: np.ndarray):
@@ -138,6 +166,32 @@ class OutcomeMaps(Mapping):
                 raise KeyError(key) from None
         return self.stack[index]
 
+    @cached_property
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The bitwise-distinct maps: the first outcome carrying each, in
+        first-occurrence order, and each outcome's class (its position in
+        that array). Maps share a class only if their bytes are equal, so
+        -0.0 and +0.0, or entries one ulp apart, stay apart. Rows are hashed
+        block by block and each is compared with the first row of its hash;
+        rows that differ from it are grouped by their bytes."""
+        count = len(self)
+        hashes = np.empty(count, dtype=np.uint64)
+        for block in _blocks(count):
+            hashes[block] = _row_hashes(_words(self.stack[block]))
+        _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
+        owner = first[inverse]
+        stray: list[int] = []
+        for block in _blocks(count):
+            same = (_words(self.stack[block]) == _words(self.stack[owner[block]])).all(axis=1)
+            stray += (block.start + np.flatnonzero(~same)).tolist()
+        # Equal rows hash equal, so every copy of a stray row is stray too
+        # and its first copy is the first one met here.
+        firsts: dict[bytes, int] = {}
+        for i in stray:
+            owner[i] = firsts.setdefault(self.stack[i].tobytes(), i)
+        reps, classes = np.unique(owner, return_inverse=True)
+        return reps, classes
+
 
 def outcome_maps(pattern: GatePattern) -> OutcomeMaps:
     """The linear input->output map of every outcome tuple.
@@ -146,8 +200,9 @@ def outcome_maps(pattern: GatePattern) -> OutcomeMaps:
     computational-basis input; measurement branching is linear, so these
     matrices determine the pattern's action on any input. The maps are
     contracted once per pattern object and the same read-only mapping is
-    returned to every later call; a pattern made by ``with_target`` or
-    ``with_corrections`` starts afresh.
+    returned to every later call. A ``with_corrections`` copy shares them
+    (the maps do not depend on the corrections); a ``with_target`` copy
+    starts afresh.
     """
     maps = pattern._memo.get("outcome_maps")
     if maps is None:
@@ -414,8 +469,8 @@ def derive_corrections(
     dictionary's signature index; with the ``full`` vocabulary, a recovery
     outside the enumerated candidates but inside the vocabulary-generated
     group (a signed permutation with quarter-turn phases) is factored
-    exactly by :func:`decompose_monomial`. Outcomes are processed in blocks
-    of the stacked maps. Raises
+    exactly by :func:`decompose_monomial`. Each bitwise-distinct map is
+    resolved once and its result goes to every outcome carrying it. Raises
     :class:`DerivationError` listing the outcomes no correction repairs.
     """
     table, failures = derive_corrections_with_failures(pattern, dictionary)
@@ -438,32 +493,38 @@ def derive_corrections_with_failures(
 
     maps = outcome_maps(pattern)
     keys = pattern.outcome_keys
+    reps, classes = maps.classes
     factored: dict[bytes, tuple[CorrectionOp, np.ndarray]] = {}
-    entries: dict[OutcomeKey, CorrectionOp] = {}
-    failures: list[tuple[OutcomeKey, str]] = []
     outside = f"needed recovery lies outside the {dictionary.vocabulary} vocabulary"
     identity = CorrectionOp.identity()
-    for block in _blocks(len(keys)):
-        stack, block_keys = maps.stack[block], keys[block]
+    class_ops = np.full(len(reps), identity, dtype=object)
+    reasons: dict[int, str] = {}
+    # Classes are in first-occurrence order, so decompose_monomial meets the
+    # same first recovery per signature as a walk over every outcome would.
+    for block in _blocks(len(reps)):
+        stack = maps.stack[reps[block]]
         nonzero = np.linalg.norm(stack, axis=(1, 2)) >= ZERO_PROB
         unitary, needed = _needed_corrections(stack, pattern.target)
         unitary &= nonzero
         named = _name_recoveries(needed[unitary], dictionary, factored)
-        unnamed = np.zeros(len(block_keys), dtype=bool)
+        unnamed = np.zeros(len(stack), dtype=bool)
         unnamed[unitary] = [op is None for op in named]
-        ops = np.full(len(block_keys), identity, dtype=object)
+        ops = class_ops[block]
         ops[unitary] = named
         ops[unnamed] = identity
-        entries.update(zip(block_keys, ops.tolist()))
         lossy = nonzero & ~unitary
         ranks = iter(np.linalg.matrix_rank(stack[lossy], tol=RANK_TOL).tolist())
         for i in np.flatnonzero(unnamed | lossy).tolist():
-            reason = (
+            reasons[block.start + i] = (
                 outside
                 if unnamed[i]
                 else f"rank {next(ranks)}/{stack.shape[2]}, not proportional to a unitary"
             )
-            failures.append((block_keys[i], reason))
+    entries = dict(zip(keys, class_ops[classes].tolist()))
+    failing = np.zeros(len(reps), dtype=bool)
+    failing[list(reasons)] = True
+    hits = np.flatnonzero(failing[classes])
+    failures = [(keys[i], reasons[c]) for i, c in zip(hits.tolist(), classes[hits].tolist())]
     return CorrectionTable(entries), failures
 
 
@@ -731,14 +792,23 @@ def verify_pattern(
         missing = keys[int(np.argmax(op_index < 0))]
         raise MissingCorrectionError(f"no correction entry for outcome {format_key(missing)}")
     target_out = pattern.target @ inputs
-    fids = np.full((len(keys), inputs.shape[1]), np.nan)
-    probs = np.zeros_like(fids)
-    for block in _blocks(len(keys)):
-        out = mats[op_index[block]] @ (maps.stack[block] @ inputs)
+    # Outcomes with a bitwise-equal map and the same correction have equal
+    # rows; each distinct (map, correction) pair is computed at its first
+    # outcome and gathered back.
+    _, classes = maps.classes
+    _, first, pair_of = np.unique(
+        classes * len(mats) + op_index, return_index=True, return_inverse=True
+    )
+    pair_fids = np.full((len(first), inputs.shape[1]), np.nan)
+    pair_probs = np.zeros_like(pair_fids)
+    for block in _blocks(len(first)):
+        outcomes = first[block]
+        out = mats[op_index[outcomes]] @ (maps.stack[outcomes] @ inputs)
         norms = np.linalg.norm(out, axis=1)
-        probs[block] = norms**2
+        pair_probs[block] = norms**2
         overlaps = np.abs(np.sum(target_out.conj() * out, axis=1))
-        np.divide(overlaps, norms, out=fids[block], where=norms > np.sqrt(ZERO_PROB))
+        np.divide(overlaps, norms, out=pair_fids[block], where=norms > np.sqrt(ZERO_PROB))
+    fids, probs = pair_fids[pair_of], pair_probs[pair_of]
     generic = probs[:, generic_col]
     zero_prob = [keys[i] for i in np.flatnonzero(generic < ZERO_PROB)]
     suspicious = [
@@ -833,32 +903,37 @@ def detect_information_loss(pattern: GatePattern, seed: int = DEFAULT_SEED) -> L
     generic = random_state(dim.bit_length() - 1, rng, MIN_GENERIC_AMP)
     maps = outcome_maps(pattern)
     keys = pattern.outcome_keys
-    zero_prob: list[OutcomeKey] = []
-    outcomes: list[LossOutcome] = []
-    annihilated_all: set[int] = set()
-    for block in _blocks(len(keys)):
-        stack, block_keys = maps.stack[block], keys[block]
+    reps, classes = maps.classes
+    probs: list[float] = []
+    dead = np.empty((len(reps), dim), dtype=bool)
+    ranks = np.empty(len(reps), dtype=np.intp)
+    for block in _blocks(len(reps)):
+        stack = maps.stack[reps[block]]
         # Probabilities formed as np.linalg.norm(m @ generic) ** 2 forms them
         # for one map (dot products of the real and imaginary parts, then
         # the root squared), so the printed values do not depend on batching.
         out = (stack @ generic)[:, None, :]
         sq = out.real @ out.real.transpose(0, 2, 1) + out.imag @ out.imag.transpose(0, 2, 1)
-        probs = [x**2 for x in np.sqrt(sq[:, 0, 0]).tolist()]
-        live = np.array(probs) >= ZERO_PROB
-        dead = (np.linalg.norm(stack, axis=1) < RANK_TOL) & live[:, None]
-        ranks = np.linalg.matrix_rank(stack, tol=RANK_TOL)
-        for i in np.flatnonzero(live & (dead.any(axis=1) | (ranks < dim))).tolist():
-            annihilated = tuple(np.flatnonzero(dead[i]).tolist())
-            outcomes.append(LossOutcome(block_keys[i], probs[i], int(ranks[i]), annihilated))
-        annihilated_all.update(np.flatnonzero(dead.any(axis=0)).tolist())
-        zero_prob += [block_keys[i] for i in np.flatnonzero(~live).tolist()]
+        probs += [x**2 for x in np.sqrt(sq[:, 0, 0]).tolist()]
+        dead[block] = np.linalg.norm(stack, axis=1) < RANK_TOL
+        ranks[block] = np.linalg.matrix_rank(stack, tol=RANK_TOL)
+    live = np.array(probs) >= ZERO_PROB
+    dead &= live[:, None]
+    flagged = live & (dead.any(axis=1) | (ranks < dim))
+    lost = {c: tuple(np.flatnonzero(dead[c]).tolist()) for c in np.flatnonzero(flagged).tolist()}
+    hits = np.flatnonzero(flagged[classes])
+    outcomes = [
+        LossOutcome(keys[i], probs[c], int(ranks[c]), lost[c])
+        for i, c in zip(hits.tolist(), classes[hits].tolist())
+    ]
+    annihilated = np.flatnonzero(dead.any(axis=0)).tolist()
     return LossReport(
         pattern=pattern.name,
         seed=seed,
-        lossy=bool(annihilated_all),
-        zero_probability_outcomes=zero_prob,
+        lossy=bool(annihilated),
+        zero_probability_outcomes=[keys[i] for i in np.flatnonzero(~live[classes]).tolist()],
         outcomes=outcomes,
-        annihilated_components=sorted(annihilated_all),
+        annihilated_components=annihilated,
     )
 
 

@@ -176,8 +176,9 @@ class GatePattern:
     vocabulary: str = "pauli_phase"  # correction vocabulary hint for derivation
     variant: str = ""                # basis-variant note, when applicable
     # Results computed once per pattern object (outcome_keys and
-    # oracle.outcome_maps); a pattern made by dataclasses.replace starts
-    # with an empty memo.
+    # oracle.outcome_maps); none depends on the corrections, so a
+    # with_corrections copy shares them, and any other dataclasses.replace
+    # copy starts with an empty memo.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -197,7 +198,9 @@ class GatePattern:
         return replace(self, target=np.asarray(target, dtype=complex), corrections=None)
 
     def with_corrections(self, table: CorrectionTable | None) -> "GatePattern":
-        return replace(self, corrections=table)
+        copy = replace(self, corrections=table)
+        copy._memo.update(self._memo)
+        return copy
 
 
 def validate_pattern(pattern: GatePattern) -> None:
@@ -410,6 +413,13 @@ def pattern_from_document(doc: dict) -> GatePattern:
         groups = []
         for gi, grp in enumerate(doc["groups"]):
             qubits = sv.check_subset(grp["qubits"], num_qubits)
+            # Refused before any vector is built, so the document's length
+            # cannot size an allocation.
+            if len(grp["vectors"]) != 1 << len(qubits):
+                raise PatternFormatError(
+                    f"group {gi} basis has {len(grp['vectors'])} vectors, "
+                    f"expected {1 << len(qubits)} (completeness violation)"
+                )
             labels = []
             states = []
             for vec in grp["vectors"]:

@@ -172,28 +172,6 @@ def project(
     return prob, StateVector(n - len(measured), np.ascontiguousarray(post))
 
 
-def project_group(
-    state: StateVector, basis_matrix: np.ndarray, measured: tuple[int, ...]
-) -> np.ndarray:
-    """Unnormalized residual amplitudes for every vector of a joint basis.
-
-    ``basis_matrix`` holds one basis vector per row. The result has shape
-    (num_vectors, 2**(n-k)); row norms squared are the outcome probabilities.
-    """
-    n = state.num_qubits
-    measured = check_subset(measured, n)
-    k = len(measured)
-    basis_matrix = np.asarray(basis_matrix, dtype=complex)
-    if basis_matrix.ndim != 2 or basis_matrix.shape[1] != (1 << k):
-        raise UsageError(
-            f"basis matrix of shape {basis_matrix.shape} does not measure {k} qubits"
-        )
-    t = state.amps.reshape([2] * n)
-    t = np.moveaxis(t, measured, range(k))
-    mat = t.reshape(1 << k, -1)
-    return basis_matrix.conj() @ mat
-
-
 def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:
     """|<a|b>| for normalized states: 1 means equal up to a global phase."""
     if a.num_qubits != b.num_qubits:

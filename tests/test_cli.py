@@ -108,6 +108,23 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, case):
     _run_malformed(capsys, tmp_path, "verify", case)
 
 
+def test_group_vector_count_is_checked_before_any_vector_is_built(capsys, tmp_path, monkeypatch):
+    from telegate import patterns
+
+    built = []
+    state_of = patterns._state_of
+    monkeypatch.setattr(patterns, "_state_of", lambda *a: built.append(a[2]) or state_of(*a))
+    doc = pattern_to_document(catalog.cnot_pattern())
+    vectors = doc["groups"][0]["vectors"]
+    vectors.append({"label": vectors[0]["label"], "terms": "not terms"})
+    (tmp_path / "input.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--pattern-file", str(tmp_path / "input.json"))
+    assert code == 2 and out == ""
+    expected = f"group 0 basis has {len(vectors)} vectors, expected {len(vectors) - 1}"
+    assert err == f"error: {expected} (completeness violation)\n"
+    assert "group 0" not in built
+
+
 @pytest.mark.parametrize("case", ["sign-in-bit-slot", "object-vocabulary"])
 def test_malformed_document_is_one_line_usage_error_for_derive(capsys, tmp_path, case):
     _run_malformed(capsys, tmp_path, "derive", case)
@@ -174,10 +191,13 @@ class TestVerify:
         assert "captioned (56/64 mismatches)" in out
 
     @pytest.mark.parametrize(
-        "argv", [("--pattern", "cnot"), ("--pattern", "chain-cz", "--n", "3")], ids=["cnot", "chain-cz-3"]
+        "argv",
+        [("--pattern", "cnot"), ("--pattern", "chain-cz", "--n", "3"), ("--pattern", "toffoli")],
+        ids=["cnot", "chain-cz-3", "toffoli"],
     )
     def test_register_contracted_once(self, capsys, monkeypatch, argv):
-        # Derivation and both verifications share one contraction.
+        # Derivation and both verifications share one contraction; toffoli's
+        # variant selection hands its contracted maps on with the table.
         from telegate import oracle
 
         calls = []

@@ -68,7 +68,8 @@ def test_block_boundaries_do_not_change_results(monkeypatch, make):
     table, failures, report, loss = _everything(pattern)
     monkeypatch.setattr(oracle, "_BLOCK", 7)
     assert len(pattern.outcome_keys) % 7  # the last block is a partial one
-    table7, failures7, report7, loss7 = _everything(pattern)
+    # A fresh pattern, so the maps' classes are found in blocks of 7 too.
+    table7, failures7, report7, loss7 = _everything(make())
     assert table7.entries == table.entries
     assert failures7 == failures
     assert loss7 == loss
@@ -81,6 +82,16 @@ def test_block_boundaries_do_not_change_results(monkeypatch, make):
     ):
         assert getattr(report7, name) == getattr(report, name), name
     assert np.array_equal(report7.probability_sums, report.probability_sums)
+
+
+def test_block_boundaries_do_not_change_fredkin_derivation(monkeypatch, fredkin_partial):
+    _, table, failures = fredkin_partial
+    monkeypatch.setattr(oracle, "_BLOCK", 7)
+    pattern = catalog.fredkin_pattern()
+    assert len(pattern.outcome_keys) % 7
+    table7, failures7 = oracle.derive_corrections_with_failures(pattern)
+    assert failures7 == failures
+    assert table7.entries == table.entries
 
 
 def _phase_with_special_values():

@@ -180,6 +180,68 @@ class TestOutcomeMaps:
         assert oracle.outcome_maps(retargeted) is not maps
         assert np.array_equal(oracle.outcome_maps(retargeted).stack, maps.stack)
         assert len(calls) == 2
+        assert oracle.outcome_maps(pattern.with_corrections(None)) is maps
+        assert len(calls) == 2
+
+    @staticmethod
+    def _crafted(*rows):
+        # The phase pattern has four outcomes of 2x2 maps.
+        return oracle.OutcomeMaps(catalog.phase_gate_pattern(), np.array(rows, dtype=complex))
+
+    def test_bitwise_equal_maps_share_a_class_in_first_occurrence_order(self):
+        a, b = np.eye(2), np.array([[0, 1], [1, 0]])
+        reps, classes = self._crafted(b, a, b, a).classes
+        assert reps.tolist() == [0, 1]
+        assert classes.tolist() == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("make", [
+        lambda: catalog.chain_cz_pattern(3), lambda: catalog.build_pattern("triple-cz"),
+    ], ids=["chain-cz-3", "triple-cz"])
+    def test_classes_are_exactly_the_distinct_maps(self, make):
+        maps = oracle.outcome_maps(make())
+        reps, classes = maps.classes
+        words = oracle._words(maps.stack)
+        _, first, inverse = np.unique(words, axis=0, return_index=True, return_inverse=True)
+        assert len(reps) == len(first) < len(maps)
+        assert reps.tolist() == sorted(first.tolist())
+        # Same partition as the exact row comparison, and each class's
+        # first outcome is its representative.
+        assert np.array_equal(inverse.reshape(-1)[reps][classes], inverse.reshape(-1))
+        assert [int(np.argmax(classes == c)) for c in range(len(reps))] == reps.tolist()
+        # Maps that differ by byproduct signs get different hashes.
+        assert len(np.unique(oracle._row_hashes(words))) == len(reps)
+
+    def test_signed_zeros_and_one_ulp_stay_apart(self):
+        a = np.array([[1.0, 0.0], [0.0, 0.5]])
+        negzero = a * np.array([[1, -1], [1, 1]])
+        ulp = a.copy()
+        ulp[1, 1] = np.nextafter(0.5, 1.0)
+        assert np.array_equal(negzero, a)
+        reps, classes = self._crafted(a, negzero, ulp, a).classes
+        assert reps.tolist() == [0, 1, 2]
+        assert classes.tolist() == [0, 1, 2, 0]
+
+    def test_hash_collisions_cannot_merge_unequal_maps(self, monkeypatch):
+        exact = oracle.outcome_maps(catalog.chain_cz_pattern(3)).classes
+        monkeypatch.setattr(oracle, "_row_hashes", lambda words: np.zeros(len(words), np.uint64))
+        a, b, c = np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1], [1, 0]])
+        reps, classes = self._crafted(a, b, b, c).classes
+        assert reps.tolist() == [0, 1, 3]
+        assert classes.tolist() == [0, 1, 1, 2]
+        monkeypatch.setattr(oracle, "_BLOCK", 7)
+        collided = oracle.outcome_maps(catalog.chain_cz_pattern(3)).classes
+        assert all(np.array_equal(x, y) for x, y in zip(collided, exact))
+
+    def test_per_map_arithmetic_runs_once_per_distinct_map(self, monkeypatch):
+        rows = []
+        needed = oracle._needed_corrections
+        monkeypatch.setattr(
+            oracle, "_needed_corrections", lambda m, t: rows.append(len(m)) or needed(m, t)
+        )
+        pattern = catalog.chain_cz_pattern(3)
+        oracle.derive_corrections(pattern)
+        assert len(pattern.outcome_keys) == 1024
+        assert sum(rows) == 32
 
 
 class TestProbabilityConservation:
