@@ -88,10 +88,11 @@ def _stacked_maps(pattern: GatePattern, inputs: np.ndarray) -> np.ndarray:
     ``inputs`` has one normalized input state per column. Returns an array
     of shape (outcomes, 2^num_outputs, batch), unnormalized: squared column
     norms are the outcome probabilities. Outcomes are in lexicographic label
-    order. The register is contracted one measurement group at a time: one
-    matmul of the group's conjugated basis against the group's axes turns
-    every outcome so far into one outcome per basis vector. Each step drops
-    its input before the matmul, so at most two register-sized arrays live.
+    order. The register is contracted one measurement group at a time: the
+    group's conjugated basis, applied to the group's axes through its
+    nonzero entries only, turns every outcome so far into one outcome per
+    basis vector. Each step drops its input before contracting, so at most
+    two register-sized arrays live.
     """
     batch = inputs.shape[1]
     t, qubits = _register(pattern, inputs)
@@ -102,10 +103,46 @@ def _stacked_maps(pattern: GatePattern, inputs: np.ndarray) -> np.ndarray:
         del t
         measured = set(group.qubits)
         qubits = [q for q in qubits if q not in measured]
-        t = (group.basis.vectors.conj() @ flat).reshape([-1] + [2] * len(qubits) + [batch])
+        t = _contract(group.basis.vectors, flat).reshape([-1] + [2] * len(qubits) + [batch])
         del flat
     perm = [qubits.index(w) + 1 for w in pattern.output_wires]
     return t.transpose([0] + perm + [len(qubits) + 1]).reshape(t.shape[0], -1, batch)
+
+
+# The contraction gathers at most this many amplitudes at a time (but always
+# one column of every basis row), which bounds its temporaries.
+_GATHER = 1 << 16
+
+
+def _contract(vectors: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """``vectors.conj() @ flat`` for a (rows, K) basis and an (outcomes, K,
+    columns) register, summed over each row's nonzero entries only.
+
+    Slot s adds every row's s-th nonzero entry times the register slice at
+    its column, for as many slots as the widest row has nonzeros; a shorter
+    row's last slots fall on its zero entries. Catalog bases have at most 4
+    nonzeros per row, so this does a few gathers instead of a K-term sum; a
+    dense basis has K per row.
+    """
+    nonzero = vectors != 0
+    width = max(1, int(nonzero.sum(axis=1).max()))
+    # Each row's nonzero columns first, in column order.
+    index = np.argsort(~nonzero, axis=1, kind="stable")[:, :width].copy()
+    coeffs = np.take_along_axis(vectors, index, axis=1).conj()[:, :, None]
+    outcomes, _, columns = flat.shape
+    out = np.empty((outcomes, len(vectors), columns), dtype=complex)
+    step_c = max(1, min(columns, _GATHER // len(vectors)))
+    step_o = max(1, _GATHER // (len(vectors) * step_c))
+    for lo in range(0, outcomes, step_o):
+        for c in range(0, columns, step_c):
+            src = flat[lo:lo + step_o, :, c:c + step_c]
+            acc = out[lo:lo + step_o, :, c:c + step_c]
+            np.multiply(coeffs[:, 0], src[:, index[:, 0]], out=acc)
+            for s in range(1, width):
+                term = src[:, index[:, s]]
+                term *= coeffs[:, s]
+                acc += term
+    return out
 
 
 def _words(maps: np.ndarray) -> np.ndarray:
@@ -223,15 +260,22 @@ def _correction_matrices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The matrix of each distinct op ``table`` assigns to ``keys``, built
     once, and each key's row in that stack (-1 where the table has none).
-    Ops are told apart by identity before they are hashed, so a table that
-    reuses op objects, as every derived table does, hashes each one once."""
-    ops = list(map(table.entries.get, keys))
+    A table whose keys are ``keys`` in order, as every derived table's are,
+    is read without hashing a key. Ops are told apart by identity before
+    they are hashed, so a table that reuses op objects, as every derived
+    table does, hashes each one once."""
+    entries = table.entries
+    ops = list(entries.values()) if list(entries) == keys else list(map(entries.get, keys))
+    ids = np.fromiter(map(id, ops), dtype=np.uintp, count=len(ops))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     rows: dict[CorrectionOp, int] = {}
-    row_of = {
-        id(op): -1 if op is None else rows.setdefault(op, len(rows))
-        for op in {id(op): op for op in ops}.values()
-    }
-    index = np.fromiter(map(row_of.__getitem__, map(id, ops)), dtype=np.intp, count=len(ops))
+    # Distinct objects in first-occurrence order, then equal ops share a row.
+    order = np.argsort(first)
+    row_of = np.empty(len(first), dtype=np.intp)
+    row_of[order] = [
+        -1 if ops[i] is None else rows.setdefault(ops[i], len(rows)) for i in first[order].tolist()
+    ]
+    index = row_of[inverse]
     dim = 1 << num_wires
     mats = np.empty((len(rows), dim, dim), dtype=complex)
     for op, row in rows.items():
@@ -723,15 +767,23 @@ def compare_tables(derived: CorrectionTable, printed: CorrectionTable, num_wires
 
 @dataclass
 class VerificationReport:
-    """Per-outcome, per-input corrected-output fidelities for one pattern."""
+    """Per-outcome, per-input corrected-output fidelities for one pattern.
+
+    Outcomes with the same (map, correction) pair have equal rows, so the
+    grid is kept once per pair: outcome i's row is row ``pair_of[i]`` of
+    ``pair_fidelities`` and ``pair_probabilities``. :attr:`fidelities` and
+    :attr:`probabilities` gather the full (outcomes, inputs) grids on first
+    access.
+    """
 
     pattern: str
     variant: str
     seed: int
     outcome_keys: list[OutcomeKey]
     input_labels: list[str]
-    fidelities: np.ndarray        # (outcomes, inputs); NaN where the branch has zero probability
-    probabilities: np.ndarray     # same shape
+    pair_fidelities: np.ndarray     # (pairs, inputs); NaN where the branch has zero probability
+    pair_probabilities: np.ndarray  # same shape
+    pair_of: np.ndarray             # (outcomes,) each outcome's pair row
     min_fidelity: float
     worst_outcome: OutcomeKey | None
     worst_input: str | None
@@ -743,6 +795,16 @@ class VerificationReport:
     loss_demo: bool = False
     table_diff: TableDiff | None = None
     notes: list[str] = field(default_factory=list)
+
+    @cached_property
+    def fidelities(self) -> np.ndarray:
+        """(outcomes, inputs) fidelities, NaN where the branch has zero probability."""
+        return self.pair_fidelities[self.pair_of]
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        """(outcomes, inputs) branch probabilities."""
+        return self.pair_probabilities[self.pair_of]
 
 
 def default_inputs(dim: int, seed: int, num_random: int = 20) -> tuple[np.ndarray, list[str]]:
@@ -756,6 +818,21 @@ def default_inputs(dim: int, seed: int, num_random: int = 20) -> tuple[np.ndarra
     cols.append(rand)
     labels += [f"rand{r:02d}" for r in range(num_random)]
     return np.hstack(cols), labels
+
+
+def _column_sums(pair_rows: np.ndarray, pair_of: np.ndarray) -> np.ndarray:
+    """``pair_rows[pair_of].sum(axis=0)`` bit for bit, one block of rows at a
+    time. numpy adds the rows of an axis-0 sum one after another, so each
+    block's sum continues from the running sum as its first row. A single
+    column is contiguous and numpy sums it pairwise instead, so it is
+    gathered whole."""
+    if pair_rows.shape[1] == 1:
+        return pair_rows[pair_of].sum(axis=0)
+    sums = None
+    for block in _blocks(len(pair_of)):
+        rows = pair_rows[pair_of[block]]
+        sums = (rows if sums is None else np.vstack([sums, rows])).sum(axis=0)
+    return sums
 
 
 def verify_pattern(
@@ -794,7 +871,7 @@ def verify_pattern(
     target_out = pattern.target @ inputs
     # Outcomes with a bitwise-equal map and the same correction have equal
     # rows; each distinct (map, correction) pair is computed at its first
-    # outcome and gathered back.
+    # outcome, and the report keeps one row per pair.
     _, classes = maps.classes
     _, first, pair_of = np.unique(
         classes * len(mats) + op_index, return_index=True, return_inverse=True
@@ -808,27 +885,31 @@ def verify_pattern(
         pair_probs[block] = norms**2
         overlaps = np.abs(np.sum(target_out.conj() * out, axis=1))
         np.divide(overlaps, norms, out=pair_fids[block], where=norms > np.sqrt(ZERO_PROB))
-    fids, probs = pair_fids[pair_of], pair_probs[pair_of]
-    generic = probs[:, generic_col]
+    generic = pair_probs[pair_of, generic_col]
     zero_prob = [keys[i] for i in np.flatnonzero(generic < ZERO_PROB)]
     suspicious = [
         keys[i] for i in np.flatnonzero((generic >= ZERO_PROB) & (generic < SUSPICIOUS_PROB))
     ]
 
-    finite = np.isfinite(fids)
-    min_fidelity = float(fids[finite].min()) if finite.any() else 0.0
+    finite = np.isfinite(pair_fids)
     if finite.any():
-        flat = np.where(finite, fids, np.inf).argmin()
-        wo, wi = np.unravel_index(flat, fids.shape)
-        worst_outcome, worst_input = keys[wo], input_labels[wi]
+        masked = np.where(finite, pair_fids, np.inf)
+        min_fidelity = float(masked.min())
+        # The worst cell is the first minimum in (outcome, input) order. Each
+        # pair first occurs at its representative outcome, so that cell lies
+        # in the holding pair with the earliest representative.
+        holders = np.flatnonzero((masked == min_fidelity).any(axis=1))
+        worst = holders[np.argmin(first[holders])]
+        worst_outcome = keys[first[worst]]
+        worst_input = input_labels[int(np.argmax(masked[worst] == min_fidelity))]
     else:
+        min_fidelity = 0.0
         worst_outcome = worst_input = None
-    gen_probs = probs[:, generic_col]
-    live_gen = gen_probs[gen_probs >= ZERO_PROB]
+    live_gen = generic[generic >= ZERO_PROB]
     prange = (
         (float(live_gen.min()), float(live_gen.max())) if live_gen.size else (0.0, 0.0)
     )
-    sums = probs.sum(axis=0)
+    sums = _column_sums(pair_probs, pair_of)
     conserved = bool(np.max(np.abs(sums - 1.0)) <= 1e-9)
     notes = []
     if not conserved:
@@ -849,8 +930,9 @@ def verify_pattern(
         seed=seed,
         outcome_keys=keys,
         input_labels=input_labels,
-        fidelities=fids,
-        probabilities=probs,
+        pair_fidelities=pair_fids,
+        pair_probabilities=pair_probs,
+        pair_of=pair_of,
         min_fidelity=min_fidelity,
         worst_outcome=worst_outcome,
         worst_input=worst_input,

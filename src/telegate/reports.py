@@ -24,6 +24,23 @@ def _f(x: float) -> str:
     return repr(float(x))
 
 
+def _format_keys(keys) -> list[str]:
+    """``format_key`` of each key. Keys of one pattern share their label
+    objects, so each label's text is built once (per object) and joined.
+    Labels are told apart by identity, as (1, 0) and (True, 0) are equal
+    but print differently."""
+    # The memo holds each label it has seen, so no other can take its id.
+    texts: dict[int, tuple] = {}
+
+    def text(label) -> str:
+        hit = texts.get(id(label))
+        if hit is None:
+            hit = texts[id(label)] = (label, "(" + ",".join(str(x) for x in label) + ")")
+        return hit[1]
+
+    return [";".join(map(text, key)) for key in keys]
+
+
 def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=1, sort_keys=True)
 
@@ -64,8 +81,8 @@ def verification_to_doc(report: VerificationReport) -> dict:
         "min_fidelity": float(report.min_fidelity),
         "worst_outcome": format_key(report.worst_outcome) if report.worst_outcome else None,
         "worst_input": report.worst_input,
-        "zero_probability_outcomes": [format_key(k) for k in report.zero_probability_outcomes],
-        "suspicious_outcomes": [format_key(k) for k in report.suspicious_outcomes],
+        "zero_probability_outcomes": _format_keys(report.zero_probability_outcomes),
+        "suspicious_outcomes": _format_keys(report.suspicious_outcomes),
         "probability_sums": [float(x) for x in report.probability_sums],
         "outcome_probability_range": [float(x) for x in report.outcome_probability_range],
         "input_labels": list(report.input_labels),
@@ -80,19 +97,20 @@ def verification_to_json(report: VerificationReport) -> str:
     """The report with its per-outcome grid as JSON: the bytes
     ``dumps`` writes for the headline fields plus an ``outcomes`` list of
     {fidelities, labels, probabilities} per outcome (NaN fidelities as
-    null). The grid is joined from one text per distinct cell value."""
+    null). The grid is joined from one text per distinct cell value and
+    one list text per (map, correction) pair row."""
     doc = verification_to_doc(report)
     doc["outcomes"] = None
     # Only top-level keys start a line with one space of indent, so the
     # placeholder is found exactly once.
     head, tail = dumps(doc).split('\n "outcomes": null', 1)
-    fids = _cell_texts(report.fidelities, _json_fidelity)
-    probs = _cell_texts(report.probabilities, json.dumps)
+    fids = [_json_list(row) for row in _cell_texts(report.pair_fidelities, _json_fidelity)]
+    probs = [_json_list(row) for row in _cell_texts(report.pair_probabilities, json.dumps)]
     rows = [
-        '  {\n   "fidelities": ' + _json_list(fids[i])
-        + ',\n   "labels": ' + json.dumps(format_key(key))
-        + ',\n   "probabilities": ' + _json_list(probs[i]) + "\n  }"
-        for i, key in enumerate(report.outcome_keys)
+        '  {\n   "fidelities": ' + fids[p]
+        + ',\n   "labels": ' + json.dumps(label)
+        + ',\n   "probabilities": ' + probs[p] + "\n  }"
+        for p, label in zip(report.pair_of.tolist(), _format_keys(report.outcome_keys))
     ]
     grid = "[\n" + ",\n".join(rows) + "\n ]" if rows else "[]"
     return f'{head}\n "outcomes": {grid}{tail}'
@@ -146,12 +164,12 @@ def render_verification(report: VerificationReport, max_listed: int = 8) -> str:
     zk = report.zero_probability_outcomes
     lines.append(
         "zero-probability outcomes: "
-        + ("none" if not zk else _listed([format_key(k) for k in zk], max_listed))
+        + ("none" if not zk else _listed(_format_keys(zk), max_listed))
     )
     if report.suspicious_outcomes:
         lines.append(
             "suspicious (near-zero) outcomes: "
-            + _listed([format_key(k) for k in report.suspicious_outcomes], max_listed)
+            + _listed(_format_keys(report.suspicious_outcomes), max_listed)
         )
     if report.table_diff is not None:
         lines.append(render_table_diff(report.table_diff, max_listed))
@@ -185,13 +203,17 @@ def render_table_diff(diff: TableDiff, max_listed: int = 8) -> str:
 
 
 def verification_to_csv(report: VerificationReport) -> str:
-    fids = _cell_texts(report.fidelities, _csv_fidelity)
-    probs = _cell_texts(report.probabilities, _f)
+    fids = _cell_texts(report.pair_fidelities, _csv_fidelity)
+    probs = _cell_texts(report.pair_probabilities, _f)
+    # Each pair row's cells once, as the lines' tails after the outcome.
+    tails = [
+        [f",{label},{prob},{fid}" for label, prob, fid in zip(report.input_labels, p, f)]
+        for p, f in zip(probs, fids)
+    ]
     lines = ["outcome,input,probability,fidelity"]
-    for i, key in enumerate(report.outcome_keys):
-        outcome = f"\"{format_key(key)}\""
-        for label, prob, fid in zip(report.input_labels, probs[i], fids[i]):
-            lines.append(f"{outcome},{label},{prob},{fid}")
+    for p, label in zip(report.pair_of.tolist(), _format_keys(report.outcome_keys)):
+        outcome = f"\"{label}\""
+        lines.extend(outcome + tail for tail in tails[p])
     return "\n".join(lines) + "\n"
 
 
@@ -206,17 +228,15 @@ def loss_to_doc(report: LossReport) -> dict:
         "seed": report.seed,
         "lossy": report.lossy,
         "annihilated_components": report.component_names(),
-        "zero_probability_outcomes": [
-            format_key(k) for k in report.zero_probability_outcomes
-        ],
+        "zero_probability_outcomes": _format_keys(report.zero_probability_outcomes),
         "outcomes": [
             {
-                "labels": format_key(o.key),
+                "labels": label,
                 "probability": float(o.probability),
                 "rank": o.rank,
                 "annihilated": list(o.annihilated),
             }
-            for o in report.outcomes
+            for o, label in zip(report.outcomes, _format_keys(o.key for o in report.outcomes))
         ],
     }
 
@@ -234,9 +254,7 @@ def render_loss(report: LossReport, max_listed: int = 8) -> str:
     if report.zero_probability_outcomes:
         lines.append(
             "zero-probability outcomes: "
-            + _listed(
-                [format_key(k) for k in report.zero_probability_outcomes], max_listed
-            )
+            + _listed(_format_keys(report.zero_probability_outcomes), max_listed)
         )
     if report.outcomes:
         lines.append(f"degraded outcomes ({len(report.outcomes)}):")
@@ -255,9 +273,9 @@ def render_loss(report: LossReport, max_listed: int = 8) -> str:
 
 def loss_to_csv(report: LossReport) -> str:
     lines = ["outcome,probability,rank,annihilated"]
-    for o in report.outcomes:
+    for o, label in zip(report.outcomes, _format_keys(o.key for o in report.outcomes)):
         ann = ";".join(f"c{i}" for i in o.annihilated)
-        lines.append(f"\"{format_key(o.key)}\",{_f(o.probability)},{o.rank},{ann}")
+        lines.append(f"\"{label}\",{_f(o.probability)},{o.rank},{ann}")
     return "\n".join(lines) + "\n"
 
 

@@ -95,12 +95,15 @@ def test_block_boundaries_do_not_change_fredkin_derivation(monkeypatch, fredkin_
 
 
 def _phase_with_special_values():
+    # One pair row per outcome, so each special cell sits in one outcome.
     report = oracle.verify_pattern(catalog.phase_gate_pattern())
     probs = report.probabilities.copy()
     probs[0, :4] = [-0.0, np.nan, np.inf, -np.inf]
     fids = report.fidelities.copy()
     fids[1, :3] = [-0.0, np.nan, 5e-324]
-    return dataclasses.replace(report, probabilities=probs, fidelities=fids)
+    return dataclasses.replace(
+        report, pair_probabilities=probs, pair_fidelities=fids, pair_of=np.arange(len(probs))
+    )
 
 
 def _all_identity_loss_demo():

@@ -1,4 +1,5 @@
 """Oracle behaviour: enumeration, derivation, verification, loss, parity."""
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -8,7 +9,13 @@ from hypothesis import given, settings, strategies as st
 from telegate import catalog, oracle, tables
 from telegate import statevec as sv
 from telegate.gates import CPHASE, CZ, HADAMARD, random_state, random_unitary
-from telegate.patterns import CorrectionOp, CorrectionTable, MeasurementGroup
+from telegate.patterns import (
+    CorrectionOp,
+    CorrectionTable,
+    MeasurementGroup,
+    pattern_from_document,
+    pattern_to_document,
+)
 
 
 def plus_state():
@@ -242,6 +249,210 @@ class TestOutcomeMaps:
         oracle.derive_corrections(pattern)
         assert len(pattern.outcome_keys) == 1024
         assert sum(rows) == 32
+
+
+# Every catalog pattern with its default arguments.
+CATALOG_NAMES = [name for name in catalog.catalog_entries() if name != "chain-cz"]
+
+
+def _catalog_pattern(name):
+    if name.startswith("chain-cz-"):
+        return catalog.chain_cz_pattern(int(name.rsplit("-", 1)[1]))
+    return catalog.build_pattern(name)
+
+
+def _dense_basis_pattern(name, seed):
+    """The named pattern's document with group 0's basis replaced by the
+    rows of a random unitary, so every row has 2^k nonzero amplitudes."""
+    doc = pattern_to_document(catalog.build_pattern(name))
+    group = doc["groups"][0]
+    k = len(group["qubits"])
+    unitary = random_unitary(1 << k, np.random.default_rng(seed))
+    for vector, row in zip(group["vectors"], unitary):
+        vector["terms"] = [
+            {"coeff": [z.real, z.imag], "bits": format(i, f"0{k}b")} for i, z in enumerate(row)
+        ]
+    pattern = pattern_from_document(doc)
+    assert (pattern.groups[0].basis.vectors != 0).all()
+    return pattern
+
+
+CONTRACTED = {
+    **{
+        name: lambda name=name: _catalog_pattern(name)
+        for name in CATALOG_NAMES + [f"chain-cz-{n}" for n in range(1, 6)]
+    },
+    "phase-dense-basis": lambda: _dense_basis_pattern("phase", 3),
+    "cz-dense-basis": lambda: _dense_basis_pattern("cz", 4),
+}
+
+
+class TestSparseContraction:
+    """The contraction over basis nonzeros against a dense matmul of every
+    group's basis, kept here as the reference."""
+
+    # A K-term sum of products of entries bounded by 1 in magnitude; groups
+    # here have K <= 32 columns, each term rounding by about one ulp.
+    TOL = 64 * np.finfo(float).eps
+
+    @staticmethod
+    def _dense_maps(pattern):
+        dim = 1 << len(pattern.input_wires)
+        t, qubits = oracle._register(pattern, np.eye(dim, dtype=complex))
+        for group in pattern.groups:
+            axes = [qubits.index(q) + 1 for q in group.qubits]
+            k = len(axes)
+            flat = np.moveaxis(t, axes, range(1, k + 1)).reshape(t.shape[0], 1 << k, -1)
+            qubits = [q for q in qubits if q not in group.qubits]
+            t = (group.basis.vectors.conj() @ flat).reshape([-1] + [2] * len(qubits) + [dim])
+        perm = [qubits.index(w) + 1 for w in pattern.output_wires]
+        return t.transpose([0] + perm + [len(qubits) + 1]).reshape(t.shape[0], -1, dim)
+
+    @pytest.mark.parametrize("name", sorted(CONTRACTED))
+    def test_matches_dense_reference(self, name):
+        pattern = CONTRACTED[name]()
+        maps = oracle.outcome_maps(pattern).stack
+        dense = self._dense_maps(pattern)
+        assert maps.shape == dense.shape
+        np.testing.assert_allclose(maps, dense, rtol=0, atol=self.TOL)
+
+    @pytest.mark.parametrize("budget", [1, 5, 37])
+    @pytest.mark.parametrize("name", ["chain-cz-3", "triple-cz", "cz-dense-basis"])
+    def test_gather_budget_does_not_change_results(self, monkeypatch, name, budget):
+        # Budgets under one column of every basis row, and budgets whose
+        # column chunks end inside an outcome's columns, split each sum
+        # only between independent entries, so the bits do not move.
+        exact = oracle.outcome_maps(CONTRACTED[name]()).stack
+        monkeypatch.setattr(oracle, "_GATHER", budget)
+        chunked = oracle.outcome_maps(CONTRACTED[name]()).stack
+        assert np.array_equal(chunked.view(np.uint64), exact.view(np.uint64))
+
+    def test_rows_of_unequal_width(self):
+        # Rows padded with zero coefficients up to the widest row's count.
+        rng = np.random.default_rng(5)
+        vectors = random_unitary(4, rng)
+        vectors[0] = [1, 0, 0, 0]
+        vectors[2, 1:3] = 0
+        flat = rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))
+        np.testing.assert_allclose(
+            oracle._contract(vectors, flat), vectors.conj() @ flat, rtol=0, atol=self.TOL
+        )
+
+
+def _full_grid_summaries(report):
+    """The report's summaries recomputed from the full (outcomes, inputs)
+    grids, the way they were computed before the grids were kept per pair."""
+    fids, probs = report.fidelities, report.probabilities
+    keys = report.outcome_keys
+    finite = np.isfinite(fids)
+    if finite.any():
+        wo, wi = np.unravel_index(np.where(finite, fids, np.inf).argmin(), fids.shape)
+        worst = (float(fids[finite].min()), keys[wo], report.input_labels[wi])
+    else:
+        worst = (0.0, None, None)
+    generic = probs[:, report.input_labels.index("rand00")]
+    live = generic[generic >= oracle.ZERO_PROB]
+    return {
+        "worst": worst,
+        "zero": [keys[i] for i in np.flatnonzero(generic < oracle.ZERO_PROB)],
+        "suspicious": [
+            keys[i]
+            for i in np.flatnonzero(
+                (generic >= oracle.ZERO_PROB) & (generic < oracle.SUSPICIOUS_PROB)
+            )
+        ],
+        "range": (float(live.min()), float(live.max())) if live.size else (0.0, 0.0),
+        "sums": probs.sum(axis=0),
+    }
+
+
+def _verified(name):
+    pattern = _catalog_pattern(name)
+    table = pattern.corrections or oracle.derive_corrections_with_failures(pattern)[0]
+    return oracle.verify_pattern(pattern, corrections=table)
+
+
+def _all_identity_loss_demo():
+    pattern = catalog.build_pattern("cz-mismatched")
+    table = CorrectionTable({key: CorrectionOp.identity() for key in pattern.outcome_keys})
+    return oracle.verify_pattern(pattern, corrections=table, loss_demo=True)
+
+
+def _minimum_in_two_pairs():
+    # Outcomes 1 (class 1) and 6 (a later outcome of class 0) get a wrong
+    # flip that zeroes some fidelities. Pairs are numbered by (class, op),
+    # so the pair of outcome 6 comes before that of outcome 1, although
+    # outcome 1 holds the first minimum.
+    pattern = catalog.chain_cz_pattern(3)
+    keys = pattern.outcome_keys
+    entries = dict(oracle.derive_corrections(pattern).entries)
+    for i in (1, 6):
+        entries[keys[i]] = CorrectionOp(entries[keys[i]].factors + (("sx", (0,)),))
+    return oracle.verify_pattern(pattern, corrections=CorrectionTable(entries))
+
+
+SUMMARIZED = {
+    **{name: lambda name=name: _verified(name) for name in CATALOG_NAMES + ["chain-cz-3"]},
+    "cz-mismatched-identity": _all_identity_loss_demo,
+    "minimum-in-two-pairs": _minimum_in_two_pairs,
+}
+
+
+class TestPairSummaries:
+    """Summaries read off the per-pair rows equal the full-grid rule."""
+
+    @pytest.mark.parametrize("name", sorted(SUMMARIZED))
+    def test_summaries_equal_the_full_grid_rule(self, name):
+        report = SUMMARIZED[name]()
+        full = _full_grid_summaries(report)
+        assert (report.min_fidelity, report.worst_outcome, report.worst_input) == full["worst"]
+        assert report.zero_probability_outcomes == full["zero"]
+        assert report.suspicious_outcomes == full["suspicious"]
+        assert report.outcome_probability_range == full["range"]
+        assert np.array_equal(report.probability_sums.view(np.int64), full["sums"].view(np.int64))
+
+    def test_special_reports_exercise_their_case(self):
+        demo = _all_identity_loss_demo()
+        assert np.isnan(demo.pair_fidelities).any()
+        report = _minimum_in_two_pairs()
+        masked = np.where(np.isfinite(report.pair_fidelities), report.pair_fidelities, np.inf)
+        holders = np.flatnonzero((masked == report.min_fidelity).any(axis=1))
+        firsts = [int(np.argmax(report.pair_of == p)) for p in holders]
+        assert len(holders) == 2 and firsts[0] > firsts[1]
+        assert report.worst_outcome == report.outcome_keys[firsts[1]]
+
+    def test_grids_are_gathered_from_the_pair_rows(self):
+        report = _verified("chain-cz-3")
+        assert len(report.pair_fidelities) == 32 < len(report.outcome_keys) == 1024
+        assert np.array_equal(report.fidelities, report.pair_fidelities[report.pair_of])
+        assert np.array_equal(report.probabilities, report.pair_probabilities[report.pair_of])
+        assert report.fidelities is report.fidelities
+
+    @pytest.mark.parametrize("columns", [1, 2, 30])
+    def test_column_sums_match_numpy_bit_for_bit(self, monkeypatch, columns):
+        # One column is summed pairwise by numpy, several row by row.
+        rng = np.random.default_rng(columns)
+        rows = rng.random((40, columns)) * 10.0 ** rng.integers(-20, 3, (40, columns))
+        pair_of = rng.integers(0, 40, 5000)
+        monkeypatch.setattr(oracle, "_BLOCK", 7)
+        sums = oracle._column_sums(rows, pair_of)
+        assert np.array_equal(sums.view(np.int64), rows[pair_of].sum(axis=0).view(np.int64))
+
+    def test_table_key_order_does_not_change_the_report(self):
+        # A derived table read in key order, and the same entries inserted
+        # in reverse, which the verifier must look up key by key.
+        pattern = catalog.chain_cz_pattern(3)
+        table = oracle.derive_corrections(pattern)
+        reordered = CorrectionTable(dict(reversed(list(table.entries.items()))))
+        assert list(reordered.entries) != pattern.outcome_keys
+        a = oracle.verify_pattern(pattern, corrections=table)
+        b = oracle.verify_pattern(pattern, corrections=reordered)
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray):
+                assert np.array_equal(x, y, equal_nan=True), f.name
+            else:
+                assert x == y, f.name
 
 
 class TestProbabilityConservation:
