@@ -26,6 +26,7 @@ from .gates import (
     CPHASE,
     CZ,
     EIGHTH_TURN,
+    HADAMARD,
     PHASE,
     PAULIS,
     SWAP,
@@ -43,7 +44,14 @@ from .patterns import (
     PatternFormatError,
     validate_pattern,
 )
-from .tables import phase_table, pi8_table
+from .tables import (
+    cnot_table,
+    cphase_table_as_captioned,
+    cphase_table_transposed,
+    phase_table,
+    pi8_table,
+    swap_table,
+)
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -673,41 +681,103 @@ def fredkin_pattern() -> GatePattern:
 # ---------------------------------------------------------------------------
 
 def catalog_entries() -> dict[str, dict]:
-    """Name -> {factory, params} metadata for every shipped pattern."""
+    """Name -> metadata for every shipped pattern.
+
+    Each record holds ``factory``, ``params`` (the free arguments, for
+    ``list``), ``target`` (the label ``list`` prints) and optionally
+    ``defaults`` (the build arguments when the caller gives none). Patterns
+    with a printed recovery table add ``reference`` (its maker) and
+    ``table`` (its number); ``captioned`` makes the same grid read as its
+    caption says, where that reading differs.
+    """
     return {
         "single-qubit": {
             "factory": single_qubit_pattern,
             "params": "u: 2x2 unitary (defaults to Hadamard at the CLI)",
+            "target": "given 2x2 unitary",
+            "defaults": {"u": HADAMARD},
         },
-        "phase": {"factory": phase_gate_pattern, "params": ""},
-        "pi8": {"factory": pi8_gate_pattern, "params": ""},
+        "phase": {
+            "factory": phase_gate_pattern,
+            "params": "",
+            "target": "diag(1, i)",
+            "reference": phase_table,
+            "table": "2",
+        },
+        "pi8": {
+            "factory": pi8_gate_pattern,
+            "params": "",
+            "target": "diag(1, e^{i pi/4})",
+            "reference": pi8_table,
+            "table": "3",
+        },
         "cz": {
             "factory": controlled_z_pattern,
             "params": "resource row: h | bell (plus loss-check combinations)",
+            "target": "controlled-Z",
         },
-        "cz-mismatched": {"factory": cz_mismatched_pattern, "params": ""},
-        "cz-no-ee": {"factory": cz_no_link_pattern, "params": ""},
-        "chain-cz": {"factory": chain_cz_pattern, "params": "n: number of linking pairs"},
-        "triple-cz": {"factory": triple_cz_pattern, "params": ""},
-        "controlled-phase": {"factory": controlled_phase_pattern, "params": ""},
-        "cnot": {"factory": cnot_pattern, "params": ""},
-        "swap": {"factory": swap_pattern, "params": ""},
+        "cz-mismatched": {
+            "factory": cz_mismatched_pattern,
+            "params": "",
+            "target": "controlled-Z (incompatible configuration)",
+        },
+        "cz-no-ee": {
+            "factory": cz_no_link_pattern,
+            "params": "",
+            "target": "controlled-Z (unentangled linking pair)",
+        },
+        "chain-cz": {
+            "factory": chain_cz_pattern,
+            "params": "n: number of linking pairs",
+            "target": "controlled-Z for odd n, identity for even n",
+            "defaults": {"n": 1},
+        },
+        "triple-cz": {
+            "factory": triple_cz_pattern,
+            "params": "",
+            "target": "pairwise controlled-Z on wires (0,1) and (1,2)",
+        },
+        "controlled-phase": {
+            "factory": controlled_phase_pattern,
+            "params": "",
+            "target": "diag(1, 1, 1, i)",
+            "reference": cphase_table_transposed,
+            "table": "4",
+            "captioned": cphase_table_as_captioned,
+        },
+        "cnot": {
+            "factory": cnot_pattern,
+            "params": "",
+            "target": "controlled-NOT (control on first output)",
+            "reference": cnot_table,
+            "table": "5",
+        },
+        "swap": {
+            "factory": swap_pattern,
+            "params": "",
+            "target": "swap",
+            "reference": swap_table,
+            "table": "6",
+        },
         "toffoli": {
             "factory": toffoli_pattern,
             "params": "variant: corrected | literal",
+            "target": "doubly-controlled-NOT",
         },
-        "fredkin": {"factory": fredkin_pattern, "params": ""},
+        "fredkin": {
+            "factory": fredkin_pattern,
+            "params": "",
+            "target": "controlled-swap (control on first output)",
+        },
     }
 
 
 def build_pattern(name: str, **kwargs) -> GatePattern:
+    """Build a catalog pattern; ``kwargs`` override the entry's defaults."""
     entries = catalog_entries()
     if name not in entries:
         raise PatternFormatError(
             f"unknown pattern {name!r}; available: {', '.join(sorted(entries))}"
         )
-    if name == "single-qubit" and "u" not in kwargs:
-        from .gates import HADAMARD
-
-        kwargs["u"] = HADAMARD
-    return entries[name]["factory"](**kwargs)
+    entry = entries[name]
+    return entry["factory"](**{**entry.get("defaults", {}), **kwargs})

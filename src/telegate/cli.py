@@ -12,30 +12,14 @@ import sys
 
 import numpy as np
 
-from . import catalog, oracle, reports, tables
+from . import catalog, oracle, reports
 from . import statevec as sv
-from .gates import CZ, HADAMARD
+from .gates import CZ
 from .patterns import GatePattern, PatternFormatError, load_pattern, save_pattern
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-TARGET_NAMES = {
-    "single-qubit": "given 2x2 unitary",
-    "phase": "diag(1, i)",
-    "pi8": "diag(1, e^{i pi/4})",
-    "cz": "controlled-Z",
-    "cz-mismatched": "controlled-Z (incompatible configuration)",
-    "cz-no-ee": "controlled-Z (unentangled linking pair)",
-    "chain-cz": "controlled-Z for odd n, identity for even n",
-    "triple-cz": "pairwise controlled-Z on wires (0,1) and (1,2)",
-    "controlled-phase": "diag(1, 1, 1, i)",
-    "cnot": "controlled-NOT (control on first output)",
-    "swap": "swap",
-    "toffoli": "doubly-controlled-NOT",
-    "fredkin": "controlled-swap (control on first output)",
-}
 
 
 def _load_unitary(path: str) -> np.ndarray:
@@ -59,10 +43,9 @@ def resolve_pattern(args) -> tuple[GatePattern, list[str]]:
         raise PatternFormatError("one of --pattern or --pattern-file is required")
     notes: list[str] = []
     if name == "single-qubit":
-        u = _load_unitary(args.u) if args.u else HADAMARD
-        if not args.u:
-            notes.append("no --u given; using the Hadamard gate")
-        return catalog.single_qubit_pattern(u), notes
+        if args.u:
+            return catalog.build_pattern(name, u=_load_unitary(args.u)), notes
+        notes.append("no --u given; using the Hadamard gate")
     if name == "chain-cz":
         if args.n is None:
             raise PatternFormatError("chain-cz needs --n (number of linking pairs)")
@@ -88,25 +71,13 @@ def resolve_pattern(args) -> tuple[GatePattern, list[str]]:
     if name == "toffoli":
         variant = args.variant or "auto"
         if variant == "auto":
-            pattern, table, record = oracle.select_toffoli_variant(seed=args.seed)
-            for var in sorted(record):
-                notes.append(f"variant {var}: {record[var]}")
-            return pattern.with_corrections(table), notes
+            pattern, _, record = oracle.select_toffoli_variant(seed=args.seed)
+            notes += [f"variant {var}: {record[var]}" for var in sorted(record)]
+            return pattern, notes
         pattern = catalog.toffoli_pattern(variant, validate=False)
         notes.append(f"variant {variant} forced by --variant")
         return pattern, notes
     return catalog.build_pattern(name), notes
-
-
-def _printed_reference(args, pattern: GatePattern):
-    if getattr(args, "pattern_file", None):
-        return pattern.corrections
-    name = args.pattern
-    if name == "toffoli":
-        return None
-    if name in ("phase", "pi8", "single-qubit"):
-        return pattern.corrections
-    return tables.printed_table_for(name or "")
 
 
 def _emit(args, text_fn, json_fn, csv_fn=None) -> None:
@@ -126,13 +97,14 @@ def _emit(args, text_fn, json_fn, csv_fn=None) -> None:
 
 def cmd_list(args) -> int:
     rows = []
-    for name, entry in sorted(catalog_display().items()):
+    for name, entry in sorted(catalog.catalog_entries().items()):
+        pattern = catalog.build_pattern(name)
         rows.append(
             {
                 "name": name,
-                "qubits": entry["qubits"],
-                "groups": entry["groups"],
-                "target": TARGET_NAMES.get(name, "custom"),
+                "qubits": pattern.num_qubits,
+                "groups": "/".join(str(len(g.qubits)) for g in pattern.groups),
+                "target": entry["target"],
                 "params": entry["params"],
             }
         )
@@ -160,28 +132,14 @@ def cmd_list(args) -> int:
     return EXIT_PASS
 
 
-def catalog_display() -> dict[str, dict]:
-    display = {}
-    for name, entry in catalog.catalog_entries().items():
-        kwargs = {}
-        if name == "single-qubit":
-            kwargs["u"] = HADAMARD
-        elif name == "chain-cz":
-            kwargs["n"] = 1
-        pattern = entry["factory"](**kwargs)
-        display[name] = {
-            "qubits": pattern.num_qubits,
-            "groups": "/".join(str(len(g.qubits)) for g in pattern.groups),
-            "params": entry["params"],
-        }
-    return display
-
-
 def cmd_verify(args) -> int:
     """Verify with the pattern's own corrections when it ships them,
     otherwise with freshly derived ones; the other table (derived, or the
     printed reference) is verified too and diffed, per report notes."""
+    if not 0 <= args.tolerance < 1:
+        raise PatternFormatError(f"--tolerance must lie in [0, 1), got {args.tolerance!r}")
     pattern, notes = resolve_pattern(args)
+    entry = {} if args.pattern_file else catalog.catalog_entries().get(args.pattern, {})
     primary = pattern.corrections
     secondary, secondary_name = None, ""
     if primary is None:
@@ -194,8 +152,9 @@ def cmd_verify(args) -> int:
             print(f"derivation failed: {exc}")
             print("verdict: FAIL")
             return EXIT_FAIL
-        secondary, secondary_name = _printed_reference(args, pattern), "reference"
-    elif getattr(args, "pattern", None) != "toffoli":
+        if "reference" in entry:
+            secondary, secondary_name = entry["reference"](), "reference"
+    else:
         # The shipped table is a reference transcription (or came from a
         # pattern file); check it against a freshly derived one.
         try:
@@ -214,7 +173,7 @@ def cmd_verify(args) -> int:
     )
     report.notes.extend(notes)
 
-    if secondary is not None and secondary is not primary:
+    if secondary is not None:
         try:
             report.table_diff = oracle.compare_tables(
                 primary, secondary, pattern.num_outputs
@@ -234,13 +193,9 @@ def cmd_verify(args) -> int:
             report.notes.append(
                 f"{secondary_name} table addresses different outcomes; diff skipped"
             )
-    if args.pattern == "controlled-phase":
-        transposed = oracle.compare_tables(
-            primary, tables.cphase_table_transposed(), 2
-        )
-        captioned = oracle.compare_tables(
-            primary, tables.cphase_table_as_captioned(), 2
-        )
+    if "captioned" in entry:
+        transposed = report.table_diff
+        captioned = oracle.compare_tables(primary, entry["captioned"](), pattern.num_outputs)
         report.notes.append(
             "printed grid matches the transposed reading "
             f"({transposed.mismatch_count}/{transposed.total} mismatches) vs "
@@ -259,11 +214,7 @@ def cmd_verify(args) -> int:
 def cmd_derive(args) -> int:
     pattern, notes = resolve_pattern(args)
     try:
-        table = (
-            pattern.corrections
-            if args.pattern == "toffoli" and pattern.corrections is not None
-            else oracle.derive_corrections(pattern)
-        )
+        table = oracle.derive_corrections(pattern)
     except oracle.DerivationError as exc:
         print(f"derivation failed: {exc}")
         return EXIT_FAIL
@@ -343,18 +294,20 @@ def _teleport_state_strings(pattern: GatePattern) -> dict:
 
 
 def cmd_reproduce_table(args) -> int:
-    table_id = tables.REFERENCE_TABLE_IDS.get(args.table, args.table)
-    if table_id not in ("phase", "pi8", "controlled-phase", "cnot", "swap"):
+    entries = catalog.catalog_entries()
+    ids = {entry["table"]: name for name, entry in entries.items() if "table" in entry}
+    table_id = ids.get(args.table, args.table)
+    if table_id not in ids.values():
         raise PatternFormatError(
-            f"unknown table id {args.table!r}; choose 2-6 or "
-            "phase/pi8/controlled-phase/cnot/swap"
+            f"unknown table id {args.table!r}; choose {'/'.join(ids)} or "
+            f"{'/'.join(ids.values())}"
         )
+    entry = entries[table_id]
     pattern = catalog.build_pattern(table_id)
     derived = oracle.derive_corrections(pattern)
-    printed = tables.printed_table_for(table_id)
-    diff = oracle.compare_tables(derived, printed, pattern.num_outputs)
+    diff = oracle.compare_tables(derived, entry["reference"](), pattern.num_outputs)
 
-    if table_id in ("phase", "pi8"):
+    if pattern.num_outputs == 1:
         states = _teleport_state_strings(pattern)
         keys = sorted(derived.keys())
 
@@ -398,10 +351,8 @@ def cmd_reproduce_table(args) -> int:
     )
     diffs = {"printed": reports.table_diff_to_doc(diff)}
     extra = ""
-    if table_id == "controlled-phase":
-        captioned = oracle.compare_tables(
-            derived, tables.cphase_table_as_captioned(), 2
-        )
+    if "captioned" in entry:
+        captioned = oracle.compare_tables(derived, entry["captioned"](), 2)
         diffs["printed-as-captioned"] = reports.table_diff_to_doc(captioned)
         extra = (
             f"\nprinted grid matches the transposed reading ({diff.mismatch_count}"
@@ -494,10 +445,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PatternFormatError, sv.UsageError, sv.DegenerateStateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (
+        PatternFormatError, sv.UsageError, sv.DegenerateStateError, OSError, UnicodeDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:

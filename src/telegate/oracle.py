@@ -74,12 +74,12 @@ def _register(pattern: GatePattern, inputs: np.ndarray) -> tuple[np.ndarray, lis
     order, plus that qubit order. Built by the successive outer products of
     np.kron."""
     batch = inputs.shape[1]
-    amps = inputs.T
+    amps = inputs
     qubits = list(pattern.input_wires)
     for resource_qubits, state in pattern.resources:
-        amps = (amps[:, :, None] * state.amps[None, None, :]).reshape(batch, -1)
+        amps = (amps[:, None, :] * state.amps[None, :, None]).reshape(-1, batch)
         qubits.extend(resource_qubits)
-    return amps.T.reshape([1] + [2] * len(qubits) + [batch]), qubits
+    return amps.reshape([1] + [2] * len(qubits) + [batch]), qubits
 
 
 def _stacked_maps(pattern: GatePattern, inputs: np.ndarray) -> np.ndarray:
@@ -381,23 +381,6 @@ def _signatures(mats: np.ndarray) -> np.ndarray:
     return np.concatenate([rows, turns], axis=1)
 
 
-def _signature_keys(sigs: np.ndarray) -> np.ndarray:
-    """One int64 per row of a (k, 2d) signature array, equal exactly when
-    the rows are equal: the digits read in mixed radix max(8, d), so for
-    d <= 8 in radix 8, at most 8^16 values. Wider matrices renumber the
-    distinct prefixes densely whenever the next digit could overflow."""
-    radix = max(8, sigs.shape[1] // 2)
-    keys = np.zeros(len(sigs), dtype=np.int64)
-    span = 1
-    for digit in sigs.T:
-        if span * radix > 1 << 62:
-            keys = np.unique(keys, return_inverse=True)[1].astype(np.int64)
-            span = len(sigs)
-        keys = keys * radix + digit
-        span *= radix
-    return keys
-
-
 @dataclass(frozen=True)
 class CorrectionDictionary:
     """Deterministically ordered candidate corrections for derivation."""
@@ -602,13 +585,9 @@ def _name_recoveries(
     its signature, confirmed equal up to phase; else, for the ``full``
     vocabulary, its exact factorization by :func:`decompose_monomial`
     (memoised in ``factored`` by signature, each reuse confirmed the same
-    way); None when neither exists. The index is consulted once per
-    distinct signature; every recovery is still confirmed on its own."""
+    way); None when neither exists."""
     sigs = _signatures(needed)
-    _, first, inverse = np.unique(_signature_keys(sigs), return_index=True, return_inverse=True)
-    hits = np.array(
-        [dictionary.index.get(sigs[i].tobytes(), -1) for i in first.tolist()], dtype=np.intp
-    )[inverse]
+    hits = np.array([dictionary.index.get(sig.tobytes(), -1) for sig in sigs], dtype=np.intp)
     confirmed = np.zeros(len(sigs), dtype=bool)
     found = hits >= 0
     confirmed[found] = _matches(dictionary.matrices[hits[found]], needed[found])

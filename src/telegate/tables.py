@@ -190,30 +190,3 @@ def cphase_table_transposed() -> CorrectionTable:
         _CPHASE_ROWS,
         key_of=lambda row, col: (col, row),
     )
-
-
-REFERENCE_TABLE_IDS = {
-    "2": "phase",
-    "3": "pi8",
-    "4": "controlled-phase",
-    "5": "cnot",
-    "6": "swap",
-}
-
-
-def printed_table_for(pattern_name: str) -> CorrectionTable | None:
-    """The reference recovery table shipped for a catalog pattern, if any.
-
-    The controlled-phase grid is returned in its transposed (physically
-    consistent) reading; callers comparing against the as-captioned reading
-    use :func:`cphase_table_as_captioned` directly.
-    """
-    makers = {
-        "phase": phase_table,
-        "pi8": pi8_table,
-        "cnot": cnot_table,
-        "swap": swap_table,
-        "controlled-phase": cphase_table_transposed,
-    }
-    maker = makers.get(pattern_name)
-    return maker() if maker else None

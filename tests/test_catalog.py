@@ -15,12 +15,7 @@ ALL_NAMES = [
 
 
 def build(name):
-    kwargs = {}
-    if name == "single-qubit":
-        kwargs["u"] = HADAMARD
-    elif name == "chain-cz":
-        kwargs["n"] = 3
-    return catalog.build_pattern(name, **kwargs)
+    return catalog.build_pattern(name, **({"n": 3} if name == "chain-cz" else {}))
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -51,6 +46,15 @@ def test_labels_are_bijective_and_sorted(name):
 def test_output_count_matches_target(name):
     pattern = build(name)
     assert pattern.target.shape[0] == 1 << len(pattern.output_wires)
+
+
+def test_every_entry_builds_from_its_defaults_alone():
+    assert sorted(catalog.catalog_entries()) == sorted(ALL_NAMES)
+    for name in ALL_NAMES:
+        catalog.build_pattern(name)
+    assert np.allclose(catalog.build_pattern("single-qubit").target, HADAMARD)
+    assert catalog.build_pattern("chain-cz").name == "chain-cz-1"
+    assert catalog.build_pattern("chain-cz", n=3).name == "chain-cz-3"
 
 
 def test_shipped_correction_tables_are_total():

@@ -52,6 +52,9 @@ class TestExitCodes:
         assert code == 2
 
 
+DIRECTORY = object()
+
+
 def _cnot_document_with(path, value):
     """The cnot pattern document with the field at ``path`` set to ``value``,
     or deleted when ``value`` is None."""
@@ -69,6 +72,8 @@ def _cnot_document_with(path, value):
 
 # Flag -> input file contents; pattern-file cases are (path, value) edits of
 # the cnot document, and "--n" cases give chain-cz's chain length instead.
+# DIRECTORY puts a directory where the file should be, and bytes are written
+# as they are; "--out" cases are derive's output path.
 # The register cases are one qubit or one chain link past
 # MAX_REGISTER_QUBITS, or a resource declaring more qubits than the
 # register has: each must be refused before any state is allocated.
@@ -83,19 +88,32 @@ MALFORMED_INPUTS = {
     "object-vocabulary": ("--pattern-file", (("vocabulary",), {"a": 1})),
     "ragged-unitary": ("--u", [[[1, 0], [0, 0]], [[0, 0]]]),
     "object-unitary": ("--u", {"a": 1}),
+    "directory-pattern-file": ("--pattern-file", DIRECTORY),
+    "binary-pattern-file": ("--pattern-file", b"\x89PNG\r\n\x1a\n\xff\xfe"),
+    "directory-unitary": ("--u", DIRECTORY),
+    "binary-unitary": ("--u", b"\xff\xfe\x00"),
+    "directory-out": ("--out", DIRECTORY),
 }
 
 
 def _run_malformed(capsys, tmp_path, command, case):
     flag, document = MALFORMED_INPUTS[case]
-    argv = [command, flag, str(tmp_path / "input.json")]
+    path = tmp_path / "input.json"
+    argv = [command, flag, str(path)]
     if flag == "--n":
         argv = [command, "--pattern", "chain-cz", "--n", str(document)]
     elif flag == "--u":
         argv += ["--pattern", "single-qubit"]
-    else:
+    elif flag == "--out":
+        argv += ["--pattern", "phase"]
+    elif isinstance(document, tuple):
         document = _cnot_document_with(*document)
-    (tmp_path / "input.json").write_text(json.dumps(document))
+    if document is DIRECTORY:
+        path.mkdir()
+    elif isinstance(document, bytes):
+        path.write_bytes(document)
+    else:
+        path.write_text(json.dumps(document))
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -103,7 +121,9 @@ def _run_malformed(capsys, tmp_path, command, case):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+@pytest.mark.parametrize(
+    "case", sorted(c for c, (flag, _) in MALFORMED_INPUTS.items() if flag != "--out")
+)
 def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, case):
     _run_malformed(capsys, tmp_path, "verify", case)
 
@@ -125,7 +145,10 @@ def test_group_vector_count_is_checked_before_any_vector_is_built(capsys, tmp_pa
     assert "group 0" not in built
 
 
-@pytest.mark.parametrize("case", ["sign-in-bit-slot", "object-vocabulary"])
+@pytest.mark.parametrize(
+    "case",
+    ["sign-in-bit-slot", "object-vocabulary", "directory-pattern-file", "directory-out"],
+)
 def test_malformed_document_is_one_line_usage_error_for_derive(capsys, tmp_path, case):
     _run_malformed(capsys, tmp_path, "derive", case)
 
@@ -212,6 +235,12 @@ class TestVerify:
             capsys, "verify", "--pattern", "phase", "--tolerance", "1e-15"
         )
         assert code in (0, 1)  # extreme tolerance may fail; flag must parse
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "2", "inf"])
+    def test_tolerance_outside_unit_interval_is_usage_error(self, capsys, value):
+        code, out, err = run(capsys, "verify", "--pattern", "phase", "--tolerance", value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --tolerance") and err.count("\n") == 1
 
     def test_custom_unitary_from_file(self, capsys, tmp_path):
         u = tmp_path / "u.json"
@@ -324,3 +353,35 @@ class TestParity:
         assert "n=1: PASS" in out
         assert "n=2: FAIL" in out
         assert "n=3: PASS" in out
+
+
+class TestCatalogMetadata:
+    """The CLI reads a gate's label, reference table and table number from
+    its catalog entry, so a renamed entry is picked up everywhere."""
+
+    @pytest.fixture
+    def renamed_cnot(self, monkeypatch):
+        entries = catalog.catalog_entries
+        monkeypatch.setattr(
+            catalog,
+            "catalog_entries",
+            lambda: {**entries(), "cnot-copy": {**entries()["cnot"], "table": "7"}},
+        )
+
+    def test_list(self, capsys, renamed_cnot):
+        code, out, _ = run(capsys, "list")
+        assert code == 0
+        row = next(line for line in out.splitlines() if line.startswith("cnot-copy "))
+        assert row.endswith("controlled-NOT (control on first output)")
+
+    def test_verify(self, capsys, renamed_cnot):
+        code, out, _ = run(capsys, "verify", "--pattern", "cnot-copy")
+        assert code == 0
+        assert "reference corrections verify: FAIL" in out
+        assert "64/128" in out
+
+    def test_reproduce_table(self, capsys, renamed_cnot):
+        code, out, _ = run(capsys, "reproduce-table", "--table", "7")
+        assert code == 0
+        assert "reference table: cnot-copy" in out
+        assert "64/128 cells differ" in out

@@ -44,10 +44,14 @@ class TestTotality:
             pattern = catalog.build_pattern(name)
             assert set(table.keys()) == set(pattern.outcome_keys)
 
-    def test_registry(self):
-        assert tables.printed_table_for("phase") is not None
-        assert tables.printed_table_for("triple-cz") is None
-        assert tables.REFERENCE_TABLE_IDS["5"] == "cnot"
+    def test_catalog_metadata_names_each_printed_table_once(self):
+        numbered = {}
+        for name, entry in catalog.catalog_entries().items():
+            if "reference" in entry:
+                pattern = catalog.build_pattern(name)
+                assert set(entry["reference"]().keys()) == set(pattern.outcome_keys)
+                numbered[entry["table"]] = name
+        assert sorted(numbered) == ["2", "3", "4", "5", "6"]
 
 
 class TestPinnedCells:
