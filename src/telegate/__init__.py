@@ -38,12 +38,8 @@ from .statevec import (
     MeasurementBasis,
     StateVector,
     UsageError,
-    apply_unitary,
-    fidelity_up_to_phase,
     from_ket_expression,
-    make_basis_state,
     project,
-    tensor,
     validate_basis,
 )
 
@@ -62,7 +58,6 @@ __all__ = [
     "PatternFormatError",
     "StateVector",
     "UsageError",
-    "apply_unitary",
     "build_pattern",
     "catalog_entries",
     "compare_tables",
@@ -71,10 +66,8 @@ __all__ = [
     "derive_corrections_with_failures",
     "detect_information_loss",
     "enumerate_outcomes",
-    "fidelity_up_to_phase",
     "from_ket_expression",
     "load_pattern",
-    "make_basis_state",
     "outcome_maps",
     "parameterized_phase_check",
     "parity_experiment",
@@ -82,7 +75,6 @@ __all__ = [
     "project",
     "save_pattern",
     "select_toffoli_variant",
-    "tensor",
     "validate_basis",
     "validate_pattern",
     "verify_pattern",

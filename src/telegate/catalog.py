@@ -320,6 +320,11 @@ def cz_no_link_pattern(alpha_basis: str = "ghz") -> GatePattern:
     return cz_layout_pattern("product", "phi+", "phi+", alpha_basis, name="cz-no-ee")
 
 
+# The n-pair chain spans 2n + 6 qubits: two inputs, n linking pairs and two
+# output pairs.
+MAX_CHAIN_LENGTH = (sv.MAX_REGISTER_QUBITS - 6) // 2
+
+
 def chain_cz_pattern(n: int) -> GatePattern:
     """Controlled-Z wiring generalized to ``n`` linking pairs.
 
@@ -331,7 +336,7 @@ def chain_cz_pattern(n: int) -> GatePattern:
     """
     if n < 1:
         raise PatternFormatError("chain length must be at least 1")
-    if 2 * n + 6 > sv.MAX_REGISTER_QUBITS:
+    if n > MAX_CHAIN_LENGTH:
         raise PatternFormatError(
             f"chain length {n} needs {2 * n + 6} qubits, over the "
             f"{sv.MAX_REGISTER_QUBITS}-qubit register limit"

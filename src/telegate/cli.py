@@ -2,12 +2,14 @@
 
 Subcommands: list | verify | derive | loss-check | reproduce-table.
 Exit codes: 0 = pass, 1 = verification or derivation failure, 2 = usage
-or schema error. Output is byte-stable for fixed seed and flags.
+or schema error, 141 = stdout closed early (128 + SIGPIPE, as a shell
+reports it). Output is byte-stable for fixed seed and flags.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -20,6 +22,12 @@ from .patterns import GatePattern, PatternFormatError, load_pattern, save_patter
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141
+
+# The catalog pattern each pattern-specific flag configures.
+_FLAG_PATTERN = {
+    "n": "chain-cz", "variant": "toffoli", "resource": "cz", "basis": "cz", "u": "single-qubit",
+}
 
 
 def _load_unitary(path: str) -> np.ndarray:
@@ -35,15 +43,21 @@ def _load_unitary(path: str) -> np.ndarray:
 
 
 def resolve_pattern(args) -> tuple[GatePattern, list[str]]:
-    """Build the requested pattern; returns it plus report notes."""
-    if getattr(args, "pattern_file", None):
+    """Build the requested pattern; returns it plus report notes. A flag
+    that does not apply to the requested pattern is a usage error."""
+    if args.pattern_file and args.pattern is not None:
+        raise PatternFormatError("--pattern and --pattern-file cannot be combined")
+    for flag, owner in _FLAG_PATTERN.items():
+        if getattr(args, flag) is not None and args.pattern != owner:
+            raise PatternFormatError(f"--{flag} applies only to --pattern {owner}")
+    if args.pattern_file:
         return load_pattern(args.pattern_file), []
     name = args.pattern
     if name is None:
         raise PatternFormatError("one of --pattern or --pattern-file is required")
     notes: list[str] = []
     if name == "single-qubit":
-        if args.u:
+        if args.u is not None:
             return catalog.build_pattern(name, u=_load_unitary(args.u)), notes
         notes.append("no --u given; using the Hadamard gate")
     if name == "chain-cz":
@@ -59,11 +73,8 @@ def resolve_pattern(args) -> tuple[GatePattern, list[str]]:
     if name == "cz":
         resource = args.resource or "h"
         basis = args.basis or ("pm" if resource == "bell" else "ghz")
+        # argparse restricts --resource to these keys.
         kinds = {"h": "h", "bell": "phi+", "product": "product"}
-        if resource not in kinds:
-            raise PatternFormatError(
-                f"unknown --resource {resource!r}; choose h, bell or product"
-            )
         pattern = catalog.cz_layout_pattern(
             kinds[resource], "phi+", "phi+", basis, name=f"cz[{resource},{basis}]"
         )
@@ -444,7 +455,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise sv.UsageError(f"--seed must be at least 0, got {args.seed}")
         return args.func(args)
+    except BrokenPipeError:
+        # The reader went away: say nothing, and send the final flush of
+        # the buffered output to the null device so it cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (
         PatternFormatError, sv.UsageError, sv.DegenerateStateError, OSError, UnicodeDecodeError
     ) as exc:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 
@@ -62,40 +62,38 @@ def format_key(key: OutcomeKey) -> str:
 # Pattern execution
 # ---------------------------------------------------------------------------
 
-# The dedupe of outcome maps and enumeration walk the stacked maps this many
-# outcomes at a time, and derivation, verification and loss checks walk the
-# distinct maps this many at a time, which bounds their temporaries.
+# Enumeration walks the stacked maps this many outcomes at a time, and
+# derivation, verification and loss checks walk the distinct maps this many
+# at a time, which bounds their temporaries.
 _BLOCK = 256
 
 
-def _register(pattern: GatePattern, inputs: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Full register states for a batch of input columns, as a tensor of
-    shape (1, 2, ..., 2, batch) with one axis per qubit in input-then-resource
-    order, plus that qubit order. Built by the successive outer products of
-    np.kron."""
-    batch = inputs.shape[1]
-    amps = inputs
+def _register(pattern: GatePattern) -> tuple[np.ndarray, list[int]]:
+    """Full register states for every computational-basis input, as a
+    tensor of shape (1, 2, ..., 2, d_in) with one axis per qubit in
+    input-then-resource order, plus that qubit order. Built by the
+    successive outer products of np.kron."""
+    dim = 1 << len(pattern.input_wires)
+    amps = np.eye(dim, dtype=complex)
     qubits = list(pattern.input_wires)
     for resource_qubits, state in pattern.resources:
-        amps = (amps[:, None, :] * state.amps[None, :, None]).reshape(-1, batch)
+        amps = (amps[:, None, :] * state.amps[None, :, None]).reshape(-1, dim)
         qubits.extend(resource_qubits)
-    return amps.reshape([1] + [2] * len(qubits) + [batch]), qubits
+    return amps.reshape([1] + [2] * len(qubits) + [dim]), qubits
 
 
-def _stacked_maps(pattern: GatePattern, inputs: np.ndarray) -> np.ndarray:
-    """Residual output amplitudes for every outcome tuple and input column.
-
-    ``inputs`` has one normalized input state per column. Returns an array
-    of shape (outcomes, 2^num_outputs, batch), unnormalized: squared column
-    norms are the outcome probabilities. Outcomes are in lexicographic label
-    order. The register is contracted one measurement group at a time: the
-    group's conjugated basis, applied to the group's axes through its
-    nonzero entries only, turns every outcome so far into one outcome per
-    basis vector. Each step drops its input before contracting, so at most
-    two register-sized arrays live.
+def _stacked_maps(pattern: GatePattern) -> np.ndarray:
+    """Every outcome's input->output map, unnormalized, as an array of shape
+    (outcomes, 2^num_outputs, d_in) in lexicographic label order: column j
+    holds the residual output amplitudes for basis input j. The register is
+    contracted one measurement group at a time: the group's conjugated
+    basis, applied to the group's axes through its nonzero entries only,
+    turns every outcome so far into one outcome per basis vector. Each step
+    drops its input before contracting, so at most two register-sized
+    arrays live.
     """
-    batch = inputs.shape[1]
-    t, qubits = _register(pattern, inputs)
+    t, qubits = _register(pattern)
+    dim = t.shape[-1]
     for group in pattern.groups:
         axes = [qubits.index(q) + 1 for q in group.qubits]
         k = len(axes)
@@ -103,10 +101,10 @@ def _stacked_maps(pattern: GatePattern, inputs: np.ndarray) -> np.ndarray:
         del t
         measured = set(group.qubits)
         qubits = [q for q in qubits if q not in measured]
-        t = _contract(group.basis.vectors, flat).reshape([-1] + [2] * len(qubits) + [batch])
+        t = _contract(group.basis.vectors, flat).reshape([-1] + [2] * len(qubits) + [dim])
         del flat
     perm = [qubits.index(w) + 1 for w in pattern.output_wires]
-    return t.transpose([0] + perm + [len(qubits) + 1]).reshape(t.shape[0], -1, batch)
+    return t.transpose([0] + perm + [len(qubits) + 1]).reshape(t.shape[0], -1, dim)
 
 
 # The contraction gathers at most this many amplitudes at a time (but always
@@ -143,31 +141,6 @@ def _contract(vectors: np.ndarray, flat: np.ndarray) -> np.ndarray:
                 term *= coeffs[:, s]
                 acc += term
     return out
-
-
-def _words(maps: np.ndarray) -> np.ndarray:
-    """A (k, d_out, d_in) stack as k rows of its raw 64-bit words."""
-    return np.ascontiguousarray(maps).reshape(len(maps), -1).view(np.uint64)
-
-
-# splitmix64's constants: the golden-ratio increment and the two multipliers.
-_MIX = (
-    np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
-)
-
-
-def _row_hashes(words: np.ndarray) -> np.ndarray:
-    """One 64-bit hash per row of words: each word is salted by its
-    position and scrambled by the splitmix64 finalizer, then the row sums
-    them modulo 2^64. Equal rows hash equal; unequal rows almost never do,
-    and callers compare rows before trusting a shared hash."""
-    x = words ^ (np.arange(words.shape[1], dtype=np.uint64) * _MIX[0])
-    x ^= x >> np.uint64(30)
-    x *= _MIX[1]
-    x ^= x >> np.uint64(27)
-    x *= _MIX[2]
-    x ^= x >> np.uint64(31)
-    return x.sum(axis=1, dtype=np.uint64)
 
 
 class OutcomeMaps(Mapping):
@@ -207,26 +180,16 @@ class OutcomeMaps(Mapping):
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
         """The bitwise-distinct maps: the first outcome carrying each, in
         first-occurrence order, and each outcome's class (its position in
-        that array). Maps share a class only if their bytes are equal, so
-        -0.0 and +0.0, or entries one ulp apart, stay apart. Rows are hashed
-        block by block and each is compared with the first row of its hash;
-        rows that differ from it are grouped by their bytes."""
-        count = len(self)
-        hashes = np.empty(count, dtype=np.uint64)
-        for block in _blocks(count):
-            hashes[block] = _row_hashes(_words(self.stack[block]))
-        _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
-        owner = first[inverse]
-        stray: list[int] = []
-        for block in _blocks(count):
-            same = (_words(self.stack[block]) == _words(self.stack[owner[block]])).all(axis=1)
-            stray += (block.start + np.flatnonzero(~same)).tolist()
-        # Equal rows hash equal, so every copy of a stray row is stray too
-        # and its first copy is the first one met here.
+        that array). Maps are keyed by their bytes, so they share a class
+        only if their bytes are equal: -0.0 and +0.0, or entries one ulp
+        apart, stay apart. Sorted first owners are in first-occurrence
+        order."""
         firsts: dict[bytes, int] = {}
-        for i in stray:
-            owner[i] = firsts.setdefault(self.stack[i].tobytes(), i)
-        reps, classes = np.unique(owner, return_inverse=True)
+        owners = np.fromiter(
+            map(firsts.setdefault, map(np.ndarray.tobytes, self.stack), count()),
+            dtype=np.intp, count=len(self),
+        )
+        reps, classes = np.unique(owners, return_inverse=True)
         return reps, classes
 
 
@@ -243,8 +206,7 @@ def outcome_maps(pattern: GatePattern) -> OutcomeMaps:
     """
     maps = pattern._memo.get("outcome_maps")
     if maps is None:
-        dim = 1 << len(pattern.input_wires)
-        maps = OutcomeMaps(pattern, _stacked_maps(pattern, np.eye(dim, dtype=complex)))
+        maps = OutcomeMaps(pattern, _stacked_maps(pattern))
         pattern._memo["outcome_maps"] = maps
     return maps
 
@@ -300,7 +262,7 @@ def enumerate_outcomes(pattern: GatePattern, input_state: sv.StateVector) -> lis
             f"input on {input_state.num_qubits} qubits does not fit "
             f"{len(pattern.input_wires)} input wires"
         )
-    branches = _stacked_maps(pattern, input_state.amps[:, None])[:, :, 0]
+    branches = outcome_maps(pattern).stack @ input_state.amps
     keys = pattern.outcome_keys
     num_out = len(pattern.output_wires)
     if pattern.corrections is not None:
@@ -1016,11 +978,11 @@ def parity_experiment(max_n: int, seed: int = DEFAULT_SEED) -> list[ParityResult
     lengths fail (their derivation against controlled-Z finds no local
     correction).
     """
-    from .catalog import chain_cz_pattern
+    from .catalog import MAX_CHAIN_LENGTH, chain_cz_pattern
     from .gates import CZ
 
-    if max_n < 1:
-        raise sv.UsageError("max_n must be at least 1")
+    if not 1 <= max_n <= MAX_CHAIN_LENGTH:
+        raise sv.UsageError(f"max_n must lie in 1..{MAX_CHAIN_LENGTH}, got {max_n}")
     results = []
     for n in range(1, max_n + 1):
         pattern = chain_cz_pattern(n).with_target(CZ)

@@ -121,18 +121,6 @@ def _json_list(texts: list[str]) -> str:
     return "[\n    " + ",\n    ".join(texts) + "\n   ]" if texts else "[]"
 
 
-def verification_from_doc(doc: dict) -> dict:
-    """Parse a verification document back to its headline fields."""
-    if doc.get("kind") != "verification":
-        raise ValueError("not a verification document")
-    return {
-        "pattern": doc["pattern"],
-        "passed": bool(doc["passed"]),
-        "min_fidelity": float(doc["min_fidelity"]),
-        "seed": int(doc["seed"]),
-    }
-
-
 def table_diff_to_doc(diff: TableDiff) -> dict:
     return {
         "total": diff.total,

@@ -22,7 +22,6 @@ import numpy as np
 
 ATOL_ORTHO = 1e-10      # orthonormality / unitarity tolerance
 ATOL_PROB = 1e-12       # below this a projection probability counts as zero
-ATOL_EXACT = 1e-12      # tolerance for identities that should hold exactly
 MAX_REGISTER_QUBITS = 22  # widest register simulated densely (chain-cz n=8)
 
 
@@ -61,17 +60,6 @@ def bits_to_index(bits: str) -> int:
     return int(bits, 2) if bits else 0
 
 
-def make_basis_state(num_qubits: int, bits: str) -> StateVector:
-    """Computational basis state ``|bits>`` (leftmost bit = qubit 0 = MSB)."""
-    if len(bits) != num_qubits:
-        raise UsageError(
-            f"bitstring {bits!r} has length {len(bits)}, expected {num_qubits}"
-        )
-    amps = np.zeros(1 << num_qubits, dtype=complex)
-    amps[bits_to_index(bits)] = 1.0
-    return StateVector(num_qubits, amps)
-
-
 def from_ket_expression(
     num_qubits: int, terms: list[tuple[complex, str]]
 ) -> StateVector:
@@ -93,15 +81,6 @@ def from_ket_expression(
     return StateVector(num_qubits, amps / norm)
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product; qubits of ``a`` occupy the lower (more significant) indices."""
-    return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amps, b.amps))
-
-
-def norm(state: StateVector) -> float:
-    return float(np.linalg.norm(state.amps))
-
-
 def is_unitary(matrix: np.ndarray, atol: float = ATOL_ORTHO) -> bool:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -119,30 +98,6 @@ def check_subset(indices: tuple[int, ...], num_qubits: int) -> tuple[int, ...]:
         if not 0 <= q < num_qubits:
             raise UsageError(f"qubit index {q} out of range for {num_qubits} qubits")
     return indices
-
-
-def apply_unitary(
-    state: StateVector, u: np.ndarray, targets: tuple[int, ...]
-) -> StateVector:
-    """Apply ``u`` on the target qubits, identity elsewhere.
-
-    ``targets[0]`` is the most significant qubit of ``u``'s index space,
-    matching the ket-string convention.
-    """
-    n = state.num_qubits
-    targets = check_subset(targets, n)
-    k = len(targets)
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (1 << k, 1 << k):
-        raise UsageError(
-            f"operator of shape {u.shape} does not act on {k} qubits"
-        )
-    t = state.amps.reshape([2] * n)
-    t = np.moveaxis(t, targets, range(k))
-    mat = t.reshape(1 << k, -1)
-    out = (u @ mat).reshape([2] * n)
-    out = np.moveaxis(out, range(k), targets)
-    return StateVector(n, np.ascontiguousarray(out.reshape(-1)))
 
 
 def project(
@@ -170,28 +125,6 @@ def project(
         return prob, None
     post = residual / np.sqrt(prob)
     return prob, StateVector(n - len(measured), np.ascontiguousarray(post))
-
-
-def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:
-    """|<a|b>| for normalized states: 1 means equal up to a global phase."""
-    if a.num_qubits != b.num_qubits:
-        raise UsageError(
-            f"states on {a.num_qubits} and {b.num_qubits} qubits are not comparable"
-        )
-    return float(abs(np.vdot(a.amps, b.amps)))
-
-
-def align_phase(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Rotate ``other`` by the global phase that matches ``reference``.
-
-    The phase is read off at the largest-magnitude amplitude of the
-    reference, a numerically stable gauge.
-    """
-    idx = int(np.argmax(np.abs(reference)))
-    if abs(other[idx]) < ATOL_PROB:
-        return other
-    phase = reference[idx] / other[idx]
-    return other * (phase / abs(phase))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """CLI contract: exit codes, formats, round-trips, byte stability."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from telegate import catalog, reports
+import telegate
+from telegate import catalog, oracle
 from telegate.cli import main
 from telegate.patterns import pattern_to_document
 
@@ -51,6 +55,46 @@ class TestExitCodes:
         code, _, err = run(capsys, "verify")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("list",),
+            ("verify", "--pattern", "phase"),
+            ("derive", "--pattern", "phase"),
+            ("loss-check", "--pattern", "phase"),
+            ("parity", "--max-n", "1"),
+            ("reproduce-table", "--table", "2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: --seed must be at least 0, got -1\n"
+
+    def test_parity_past_register_limit_is_refused_before_any_chain(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "_stacked_maps", lambda *a: calls.append(1))
+        code, out, err = run(capsys, "parity", "--max-n", str(catalog.MAX_CHAIN_LENGTH + 1))
+        assert code == 2 and out == ""
+        assert err.startswith("error: max_n must lie in 1..") and err.count("\n") == 1
+        assert calls == []
+
+    def test_closed_stdout_exits_141_silently(self):
+        # The report is far larger than a pipe buffer, so the writer is
+        # still writing when the reader closes its end.
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(telegate.__file__))}
+        argv = ["verify", "--pattern", "chain-cz", "--n", "3", "--format", "json"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "telegate.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert err == b""
+
 
 DIRECTORY = object()
 
@@ -93,6 +137,12 @@ MALFORMED_INPUTS = {
     "directory-unitary": ("--u", DIRECTORY),
     "binary-unitary": ("--u", b"\xff\xfe\x00"),
     "directory-out": ("--out", DIRECTORY),
+    # Flags that do not apply to the chosen pattern; FILE is a valid
+    # document, and the error names the flag before FILE or the value.
+    "pattern-with-pattern-file": ("flags", ("--pattern", "cnot", "--pattern-file", "FILE")),
+    "chain-length-on-cnot": ("flags", ("--pattern", "cnot", "--n", "3")),
+    "variant-on-cz": ("flags", ("--pattern", "cz", "--variant", "literal")),
+    "resource-with-pattern-file": ("flags", ("--pattern-file", "FILE", "--resource", "bell")),
 }
 
 
@@ -106,6 +156,9 @@ def _run_malformed(capsys, tmp_path, command, case):
         argv += ["--pattern", "single-qubit"]
     elif flag == "--out":
         argv += ["--pattern", "phase"]
+    elif flag == "flags":
+        argv = [command] + [str(path) if a == "FILE" else a for a in document]
+        document = pattern_to_document(catalog.phase_gate_pattern())
     elif isinstance(document, tuple):
         document = _cnot_document_with(*document)
     if document is DIRECTORY:
@@ -119,6 +172,8 @@ def _run_malformed(capsys, tmp_path, command, case):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if flag == "flags":
+        assert argv[-2] in err
 
 
 @pytest.mark.parametrize(
@@ -182,12 +237,11 @@ class TestVerify:
     def test_machine_report_round_trips_bit_exactly(self, capsys):
         code, out, _ = run(capsys, "verify", "--pattern", "phase", "--format", "json")
         doc = json.loads(out)
-        parsed = reports.verification_from_doc(doc)
+        assert doc["kind"] == "verification" and doc["passed"] is True
         code2, out2, _ = run(capsys, "verify", "--pattern", "phase", "--format", "json")
         doc2 = json.loads(out2)
-        assert parsed["passed"] == doc2["passed"]
-        assert parsed["min_fidelity"] == doc2["min_fidelity"]
-        assert repr(parsed["min_fidelity"]) == repr(doc2["min_fidelity"])
+        assert repr(doc["min_fidelity"]) == repr(doc2["min_fidelity"])
+        assert f'"min_fidelity": {doc["min_fidelity"]!r}' in out
 
     def test_output_byte_stable(self, capsys):
         outs = []
@@ -221,8 +275,6 @@ class TestVerify:
     def test_register_contracted_once(self, capsys, monkeypatch, argv):
         # Derivation and both verifications share one contraction; toffoli's
         # variant selection hands its contracted maps on with the table.
-        from telegate import oracle
-
         calls = []
         contract = oracle._stacked_maps
         monkeypatch.setattr(oracle, "_stacked_maps", lambda *a: calls.append(1) or contract(*a))

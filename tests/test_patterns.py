@@ -75,7 +75,10 @@ class TestValidation:
             name="bad",
             num_qubits=3,
             input_wires=(0,),
-            resources=(((1, 2), catalog.pair_state("phi+")), ((2,), sv.make_basis_state(1, "0"))),
+            resources=(
+                ((1, 2), catalog.pair_state("phi+")),
+                ((2,), sv.from_ket_expression(1, [(1, "0")])),
+            ),
             groups=pattern.groups,
             output_wires=(2,),
             target=pattern.target,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from telegate import statevec as sv
-from telegate.gates import CZ, HADAMARD, I2, PHASE, SX, SZ
+from telegate.gates import HADAMARD, I2, PHASE, SX, SZ
 
 
 def ket(num_qubits, *terms):
@@ -21,20 +21,23 @@ def phi_plus():
 
 
 class TestBasisStates:
+    """Index convention: qubit 0 is the leftmost ket symbol and the most
+    significant bit of the amplitude index."""
+
     def test_single_qubit_zero(self):
-        assert np.allclose(sv.make_basis_state(1, "0").amps, [1, 0])
+        assert np.allclose(ket(1, (1, "0")).amps, [1, 0])
 
     def test_two_qubit_last_index(self):
-        assert np.allclose(sv.make_basis_state(2, "11").amps, [0, 0, 0, 1])
+        assert np.allclose(ket(2, (1, "11")).amps, [0, 0, 0, 1])
 
     def test_big_endian_index(self):
-        state = sv.make_basis_state(3, "101")
+        state = ket(3, (1, "101"))
         assert state.amps[5] == 1.0
         assert np.count_nonzero(state.amps) == 1
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(sv.UsageError):
-            sv.make_basis_state(2, "101")
+            ket(2, (1, "101"))
 
 
 class TestKetExpressions:
@@ -62,100 +65,19 @@ class TestKetExpressions:
         assert np.allclose(state.amps, [2 / np.sqrt(5), 1 / np.sqrt(5)])
 
 
-class TestTensor:
-    def test_zero_one(self):
-        state = sv.tensor(sv.make_basis_state(1, "0"), sv.make_basis_state(1, "1"))
-        assert np.allclose(state.amps, sv.make_basis_state(2, "01").amps)
-
-    def test_h_pair_squared(self):
-        state = sv.tensor(h_pair(), h_pair())
-        # Direct Kronecker product: all entries +-1/4 with multiplied signs.
-        expected = np.kron([0.5, 0.5, 0.5, -0.5], [0.5, 0.5, 0.5, -0.5])
-        assert np.allclose(state.amps, expected)
-        assert np.allclose(np.abs(state.amps), 0.25)
-
-    def test_eight_qubit_resource_product(self):
-        psi = ket(2, (0.5, "00"), (0.5j, "01"), (-0.5, "10"), (0.5j, "11"))
-        full = sv.tensor(sv.tensor(sv.tensor(psi, h_pair()), phi_plus()), phi_plus())
-        assert full.num_qubits == 8
-        assert np.allclose(sv.norm(full), 1.0)
-        # Spot-check one amplitude by index arithmetic:
-        # |01> (x) |10> (x) |00> (x) |11> -> index 0b01100011.
-        idx = int("01100011", 2)
-        assert np.allclose(full.amps[idx], 0.5j * 0.5 * (1 / np.sqrt(2)) ** 2)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(3)
-        a = sv.StateVector(1, _rand_state(rng, 1))
-        b = sv.StateVector(2, _rand_state(rng, 2))
-        c = sv.StateVector(1, _rand_state(rng, 1))
-        left = sv.tensor(sv.tensor(a, b), c)
-        right = sv.tensor(a, sv.tensor(b, c))
-        assert np.allclose(left.amps, right.amps, atol=1e-12)
-
-
 def _rand_state(rng, n):
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return amps / np.linalg.norm(amps)
 
 
-class TestApplyUnitary:
-    def test_sx_flips(self):
-        out = sv.apply_unitary(sv.make_basis_state(1, "0"), SX, (0,))
-        assert np.allclose(out.amps, [0, 1])
-
-    def test_sz_fixes_phase_gate_outcome(self):
-        # a|0> - i b|1>  --sz-->  a|0> + i b|1>
-        a, b = 0.6, 0.8
-        state = sv.StateVector(1, np.array([a, -1j * b]))
-        out = sv.apply_unitary(state, SZ, (0,))
-        assert np.allclose(out.amps, [a, 1j * b])
-
-    def test_cz_signs_last_component(self):
-        out = sv.apply_unitary(sv.make_basis_state(2, "11"), CZ, (0, 1))
-        assert np.allclose(out.amps, [0, 0, 0, -1])
-
-    def test_targets_embed_in_register(self):
-        # X on qubit 1 of |000> gives |010>.
-        out = sv.apply_unitary(sv.make_basis_state(3, "000"), SX, (1,))
-        assert np.allclose(out.amps, sv.make_basis_state(3, "010").amps)
-
-    def test_two_qubit_target_order_matters(self):
-        # CNOT with control qubit 1, target qubit 0 on |010> -> |110>.
-        cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-        out = sv.apply_unitary(sv.make_basis_state(3, "010"), cnot, (1, 0))
-        assert np.allclose(out.amps, sv.make_basis_state(3, "110").amps)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(sv.UsageError):
-            sv.apply_unitary(sv.make_basis_state(2, "00"), CZ, (0,))
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(5)
-        state = sv.StateVector(3, _rand_state(rng, 3))
-        u = _haar(rng, 4)
-        out = sv.apply_unitary(state, u, (2, 0))
-        assert abs(sv.norm(out) - 1.0) < 1e-10
-
-
-def _haar(rng, dim):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 class TestProject:
     def test_trivial_projection(self):
-        prob, post = sv.project(
-            sv.make_basis_state(2, "00"), sv.make_basis_state(1, "0"), (0,)
-        )
+        prob, post = sv.project(ket(2, (1, "00")), ket(1, (1, "0")), (0,))
         assert prob == pytest.approx(1.0)
         assert np.allclose(post.amps, [1, 0])
 
     def test_zero_probability_flagged(self):
-        prob, post = sv.project(
-            sv.make_basis_state(2, "00"), sv.make_basis_state(1, "1"), (0,)
-        )
+        prob, post = sv.project(ket(2, (1, "00")), ket(1, (1, "1")), (0,))
         assert prob == pytest.approx(0.0, abs=1e-15)
         assert post is None
 
@@ -177,8 +99,8 @@ class TestProject:
         # filter a generic two-qubit input down to its |00>/|11> part.
         c = np.array([0.1 + 0.2j, 0.3 - 0.1j, -0.25 + 0.5j, 0.4 + 0.3j])
         c /= np.linalg.norm(c)
-        psi = sv.StateVector(2, c)
-        full = sv.tensor(sv.tensor(sv.tensor(psi, phi_plus()), phi_plus()), phi_plus())
+        pair = phi_plus().amps
+        full = sv.StateVector(8, np.kron(np.kron(np.kron(c, pair), pair), pair))
         ghz = ket(3, (1, "000"), (1, "111"))
         # Register order: a b e e' c c' d d'; group one = (a, e, c'), two = (b, e', d').
         _, mid = sv.project(full, ghz, (0, 2, 5))
@@ -193,16 +115,15 @@ class TestProject:
         # With a Bell pair on the linking legs, half of the four component
         # projections vanish; with the H-type pair all four survive.
         c = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-        psi = sv.StateVector(2, c)
-        pairs = sv.tensor(phi_plus(), phi_plus())
+        pairs = np.kron(phi_plus().amps, phi_plus().amps)
 
         def branch(bit):
-            leg = sv.make_basis_state(2, bit * 2)
-            return sv.tensor(sv.tensor(psi, leg), pairs)
+            leg = ket(2, (1, bit * 2))
+            return sv.StateVector(8, np.kron(np.kron(c, leg.amps), pairs))
 
         phi1, phi2 = branch("0"), branch("1")  # |00>_ee' and |11>_ee' components
-        probe0 = sv.make_basis_state(3, "000")
-        probe1 = sv.make_basis_state(3, "111")
+        probe0 = ket(3, (1, "000"))
+        probe1 = ket(3, (1, "111"))
         measured = (1, 3, 7)  # (b, e', d')
         p_00_1, _ = sv.project(phi1, probe0, measured)
         p_00_2, _ = sv.project(phi2, probe0, measured)
@@ -214,7 +135,7 @@ class TestProject:
 
         def h_branch(bit, sign):
             leg = ket(2, (1, bit + "0"), (sign, bit + "1"))
-            return sv.tensor(sv.tensor(psi, leg), pairs)
+            return sv.StateVector(8, np.kron(np.kron(c, leg.amps), pairs))
 
         h1, h2 = h_branch("0", 1), h_branch("1", -1)  # |0+> and |1-> components
         for phi in (h1, h2):
@@ -223,47 +144,15 @@ class TestProject:
                 assert p > 1e-3
 
 
-class TestFidelity:
-    def test_global_phase_invariance(self):
-        rng = np.random.default_rng(17)
-        state = sv.StateVector(2, _rand_state(rng, 2))
-        for _ in range(100):
-            theta = rng.uniform(0, 2 * np.pi)
-            rotated = sv.StateVector(2, np.exp(1j * theta) * state.amps)
-            assert abs(sv.fidelity_up_to_phase(state, rotated) - 1.0) < 1e-12
-
-    def test_orthogonal_states(self):
-        a = sv.make_basis_state(1, "0")
-        b = sv.make_basis_state(1, "1")
-        assert sv.fidelity_up_to_phase(a, b) == 0.0
-
-    def test_corrected_phase_gate_output(self):
-        a, b = 1 / np.sqrt(3), np.sqrt(2 / 3)
-        pre = sv.StateVector(1, np.array([a, 1j * b]))  # outcome with recovery I
-        target = sv.apply_unitary(sv.StateVector(1, np.array([a, b])), PHASE, (0,))
-        assert sv.fidelity_up_to_phase(pre, target) == pytest.approx(1.0, abs=1e-12)
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(sv.UsageError):
-            sv.fidelity_up_to_phase(
-                sv.make_basis_state(1, "0"), sv.make_basis_state(2, "00")
-            )
-
-
 def ghz_like_basis():
     """(sx^i (x) sx^j (x) I)(|000> +- |111>)/sqrt(2) for i,j in {0,1}."""
-    states = []
-    base_p = ket(3, (1, "000"), (1, "111"))
-    base_m = ket(3, (1, "000"), (-1, "111"))
-    for i in (0, 1):
-        for j in (0, 1):
-            for base in (base_p, base_m):
-                out = base
-                if i:
-                    out = sv.apply_unitary(out, SX, (0,))
-                if j:
-                    out = sv.apply_unitary(out, SX, (1,))
-                states.append(out)
+    # sx^i on qubit 0 and sx^j on qubit 1 flip those bits of both kets.
+    states = [
+        ket(3, (1, f"{i}{j}0"), (sign, f"{1 - i}{1 - j}1"))
+        for i in (0, 1)
+        for j in (0, 1)
+        for sign in (1, -1)
+    ]
     return sv.basis_from_states(states)
 
 
@@ -290,11 +179,8 @@ class TestValidateBasis:
                             (sign * -1j * s2, "111"),
                         ],
                     )
-                    if k:
-                        state = sv.apply_unitary(state, SZ, (1,))
-                    if j:
-                        state = sv.apply_unitary(state, SX, (0,))
-                    states.append(state)
+                    flips = np.kron(np.kron(SX if j else I2, SZ if k else I2), I2)
+                    states.append(sv.StateVector(3, flips @ state.amps))
         report = sv.validate_basis(sv.basis_from_states(states))
         assert report.passed
 
@@ -331,31 +217,11 @@ class TestProperties:
     def test_measurement_probabilities_sum_to_one(self, state, seed):
         basis = ghz_like_basis()
         rng = np.random.default_rng(seed)
-        big = sv.tensor(state, sv.StateVector(1, _rand_state(rng, 1)))
+        big = sv.StateVector(3, np.kron(state.amps, _rand_state(rng, 1)))
         total = sum(
             sv.project(big, sv.StateVector(3, vec), (0, 1, 2))[0] for vec in basis.vectors
         )
         assert total == pytest.approx(1.0, abs=1e-9)
-
-    @settings(max_examples=30, deadline=None)
-    @given(normalized_states(1), normalized_states(1), normalized_states(1))
-    def test_tensor_associativity(self, a, b, c):
-        left = sv.tensor(sv.tensor(a, b), c)
-        right = sv.tensor(a, sv.tensor(b, c))
-        assert np.allclose(left.amps, right.amps, atol=1e-12)
-
-    @settings(max_examples=30, deadline=None)
-    @given(normalized_states(2))
-    def test_unitary_preserves_norm(self, state):
-        out = sv.apply_unitary(state, np.kron(HADAMARD, PHASE), (0, 1))
-        assert abs(sv.norm(out) - 1.0) < 1e-10
-
-    @settings(max_examples=30, deadline=None)
-    @given(normalized_states(2), st.floats(0, 2 * np.pi, allow_nan=False))
-    def test_fidelity_phase_invariant(self, state, theta):
-        rotated = sv.StateVector(2, np.exp(1j * theta) * state.amps)
-        assert abs(sv.fidelity_up_to_phase(state, rotated) - 1.0) < 1e-12
-
 
 class TestHelpers:
     def test_subset_duplicate_rejected(self):
@@ -370,10 +236,3 @@ class TestHelpers:
         assert sv.is_unitary(HADAMARD)
         assert sv.is_unitary(np.kron(I2, PHASE))
         assert not sv.is_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
-
-    def test_align_phase(self):
-        rng = np.random.default_rng(23)
-        ref = _rand_state(rng, 2)
-        other = np.exp(0.7j) * ref
-        aligned = sv.align_phase(ref, other)
-        assert np.allclose(aligned, ref, atol=1e-12)
