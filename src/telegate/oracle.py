@@ -30,6 +30,8 @@ from .patterns import (
     OutcomeKey,
     PatternFormatError,
     VOCABULARIES,
+    _chain_text,
+    _entangler_text,
 )
 
 DEFAULT_SEED = 1337
@@ -411,6 +413,32 @@ def _entangler_prefixes(num_wires: int) -> list[tuple[Factor, ...]]:
     return kept
 
 
+def _sort_keys(
+    tails: list[tuple[str, ...]], prefixes: list[tuple[Factor, ...]], num_wires: int
+) -> list[tuple[int, str]]:
+    """(weight, rendering) of every dictionary candidate, in build order
+    (per-wire tails in product order, each local part under every prefix),
+    composed from one text per tail and one per prefix. Each equals the
+    candidate op's ``(op.weight, op.render(num_wires))``."""
+    chains = [
+        (len(names), _chain_text(names))
+        for names in ([name for name in tail if name != "I"] for tail in tails)
+    ]
+    bodies = [
+        (sum(w for w, _ in combo), " x ".join(text for _, text in combo))
+        for combo in product(chains, repeat=num_wires)
+    ]
+    wraps = [
+        (len(prefix), f"{_entangler_text(prefix, num_wires)}(", ")") if prefix else (0, "", "")
+        for prefix in prefixes
+    ]
+    return [
+        (weight + extra, f"{open_}{body}{close}")
+        for weight, body in bodies
+        for extra, open_, close in wraps
+    ]
+
+
 @lru_cache(maxsize=8)
 def correction_dictionary(num_wires: int, vocabulary: str = "pauli_phase") -> CorrectionDictionary:
     """Candidates: per-wire chains from {I, sx, sz, Up}; the ``full``
@@ -439,7 +467,7 @@ def correction_dictionary(num_wires: int, vocabulary: str = "pauli_phase") -> Co
     prefix_mats = np.stack([CorrectionOp(prefix).matrix(num_wires) for prefix in prefixes])
     dim = 1 << num_wires
     matrices = (prefix_mats[None] @ local_mats[:, None]).reshape(-1, dim, dim)
-    order = sorted(range(len(ops)), key=lambda i: (ops[i].weight, ops[i].render(num_wires)))
+    order = sorted(range(len(ops)), key=_sort_keys(tails, prefixes, num_wires).__getitem__)
     return CorrectionDictionary(
         num_wires, vocabulary, tuple(ops[i] for i in order), matrices[order]
     )
@@ -602,70 +630,58 @@ def decompose_monomial(r: np.ndarray, num_wires: int) -> CorrectionOp | None:
     becomes sx flips plus a controlled-X word. That is precisely the group
     the correction vocabulary generates, so anything else returns None.
     """
-    dim = 1 << num_wires
+    n = num_wires
+    dim = 1 << n
     scale = np.linalg.norm(r) / np.sqrt(dim)
     if scale < ZERO_PROB:
         return None
     u = r / scale
-    perm = np.full(dim, -1, dtype=int)
-    phases = np.zeros(dim, dtype=complex)
-    for col in range(dim):
-        rows = np.flatnonzero(np.abs(u[:, col]) > 1e-8)
-        if rows.size != 1 or abs(abs(u[rows[0], col]) - 1.0) > 1e-8:
-            return None
-        perm[col] = int(rows[0])
-        phases[col] = u[rows[0], col]
-    if len(set(perm.tolist())) != dim:
+    # Every column holds exactly one entry, of unit modulus, at row perm[x],
+    # and every row holds one too, so perm is a permutation.
+    big = np.abs(u) > 1e-8
+    if not ((big.sum(axis=0) == 1).all() and (big.sum(axis=1) == 1).all()):
+        return None
+    perm = big.argmax(axis=0)
+    phases = u[perm, np.arange(dim)]
+    if (np.abs(np.abs(phases) - 1.0) > 1e-8).any():
         return None
 
-    def bits(x: int) -> list[int]:
-        return [(x >> (num_wires - 1 - i)) & 1 for i in range(num_wires)]
-
+    # bits[x, i] is bit i (wire i, most significant first) of basis index x.
+    place = 1 << np.arange(n - 1, -1, -1)
+    bits = (np.arange(dim)[:, None] & place) != 0
     t = int(perm[0])
-    basis_cols = [bits(int(perm[1 << (num_wires - 1 - i)]) ^ t) for i in range(num_wires)]
-    lin = tuple(
-        tuple(basis_cols[j][i] for j in range(num_wires)) for i in range(num_wires)
-    )
-    for x in range(dim):
-        xb = bits(x)
-        yb = [sum(lin[i][j] * xb[j] for j in range(num_wires)) & 1 for i in range(num_wires)]
-        y = 0
-        for i, b in enumerate(yb):
-            y = (y << 1) | b
-        if (y ^ t) != perm[x]:
-            return None
-    word = _linear_words(num_wires).get(lin)
+    # Column j of lin is the image of wire j's unit vector.
+    lin = bits[perm[place] ^ t].T.astype(int)
+    if ((((bits @ lin.T) & 1) @ place) ^ t != perm).any():
+        return None
+    word = _linear_words(n).get(tuple(map(tuple, lin.tolist())))
     if word is None:
         return None
 
     rel = phases / phases[0]
-    q = np.zeros(dim, dtype=int)
-    for x in range(dim):
-        q[x] = int(round(np.angle(rel[x]) / (np.pi / 2))) % 4
-        if abs(1j ** q[x] - rel[x]) > 1e-8:
-            return None
-    e = [1 << (num_wires - 1 - i) for i in range(num_wires)]
-    c = [int(q[e[i]]) for i in range(num_wires)]
+    q = np.rint(np.angle(rel) / (np.pi / 2)).astype(int) % 4
+    if (np.abs(np.array([1, 1j, -1, -1j])[q] - rel) > 1e-8).any():
+        return None
+    c = q[place]
     cz_pairs = []
-    for i in range(num_wires):
-        for j in range(i + 1, num_wires):
-            d = (int(q[e[i] | e[j]]) - c[i] - c[j]) % 4
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = (int(q[place[i] | place[j]]) - c[i] - c[j]) % 4
             if d == 2:
                 cz_pairs.append((i, j))
             elif d != 0:
                 return None
-    for x in range(dim):
-        xb = bits(x)
-        qx = sum(c[i] * xb[i] for i in range(num_wires))
-        qx += sum(2 * xb[i] * xb[j] for i, j in cz_pairs)
-        if qx % 4 != q[x]:
-            return None
+    qx = bits @ c + sum(2 * (bits[:, i] & bits[:, j]) for i, j in cz_pairs)
+    if (qx % 4 != q).any():
+        return None
+    t_bits = bits[t].tolist()
+    c = c.tolist()
 
     factors: list[tuple[str, tuple[int, ...]]] = []
-    factors += [("sx", (i,)) for i in range(num_wires) if (t >> (num_wires - 1 - i)) & 1]
+    factors += [("sx", (i,)) for i in range(n) if t_bits[i]]
     factors += list(word)
     factors += [("Ucz", pair) for pair in cz_pairs]
-    for i in range(num_wires):
+    for i in range(n):
         if c[i] == 1:
             factors.append(("Up", (i,)))
         elif c[i] == 2:
@@ -673,7 +689,7 @@ def decompose_monomial(r: np.ndarray, num_wires: int) -> CorrectionOp | None:
         elif c[i] == 3:
             factors += [("Up", (i,)), ("sz", (i,))]
     op = CorrectionOp(tuple(factors))
-    if not _equal_up_to_phase(op.matrix(num_wires), u):
+    if not _equal_up_to_phase(op.matrix(n), u):
         return None
     return op
 

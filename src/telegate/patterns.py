@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -62,6 +63,35 @@ def _embed(op: np.ndarray, wires: tuple[int, ...], num_wires: int) -> np.ndarray
     return t.reshape(1 << n, 1 << n)
 
 
+@lru_cache(maxsize=64)
+def _factor_matrix(name: str, wires: tuple[int, ...], num_wires: int) -> np.ndarray:
+    """The elementary factor ``name`` on ``wires`` of ``num_wires`` wires,
+    embedded once per (name, wires, width) and read-only because every
+    caller shares it. Correction vocabularies use a few dozen factors, so
+    the bound holds all of them."""
+    try:
+        op = ELEMENTARY_OPS[name]
+    except KeyError:
+        raise PatternFormatError(f"unknown correction factor {name!r}") from None
+    mat = _embed(op, wires, num_wires)
+    mat.flags.writeable = False
+    return mat
+
+
+def _chain_text(names: list[str]) -> str:
+    """One wire's factor chain in matrix order, e.g. ``sz.Up``; ``I`` when
+    it is empty."""
+    return ".".join(names) or "I"
+
+
+def _entangler_text(pairs: tuple[tuple[str, tuple[int, ...]], ...], num_wires: int) -> str:
+    """Name of leading entangling factors, e.g. ``Ucx[1,2]``; the lone
+    two-wire controlled-Z is plain ``Ucz``."""
+    if num_wires == 2 and pairs == (("Ucz", (0, 1)),):
+        return "Ucz"
+    return "".join(f"{name}[{i},{j}]" for name, (i, j) in pairs)
+
+
 @dataclass(frozen=True)
 class CorrectionOp:
     """Product of named elementary operators on the output wires.
@@ -96,11 +126,7 @@ class CorrectionOp:
     def matrix(self, num_wires: int) -> np.ndarray:
         out = np.eye(1 << num_wires, dtype=complex)
         for name, wires in self.factors:
-            try:
-                op = ELEMENTARY_OPS[name]
-            except KeyError:
-                raise PatternFormatError(f"unknown correction factor {name!r}") from None
-            out = out @ _embed(op, wires, num_wires)
+            out = out @ _factor_matrix(name, wires, num_wires)
         return out
 
     @property
@@ -112,24 +138,21 @@ class CorrectionOp:
         """Compact display, e.g. ``Ucz(sz.Up x I)`` or ``sx x sz.sx``;
         entangling factors on three or more wires name their pair, as in
         ``Ucx[1,2](I x I x sz)``."""
-        factors = list(self.factors)
-        pairs: list[tuple[str, tuple[int, ...]]] = []
-        while factors and factors[0][0] in ENTANGLING_OPS:
-            pairs.append(factors[0])
-            factors = factors[1:]
+        factors = self.factors
+        lead = 0
+        while lead < len(factors) and factors[lead][0] in ENTANGLING_OPS:
+            lead += 1
+        pairs, factors = factors[:lead], factors[lead:]
         if any(len(w) != 1 for _, w in factors):
             chain = ".".join(f"{n}@{w}" for n, w in self.factors)
             return chain or "I"
         tails: list[list[str]] = [[] for _ in range(num_wires)]
         for name, (wire,) in factors:
             tails[wire].append(name)
-        body = " x ".join(".".join(t) if t else "I" for t in tails)
+        body = " x ".join(map(_chain_text, tails))
         if not pairs:
             return body
-        if num_wires == 2 and pairs == [("Ucz", (0, 1))]:
-            return f"Ucz({body})"
-        prefix = "".join(f"{name}[{i},{j}]" for name, (i, j) in pairs)
-        return f"{prefix}({body})"
+        return f"{_entangler_text(pairs, num_wires)}({body})"
 
 
 @dataclass
@@ -293,6 +316,21 @@ def validate_pattern(pattern: GatePattern) -> None:
                     raise PatternFormatError(
                         f"correction key {key} uses unknown label {label}"
                     )
+        width = pattern.num_outputs
+        factors = {f for op in pattern.corrections.entries.values() for f in op.factors}
+        for name, wires in sorted(factors, key=repr):
+            if name not in ELEMENTARY_OPS:
+                raise PatternFormatError(f"unknown correction factor {name!r}")
+            arity = ELEMENTARY_OPS[name].shape[0].bit_length() - 1
+            if (
+                len(wires) != arity
+                or len(set(wires)) != arity
+                or not all(0 <= w < width for w in wires)
+            ):
+                raise PatternFormatError(
+                    f"correction factor {name} takes {arity} distinct wire(s) "
+                    f"in 0..{width - 1}, got {list(wires)}"
+                )
 
 
 def patterns_equal(a: GatePattern, b: GatePattern, atol: float = 1e-12) -> bool:
@@ -443,7 +481,7 @@ def pattern_from_document(doc: dict) -> GatePattern:
             for cell in doc["corrections"]:
                 key = tuple(_label_of(label) for label in cell["labels"])
                 factors = tuple(
-                    (op["name"], tuple(int(w) for w in op["wires"])) for op in cell["ops"]
+                    (str(op["name"]), tuple(int(w) for w in op["wires"])) for op in cell["ops"]
                 )
                 table[key] = CorrectionOp(factors)
             corrections = CorrectionTable(table)

@@ -99,10 +99,10 @@ class TestExitCodes:
 DIRECTORY = object()
 
 
-def _cnot_document_with(path, value):
-    """The cnot pattern document with the field at ``path`` set to ``value``,
-    or deleted when ``value`` is None."""
-    doc = pattern_to_document(catalog.cnot_pattern())
+def _document_with(path, value, factory=catalog.cnot_pattern):
+    """The pattern document of ``factory`` (cnot unless given) with the field
+    at ``path`` set to ``value``, or deleted when ``value`` is None."""
+    doc = pattern_to_document(factory())
     *parents, last = path
     node = doc
     for step in parents:
@@ -115,7 +115,8 @@ def _cnot_document_with(path, value):
 
 
 # Flag -> input file contents; pattern-file cases are (path, value) edits of
-# the cnot document, and "--n" cases give chain-cz's chain length instead.
+# the cnot document, or (path, value, factory) edits of another pattern's
+# document, and "--n" cases give chain-cz's chain length instead.
 # DIRECTORY puts a directory where the file should be, and bytes are written
 # as they are; "--out" cases are derive's output path.
 # The register cases are one qubit or one chain link past
@@ -130,6 +131,28 @@ MALFORMED_INPUTS = {
     "list-valued-label": ("--pattern-file", (("groups", 0, "vectors", 0, "label"), [[0, 1]])),
     "sign-in-bit-slot": ("--pattern-file", (("groups", 0, "vectors", 1, "label"), ["+", 0, 0, "+"])),
     "object-vocabulary": ("--pattern-file", (("vocabulary",), {"a": 1})),
+    # One correction cell of the phase document (one output wire) names a
+    # factor its wires cannot carry.
+    "factor-off-the-outputs": (
+        "--pattern-file",
+        (("corrections", 1, "ops"), [{"name": "sx", "wires": [5]}], catalog.phase_gate_pattern),
+    ),
+    "factor-on-a-repeated-wire": (
+        "--pattern-file",
+        (("corrections", 1, "ops"), [{"name": "Ucz", "wires": [0, 0]}], catalog.phase_gate_pattern),
+    ),
+    "entangler-on-one-wire": (
+        "--pattern-file",
+        (("corrections", 1, "ops"), [{"name": "Ucz", "wires": [0]}], catalog.phase_gate_pattern),
+    ),
+    "factor-on-a-negative-wire": (
+        "--pattern-file",
+        (("corrections", 1, "ops"), [{"name": "sx", "wires": [-1]}], catalog.phase_gate_pattern),
+    ),
+    "list-valued-factor-name": (
+        "--pattern-file",
+        (("corrections", 1, "ops"), [{"name": ["sx"], "wires": [0]}], catalog.phase_gate_pattern),
+    ),
     "ragged-unitary": ("--u", [[[1, 0], [0, 0]], [[0, 0]]]),
     "object-unitary": ("--u", {"a": 1}),
     "directory-pattern-file": ("--pattern-file", DIRECTORY),
@@ -160,7 +183,7 @@ def _run_malformed(capsys, tmp_path, command, case):
         argv = [command] + [str(path) if a == "FILE" else a for a in document]
         document = pattern_to_document(catalog.phase_gate_pattern())
     elif isinstance(document, tuple):
-        document = _cnot_document_with(*document)
+        document = _document_with(*document)
     if document is DIRECTORY:
         path.mkdir()
     elif isinstance(document, bytes):
@@ -202,7 +225,16 @@ def test_group_vector_count_is_checked_before_any_vector_is_built(capsys, tmp_pa
 
 @pytest.mark.parametrize(
     "case",
-    ["sign-in-bit-slot", "object-vocabulary", "directory-pattern-file", "directory-out"],
+    [
+        "sign-in-bit-slot",
+        "object-vocabulary",
+        "factor-off-the-outputs",
+        "factor-on-a-repeated-wire",
+        "entangler-on-one-wire",
+        "factor-on-a-negative-wire",
+        "directory-pattern-file",
+        "directory-out",
+    ],
 )
 def test_malformed_document_is_one_line_usage_error_for_derive(capsys, tmp_path, case):
     _run_malformed(capsys, tmp_path, "derive", case)

@@ -529,8 +529,150 @@ class TestDictionary:
         names = {f for op in d.ops for f, _ in op.factors}
         assert "Ucx" in names and "Ucz" in names
 
+    # sha256 of the ops' renderings joined by newlines, and of the stacked
+    # matrices' bytes, for each (num_wires, vocabulary) dictionary.
+    PINNED = {
+        (1, "pauli_phase"): (
+            "c95ff667b8434ae320b701ab9dee6aa4d1c7f9f020117301e1a56b605fee67c4",
+            "a64be7bd52cc30515b18f1f5376467fc0c25e3081677b05a727f66eefae9ff77",
+        ),
+        (1, "full"): (
+            "c95ff667b8434ae320b701ab9dee6aa4d1c7f9f020117301e1a56b605fee67c4",
+            "a64be7bd52cc30515b18f1f5376467fc0c25e3081677b05a727f66eefae9ff77",
+        ),
+        (2, "pauli_phase"): (
+            "dbf9570b1164ab8a458f2e9e5a6ef5ae8e49aff2c02abd836863d6a41fcf2ade",
+            "b2239151f0864d4f7859e4388e40046318580635fbb6549a36915ec5c341271f",
+        ),
+        (2, "full"): (
+            "51c3ba7f73b3dad5d475d0fe216176764c40708673d7d48e5370022bc2d6df57",
+            "47f842e41aab8ced9193b9ff796538301327b66142755d0348b33e721fb8c94b",
+        ),
+        (3, "pauli_phase"): (
+            "2165a0b4d300da5b365f84fdfe1fb4091d7b702ba187d8eba9082c5f2d95f224",
+            "b797503238eb6f927e4a8170316adffbbfc018b3519a5391749be654566ae44f",
+        ),
+        (3, "full"): (
+            "6f7bba2727f4f88efffa6f04c6fe34ecbc3c8b9bf75c27fc64f887cf1fc927fb",
+            "a437691aad6868c86e4d8af09b27e71be119f2056942969bba285d3983b5285b",
+        ),
+    }
+
+    @pytest.mark.parametrize("num_wires,vocabulary", sorted(PINNED))
+    def test_order_and_matrices_are_pinned(self, num_wires, vocabulary):
+        d = oracle.correction_dictionary(num_wires, vocabulary)
+        renders = [op.render(num_wires) for op in d.ops]
+        texts, mats = self.PINNED[(num_wires, vocabulary)]
+        assert hashlib.sha256("\n".join(renders).encode()).hexdigest() == texts
+        assert hashlib.sha256(d.matrices.tobytes()).hexdigest() == mats
+
+    @pytest.mark.parametrize("num_wires,vocabulary", sorted(PINNED))
+    def test_composed_sort_key_is_weight_and_rendering(self, num_wires, vocabulary):
+        # The dictionary is sorted by the composed keys, so the k-th smallest
+        # composed key is the key of the k-th op.
+        d = oracle.correction_dictionary(num_wires, vocabulary)
+        prefixes = oracle._entangler_prefixes(num_wires) if vocabulary == "full" else [()]
+        keys = oracle._sort_keys(oracle._canonical_tails(), prefixes, num_wires)
+        assert len(keys) == len(d.ops)
+        assert sorted(keys) == [(op.weight, op.render(num_wires)) for op in d.ops]
+
+
+def _reference_decompose(r: np.ndarray, num_wires: int) -> CorrectionOp | None:
+    """decompose_monomial as a loop over columns and basis states, the way
+    it was written before it was vectorised."""
+    dim = 1 << num_wires
+    scale = np.linalg.norm(r) / np.sqrt(dim)
+    if scale < oracle.ZERO_PROB:
+        return None
+    u = r / scale
+    perm = np.full(dim, -1, dtype=int)
+    phases = np.zeros(dim, dtype=complex)
+    for col in range(dim):
+        rows = np.flatnonzero(np.abs(u[:, col]) > 1e-8)
+        if rows.size != 1 or abs(abs(u[rows[0], col]) - 1.0) > 1e-8:
+            return None
+        perm[col] = int(rows[0])
+        phases[col] = u[rows[0], col]
+    if len(set(perm.tolist())) != dim:
+        return None
+
+    def bits(x: int) -> list[int]:
+        return [(x >> (num_wires - 1 - i)) & 1 for i in range(num_wires)]
+
+    t = int(perm[0])
+    basis_cols = [bits(int(perm[1 << (num_wires - 1 - i)]) ^ t) for i in range(num_wires)]
+    lin = tuple(tuple(basis_cols[j][i] for j in range(num_wires)) for i in range(num_wires))
+    for x in range(dim):
+        yb = [sum(lin[i][j] * bits(x)[j] for j in range(num_wires)) & 1 for i in range(num_wires)]
+        y = 0
+        for b in yb:
+            y = (y << 1) | b
+        if (y ^ t) != perm[x]:
+            return None
+    word = oracle._linear_words(num_wires).get(lin)
+    if word is None:
+        return None
+    rel = phases / phases[0]
+    q = np.zeros(dim, dtype=int)
+    for x in range(dim):
+        q[x] = int(round(np.angle(rel[x]) / (np.pi / 2))) % 4
+        if abs(1j ** q[x] - rel[x]) > 1e-8:
+            return None
+    e = [1 << (num_wires - 1 - i) for i in range(num_wires)]
+    c = [int(q[e[i]]) for i in range(num_wires)]
+    cz_pairs = []
+    for i in range(num_wires):
+        for j in range(i + 1, num_wires):
+            d = (int(q[e[i] | e[j]]) - c[i] - c[j]) % 4
+            if d == 2:
+                cz_pairs.append((i, j))
+            elif d != 0:
+                return None
+    for x in range(dim):
+        xb = bits(x)
+        qx = sum(c[i] * xb[i] for i in range(num_wires))
+        qx += sum(2 * xb[i] * xb[j] for i, j in cz_pairs)
+        if qx % 4 != q[x]:
+            return None
+    factors = [("sx", (i,)) for i in range(num_wires) if (t >> (num_wires - 1 - i)) & 1]
+    factors += list(word)
+    factors += [("Ucz", pair) for pair in cz_pairs]
+    for i in range(num_wires):
+        factors += {0: [], 1: [("Up", (i,))], 2: [("sz", (i,))], 3: [("Up", (i,)), ("sz", (i,))]}[c[i]]
+    op = CorrectionOp(tuple(factors))
+    if not oracle._equal_up_to_phase(op.matrix(num_wires), u):
+        return None
+    return op
+
 
 class TestDecomposeMonomial:
+    def test_matches_the_loop_reference_on_derivation_recoveries(self, monkeypatch):
+        fed = []
+        decompose = oracle.decompose_monomial
+        monkeypatch.setattr(
+            oracle, "decompose_monomial", lambda r, n: fed.append((r.copy(), n)) or decompose(r, n)
+        )
+        for pattern in (catalog.fredkin_pattern(), catalog.toffoli_pattern()):
+            oracle.derive_corrections_with_failures(pattern)
+        assert len(fed) == 224  # all from fredkin; toffoli's are dictionary hits
+        for r, n in fed:
+            assert decompose(r, n) == _reference_decompose(r, n)
+
+    def test_matches_the_loop_reference_on_rejections(self):
+        t_gate = np.diag([1, np.exp(1j * np.pi / 4)])
+        ccx = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
+        cases = [
+            np.kron(HADAMARD, np.eye(4)),
+            np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex),
+            np.kron(t_gate, np.eye(4)),
+            ccx,
+            np.eye(8, dtype=complex)[[0, 0, 2, 3, 4, 5, 6, 7]],
+            np.zeros((8, 8), dtype=complex),
+        ]
+        for r in cases:
+            assert oracle.decompose_monomial(r, 3) is None
+            assert _reference_decompose(r, 3) is None
+
     def test_round_trips_vocabulary_products(self):
         rng = np.random.default_rng(5)
         d = oracle.correction_dictionary(3, "full")

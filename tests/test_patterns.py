@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from telegate import catalog
+from telegate import catalog, oracle, patterns
 from telegate import statevec as sv
 from telegate.gates import CZ, PHASE, SX, SZ
 from telegate.patterns import (
+    ELEMENTARY_OPS,
     CorrectionOp,
     GatePattern,
     MeasurementGroup,
@@ -59,6 +60,46 @@ class TestCorrectionOp:
     def test_unknown_factor_rejected(self):
         with pytest.raises(PatternFormatError):
             CorrectionOp((("bogus", (0,)),)).matrix(1)
+        # Also after a known factor, and again once the factors are cached.
+        for _ in range(2):
+            with pytest.raises(PatternFormatError, match="bogus"):
+                CorrectionOp((("sx", (0,)), ("bogus", (1,)))).matrix(2)
+
+
+def _reference_matrix(op: CorrectionOp, num_wires: int) -> np.ndarray:
+    """The product with every factor embedded afresh on every call, as
+    CorrectionOp.matrix built it before the embeddings were cached."""
+    out = np.eye(1 << num_wires, dtype=complex)
+    for name, wires in op.factors:
+        out = out @ patterns._embed(ELEMENTARY_OPS[name], wires, num_wires)
+    return out
+
+
+class TestCachedFactors:
+    def test_three_wire_full_ops_match_the_per_call_product_bitwise(self):
+        for op in oracle.correction_dictionary(3, "full").ops:
+            assert op.matrix(3).tobytes() == _reference_matrix(op, 3).tobytes()
+
+    def test_printed_table_ops_match_the_per_call_product_bitwise(self):
+        checked = 0
+        for name, entry in catalog.catalog_entries().items():
+            pattern = catalog.build_pattern(name)
+            tables = [entry[k]() for k in ("reference", "captioned") if k in entry]
+            tables += [pattern.corrections] if pattern.corrections is not None else []
+            n = pattern.num_outputs
+            for table in tables:
+                for op in table.entries.values():
+                    assert op.matrix(n).tobytes() == _reference_matrix(op, n).tobytes()
+                    checked += 1
+        assert checked > 0
+
+    def test_cached_factors_are_shared_and_read_only(self):
+        mat = patterns._factor_matrix("Ucx", (2, 0), 3)
+        assert mat is patterns._factor_matrix("Ucx", (2, 0), 3)
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 2
+        assert patterns._factor_matrix.cache_info().maxsize is not None
 
 
 class TestValidation:
