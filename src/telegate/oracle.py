@@ -14,7 +14,7 @@ so two runs with the same seed produce bit-identical reports.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import count, product
@@ -64,75 +64,75 @@ def format_key(key: OutcomeKey) -> str:
 # Pattern execution
 # ---------------------------------------------------------------------------
 
-# Enumeration walks the stacked maps this many outcomes at a time, and
-# derivation, verification and loss checks walk the distinct maps this many
-# at a time, which bounds their temporaries.
+# Enumeration walks the outcomes this many at a time, and derivation,
+# verification and loss checks walk the distinct maps this many at a time,
+# which bounds their temporaries.
 _BLOCK = 256
 
 
 def _register(pattern: GatePattern) -> tuple[np.ndarray, list[int]]:
     """Full register states for every computational-basis input, as a
-    tensor of shape (1, 2, ..., 2, d_in) with one axis per qubit in
-    input-then-resource order, plus that qubit order. Built by the
-    successive outer products of np.kron."""
+    C-contiguous tensor of shape (1, 2, ..., 2, d_in) with one axis per
+    qubit, plus that qubit order: the first group's qubits lead, in group
+    order, and the others follow in input-then-resource order. Each entry
+    is its input amplitude times each resource amplitude in resource order,
+    the products np.kron forms, broadcast straight into that layout."""
     dim = 1 << len(pattern.input_wires)
-    amps = np.eye(dim, dtype=complex)
-    qubits = list(pattern.input_wires)
-    for resource_qubits, state in pattern.resources:
-        amps = (amps[:, None, :] * state.amps[None, :, None]).reshape(-1, dim)
-        qubits.extend(resource_qubits)
-    return amps.reshape([1] + [2] * len(qubits) + [dim]), qubits
+    built = list(pattern.input_wires) + [q for qubits, _ in pattern.resources for q in qubits]
+    lead = list(pattern.groups[0].qubits) if pattern.groups else []
+    qubits = lead + [q for q in built if q not in lead]
+    axis = {q: i for i, q in enumerate(qubits)}
 
+    def placed(wires: tuple[int, ...], amps: np.ndarray, columns: int) -> np.ndarray:
+        # The factor's axes in register order, with size-1 axes elsewhere.
+        order = sorted(range(len(wires)), key=lambda i: axis[wires[i]])
+        t = amps.reshape([2] * len(wires) + [columns]).transpose(order + [len(wires)])
+        shape = [1] * len(qubits) + [columns]
+        for q in wires:
+            shape[axis[q]] = 2
+        return t.reshape(shape)
 
-def _stacked_maps(pattern: GatePattern) -> np.ndarray:
-    """Every outcome's input->output map, unnormalized, as an array of shape
-    (outcomes, 2^num_outputs, d_in) in lexicographic label order: column j
-    holds the residual output amplitudes for basis input j. The register is
-    contracted one measurement group at a time: the group's conjugated
-    basis, applied to the group's axes through its nonzero entries only,
-    turns every outcome so far into one outcome per basis vector. Each step
-    drops its input before contracting, so at most two register-sized
-    arrays live.
-    """
-    t, qubits = _register(pattern)
-    dim = t.shape[-1]
-    for group in pattern.groups:
-        axes = [qubits.index(q) + 1 for q in group.qubits]
-        k = len(axes)
-        flat = np.moveaxis(t, axes, range(1, k + 1)).reshape(t.shape[0], 1 << k, -1)
-        del t
-        measured = set(group.qubits)
-        qubits = [q for q in qubits if q not in measured]
-        t = _contract(group.basis.vectors, flat).reshape([-1] + [2] * len(qubits) + [dim])
-        del flat
-    perm = [qubits.index(w) + 1 for w in pattern.output_wires]
-    return t.transpose([0] + perm + [len(qubits) + 1]).reshape(t.shape[0], -1, dim)
+    t = placed(pattern.input_wires, np.eye(dim, dtype=complex), dim)
+    for wires, state in pattern.resources:
+        factor = placed(wires, state.amps, 1)
+        out = np.empty(np.broadcast_shapes(t.shape, factor.shape), dtype=complex)
+        t = np.multiply(t, factor, out=out)
+    return np.ascontiguousarray(t)[None], qubits
 
 
 # The contraction gathers at most this many amplitudes at a time (but always
-# one column of every basis row), which bounds its temporaries.
+# one column of every basis row), and streams the first group's basis rows
+# in chunks of at most this many amplitudes (but always one row), which
+# bounds its temporaries.
 _GATHER = 1 << 16
 
 
-def _contract(vectors: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """``vectors.conj() @ flat`` for a (rows, K) basis and an (outcomes, K,
-    columns) register, summed over each row's nonzero entries only.
-
-    Slot s adds every row's s-th nonzero entry times the register slice at
-    its column, for as many slots as the widest row has nonzeros; a shorter
-    row's last slots fall on its zero entries. Catalog bases have at most 4
-    nonzeros per row, so this does a few gathers instead of a K-term sum; a
-    dense basis has K per row.
-    """
+def _plan(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (rows, K) basis's nonzero plan for :func:`_contract`: each row's
+    nonzero columns first, in column order, for as many slots as the widest
+    row has nonzeros (a shorter row's last slots fall on its zero entries),
+    and the conjugated coefficients there."""
     nonzero = vectors != 0
     width = max(1, int(nonzero.sum(axis=1).max()))
-    # Each row's nonzero columns first, in column order.
     index = np.argsort(~nonzero, axis=1, kind="stable")[:, :width].copy()
     coeffs = np.take_along_axis(vectors, index, axis=1).conj()[:, :, None]
+    return index, coeffs
+
+
+def _contract(index: np.ndarray, coeffs: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """``vectors.conj() @ flat`` for the basis rows planned by :func:`_plan`
+    and an (outcomes, K, columns) register, summed over each row's nonzero
+    entries only.
+
+    Slot s adds every row's s-th planned entry times the register slice at
+    its column. Catalog bases have at most 4 nonzeros per row, so this does
+    a few gathers instead of a K-term sum; a dense basis has K per row.
+    """
     outcomes, _, columns = flat.shape
-    out = np.empty((outcomes, len(vectors), columns), dtype=complex)
-    step_c = max(1, min(columns, _GATHER // len(vectors)))
-    step_o = max(1, _GATHER // (len(vectors) * step_c))
+    rows, width = index.shape
+    out = np.empty((outcomes, rows, columns), dtype=complex)
+    step_c = max(1, min(columns, _GATHER // rows))
+    step_o = max(1, _GATHER // (rows * step_c))
     for lo in range(0, outcomes, step_o):
         for c in range(0, columns, step_c):
             src = flat[lo:lo + step_o, :, c:c + step_c]
@@ -145,24 +145,95 @@ def _contract(vectors: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return out
 
 
+def _measure(
+    t: np.ndarray, qubits: list[int], measured: tuple[int, ...], plan: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, list[int]]:
+    """Contract the measured qubits of an (outcomes, 2, ..., 2, d_in)
+    register with the planned basis rows: every outcome so far becomes one
+    outcome per row. Returns the new register and its qubits."""
+    axes = [qubits.index(q) + 1 for q in measured]
+    k = len(axes)
+    flat = np.moveaxis(t, axes, range(1, k + 1)).reshape(t.shape[0], 1 << k, -1)
+    left = [q for q in qubits if q not in measured]
+    out = _contract(*plan, flat)
+    return out.reshape([-1] + [2] * len(left) + [t.shape[-1]]), left
+
+
+def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
+    """Every outcome's input->output map, unnormalized, in lexicographic
+    label order, as arrays of shape (outcomes, 2^num_outputs, d_in): column
+    j holds the residual output amplitudes for basis input j.
+
+    The register's first-group axes lead, so its rows for a chunk of the
+    first group's basis rows are a view. Each chunk goes through every
+    later group and the output-axis order on its own; only the register is
+    register-sized. Each group's nonzero plan is made once for its whole
+    basis, so every entry is the same sum however the rows are chunked.
+    """
+    t, qubits = _register(pattern)
+    dim = t.shape[-1]
+    steps = [(g.qubits, _plan(g.basis.vectors)) for g in pattern.groups]
+    rows = pattern.groups[0].size if steps else 1
+    step = max(1, _GATHER * rows // t.size)
+    for lo in range(0, rows, step):
+        chunk, left = t, qubits
+        # The first group contracts only this chunk of its rows.
+        for measured, (index, coeffs) in steps[:1]:
+            plan = index[lo:lo + step], coeffs[lo:lo + step]
+            chunk, left = _measure(chunk, left, measured, plan)
+        for measured, plan in steps[1:]:
+            chunk, left = _measure(chunk, left, measured, plan)
+        perm = [left.index(w) + 1 for w in pattern.output_wires]
+        yield chunk.transpose([0] + perm + [len(left) + 1]).reshape(chunk.shape[0], -1, dim)
+
+
+def _classify(chunks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bitwise-distinct maps among consecutive chunks of maps, in
+    first-occurrence order; the first outcome carrying each; and each
+    outcome's class (its position in that order). Maps are keyed by their
+    bytes, so they share a class only if their bytes are equal: -0.0 and
+    +0.0, or entries one ulp apart, stay apart."""
+    firsts: dict[bytes, int] = {}
+    owners, distinct = [], []
+    start = 0
+    for chunk in chunks:
+        # One bytes object per map, straight from a void view of the chunk.
+        keys = chunk.reshape(len(chunk), -1).view(np.dtype((np.void, chunk[0].nbytes)))
+        own = np.fromiter(
+            map(firsts.setdefault, keys.ravel().tolist(), count(start)),
+            dtype=np.intp, count=len(chunk),
+        )
+        distinct.append(chunk[own == np.arange(start, start + len(chunk))])
+        owners.append(own)
+        start += len(chunk)
+    reps, classes = np.unique(np.concatenate(owners), return_inverse=True)
+    return np.concatenate(distinct), reps, classes
+
+
 class OutcomeMaps(Mapping):
     """Read-only view of every outcome's input->output map.
 
-    ``stack`` holds all maps as one array of shape (outcomes, d_out, d_in)
-    in lexicographic label order, the order of
-    :attr:`GatePattern.outcome_keys`; ``maps[key]`` is one slice of it.
-    Byproduct repairs leave few distinct maps among many outcomes, so
-    per-map work runs once per entry of :attr:`classes`.
+    ``distinct`` holds each bitwise-distinct map once, as an array of shape
+    (classes, d_out, d_in) in first-occurrence order; ``classes`` is
+    ``(reps, classes)``, the first outcome carrying each distinct map and
+    each outcome's row of ``distinct``, over outcomes in lexicographic label
+    order, the order of :attr:`GatePattern.outcome_keys`. ``maps[key]`` is
+    one row of ``distinct``. Byproduct repairs leave few distinct maps among
+    many outcomes, so per-map work runs once per row of ``distinct``.
     """
 
-    def __init__(self, pattern: GatePattern, stack: np.ndarray):
-        stack.flags.writeable = False
-        self.stack = stack
+    def __init__(
+        self, pattern: GatePattern, distinct: np.ndarray, reps: np.ndarray, classes: np.ndarray
+    ):
+        for array in (distinct, reps, classes):
+            array.flags.writeable = False
+        self.distinct = distinct
+        self.classes = (reps, classes)
         self._labels = [g.labels for g in pattern.groups]
         self._positions = [{label: i for i, label in enumerate(g.labels)} for g in pattern.groups]
 
     def __len__(self) -> int:
-        return self.stack.shape[0]
+        return len(self.classes[1])
 
     def __iter__(self):
         return product(*self._labels)
@@ -176,23 +247,7 @@ class OutcomeMaps(Mapping):
                 index = index * len(positions) + positions[label]
             except (KeyError, TypeError):
                 raise KeyError(key) from None
-        return self.stack[index]
-
-    @cached_property
-    def classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The bitwise-distinct maps: the first outcome carrying each, in
-        first-occurrence order, and each outcome's class (its position in
-        that array). Maps are keyed by their bytes, so they share a class
-        only if their bytes are equal: -0.0 and +0.0, or entries one ulp
-        apart, stay apart. Sorted first owners are in first-occurrence
-        order."""
-        firsts: dict[bytes, int] = {}
-        owners = np.fromiter(
-            map(firsts.setdefault, map(np.ndarray.tobytes, self.stack), count()),
-            dtype=np.intp, count=len(self),
-        )
-        reps, classes = np.unique(owners, return_inverse=True)
-        return reps, classes
+        return self.distinct[self.classes[1][index]]
 
 
 def outcome_maps(pattern: GatePattern) -> OutcomeMaps:
@@ -208,7 +263,7 @@ def outcome_maps(pattern: GatePattern) -> OutcomeMaps:
     """
     maps = pattern._memo.get("outcome_maps")
     if maps is None:
-        maps = OutcomeMaps(pattern, _stacked_maps(pattern))
+        maps = OutcomeMaps(pattern, *_classify(_map_chunks(pattern)))
         pattern._memo["outcome_maps"] = maps
     return maps
 
@@ -264,7 +319,9 @@ def enumerate_outcomes(pattern: GatePattern, input_state: sv.StateVector) -> lis
             f"input on {input_state.num_qubits} qubits does not fit "
             f"{len(pattern.input_wires)} input wires"
         )
-    branches = outcome_maps(pattern).stack @ input_state.amps
+    maps = outcome_maps(pattern)
+    _, classes = maps.classes
+    branches = maps.distinct @ input_state.amps
     keys = pattern.outcome_keys
     num_out = len(pattern.output_wires)
     if pattern.corrections is not None:
@@ -273,7 +330,7 @@ def enumerate_outcomes(pattern: GatePattern, input_state: sv.StateVector) -> lis
         mats, op_index = np.empty((0, 1 << num_out, 1 << num_out)), np.full(len(keys), -1)
     records = []
     for block in _blocks(len(keys)):
-        amps = branches[block]
+        amps = branches[classes[block]]
         probs = np.real(np.sum(amps.conj() * amps, axis=1))
         live = probs > ZERO_PROB
         pre = np.zeros_like(amps)
@@ -519,7 +576,7 @@ def derive_corrections_with_failures(
     # Classes are in first-occurrence order, so decompose_monomial meets the
     # same first recovery per signature as a walk over every outcome would.
     for block in _blocks(len(reps)):
-        stack = maps.stack[reps[block]]
+        stack = maps.distinct[block]
         nonzero = np.linalg.norm(stack, axis=(1, 2)) >= ZERO_PROB
         unitary, needed = _needed_corrections(stack, pattern.target)
         unitary &= nonzero
@@ -591,9 +648,10 @@ def _name_recoveries(
         if sig in factored and _matches(factored[sig][1], needed[i]):
             named[i] = factored[sig][0]
         else:
-            named[i] = decompose_monomial(needed[i], dictionary.num_wires)
-            if named[i] is not None:
-                factored[sig] = (named[i], named[i].matrix(dictionary.num_wires))
+            decomposed = decompose_monomial(needed[i], dictionary.num_wires)
+            if decomposed is not None:
+                named[i] = decomposed[0]
+                factored[sig] = decomposed
     return named
 
 
@@ -620,7 +678,7 @@ def _linear_words(num_wires: int) -> dict:
     return words
 
 
-def decompose_monomial(r: np.ndarray, num_wires: int) -> CorrectionOp | None:
+def decompose_monomial(r: np.ndarray, num_wires: int) -> tuple[CorrectionOp, np.ndarray] | None:
     """Factor a phased permutation unitary into named correction ops.
 
     Succeeds exactly when r is, up to global phase, a permutation realizing
@@ -629,6 +687,8 @@ def decompose_monomial(r: np.ndarray, num_wires: int) -> CorrectionOp | None:
     Up/sz factors, quadratic parts become Ucz factors, the affine part
     becomes sx flips plus a controlled-X word. That is precisely the group
     the correction vocabulary generates, so anything else returns None.
+    Returns the op with its matrix, the one confirmed equal to r up to
+    phase.
     """
     n = num_wires
     dim = 1 << n
@@ -689,9 +749,10 @@ def decompose_monomial(r: np.ndarray, num_wires: int) -> CorrectionOp | None:
         elif c[i] == 3:
             factors += [("Up", (i,)), ("sz", (i,))]
     op = CorrectionOp(tuple(factors))
-    if not _equal_up_to_phase(op.matrix(n), u):
+    mat = op.matrix(n)
+    if not _equal_up_to_phase(mat, u):
         return None
-    return op
+    return op, mat
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +898,7 @@ def verify_pattern(
     pair_probs = np.zeros_like(pair_fids)
     for block in _blocks(len(first)):
         outcomes = first[block]
-        out = mats[op_index[outcomes]] @ (maps.stack[outcomes] @ inputs)
+        out = mats[op_index[outcomes]] @ (maps.distinct[classes[outcomes]] @ inputs)
         norms = np.linalg.norm(out, axis=1)
         pair_probs[block] = norms**2
         overlaps = np.abs(np.sum(target_out.conj() * out, axis=1))
@@ -947,7 +1008,7 @@ def detect_information_loss(pattern: GatePattern, seed: int = DEFAULT_SEED) -> L
     dead = np.empty((len(reps), dim), dtype=bool)
     ranks = np.empty(len(reps), dtype=np.intp)
     for block in _blocks(len(reps)):
-        stack = maps.stack[reps[block]]
+        stack = maps.distinct[block]
         # Probabilities formed as np.linalg.norm(m @ generic) ** 2 forms them
         # for one map (dot products of the real and imaginary parts, then
         # the root squared), so the printed values do not depend on batching.

@@ -74,7 +74,7 @@ class TestExitCodes:
 
     def test_parity_past_register_limit_is_refused_before_any_chain(self, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(oracle, "_stacked_maps", lambda *a: calls.append(1))
+        monkeypatch.setattr(oracle, "_map_chunks", lambda *a: calls.append(1))
         code, out, err = run(capsys, "parity", "--max-n", str(catalog.MAX_CHAIN_LENGTH + 1))
         assert code == 2 and out == ""
         assert err.startswith("error: max_n must lie in 1..") and err.count("\n") == 1
@@ -308,8 +308,8 @@ class TestVerify:
         # Derivation and both verifications share one contraction; toffoli's
         # variant selection hands its contracted maps on with the table.
         calls = []
-        contract = oracle._stacked_maps
-        monkeypatch.setattr(oracle, "_stacked_maps", lambda *a: calls.append(1) or contract(*a))
+        contract = oracle._map_chunks
+        monkeypatch.setattr(oracle, "_map_chunks", lambda *a: calls.append(1) or contract(*a))
         code, _, _ = run(capsys, "verify", *argv)
         assert code == 0
         assert len(calls) == 1

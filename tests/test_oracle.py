@@ -150,20 +150,27 @@ class TestEnumerationAgainstNaivePath:
                 assert fid == pytest.approx(1.0, abs=1e-10)
 
 
+def _stack(maps):
+    """Every outcome's map, in outcome-key order, as one array."""
+    return maps.distinct[maps.classes[1]]
+
+
 class TestOutcomeMaps:
     @pytest.mark.parametrize("name", ["phase", "cnot", "triple-cz"])
     def test_mapping_follows_outcome_keys_and_stack(self, name):
         pattern = catalog.build_pattern(name)
         maps = oracle.outcome_maps(pattern)
         keys = pattern.outcome_keys
+        reps, classes = maps.classes
         assert list(maps) == keys
-        assert len(maps) == len(keys) == maps.stack.shape[0]
+        assert len(maps) == len(keys) == len(classes)
         dim_in = 1 << len(pattern.input_wires)
-        assert maps.stack.shape[1:] == (1 << pattern.num_outputs, dim_in)
+        assert maps.distinct.shape == (len(reps), 1 << pattern.num_outputs, dim_in)
+        stack = _stack(maps)
         for i, key in enumerate(keys):
-            assert np.array_equal(maps[key], maps.stack[i])
+            assert np.array_equal(maps[key], stack[i])
         assert [k for k, _ in maps.items()] == keys
-        assert all(np.array_equal(m, maps.stack[i]) for i, m in enumerate(maps.values()))
+        assert all(np.array_equal(m, stack[i]) for i, m in enumerate(maps.values()))
 
     def test_unknown_keys_are_absent_and_maps_read_only(self):
         pattern = catalog.phase_gate_pattern()
@@ -177,15 +184,15 @@ class TestOutcomeMaps:
 
     def test_contracted_once_per_pattern_object(self, monkeypatch):
         calls = []
-        contract = oracle._stacked_maps
-        monkeypatch.setattr(oracle, "_stacked_maps", lambda *a: calls.append(1) or contract(*a))
+        contract = oracle._map_chunks
+        monkeypatch.setattr(oracle, "_map_chunks", lambda *a: calls.append(1) or contract(*a))
         pattern = catalog.cnot_pattern()
         maps = oracle.outcome_maps(pattern)
         assert oracle.outcome_maps(pattern) is maps
         assert len(calls) == 1
         retargeted = pattern.with_target(pattern.target)
         assert oracle.outcome_maps(retargeted) is not maps
-        assert np.array_equal(oracle.outcome_maps(retargeted).stack, maps.stack)
+        assert np.array_equal(_stack(oracle.outcome_maps(retargeted)), _stack(maps))
         assert len(calls) == 2
         assert oracle.outcome_maps(pattern.with_corrections(None)) is maps
         assert len(calls) == 2
@@ -194,8 +201,8 @@ class TestOutcomeMaps:
         pattern = catalog.cnot_pattern()
         maps = oracle.outcome_maps(pattern)
         calls = []
-        contract = oracle._stacked_maps
-        monkeypatch.setattr(oracle, "_stacked_maps", lambda *a: calls.append(1) or contract(*a))
+        contract = oracle._map_chunks
+        monkeypatch.setattr(oracle, "_map_chunks", lambda *a: calls.append(1) or contract(*a))
         state = sv.from_ket_expression(2, [(1, "01"), (1j, "10")])
         records = oracle.enumerate_outcomes(pattern, state)
         assert calls == []
@@ -204,15 +211,21 @@ class TestOutcomeMaps:
             assert record.probability == pytest.approx(np.vdot(branch, branch).real, abs=1e-15)
 
     @staticmethod
-    def _crafted(*rows):
-        # The phase pattern has four outcomes of 2x2 maps.
-        return oracle.OutcomeMaps(catalog.phase_gate_pattern(), np.array(rows, dtype=complex))
+    def _crafted(*rows, cut=2):
+        # The phase pattern has four outcomes of 2x2 maps, classed here in
+        # two chunks the way the contraction streams them.
+        rows = np.array(rows, dtype=complex)
+        chunks = [rows[:cut], rows[cut:]]
+        return oracle.OutcomeMaps(catalog.phase_gate_pattern(), *oracle._classify(chunks))
 
     def test_bitwise_equal_maps_share_a_class_in_first_occurrence_order(self):
         a, b = np.eye(2), np.array([[0, 1], [1, 0]])
-        reps, classes = self._crafted(b, a, b, a).classes
-        assert reps.tolist() == [0, 1]
-        assert classes.tolist() == [0, 1, 0, 1]
+        for cut in (1, 2, 3):
+            maps = self._crafted(b, a, b, a, cut=cut)
+            reps, classes = maps.classes
+            assert reps.tolist() == [0, 1]
+            assert classes.tolist() == [0, 1, 0, 1]
+            assert np.array_equal(maps.distinct, [b, a])
 
     @pytest.mark.parametrize("make", [
         lambda: catalog.chain_cz_pattern(3), lambda: catalog.build_pattern("triple-cz"),
@@ -220,7 +233,7 @@ class TestOutcomeMaps:
     def test_classes_are_exactly_the_distinct_maps(self, make):
         maps = oracle.outcome_maps(make())
         reps, classes = maps.classes
-        words = maps.stack.reshape(len(maps), -1).view(np.uint64)
+        words = _stack(maps).reshape(len(maps), -1).view(np.uint64)
         _, first, inverse = np.unique(words, axis=0, return_index=True, return_inverse=True)
         assert len(reps) == len(first) < len(maps)
         assert reps.tolist() == sorted(first.tolist())
@@ -288,8 +301,9 @@ CONTRACTED = {
 
 
 class TestSparseContraction:
-    """The contraction over basis nonzeros against a dense matmul of every
-    group's basis, kept here as the reference."""
+    """The streamed contraction over basis nonzeros against a dense matmul
+    of every group's basis on the whole register, kept here as the
+    reference."""
 
     # A K-term sum of products of entries bounded by 1 in magnitude; groups
     # here have K <= 32 columns, each term rounding by about one ulp.
@@ -297,8 +311,15 @@ class TestSparseContraction:
 
     @staticmethod
     def _dense_maps(pattern):
-        t, qubits = oracle._register(pattern)
-        dim = t.shape[-1]
+        # The register by successive outer products, one axis per qubit in
+        # input-then-resource order, then one dense matmul per group.
+        dim = 1 << len(pattern.input_wires)
+        amps = np.eye(dim, dtype=complex)
+        qubits = list(pattern.input_wires)
+        for resource_qubits, state in pattern.resources:
+            amps = (amps[:, None, :] * state.amps[None, :, None]).reshape(-1, dim)
+            qubits.extend(resource_qubits)
+        t = amps.reshape([1] + [2] * len(qubits) + [dim])
         for group in pattern.groups:
             axes = [qubits.index(q) + 1 for q in group.qubits]
             k = len(axes)
@@ -311,7 +332,7 @@ class TestSparseContraction:
     @pytest.mark.parametrize("name", sorted(CONTRACTED))
     def test_matches_dense_reference(self, name):
         pattern = CONTRACTED[name]()
-        maps = oracle.outcome_maps(pattern).stack
+        maps = _stack(oracle.outcome_maps(pattern))
         dense = self._dense_maps(pattern)
         assert maps.shape == dense.shape
         np.testing.assert_allclose(maps, dense, rtol=0, atol=self.TOL)
@@ -321,11 +342,21 @@ class TestSparseContraction:
     def test_gather_budget_does_not_change_results(self, monkeypatch, name, budget):
         # Budgets under one column of every basis row, and budgets whose
         # column chunks end inside an outcome's columns, split each sum
-        # only between independent entries, so the bits do not move.
-        exact = oracle.outcome_maps(CONTRACTED[name]()).stack
+        # only between independent entries, so the bits do not move. They
+        # also stream the first group one basis row at a time.
+        exact = oracle.outcome_maps(CONTRACTED[name]())
         monkeypatch.setattr(oracle, "_GATHER", budget)
-        chunked = oracle.outcome_maps(CONTRACTED[name]()).stack
-        assert np.array_equal(chunked.view(np.uint64), exact.view(np.uint64))
+        sizes = []
+        stream = oracle._map_chunks
+        monkeypatch.setattr(
+            oracle, "_map_chunks", lambda p: (sizes.append(len(c)) or c for c in stream(p))
+        )
+        pattern = CONTRACTED[name]()
+        chunked = oracle.outcome_maps(pattern)
+        assert len(sizes) == pattern.groups[0].size
+        assert chunked.distinct.tobytes() == exact.distinct.tobytes()
+        for ours, theirs in zip(chunked.classes, exact.classes):
+            assert np.array_equal(ours, theirs)
 
     def test_rows_of_unequal_width(self):
         # Rows padded with zero coefficients up to the widest row's count.
@@ -334,9 +365,137 @@ class TestSparseContraction:
         vectors[0] = [1, 0, 0, 0]
         vectors[2, 1:3] = 0
         flat = rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))
+        index, coeffs = oracle._plan(vectors)
+        assert index.shape == (4, 4)
         np.testing.assert_allclose(
-            oracle._contract(vectors, flat), vectors.conj() @ flat, rtol=0, atol=self.TOL
+            oracle._contract(index, coeffs, flat), vectors.conj() @ flat, rtol=0, atol=self.TOL
         )
+        # A chunk of the plan's rows contracts those rows alone, bit for bit.
+        whole = oracle._contract(index, coeffs, flat)
+        assert np.array_equal(oracle._contract(index[1:3], coeffs[1:3], flat), whole[:, 1:3])
+
+
+# sha256 of each pattern's maps in outcome order, of its class
+# representatives and of its classes (the bytes of the int64 arrays),
+# recorded when every outcome's map was contracted into one stacked array.
+MAP_DIGESTS = {
+    "single-qubit": (
+        "57a169d41347794da2a7e222a87eeed8425ae06d23c1c40fb36ef79d6e33b800",
+        "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77",
+        "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77",
+    ),
+    "phase": (
+        "fe5b1e84969c1438dc34f929cf32c0cb1e791c6985092071638b6fc15eedfd0a",
+        "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77",
+        "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77",
+    ),
+    "pi8": (
+        "15eb0f8241e1b1290fcc5ec33dacb3ea8b2e90a2bdc56c403a509c8b4256f7e8",
+        "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77",
+        "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77",
+    ),
+    "cz": (
+        "95a73da22fa223e928e13e9514bb21d0f5417b2624e9fe9a51330a3d43ce76a7",
+        "9a995c63b4327e47b336fc66e1df3a747d8181652c2e5152ca3220890e27f9ae",
+        "1f230be5e62135e22db211ddf5b6835bcaa11e6d85a8d21d498be78685739035",
+    ),
+    "cz-mismatched": (
+        "1332cff463e51d4c9e6f1f2d166b3d16d0bf28401a7b8333460839394295d3ff",
+        "de768b908410f083c01b52a93694ce5842aa690f4bc71eeea36b85826a82d9c3",
+        "b23d6998f4f0e651b0e6142178eace8c8ecd4981a10dd81f0486fb5e960897a7",
+    ),
+    "cz-no-ee": (
+        "0905f3f7483c7217da4da28b49bba0b0a81f71cce5fe445808abb4f625292e6c",
+        "3f17c53ef4fe64027625fe376a8dd1fe3d2e50b1037946e6fc3b738198159d54",
+        "cff03bccd8cc4653bf25d1c9a42f2da7d3c76882929e500ea989575ad07d87f2",
+    ),
+    "triple-cz": (
+        "660e6b96249f283837c2ca6600584c796d660b634f04520f1c1989b9dd76fb5b",
+        "ebaf00a42c79edcc2c97dee0bab916194216dca8fbc062fd2bd385fb5c4c5240",
+        "97c04aa81c764bfc9fba8422cec8e3794dc43f28a7e37e3b55c0fdc6df7eca73",
+    ),
+    "controlled-phase": (
+        "dcc301ba65edb74916eb9f0cb6cad2948c4858fb9f2c090a932f310386e4795b",
+        "8c92c6c1b73ac7d8b2cff6b5446f50e6a4125605c6143ee7519f72ff3396ea94",
+        "bd95475873be7ea2d542f90aa653f6df20e0dd17a9d23789abd558dda0d69090",
+    ),
+    "cnot": (
+        "8ba99f49a8a4be33511f79d357b4a0c85c988c107baf2328d5719e2fe72f16e6",
+        "76138228b45193e72cd990aa010fb8e05ed13e1ed7f5cefc241cfa1d815f2499",
+        "bf780d4aae61c8a933a498487270887f4ab1e417d3cd9934b7b7f2b551c48482",
+    ),
+    "swap": (
+        "90d8cedcfb86fd73c8cd143cf1a44e7d34fc205e7d15ac63e2eec3bfaf29793e",
+        "76138228b45193e72cd990aa010fb8e05ed13e1ed7f5cefc241cfa1d815f2499",
+        "7f4ff24b96317754290ef7619ce8d7ce719430563eed9418958142d7119d0cd5",
+    ),
+    "toffoli": (
+        "9fb6df5a44cbbd5814e4913ca5d44454db4655ea9823b720630dd4ff3d8e3eba",
+        "6e8d0812de7f28591fa1393fea274ea7cbe268cf96a5fa317cc4e9b65e597aaf",
+        "4c1c74fcbb6aaf5eb1800e3f88c8bb35792a13bd1a4366e45c2d07099f9680ac",
+    ),
+    "fredkin": (
+        "ffc5ac5bebfc87e019a6b0bb72c49391f6b10616096c2581c365301dc0f386dd",
+        "b170170b0613ff85939053fedbb2fc5592e1e1e0006e1e25d7da88cb7c8a6984",
+        "b47a023f4b4a6263952d746fda84c9ae56f9ed980d5121aa27077d253c7cf13f",
+    ),
+    "chain-cz-1": (
+        "95a73da22fa223e928e13e9514bb21d0f5417b2624e9fe9a51330a3d43ce76a7",
+        "9a995c63b4327e47b336fc66e1df3a747d8181652c2e5152ca3220890e27f9ae",
+        "1f230be5e62135e22db211ddf5b6835bcaa11e6d85a8d21d498be78685739035",
+    ),
+    "chain-cz-2": (
+        "16ccec71d37fed1995ba38df9ecf351410a252494e4011693cada479f36da453",
+        "23c9c67d8107f78f2dd79643e31fa203f02e91c8d132a0e66e31138e98d43ef7",
+        "521ef4d38586ec704561f4e069278b5d6e09a5023ccf8d3f83c1432772ade136",
+    ),
+    "chain-cz-3": (
+        "99caf8ba76be4b4790e32beda670942763d39d14c96d1f67354e03558216c8bf",
+        "19dddf0963701de35d246ccc96c7f8623e610c506dd848662a5637a7f5df0c35",
+        "7489e3a4b7b41270383a13106a21542f06e827f8ed3f091adbab0f61ddc5b8ca",
+    ),
+    "chain-cz-4": (
+        "6d4293406efe8e9356fb32efd7c0a865244f99765f2c9491a038e30a5731e8d0",
+        "7ec0a4cd91afce08503eb5145fe217d160bbc61bf3c2d0ba48a23cedad964d2c",
+        "d49f5822affb74a71b2d0d7139e74e77f7eb6d1303f26404846ff0d190d98454",
+    ),
+    "chain-cz-5": (
+        "0934b1c17017539602f6f7e5b1b3f67520b127590cf44a5881b8286d04e8f939",
+        "f237e672b62d87dd2039f11347f8a7f423337bb9da993f14873bec9ad3c381a4",
+        "911a9067fe6725e47f314aaf84cbb86d21bb7c0cfabdca4dabb9692ac2eef8c0",
+    ),
+    "chain-cz-6": (
+        "ca8d18de4afbfadd8d71608683a1e8bbdb97704a01f109c1c13e599ae07d338c",
+        "ae90c8e6364cca10fce0e1fbce31e55f7aacfb5f5dfe8403f97cb4ecf9dde2c6",
+        "4325406dfdc4d6e1ec570a8a079accc500d55d0706a60261b9dd6c003e1f07c9",
+    ),
+}
+
+
+class TestBitExactMaps:
+    @pytest.mark.parametrize("name", sorted(MAP_DIGESTS))
+    def test_maps_and_classes_match_the_stacked_contraction(self, name):
+        maps = oracle.outcome_maps(_catalog_pattern(name))
+        reps, classes = maps.classes
+        got = tuple(
+            hashlib.sha256(array.tobytes()).hexdigest() for array in (_stack(maps), reps, classes)
+        )
+        assert got == MAP_DIGESTS[name]
+
+    def test_peak_memory_stays_near_the_register(self):
+        # chain-cz n=6 has an 18-qubit register over 4 basis inputs: 16 MiB.
+        # Streaming the first group's rows keeps every other array small.
+        import tracemalloc
+
+        pattern = catalog.chain_cz_pattern(6)
+        register = (1 << pattern.num_qubits) * 4 * 16
+        tracemalloc.start()
+        try:
+            oracle.outcome_maps(pattern)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * register
 
 
 def _full_grid_summaries(report):
@@ -656,7 +815,9 @@ class TestDecomposeMonomial:
             oracle.derive_corrections_with_failures(pattern)
         assert len(fed) == 224  # all from fredkin; toffoli's are dictionary hits
         for r, n in fed:
-            assert decompose(r, n) == _reference_decompose(r, n)
+            op, mat = decompose(r, n)
+            assert op == _reference_decompose(r, n)
+            assert np.array_equal(mat, op.matrix(n))
 
     def test_matches_the_loop_reference_on_rejections(self):
         t_gate = np.diag([1, np.exp(1j * np.pi / 4)])
@@ -678,9 +839,9 @@ class TestDecomposeMonomial:
         d = oracle.correction_dictionary(3, "full")
         for idx in rng.choice(len(d.ops), size=25, replace=False):
             mat = d.matrices[idx] * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            op = oracle.decompose_monomial(mat, 3)
-            assert op is not None
-            assert oracle._equal_up_to_phase(op.matrix(3), mat)
+            op, op_mat = oracle.decompose_monomial(mat, 3)
+            assert np.array_equal(op_mat, op.matrix(3))
+            assert oracle._equal_up_to_phase(op_mat, mat)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -706,15 +867,15 @@ class TestDecomposeMonomial:
                 factors.append((name, (wire,)))
         phase = np.exp(1j * data.draw(st.floats(0, 2 * np.pi)))
         mat = CorrectionOp(tuple(factors)).matrix(num_wires) * phase
-        op = oracle.decompose_monomial(mat, num_wires)
-        assert op is not None
-        assert oracle._equal_up_to_phase(op.matrix(num_wires), mat)
+        op, op_mat = oracle.decompose_monomial(mat, num_wires)
+        assert np.array_equal(op_mat, op.matrix(num_wires))
+        assert oracle._equal_up_to_phase(op_mat, mat)
 
     def test_bare_controlled_x_between_first_wires(self):
         mat = CorrectionOp((("Ucx", (0, 1)),)).matrix(3)
-        op = oracle.decompose_monomial(mat, 3)
-        assert op is not None
-        assert oracle._equal_up_to_phase(op.matrix(3), mat)
+        op, op_mat = oracle.decompose_monomial(mat, 3)
+        assert np.array_equal(op_mat, op.matrix(3))
+        assert oracle._equal_up_to_phase(op_mat, mat)
 
     def test_hadamard_is_out_of_vocabulary(self):
         assert oracle.decompose_monomial(np.kron(HADAMARD, np.eye(4)), 3) is None
@@ -722,6 +883,19 @@ class TestDecomposeMonomial:
     def test_cubic_phase_is_out_of_vocabulary(self):
         ccz = np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex)
         assert oracle.decompose_monomial(ccz, 3) is None
+
+    def test_fredkin_derivation_builds_each_correction_matrix_once(self, monkeypatch):
+        # A cold derivation builds 31 matrices for the three-wire full
+        # dictionary and one per factorization, the one its confirmation
+        # compares; the factorization memo keeps that one.
+        calls = []
+        matrix = CorrectionOp.matrix
+        monkeypatch.setattr(CorrectionOp, "matrix", lambda op, n: calls.append(1) or matrix(op, n))
+        oracle.correction_dictionary.cache_clear()
+        pattern = catalog.fredkin_pattern()
+        oracle.outcome_maps(pattern)
+        oracle.derive_corrections_with_failures(pattern)
+        assert len(calls) == 255
 
 
 class TestSingleQubit:

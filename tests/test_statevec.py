@@ -193,6 +193,70 @@ class TestValidateBasis:
         assert report.expected_count == 8
 
 
+def _dense_gram_report(basis):
+    """The report from the full Gram matrix of the basis, every pair of
+    vectors formed, the way validate_basis computed it before it summed
+    only the pairs sharing a nonzero column."""
+    vecs = basis.vectors
+    gram = vecs.conj() @ vecs.T
+    norms = np.sqrt(np.real(np.diag(gram)))
+    off_diag = np.abs(gram - np.diag(np.diag(gram)))
+    return sv.BasisReport(
+        num_qubits=basis.num_qubits,
+        vector_count=vecs.shape[0],
+        expected_count=1 << basis.num_qubits,
+        max_pairwise_overlap=float(off_diag.max()) if vecs.shape[0] > 1 else 0.0,
+        max_norm_deviation=float(np.max(np.abs(norms - 1.0))),
+    )
+
+
+def _reference_bases():
+    from telegate import catalog
+    from telegate.gates import random_unitary
+
+    bases = {}
+    for name in catalog.catalog_entries():
+        for gi, group in enumerate(catalog.build_pattern(name).groups):
+            bases[f"{name}-{gi}"] = group.basis
+    for n in (4, 7):
+        bases[f"chain-cz-{n}-0"] = catalog.chain_cz_pattern(n).groups[0].basis
+    literal = catalog.toffoli_pattern("literal", validate=False)
+    bases["toffoli-literal-0"] = literal.groups[0].basis
+    rng = np.random.default_rng(11)
+    bases["dense-16"] = sv.MeasurementBasis(4, random_unitary(16, rng))
+    # Every row of this one overlaps every other: columns scaled unevenly.
+    skewed = random_unitary(8, rng) * np.linspace(0.5, 1.5, 8)
+    bases["dense-skewed-8"] = sv.MeasurementBasis(3, skewed)
+    bases["truncated"] = sv.MeasurementBasis(3, ghz_like_basis().vectors[:7])
+    return bases
+
+
+REFERENCE_BASES = _reference_bases()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_BASES))
+def test_validate_basis_matches_the_dense_gram(name):
+    basis = REFERENCE_BASES[name]
+    report, dense = sv.validate_basis(basis), _dense_gram_report(basis)
+    assert report.passed == dense.passed
+    assert report.vector_count == dense.vector_count
+    assert report.expected_count == dense.expected_count
+    # The sums run in another order, so they agree to rounding only.
+    close = {"rel": 1e-12, "abs": 1e-15}
+    assert report.max_pairwise_overlap == pytest.approx(dense.max_pairwise_overlap, **close)
+    assert report.max_norm_deviation == pytest.approx(dense.max_norm_deviation, **close)
+
+
+def test_validate_basis_blocks_do_not_change_the_report(monkeypatch):
+    # One vector per block (a budget below every vector's pair terms) sums
+    # every pair exactly as one block does.
+    basis = REFERENCE_BASES["toffoli-literal-0"]
+    whole = sv.validate_basis(basis)
+    monkeypatch.setattr(sv, "_PAIR_TERMS", 1)
+    assert sv.validate_basis(basis) == whole
+    assert not whole.passed and whole.max_pairwise_overlap > 0.99
+
+
 @st.composite
 def normalized_states(draw, num_qubits):
     dim = 1 << num_qubits
