@@ -37,8 +37,6 @@ from .gates import (
     toffoli,
 )
 from .patterns import (
-    CorrectionOp,
-    CorrectionTable,
     GatePattern,
     MeasurementGroup,
     PatternFormatError,
@@ -50,6 +48,7 @@ from .tables import (
     cphase_table_transposed,
     phase_table,
     pi8_table,
+    single_qubit_table,
     swap_table,
 )
 
@@ -183,14 +182,6 @@ def single_qubit_pattern(u: np.ndarray) -> GatePattern:
         states.append(sv.StateVector(2, rot @ h_amps))
         labels.append((int(alpha),))
     group = MeasurementGroup((0, 1), sv.basis_from_states(states), tuple(labels))
-    corrections = CorrectionTable(
-        {
-            ((1,),): CorrectionOp((("sx", (0,)),)),
-            ((2,),): CorrectionOp((("sx", (0,)), ("sz", (0,)))),
-            ((3,),): CorrectionOp((("sz", (0,)),)),
-            ((4,),): CorrectionOp.identity(),
-        }
-    )
     return _finished(
         GatePattern(
             name="single-qubit",
@@ -200,7 +191,7 @@ def single_qubit_pattern(u: np.ndarray) -> GatePattern:
             groups=(group,),
             output_wires=(2,),
             target=u,
-            corrections=corrections,
+            corrections=single_qubit_table(),
         )
     )
 

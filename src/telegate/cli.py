@@ -17,7 +17,7 @@ import numpy as np
 from . import catalog, oracle, reports
 from . import statevec as sv
 from .gates import CZ
-from .patterns import GatePattern, PatternFormatError, load_pattern, save_pattern
+from .patterns import GatePattern, PatternFormatError, format_key, load_pattern, save_pattern
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -157,11 +157,8 @@ def cmd_verify(args) -> int:
         try:
             primary = oracle.derive_corrections(pattern)
         except oracle.DerivationError as exc:
-            print(f"pattern: {pattern.name}")
-            for note in notes:
-                print(f"note: {note}")
-            print(f"derivation failed: {exc}")
-            print("verdict: FAIL")
+            lines = [f"pattern: {pattern.name}", *(f"note: {note}" for note in notes)]
+            print("\n".join(lines + [f"derivation failed: {exc}", "verdict: FAIL"]))
             return EXIT_FAIL
         if "reference" in entry:
             secondary, secondary_name = entry["reference"](), "reference"
@@ -169,32 +166,22 @@ def cmd_verify(args) -> int:
         # The shipped table is a reference transcription (or came from a
         # pattern file); check it against a freshly derived one.
         try:
-            secondary, secondary_name = (
-                oracle.derive_corrections(pattern),
-                "derived",
-            )
+            secondary, secondary_name = oracle.derive_corrections(pattern), "derived"
         except oracle.DerivationError as exc:
             notes.append(f"derivation failed: {exc}")
 
-    report = oracle.verify_pattern(
-        pattern,
-        corrections=primary,
-        seed=args.seed,
-        fidelity_tol=args.tolerance,
-    )
+    def verify(table):
+        return oracle.verify_pattern(
+            pattern, corrections=table, seed=args.seed, fidelity_tol=args.tolerance
+        )
+
+    report = verify(primary)
     report.notes.extend(notes)
 
     if secondary is not None:
         try:
-            report.table_diff = oracle.compare_tables(
-                primary, secondary, pattern.num_outputs
-            )
-            other = oracle.verify_pattern(
-                pattern,
-                corrections=secondary,
-                seed=args.seed,
-                fidelity_tol=args.tolerance,
-            )
+            report.table_diff = oracle.compare_tables(primary, secondary, pattern.num_outputs)
+            other = verify(secondary)
             report.notes.append(
                 f"{secondary_name} corrections verify: "
                 f"{'PASS' if other.passed else 'FAIL'} "
@@ -229,24 +216,23 @@ def cmd_derive(args) -> int:
     except oracle.DerivationError as exc:
         print(f"derivation failed: {exc}")
         return EXIT_FAIL
-    keys = sorted(table.keys())
-    rendered = {k: table[k].render(pattern.num_outputs) for k in keys}
+    cells = reports.table_cells(table, pattern.num_outputs)
     if args.out:
         save_pattern(pattern.with_corrections(table), args.out)
         notes.append(f"pattern with derived corrections written to {args.out}")
 
     def text():
-        lines = [f"derived corrections for {pattern.name} ({len(keys)} outcomes)"]
-        lines += [f"  {oracle.format_key(k)}: {rendered[k]}" for k in keys]
+        lines = [f"derived corrections for {pattern.name} ({len(cells)} outcomes)"]
+        lines += [f"  {key}: {op}" for key, op in cells]
         lines += [f"note: {n}" for n in notes]
         return "\n".join(lines)
 
     def json_text():
-        return reports.dumps(reports.table_to_doc(pattern.name, keys, rendered))
+        return reports.dumps(reports.table_to_doc(pattern.name, cells))
 
     def csv():
         lines = ["outcome,op"]
-        lines += [f"\"{oracle.format_key(k)}\",\"{rendered[k]}\"" for k in keys]
+        lines += [f"\"{key}\",\"{op}\"" for key, op in cells]
         return "\n".join(lines) + "\n"
 
     _emit(args, text, json_text, csv)
@@ -289,8 +275,9 @@ def _coeff_str(z: complex, var: str) -> str:
 
 
 def _teleport_state_strings(pattern: GatePattern) -> dict:
-    """Pre-correction output of each outcome, written over input amplitudes
-    a, b. Only for single-output-wire patterns with monomial branch maps."""
+    """Pre-correction output of each outcome, by key text, written over
+    input amplitudes a, b. Only for single-output-wire patterns with
+    monomial branch maps."""
     strings = {}
     for key, m in oracle.outcome_maps(pattern).items():
         scale = 1.0 / np.abs(m).max()
@@ -300,7 +287,7 @@ def _teleport_state_strings(pattern: GatePattern) -> dict:
             for c in cols:
                 out.append(_coeff_str(m[r, c] * scale, "ab"[c]) + f"|{r}>")
         text = " ".join(out)
-        strings[key] = text[1:] if text.startswith("+") else text
+        strings[format_key(key)] = text[1:] if text.startswith("+") else text
     return strings
 
 
@@ -318,75 +305,36 @@ def cmd_reproduce_table(args) -> int:
     derived = oracle.derive_corrections(pattern)
     diff = oracle.compare_tables(derived, entry["reference"](), pattern.num_outputs)
 
+    cells = reports.table_cells(derived, pattern.num_outputs)
+    diffs = {"printed": reports.table_diff_to_doc(diff)}
+    # The tables are small, so every format is built.
     if pattern.num_outputs == 1:
         states = _teleport_state_strings(pattern)
-        keys = sorted(derived.keys())
-
-        def text():
-            lines = [f"reference table: {table_id}"]
-            lines.append("outcome | state before recovery | recovery")
-            for k in keys:
-                lines.append(
-                    f"  {oracle.format_key(k):6s}| {states[k]:22s}| {derived[k].render(1)}"
-                )
-            lines.append(reports.render_table_diff(diff))
-            return "\n".join(lines)
-
-        def json_text():
-            rendered = {k: derived[k].render(1) for k in keys}
-            d = reports.table_to_doc(table_id, keys, rendered, {"printed": reports.table_diff_to_doc(diff)})
-            d["states"] = [{"labels": oracle.format_key(k), "state": states[k]} for k in keys]
-            return reports.dumps(d)
-
-        def csv():
-            lines = ["outcome,state,op"]
-            for k in keys:
-                lines.append(
-                    f"\"{oracle.format_key(k)}\",\"{states[k]}\",\"{derived[k].render(1)}\""
-                )
-            return "\n".join(lines) + "\n"
-
-        _emit(args, text, json_text, csv)
-        return EXIT_PASS
-
-    alpha_labels = list(pattern.groups[0].labels)
-    beta_labels = list(pattern.groups[1].labels)
-    cell = {
-        (a, b): derived[(a, b)].render(2)
-        for a in alpha_labels
-        for b in beta_labels
-    }
-    footer = (
-        "layout: first-group outcomes as rows, second-group outcomes as columns; "
-        "the reference prints this split into two half-width blocks"
-    )
-    diffs = {"printed": reports.table_diff_to_doc(diff)}
-    extra = ""
-    if "captioned" in entry:
-        captioned = oracle.compare_tables(derived, entry["captioned"](), 2)
-        diffs["printed-as-captioned"] = reports.table_diff_to_doc(captioned)
-        extra = (
-            f"\nprinted grid matches the transposed reading ({diff.mismatch_count}"
-            f"/{diff.total} mismatches) not the captioned one "
-            f"({captioned.mismatch_count}/{captioned.total} mismatches)"
+        lines = [f"reference table: {table_id}", "outcome | state before recovery | recovery"]
+        lines += [f"  {key:6s}| {states[key]:22s}| {op}" for key, op in cells]
+        text = "\n".join(lines + [reports.render_table_diff(diff)])
+        doc = reports.table_to_doc(table_id, cells, diffs)
+        doc["states"] = [{"labels": key, "state": states[key]} for key, _ in cells]
+        rows = [f"\"{key}\",\"{states[key]}\",\"{op}\"" for key, op in cells]
+        csv = "\n".join(["outcome,state,op"] + rows) + "\n"
+    else:
+        footer = (
+            "layout: first-group outcomes as rows, second-group outcomes as columns; "
+            "the reference prints this split into two half-width blocks"
         )
-
-    def text():
-        grid = reports.render_grid(
-            f"reference table: {table_id}", alpha_labels, beta_labels,
-            {k: v for k, v in cell.items()}, footer,
-        )
-        return grid + "\n" + reports.render_table_diff(diff) + extra
-
-    def json_text():
-        keys = sorted(derived.keys())
-        rendered = {k: derived[k].render(2) for k in keys}
-        return reports.dumps(reports.table_to_doc(table_id, keys, rendered, diffs, footer))
-
-    def csv():
-        return reports.grid_to_csv(alpha_labels, beta_labels, cell)
-
-    _emit(args, text, json_text, csv)
+        text = reports.render_grid(f"reference table: {table_id}", derived, 2, footer)
+        text += "\n" + reports.render_table_diff(diff)
+        if "captioned" in entry:
+            captioned = oracle.compare_tables(derived, entry["captioned"](), 2)
+            diffs["printed-as-captioned"] = reports.table_diff_to_doc(captioned)
+            text += (
+                f"\nprinted grid matches the transposed reading ({diff.mismatch_count}"
+                f"/{diff.total} mismatches) not the captioned one "
+                f"({captioned.mismatch_count}/{captioned.total} mismatches)"
+            )
+        doc = reports.table_to_doc(table_id, cells, diffs, footer)
+        csv = reports.grid_to_csv(derived, 2)
+    _emit(args, lambda: text, lambda: reports.dumps(doc), lambda: csv)
     return EXIT_PASS
 
 

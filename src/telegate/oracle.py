@@ -14,7 +14,7 @@ so two runs with the same seed produce bit-identical reports.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import count, product
@@ -28,10 +28,12 @@ from .patterns import (
     CorrectionTable,
     GatePattern,
     OutcomeKey,
+    OutcomeLayout,
     PatternFormatError,
     VOCABULARIES,
     _chain_text,
     _entangler_text,
+    format_key,
 )
 
 DEFAULT_SEED = 1337
@@ -46,18 +48,34 @@ class MissingCorrectionError(LookupError):
     """A correction entry required for verification is absent."""
 
 
+@dataclass(eq=False)
+class DerivationFailures(Sequence):
+    """The outcomes no correction repairs, in outcome order, read as
+    ``(key, reason)``: outcome ``positions[i]`` of ``layout`` fails for
+    ``reasons[classes[i]]``, the reason found for its map's class."""
+
+    layout: OutcomeLayout
+    positions: np.ndarray
+    classes: np.ndarray
+    reasons: dict[int, str]
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return self.layout.key(self.positions[i]), self.reasons[int(self.classes[i])]
+
+
 class DerivationError(RuntimeError):
     """No correction repairs some outcome; carries each one with its reason."""
 
-    def __init__(self, failures: list[tuple[OutcomeKey, str]]):
+    def __init__(self, failures: Sequence[tuple[OutcomeKey, str]]):
         self.failures = failures
         worst = ", ".join(f"{format_key(k)} ({reason})" for k, reason in failures[:4])
         extra = "" if len(failures) <= 4 else f" and {len(failures) - 4} more"
         super().__init__(f"no correction found for outcomes {worst}{extra}")
-
-
-def format_key(key: OutcomeKey) -> str:
-    return ";".join("(" + ",".join(str(x) for x in label) + ")" for label in key)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +235,10 @@ class OutcomeMaps(Mapping):
     (classes, d_out, d_in) in first-occurrence order; ``classes`` is
     ``(reps, classes)``, the first outcome carrying each distinct map and
     each outcome's row of ``distinct``, over outcomes in lexicographic label
-    order, the order of :attr:`GatePattern.outcome_keys`. ``maps[key]`` is
-    one row of ``distinct``. Byproduct repairs leave few distinct maps among
-    many outcomes, so per-map work runs once per row of ``distinct``.
+    order, the order of the pattern's :attr:`GatePattern.layout`.
+    ``maps[key]`` is one row of ``distinct``. Byproduct repairs leave few
+    distinct maps among many outcomes, so per-map work runs once per row of
+    ``distinct``.
     """
 
     def __init__(
@@ -229,25 +248,16 @@ class OutcomeMaps(Mapping):
             array.flags.writeable = False
         self.distinct = distinct
         self.classes = (reps, classes)
-        self._labels = [g.labels for g in pattern.groups]
-        self._positions = [{label: i for i, label in enumerate(g.labels)} for g in pattern.groups]
+        self.layout = pattern.layout
 
     def __len__(self) -> int:
         return len(self.classes[1])
 
     def __iter__(self):
-        return product(*self._labels)
+        return iter(self.layout)
 
     def __getitem__(self, key: OutcomeKey) -> np.ndarray:
-        if not isinstance(key, tuple) or len(key) != len(self._positions):
-            raise KeyError(key)
-        index = 0
-        for label, positions in zip(key, self._positions):
-            try:
-                index = index * len(positions) + positions[label]
-            except (KeyError, TypeError):
-                raise KeyError(key) from None
-        return self.distinct[self.classes[1][index]]
+        return self.distinct[self.classes[1][self.layout.position(key)]]
 
 
 def outcome_maps(pattern: GatePattern) -> OutcomeMaps:
@@ -274,34 +284,6 @@ def _blocks(count: int):
         yield slice(lo, min(lo + _BLOCK, count))
 
 
-def _correction_matrices(
-    table: CorrectionTable, keys: list[OutcomeKey], num_wires: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix of each distinct op ``table`` assigns to ``keys``, built
-    once, and each key's row in that stack (-1 where the table has none).
-    A table whose keys are ``keys`` in order, as every derived table's are,
-    is read without hashing a key. Ops are told apart by identity before
-    they are hashed, so a table that reuses op objects, as every derived
-    table does, hashes each one once."""
-    entries = table.entries
-    ops = list(entries.values()) if list(entries) == keys else list(map(entries.get, keys))
-    ids = np.fromiter(map(id, ops), dtype=np.uintp, count=len(ops))
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    rows: dict[CorrectionOp, int] = {}
-    # Distinct objects in first-occurrence order, then equal ops share a row.
-    order = np.argsort(first)
-    row_of = np.empty(len(first), dtype=np.intp)
-    row_of[order] = [
-        -1 if ops[i] is None else rows.setdefault(ops[i], len(rows)) for i in first[order].tolist()
-    ]
-    index = row_of[inverse]
-    dim = 1 << num_wires
-    mats = np.empty((len(rows), dim, dim), dtype=complex)
-    for op, row in rows.items():
-        mats[row] = op.matrix(num_wires)
-    return mats, index
-
-
 @dataclass(frozen=True)
 class OutcomeRecord:
     """One measurement branch for a fixed input state."""
@@ -324,10 +306,8 @@ def enumerate_outcomes(pattern: GatePattern, input_state: sv.StateVector) -> lis
     branches = maps.distinct @ input_state.amps
     keys = pattern.outcome_keys
     num_out = len(pattern.output_wires)
-    if pattern.corrections is not None:
-        mats, op_index = _correction_matrices(pattern.corrections, keys, num_out)
-    else:
-        mats, op_index = np.empty((0, 1 << num_out, 1 << num_out)), np.full(len(keys), -1)
+    table = CorrectionTable.from_entries(pattern.corrections or (), pattern.layout)
+    mats, op_index = table.matrices(num_out), table.index
     records = []
     for block in _blocks(len(keys)):
         amps = branches[classes[block]]
@@ -338,18 +318,15 @@ def enumerate_outcomes(pattern: GatePattern, input_state: sv.StateVector) -> lis
         corrected = np.zeros_like(amps)
         fixed = live & (op_index[block] >= 0)
         corrected[fixed] = (mats[op_index[block][fixed]] @ pre[fixed][:, :, None])[:, :, 0]
-        for i, key in enumerate(keys[block]):
-            if not live[i]:
-                records.append(OutcomeRecord(key, float(probs[i]), None, None))
-                continue
-            records.append(
-                OutcomeRecord(
-                    key,
-                    float(probs[i]),
-                    sv.StateVector(num_out, pre[i]),
-                    sv.StateVector(num_out, corrected[i]) if fixed[i] else None,
-                )
+        records += [
+            OutcomeRecord(
+                key,
+                float(probs[i]),
+                sv.StateVector(num_out, pre[i]) if live[i] else None,
+                sv.StateVector(num_out, corrected[i]) if fixed[i] else None,
             )
+            for i, key in enumerate(keys[block])
+        ]
     return records
 
 
@@ -556,17 +533,16 @@ def derive_corrections(
 def derive_corrections_with_failures(
     pattern: GatePattern,
     dictionary: CorrectionDictionary | None = None,
-) -> tuple[CorrectionTable, list[tuple[OutcomeKey, str]]]:
-    """Like :func:`derive_corrections`, but returns unrepairable outcomes
-    (with the reason read off their map) instead of raising; such outcomes
-    are filled with the identity."""
+) -> tuple[CorrectionTable, DerivationFailures]:
+    """Like :func:`derive_corrections`, but returns the unrepairable
+    outcomes (with the reason read off their map) instead of raising; such
+    outcomes are filled with the identity."""
     if dictionary is None:
         dictionary = correction_dictionary(pattern.num_outputs, pattern.vocabulary)
     if dictionary.num_wires != pattern.num_outputs:
         raise sv.UsageError("dictionary wire count does not match pattern outputs")
 
     maps = outcome_maps(pattern)
-    keys = pattern.outcome_keys
     reps, classes = maps.classes
     factored: dict[bytes, tuple[CorrectionOp, np.ndarray]] = {}
     outside = f"needed recovery lies outside the {dictionary.vocabulary} vocabulary"
@@ -594,12 +570,15 @@ def derive_corrections_with_failures(
                 if unnamed[i]
                 else f"rank {next(ranks)}/{stack.shape[2]}, not proportional to a unitary"
             )
-    entries = dict(zip(keys, class_ops[classes].tolist()))
+    # Classes are in first-occurrence order, so ops numbered by first class
+    # are numbered by first outcome.
+    rows: dict[CorrectionOp, int] = {}
+    class_rows = np.array([rows.setdefault(op, len(rows)) for op in class_ops], dtype=np.intp)
     failing = np.zeros(len(reps), dtype=bool)
     failing[list(reasons)] = True
     hits = np.flatnonzero(failing[classes])
-    failures = [(keys[i], reasons[c]) for i, c in zip(hits.tolist(), classes[hits].tolist())]
-    return CorrectionTable(entries), failures
+    failures = DerivationFailures(maps.layout, hits, classes[hits], reasons)
+    return CorrectionTable(maps.layout, tuple(rows), class_rows[classes]), failures
 
 
 def _needed_corrections(maps: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -772,15 +751,21 @@ class TableDiff:
 
 
 def compare_tables(derived: CorrectionTable, printed: CorrectionTable, num_wires: int) -> TableDiff:
-    """Per-cell operator equivalence up to global phase."""
-    if set(derived.keys()) != set(printed.keys()):
+    """Per-cell operator equivalence up to global phase, tested once per
+    distinct pair of ops; mismatches come in sorted key order."""
+    other = printed.on(derived.layout)
+    if len(other) != len(printed) or not np.array_equal(derived.index >= 0, other.index >= 0):
         raise sv.UsageError("correction tables address different outcome sets")
-    mismatches = []
-    for key in sorted(derived.keys()):
-        d_op, p_op = derived[key], printed[key]
-        if not _equal_up_to_phase(d_op.matrix(num_wires), p_op.matrix(num_wires)):
-            mismatches.append((key, d_op.render(num_wires), p_op.render(num_wires)))
-    return TableDiff(total=len(derived), mismatches=tuple(mismatches))
+    order = derived.layout.sorted_positions()
+    order = order[derived.index[order] >= 0].tolist()
+    pairs = list(zip(derived.index[order].tolist(), other.index[order].tolist()))
+    a, b = derived.matrices(num_wires), other.matrices(num_wires)
+    differ = {pair: not _equal_up_to_phase(a[pair[0]], b[pair[1]]) for pair in set(pairs)}
+    hits = [(i, pair) for i, pair in zip(order, pairs) if differ[pair]]
+    d_text, p_text = ([op.render(num_wires) for op in t.ops] for t in (derived, other))
+    keys = derived.layout.keys_at([i for i, _ in hits])
+    mismatches = tuple((key, d_text[d], p_text[p]) for key, (_, (d, p)) in zip(keys, hits))
+    return TableDiff(total=len(derived), mismatches=mismatches)
 
 
 @dataclass
@@ -788,16 +773,17 @@ class VerificationReport:
     """Per-outcome, per-input corrected-output fidelities for one pattern.
 
     Outcomes with the same (map, correction) pair have equal rows, so the
-    grid is kept once per pair: outcome i's row is row ``pair_of[i]`` of
-    ``pair_fidelities`` and ``pair_probabilities``. :attr:`fidelities` and
-    :attr:`probabilities` gather the full (outcomes, inputs) grids on first
-    access.
+    grid is kept once per pair: outcome i (position i of ``layout``) has
+    row ``pair_of[i]`` of ``pair_fidelities`` and ``pair_probabilities``.
+    :attr:`outcome_keys`, :attr:`fidelities` and :attr:`probabilities`
+    gather the full per-outcome lists and (outcomes, inputs) grids on
+    first access.
     """
 
     pattern: str
     variant: str
     seed: int
-    outcome_keys: list[OutcomeKey]
+    layout: OutcomeLayout
     input_labels: list[str]
     pair_fidelities: np.ndarray     # (pairs, inputs); NaN where the branch has zero probability
     pair_probabilities: np.ndarray  # same shape
@@ -813,6 +799,10 @@ class VerificationReport:
     loss_demo: bool = False
     table_diff: TableDiff | None = None
     notes: list[str] = field(default_factory=list)
+
+    @cached_property
+    def outcome_keys(self) -> list[OutcomeKey]:
+        return list(self.layout)
 
     @cached_property
     def fidelities(self) -> np.ndarray:
@@ -881,10 +871,11 @@ def verify_pattern(
     generic_col = dim if inputs.shape[1] > dim else inputs.shape[1] - 1
 
     maps = outcome_maps(pattern)
-    keys = pattern.outcome_keys
-    mats, op_index = _correction_matrices(table, keys, pattern.num_outputs)
+    layout = pattern.layout
+    table = table.on(layout)
+    mats, op_index = table.matrices(pattern.num_outputs), table.index
     if (op_index < 0).any():
-        missing = keys[int(np.argmax(op_index < 0))]
+        missing = layout.key(int(np.argmax(op_index < 0)))
         raise MissingCorrectionError(f"no correction entry for outcome {format_key(missing)}")
     target_out = pattern.target @ inputs
     # Outcomes with a bitwise-equal map and the same correction have equal
@@ -904,10 +895,10 @@ def verify_pattern(
         overlaps = np.abs(np.sum(target_out.conj() * out, axis=1))
         np.divide(overlaps, norms, out=pair_fids[block], where=norms > np.sqrt(ZERO_PROB))
     generic = pair_probs[pair_of, generic_col]
-    zero_prob = [keys[i] for i in np.flatnonzero(generic < ZERO_PROB)]
-    suspicious = [
-        keys[i] for i in np.flatnonzero((generic >= ZERO_PROB) & (generic < SUSPICIOUS_PROB))
-    ]
+    zero_prob = layout.keys_at(np.flatnonzero(generic < ZERO_PROB))
+    suspicious = layout.keys_at(
+        np.flatnonzero((generic >= ZERO_PROB) & (generic < SUSPICIOUS_PROB))
+    )
 
     finite = np.isfinite(pair_fids)
     if finite.any():
@@ -918,7 +909,7 @@ def verify_pattern(
         # in the holding pair with the earliest representative.
         holders = np.flatnonzero((masked == min_fidelity).any(axis=1))
         worst = holders[np.argmin(first[holders])]
-        worst_outcome = keys[first[worst]]
+        worst_outcome = layout.key(first[worst])
         worst_input = input_labels[int(np.argmax(masked[worst] == min_fidelity))]
     else:
         min_fidelity = 0.0
@@ -946,7 +937,7 @@ def verify_pattern(
         pattern=pattern.name,
         variant=pattern.variant,
         seed=seed,
-        outcome_keys=keys,
+        layout=layout,
         input_labels=input_labels,
         pair_fidelities=pair_fids,
         pair_probabilities=pair_probs,
@@ -1002,7 +993,6 @@ def detect_information_loss(pattern: GatePattern, seed: int = DEFAULT_SEED) -> L
     rng = np.random.default_rng(seed)
     generic = random_state(dim.bit_length() - 1, rng, MIN_GENERIC_AMP)
     maps = outcome_maps(pattern)
-    keys = pattern.outcome_keys
     reps, classes = maps.classes
     probs: list[float] = []
     dead = np.empty((len(reps), dim), dtype=bool)
@@ -1023,15 +1013,15 @@ def detect_information_loss(pattern: GatePattern, seed: int = DEFAULT_SEED) -> L
     lost = {c: tuple(np.flatnonzero(dead[c]).tolist()) for c in np.flatnonzero(flagged).tolist()}
     hits = np.flatnonzero(flagged[classes])
     outcomes = [
-        LossOutcome(keys[i], probs[c], int(ranks[c]), lost[c])
-        for i, c in zip(hits.tolist(), classes[hits].tolist())
+        LossOutcome(key, probs[c], int(ranks[c]), lost[c])
+        for key, c in zip(maps.layout.keys_at(hits), classes[hits].tolist())
     ]
     annihilated = np.flatnonzero(dead.any(axis=0)).tolist()
     return LossReport(
         pattern=pattern.name,
         seed=seed,
         lossy=bool(annihilated),
-        zero_probability_outcomes=[keys[i] for i in np.flatnonzero(~live[classes]).tolist()],
+        zero_probability_outcomes=maps.layout.keys_at(np.flatnonzero(~live[classes])),
         outcomes=outcomes,
         annihilated_components=annihilated,
     )

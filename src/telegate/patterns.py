@@ -8,14 +8,18 @@ the result, and (when known) which correction operator repairs each
 measurement outcome.
 
 Outcome labels are tuples in the written order of the basis construction,
-bits first and the branch sign last, e.g. ``(0, 1, "+")``; correction tables
-are keyed by one label per group in declared group order.
+bits first and the branch sign last, e.g. ``(0, 1, "+")``. An outcome key
+holds one label per group in declared group order, and
+:class:`OutcomeLayout` numbers the keys; correction tables are indexed by
+that number.
 """
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -155,20 +159,138 @@ class CorrectionOp:
         return f"{_entangler_text(pairs, num_wires)}({body})"
 
 
-@dataclass
-class CorrectionTable:
-    """Map from one-outcome-label-per-group tuples to correction operators."""
+def _label_text(label: Label) -> str:
+    return "(" + ",".join(map(str, label)) + ")"
 
-    entries: dict[OutcomeKey, CorrectionOp]
+
+def format_key(key: OutcomeKey) -> str:
+    return ";".join(map(_label_text, key))
+
+
+@dataclass(frozen=True)
+class OutcomeLayout:
+    """The outcomes of ordered measurement groups, in lexicographic label
+    order. Outcome i's key reads i in mixed radix: its digit for group g,
+    the last group varying fastest, picks ``labels[g][digit]``. Every
+    conversion between keys and positions goes through this class."""
+
+    labels: tuple[tuple[Label, ...], ...]
+
+    @cached_property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(map(len, self.labels))
+
+    @cached_property
+    def _positions(self) -> list[dict[Label, int]]:
+        return [{label: i for i, label in enumerate(labels)} for labels in self.labels]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return math.prod(self.shape)
+
+    def __iter__(self):
+        return product(*self.labels)
+
+    def position(self, key: OutcomeKey) -> int:
+        """The position of ``key``; KeyError when it is not an outcome."""
+        if not isinstance(key, tuple) or len(key) != len(self.labels):
+            raise KeyError(key)
+        index = 0
+        for label, positions in zip(key, self._positions):
+            try:
+                index = index * len(positions) + positions[label]
+            except (KeyError, TypeError):
+                raise KeyError(key) from None
+        return index
+
+    def _digits(self, positions) -> list[tuple[int, ...]]:
+        positions = np.asarray(positions, dtype=np.intp)
+        columns = np.unravel_index(positions, self.shape) if self.labels else ()
+        return list(zip(*(c.tolist() for c in columns))) or [()] * len(positions)
+
+    def keys_at(self, positions) -> list[OutcomeKey]:
+        return [tuple(map(tuple.__getitem__, self.labels, d)) for d in self._digits(positions)]
+
+    def key(self, position: int) -> OutcomeKey:
+        return self.keys_at([position])[0]
+
+    def texts(self, positions=None) -> list[str]:
+        """``format_key`` of the keys at ``positions`` (of every key when
+        None), joined from one text per label."""
+        parts = [list(map(_label_text, labels)) for labels in self.labels]
+        if positions is None:
+            return list(map(";".join, product(*parts)))
+        return [";".join(map(list.__getitem__, parts, d)) for d in self._digits(positions)]
+
+    def sorted_positions(self) -> np.ndarray:
+        """Every position, in the sorted order of its key."""
+        orders = [sorted(range(len(labels)), key=labels.__getitem__) for labels in self.labels]
+        return np.arange(len(self)).reshape(self.shape)[np.ix_(*orders)].ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class CorrectionTable(Mapping):
+    """The correction of each outcome of ``layout``, kept once per distinct
+    op: outcome i gets ``ops[index[i]]`` and has no cell where ``index[i]``
+    is -1. Ops are numbered by first outcome. As a mapping, which
+    ``entries`` names, it reads key -> op over its cells in outcome order.
+    """
+
+    layout: OutcomeLayout
+    ops: tuple[CorrectionOp, ...]
+    index: np.ndarray  # intp, one per outcome of layout
+
+    @classmethod
+    def from_entries(cls, cells, layout: OutcomeLayout | None = None) -> "CorrectionTable":
+        """The table of (key, op) cells, or of a key -> op mapping, over
+        ``layout``; by default over each key slot's labels in first-use
+        order. A key outside the layout, or listed twice, is refused."""
+        cells = list(cells.items() if isinstance(cells, Mapping) else cells)
+        if layout is None:
+            slots = zip(*(key for key, _ in cells))
+            layout = OutcomeLayout(tuple(tuple(dict.fromkeys(labels)) for labels in slots))
+        placed = []
+        for key, op in cells:
+            try:
+                placed.append((layout.position(key), op))
+            except KeyError:
+                raise PatternFormatError(f"correction key {key} names no outcome") from None
+        placed.sort(key=lambda cell: cell[0])
+        index, rows = [-1] * len(layout), {}
+        for position, op in placed:
+            if index[position] >= 0:
+                raise PatternFormatError(
+                    f"correction table lists outcome {format_key(layout.key(position))} twice"
+                )
+            index[position] = rows.setdefault(op, len(rows))
+        return cls(layout, tuple(rows), np.array(index, dtype=np.intp))
+
+    def on(self, layout: OutcomeLayout) -> "CorrectionTable":
+        """This table's cells for the outcomes of ``layout``."""
+        if layout == self.layout:
+            return self
+        keys = set(layout)
+        return CorrectionTable.from_entries([c for c in self.items() if c[0] in keys], layout)
+
+    @property
+    def entries(self) -> "CorrectionTable":
+        return self
+
+    def matrices(self, num_wires: int) -> np.ndarray:
+        """Each op's matrix, stacked as (len(ops), d, d)."""
+        dim = 1 << num_wires
+        return np.array([op.matrix(num_wires) for op in self.ops]).reshape(-1, dim, dim)
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.index >= 0))
 
     def __getitem__(self, key: OutcomeKey) -> CorrectionOp:
-        return self.entries[key]
+        row = self.index[self.layout.position(key)]
+        if row < 0:
+            raise KeyError(key)
+        return self.ops[row]
 
-    def keys(self):
-        return self.entries.keys()
+    def __iter__(self):
+        return iter(self.layout.keys_at(np.flatnonzero(self.index >= 0)))
 
 
 @dataclass(frozen=True)
@@ -198,24 +320,25 @@ class GatePattern:
     corrections: CorrectionTable | None = None
     vocabulary: str = "pauli_phase"  # correction vocabulary hint for derivation
     variant: str = ""                # basis-variant note, when applicable
-    # Results computed once per pattern object (outcome_keys and
-    # oracle.outcome_maps); none depends on the corrections, so a
-    # with_corrections copy shares them, and any other dataclasses.replace
-    # copy starts with an empty memo.
+    # Results computed once per pattern object (oracle.outcome_maps); none
+    # depends on the corrections, so a with_corrections copy shares them,
+    # and any other dataclasses.replace copy starts with an empty memo.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_outputs(self) -> int:
         return len(self.output_wires)
 
+    @cached_property
+    def layout(self) -> OutcomeLayout:
+        """The outcomes of the groups, one label per group."""
+        return OutcomeLayout(tuple(g.labels for g in self.groups))
+
     @property
     def outcome_keys(self) -> list[OutcomeKey]:
-        """One label per group, in lexicographic label order; a fresh list
-        over key tuples built once per pattern object."""
-        keys = self._memo.get("outcome_keys")
-        if keys is None:
-            keys = self._memo["outcome_keys"] = tuple(product(*(g.labels for g in self.groups)))
-        return list(keys)
+        """Every key of :attr:`layout` in position order, for writers of
+        one record per outcome."""
+        return list(self.layout)
 
     def with_target(self, target: np.ndarray) -> "GatePattern":
         return replace(self, target=np.asarray(target, dtype=complex), corrections=None)
@@ -300,37 +423,32 @@ def validate_pattern(pattern: GatePattern) -> None:
         raise PatternFormatError(f"unknown correction vocabulary {pattern.vocabulary!r}")
 
     if pattern.corrections is not None:
-        expected = 1
-        for g in pattern.groups:
-            expected *= g.size
-        if len(pattern.corrections) != expected:
+        _validate_corrections(pattern)
+
+
+def _validate_corrections(pattern: GatePattern) -> None:
+    table = pattern.corrections.on(pattern.layout)
+    if len(table) != len(pattern.corrections):
+        raise PatternFormatError("correction table has keys that name no outcome")
+    if len(table) != len(pattern.layout):
+        raise PatternFormatError(
+            f"correction table has {len(table)} entries, expected {len(pattern.layout)}"
+        )
+    width = pattern.num_outputs
+    factors = {f for op in table.ops for f in op.factors}
+    for name, wires in sorted(factors, key=repr):
+        if name not in ELEMENTARY_OPS:
+            raise PatternFormatError(f"unknown correction factor {name!r}")
+        arity = ELEMENTARY_OPS[name].shape[0].bit_length() - 1
+        if (
+            len(wires) != arity
+            or len(set(wires)) != arity
+            or not all(0 <= w < width for w in wires)
+        ):
             raise PatternFormatError(
-                f"correction table has {len(pattern.corrections)} entries, "
-                f"expected {expected}"
+                f"correction factor {name} takes {arity} distinct wire(s) "
+                f"in 0..{width - 1}, got {list(wires)}"
             )
-        for key in pattern.corrections.keys():
-            if len(key) != len(pattern.groups):
-                raise PatternFormatError(f"correction key {key} has wrong arity")
-            for label, group in zip(key, pattern.groups):
-                if label not in group.labels:
-                    raise PatternFormatError(
-                        f"correction key {key} uses unknown label {label}"
-                    )
-        width = pattern.num_outputs
-        factors = {f for op in pattern.corrections.entries.values() for f in op.factors}
-        for name, wires in sorted(factors, key=repr):
-            if name not in ELEMENTARY_OPS:
-                raise PatternFormatError(f"unknown correction factor {name!r}")
-            arity = ELEMENTARY_OPS[name].shape[0].bit_length() - 1
-            if (
-                len(wires) != arity
-                or len(set(wires)) != arity
-                or not all(0 <= w < width for w in wires)
-            ):
-                raise PatternFormatError(
-                    f"correction factor {name} takes {arity} distinct wire(s) "
-                    f"in 0..{width - 1}, got {list(wires)}"
-                )
 
 
 def patterns_equal(a: GatePattern, b: GatePattern, atol: float = 1e-12) -> bool:
@@ -384,12 +502,15 @@ def _state_of(terms: list[dict], num_qubits: int, where: str) -> sv.StateVector:
 
 
 def _label_of(raw) -> Label:
-    if not isinstance(raw, list) or not all(isinstance(x, (int, str)) for x in raw):
+    # JSON true and false parse as bool, a subclass of int; they are refused.
+    if not isinstance(raw, list) or not all(type(x) in (int, str) for x in raw):
         raise PatternFormatError(f"label {raw!r} is not a list of bits and signs")
     return tuple(raw)
 
 
 def pattern_to_document(pattern: GatePattern) -> dict:
+    """The pattern as a JSON-ready document. Correction cells holding one
+    op share one ``ops`` list, so copy a cell before editing it in place."""
     doc = {
         "name": pattern.name,
         "num_qubits": pattern.num_qubits,
@@ -420,13 +541,13 @@ def pattern_to_document(pattern: GatePattern) -> dict:
     }
     if pattern.variant:
         doc["variant"] = pattern.variant
-    if pattern.corrections is not None:
+    table = pattern.corrections
+    if table is not None:
+        ops = [[{"name": n, "wires": list(w)} for n, w in op.factors] for op in table.ops]
+        present = np.flatnonzero(table.index >= 0)
         doc["corrections"] = [
-            {
-                "labels": [list(label) for label in key],
-                "ops": [{"name": name, "wires": list(wires)} for name, wires in op.factors],
-            }
-            for key, op in pattern.corrections.entries.items()
+            {"labels": [list(label) for label in key], "ops": ops[row]}
+            for key, row in zip(table.layout.keys_at(present), table.index[present].tolist())
         ]
     return doc
 
@@ -475,16 +596,12 @@ def pattern_from_document(doc: dict) -> GatePattern:
             [[complex(re, im) for re, im in row] for row in entries], dtype=complex
         )
 
-        corrections = None
+        cells = None
         if "corrections" in doc:
-            table: dict[OutcomeKey, CorrectionOp] = {}
+            cells = []
             for cell in doc["corrections"]:
-                key = tuple(_label_of(label) for label in cell["labels"])
-                factors = tuple(
-                    (str(op["name"]), tuple(int(w) for w in op["wires"])) for op in cell["ops"]
-                )
-                table[key] = CorrectionOp(factors)
-            corrections = CorrectionTable(table)
+                factors = ((str(f["name"]), tuple(int(w) for w in f["wires"])) for f in cell["ops"])
+                cells.append((tuple(map(_label_of, cell["labels"])), CorrectionOp(tuple(factors))))
 
         pattern = GatePattern(
             name=name,
@@ -494,7 +611,6 @@ def pattern_from_document(doc: dict) -> GatePattern:
             groups=tuple(groups),
             output_wires=outputs,
             target=target,
-            corrections=corrections,
             vocabulary=doc.get("vocabulary", "pauli_phase"),
             variant=doc.get("variant", ""),
         )
@@ -503,6 +619,10 @@ def pattern_from_document(doc: dict) -> GatePattern:
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise PatternFormatError(f"missing or malformed field: {exc}") from exc
     validate_pattern(pattern)
+    if cells is not None:
+        # The cells are placed on the outcomes only once the groups are sound.
+        pattern = pattern.with_corrections(CorrectionTable.from_entries(cells, pattern.layout))
+        _validate_corrections(pattern)
     return pattern
 
 

@@ -11,34 +11,12 @@ import json
 
 import numpy as np
 
-from .oracle import (
-    LossReport,
-    ParityResult,
-    TableDiff,
-    VerificationReport,
-    format_key,
-)
+from .oracle import LossReport, ParityResult, TableDiff, VerificationReport
+from .patterns import CorrectionTable, _label_text, format_key
 
 
 def _f(x: float) -> str:
     return repr(float(x))
-
-
-def _format_keys(keys) -> list[str]:
-    """``format_key`` of each key. Keys of one pattern share their label
-    objects, so each label's text is built once (per object) and joined.
-    Labels are told apart by identity, as (1, 0) and (True, 0) are equal
-    but print differently."""
-    # The memo holds each label it has seen, so no other can take its id.
-    texts: dict[int, tuple] = {}
-
-    def text(label) -> str:
-        hit = texts.get(id(label))
-        if hit is None:
-            hit = texts[id(label)] = (label, "(" + ",".join(str(x) for x in label) + ")")
-        return hit[1]
-
-    return [";".join(map(text, key)) for key in keys]
 
 
 def dumps(doc: dict) -> str:
@@ -81,8 +59,8 @@ def verification_to_doc(report: VerificationReport) -> dict:
         "min_fidelity": float(report.min_fidelity),
         "worst_outcome": format_key(report.worst_outcome) if report.worst_outcome else None,
         "worst_input": report.worst_input,
-        "zero_probability_outcomes": _format_keys(report.zero_probability_outcomes),
-        "suspicious_outcomes": _format_keys(report.suspicious_outcomes),
+        "zero_probability_outcomes": list(map(format_key, report.zero_probability_outcomes)),
+        "suspicious_outcomes": list(map(format_key, report.suspicious_outcomes)),
         "probability_sums": [float(x) for x in report.probability_sums],
         "outcome_probability_range": [float(x) for x in report.outcome_probability_range],
         "input_labels": list(report.input_labels),
@@ -110,7 +88,7 @@ def verification_to_json(report: VerificationReport) -> str:
         '  {\n   "fidelities": ' + fids[p]
         + ',\n   "labels": ' + json.dumps(label)
         + ',\n   "probabilities": ' + probs[p] + "\n  }"
-        for p, label in zip(report.pair_of.tolist(), _format_keys(report.outcome_keys))
+        for p, label in zip(report.pair_of.tolist(), report.layout.texts())
     ]
     grid = "[\n" + ",\n".join(rows) + "\n ]" if rows else "[]"
     return f'{head}\n "outcomes": {grid}{tail}'
@@ -137,7 +115,7 @@ def render_verification(report: VerificationReport, max_listed: int = 8) -> str:
         f"pattern: {report.pattern}"
         + (f" [variant: {report.variant}]" if report.variant else ""),
         f"seed: {report.seed}",
-        f"outcomes: {len(report.outcome_keys)}  inputs: {len(report.input_labels)}",
+        f"outcomes: {len(report.layout)}  inputs: {len(report.input_labels)}",
         f"min fidelity: {_f(report.min_fidelity)}"
         + (
             f" (outcome {format_key(report.worst_outcome)}, input {report.worst_input})"
@@ -152,12 +130,12 @@ def render_verification(report: VerificationReport, max_listed: int = 8) -> str:
     zk = report.zero_probability_outcomes
     lines.append(
         "zero-probability outcomes: "
-        + ("none" if not zk else _listed(_format_keys(zk), max_listed))
+        + ("none" if not zk else _listed(zk, max_listed))
     )
     if report.suspicious_outcomes:
         lines.append(
             "suspicious (near-zero) outcomes: "
-            + _listed(_format_keys(report.suspicious_outcomes), max_listed)
+            + _listed(report.suspicious_outcomes, max_listed)
         )
     if report.table_diff is not None:
         lines.append(render_table_diff(report.table_diff, max_listed))
@@ -167,11 +145,10 @@ def render_verification(report: VerificationReport, max_listed: int = 8) -> str:
     return "\n".join(lines)
 
 
-def _listed(items: list[str], max_listed: int) -> str:
-    if len(items) <= max_listed:
-        return ", ".join(items)
-    shown = ", ".join(items[:max_listed])
-    return f"{shown} ... and {len(items) - max_listed} more"
+def _listed(keys: list, max_listed: int) -> str:
+    """The first ``max_listed`` keys' texts, and how many more there are."""
+    shown = ", ".join(map(format_key, keys[:max_listed]))
+    return shown if len(keys) <= max_listed else f"{shown} ... and {len(keys) - max_listed} more"
 
 
 def render_table_diff(diff: TableDiff, max_listed: int = 8) -> str:
@@ -199,7 +176,7 @@ def verification_to_csv(report: VerificationReport) -> str:
         for p, f in zip(probs, fids)
     ]
     lines = ["outcome,input,probability,fidelity"]
-    for p, label in zip(report.pair_of.tolist(), _format_keys(report.outcome_keys)):
+    for p, label in zip(report.pair_of.tolist(), report.layout.texts()):
         outcome = f"\"{label}\""
         lines.extend(outcome + tail for tail in tails[p])
     return "\n".join(lines) + "\n"
@@ -216,15 +193,15 @@ def loss_to_doc(report: LossReport) -> dict:
         "seed": report.seed,
         "lossy": report.lossy,
         "annihilated_components": report.component_names(),
-        "zero_probability_outcomes": _format_keys(report.zero_probability_outcomes),
+        "zero_probability_outcomes": list(map(format_key, report.zero_probability_outcomes)),
         "outcomes": [
             {
-                "labels": label,
+                "labels": format_key(o.key),
                 "probability": float(o.probability),
                 "rank": o.rank,
                 "annihilated": list(o.annihilated),
             }
-            for o, label in zip(report.outcomes, _format_keys(o.key for o in report.outcomes))
+            for o in report.outcomes
         ],
     }
 
@@ -242,7 +219,7 @@ def render_loss(report: LossReport, max_listed: int = 8) -> str:
     if report.zero_probability_outcomes:
         lines.append(
             "zero-probability outcomes: "
-            + _listed(_format_keys(report.zero_probability_outcomes), max_listed)
+            + _listed(report.zero_probability_outcomes, max_listed)
         )
     if report.outcomes:
         lines.append(f"degraded outcomes ({len(report.outcomes)}):")
@@ -261,9 +238,9 @@ def render_loss(report: LossReport, max_listed: int = 8) -> str:
 
 def loss_to_csv(report: LossReport) -> str:
     lines = ["outcome,probability,rank,annihilated"]
-    for o, label in zip(report.outcomes, _format_keys(o.key for o in report.outcomes)):
+    for o in report.outcomes:
         ann = ";".join(f"c{i}" for i in o.annihilated)
-        lines.append(f"\"{label}\",{_f(o.probability)},{o.rank},{ann}")
+        lines.append(f"\"{format_key(o.key)}\",{_f(o.probability)},{o.rank},{ann}")
     return "\n".join(lines) + "\n"
 
 
@@ -291,19 +268,21 @@ def render_parity(results: list[ParityResult]) -> str:
 # Correction tables
 # ---------------------------------------------------------------------------
 
-def table_to_doc(
-    name: str,
-    keys: list,
-    rendered: dict,
-    diff_docs: dict | None = None,
-    footer: str = "",
-) -> dict:
+def table_cells(table: CorrectionTable, num_wires: int) -> list[tuple[str, str]]:
+    """(key text, op rendering) of every cell, in sorted key order; each
+    distinct op is rendered once."""
+    order = table.layout.sorted_positions()
+    order = order[table.index[order] >= 0]
+    ops = [op.render(num_wires) for op in table.ops]
+    return list(zip(table.layout.texts(order), (ops[r] for r in table.index[order].tolist())))
+
+
+def table_to_doc(name: str, cells: list, diff_docs: dict | None = None, footer: str = "") -> dict:
+    """A correction table's document, from its (key text, op rendering) cells."""
     doc = {
         "kind": "correction-table",
         "name": name,
-        "entries": [
-            {"labels": format_key(key), "op": rendered[key]} for key in keys
-        ],
+        "entries": [{"labels": key, "op": op} for key, op in cells],
     }
     if diff_docs:
         doc["diffs"] = diff_docs
@@ -312,49 +291,32 @@ def table_to_doc(
     return doc
 
 
-def render_grid(
-    title: str,
-    row_labels: list,
-    col_labels: list,
-    cell: dict,
-    footer: str = "",
-) -> str:
-    """Render a correction table with one row per first-group outcome."""
+def _grid(table: CorrectionTable, num_wires: int) -> tuple[list, list, list]:
+    """A two-group table's row and column label texts and its cells, one row
+    per first-group label; each distinct op is rendered once."""
+    ops = [op.render(num_wires) for op in table.ops]
+    rows, cols = ([_label_text(label) for label in labels] for labels in table.layout.labels)
+    cells = table.index.reshape(table.layout.shape).tolist()
+    return rows, cols, [[ops[r] for r in row] for row in cells]
 
-    def label_str(label) -> str:
-        return "(" + ",".join(str(x) for x in label) + ")"
 
-    rows = [label_str(r) for r in row_labels]
-    cols = [label_str(c) for c in col_labels]
-    grid = [[cell[(r, c)] for c in col_labels] for r in row_labels]
-    widths = [
-        max(len(cols[j]), max(len(grid[i][j]) for i in range(len(rows))))
-        for j in range(len(cols))
+def render_grid(title: str, table: CorrectionTable, num_wires: int, footer: str = "") -> str:
+    """Render a two-group correction table with one row per first-group outcome."""
+    rows, cols, grid = _grid(table, num_wires)
+    widths = [max(map(len, [col, *column])) for col, column in zip(cols, zip(*grid))]
+    row_w = max(map(len, rows))
+    lines = [title, " " * row_w + " | " + " | ".join(c.ljust(w) for c, w in zip(cols, widths))]
+    lines += [
+        r.ljust(row_w) + " | " + " | ".join(x.ljust(w) for x, w in zip(row, widths))
+        for r, row in zip(rows, grid)
     ]
-    row_w = max(len(r) for r in rows)
-    lines = [title]
-    lines.append(
-        " " * row_w + " | " + " | ".join(c.ljust(w) for c, w in zip(cols, widths))
-    )
-    for i, r in enumerate(rows):
-        lines.append(
-            r.ljust(row_w)
-            + " | "
-            + " | ".join(grid[i][j].ljust(widths[j]) for j in range(len(cols)))
-        )
     if footer:
         lines.append(footer)
     return "\n".join(lines)
 
 
-def grid_to_csv(row_labels: list, col_labels: list, cell: dict) -> str:
-    def label_str(label) -> str:
-        return "(" + ",".join(str(x) for x in label) + ")"
-
-    lines = ["," + ",".join(f"\"{label_str(c)}\"" for c in col_labels)]
-    for r in row_labels:
-        lines.append(
-            f"\"{label_str(r)}\","
-            + ",".join(f"\"{cell[(r, c)]}\"" for c in col_labels)
-        )
+def grid_to_csv(table: CorrectionTable, num_wires: int) -> str:
+    rows, cols, grid = _grid(table, num_wires)
+    lines = ["," + ",".join(f'"{c}"' for c in cols)]
+    lines += [f'"{r}",' + ",".join(f'"{x}"' for x in row) for r, row in zip(rows, grid)]
     return "\n".join(lines) + "\n"

@@ -40,27 +40,35 @@ def parse_correction(cell: str) -> CorrectionOp:
 
 
 def _single_wire_table(cells: list[str]) -> CorrectionTable:
-    entries = {((k + 1,),): parse_correction(cell) for k, cell in enumerate(cells)}
-    return CorrectionTable(entries)
+    return CorrectionTable.from_entries(
+        (((k + 1,),), parse_correction(cell)) for k, cell in enumerate(cells)
+    )
 
 
 def _grid_table(
-    row_labels: list[tuple],
-    col_labels: list[tuple],
-    rows: list[list[str]],
-    key_of,
+    rows: list[list[str]], row_bits: int, col_bits: int, transposed: bool
 ) -> CorrectionTable:
-    entries = {}
+    """A printed grid whose rows and columns carry (bits, sign) labels; the
+    first group's label is the row's, or the column's when ``transposed``."""
+    row_labels, col_labels = _bit_sign_labels(row_bits), _bit_sign_labels(col_bits)
+    cells = []
     for r, row in enumerate(rows):
         if len(row) != len(col_labels):
             raise PatternFormatError(f"table row {r} has {len(row)} cells")
-        for c, cell in enumerate(row):
-            entries[key_of(row_labels[r], col_labels[c])] = parse_correction(cell)
-    return CorrectionTable(entries)
+        for label, cell in zip(col_labels, row):
+            key = (label, row_labels[r]) if transposed else (row_labels[r], label)
+            cells.append((key, parse_correction(cell)))
+    return CorrectionTable.from_entries(cells)
 
 
 def _bit_sign_labels(bits: int) -> list[tuple]:
     return [(*b, s) for b in product((0, 1), repeat=bits) for s in ("+", "-")]
+
+
+# Recovery column of the single-qubit construction: outcome alpha carries
+# the Pauli sigma_alpha, which is its own recovery.
+def single_qubit_table() -> CorrectionTable:
+    return _single_wire_table(["sx", "sx.sz", "sz", "I"])
 
 
 # Recovery column of the single-qubit phase-gate construction, outcomes 1..4.
@@ -115,12 +123,7 @@ _CNOT_ROWS = [
 
 
 def cnot_table() -> CorrectionTable:
-    return _grid_table(
-        _bit_sign_labels(2),
-        _bit_sign_labels(3),
-        _CNOT_ROWS,
-        key_of=lambda beta, alpha: (alpha, beta),
-    )
+    return _grid_table(_CNOT_ROWS, 2, 3, transposed=True)
 
 
 _SWAP_ROWS = [
@@ -144,12 +147,7 @@ _SWAP_ROWS = [
 
 
 def swap_table() -> CorrectionTable:
-    return _grid_table(
-        _bit_sign_labels(2),
-        _bit_sign_labels(3),
-        _SWAP_ROWS,
-        key_of=lambda beta, alpha: (alpha, beta),
-    )
+    return _grid_table(_SWAP_ROWS, 2, 3, transposed=True)
 
 
 _CPHASE_ROWS = [
@@ -174,19 +172,9 @@ _CPHASE_ROWS = [
 
 def cphase_table_as_captioned() -> CorrectionTable:
     """Printed controlled-phase grid read with rows as the first group."""
-    return _grid_table(
-        _bit_sign_labels(2),
-        _bit_sign_labels(2),
-        _CPHASE_ROWS,
-        key_of=lambda row, col: (row, col),
-    )
+    return _grid_table(_CPHASE_ROWS, 2, 2, transposed=False)
 
 
 def cphase_table_transposed() -> CorrectionTable:
     """Printed controlled-phase grid read with columns as the first group."""
-    return _grid_table(
-        _bit_sign_labels(2),
-        _bit_sign_labels(2),
-        _CPHASE_ROWS,
-        key_of=lambda row, col: (col, row),
-    )
+    return _grid_table(_CPHASE_ROWS, 2, 2, transposed=True)

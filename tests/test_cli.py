@@ -1,6 +1,7 @@
 """CLI contract: exit codes, formats, round-trips, byte stability."""
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -114,6 +115,11 @@ def _document_with(path, value, factory=catalog.cnot_pattern):
     return doc
 
 
+# The phase document's four correction cells, and a fifth for outcome (1).
+_PHASE_CELLS = pattern_to_document(catalog.phase_gate_pattern())["corrections"]
+_REPEATED_CELL = {"labels": [[1]], "ops": [{"name": "Up", "wires": [0]}]}
+
+
 # Flag -> input file contents; pattern-file cases are (path, value) edits of
 # the cnot document, or (path, value, factory) edits of another pattern's
 # document, and "--n" cases give chain-cz's chain length instead.
@@ -152,6 +158,27 @@ MALFORMED_INPUTS = {
     "list-valued-factor-name": (
         "--pattern-file",
         (("corrections", 1, "ops"), [{"name": ["sx"], "wires": [0]}], catalog.phase_gate_pattern),
+    ),
+    # A fifth phase cell lists outcome (1) again.
+    "repeated-correction-cell": (
+        "--pattern-file",
+        (("corrections",), _PHASE_CELLS + [_REPEATED_CELL], catalog.phase_gate_pattern),
+    ),
+    # JSON true and false are not bits: [[true]] once read as (1), and
+    # false once read as 0 in a group vector's label.
+    "true-label-on-first-cell": (
+        "--pattern-file", (("corrections", 0, "labels"), [[True]], catalog.phase_gate_pattern),
+    ),
+    "true-label-on-second-cell": (
+        "--pattern-file", (("corrections", 1, "labels"), [[True]], catalog.phase_gate_pattern),
+    ),
+    "false-in-group-label": (
+        "--pattern-file", (("groups", 0, "vectors", 0, "label"), [False, 0, 0, "+"]),
+    ),
+    # The phase document's second vector also labelled (1), so its cell (2)
+    # names no outcome; the labels are the fault, and the error says so.
+    "repeated-group-label-with-cells": (
+        "--pattern-file", (("groups", 0, "vectors", 1, "label"), [1], catalog.phase_gate_pattern),
     ),
     "ragged-unitary": ("--u", [[[1, 0], [0, 0]], [[0, 0]]]),
     "object-unitary": ("--u", {"a": 1}),
@@ -204,6 +231,22 @@ def _run_malformed(capsys, tmp_path, command, case):
 )
 def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, case):
     _run_malformed(capsys, tmp_path, "verify", case)
+
+
+@pytest.mark.parametrize(
+    "case,error",
+    [
+        ("repeated-correction-cell", "correction table lists outcome (1) twice"),
+        ("true-label-on-second-cell", "label [True] is not a list of bits and signs"),
+        ("repeated-group-label-with-cells", "group 0 labels are not a bijection onto its basis vectors"),
+    ],
+    ids=["repeated-cell", "boolean", "repeated-label"],
+)
+def test_document_errors_name_their_cause(capsys, tmp_path, case, error):
+    _, (path, value, factory) = MALFORMED_INPUTS[case]
+    (tmp_path / "input.json").write_text(json.dumps(_document_with(path, value, factory)))
+    code, out, err = run(capsys, "verify", "--pattern-file", str(tmp_path / "input.json"))
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_group_vector_count_is_checked_before_any_vector_is_built(capsys, tmp_path, monkeypatch):
@@ -265,6 +308,23 @@ class TestVerify:
         save_pattern(catalog.phase_gate_pattern(), path)
         code, out, _ = run(capsys, "verify", "--pattern-file", str(path))
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv", [("--pattern", "cnot"), ("--pattern", "chain-cz", "--n", "3")], ids=["cnot", "chain-cz-3"]
+    )
+    def test_shuffled_correction_cells_give_identical_output(self, capsys, tmp_path, argv):
+        # Cell keys become outcome positions when the document is read, so
+        # the order of the cells in the file cannot reach the report.
+        path, shuffled = tmp_path / "derived.json", tmp_path / "shuffled.json"
+        assert run(capsys, "derive", *argv, "--out", str(path))[0] == 0
+        doc = json.loads(path.read_text())
+        cells = list(doc["corrections"])
+        random.Random(7).shuffle(doc["corrections"])
+        assert doc["corrections"] != cells
+        shuffled.write_text(json.dumps(doc))
+        first = run(capsys, "verify", "--pattern-file", str(path))
+        assert first[0] == 0 and "verdict: PASS" in first[1]
+        assert run(capsys, "verify", "--pattern-file", str(shuffled)) == first
 
     def test_machine_report_round_trips_bit_exactly(self, capsys):
         code, out, _ = run(capsys, "verify", "--pattern", "phase", "--format", "json")

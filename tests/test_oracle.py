@@ -533,7 +533,7 @@ def _verified(name):
 
 def _all_identity_loss_demo():
     pattern = catalog.build_pattern("cz-mismatched")
-    table = CorrectionTable({key: CorrectionOp.identity() for key in pattern.outcome_keys})
+    table = CorrectionTable.from_entries({key: CorrectionOp.identity() for key in pattern.outcome_keys})
     return oracle.verify_pattern(pattern, corrections=table, loss_demo=True)
 
 
@@ -547,7 +547,7 @@ def _minimum_in_two_pairs():
     entries = dict(oracle.derive_corrections(pattern).entries)
     for i in (1, 6):
         entries[keys[i]] = CorrectionOp(entries[keys[i]].factors + (("sx", (0,)),))
-    return oracle.verify_pattern(pattern, corrections=CorrectionTable(entries))
+    return oracle.verify_pattern(pattern, corrections=CorrectionTable.from_entries(entries))
 
 
 SUMMARIZED = {
@@ -599,10 +599,11 @@ class TestPairSummaries:
 
     def test_table_key_order_does_not_change_the_report(self):
         # A derived table read in key order, and the same entries inserted
-        # in reverse, which the verifier must look up key by key.
+        # in reverse, so each group's labels are laid out reversed and the
+        # verifier must carry the cells over to the pattern's layout.
         pattern = catalog.chain_cz_pattern(3)
         table = oracle.derive_corrections(pattern)
-        reordered = CorrectionTable(dict(reversed(list(table.entries.items()))))
+        reordered = CorrectionTable.from_entries(reversed(list(table.entries.items())))
         assert list(reordered.entries) != pattern.outcome_keys
         a = oracle.verify_pattern(pattern, corrections=table)
         b = oracle.verify_pattern(pattern, corrections=reordered)
@@ -1283,7 +1284,7 @@ class TestVerifyMechanics:
 
     def test_missing_entry_names_outcome(self):
         pattern = catalog.phase_gate_pattern()
-        partial = CorrectionTable(dict(list(pattern.corrections.entries.items())[:3]))
+        partial = CorrectionTable.from_entries(list(pattern.corrections.entries.items())[:3])
         with pytest.raises(oracle.MissingCorrectionError, match=r"\(4\)"):
             oracle.verify_pattern(pattern, corrections=partial)
 
@@ -1293,13 +1294,13 @@ class TestVerifyMechanics:
         tampered = dict(derived.entries)
         key = ((1,),)
         tampered[key] = CorrectionOp((("sx", (0,)),))
-        diff = oracle.compare_tables(CorrectionTable(tampered), pattern.corrections, 1)
+        diff = oracle.compare_tables(CorrectionTable.from_entries(tampered), pattern.corrections, 1)
         assert diff.mismatch_count == 1
         assert diff.mismatches[0][0] == key
 
     def test_compare_tables_rejects_key_mismatch(self):
         pattern = catalog.phase_gate_pattern()
-        partial = CorrectionTable(dict(list(pattern.corrections.entries.items())[:3]))
+        partial = CorrectionTable.from_entries(list(pattern.corrections.entries.items())[:3])
         with pytest.raises(sv.UsageError):
             oracle.compare_tables(partial, pattern.corrections, 1)
 
@@ -1307,7 +1308,7 @@ class TestVerifyMechanics:
         pattern = catalog.phase_gate_pattern()
         tampered = dict(pattern.corrections.entries)
         tampered[((2,),)] = CorrectionOp((("sx", (0,)),))
-        report = oracle.verify_pattern(pattern, corrections=CorrectionTable(tampered))
+        report = oracle.verify_pattern(pattern, corrections=CorrectionTable.from_entries(tampered))
         assert not report.passed
         assert report.worst_outcome == ((2,),)
 
@@ -1362,8 +1363,9 @@ class TestVerifyMechanics:
         rigged_group = MeasurementGroup(
             group.qubits, sv.MeasurementBasis(2, vectors), group.labels + ((5,),)
         )
-        rigged_corrections = CorrectionTable(dict(pattern.corrections.entries))
-        rigged_corrections.entries[((5,),)] = rigged_corrections.entries[((1,),)]
+        rigged_corrections = CorrectionTable.from_entries(
+            {**pattern.corrections.entries, ((5,),): pattern.corrections[((1,),)]}
+        )
         rigged = dataclasses.replace(
             pattern, groups=(rigged_group,), corrections=rigged_corrections
         )
