@@ -9,6 +9,7 @@ from .catalog import build_pattern, catalog_entries
 from .oracle import (
     DEFAULT_SEED,
     DerivationError,
+    DerivationFailures,
     MissingCorrectionError,
     compare_tables,
     correction_dictionary,
@@ -28,6 +29,7 @@ from .patterns import (
     CorrectionTable,
     GatePattern,
     MeasurementGroup,
+    OutcomeLayout,
     PatternFormatError,
     load_pattern,
     save_pattern,
@@ -51,10 +53,12 @@ __all__ = [
     "CorrectionTable",
     "DegenerateStateError",
     "DerivationError",
+    "DerivationFailures",
     "GatePattern",
     "MeasurementBasis",
     "MeasurementGroup",
     "MissingCorrectionError",
+    "OutcomeLayout",
     "PatternFormatError",
     "StateVector",
     "UsageError",

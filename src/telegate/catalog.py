@@ -109,7 +109,7 @@ def two_branch_group(
     if len(parts0) != k or len(parts1) != k:
         raise PatternFormatError("branch factors must cover every measured qubit")
     b0, b1 = _product_state(parts0), _product_state(parts1)
-    if abs(np.vdot(b0, b1)) > 1e-12:
+    if abs(np.vdot(b0, b1)) > sv.ATOL_AMP:
         raise PatternFormatError("branch products must be orthogonal")
     actions = [_index_action(op, slot, k) for op, slot in index_slots]
     states: list[sv.StateVector] = []
@@ -392,7 +392,7 @@ def parameterized_cz_pattern(
     assignment of these five phases realizes the controlled quarter-turn.
     """
     for label, value in (("k", k), ("kt", kt), ("p", p), ("m", m), ("n", n)):
-        if abs(abs(value) - 1.0) > 1e-10:
+        if abs(abs(value) - 1.0) > sv.ATOL_ORTHO:
             raise sv.UsageError(f"parameter {label} must have unit modulus")
     alpha = two_branch_group(
         (0, 2, 5), [KET0, PLUS, KET0], [k * KET1, MINUS, KET1], [(SX, 0), (SZ, 1)]

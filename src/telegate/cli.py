@@ -42,8 +42,9 @@ def _load_unitary(path: str) -> np.ndarray:
     return u
 
 
-def resolve_pattern(args) -> tuple[GatePattern, list[str]]:
-    """Build the requested pattern; returns it plus report notes. A flag
+def resolve_pattern(args) -> tuple[GatePattern, list[str], oracle.VariantSelection | None]:
+    """Build the requested pattern; returns it plus report notes, and the
+    variant selection that derived and verified it, if one ran. A flag
     that does not apply to the requested pattern is a usage error."""
     if args.pattern_file and args.pattern is not None:
         raise PatternFormatError("--pattern and --pattern-file cannot be combined")
@@ -51,14 +52,14 @@ def resolve_pattern(args) -> tuple[GatePattern, list[str]]:
         if getattr(args, flag) is not None and args.pattern != owner:
             raise PatternFormatError(f"--{flag} applies only to --pattern {owner}")
     if args.pattern_file:
-        return load_pattern(args.pattern_file), []
+        return load_pattern(args.pattern_file), [], None
     name = args.pattern
     if name is None:
         raise PatternFormatError("one of --pattern or --pattern-file is required")
     notes: list[str] = []
     if name == "single-qubit":
         if args.u is not None:
-            return catalog.build_pattern(name, u=_load_unitary(args.u)), notes
+            return catalog.build_pattern(name, u=_load_unitary(args.u)), notes, None
         notes.append("no --u given; using the Hadamard gate")
     if name == "chain-cz":
         if args.n is None:
@@ -69,7 +70,7 @@ def resolve_pattern(args) -> tuple[GatePattern, list[str]]:
                 "even chain: catalog target is the identity-signed variant; "
                 "verification below runs against controlled-Z (parity law)"
             )
-        return pattern.with_target(CZ), notes
+        return pattern.with_target(CZ), notes, None
     if name == "cz":
         resource = args.resource or "h"
         basis = args.basis or ("pm" if resource == "bell" else "ghz")
@@ -78,17 +79,18 @@ def resolve_pattern(args) -> tuple[GatePattern, list[str]]:
         pattern = catalog.cz_layout_pattern(
             kinds[resource], "phi+", "phi+", basis, name=f"cz[{resource},{basis}]"
         )
-        return pattern, notes
+        return pattern, notes, None
     if name == "toffoli":
         variant = args.variant or "auto"
         if variant == "auto":
-            pattern, _, record = oracle.select_toffoli_variant(seed=args.seed)
-            notes += [f"variant {var}: {record[var]}" for var in sorted(record)]
-            return pattern, notes
+            tol = getattr(args, "tolerance", oracle.FIDELITY_TOL)  # verify alone has the flag
+            selection = oracle.select_toffoli_variant(args.seed, tol)
+            notes += [f"variant {var}: {text}" for var, text in sorted(selection.record.items())]
+            return selection.pattern, notes, selection
         pattern = catalog.toffoli_pattern(variant, validate=False)
         notes.append(f"variant {variant} forced by --variant")
-        return pattern, notes
-    return catalog.build_pattern(name), notes
+        return pattern, notes, None
+    return catalog.build_pattern(name), notes, None
 
 
 def _emit(args, text_fn, json_fn, csv_fn=None) -> None:
@@ -110,56 +112,55 @@ def cmd_list(args) -> int:
     rows = []
     for name, entry in sorted(catalog.catalog_entries().items()):
         pattern = catalog.build_pattern(name)
+        groups = "/".join(str(len(g.qubits)) for g in pattern.groups)
         rows.append(
-            {
-                "name": name,
-                "qubits": pattern.num_qubits,
-                "groups": "/".join(str(len(g.qubits)) for g in pattern.groups),
-                "target": entry["target"],
-                "params": entry["params"],
-            }
+            {"name": name, "qubits": pattern.num_qubits, "groups": groups,
+             "target": entry["target"], "params": entry["params"]}
         )
-    if args.format == "json":
-        print(reports.dumps({"kind": "catalog", "patterns": rows}))
-        return EXIT_PASS
-    if args.format == "csv":
-        lines = ["name,qubits,groups,target,params"]
-        for r in rows:
-            lines.append(
-                f"{r['name']},{r['qubits']},\"{r['groups']}\",\"{r['target']}\",\"{r['params']}\""
-            )
-        sys.stdout.write("\n".join(lines) + "\n")
-        return EXIT_PASS
-    widths = (18, 7, 10)
-    print("pattern".ljust(widths[0]) + "qubits".ljust(widths[1]) + "groups".ljust(widths[2]) + "target")
-    for r in rows:
-        print(
-            r["name"].ljust(widths[0])
-            + str(r["qubits"]).ljust(widths[1])
-            + r["groups"].ljust(widths[2])
-            + r["target"]
-            + (f"  [{r['params']}]" if r["params"] else "")
-        )
+    lines = ["pattern".ljust(18) + "qubits".ljust(7) + "groups".ljust(10) + "target"]
+    lines += [
+        r["name"].ljust(18) + str(r["qubits"]).ljust(7) + r["groups"].ljust(10) + r["target"]
+        + (f"  [{r['params']}]" if r["params"] else "")
+        for r in rows
+    ]
+    cells = ["name,qubits,groups,target,params"]
+    cells += ['{name},{qubits},"{groups}","{target}","{params}"'.format(**r) for r in rows]
+    _emit(
+        args,
+        lambda: "\n".join(lines),
+        lambda: reports.dumps({"kind": "catalog", "patterns": rows}),
+        lambda: "\n".join(cells) + "\n",
+    )
     return EXIT_PASS
+
+
+def _failed(pattern: GatePattern, notes: list[str], *lines: str) -> int:
+    """A FAIL verdict with no verification report to show."""
+    head = [f"pattern: {pattern.name}", *(f"note: {note}" for note in notes)]
+    print("\n".join(head + [*lines, "verdict: FAIL"]))
+    return EXIT_FAIL
 
 
 def cmd_verify(args) -> int:
     """Verify with the pattern's own corrections when it ships them,
     otherwise with freshly derived ones; the other table (derived, or the
-    printed reference) is verified too and diffed, per report notes."""
+    printed reference) is verified too and diffed, per report notes. A
+    variant selection's table and report are used as they are."""
     if not 0 <= args.tolerance < 1:
         raise PatternFormatError(f"--tolerance must lie in [0, 1), got {args.tolerance!r}")
-    pattern, notes = resolve_pattern(args)
+    pattern, notes, selection = resolve_pattern(args)
     entry = {} if args.pattern_file else catalog.catalog_entries().get(args.pattern, {})
-    primary = pattern.corrections
+    primary, report = pattern.corrections, None
     secondary, secondary_name = None, ""
-    if primary is None:
+    if selection is not None:
+        primary, report = selection.table, selection.report
+        if report is None:
+            return _failed(pattern, notes)
+    elif primary is None:
         try:
             primary = oracle.derive_corrections(pattern)
         except oracle.DerivationError as exc:
-            lines = [f"pattern: {pattern.name}", *(f"note: {note}" for note in notes)]
-            print("\n".join(lines + [f"derivation failed: {exc}", "verdict: FAIL"]))
-            return EXIT_FAIL
+            return _failed(pattern, notes, f"derivation failed: {exc}")
         if "reference" in entry:
             secondary, secondary_name = entry["reference"](), "reference"
     else:
@@ -175,7 +176,8 @@ def cmd_verify(args) -> int:
             pattern, corrections=table, seed=args.seed, fidelity_tol=args.tolerance
         )
 
-    report = verify(primary)
+    if report is None:
+        report = verify(primary)
     report.notes.extend(notes)
 
     if secondary is not None:
@@ -210,12 +212,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    pattern, notes = resolve_pattern(args)
-    try:
-        table = oracle.derive_corrections(pattern)
-    except oracle.DerivationError as exc:
-        print(f"derivation failed: {exc}")
-        return EXIT_FAIL
+    pattern, notes, selection = resolve_pattern(args)
+    table = selection.table if selection else None
+    if table is None:
+        try:
+            table = oracle.derive_corrections(pattern)
+        except oracle.DerivationError as exc:
+            print(f"derivation failed: {exc}")
+            return EXIT_FAIL
     cells = reports.table_cells(table, pattern.num_outputs)
     if args.out:
         save_pattern(pattern.with_corrections(table), args.out)
@@ -240,7 +244,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_loss_check(args) -> int:
-    pattern, notes = resolve_pattern(args)
+    pattern, notes, _ = resolve_pattern(args)
     report = oracle.detect_information_loss(pattern, seed=args.seed)
     _emit(
         args,
@@ -283,7 +287,7 @@ def _teleport_state_strings(pattern: GatePattern) -> dict:
         scale = 1.0 / np.abs(m).max()
         out = []
         for r in range(2):
-            cols = np.flatnonzero(np.abs(m[r]) > 1e-9)
+            cols = np.flatnonzero(np.abs(m[r]) > sv.SHOWN_AMP)
             for c in cols:
                 out.append(_coeff_str(m[r, c] * scale, "ab"[c]) + f"|{r}>")
         text = " ".join(out)

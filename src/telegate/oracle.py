@@ -23,6 +23,7 @@ import numpy as np
 
 from . import statevec as sv
 from .gates import random_state
+from .statevec import FIDELITY_TOL, SUSPICIOUS_PROB, ZERO_PROB
 from .patterns import (
     CorrectionOp,
     CorrectionTable,
@@ -37,11 +38,7 @@ from .patterns import (
 )
 
 DEFAULT_SEED = 1337
-FIDELITY_TOL = 1e-9          # equivalence threshold is 1 - FIDELITY_TOL
-ZERO_PROB = 1e-12            # outcomes below this probability count as zero
-SUSPICIOUS_PROB = 1e-6       # (ZERO_PROB, SUSPICIOUS_PROB) flags numerical dust
-MIN_GENERIC_AMP = 1e-6       # generic probe states keep every amplitude above this
-RANK_TOL = 1e-10             # singular values and column norms below this count as zero
+RANDOM_INPUTS = 20  # seeded random states verification adds to the basis inputs
 
 
 class MissingCorrectionError(LookupError):
@@ -343,11 +340,15 @@ def _matrix_of_tail(tail: tuple[str, ...]) -> np.ndarray:
     return out
 
 
-def _equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = FIDELITY_TOL) -> bool:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < ZERO_PROB or nb < ZERO_PROB:
-        return na < ZERO_PROB and nb < ZERO_PROB
-    return bool(abs(np.vdot(a, b)) >= (1.0 - tol) * na * nb)
+def _equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per pair of matrices in broadcast stacks: both zero (mean probability
+    ||m||_F^2 / d below ZERO_PROB), or neither and |tr(a†b)| >=
+    (1 - FIDELITY_TOL)·||a||_F·||b||_F, which only proportional ones reach."""
+    ac = a.conj()
+    aa, bb = (ac * a).real.sum(axis=(-2, -1)), (b.conj() * b).real.sum(axis=(-2, -1))
+    zero_a, zero_b = aa < a.shape[-1] * ZERO_PROB, bb < b.shape[-1] * ZERO_PROB
+    overlap = abs((ac * b).sum(axis=(-2, -1)))
+    return (zero_a == zero_b) & (zero_a | (overlap >= (1.0 - FIDELITY_TOL) * np.sqrt(aa * bb)))
 
 
 def _canonical_tails() -> list[tuple[str, ...]]:
@@ -359,14 +360,14 @@ def _canonical_tails() -> list[tuple[str, ...]]:
     the way recovery products are conventionally written.
     """
     alphabet = ("I", "Up", "sz", "sx")
-    kept: list[tuple[tuple[str, ...], np.ndarray]] = []
-    for length in (1, 2, 3):
-        for combo in product(alphabet, repeat=length):
-            mat = _matrix_of_tail(combo)
-            if any(_equal_up_to_phase(mat, m) for _, m in kept):
-                continue
-            kept.append((combo, mat))
-    return [combo for combo, _ in kept]
+    combos = [combo for length in (1, 2, 3) for combo in product(alphabet, repeat=length)]
+    return _first_per_phase_class(combos, _matrix_of_tail)
+
+
+def _first_per_phase_class(candidates: list, matrix) -> list:
+    """The candidates whose ``matrix`` equals no earlier one's up to phase (an equivalence)."""
+    mats = np.array([matrix(c) for c in candidates])
+    return [c for i, c in enumerate(candidates) if not _equal_up_to_phase(mats[i], mats[:i]).any()]
 
 
 def _signatures(mats: np.ndarray) -> np.ndarray:
@@ -436,15 +437,8 @@ def _entangler_prefixes(num_wires: int) -> list[tuple[Factor, ...]]:
         (("Ucz", (0, 1)), ("Ucz", (0, 2))),
     ]
     candidates = _subset_products(ccx_units) + _subset_products(cswap_units)
-    kept: list[tuple[Factor, ...]] = []
-    kept_mats: list[np.ndarray] = []
-    for factors in sorted(candidates, key=lambda f: (len(f), str(f))):
-        mat = CorrectionOp(factors).matrix(3)
-        if any(_equal_up_to_phase(mat, m) for m in kept_mats):
-            continue
-        kept.append(factors)
-        kept_mats.append(mat)
-    return kept
+    candidates.sort(key=lambda f: (len(f), str(f)))
+    return _first_per_phase_class(candidates, lambda f: CorrectionOp(f).matrix(3))
 
 
 def _sort_keys(
@@ -507,24 +501,23 @@ def correction_dictionary(num_wires: int, vocabulary: str = "pauli_phase") -> Co
     )
 
 
-def derive_corrections(
-    pattern: GatePattern,
-    dictionary: CorrectionDictionary | None = None,
-) -> CorrectionTable:
+def derive_corrections(pattern: GatePattern) -> CorrectionTable:
     """The correction repairing each outcome, found from its map alone.
 
-    An outcome whose map M is zero is unreachable and gets the identity.
-    Otherwise M must be proportional to a unitary, and the needed recovery
-    is T·M†/s with T the target and s the scale of M†M. It is named by the
-    first dictionary element equal to it up to phase, found through the
-    dictionary's signature index; with the ``full`` vocabulary, a recovery
-    outside the enumerated candidates but inside the vocabulary-generated
-    group (a signed permutation with quarter-turn phases) is factored
-    exactly by :func:`decompose_monomial`. Each bitwise-distinct map is
-    resolved once and its result goes to every outcome carrying it. Raises
-    :class:`DerivationError` listing the outcomes no correction repairs.
+    A map M of scale s = ||M||_F^2 / d, its mean branch probability, is
+    zero when s < ZERO_PROB: the outcome is unreachable and gets the
+    identity. Otherwise M must be proportional to a unitary (||M†M - s·I||_F
+    <= SPREAD_TOL·s), and the needed recovery is T·M†/s with T the target.
+    It is named by the first dictionary element equal to it up to phase,
+    found through the dictionary's signature index; with the ``full``
+    vocabulary, a recovery outside the enumerated candidates but inside the
+    vocabulary-generated group (a signed permutation with quarter-turn
+    phases) is factored exactly by :func:`decompose_monomial`. Each
+    bitwise-distinct map is resolved once and its result goes to every
+    outcome carrying it. Raises :class:`DerivationError` listing the
+    outcomes no correction repairs.
     """
-    table, failures = derive_corrections_with_failures(pattern, dictionary)
+    table, failures = derive_corrections_with_failures(pattern)
     if failures:
         raise DerivationError(failures)
     return table
@@ -532,16 +525,11 @@ def derive_corrections(
 
 def derive_corrections_with_failures(
     pattern: GatePattern,
-    dictionary: CorrectionDictionary | None = None,
 ) -> tuple[CorrectionTable, DerivationFailures]:
     """Like :func:`derive_corrections`, but returns the unrepairable
     outcomes (with the reason read off their map) instead of raising; such
     outcomes are filled with the identity."""
-    if dictionary is None:
-        dictionary = correction_dictionary(pattern.num_outputs, pattern.vocabulary)
-    if dictionary.num_wires != pattern.num_outputs:
-        raise sv.UsageError("dictionary wire count does not match pattern outputs")
-
+    dictionary = correction_dictionary(pattern.num_outputs, pattern.vocabulary)
     maps = outcome_maps(pattern)
     reps, classes = maps.classes
     factored: dict[bytes, tuple[CorrectionOp, np.ndarray]] = {}
@@ -553,17 +541,15 @@ def derive_corrections_with_failures(
     # same first recovery per signature as a walk over every outcome would.
     for block in _blocks(len(reps)):
         stack = maps.distinct[block]
-        nonzero = np.linalg.norm(stack, axis=(1, 2)) >= ZERO_PROB
-        unitary, needed = _needed_corrections(stack, pattern.target)
-        unitary &= nonzero
+        zero, unitary, needed = _needed_corrections(stack, pattern.target)
         named = _name_recoveries(needed[unitary], dictionary, factored)
         unnamed = np.zeros(len(stack), dtype=bool)
         unnamed[unitary] = [op is None for op in named]
         ops = class_ops[block]
         ops[unitary] = named
         ops[unnamed] = identity
-        lossy = nonzero & ~unitary
-        ranks = iter(np.linalg.matrix_rank(stack[lossy], tol=RANK_TOL).tolist())
+        lossy = ~(zero | unitary)
+        ranks = iter(np.linalg.matrix_rank(stack[lossy], tol=sv.RANK_TOL).tolist())
         for i in np.flatnonzero(unnamed | lossy).tolist():
             reasons[block.start + i] = (
                 outside
@@ -581,25 +567,19 @@ def derive_corrections_with_failures(
     return CorrectionTable(maps.layout, tuple(rows), class_rows[classes]), failures
 
 
-def _needed_corrections(maps: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which maps in a (k, d, d) stack are proportional to a unitary, and for
-    every map target @ m^{-1} rescaled to a unitary (meaningful only there)."""
+def _needed_corrections(maps: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Which maps in a (k, d, d) stack are zero and which are nonzero and
+    proportional to a unitary, both read off the scale s = tr(M†M)/d, and
+    every map's target @ m^{-1} rescaled to a unitary (meaningful only there)."""
     dim = maps.shape[1]
     adjoint = maps.conj().transpose(0, 2, 1)
     gram = adjoint @ maps
     scale = np.real(np.trace(gram, axis1=1, axis2=2)) / dim
     spread = np.linalg.norm(gram - scale[:, None, None] * np.eye(dim), axis=(1, 2))
-    unitary = (scale >= ZERO_PROB) & (spread <= 1e-9 * np.maximum(scale, 1.0))
+    zero = scale < ZERO_PROB
+    unitary = ~zero & (spread <= sv.SPREAD_TOL * scale)
     safe = np.where(unitary, scale, 1.0)
-    return unitary, target @ adjoint / safe[:, None, None]
-
-
-def _matches(candidates: np.ndarray, needed: np.ndarray) -> np.ndarray:
-    """Whether each candidate equals its needed recovery up to phase."""
-    dim = needed.shape[-1]
-    overlaps = np.abs(np.sum(candidates.conj() * needed, axis=(-2, -1)))
-    bound = (1.0 - FIDELITY_TOL) * np.sqrt(dim) * np.linalg.norm(needed, axis=(-2, -1))
-    return overlaps >= bound
+    return zero, unitary, target @ adjoint / safe[:, None, None]
 
 
 def _name_recoveries(
@@ -616,7 +596,7 @@ def _name_recoveries(
     hits = np.array([dictionary.index.get(sig.tobytes(), -1) for sig in sigs], dtype=np.intp)
     confirmed = np.zeros(len(sigs), dtype=bool)
     found = hits >= 0
-    confirmed[found] = _matches(dictionary.matrices[hits[found]], needed[found])
+    confirmed[found] = _equal_up_to_phase(dictionary.matrices[hits[found]], needed[found])
     named: list[CorrectionOp | None] = [
         dictionary.ops[hit] if ok else None for hit, ok in zip(hits.tolist(), confirmed.tolist())
     ]
@@ -624,7 +604,7 @@ def _name_recoveries(
         return named
     for i in np.flatnonzero(~confirmed).tolist():
         sig = sigs[i].tobytes()
-        if sig in factored and _matches(factored[sig][1], needed[i]):
+        if sig in factored and _equal_up_to_phase(factored[sig][1], needed[i]):
             named[i] = factored[sig][0]
         else:
             decomposed = decompose_monomial(needed[i], dictionary.num_wires)
@@ -672,17 +652,17 @@ def decompose_monomial(r: np.ndarray, num_wires: int) -> tuple[CorrectionOp, np.
     n = num_wires
     dim = 1 << n
     scale = np.linalg.norm(r) / np.sqrt(dim)
-    if scale < ZERO_PROB:
+    if scale**2 < ZERO_PROB:
         return None
     u = r / scale
     # Every column holds exactly one entry, of unit modulus, at row perm[x],
     # and every row holds one too, so perm is a permutation.
-    big = np.abs(u) > 1e-8
+    big = np.abs(u) > sv.MONOMIAL_TOL
     if not ((big.sum(axis=0) == 1).all() and (big.sum(axis=1) == 1).all()):
         return None
     perm = big.argmax(axis=0)
     phases = u[perm, np.arange(dim)]
-    if (np.abs(np.abs(phases) - 1.0) > 1e-8).any():
+    if (np.abs(np.abs(phases) - 1.0) > sv.MONOMIAL_TOL).any():
         return None
 
     # bits[x, i] is bit i (wire i, most significant first) of basis index x.
@@ -699,7 +679,7 @@ def decompose_monomial(r: np.ndarray, num_wires: int) -> tuple[CorrectionOp, np.
 
     rel = phases / phases[0]
     q = np.rint(np.angle(rel) / (np.pi / 2)).astype(int) % 4
-    if (np.abs(np.array([1, 1j, -1, -1j])[q] - rel) > 1e-8).any():
+    if (np.abs(np.array([1, 1j, -1, -1j])[q] - rel) > sv.MONOMIAL_TOL).any():
         return None
     c = q[place]
     cz_pairs = []
@@ -793,7 +773,7 @@ class VerificationReport:
     worst_input: str | None
     zero_probability_outcomes: list[OutcomeKey]
     suspicious_outcomes: list[OutcomeKey]
-    probability_sums: np.ndarray  # per input; 1 within 1e-9 by completeness
+    probability_sums: np.ndarray  # per input; 1 within SUM_TOL by completeness
     outcome_probability_range: tuple[float, float]
     passed: bool
     loss_demo: bool = False
@@ -815,17 +795,13 @@ class VerificationReport:
         return self.pair_probabilities[self.pair_of]
 
 
-def default_inputs(dim: int, seed: int, num_random: int = 20) -> tuple[np.ndarray, list[str]]:
+def default_inputs(dim: int, seed: int) -> tuple[np.ndarray, list[str]]:
     rng = np.random.default_rng(seed)
     num_qubits = dim.bit_length() - 1
     labels = [f"|{i:0{num_qubits}b}>" for i in range(dim)]
-    cols = [np.eye(dim, dtype=complex)]
-    rand = np.column_stack(
-        [random_state(num_qubits, rng, MIN_GENERIC_AMP) for _ in range(num_random)]
-    )
-    cols.append(rand)
-    labels += [f"rand{r:02d}" for r in range(num_random)]
-    return np.hstack(cols), labels
+    rand = [random_state(num_qubits, rng, sv.MIN_GENERIC_AMP) for _ in range(RANDOM_INPUTS)]
+    labels += [f"rand{r:02d}" for r in range(RANDOM_INPUTS)]
+    return np.hstack([np.eye(dim, dtype=complex), np.column_stack(rand)]), labels
 
 
 def _column_sums(pair_rows: np.ndarray, pair_of: np.ndarray) -> np.ndarray:
@@ -854,9 +830,9 @@ def verify_pattern(
 ) -> VerificationReport:
     """Certify the pattern against its target over all outcomes and inputs.
 
-    Inputs default to all computational basis states plus 20 seeded random
-    states. The first random state doubles as the generic probe for the
-    zero-probability outcome list.
+    Inputs default to all computational basis states plus RANDOM_INPUTS
+    seeded random states. The first random state doubles as the generic
+    probe for the zero-probability outcome list.
     """
     table = corrections if corrections is not None else pattern.corrections
     if table is None:
@@ -919,7 +895,7 @@ def verify_pattern(
         (float(live_gen.min()), float(live_gen.max())) if live_gen.size else (0.0, 0.0)
     )
     sums = _column_sums(pair_probs, pair_of)
-    conserved = bool(np.max(np.abs(sums - 1.0)) <= 1e-9)
+    conserved = bool(np.max(np.abs(sums - 1.0)) <= sv.SUM_TOL)
     notes = []
     if not conserved:
         # Sums off 1 mean the measurement groups are not honest projective
@@ -991,7 +967,7 @@ def detect_information_loss(pattern: GatePattern, seed: int = DEFAULT_SEED) -> L
     """
     dim = 1 << len(pattern.input_wires)
     rng = np.random.default_rng(seed)
-    generic = random_state(dim.bit_length() - 1, rng, MIN_GENERIC_AMP)
+    generic = random_state(dim.bit_length() - 1, rng, sv.MIN_GENERIC_AMP)
     maps = outcome_maps(pattern)
     reps, classes = maps.classes
     probs: list[float] = []
@@ -1005,8 +981,8 @@ def detect_information_loss(pattern: GatePattern, seed: int = DEFAULT_SEED) -> L
         out = (stack @ generic)[:, None, :]
         sq = out.real @ out.real.transpose(0, 2, 1) + out.imag @ out.imag.transpose(0, 2, 1)
         probs += [x**2 for x in np.sqrt(sq[:, 0, 0]).tolist()]
-        dead[block] = np.linalg.norm(stack, axis=1) < RANK_TOL
-        ranks[block] = np.linalg.matrix_rank(stack, tol=RANK_TOL)
+        dead[block] = np.linalg.norm(stack, axis=1) < sv.RANK_TOL
+        ranks[block] = np.linalg.matrix_rank(stack, tol=sv.RANK_TOL)
     live = np.array(probs) >= ZERO_PROB
     dead &= live[:, None]
     flagged = live & (dead.any(axis=1) | (ranks < dim))
@@ -1059,44 +1035,52 @@ def parity_experiment(max_n: int, seed: int = DEFAULT_SEED) -> list[ParityResult
             results.append(ParityResult(n, False, f"derivation failed: {exc}"))
             continue
         report = verify_pattern(pattern, corrections=table, seed=seed)
-        note = f"min fidelity {report.min_fidelity:.12f}"
-        results.append(ParityResult(n, report.passed, note))
+        results.append(ParityResult(n, report.passed, f"min fidelity {report.min_fidelity:.12f}"))
     return results
 
 
-def select_toffoli_variant(seed: int = DEFAULT_SEED) -> tuple[GatePattern, CorrectionTable, dict[str, str]]:
-    """Try both transcriptions of the first three-control group basis.
+@dataclass(frozen=True)
+class VariantSelection:
+    """The toffoli variant shown (the first that verifies, else the last
+    built, else the last tried), its derived table and report (None if
+    rejected first) and each variant's record; unpacks as (pattern, table, record)."""
 
-    Returns the verifying pattern, its derived corrections, and a record of
-    what happened to each variant. The literal transcription cannot form a
-    complete orthonormal basis and is rejected before simulation.
-    """
+    pattern: GatePattern
+    table: CorrectionTable | None
+    report: VerificationReport | None
+    record: dict[str, str]
+
+    def __iter__(self):
+        return iter((self.pattern, self.table, self.record))
+
+
+def select_toffoli_variant(
+    seed: int = DEFAULT_SEED, fidelity_tol: float = FIDELITY_TOL
+) -> VariantSelection:
+    """Try both transcriptions of the first three-control group basis, each
+    derived and verified once. The literal one cannot form a complete
+    orthonormal basis and is rejected before simulation."""
     from .catalog import toffoli_pattern
     from .patterns import validate_pattern
 
     record: dict[str, str] = {}
-    selected: tuple[GatePattern, CorrectionTable] | None = None
+    selected = built = None
     for variant in ("literal", "corrected"):
         pattern = toffoli_pattern(variant, validate=False)
         try:
             validate_pattern(pattern)
-        except PatternFormatError as exc:
-            record[variant] = f"rejected: {exc}"
-            continue
-        try:
             table = derive_corrections(pattern)
-        except DerivationError as exc:
+        except (PatternFormatError, DerivationError) as exc:
             record[variant] = f"rejected: {exc}"
             continue
-        report = verify_pattern(pattern, corrections=table, seed=seed)
+        report = verify_pattern(pattern, corrections=table, seed=seed, fidelity_tol=fidelity_tol)
+        built = (pattern, table, report)
         if report.passed and selected is None:
             record[variant] = f"verified (min fidelity {report.min_fidelity:.12f})"
-            selected = (pattern, table)
+            selected = built
         else:
             record[variant] = f"built but failed verification ({report.min_fidelity:.6f})"
-    if selected is None:  # pragma: no cover
-        raise RuntimeError(f"no variant verified: {record}")
-    return selected[0], selected[1], record
+    return VariantSelection(*(selected or built or (pattern, None, None)), record)
 
 
 def effective_outcome_operator(pattern: GatePattern, key: OutcomeKey) -> np.ndarray:
@@ -1106,7 +1090,7 @@ def effective_outcome_operator(pattern: GatePattern, key: OutcomeKey) -> np.ndar
         raise sv.UsageError(f"unknown outcome {format_key(key)}")
     m = maps[key]
     scale = np.linalg.norm(m) / np.sqrt(m.shape[0])
-    if scale < ZERO_PROB:
+    if scale**2 < ZERO_PROB:
         return np.zeros_like(m)
     return m / scale
 
@@ -1160,7 +1144,7 @@ def phase_parameter_grid_search(points_per_axis: int = 5) -> tuple[float, tuple]
     for signs in product((1.0, -1.0), repeat=5):
         simulated = parameterized_phase_check(*signs)
         form = _parameterized_phase_form(*signs)
-        if operator_distance(simulated, form) > 1e-9:  # pragma: no cover
+        if operator_distance(simulated, form) > sv.CLOSED_FORM_TOL:  # pragma: no cover
             raise RuntimeError(f"closed form disagrees with simulation at {signs}")
 
     phases = np.exp(2j * np.pi * np.arange(points_per_axis) / points_per_axis)

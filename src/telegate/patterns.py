@@ -451,7 +451,7 @@ def _validate_corrections(pattern: GatePattern) -> None:
             )
 
 
-def patterns_equal(a: GatePattern, b: GatePattern, atol: float = 1e-12) -> bool:
+def patterns_equal(a: GatePattern, b: GatePattern, atol: float = sv.ATOL_AMP) -> bool:
     """Structural equality up to amplitude tolerance (names ignored)."""
     if (
         a.num_qubits != b.num_qubits
@@ -478,7 +478,7 @@ def patterns_equal(a: GatePattern, b: GatePattern, atol: float = 1e-12) -> bool:
 
 def _terms_of(amps: np.ndarray, num_qubits: int) -> list[dict]:
     terms = []
-    for idx in np.flatnonzero(np.abs(amps) > 1e-14):
+    for idx in np.flatnonzero(np.abs(amps) > sv.WRITTEN_AMP):
         coeff = amps[int(idx)]
         terms.append(
             {"coeff": [coeff.real, coeff.imag], "bits": format(int(idx), f"0{num_qubits}b")}

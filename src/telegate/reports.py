@@ -14,6 +14,8 @@ import numpy as np
 from .oracle import LossReport, ParityResult, TableDiff, VerificationReport
 from .patterns import CorrectionTable, _label_text, format_key
 
+MAX_LISTED = 8  # outcomes or cells a text report lists before "and N more"
+
 
 def _f(x: float) -> str:
     return repr(float(x))
@@ -110,7 +112,7 @@ def table_diff_to_doc(diff: TableDiff) -> dict:
     }
 
 
-def render_verification(report: VerificationReport, max_listed: int = 8) -> str:
+def render_verification(report: VerificationReport) -> str:
     lines = [
         f"pattern: {report.pattern}"
         + (f" [variant: {report.variant}]" if report.variant else ""),
@@ -130,41 +132,34 @@ def render_verification(report: VerificationReport, max_listed: int = 8) -> str:
     zk = report.zero_probability_outcomes
     lines.append(
         "zero-probability outcomes: "
-        + ("none" if not zk else _listed(zk, max_listed))
+        + ("none" if not zk else _listed(zk))
     )
     if report.suspicious_outcomes:
         lines.append(
             "suspicious (near-zero) outcomes: "
-            + _listed(report.suspicious_outcomes, max_listed)
+            + _listed(report.suspicious_outcomes)
         )
     if report.table_diff is not None:
-        lines.append(render_table_diff(report.table_diff, max_listed))
+        lines.append(render_table_diff(report.table_diff))
     for note in report.notes:
         lines.append(f"note: {note}")
     lines.append(f"verdict: {'PASS' if report.passed else 'FAIL'}")
     return "\n".join(lines)
 
 
-def _listed(keys: list, max_listed: int) -> str:
-    """The first ``max_listed`` keys' texts, and how many more there are."""
-    shown = ", ".join(map(format_key, keys[:max_listed]))
-    return shown if len(keys) <= max_listed else f"{shown} ... and {len(keys) - max_listed} more"
+def _listed(items: list, text=format_key, sep: str = ", ") -> str:
+    """The texts of the first ``MAX_LISTED`` items, and how many more there are."""
+    more = f" ... and {len(items) - MAX_LISTED} more" if len(items) > MAX_LISTED else ""
+    return sep.join(map(text, items[:MAX_LISTED])) + more
 
 
-def render_table_diff(diff: TableDiff, max_listed: int = 8) -> str:
+def render_table_diff(diff: TableDiff) -> str:
     head = f"reference-table diff: {diff.mismatch_count}/{diff.total} cells differ"
     if not diff.mismatches:
         return head
-    cells = [
-        f"{format_key(key)}: derived {derived} vs printed {printed}"
-        for key, derived, printed in diff.mismatches[:max_listed]
-    ]
-    more = (
-        f" ... and {diff.mismatch_count - max_listed} more"
-        if diff.mismatch_count > max_listed
-        else ""
+    return head + "\n  " + _listed(
+        diff.mismatches, lambda m: f"{format_key(m[0])}: derived {m[1]} vs printed {m[2]}", "\n  "
     )
-    return head + "\n  " + "\n  ".join(cells) + more
 
 
 def verification_to_csv(report: VerificationReport) -> str:
@@ -206,7 +201,7 @@ def loss_to_doc(report: LossReport) -> dict:
     }
 
 
-def render_loss(report: LossReport, max_listed: int = 8) -> str:
+def render_loss(report: LossReport) -> str:
     lines = [
         f"pattern: {report.pattern}",
         f"seed: {report.seed}",
@@ -219,18 +214,18 @@ def render_loss(report: LossReport, max_listed: int = 8) -> str:
     if report.zero_probability_outcomes:
         lines.append(
             "zero-probability outcomes: "
-            + _listed(report.zero_probability_outcomes, max_listed)
+            + _listed(report.zero_probability_outcomes)
         )
     if report.outcomes:
         lines.append(f"degraded outcomes ({len(report.outcomes)}):")
-        for o in report.outcomes[:max_listed]:
+        for o in report.outcomes[:MAX_LISTED]:
             ann = ",".join(f"c{i}" for i in o.annihilated) or "-"
             lines.append(
                 f"  {format_key(o.key)}: probability {_f(o.probability)}, "
                 f"rank {o.rank}, annihilated {ann}"
             )
-        if len(report.outcomes) > max_listed:
-            lines.append(f"  ... and {len(report.outcomes) - max_listed} more")
+        if len(report.outcomes) > MAX_LISTED:
+            lines.append(f"  ... and {len(report.outcomes) - MAX_LISTED} more")
     else:
         lines.append("degraded outcomes: none")
     return "\n".join(lines)

@@ -20,8 +20,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ATOL_ORTHO = 1e-10      # orthonormality / unitarity tolerance
-ATOL_PROB = 1e-12       # below this a projection probability counts as zero
+# The tolerance table: every threshold a decision reads, by the quantity it
+# is compared with. ``verify --tolerance`` overrides FIDELITY_TOL only.
+ATOL_ORTHO = 1e-10        # basis overlaps, norm and unitarity deviations, unit moduli
+ATOL_AMP = 1e-12          # an amplitude, overlap or amplitude difference below this is zero
+ZERO_PROB = 1e-12         # a probability (a map's: its mean branch probability) below this is zero
+SUSPICIOUS_PROB = 1e-6    # a probability in [ZERO_PROB, this) is flagged as numerical dust
+MIN_GENERIC_AMP = 1e-6    # generic probe states keep every amplitude above this
+RANK_TOL = 1e-10          # singular values and column norms below this count as zero
+FIDELITY_TOL = 1e-9       # a fidelity shortfall 1 - F up to this counts as equivalence
+SPREAD_TOL = 1e-9         # relative spread ||M^dag M - sI||_F / s (s = ||M||_F^2/d) of a unitary M
+SUM_TOL = 1e-9            # each input's outcome probabilities sum to 1 within this
+MONOMIAL_TOL = 1e-8       # unit-scaled phased permutations: entry zero, modulus 1, quarter turns
+SHOWN_AMP = 1e-9          # printed pre-recovery states leave out map entries up to this modulus
+WRITTEN_AMP = 1e-14       # pattern documents leave out amplitudes up to this modulus
+CLOSED_FORM_TOL = 1e-9    # a phase-minimized operator distance up to this counts as agreement
 MAX_REGISTER_QUBITS = 22  # widest register simulated densely (chain-cz n=8)
 
 
@@ -76,17 +89,17 @@ def from_ket_expression(
             )
         amps[bits_to_index(bits)] += coeff
     norm = np.linalg.norm(amps)
-    if norm < ATOL_PROB:
+    if norm < ATOL_AMP:
         raise DegenerateStateError("ket expression sums to the zero vector")
     return StateVector(num_qubits, amps / norm)
 
 
-def is_unitary(matrix: np.ndarray, atol: float = ATOL_ORTHO) -> bool:
+def is_unitary(matrix: np.ndarray) -> bool:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
     dim = matrix.shape[0]
-    return bool(np.allclose(matrix.conj().T @ matrix, np.eye(dim), atol=atol))
+    return bool(np.allclose(matrix.conj().T @ matrix, np.eye(dim), atol=ATOL_ORTHO))
 
 
 def check_subset(indices: tuple[int, ...], num_qubits: int) -> tuple[int, ...]:
@@ -121,7 +134,7 @@ def project(
     mat = t.reshape(basis_vector.dim, -1)
     residual = basis_vector.amps.conj() @ mat
     prob = float(np.real(np.vdot(residual, residual)))
-    if prob <= ATOL_PROB:
+    if prob <= ZERO_PROB:
         return prob, None
     post = residual / np.sqrt(prob)
     return prob, StateVector(n - len(measured), np.ascontiguousarray(post))

@@ -398,6 +398,39 @@ class TestVerify:
         assert "variant literal: rejected" in out
         assert "variant corrected: verified" in out
 
+    @pytest.mark.parametrize("name", ["derive_corrections_with_failures", "verify_pattern"])
+    def test_toffoli_auto_derives_and_verifies_once(self, capsys, monkeypatch, name):
+        # The variant selection's table and report are the ones printed.
+        calls = []
+        fn = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
+        code, out, _ = run(capsys, "verify", "--pattern", "toffoli")
+        assert code == 0 and out.endswith("verdict: PASS\n")
+        assert len(calls) == 1
+
+    def test_toffoli_auto_note_agrees_with_verdict(self, capsys):
+        # At tolerance 0 no variant verifies: the corrected variant's report
+        # fails, and the notes list both variants' records.
+        code, out, err = run(capsys, "verify", "--pattern", "toffoli", "--tolerance", "0")
+        assert code == 1 and err == ""
+        assert "note: variant corrected: built but failed verification" in out
+        assert "note: variant literal: rejected" in out
+        assert "verified" not in out
+        assert out.endswith("verdict: FAIL\n")
+
+    def test_toffoli_auto_with_no_variant_built_fails(self, capsys, monkeypatch):
+        def refuse(pattern):
+            raise oracle.DerivationError([])
+
+        monkeypatch.setattr(oracle, "derive_corrections", refuse)
+        code, out, err = run(capsys, "verify", "--pattern", "toffoli")
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "pattern: toffoli" and lines[-1] == "verdict: FAIL"
+        assert lines[1].startswith("note: variant corrected: rejected: no correction found")
+        assert lines[2].startswith("note: variant literal: rejected: group 0 basis")
+        assert len(lines) == 4
+
 
 class TestDerive:
     def test_derive_prints_table(self, capsys):

@@ -1374,3 +1374,74 @@ class TestVerifyMechanics:
         assert not report.passed
         assert any("probability sums" in note for note in report.notes)
         assert report.probability_sums.max() == pytest.approx(1.25, abs=1e-9)
+
+
+def _flagged_phase(eps: float, entangled: bool):
+    """The phase pattern plus qubit 3, measured alone in {|0>, |1>} as a
+    second group, which picks the maps scaled by ``eps``. Unentangled,
+    qubit 3 holds |0> + eps|1>, so the flag-1 maps are exactly eps times the
+    flag-0 ones. Entangled, qubits 1, 2, 3 hold (|000> + |110>)/sqrt(2) +
+    eps (cos t|001> + sin t|111>), t = pi/4 + 1e-3: the flag-1 outcomes see
+    a partly entangled pair, whose maps have relative spread 2.83e-3."""
+    base = catalog.phase_gate_pattern()
+    flag = MeasurementGroup((3,), sv.MeasurementBasis(1, np.eye(2, dtype=complex)), ((0,), (1,)))
+    if entangled:
+        theta = np.pi / 4 + 1e-3
+        amps = np.zeros(8, dtype=complex)
+        amps[0b000] = amps[0b110] = 1 / np.sqrt(2)
+        amps[0b001], amps[0b111] = eps * np.cos(theta), eps * np.sin(theta)
+        resources = (((1, 2, 3), sv.StateVector(3, amps / np.linalg.norm(amps))),)
+    else:
+        amps = np.array([1, eps], dtype=complex)
+        resources = base.resources + (((3,), sv.StateVector(1, amps / np.linalg.norm(amps))),)
+    return dataclasses.replace(
+        base, num_qubits=4, resources=resources, groups=base.groups + (flag,), corrections=None
+    )
+
+
+FLAG_ONE = [((k,), (1,)) for k in (1, 2, 3, 4)]
+
+
+class TestZeroAndSpreadRules:
+    """Derivation reads zero and unitary-proportional maps off one scale,
+    the mean branch probability s = ||M||_F^2 / d."""
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-7, 1e-9])
+    def test_rare_branch_is_zero_not_lossy(self, eps):
+        # The flag-1 maps are exactly eps * U, with s below ZERO_PROB.
+        pattern = _flagged_phase(eps, entangled=False)
+        table, failures = oracle.derive_corrections_with_failures(pattern)
+        assert len(failures) == 0
+        report = oracle.verify_pattern(pattern, corrections=table)
+        assert report.zero_probability_outcomes == FLAG_ONE
+        assert not report.passed
+
+    @pytest.mark.parametrize("eps", [0.1, 1e-3, 3e-4])
+    def test_partly_entangled_pair_is_not_unitary_at_any_scale(self, eps):
+        pattern = _flagged_phase(eps, entangled=True)
+        maps = oracle.outcome_maps(pattern)
+        flag_one = maps[FLAG_ONE[0]]
+        gram = flag_one.conj().T @ flag_one
+        scale = np.trace(gram).real / 2
+        assert np.linalg.norm(gram - scale * np.eye(2)) / scale == pytest.approx(2.83e-3, rel=1e-3)
+        _, failures = oracle.derive_corrections_with_failures(pattern)
+        assert [key for key, _ in failures] == FLAG_ONE
+        assert {reason for _, reason in failures} == {"rank 2/2, not proportional to a unitary"}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the verdict comes from sampled inputs; basis inputs alone miss a wrong phase",
+)
+def test_basis_inputs_catch_a_wrong_relative_phase(cnot_derived):
+    # Up on wire 0 after the right recovery keeps every basis input's
+    # fidelity at 1 but changes superpositions; the default inputs catch it.
+    pattern, table = cnot_derived
+    cells = list(table.items())
+    key, op = cells[0]
+    cells[0] = (key, CorrectionOp(op.factors + (("Up", (0,)),)))
+    wrong = CorrectionTable.from_entries(cells, table.layout)
+    for seed in (1, 1337, 7):
+        assert not oracle.verify_pattern(pattern, corrections=wrong, seed=seed).passed
+    report = oracle.verify_pattern(pattern, corrections=wrong, inputs=np.eye(4))
+    assert report.passed is False

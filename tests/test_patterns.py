@@ -241,3 +241,11 @@ class TestDocuments:
         doc["groups"][0]["vectors"][1]["terms"] = doc["groups"][0]["vectors"][0]["terms"]
         with pytest.raises(PatternFormatError, match="orthonormal"):
             pattern_from_document(doc)
+
+
+def test_package_exports_the_layout_and_failures():
+    import telegate
+
+    for name, owner in (("OutcomeLayout", patterns), ("DerivationFailures", oracle)):
+        assert name in telegate.__all__
+        assert getattr(telegate, name) is getattr(owner, name)
