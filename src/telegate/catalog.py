@@ -111,33 +111,35 @@ def two_branch_group(
     b0, b1 = _product_state(parts0), _product_state(parts1)
     if abs(np.vdot(b0, b1)) > sv.ATOL_AMP:
         raise PatternFormatError("branch products must be orthogonal")
-    actions = [_index_action(op, slot, k) for op, slot in index_slots]
-    states: list[sv.StateVector] = []
-    labels: list[tuple] = []
-    for bits in product((0, 1), repeat=len(index_slots)):
-        for sign, signed in (("+", b0 + b1), ("-", b0 - b1)):
-            amps = signed / np.sqrt(2)
-            for bit, (source, factor) in zip(bits, actions):
-                if bit:
-                    amps = factor * amps[source]
-            states.append(sv.StateVector(k, amps))
-            labels.append((*bits, sign))
-    return MeasurementGroup(qubits, sv.basis_from_states(states), tuple(labels))
+    # The vectors of every (bits, sign) label at once, as (bit words, signs,
+    # 2^k) in label order. Index action j, in slot order, fills the vectors
+    # whose bit j is the last one set from those with bit j clear, written
+    # in place with the amplitude axis split at the action's slot.
+    vectors = np.empty((1 << len(index_slots), 2, 1 << k), dtype=complex)
+    vectors[0] = np.stack([b0 + b1, b0 - b1]) / np.sqrt(2)
+    for j, (op, slot) in enumerate(index_slots):
+        flip, factor = _index_action(op, slot, k)
+        done = vectors.reshape(1 << j, 2, -1, 2, 1 << slot, 2, 1 << (k - 1 - slot))
+        source = done[:, 0, 0, :, :, ::-1] if flip else done[:, 0, 0]
+        np.multiply(factor, source, out=done[:, 1, 0])
+    labels = tuple(
+        (*bits, sign) for bits in product((0, 1), repeat=len(index_slots)) for sign in "+-"
+    )
+    return MeasurementGroup(qubits, sv.MeasurementBasis(k, vectors.reshape(len(labels), -1)), labels)
 
 
-def _index_action(op: np.ndarray, slot: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _index_action(op: np.ndarray, slot: int, k: int) -> tuple[bool, np.ndarray]:
     """``op`` on ``slot`` of a k-qubit amplitude vector as ``factor *
     amps[source]``: for a one-qubit op with one nonzero entry per row, an
-    index flip (sx) or a sign (sz) in place of a matrix product."""
+    index flip (sx) or a sign (sz) in place of a matrix product. Returns
+    whether the source flips the slot's bit, and the factor per value of
+    that bit as a (2, 1) column."""
     op = np.asarray(op, dtype=complex)
     cols = np.abs(op).argmax(axis=1)
     if op.shape != (2, 2) or np.count_nonzero(op) != 2 or cols[0] == cols[1]:
         raise PatternFormatError("index operators must be one-qubit phased permutations")
-    (slot,) = sv.check_subset((slot,), k)
-    shift = k - 1 - slot
-    index = np.arange(1 << k)
-    bit = (index >> shift) & 1
-    return index ^ ((bit ^ cols[bit]) << shift), op[bit, cols[bit]]
+    sv.check_subset((slot,), k)
+    return bool(cols[0]), op[[0, 1], cols][:, None]
 
 
 def ghz_group(qubits: tuple[int, ...], flip_slots: list[int]) -> MeasurementGroup:

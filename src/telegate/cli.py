@@ -134,10 +134,22 @@ def cmd_list(args) -> int:
     return EXIT_PASS
 
 
-def _failed(pattern: GatePattern, notes: list[str], *lines: str) -> int:
-    """A FAIL verdict with no verification report to show."""
-    head = [f"pattern: {pattern.name}", *(f"note: {note}" for note in notes)]
-    print("\n".join(head + [*lines, "verdict: FAIL"]))
+def _failed(args, kind: str, pattern: GatePattern, notes: list[str], lines, failures=()) -> int:
+    """A failure with no report to show: the text ``lines``; as JSON, the
+    pattern, its notes, the number of unrepairable outcomes and the first
+    MAX_LISTED of them with their reasons; as CSV, those outcomes' rows."""
+    def listed():
+        return [(format_key(key), reason) for key, reason in failures[:reports.MAX_LISTED]]
+
+    def json_text():
+        doc = {"kind": kind, "pattern": pattern.name, "passed": False, "notes": notes}
+        doc.update(unrepairable=len(failures), failures=[{"outcome": k, "reason": r} for k, r in listed()])
+        return reports.dumps(doc)
+
+    def csv_text():
+        return "\n".join(["outcome,reason", *(f'"{k}","{r}"' for k, r in listed())]) + "\n"
+
+    _emit(args, lambda: "\n".join(lines), json_text, csv_text)
     return EXIT_FAIL
 
 
@@ -152,15 +164,21 @@ def cmd_verify(args) -> int:
     entry = {} if args.pattern_file else catalog.catalog_entries().get(args.pattern, {})
     primary, report = pattern.corrections, None
     secondary, secondary_name = None, ""
+
+    def failed(*lines: str, failures=()) -> int:
+        head = [f"pattern: {pattern.name}", *(f"note: {note}" for note in notes)]
+        text = [*head, *lines, "verdict: FAIL"]
+        return _failed(args, "verification", pattern, notes, text, failures)
+
     if selection is not None:
         primary, report = selection.table, selection.report
         if report is None:
-            return _failed(pattern, notes)
+            return failed()
     elif primary is None:
         try:
             primary = oracle.derive_corrections(pattern)
         except oracle.DerivationError as exc:
-            return _failed(pattern, notes, f"derivation failed: {exc}")
+            return failed(f"derivation failed: {exc}", failures=exc.failures)
         if "reference" in entry:
             secondary, secondary_name = entry["reference"](), "reference"
     else:
@@ -218,8 +236,8 @@ def cmd_derive(args) -> int:
         try:
             table = oracle.derive_corrections(pattern)
         except oracle.DerivationError as exc:
-            print(f"derivation failed: {exc}")
-            return EXIT_FAIL
+            text = [f"derivation failed: {exc}"]
+            return _failed(args, "correction-table", pattern, notes, text, exc.failures)
     cells = reports.table_cells(table, pattern.num_outputs)
     if args.out:
         save_pattern(pattern.with_corrections(table), args.out)

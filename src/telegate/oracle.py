@@ -48,13 +48,19 @@ class MissingCorrectionError(LookupError):
 @dataclass(eq=False)
 class DerivationFailures(Sequence):
     """The outcomes no correction repairs, in outcome order, read as
-    ``(key, reason)``: outcome ``positions[i]`` of ``layout`` fails for
-    ``reasons[classes[i]]``, the reason found for its map's class."""
+    ``(key, reason)``: outcome ``positions[i]`` of ``layout`` fails for the
+    reason of its map's class ``classes[i]``. A class marked ``outside``
+    needs a recovery outside ``vocabulary``; any other map (a row of
+    ``maps``) is not proportional to a unitary, and its rank is computed
+    when its reason is first read."""
 
     layout: OutcomeLayout
     positions: np.ndarray
     classes: np.ndarray
-    reasons: dict[int, str]
+    maps: np.ndarray
+    outside: np.ndarray
+    vocabulary: str
+    _reasons: dict[int, str] = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -62,7 +68,18 @@ class DerivationFailures(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
-        return self.layout.key(self.positions[i]), self.reasons[int(self.classes[i])]
+        return self.layout.key(self.positions[i]), self.reason(int(self.classes[i]))
+
+    def reason(self, c: int) -> str:
+        """Why class ``c``'s map has no correction."""
+        if c not in self._reasons:
+            if self.outside[c]:
+                text = f"needed recovery lies outside the {self.vocabulary} vocabulary"
+            else:
+                rank = np.linalg.matrix_rank(self.maps[c], tol=sv.RANK_TOL)
+                text = f"rank {rank}/{self.maps.shape[2]}, not proportional to a unitary"
+            self._reasons[c] = text
+        return self._reasons[c]
 
 
 class DerivationError(RuntimeError):
@@ -351,8 +368,9 @@ def _equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (zero_a == zero_b) & (zero_a | (overlap >= (1.0 - FIDELITY_TOL) * np.sqrt(aa * bb)))
 
 
-def _canonical_tails() -> list[tuple[str, ...]]:
-    """Single-wire factor chains of length <= 3, deduplicated up to phase.
+def _canonical_tails() -> tuple[list[tuple[str, ...]], np.ndarray]:
+    """Single-wire factor chains of length <= 3, deduplicated up to phase,
+    with their matrices.
 
     Enumeration order (length, then alphabet position) makes the first
     representative of each operator class the canonical, shortest name.
@@ -361,46 +379,109 @@ def _canonical_tails() -> list[tuple[str, ...]]:
     """
     alphabet = ("I", "Up", "sz", "sx")
     combos = [combo for length in (1, 2, 3) for combo in product(alphabet, repeat=length)]
-    return _first_per_phase_class(combos, _matrix_of_tail)
+    return _first_per_phase_class(combos, [_matrix_of_tail(combo) for combo in combos])
 
 
-def _first_per_phase_class(candidates: list, matrix) -> list:
-    """The candidates whose ``matrix`` equals no earlier one's up to phase (an equivalence)."""
-    mats = np.array([matrix(c) for c in candidates])
-    return [c for i, c in enumerate(candidates) if not _equal_up_to_phase(mats[i], mats[:i]).any()]
+def _first_per_phase_class(candidates: list, mats: list[np.ndarray]) -> tuple[list, np.ndarray]:
+    """The candidates whose matrix equals no earlier one's up to phase, with
+    their matrices stacked. Every candidate is a phased permutation with
+    quarter-turn phases, so equal signatures mean equal up to phase."""
+    mats = np.array(mats)
+    _, firsts = np.unique(_signatures(mats), return_index=True)
+    keep = np.sort(firsts)
+    return [candidates[i] for i in keep.tolist()], mats[keep]
 
 
-def _signatures(mats: np.ndarray) -> np.ndarray:
+def _phases(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per matrix in a (k, d, d) stack: each column's largest-magnitude row,
-    then that entry's phase relative to column 0's in eighth turns. For a
+    and that entry's phase relative to column 0's in eighth turns. For a
     phased permutation this pins the matrix up to global phase."""
     rows = np.abs(mats).argmax(axis=1)
     lead = np.take_along_axis(mats, rows[:, None, :], axis=1)[:, 0, :]
     turns = np.rint(np.angle(lead / lead[:, :1]) / (np.pi / 4)).astype(np.intp) % 8
-    return np.concatenate([rows, turns], axis=1)
+    return rows, turns
 
 
-@dataclass(frozen=True)
-class CorrectionDictionary:
-    """Deterministically ordered candidate corrections for derivation."""
+def _packed(rows: np.ndarray, turns: np.ndarray) -> np.ndarray:
+    """One integer key per row of (k, d) column rows and eighth turns, equal
+    exactly when the rows and the turns relative to column 0 are: the
+    digits 8·row + turn in base 8d. The keys are int64 where d such digits
+    fit (d <= 8), Python ints beyond."""
+    k, dim = rows.shape
+    keys = np.zeros(k, dtype=np.int64 if (8 * dim) ** dim < 2**63 else object)
+    for digit in (rows * 8 + (turns - turns[:, :1]) % 8).T:
+        keys = keys * (8 * dim) + digit.astype(keys.dtype)
+    return keys
 
-    num_wires: int
-    vocabulary: str
-    ops: tuple[CorrectionOp, ...]
-    matrices: np.ndarray  # stacked (len(ops), d, d)
 
-    @cached_property
-    def index(self) -> dict[bytes, int]:
-        """Signature -> position of the first op carrying it. Every op is a
-        phased permutation, so ops sharing a signature are equal up to phase
-        and the first is the one a scan in dictionary order would pick."""
-        index: dict[bytes, int] = {}
-        for k, sig in enumerate(_signatures(self.matrices)):
-            index.setdefault(sig.tobytes(), k)
-        return index
+def _signatures(mats: np.ndarray) -> np.ndarray:
+    """The packed key of each matrix's :func:`_phases`."""
+    return _packed(*_phases(mats))
 
 
 Factor = tuple[str, tuple[int, ...]]
+
+
+@dataclass(frozen=True, eq=False)
+class CorrectionDictionary(Sequence):
+    """Deterministically ordered candidate corrections for derivation, read
+    as the sequence of their ops (also ``ops``), each built when read.
+
+    Candidate b in build order is prefix ``b % len(prefixes)`` times the
+    tensor product of the tails picked by the digits of
+    ``b // len(prefixes)`` in base ``len(tails)`` (wire 0 most
+    significant); position k holds candidate ``order[k]``. Every candidate
+    is a phased permutation, so its signature pins it up to phase: ``keys``
+    holds the distinct signatures, sorted, and ``firsts`` the position of
+    the first op carrying each.
+    """
+
+    num_wires: int
+    vocabulary: str
+    tails: list[tuple[str, ...]]
+    prefixes: list[tuple[Factor, ...]]
+    tail_mats: np.ndarray    # (len(tails), 2, 2)
+    prefix_mats: np.ndarray  # (len(prefixes), d, d)
+    order: np.ndarray
+    keys: np.ndarray
+    firsts: np.ndarray
+
+    @property
+    def ops(self) -> CorrectionDictionary:
+        return self
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """Every op's matrix, stacked as (len(ops), d, d)."""
+        return self.rows(np.arange(len(self)))
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        local, prefix = divmod(int(self.order[k]), len(self.prefixes))
+        picks = np.unravel_index(local, (len(self.tails),) * self.num_wires)
+        wire_tails = CorrectionOp.from_wire_products(tuple(self.tails[t] for t in picks))
+        return CorrectionOp(self.prefixes[prefix] + wire_tails.factors)
+
+    def rows(self, positions: np.ndarray) -> np.ndarray:
+        """The matrices of the ops at ``positions``: each prefix's matrix
+        times the kron of its tails' matrices. All entries are 0, +-1 or
+        +-i, so these products equal CorrectionOp.matrix exactly."""
+        local, prefix = np.divmod(self.order[positions], len(self.prefixes))
+        mats = np.ones((len(prefix), 1, 1), dtype=complex)
+        for pick in np.unravel_index(local, (len(self.tails),) * self.num_wires):
+            size = 2 * mats.shape[1]
+            mats = np.einsum("lab,lcd->lacbd", mats, self.tail_mats[pick]).reshape(-1, size, size)
+        return self.prefix_mats[prefix] @ mats
+
+    def find(self, signatures: np.ndarray) -> np.ndarray:
+        """The position of the first op carrying each signature (see
+        :func:`_signatures`), -1 where none does."""
+        at = np.searchsorted(self.keys, signatures).clip(max=len(self.keys) - 1)
+        return np.where(self.keys[at] == signatures, self.firsts[at], -1)
 
 
 def _subset_products(units: list[tuple[Factor, ...]]) -> list[tuple[Factor, ...]]:
@@ -415,12 +496,13 @@ def _subset_products(units: list[tuple[Factor, ...]]) -> list[tuple[Factor, ...]
 
 
 def _entangler_prefixes(num_wires: int) -> list[tuple[Factor, ...]]:
-    """Entangling correction prefixes for the ``full`` vocabulary.
+    """Entangling correction prefixes for the ``full`` vocabulary, before
+    deduplication up to phase.
 
     Two wires: the optional controlled-Z. Three wires: the closures of the
     byproduct conjugations through the doubly-controlled-X and the
     controlled-swap (mutually commuting generator sets, so plain subset
-    products), deduplicated up to phase.
+    products), fewest factors first.
     """
     if num_wires == 2:
         return [(), (("Ucz", (0, 1)),)]
@@ -438,16 +520,17 @@ def _entangler_prefixes(num_wires: int) -> list[tuple[Factor, ...]]:
     ]
     candidates = _subset_products(ccx_units) + _subset_products(cswap_units)
     candidates.sort(key=lambda f: (len(f), str(f)))
-    return _first_per_phase_class(candidates, lambda f: CorrectionOp(f).matrix(3))
+    return candidates
 
 
 def _sort_keys(
     tails: list[tuple[str, ...]], prefixes: list[tuple[Factor, ...]], num_wires: int
-) -> list[tuple[int, str]]:
-    """(weight, rendering) of every dictionary candidate, in build order
-    (per-wire tails in product order, each local part under every prefix),
-    composed from one text per tail and one per prefix. Each equals the
-    candidate op's ``(op.weight, op.render(num_wires))``."""
+) -> list[str]:
+    """The sort key of every dictionary candidate, in build order (per-wire
+    tails in product order, each local part under every prefix), composed
+    from one text per tail and one per prefix. Each equals the candidate
+    op's ``chr(op.weight) + op.render(num_wires)``: the weight is one
+    leading character, so the keys sort as (weight, rendering) pairs do."""
     chains = [
         (len(names), _chain_text(names))
         for names in ([name for name in tail if name != "I"] for tail in tails)
@@ -461,7 +544,7 @@ def _sort_keys(
         for prefix in prefixes
     ]
     return [
-        (weight + extra, f"{open_}{body}{close}")
+        f"{chr(weight + extra)}{open_}{body}{close}"
         for weight, body in bodies
         for extra, open_, close in wraps
     ]
@@ -476,28 +559,32 @@ def correction_dictionary(num_wires: int, vocabulary: str = "pauli_phase") -> Co
     recoveries)."""
     if vocabulary not in VOCABULARIES:
         raise PatternFormatError(f"unknown correction vocabulary {vocabulary!r}")
-    tails = _canonical_tails()
-    prefixes = _entangler_prefixes(num_wires) if vocabulary == "full" else [()]
-    ops: list[CorrectionOp] = []
-    for wire_tails in product(tails, repeat=num_wires):
-        local = CorrectionOp.from_wire_products(wire_tails)
-        for prefix in prefixes:
-            ops.append(CorrectionOp(prefix + local.factors))
-    # Local parts are krons of per-wire tail matrices (wire 0 most
-    # significant), in the product order above; each op is its entangler
-    # prefix times its local part. All entries are 0, +-1 or +-i, so these
-    # products equal CorrectionOp.matrix exactly.
-    tail_mats = np.stack([_matrix_of_tail(tail) for tail in tails])
-    local_mats = np.ones((1, 1, 1), dtype=complex)
+    tails, tail_mats = _canonical_tails()
+    candidates = _entangler_prefixes(num_wires) if vocabulary == "full" else [()]
+    prefixes, prefix_mats = _first_per_phase_class(
+        candidates, [CorrectionOp(prefix).matrix(num_wires) for prefix in candidates]
+    )
+    # Each candidate's signature, composed from its parts' rows and turns
+    # without forming its matrix. A local part (the kron of one tail per
+    # wire, wire 0 most significant) sends column x to row rows[l, x]; its
+    # prefix then sends that row on to prefix_rows[p, rows[l, x]], and the
+    # turns of both add.
+    tail_rows, tail_turns = _phases(tail_mats)
+    rows = turns = np.zeros((1, 1), dtype=np.intp)
     for _ in range(num_wires):
-        size = 2 * local_mats.shape[1]
-        local_mats = np.einsum("lab,tcd->ltacbd", local_mats, tail_mats).reshape(-1, size, size)
-    prefix_mats = np.stack([CorrectionOp(prefix).matrix(num_wires) for prefix in prefixes])
-    dim = 1 << num_wires
-    matrices = (prefix_mats[None] @ local_mats[:, None]).reshape(-1, dim, dim)
-    order = sorted(range(len(ops)), key=_sort_keys(tails, prefixes, num_wires).__getitem__)
+        size = 2 * rows.shape[1]
+        rows = (2 * rows[:, None, :, None] + tail_rows[None, :, None, :]).reshape(-1, size)
+        turns = (turns[:, None, :, None] + tail_turns[None, :, None, :]).reshape(-1, size)
+    prefix_rows, prefix_turns = _phases(prefix_mats)
+    signatures = _packed(
+        prefix_rows[:, rows].swapaxes(0, 1).reshape(-1, size),
+        (turns[None] + prefix_turns[:, rows]).swapaxes(0, 1).reshape(-1, size),
+    )
+    sort_keys = _sort_keys(tails, prefixes, num_wires)
+    order = np.array(sorted(range(len(sort_keys)), key=sort_keys.__getitem__), dtype=np.intp)
+    distinct, firsts = np.unique(signatures[order], return_index=True)
     return CorrectionDictionary(
-        num_wires, vocabulary, tuple(ops[i] for i in order), matrices[order]
+        num_wires, vocabulary, tails, prefixes, tail_mats, prefix_mats, order, distinct, firsts
     )
 
 
@@ -509,7 +596,7 @@ def derive_corrections(pattern: GatePattern) -> CorrectionTable:
     identity. Otherwise M must be proportional to a unitary (||M†M - s·I||_F
     <= SPREAD_TOL·s), and the needed recovery is T·M†/s with T the target.
     It is named by the first dictionary element equal to it up to phase,
-    found through the dictionary's signature index; with the ``full``
+    found through the dictionary's signatures; with the ``full``
     vocabulary, a recovery outside the enumerated candidates but inside the
     vocabulary-generated group (a signed permutation with quarter-turn
     phases) is factored exactly by :func:`decompose_monomial`. Each
@@ -532,38 +619,31 @@ def derive_corrections_with_failures(
     dictionary = correction_dictionary(pattern.num_outputs, pattern.vocabulary)
     maps = outcome_maps(pattern)
     reps, classes = maps.classes
-    factored: dict[bytes, tuple[CorrectionOp, np.ndarray]] = {}
-    outside = f"needed recovery lies outside the {dictionary.vocabulary} vocabulary"
+    factored: dict[int, tuple[CorrectionOp, np.ndarray]] = {}
     identity = CorrectionOp.identity()
     class_ops = np.full(len(reps), identity, dtype=object)
-    reasons: dict[int, str] = {}
+    outside = np.zeros(len(reps), dtype=bool)
+    failing = np.zeros(len(reps), dtype=bool)
     # Classes are in first-occurrence order, so decompose_monomial meets the
     # same first recovery per signature as a walk over every outcome would.
     for block in _blocks(len(reps)):
-        stack = maps.distinct[block]
-        zero, unitary, needed = _needed_corrections(stack, pattern.target)
+        zero, unitary, needed = _needed_corrections(maps.distinct[block], pattern.target)
         named = _name_recoveries(needed[unitary], dictionary, factored)
-        unnamed = np.zeros(len(stack), dtype=bool)
+        unnamed = np.zeros(len(zero), dtype=bool)
         unnamed[unitary] = [op is None for op in named]
         ops = class_ops[block]
         ops[unitary] = named
         ops[unnamed] = identity
-        lossy = ~(zero | unitary)
-        ranks = iter(np.linalg.matrix_rank(stack[lossy], tol=sv.RANK_TOL).tolist())
-        for i in np.flatnonzero(unnamed | lossy).tolist():
-            reasons[block.start + i] = (
-                outside
-                if unnamed[i]
-                else f"rank {next(ranks)}/{stack.shape[2]}, not proportional to a unitary"
-            )
+        outside[block] = unnamed
+        failing[block] = unnamed | ~(zero | unitary)
     # Classes are in first-occurrence order, so ops numbered by first class
     # are numbered by first outcome.
     rows: dict[CorrectionOp, int] = {}
     class_rows = np.array([rows.setdefault(op, len(rows)) for op in class_ops], dtype=np.intp)
-    failing = np.zeros(len(reps), dtype=bool)
-    failing[list(reasons)] = True
     hits = np.flatnonzero(failing[classes])
-    failures = DerivationFailures(maps.layout, hits, classes[hits], reasons)
+    failures = DerivationFailures(
+        maps.layout, hits, classes[hits], maps.distinct, outside, dictionary.vocabulary
+    )
     return CorrectionTable(maps.layout, tuple(rows), class_rows[classes]), failures
 
 
@@ -585,32 +665,46 @@ def _needed_corrections(maps: np.ndarray, target: np.ndarray) -> tuple[np.ndarra
 def _name_recoveries(
     needed: np.ndarray,
     dictionary: CorrectionDictionary,
-    factored: dict[bytes, tuple[CorrectionOp, np.ndarray]],
+    factored: dict[int, tuple[CorrectionOp, np.ndarray]],
 ) -> list[CorrectionOp | None]:
-    """Name each needed recovery in a (k, d, d) stack: the dictionary op with
-    its signature, confirmed equal up to phase; else, for the ``full``
-    vocabulary, its exact factorization by :func:`decompose_monomial`
-    (memoised in ``factored`` by signature, each reuse confirmed the same
-    way); None when neither exists."""
+    """Name each needed recovery in a (k, d, d) stack: the first dictionary
+    op with its signature, confirmed equal up to phase; else, for the
+    ``full`` vocabulary, its exact factorization by
+    :func:`decompose_monomial`, memoised in ``factored`` by signature; None
+    when neither exists. The first unnamed recovery of each signature not
+    memoised is factored, and every reuse of the memo is confirmed equal up
+    to phase, so each recovery gets the op a walk in order would give it."""
     sigs = _signatures(needed)
-    hits = np.array([dictionary.index.get(sig.tobytes(), -1) for sig in sigs], dtype=np.intp)
-    confirmed = np.zeros(len(sigs), dtype=bool)
-    found = hits >= 0
-    confirmed[found] = _equal_up_to_phase(dictionary.matrices[hits[found]], needed[found])
+    hits = dictionary.find(sigs)
+    found = np.flatnonzero(hits >= 0)
+    confirmed = np.zeros(len(needed), dtype=bool)
+    confirmed[found] = _equal_up_to_phase(dictionary.rows(hits[found]), needed[found])
+    ops = {hit: dictionary.ops[hit] for hit in set(hits[confirmed].tolist())}
     named: list[CorrectionOp | None] = [
-        dictionary.ops[hit] if ok else None for hit, ok in zip(hits.tolist(), confirmed.tolist())
+        ops[hit] if ok else None for hit, ok in zip(hits.tolist(), confirmed.tolist())
     ]
     if dictionary.vocabulary != "full":
         return named
-    for i in np.flatnonzero(~confirmed).tolist():
-        sig = sigs[i].tobytes()
-        if sig in factored and _equal_up_to_phase(factored[sig][1], needed[i]):
-            named[i] = factored[sig][0]
-        else:
-            decomposed = decompose_monomial(needed[i], dictionary.num_wires)
-            if decomposed is not None:
-                named[i] = decomposed[0]
-                factored[sig] = decomposed
+    keys = sigs.tolist()
+    todo = np.flatnonzero(~confirmed).tolist()
+    while todo:
+        memo = [i for i in todo if keys[i] in factored]
+        if memo:
+            mats = np.array([factored[keys[i]][1] for i in memo])
+            for i, ok in zip(memo, _equal_up_to_phase(mats, needed[memo]).tolist()):
+                if ok:
+                    named[i] = factored[keys[i]][0]
+        firsts: dict[int, int] = {}
+        for i in todo:
+            if named[i] is None:
+                firsts.setdefault(keys[i], i)
+        batch = list(firsts.values())
+        if batch:
+            for i, decomposed in zip(batch, decompose_monomial(needed[batch], dictionary.num_wires)):
+                if decomposed is not None:
+                    named[i] = decomposed[0]
+                    factored[keys[i]] = decomposed
+        todo = [i for i in todo if named[i] is None and firsts[keys[i]] != i]
     return named
 
 
@@ -637,81 +731,74 @@ def _linear_words(num_wires: int) -> dict:
     return words
 
 
-def decompose_monomial(r: np.ndarray, num_wires: int) -> tuple[CorrectionOp, np.ndarray] | None:
-    """Factor a phased permutation unitary into named correction ops.
+def decompose_monomial(
+    stack: np.ndarray, num_wires: int
+) -> list[tuple[CorrectionOp, np.ndarray] | None]:
+    """Factor each phased permutation unitary of a (k, d, d) stack into
+    named correction ops.
 
-    Succeeds exactly when r is, up to global phase, a permutation realizing
-    an invertible affine map over F2^num_wires together with quarter-turn
-    phases of degree at most two in the bits: linear phase parts become
-    Up/sz factors, quadratic parts become Ucz factors, the affine part
-    becomes sx flips plus a controlled-X word. That is precisely the group
-    the correction vocabulary generates, so anything else returns None.
-    Returns the op with its matrix, the one confirmed equal to r up to
+    Succeeds exactly when a matrix r is, up to global phase, a permutation
+    realizing an invertible affine map over F2^num_wires together with
+    quarter-turn phases of degree at most two in the bits: linear phase
+    parts become Up/sz factors, quadratic parts become Ucz factors, the
+    affine part becomes sx flips plus a controlled-X word. That is
+    precisely the group the correction vocabulary generates, so anything
+    else gets None. The checks run over the whole stack at once; each
+    success is the op with its matrix, the one confirmed equal to r up to
     phase.
     """
     n = num_wires
     dim = 1 << n
-    scale = np.linalg.norm(r) / np.sqrt(dim)
-    if scale**2 < ZERO_PROB:
-        return None
-    u = r / scale
+    scale = np.linalg.norm(stack, axis=(1, 2)) / np.sqrt(dim)
+    ok = scale**2 >= ZERO_PROB
+    u = stack / np.where(ok, scale, 1.0)[:, None, None]
     # Every column holds exactly one entry, of unit modulus, at row perm[x],
     # and every row holds one too, so perm is a permutation.
     big = np.abs(u) > sv.MONOMIAL_TOL
-    if not ((big.sum(axis=0) == 1).all() and (big.sum(axis=1) == 1).all()):
-        return None
-    perm = big.argmax(axis=0)
-    phases = u[perm, np.arange(dim)]
-    if (np.abs(np.abs(phases) - 1.0) > sv.MONOMIAL_TOL).any():
-        return None
+    ok &= (big.sum(axis=1) == 1).all(axis=1) & (big.sum(axis=2) == 1).all(axis=1)
+    perm = big.argmax(axis=1)
+    phases = np.take_along_axis(u, perm[:, None, :], axis=1)[:, 0, :]
+    ok &= ~(np.abs(np.abs(phases) - 1.0) > sv.MONOMIAL_TOL).any(axis=1)
 
     # bits[x, i] is bit i (wire i, most significant first) of basis index x.
     place = 1 << np.arange(n - 1, -1, -1)
     bits = (np.arange(dim)[:, None] & place) != 0
-    t = int(perm[0])
-    # Column j of lin is the image of wire j's unit vector.
-    lin = bits[perm[place] ^ t].T.astype(int)
-    if ((((bits @ lin.T) & 1) @ place) ^ t != perm).any():
-        return None
-    word = _linear_words(n).get(tuple(map(tuple, lin.tolist())))
-    if word is None:
-        return None
+    t = perm[:, 0]
+    # Column j of lin[m] is the image of wire j's unit vector.
+    lin = bits[perm[:, place] ^ t[:, None]].transpose(0, 2, 1).astype(int)
+    ok &= ((((bits @ lin.transpose(0, 2, 1)) & 1) @ place) ^ t[:, None] == perm).all(axis=1)
 
-    rel = phases / phases[0]
+    rel = phases / np.where(ok, phases[:, 0], 1.0)[:, None]
     q = np.rint(np.angle(rel) / (np.pi / 2)).astype(int) % 4
-    if (np.abs(np.array([1, 1j, -1, -1j])[q] - rel) > sv.MONOMIAL_TOL).any():
-        return None
-    c = q[place]
-    cz_pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = (int(q[place[i] | place[j]]) - c[i] - c[j]) % 4
-            if d == 2:
-                cz_pairs.append((i, j))
-            elif d != 0:
-                return None
-    qx = bits @ c + sum(2 * (bits[:, i] & bits[:, j]) for i, j in cz_pairs)
-    if (qx % 4 != q).any():
-        return None
-    t_bits = bits[t].tolist()
-    c = c.tolist()
+    ok &= ~(np.abs(np.array([1, 1j, -1, -1j])[q] - rel) > sv.MONOMIAL_TOL).any(axis=1)
+    c = q[:, place]
+    first, second = np.triu_indices(n, 1)
+    degree2 = (q[:, place[first] | place[second]] - c[:, first] - c[:, second]) % 4
+    cz = degree2 == 2
+    ok &= ((degree2 == 0) | cz).all(axis=1)
+    both = (bits[:, first] & bits[:, second]).astype(int)
+    ok &= ((c @ bits.T + 2 * cz.astype(int) @ both.T) % 4 == q).all(axis=1)
 
-    factors: list[tuple[str, tuple[int, ...]]] = []
-    factors += [("sx", (i,)) for i in range(n) if t_bits[i]]
-    factors += list(word)
-    factors += [("Ucz", pair) for pair in cz_pairs]
-    for i in range(n):
-        if c[i] == 1:
-            factors.append(("Up", (i,)))
-        elif c[i] == 2:
-            factors.append(("sz", (i,)))
-        elif c[i] == 3:
-            factors += [("Up", (i,)), ("sz", (i,))]
-    op = CorrectionOp(tuple(factors))
-    mat = op.matrix(n)
-    if not _equal_up_to_phase(mat, u):
-        return None
-    return op, mat
+    words = _linear_words(n)
+    pairs = list(zip(first.tolist(), second.tolist()))
+    built: list[tuple[int, CorrectionOp]] = []
+    for m in np.flatnonzero(ok).tolist():
+        word = words.get(tuple(map(tuple, lin[m].tolist())))
+        if word is None:
+            continue
+        factors: list[Factor] = [("sx", (i,)) for i, bit in enumerate(bits[t[m]].tolist()) if bit]
+        factors += word
+        factors += [("Ucz", pair) for pair, on in zip(pairs, cz[m].tolist()) if on]
+        for i, turns in enumerate(c[m].tolist()):  # i**turns is Up then sz, each optional
+            factors += [(name, (i,)) for name in ("Up",) * (turns & 1) + ("sz",) * (turns >> 1)]
+        built.append((m, CorrectionOp(tuple(factors))))
+    results: list[tuple[CorrectionOp, np.ndarray] | None] = [None] * len(stack)
+    mats = np.array([op.matrix(n) for _, op in built]).reshape(-1, dim, dim)
+    same = _equal_up_to_phase(mats, u[[m for m, _ in built]])
+    for (m, op), mat, good in zip(built, mats, same.tolist()):
+        if good:
+            results[m] = (op, mat)
+    return results
 
 
 # ---------------------------------------------------------------------------

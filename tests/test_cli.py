@@ -1,4 +1,6 @@
 """CLI contract: exit codes, formats, round-trips, byte stability."""
+import csv
+import io
 import json
 import os
 import random
@@ -8,9 +10,9 @@ import sys
 import pytest
 
 import telegate
-from telegate import catalog, oracle
+from telegate import catalog, oracle, reports
 from telegate.cli import main
-from telegate.patterns import pattern_to_document
+from telegate.patterns import format_key, pattern_to_document
 
 
 def run(capsys, *argv):
@@ -452,6 +454,49 @@ class TestDerive:
         code, out, _ = run(capsys, "derive", "--pattern", "phase", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "outcome,op"
+
+
+class TestFailedDerivationFormats:
+    """A failed derivation writes the chosen format and still exits 1."""
+
+    @pytest.mark.parametrize("command,kind", [("verify", "verification"), ("derive", "correction-table")])
+    def test_json_lists_the_first_failures(self, capsys, fredkin_partial, command, kind):
+        _, _, failures = fredkin_partial
+        code, out, err = run(capsys, command, "--pattern", "fredkin", "--format", "json")
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        assert doc["kind"] == kind and doc["pattern"] == "fredkin" and doc["passed"] is False
+        assert doc["notes"] == [] and doc["unrepairable"] == len(failures) == 4096
+        assert doc["failures"] == [
+            {"outcome": format_key(key), "reason": reason}
+            for key, reason in failures[:reports.MAX_LISTED]
+        ]
+
+    @pytest.mark.parametrize("command", ["verify", "derive"])
+    def test_csv_rows_are_the_first_failures(self, capsys, fredkin_partial, command):
+        _, _, failures = fredkin_partial
+        code, out, err = run(capsys, command, "--pattern", "fredkin", "--format", "csv")
+        assert code == 1 and err == ""
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["outcome", "reason"]
+        assert rows[1:] == [[format_key(key), reason] for key, reason in failures[:reports.MAX_LISTED]]
+
+    def test_derive_text_is_the_error_line(self, capsys, fredkin_partial):
+        _, _, failures = fredkin_partial
+        code, out, _ = run(capsys, "derive", "--pattern", "fredkin")
+        assert code == 1
+        assert out == f"derivation failed: {oracle.DerivationError(failures)}\n"
+
+    def test_no_variant_built_is_json_with_no_failures(self, capsys, monkeypatch):
+        def refuse(pattern):
+            raise oracle.DerivationError([])
+
+        monkeypatch.setattr(oracle, "derive_corrections", refuse)
+        code, out, err = run(capsys, "verify", "--pattern", "toffoli", "--format", "json")
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        assert doc["passed"] is False and doc["unrepairable"] == 0 and doc["failures"] == []
+        assert [note.split(":")[0] for note in doc["notes"]] == ["variant corrected", "variant literal"]
 
 
 class TestLossCheck:

@@ -668,10 +668,35 @@ class TestDictionary:
 
     def test_signature_index_names_the_first_equivalent_op(self):
         d = oracle.correction_dictionary(3, "full")
-        for k in (0, 1, 100, 2000, len(d.ops) - 1):
-            found = d.index[oracle._signatures(d.matrices[k : k + 1] * 1j)[0].tobytes()]
-            assert found <= k
-            assert oracle._equal_up_to_phase(d.matrices[found], d.matrices[k])
+        positions = [0, 1, 100, 2000, len(d.ops) - 1]
+        found = d.find(oracle._signatures(d.matrices[positions] * 1j))
+        for k, hit in zip(positions, found.tolist()):
+            assert 0 <= hit <= k
+            assert oracle._equal_up_to_phase(d.matrices[hit], d.matrices[k])
+            assert not oracle._equal_up_to_phase(d.matrices[:hit], d.matrices[k]).any()
+
+    def test_four_wire_signatures_exceed_int64_and_stay_exact(self):
+        # 16 columns need 112 bits, so the keys are Python ints.
+        d = oracle.correction_dictionary(4, "pauli_phase")
+        assert d.keys.dtype == object
+        positions = np.arange(0, len(d.ops), 293)
+        found = d.find(oracle._signatures(d.matrices[positions] * np.exp(0.3j)))
+        for k, hit in zip(positions.tolist(), found.tolist()):
+            assert hit == np.flatnonzero(oracle._equal_up_to_phase(d.matrices, d.matrices[k]))[0]
+
+    def test_unknown_signature_finds_nothing(self):
+        d = oracle.correction_dictionary(2, "pauli_phase")
+        assert d.find(oracle._signatures(CorrectionOp((("Ucz", (0, 1)),)).matrix(2)[None])) == [-1]
+
+    @pytest.mark.parametrize("num_wires,vocabulary", [(1, "pauli_phase"), (2, "full"), (3, "full")])
+    def test_rows_and_ops_built_on_demand_match_the_whole_dictionary(self, num_wires, vocabulary):
+        d = oracle.correction_dictionary(num_wires, vocabulary)
+        positions = np.arange(len(d.ops))[::-7]
+        assert np.array_equal(d.rows(positions), d.matrices[positions])
+        assert [d.ops[k] for k in positions.tolist()] == list(d.ops)[::-7]
+        assert d.ops[-1] == d.ops[len(d.ops) - 1] and d.ops[:2] == [d.ops[0], d.ops[1]]
+        with pytest.raises(IndexError):
+            d.ops[len(d.ops)]
 
     @pytest.mark.parametrize("vocabulary", ["pauli_phase", "full"])
     def test_shared_signature_still_confirms_each_recovery(self, vocabulary):
@@ -681,7 +706,7 @@ class TestDictionary:
         perturbed[np.abs(perturbed) == 0] += 0.1  # same signature, not a match
         stack = np.stack([d.matrices[k], perturbed])
         sigs = oracle._signatures(stack)
-        assert np.array_equal(sigs[0], sigs[1])
+        assert sigs[0] == sigs[1]
         assert oracle._name_recoveries(stack, d, {}) == [d.ops[k], None]
 
     def test_full_three_wire_includes_entanglers(self):
@@ -731,10 +756,10 @@ class TestDictionary:
         # The dictionary is sorted by the composed keys, so the k-th smallest
         # composed key is the key of the k-th op.
         d = oracle.correction_dictionary(num_wires, vocabulary)
-        prefixes = oracle._entangler_prefixes(num_wires) if vocabulary == "full" else [()]
-        keys = oracle._sort_keys(oracle._canonical_tails(), prefixes, num_wires)
+        keys = oracle._sort_keys(d.tails, d.prefixes, num_wires)
         assert len(keys) == len(d.ops)
-        assert sorted(keys) == [(op.weight, op.render(num_wires)) for op in d.ops]
+        assert sorted(keys) == [chr(op.weight) + op.render(num_wires) for op in d.ops]
+        assert sorted(keys) == sorted(keys, key=lambda key: (ord(key[0]), key[1:]))
 
 
 def _reference_decompose(r: np.ndarray, num_wires: int) -> CorrectionOp | None:
@@ -805,18 +830,38 @@ def _reference_decompose(r: np.ndarray, num_wires: int) -> CorrectionOp | None:
     return op
 
 
+def _draw_word(data, num_wires: int) -> tuple:
+    """A random product of vocabulary factors in any order on any wires."""
+    factors = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        name = data.draw(
+            st.sampled_from(["sx", "sz", "Up", "Ucz", "Ucx"])
+            if num_wires >= 2
+            else st.sampled_from(["sx", "sz", "Up"])
+        )
+        if name in ("Ucz", "Ucx"):
+            pair = data.draw(st.permutations(range(num_wires)).map(lambda p: tuple(p[:2])))
+            factors.append((name, pair))
+        else:
+            factors.append((name, (data.draw(st.integers(0, num_wires - 1)),)))
+    return tuple(factors)
+
+
 class TestDecomposeMonomial:
     def test_matches_the_loop_reference_on_derivation_recoveries(self, monkeypatch):
         fed = []
         decompose = oracle.decompose_monomial
-        monkeypatch.setattr(
-            oracle, "decompose_monomial", lambda r, n: fed.append((r.copy(), n)) or decompose(r, n)
-        )
+
+        def spy(stack, n):
+            results = decompose(stack, n)
+            fed.extend((r.copy(), n, result) for r, result in zip(stack, results))
+            return results
+
+        monkeypatch.setattr(oracle, "decompose_monomial", spy)
         for pattern in (catalog.fredkin_pattern(), catalog.toffoli_pattern()):
             oracle.derive_corrections_with_failures(pattern)
         assert len(fed) == 224  # all from fredkin; toffoli's are dictionary hits
-        for r, n in fed:
-            op, mat = decompose(r, n)
+        for r, n, (op, mat) in fed:
             assert op == _reference_decompose(r, n)
             assert np.array_equal(mat, op.matrix(n))
 
@@ -832,15 +877,19 @@ class TestDecomposeMonomial:
             np.zeros((8, 8), dtype=complex),
         ]
         for r in cases:
-            assert oracle.decompose_monomial(r, 3) is None
             assert _reference_decompose(r, 3) is None
+        # One success among the rejections: each matrix of a stack is judged on its own.
+        word = CorrectionOp((("Ucx", (2, 0)), ("Up", (1,))))
+        results = oracle.decompose_monomial(np.array(cases + [word.matrix(3)]), 3)
+        assert results[:-1] == [None] * len(cases)
+        assert results[-1][0] == _reference_decompose(word.matrix(3), 3)
 
     def test_round_trips_vocabulary_products(self):
         rng = np.random.default_rng(5)
         d = oracle.correction_dictionary(3, "full")
-        for idx in rng.choice(len(d.ops), size=25, replace=False):
-            mat = d.matrices[idx] * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            op, op_mat = oracle.decompose_monomial(mat, 3)
+        picks = rng.choice(len(d.ops), size=25, replace=False)
+        mats = d.matrices[picks] * np.exp(1j * rng.uniform(0, 2 * np.pi, size=25))[:, None, None]
+        for mat, (op, op_mat) in zip(mats, oracle.decompose_monomial(mats, 3)):
             assert np.array_equal(op_mat, op.matrix(3))
             assert oracle._equal_up_to_phase(op_mat, mat)
 
@@ -850,45 +899,50 @@ class TestDecomposeMonomial:
         # Any product of vocabulary factors in any order on any wires must
         # decompose back to an equivalent operator.
         num_wires = data.draw(st.integers(1, 3))
-        length = data.draw(st.integers(0, 6))
-        factors = []
-        for _ in range(length):
-            name = data.draw(
-                st.sampled_from(["sx", "sz", "Up", "Ucz", "Ucx"])
-                if num_wires >= 2
-                else st.sampled_from(["sx", "sz", "Up"])
-            )
-            if name in ("Ucz", "Ucx"):
-                pair = data.draw(
-                    st.permutations(range(num_wires)).map(lambda p: tuple(p[:2]))
-                )
-                factors.append((name, pair))
-            else:
-                wire = data.draw(st.integers(0, num_wires - 1))
-                factors.append((name, (wire,)))
         phase = np.exp(1j * data.draw(st.floats(0, 2 * np.pi)))
-        mat = CorrectionOp(tuple(factors)).matrix(num_wires) * phase
-        op, op_mat = oracle.decompose_monomial(mat, num_wires)
+        mat = CorrectionOp(_draw_word(data, num_wires)).matrix(num_wires) * phase
+        [(op, op_mat)] = oracle.decompose_monomial(mat[None], num_wires)
         assert np.array_equal(op_mat, op.matrix(num_wires))
         assert oracle._equal_up_to_phase(op_mat, mat)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_naming_gives_the_first_equivalent_op_or_the_reference_factorization(self, data):
+        # Words repeat with other phases in one stack, so the memo is both
+        # filled and reused within a call, and again by a second call.
+        d = oracle.correction_dictionary(3, "full")
+        words = [_draw_word(data, 3) for _ in range(data.draw(st.integers(1, 3)))]
+        picks = data.draw(st.lists(st.integers(0, len(words) - 1), min_size=1, max_size=6))
+        phases = np.exp(1j * np.array([data.draw(st.floats(0, 2 * np.pi)) for _ in picks]))
+        stack = np.array([CorrectionOp(words[i]).matrix(3) for i in picks]) * phases[:, None, None]
+        expected = []
+        for r in stack:
+            # The plain linear scan over the dictionary in order.
+            same = np.flatnonzero(oracle._equal_up_to_phase(d.matrices, r))
+            expected.append(d.ops[same[0]] if same.size else _reference_decompose(r, 3))
+        factored = {}
+        assert oracle._name_recoveries(stack, d, factored) == expected
+        assert oracle._name_recoveries(stack, d, factored) == expected
+
     def test_bare_controlled_x_between_first_wires(self):
         mat = CorrectionOp((("Ucx", (0, 1)),)).matrix(3)
-        op, op_mat = oracle.decompose_monomial(mat, 3)
+        [(op, op_mat)] = oracle.decompose_monomial(mat[None], 3)
         assert np.array_equal(op_mat, op.matrix(3))
         assert oracle._equal_up_to_phase(op_mat, mat)
 
     def test_hadamard_is_out_of_vocabulary(self):
-        assert oracle.decompose_monomial(np.kron(HADAMARD, np.eye(4)), 3) is None
+        assert oracle.decompose_monomial(np.kron(HADAMARD, np.eye(4))[None], 3) == [None]
 
     def test_cubic_phase_is_out_of_vocabulary(self):
         ccz = np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex)
-        assert oracle.decompose_monomial(ccz, 3) is None
+        assert oracle.decompose_monomial(ccz[None], 3) == [None]
 
     def test_fredkin_derivation_builds_each_correction_matrix_once(self, monkeypatch):
-        # A cold derivation builds 31 matrices for the three-wire full
-        # dictionary and one per factorization, the one its confirmation
-        # compares; the factorization memo keeps that one.
+        # A cold derivation builds 16 matrices for the three-wire full
+        # dictionary, one per entangler-prefix candidate, and one per
+        # factorization, the one its confirmation compares; the
+        # factorization memo keeps that one. Dense dictionary products
+        # built 255.
         calls = []
         matrix = CorrectionOp.matrix
         monkeypatch.setattr(CorrectionOp, "matrix", lambda op, n: calls.append(1) or matrix(op, n))
@@ -896,7 +950,20 @@ class TestDecomposeMonomial:
         pattern = catalog.fredkin_pattern()
         oracle.outcome_maps(pattern)
         oracle.derive_corrections_with_failures(pattern)
-        assert len(calls) == 255
+        assert len(calls) == 16 + 224
+
+    def test_dictionary_length_builds_no_op_and_no_matrix(self, monkeypatch):
+        built = []
+        op = oracle.CorrectionDictionary.__getitem__
+        monkeypatch.setattr(oracle.CorrectionDictionary, "__getitem__", lambda d, k: built.append(k) or op(d, k))
+        oracle.correction_dictionary.cache_clear()
+        d = oracle.correction_dictionary(3, "full")
+        assert len(d.ops) == 7680
+        assert built == [] and "matrices" not in vars(d)
+        assert d.ops[7679].render(3) == (
+            "Ucx[1,2]Ucx[2,1]Ucx[1,2]Ucx[0,1]Ucx[0,2]Ucz[0,1]Ucz[0,2](sz.sx x sz.sx x sz.sx)"
+        )
+        assert built == [7679]
 
 
 class TestSingleQubit:
