@@ -94,14 +94,19 @@ def resolve_pattern(args) -> tuple[GatePattern, list[str], oracle.VariantSelecti
 
 
 def _emit(args, text_fn, json_fn, csv_fn=None) -> None:
+    """Write the output in the chosen format: each function returns the
+    text, or an iterable of its pieces, which are written as they come.
+    Text and JSON end with a newline."""
     if args.format == "json":
-        print(json_fn())
+        out, end = json_fn(), "\n"
     elif args.format == "csv":
         if csv_fn is None:
             raise PatternFormatError("csv output is not available for this command")
-        sys.stdout.write(csv_fn())
+        out, end = csv_fn(), ""
     else:
-        print(text_fn())
+        out, end = text_fn(), "\n"
+    sys.stdout.writelines([out] if isinstance(out, str) else out)
+    sys.stdout.write(end)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +228,8 @@ def cmd_verify(args) -> int:
     _emit(
         args,
         lambda: reports.render_verification(report),
-        lambda: reports.verification_to_json(report),
-        lambda: reports.verification_to_csv(report),
+        lambda: reports.verification_json_pieces(report),
+        lambda: reports.verification_csv_pieces(report),
     )
     return EXIT_PASS if report.passed else EXIT_FAIL
 

@@ -102,13 +102,14 @@ class DerivationError(RuntimeError):
 _BLOCK = 256
 
 
-def _register(pattern: GatePattern) -> tuple[np.ndarray, list[int]]:
-    """Full register states for every computational-basis input, as a
-    C-contiguous tensor of shape (1, 2, ..., 2, d_in) with one axis per
-    qubit, plus that qubit order: the first group's qubits lead, in group
-    order, and the others follow in input-then-resource order. Each entry
-    is its input amplitude times each resource amplitude in resource order,
-    the products np.kron forms, broadcast straight into that layout."""
+def _register_factors(pattern: GatePattern) -> tuple[list[np.ndarray], list[int]]:
+    """The factors whose broadcast product is the register of every
+    computational-basis input, plus its qubit order: the first group's
+    qubits lead, in group order, and the others follow in input-then-resource
+    order. The placed input identity comes first and each resource follows
+    in resource order, as np.kron multiplies them. Each factor has one axis
+    per qubit, of size 2 on its own qubits and 1 elsewhere, then its columns
+    (d_in for the identity, 1 for a resource)."""
     dim = 1 << len(pattern.input_wires)
     built = list(pattern.input_wires) + [q for qubits, _ in pattern.resources for q in qubits]
     lead = list(pattern.groups[0].qubits) if pattern.groups else []
@@ -124,12 +125,32 @@ def _register(pattern: GatePattern) -> tuple[np.ndarray, list[int]]:
             shape[axis[q]] = 2
         return t.reshape(shape)
 
-    t = placed(pattern.input_wires, np.eye(dim, dtype=complex), dim)
-    for wires, state in pattern.resources:
-        factor = placed(wires, state.amps, 1)
-        out = np.empty(np.broadcast_shapes(t.shape, factor.shape), dtype=complex)
-        t = np.multiply(t, factor, out=out)
-    return np.ascontiguousarray(t)[None], qubits
+    factors = [placed(pattern.input_wires, np.eye(dim, dtype=complex), dim)]
+    factors += [placed(wires, state.amps, 1) for wires, state in pattern.resources]
+    return factors, qubits
+
+
+def _register_rows(factors: list[np.ndarray], k: int, rows: np.ndarray) -> np.ndarray:
+    """The register's rows at the given indices over its k leading qubits
+    (the first most significant), as an array of shape (rows, 2, ..., 2,
+    d_in) over the other qubits. Each entry is its input amplitude times
+    each resource amplitude in resource order: the products np.kron forms,
+    broadcast straight into that layout, so a row holds the same bits
+    whichever other rows are built with it."""
+    bits = (rows[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    t = None
+    for factor in factors:
+        # The factor's row for an index reads the index's bits on its own
+        # leading qubits.
+        own = [a for a in range(k) if factor.shape[a] == 2]
+        at = bits[:, own] @ (1 << np.arange(len(own) - 1, -1, -1))
+        part = factor.reshape(-1, *factor.shape[k:])[at]
+        if t is None:
+            t = part
+        else:
+            out = np.empty(np.broadcast_shapes(t.shape, part.shape), dtype=complex)
+            t = np.multiply(t, part, out=out)
+    return t
 
 
 # The contraction gathers at most this many amplitudes at a time (but always
@@ -196,23 +217,30 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
     label order, as arrays of shape (outcomes, 2^num_outputs, d_in): column
     j holds the residual output amplitudes for basis input j.
 
-    The register's first-group axes lead, so its rows for a chunk of the
-    first group's basis rows are a view. Each chunk goes through every
-    later group and the output-axis order on its own; only the register is
-    register-sized. Each group's nonzero plan is made once for its whole
-    basis, so every entry is the same sum however the rows are chunked.
+    The register's first-group qubits lead, and the first group's basis
+    rows stream in chunks. A chunk builds only the register rows its
+    nonzero plan reads, contracts them, and goes through every later group
+    and the output-axis order on its own, so no array is register-sized.
+    Each group's nonzero plan is made once for its whole basis, so every
+    entry is the same sum however the rows are chunked.
     """
-    t, qubits = _register(pattern)
-    dim = t.shape[-1]
+    factors, qubits = _register_factors(pattern)
+    dim = factors[0].shape[-1]
     steps = [(g.qubits, _plan(g.basis.vectors)) for g in pattern.groups]
+    k = len(steps[0][0]) if steps else 0
     rows = pattern.groups[0].size if steps else 1
-    step = max(1, _GATHER * rows // t.size)
+    step = max(1, _GATHER * rows // ((1 << len(qubits)) * dim))
     for lo in range(0, rows, step):
-        chunk, left = t, qubits
-        # The first group contracts only this chunk of its rows.
-        for measured, (index, coeffs) in steps[:1]:
-            plan = index[lo:lo + step], coeffs[lo:lo + step]
-            chunk, left = _measure(chunk, left, measured, plan)
+        if steps:
+            index, coeffs = steps[0][1]
+            index = index[lo:lo + step]
+            needed, at = np.unique(index, return_inverse=True)
+            flat = _register_rows(factors, k, needed).reshape(1, len(needed), -1)
+            chunk = _contract(at.reshape(index.shape), coeffs[lo:lo + step], flat)
+        else:
+            chunk = _register_rows(factors, 0, np.zeros(1, dtype=np.intp))
+        left = qubits[k:]
+        chunk = chunk.reshape([-1] + [2] * len(left) + [dim])
         for measured, plan in steps[1:]:
             chunk, left = _measure(chunk, left, measured, plan)
         perm = [left.index(w) + 1 for w in pattern.output_wires]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import product
@@ -213,13 +213,18 @@ class OutcomeLayout:
     def key(self, position: int) -> OutcomeKey:
         return self.keys_at([position])[0]
 
-    def texts(self, positions=None) -> list[str]:
-        """``format_key`` of the keys at ``positions`` (of every key when
-        None), joined from one text per label."""
-        parts = [list(map(_label_text, labels)) for labels in self.labels]
-        if positions is None:
-            return list(map(";".join, product(*parts)))
+    def _label_texts(self) -> list[list[str]]:
+        return [list(map(_label_text, labels)) for labels in self.labels]
+
+    def texts(self, positions) -> list[str]:
+        """``format_key`` of the keys at ``positions``, joined from one text
+        per label."""
+        parts = self._label_texts()
         return [";".join(map(list.__getitem__, parts, d)) for d in self._digits(positions)]
+
+    def iter_texts(self) -> Iterator[str]:
+        """``format_key`` of every key in position order, one at a time."""
+        return map(";".join, product(*self._label_texts()))
 
     def sorted_positions(self) -> np.ndarray:
         """Every position, in the sorted order of its key."""

@@ -8,6 +8,7 @@ flag and the minimum fidelity bit-exactly.
 from __future__ import annotations
 
 import json
+from itertools import islice
 
 import numpy as np
 
@@ -73,27 +74,50 @@ def verification_to_doc(report: VerificationReport) -> dict:
     return doc
 
 
-def verification_to_json(report: VerificationReport) -> str:
-    """The report with its per-outcome grid as JSON: the bytes
-    ``dumps`` writes for the headline fields plus an ``outcomes`` list of
-    {fidelities, labels, probabilities} per outcome (NaN fidelities as
-    null). The grid is joined from one text per distinct cell value and
-    one list text per (map, correction) pair row."""
+# The JSON and CSV writers yield one piece of text per this many outcomes.
+_WRITE_BLOCK = 256
+
+
+def _outcome_blocks(report: VerificationReport):
+    """Each block of at most ``_WRITE_BLOCK`` consecutive outcomes as
+    (first position, pair rows, label texts)."""
+    labels = report.layout.iter_texts()
+    for lo in range(0, len(report.layout), _WRITE_BLOCK):
+        pairs = report.pair_of[lo:lo + _WRITE_BLOCK].tolist()
+        yield lo, pairs, list(islice(labels, len(pairs)))
+
+
+def verification_json_pieces(report: VerificationReport):
+    """The report with its per-outcome grid as JSON, in pieces of one block
+    of outcomes each: the bytes ``dumps`` writes for the headline fields
+    plus an ``outcomes`` list of {fidelities, labels, probabilities} per
+    outcome (NaN fidelities as null). The grid is joined from one text per
+    distinct cell value and one list text per (map, correction) pair row."""
     doc = verification_to_doc(report)
     doc["outcomes"] = None
     # Only top-level keys start a line with one space of indent, so the
     # placeholder is found exactly once.
     head, tail = dumps(doc).split('\n "outcomes": null', 1)
+    if not len(report.layout):
+        yield f'{head}\n "outcomes": []{tail}'
+        return
     fids = [_json_list(row) for row in _cell_texts(report.pair_fidelities, _json_fidelity)]
     probs = [_json_list(row) for row in _cell_texts(report.pair_probabilities, json.dumps)]
-    rows = [
-        '  {\n   "fidelities": ' + fids[p]
-        + ',\n   "labels": ' + json.dumps(label)
-        + ',\n   "probabilities": ' + probs[p] + "\n  }"
-        for p, label in zip(report.pair_of.tolist(), report.layout.texts())
-    ]
-    grid = "[\n" + ",\n".join(rows) + "\n ]" if rows else "[]"
-    return f'{head}\n "outcomes": {grid}{tail}'
+    yield f'{head}\n "outcomes": ['
+    for lo, pairs, labels in _outcome_blocks(report):
+        rows = [
+            '  {\n   "fidelities": ' + fids[p]
+            + ',\n   "labels": ' + json.dumps(label)
+            + ',\n   "probabilities": ' + probs[p] + "\n  }"
+            for p, label in zip(pairs, labels)
+        ]
+        yield (",\n" if lo else "\n") + ",\n".join(rows)
+    yield "\n ]" + tail
+
+
+def verification_to_json(report: VerificationReport) -> str:
+    """:func:`verification_json_pieces` joined."""
+    return "".join(verification_json_pieces(report))
 
 
 def _json_list(texts: list[str]) -> str:
@@ -162,19 +186,24 @@ def render_table_diff(diff: TableDiff) -> str:
     )
 
 
-def verification_to_csv(report: VerificationReport) -> str:
+def verification_csv_pieces(report: VerificationReport):
+    """The report's per-outcome grid as CSV lines, one per (outcome, input)
+    cell after a header line, in pieces of one block of outcomes each."""
     fids = _cell_texts(report.pair_fidelities, _csv_fidelity)
     probs = _cell_texts(report.pair_probabilities, _f)
     # Each pair row's cells once, as the lines' tails after the outcome.
     tails = [
-        [f",{label},{prob},{fid}" for label, prob, fid in zip(report.input_labels, p, f)]
+        [f",{label},{prob},{fid}\n" for label, prob, fid in zip(report.input_labels, p, f)]
         for p, f in zip(probs, fids)
     ]
-    lines = ["outcome,input,probability,fidelity"]
-    for p, label in zip(report.pair_of.tolist(), report.layout.texts()):
-        outcome = f"\"{label}\""
-        lines.extend(outcome + tail for tail in tails[p])
-    return "\n".join(lines) + "\n"
+    yield "outcome,input,probability,fidelity\n"
+    for _, pairs, labels in _outcome_blocks(report):
+        yield "".join(f'"{label}"' + tail for p, label in zip(pairs, labels) for tail in tails[p])
+
+
+def verification_to_csv(report: VerificationReport) -> str:
+    """:func:`verification_csv_pieces` joined."""
+    return "".join(verification_csv_pieces(report))
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,8 @@ class TestExitCodes:
 
     def test_closed_stdout_exits_141_silently(self):
         # The report is far larger than a pipe buffer, so the writer is
-        # still writing when the reader closes its end.
+        # still streaming its pieces when the reader closes its end, and the
+        # broken pipe comes between two of them.
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(telegate.__file__))}
         argv = ["verify", "--pattern", "chain-cz", "--n", "3", "--format", "json"]
         proc = subprocess.Popen(

@@ -5,16 +5,19 @@ The digests are sha256 of the standard output of each command run with
 walked in blocks. Every printed fidelity and probability is written with
 ``repr``, so a digest changes if any computed value moves by one ulp.
 """
+import argparse
 import dataclasses
 import hashlib
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from telegate import catalog, oracle, reports
+from telegate import catalog, cli, oracle, reports
 from telegate.cli import main
-from telegate.patterns import CorrectionOp, CorrectionTable
+from telegate.patterns import CorrectionOp, CorrectionTable, OutcomeLayout, format_key
 
 GOLDEN = [
     ("verify --pattern single-qubit", 0, "4180b90ade33b9f20ebc3d56812b3fc400c19398326717d7b4aa24bc4534014c"),
@@ -116,25 +119,108 @@ def _derived(pattern):
     return oracle.verify_pattern(pattern, corrections=oracle.derive_corrections(pattern))
 
 
+def _empty_grid():
+    report = oracle.verify_pattern(catalog.phase_gate_pattern())
+    return dataclasses.replace(report, layout=OutcomeLayout(((),)), pair_of=np.arange(0))
+
+
 REPORTS = {
     "phase": lambda: oracle.verify_pattern(catalog.phase_gate_pattern()),
     "phase-special-values": _phase_with_special_values,
     "cnot": lambda: _derived(catalog.cnot_pattern()),
     "chain-cz-3": lambda: _derived(catalog.chain_cz_pattern(3)),
     "cz-mismatched-identity": _all_identity_loss_demo,
+    "empty-grid": _empty_grid,
 }
 
 
+def _whole_json(report):
+    """The report's JSON written as one document, the bytes the streamed
+    writer must reproduce."""
+    doc = reports.verification_to_doc(report)
+    doc["outcomes"] = [
+        {
+            "fidelities": [None if f != f else f for f in fids],
+            "labels": format_key(key),
+            "probabilities": probs,
+        }
+        for key, fids, probs in zip(
+            report.outcome_keys, report.fidelities.tolist(), report.probabilities.tolist()
+        )
+    ]
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+def _whole_csv(report):
+    lines = ["outcome,input,probability,fidelity"]
+    for key, fids, probs in zip(report.outcome_keys, report.fidelities, report.probabilities):
+        lines += [
+            f'"{format_key(key)}",{label},{float(p)!r},{"" if f != f else repr(float(f))}'
+            for label, p, f in zip(report.input_labels, probs, fids)
+        ]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(REPORTS))
-def test_grid_writers_match_json_and_repr(name):
+def test_grid_writers_match_json_and_repr(monkeypatch, name):
     report = REPORTS[name]()
     if name == "cz-mismatched-identity":
         assert np.isnan(report.fidelities).sum() == 128
     text = reports.verification_to_json(report)
     assert text == json.dumps(json.loads(text), indent=1, sort_keys=True)
+    assert text == _whole_json(report)
     rows = reports.verification_to_csv(report).splitlines()[1:]
     assert len(rows) == report.fidelities.size
     for row, prob, fid in zip(rows, report.probabilities.ravel(), report.fidelities.ravel()):
         cells = row.rsplit(",", 2)
         assert cells[1] == repr(float(prob))
         assert cells[2] == ("" if np.isnan(fid) else repr(float(fid)))
+    # Blocks of 3 outcomes end every grid here on a partial block.
+    outcomes = len(report.layout)
+    assert outcomes % 3 or not outcomes
+    blocks = -(-outcomes // 3)
+    monkeypatch.setattr(reports, "_WRITE_BLOCK", 3)
+    pieces = list(reports.verification_json_pieces(report))
+    assert len(pieces) == (blocks + 2 if outcomes else 1)
+    assert "".join(pieces) == text
+    pieces = list(reports.verification_csv_pieces(report))
+    assert len(pieces) == blocks + 1
+    assert "".join(pieces) == _whole_csv(report)
+
+
+class _ByteCount:
+    """A text stream that keeps only the number of bytes written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text.encode("utf-8"))
+        return len(text)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_streams_reports_in_pieces_far_smaller_than_the_report(monkeypatch, fmt):
+    # chain-cz n=5 writes 18 MB of JSON or 29 MB of CSV; the CLI writes each
+    # block of outcomes as it is rendered, so no report-sized text exists.
+    report = _derived(catalog.chain_cz_pattern(5))
+    sink = _ByteCount()
+    monkeypatch.setattr(sys, "stdout", sink)
+    args = argparse.Namespace(format=fmt)
+    tracemalloc.start()
+    try:
+        cli._emit(
+            args,
+            None,
+            lambda: reports.verification_json_pieces(report),
+            lambda: reports.verification_csv_pieces(report),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 16 * 2**20
+    assert peak < sink.size / 4
