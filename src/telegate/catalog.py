@@ -246,6 +246,8 @@ def pi8_gate_pattern() -> GatePattern:
 # ---------------------------------------------------------------------------
 
 BASIS_KINDS = ("ghz", "pm")
+# The controlled-Z linking pairs by name, and the pair state each names.
+CZ_RESOURCES = {"h": "h", "bell": "phi+", "product": "product"}
 
 
 def _cz_alpha_group(kind: str) -> MeasurementGroup:
@@ -285,32 +287,20 @@ def cz_layout_pattern(
     return _finished(pattern)
 
 
-def controlled_z_pattern(resource_row: str = "h") -> GatePattern:
-    """The two compatible controlled-Z rows: H-type linking pair with
-    all-GHZ bases, or Bell linking pair with the plus/minus-linked first
-    basis (Bell output pairs in both rows)."""
-    if resource_row == "h":
-        return cz_layout_pattern("h", "phi+", "phi+", "ghz", name="cz")
-    if resource_row == "bell":
-        return cz_layout_pattern("phi+", "phi+", "phi+", "pm", name="cz-bell")
-    raise PatternFormatError(
-        f"unknown controlled-Z row {resource_row!r}; choose 'h' or 'bell'"
+def controlled_z_pattern(
+    resource: str = "h", basis: str | None = None, name: str | None = None
+) -> GatePattern:
+    """Controlled-Z through linking pair ``resource`` (h, bell or product)
+    and first-group ``basis`` (ghz or pm), named ``cz[resource,basis]``
+    unless ``name`` is given. The basis defaults to the one that matches
+    the pair, pm for bell and ghz otherwise: only those rows keep every
+    input component (a product pair matches neither)."""
+    if resource not in CZ_RESOURCES:
+        raise PatternFormatError(f"unknown linking pair {resource!r}; choose from {tuple(CZ_RESOURCES)}")
+    basis = basis or ("pm" if resource == "bell" else "ghz")
+    return cz_layout_pattern(
+        CZ_RESOURCES[resource], "phi+", "phi+", basis, name or f"cz[{resource},{basis}]"
     )
-
-
-def cz_mismatched_pattern() -> GatePattern:
-    """Bell linking pair combined with the GHZ basis: loses components."""
-    return cz_layout_pattern("phi+", "phi+", "phi+", "ghz", name="cz-mismatched")
-
-
-def cz_no_link_pattern(alpha_basis: str = "ghz") -> GatePattern:
-    """Controlled-Z wiring with the linking pair left unentangled (|00>).
-
-    Demonstrates that without entanglement between the two measurement
-    groups the gate is impossible: every outcome annihilates input
-    components.
-    """
-    return cz_layout_pattern("product", "phi+", "phi+", alpha_basis, name="cz-no-ee")
 
 
 # The n-pair chain spans 2n + 6 qubits: two inputs, n linking pairs and two
@@ -525,7 +515,7 @@ def swap_pattern() -> GatePattern:
 # Three-qubit gates
 # ---------------------------------------------------------------------------
 
-TOFFOLI_VARIANTS = ("corrected", "literal")
+TOFFOLI_VARIANTS = ("literal", "corrected")
 
 
 def _toffoli_four_leg_resource() -> sv.StateVector:
@@ -683,7 +673,9 @@ def catalog_entries() -> dict[str, dict]:
 
     Each record holds ``factory``, ``params`` (the free arguments, for
     ``list``), ``target`` (the label ``list`` prints) and optionally
-    ``defaults`` (the build arguments when the caller gives none). Patterns
+    ``defaults`` (the build arguments when the caller gives none) and
+    ``flags`` (the CLI flags that set the factory's keyword arguments of the
+    same names; each flag belongs to one entry). Patterns
     with a printed recovery table add ``reference`` (its maker) and
     ``table`` (its number); ``captioned`` makes the same grid read as its
     caption says, where that reading differs.
@@ -694,6 +686,7 @@ def catalog_entries() -> dict[str, dict]:
             "params": "u: 2x2 unitary (defaults to Hadamard at the CLI)",
             "target": "given 2x2 unitary",
             "defaults": {"u": HADAMARD},
+            "flags": ("u",),
         },
         "phase": {
             "factory": phase_gate_pattern,
@@ -713,22 +706,26 @@ def catalog_entries() -> dict[str, dict]:
             "factory": controlled_z_pattern,
             "params": "resource row: h | bell (plus loss-check combinations)",
             "target": "controlled-Z",
+            "flags": ("resource", "basis"),
         },
         "cz-mismatched": {
-            "factory": cz_mismatched_pattern,
+            "factory": controlled_z_pattern,
             "params": "",
             "target": "controlled-Z (incompatible configuration)",
+            "defaults": {"resource": "bell", "basis": "ghz", "name": "cz-mismatched"},
         },
         "cz-no-ee": {
-            "factory": cz_no_link_pattern,
+            "factory": controlled_z_pattern,
             "params": "",
             "target": "controlled-Z (unentangled linking pair)",
+            "defaults": {"resource": "product", "name": "cz-no-ee"},
         },
         "chain-cz": {
             "factory": chain_cz_pattern,
             "params": "n: number of linking pairs",
             "target": "controlled-Z for odd n, identity for even n",
             "defaults": {"n": 1},
+            "flags": ("n",),
         },
         "triple-cz": {
             "factory": triple_cz_pattern,
@@ -761,6 +758,7 @@ def catalog_entries() -> dict[str, dict]:
             "factory": toffoli_pattern,
             "params": "variant: corrected | literal",
             "target": "doubly-controlled-NOT",
+            "flags": ("variant",),
         },
         "fredkin": {
             "factory": fredkin_pattern,

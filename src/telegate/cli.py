@@ -24,10 +24,14 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_PIPE = 141
 
-# The catalog pattern each pattern-specific flag configures.
-_FLAG_PATTERN = {
-    "n": "chain-cz", "variant": "toffoli", "resource": "cz", "basis": "cz", "u": "single-qubit",
-}
+# The pattern flags, in the order they are declared and checked. Each
+# applies only to the catalog entry whose ``flags`` name it.
+PATTERN_FLAGS = ("n", "variant", "resource", "basis", "u")
+
+
+def _flag_owners() -> dict[str, str]:
+    entries = catalog.catalog_entries().items()
+    return {flag: name for name, entry in entries for flag in entry.get("flags", ())}
 
 
 def _load_unitary(path: str) -> np.ndarray:
@@ -35,62 +39,59 @@ def _load_unitary(path: str) -> np.ndarray:
         doc = json.load(fh)
     try:
         u = np.array([[complex(re, im) for re, im in row] for row in doc], dtype=complex)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         u = None
     if u is None or u.shape != (2, 2) or not sv.is_unitary(u):
         raise PatternFormatError(f"{path} does not hold a 2x2 unitary")
     return u
 
 
-def resolve_pattern(args) -> tuple[GatePattern, list[str], oracle.VariantSelection | None]:
+def resolve_pattern(args, select=True) -> tuple[GatePattern, list[str], oracle.VariantSelection | None]:
     """Build the requested pattern; returns it plus report notes, and the
-    variant selection that derived and verified it, if one ran. A flag
-    that does not apply to the requested pattern is a usage error."""
+    variant selection that derived and verified it, if ``select`` and one
+    ran. A flag that does not apply to the requested pattern is a usage error."""
     if args.pattern_file and args.pattern is not None:
         raise PatternFormatError("--pattern and --pattern-file cannot be combined")
-    for flag, owner in _FLAG_PATTERN.items():
-        if getattr(args, flag) is not None and args.pattern != owner:
-            raise PatternFormatError(f"--{flag} applies only to --pattern {owner}")
+    owners = _flag_owners()
+    for flag in PATTERN_FLAGS:
+        if getattr(args, flag) is not None and args.pattern != owners[flag]:
+            raise PatternFormatError(f"--{flag} applies only to --pattern {owners[flag]}")
     if args.pattern_file:
         return load_pattern(args.pattern_file), [], None
     name = args.pattern
     if name is None:
         raise PatternFormatError("one of --pattern or --pattern-file is required")
+    # Every flag set here belongs to this entry's factory.
+    flags = {f: getattr(args, f) for f in PATTERN_FLAGS if getattr(args, f) is not None}
     notes: list[str] = []
-    if name == "single-qubit":
-        if args.u is not None:
-            return catalog.build_pattern(name, u=_load_unitary(args.u)), notes, None
+    # Metadata cannot read a file: --u names one, and the factory takes its matrix.
+    if args.u is not None:
+        flags["u"] = _load_unitary(args.u)
+    elif name == "single-qubit":
         notes.append("no --u given; using the Hadamard gate")
+    # Metadata cannot require --n, add the parity note or set the controlled-Z target.
     if name == "chain-cz":
         if args.n is None:
             raise PatternFormatError("chain-cz needs --n (number of linking pairs)")
-        pattern = catalog.chain_cz_pattern(args.n)
         if args.n % 2 == 0:
             notes.append(
                 "even chain: catalog target is the identity-signed variant; "
                 "verification below runs against controlled-Z (parity law)"
             )
-        return pattern.with_target(CZ), notes, None
-    if name == "cz":
-        resource = args.resource or "h"
-        basis = args.basis or ("pm" if resource == "bell" else "ghz")
-        # argparse restricts --resource to these keys.
-        kinds = {"h": "h", "bell": "phi+", "product": "product"}
-        pattern = catalog.cz_layout_pattern(
-            kinds[resource], "phi+", "phi+", basis, name=f"cz[{resource},{basis}]"
-        )
-        return pattern, notes, None
+        return catalog.build_pattern(name, **flags).with_target(CZ), notes, None
+    # Metadata cannot run the auto selection, which derives and verifies each variant.
     if name == "toffoli":
-        variant = args.variant or "auto"
-        if variant == "auto":
+        variant = flags.pop("variant", "auto")
+        if variant != "auto":
+            notes.append(f"variant {variant} forced by --variant")
+            return catalog.build_pattern(name, variant=variant, validate=False), notes, None
+        if select:
             tol = getattr(args, "tolerance", oracle.FIDELITY_TOL)  # verify alone has the flag
             selection = oracle.select_toffoli_variant(args.seed, tol)
             notes += [f"variant {var}: {text}" for var, text in sorted(selection.record.items())]
             return selection.pattern, notes, selection
-        pattern = catalog.toffoli_pattern(variant, validate=False)
-        notes.append(f"variant {variant} forced by --variant")
-        return pattern, notes, None
-    return catalog.build_pattern(name), notes, None
+        # Unselected, auto is the default: the literal variant fails basis validation alone.
+    return catalog.build_pattern(name, **flags), notes, None
 
 
 def _emit(args, text_fn, json_fn, csv_fn=None) -> None:
@@ -267,7 +268,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_loss_check(args) -> int:
-    pattern, notes, _ = resolve_pattern(args)
+    pattern, _, _ = resolve_pattern(args, select=False)
     report = oracle.detect_information_loss(pattern, seed=args.seed)
     _emit(
         args,
@@ -375,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify measurement-based quantum gate patterns.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    owners = _flag_owners()
 
     def add_common(p, pattern_args=True):
         p.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED)
@@ -382,18 +384,21 @@ def build_parser() -> argparse.ArgumentParser:
         if pattern_args:
             p.add_argument("--pattern", help="catalog pattern name")
             p.add_argument("--pattern-file", help="pattern document path")
-            p.add_argument("--n", type=int, help="chain length for chain-cz")
+            p.add_argument("--n", type=int, help=f"chain length for {owners['n']}")
             p.add_argument(
                 "--variant",
-                choices=("literal", "corrected", "auto"),
-                help="three-control basis variant for toffoli",
+                choices=(*catalog.TOFFOLI_VARIANTS, "auto"),
+                help=f"three-control basis variant for {owners['variant']}",
             )
             p.add_argument(
-                "--resource", choices=("h", "bell", "product"),
-                help="linking-pair state for cz",
+                "--resource", choices=tuple(catalog.CZ_RESOURCES),
+                help=f"linking-pair state for {owners['resource']}",
             )
-            p.add_argument("--basis", choices=("ghz", "pm"), help="first-group basis for cz")
-            p.add_argument("--u", help="JSON file with a 2x2 unitary for single-qubit")
+            p.add_argument(
+                "--basis", choices=catalog.BASIS_KINDS,
+                help=f"first-group basis for {owners['basis']}",
+            )
+            p.add_argument("--u", help=f"JSON file with a 2x2 unitary for {owners['u']}")
 
     p = sub.add_parser("list", help="list the pattern catalog")
     add_common(p, pattern_args=False)

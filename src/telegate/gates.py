@@ -60,11 +60,3 @@ def random_state(num_qubits: int, rng: np.random.Generator, min_amp: float = 0.0
         amps /= np.linalg.norm(amps)
         if min_amp == 0.0 or np.min(np.abs(amps)) >= min_amp:
             return amps
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))

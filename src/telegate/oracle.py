@@ -254,20 +254,21 @@ def _classify(chunks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.
     bytes, so they share a class only if their bytes are equal: -0.0 and
     +0.0, or entries one ulp apart, stay apart."""
     firsts: dict[bytes, int] = {}
-    owners, distinct = [], []
+    owners = []
     start = 0
     for chunk in chunks:
         # One bytes object per map, straight from a void view of the chunk.
         keys = chunk.reshape(len(chunk), -1).view(np.dtype((np.void, chunk[0].nbytes)))
-        own = np.fromiter(
+        owners.append(np.fromiter(
             map(firsts.setdefault, keys.ravel().tolist(), count(start)),
             dtype=np.intp, count=len(chunk),
-        )
-        distinct.append(chunk[own == np.arange(start, start + len(chunk))])
-        owners.append(own)
+        ))
         start += len(chunk)
-    reps, classes = np.unique(np.concatenate(owners), return_inverse=True)
-    return np.concatenate(distinct), reps, classes
+    # The keys are the distinct maps' bytes, and the first outcomes come in
+    # increasing order, so each outcome's class is its owner's rank.
+    reps = np.fromiter(firsts.values(), dtype=np.intp, count=len(firsts))
+    distinct = np.frombuffer(b"".join(firsts), dtype=chunk.dtype).reshape(-1, *chunk.shape[1:])
+    return distinct, reps, np.searchsorted(reps, np.concatenate(owners))
 
 
 class OutcomeMaps(Mapping):
@@ -346,7 +347,7 @@ def enumerate_outcomes(pattern: GatePattern, input_state: sv.StateVector) -> lis
     maps = outcome_maps(pattern)
     _, classes = maps.classes
     branches = maps.distinct @ input_state.amps
-    keys = pattern.outcome_keys
+    keys = list(pattern.layout)
     num_out = len(pattern.output_wires)
     table = CorrectionTable.from_entries(pattern.corrections or (), pattern.layout)
     mats, op_index = table.matrices(num_out), table.index
@@ -870,9 +871,8 @@ class VerificationReport:
     Outcomes with the same (map, correction) pair have equal rows, so the
     grid is kept once per pair: outcome i (position i of ``layout``) has
     row ``pair_of[i]`` of ``pair_fidelities`` and ``pair_probabilities``.
-    :attr:`outcome_keys`, :attr:`fidelities` and :attr:`probabilities`
-    gather the full per-outcome lists and (outcomes, inputs) grids on
-    first access.
+    :attr:`fidelities` gathers the full (outcomes, inputs) grid on first
+    access.
     """
 
     pattern: str
@@ -896,18 +896,9 @@ class VerificationReport:
     notes: list[str] = field(default_factory=list)
 
     @cached_property
-    def outcome_keys(self) -> list[OutcomeKey]:
-        return list(self.layout)
-
-    @cached_property
     def fidelities(self) -> np.ndarray:
         """(outcomes, inputs) fidelities, NaN where the branch has zero probability."""
         return self.pair_fidelities[self.pair_of]
-
-    @cached_property
-    def probabilities(self) -> np.ndarray:
-        """(outcomes, inputs) branch probabilities."""
-        return self.pair_probabilities[self.pair_of]
 
 
 def default_inputs(dim: int, seed: int) -> tuple[np.ndarray, list[str]]:
@@ -1158,15 +1149,12 @@ def parity_experiment(max_n: int, seed: int = DEFAULT_SEED) -> list[ParityResult
 class VariantSelection:
     """The toffoli variant shown (the first that verifies, else the last
     built, else the last tried), its derived table and report (None if
-    rejected first) and each variant's record; unpacks as (pattern, table, record)."""
+    rejected first) and each variant's record."""
 
     pattern: GatePattern
     table: CorrectionTable | None
     report: VerificationReport | None
     record: dict[str, str]
-
-    def __iter__(self):
-        return iter((self.pattern, self.table, self.record))
 
 
 def select_toffoli_variant(
@@ -1175,12 +1163,12 @@ def select_toffoli_variant(
     """Try both transcriptions of the first three-control group basis, each
     derived and verified once. The literal one cannot form a complete
     orthonormal basis and is rejected before simulation."""
-    from .catalog import toffoli_pattern
+    from .catalog import TOFFOLI_VARIANTS, toffoli_pattern
     from .patterns import validate_pattern
 
     record: dict[str, str] = {}
     selected = built = None
-    for variant in ("literal", "corrected"):
+    for variant in TOFFOLI_VARIANTS:
         pattern = toffoli_pattern(variant, validate=False)
         try:
             validate_pattern(pattern)

@@ -15,6 +15,7 @@ that number.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from collections.abc import Iterator, Mapping
@@ -236,8 +237,8 @@ class OutcomeLayout:
 class CorrectionTable(Mapping):
     """The correction of each outcome of ``layout``, kept once per distinct
     op: outcome i gets ``ops[index[i]]`` and has no cell where ``index[i]``
-    is -1. Ops are numbered by first outcome. As a mapping, which
-    ``entries`` names, it reads key -> op over its cells in outcome order.
+    is -1. Ops are numbered by first outcome. As a mapping it reads
+    key -> op over its cells in outcome order.
     """
 
     layout: OutcomeLayout
@@ -275,10 +276,6 @@ class CorrectionTable(Mapping):
             return self
         keys = set(layout)
         return CorrectionTable.from_entries([c for c in self.items() if c[0] in keys], layout)
-
-    @property
-    def entries(self) -> "CorrectionTable":
-        return self
 
     def matrices(self, num_wires: int) -> np.ndarray:
         """Each op's matrix, stacked as (len(ops), d, d)."""
@@ -338,12 +335,6 @@ class GatePattern:
     def layout(self) -> OutcomeLayout:
         """The outcomes of the groups, one label per group."""
         return OutcomeLayout(tuple(g.labels for g in self.groups))
-
-    @property
-    def outcome_keys(self) -> list[OutcomeKey]:
-        """Every key of :attr:`layout` in position order, for writers of
-        one record per outcome."""
-        return list(self.layout)
 
     def with_target(self, target: np.ndarray) -> "GatePattern":
         return replace(self, target=np.asarray(target, dtype=complex), corrections=None)
@@ -456,27 +447,6 @@ def _validate_corrections(pattern: GatePattern) -> None:
             )
 
 
-def patterns_equal(a: GatePattern, b: GatePattern, atol: float = sv.ATOL_AMP) -> bool:
-    """Structural equality up to amplitude tolerance (names ignored)."""
-    if (
-        a.num_qubits != b.num_qubits
-        or a.input_wires != b.input_wires
-        or a.output_wires != b.output_wires
-        or len(a.resources) != len(b.resources)
-        or len(a.groups) != len(b.groups)
-    ):
-        return False
-    for (qa, sa), (qb, sb) in zip(a.resources, b.resources):
-        if qa != qb or not np.allclose(sa.amps, sb.amps, atol=atol):
-            return False
-    for ga, gb in zip(a.groups, b.groups):
-        if ga.qubits != gb.qubits or ga.labels != gb.labels:
-            return False
-        if not np.allclose(ga.basis.vectors, gb.basis.vectors, atol=atol):
-            return False
-    return bool(np.allclose(a.target, b.target, atol=atol))
-
-
 # ---------------------------------------------------------------------------
 # Pattern document format (JSON)
 # ---------------------------------------------------------------------------
@@ -499,10 +469,15 @@ def _state_of(terms: list[dict], num_qubits: int, where: str) -> sv.StateVector:
             bits = term["bits"]
         except (KeyError, TypeError, ValueError) as exc:
             raise PatternFormatError(f"malformed term in {where}: {term!r}") from exc
-        parsed.append((complex(re, im), bits))
+        coeff = complex(re, im)
+        if not cmath.isfinite(coeff):
+            raise PatternFormatError(f"non-finite coefficient in {where}: {term!r}")
+        parsed.append((coeff, bits))
     try:
-        return sv.from_ket_expression(num_qubits, parsed)
-    except (sv.UsageError, sv.DegenerateStateError) as exc:
+        # Finite coefficients can still overflow once summed and squared.
+        with np.errstate(over="raise", invalid="raise"):
+            return sv.from_ket_expression(num_qubits, parsed)
+    except (sv.UsageError, sv.DegenerateStateError, FloatingPointError) as exc:
         raise PatternFormatError(f"bad state in {where}: {exc}") from exc
 
 
@@ -621,7 +596,7 @@ def pattern_from_document(doc: dict) -> GatePattern:
         )
     except (PatternFormatError, sv.UsageError):
         raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise PatternFormatError(f"missing or malformed field: {exc}") from exc
     validate_pattern(pattern)
     if cells is not None:

@@ -50,8 +50,8 @@ def _csv_fidelity(x: float) -> str:
 
 def verification_to_doc(report: VerificationReport) -> dict:
     """The headline fields of a verification report; the per-outcome grid
-    is written by :func:`verification_to_json` and
-    :func:`verification_to_csv`."""
+    is written by :func:`verification_json_pieces` and
+    :func:`verification_csv_pieces`."""
     doc = {
         "kind": "verification",
         "pattern": report.pattern,
@@ -113,11 +113,6 @@ def verification_json_pieces(report: VerificationReport):
         ]
         yield (",\n" if lo else "\n") + ",\n".join(rows)
     yield "\n ]" + tail
-
-
-def verification_to_json(report: VerificationReport) -> str:
-    """:func:`verification_json_pieces` joined."""
-    return "".join(verification_json_pieces(report))
 
 
 def _json_list(texts: list[str]) -> str:
@@ -199,11 +194,6 @@ def verification_csv_pieces(report: VerificationReport):
     yield "outcome,input,probability,fidelity\n"
     for _, pairs, labels in _outcome_blocks(report):
         yield "".join(f'"{label}"' + tail for p, label in zip(pairs, labels) for tail in tails[p])
-
-
-def verification_to_csv(report: VerificationReport) -> str:
-    """:func:`verification_csv_pieces` joined."""
-    return "".join(verification_csv_pieces(report))
 
 
 # ---------------------------------------------------------------------------

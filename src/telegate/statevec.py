@@ -58,15 +58,6 @@ class StateVector:
         return 1 << self.num_qubits
 
 
-def _as_state(num_qubits: int, amps: np.ndarray) -> StateVector:
-    amps = np.ascontiguousarray(amps, dtype=complex)
-    if amps.shape != (1 << num_qubits,):
-        raise UsageError(
-            f"amplitude array of length {amps.size} does not fit {num_qubits} qubits"
-        )
-    return StateVector(num_qubits, amps)
-
-
 def bits_to_index(bits: str) -> int:
     if bits and not set(bits) <= {"0", "1"}:
         raise UsageError(f"bitstring {bits!r} contains characters other than 0/1")
@@ -97,6 +88,10 @@ def from_ket_expression(
 def is_unitary(matrix: np.ndarray) -> bool:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        return False
+    # An entry of modulus over 2 puts a diagonal entry of M^dagger M over 4;
+    # refusing it first keeps huge or non-finite entries out of the product.
+    if not (np.abs(matrix) <= 2).all():
         return False
     dim = matrix.shape[0]
     return bool(np.allclose(matrix.conj().T @ matrix, np.eye(dim), atol=ATOL_ORTHO))
@@ -154,9 +149,6 @@ class MeasurementBasis:
     @property
     def size(self) -> int:
         return self.vectors.shape[0]
-
-    def vector(self, index: int) -> StateVector:
-        return _as_state(self.num_qubits, self.vectors[index])
 
 
 def basis_from_states(states: list[StateVector]) -> MeasurementBasis:

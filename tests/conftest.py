@@ -6,7 +6,8 @@ from telegate import catalog, oracle
 
 @pytest.fixture(scope="session")
 def toffoli_selected():
-    return oracle.select_toffoli_variant()
+    selection = oracle.select_toffoli_variant()
+    return selection.pattern, selection.table, selection.record
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,9 @@ import pytest
 
 from telegate import catalog, oracle, reports, tables
 from telegate import statevec as sv
-from telegate.gates import CZ, double_cz, random_state, random_unitary
+from telegate.gates import CZ, double_cz, random_state
+
+from reference import random_unitary
 
 SEED = oracle.DEFAULT_SEED
 TOL = 1e-9
@@ -83,11 +85,11 @@ def test_criterion_3_controlled_z_rows_and_information_loss():
         pattern = catalog.controlled_z_pattern(row)
         table = oracle.derive_corrections(pattern)
         report = oracle.verify_pattern(pattern, corrections=table, seed=SEED)
-        assert len(report.outcome_keys) == 64
+        assert len(report.layout) == 64
         assert report.passed and report.min_fidelity >= 1 - TOL
 
     # Incompatible configuration: Bell linking pair with the GHZ basis.
-    mismatched = catalog.cz_mismatched_pattern()
+    mismatched = catalog.build_pattern("cz-mismatched")
     maps = oracle.outcome_maps(mismatched)
     rng = np.random.default_rng(SEED)
     c = random_state(2, rng, 1e-6)
@@ -147,7 +149,7 @@ def test_criterion_5_triple_cz():
     rng = np.random.default_rng(SEED)
     inputs, labels = _random_inputs(3, 10, rng)
     report = _verify_over(pattern, table, inputs, labels)
-    assert len(report.outcome_keys) == 512
+    assert len(report.layout) == 512
     assert report.min_fidelity >= 1 - TOL
     print(f"criterion 5: PASS - 512 outcome triples x 10 random inputs, "
           f"min fidelity {report.min_fidelity:.15f}")
@@ -156,7 +158,7 @@ def test_criterion_5_triple_cz():
 def test_criterion_6_controlled_phase(cphase_derived):
     pattern, table = cphase_derived
     report = oracle.verify_pattern(pattern, corrections=table, seed=SEED)
-    assert len(report.outcome_keys) == 64
+    assert len(report.layout) == 64
     assert report.passed and report.min_fidelity >= 1 - TOL
 
     worked = table[((0, 0, "+"), (0, 1, "+"))]
@@ -181,7 +183,7 @@ def test_criterion_7_cnot_and_swap(cnot_derived, swap_derived):
         inputs = np.hstack([np.eye(dim, dtype=complex), rand])
         labels = [f"|{i:02b}>" for i in range(dim)] + rand_labels
         report = _verify_over(pattern, table, inputs, labels)
-        assert len(report.outcome_keys) == 128
+        assert len(report.layout) == 128
         assert len(table) == 128
         assert report.min_fidelity >= 1 - TOL
         diff = oracle.compare_tables(table, printed, 2)
@@ -202,7 +204,7 @@ def test_criterion_8_toffoli(toffoli_selected):
     rng = np.random.default_rng(SEED)
     inputs, labels = _random_inputs(3, 10, rng)
     report = _verify_over(pattern, table, inputs, labels)
-    assert len(report.outcome_keys) == 16 * 16 * 8
+    assert len(report.layout) == 16 * 16 * 8
     assert report.min_fidelity >= 1 - TOL
     worked = table[((0, 1, 1, "-"), (0, 1, 0, "-"), (1, 1, "-"))]
     assert worked.render(3) == "sx x sz x sx"
@@ -234,7 +236,7 @@ def test_criterion_8_fredkin(fredkin_partial):
     rng = np.random.default_rng(SEED)
     inputs, labels = _random_inputs(3, 10, rng)
     report = _verify_over(pattern, table, inputs, labels)
-    assert len(report.outcome_keys) == 32 * 16 * 16
+    assert len(report.layout) == 32 * 16 * 16
     assert report.min_fidelity >= 1 - TOL
 
 
@@ -281,7 +283,7 @@ def test_criterion_9_engine_properties():
         rep = oracle.verify_pattern(p, corrections=t, seed=SEED)
         return (
             reports.render_verification(rep),
-            reports.verification_to_json(rep),
+            "".join(reports.verification_json_pieces(rep)),
         )
 
     assert render_once() == render_once()

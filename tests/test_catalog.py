@@ -5,7 +5,9 @@ import pytest
 from telegate import catalog
 from telegate import statevec as sv
 from telegate.gates import CZ, HADAMARD, double_cz
-from telegate.patterns import PatternFormatError, patterns_equal
+from telegate.patterns import PatternFormatError
+
+from reference import patterns_equal
 
 ALL_NAMES = [
     "single-qubit", "phase", "pi8", "cz", "cz-mismatched", "cz-no-ee",
@@ -67,6 +69,39 @@ def test_shipped_correction_tables_are_total():
 
 def test_chain_one_reduces_to_base_cz():
     assert patterns_equal(catalog.chain_cz_pattern(1), catalog.controlled_z_pattern("h"))
+
+
+@pytest.mark.parametrize(
+    "args,name,layout",
+    [
+        ((), "cz[h,ghz]", ("h", "ghz")),
+        (("bell",), "cz[bell,pm]", ("phi+", "pm")),
+        (("bell", "ghz"), "cz[bell,ghz]", ("phi+", "ghz")),
+        (("product", "pm"), "cz[product,pm]", ("product", "pm")),
+    ],
+)
+def test_controlled_z_builder_defaults_the_matching_basis(args, name, layout):
+    pattern = catalog.controlled_z_pattern(*args)
+    assert pattern.name == name
+    pair, basis = layout
+    assert patterns_equal(pattern, catalog.cz_layout_pattern(pair, "phi+", "phi+", basis))
+
+
+def test_cz_entries_are_one_builder_with_defaults():
+    assert catalog.build_pattern("cz").name == "cz[h,ghz]"
+    mismatched, unlinked = catalog.build_pattern("cz-mismatched"), catalog.build_pattern("cz-no-ee")
+    assert mismatched.name == "cz-mismatched" and unlinked.name == "cz-no-ee"
+    assert patterns_equal(mismatched, catalog.controlled_z_pattern("bell", "ghz"))
+    assert patterns_equal(unlinked, catalog.controlled_z_pattern("product", "ghz"))
+    with pytest.raises(PatternFormatError, match="unknown linking pair 'phi[+]'"):
+        catalog.controlled_z_pattern("phi+")
+
+
+def test_each_cli_flag_belongs_to_one_entry():
+    from telegate.cli import PATTERN_FLAGS
+
+    owned = [f for entry in catalog.catalog_entries().values() for f in entry.get("flags", ())]
+    assert sorted(owned) == sorted(PATTERN_FLAGS)
 
 
 def test_chain_registers_grow_by_pairs():

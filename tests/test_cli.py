@@ -1,5 +1,8 @@
 """CLI contract: exit codes, formats, round-trips, byte stability."""
+import contextlib
+import copy
 import csv
+import functools
 import io
 import json
 import os
@@ -8,11 +11,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import telegate
 from telegate import catalog, oracle, reports
 from telegate.cli import main
-from telegate.patterns import format_key, pattern_to_document
+from telegate.patterns import format_key, pattern_from_document, pattern_to_document
 
 
 def run(capsys, *argv):
@@ -183,6 +187,19 @@ MALFORMED_INPUTS = {
     "repeated-group-label-with-cells": (
         "--pattern-file", (("groups", 0, "vectors", 1, "label"), [1], catalog.phase_gate_pattern),
     ),
+    # Numbers a float cannot hold, or that overflow once summed, squared or
+    # multiplied; JSON's Infinity and NaN are read as floats.
+    "overflowing-coefficient": ("--pattern-file", (("resources", 0, "terms", 0, "coeff"), [10**400, 0])),
+    "infinite-coefficient": (
+        "--pattern-file", (("groups", 0, "vectors", 0, "terms", 0, "coeff"), [float("inf"), 0]),
+    ),
+    "nan-coefficient": ("--pattern-file", (("resources", 0, "terms", 0, "coeff"), [float("nan"), 0])),
+    "coefficient-square-overflows": ("--pattern-file", (("resources", 0, "terms", 0, "coeff"), [1e300, 0])),
+    "infinite-qubit-count": ("--pattern-file", (("num_qubits",), float("inf"))),
+    "infinite-qubit-index": ("--pattern-file", (("resources", 0, "qubits", 0), float("inf"))),
+    "huge-target-entry": ("--pattern-file", (("target", "entries", 0, 0), [1e300, 0])),
+    "overflowing-unitary": ("--u", [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]),
+    "huge-unitary-entry": ("--u", [[[1e300, 0], [0, 0]], [[0, 0], [1, 0]]]),
     "ragged-unitary": ("--u", [[[1, 0], [0, 0]], [[0, 0]]]),
     "object-unitary": ("--u", {"a": 1}),
     "directory-pattern-file": ("--pattern-file", DIRECTORY),
@@ -284,6 +301,77 @@ def test_group_vector_count_is_checked_before_any_vector_is_built(capsys, tmp_pa
 )
 def test_malformed_document_is_one_line_usage_error_for_derive(capsys, tmp_path, case):
     _run_malformed(capsys, tmp_path, "derive", case)
+
+
+@functools.cache
+def _catalog_document(name):
+    return json.dumps(pattern_to_document(catalog.build_pattern(name)))
+
+
+def _nodes(node, path=()):
+    """Every (path, value) of a JSON document, the root first."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for step, child in children:
+        yield from _nodes(child, (*path, step))
+
+
+# Numbers past what a float or an index can hold come up rarely on their own.
+EXTREME_NUMBERS = st.sampled_from([float("inf"), float("-inf"), float("nan"), 2**64, -(10**400), 1e308])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | EXTREME_NUMBERS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A catalog pattern's document with one or two nodes replaced by a JSON
+    value or by a copy of another node, deleted, or repeated in their list."""
+    doc = json.loads(_catalog_document(draw(st.sampled_from(sorted(catalog.catalog_entries())))))
+    for _ in range(draw(st.integers(1, 2))):
+        nodes = list(_nodes(doc))
+        path, node = draw(st.sampled_from(nodes))
+        parent = dict(nodes)[path[:-1]] if path else None
+        actions = ["replace", "copy"] + ["delete"] * bool(path) + ["repeat"] * isinstance(parent, list)
+        action = draw(st.sampled_from(actions))
+        if action == "delete":
+            del parent[path[-1]]
+            continue
+        if action == "replace":
+            value = draw(JSON_VALUES)
+        else:
+            value = copy.deepcopy(draw(st.sampled_from(nodes))[1] if action == "copy" else node)
+        if parent is None:
+            doc = value
+        elif action == "repeat":
+            parent.insert(path[-1], value)
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@settings(max_examples=120, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_never_crash_verify(fuzz_file, doc):
+    # Exit 1 means verification failed, so it needs a document the parser
+    # accepts; any other defect must be a one-line usage error.
+    fuzz_file.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--pattern-file", str(fuzz_file)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        pattern_from_document(json.loads(fuzz_file.read_text()))
 
 
 class TestList:
@@ -519,6 +607,18 @@ class TestLossCheck:
         code, out, _ = run(capsys, "loss-check", "--pattern", "cz-no-ee")
         assert code == 0
         assert "LOSSY" in out
+
+    def test_toffoli_auto_neither_derives_nor_verifies(self, capsys, monkeypatch):
+        # The loss check reads no table or verdict, so the auto variant is the
+        # one basis validation leaves, with nothing derived or verified.
+        calls = []
+        for name in ("derive_corrections", "verify_pattern"):
+            fn = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name, lambda *a, fn=fn, **k: calls.append(fn) or fn(*a, **k))
+        code, out, err = run(capsys, "loss-check", "--pattern", "toffoli")
+        assert (code, err) == (0, "") and "not lossy" in out
+        assert calls == []
+        assert run(capsys, "loss-check", "--pattern", "toffoli", "--variant", "corrected") == (0, out, "")
 
     def test_json_loss_report(self, capsys):
         code, out, _ = run(

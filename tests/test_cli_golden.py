@@ -70,16 +70,18 @@ def test_block_boundaries_do_not_change_results(monkeypatch, make):
     pattern = make()
     table, failures, report, loss = _everything(pattern)
     monkeypatch.setattr(oracle, "_BLOCK", 7)
-    assert len(pattern.outcome_keys) % 7  # the last block is a partial one
+    assert len(pattern.layout) % 7  # the last block is a partial one
     # A fresh pattern, so the maps' classes are found in blocks of 7 too.
     table7, failures7, report7, loss7 = _everything(make())
-    assert table7.entries == table.entries
+    assert table7 == table
     assert list(failures7) == list(failures)
     assert loss7 == loss
     assert np.array_equal(report7.fidelities, report.fidelities, equal_nan=True)
-    assert np.array_equal(report7.probabilities, report.probabilities)
+    assert np.array_equal(
+        report7.pair_probabilities[report7.pair_of], report.pair_probabilities[report.pair_of]
+    )
     for name in (
-        "outcome_keys", "min_fidelity", "worst_outcome", "worst_input",
+        "layout", "min_fidelity", "worst_outcome", "worst_input",
         "zero_probability_outcomes", "suspicious_outcomes", "outcome_probability_range",
         "passed", "notes",
     ):
@@ -91,16 +93,16 @@ def test_block_boundaries_do_not_change_fredkin_derivation(monkeypatch, fredkin_
     _, table, failures = fredkin_partial
     monkeypatch.setattr(oracle, "_BLOCK", 7)
     pattern = catalog.fredkin_pattern()
-    assert len(pattern.outcome_keys) % 7
+    assert len(pattern.layout) % 7
     table7, failures7 = oracle.derive_corrections_with_failures(pattern)
     assert list(failures7) == list(failures)
-    assert table7.entries == table.entries
+    assert table7 == table
 
 
 def _phase_with_special_values():
     # One pair row per outcome, so each special cell sits in one outcome.
     report = oracle.verify_pattern(catalog.phase_gate_pattern())
-    probs = report.probabilities.copy()
+    probs = report.pair_probabilities[report.pair_of]
     probs[0, :4] = [-0.0, np.nan, np.inf, -np.inf]
     fids = report.fidelities.copy()
     fids[1, :3] = [-0.0, np.nan, 5e-324]
@@ -111,7 +113,7 @@ def _phase_with_special_values():
 
 def _all_identity_loss_demo():
     pattern = catalog.build_pattern("cz-mismatched")
-    table = CorrectionTable.from_entries({key: CorrectionOp.identity() for key in pattern.outcome_keys})
+    table = CorrectionTable.from_entries({key: CorrectionOp.identity() for key in pattern.layout})
     return oracle.verify_pattern(pattern, corrections=table, loss_demo=True)
 
 
@@ -145,7 +147,8 @@ def _whole_json(report):
             "probabilities": probs,
         }
         for key, fids, probs in zip(
-            report.outcome_keys, report.fidelities.tolist(), report.probabilities.tolist()
+            report.layout, report.fidelities.tolist(),
+            report.pair_probabilities[report.pair_of].tolist(),
         )
     ]
     return json.dumps(doc, indent=1, sort_keys=True)
@@ -154,7 +157,8 @@ def _whole_json(report):
 def _whole_csv(report):
     """The report's CSV written line by line, one per (outcome, input) cell."""
     lines = ["outcome,input,probability,fidelity"]
-    for key, fids, probs in zip(report.outcome_keys, report.fidelities, report.probabilities):
+    probabilities = report.pair_probabilities[report.pair_of]
+    for key, fids, probs in zip(report.layout, report.fidelities, probabilities):
         lines += [
             f'"{format_key(key)}",{label},{float(p)!r},{"" if f != f else repr(float(f))}'
             for label, p, f in zip(report.input_labels, probs, fids)
@@ -167,10 +171,10 @@ def test_grid_writers_match_json_and_repr(monkeypatch, name):
     report = REPORTS[name]()
     if name == "cz-mismatched-identity":
         assert np.isnan(report.fidelities).sum() == 128
-    text = reports.verification_to_json(report)
+    text = "".join(reports.verification_json_pieces(report))
     assert text == json.dumps(json.loads(text), indent=1, sort_keys=True)
     assert text == _whole_json(report)
-    csv_text = reports.verification_to_csv(report)
+    csv_text = "".join(reports.verification_csv_pieces(report))
     assert csv_text == _whole_csv(report)
     # Blocks of 3 outcomes end every grid here on a partial block.
     outcomes = len(report.layout)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from telegate import catalog, oracle, tables
 from telegate import statevec as sv
-from telegate.gates import CPHASE, CZ, HADAMARD, random_state, random_unitary
+from telegate.gates import CPHASE, CZ, HADAMARD, random_state
 from telegate.patterns import (
     CorrectionOp,
     CorrectionTable,
@@ -16,6 +16,8 @@ from telegate.patterns import (
     pattern_from_document,
     pattern_to_document,
 )
+
+from reference import random_unitary
 
 
 def plus_state():
@@ -67,7 +69,7 @@ class TestEnumeration:
     def test_annihilated_branches_flagged_as_zero_probability(self):
         # The mismatched controlled-Z configuration kills the inner input
         # components, so a pure |01> input never reaches aligned outcomes.
-        pattern = catalog.cz_mismatched_pattern()
+        pattern = catalog.build_pattern("cz-mismatched")
         records = oracle.enumerate_outcomes(pattern, sv.from_ket_expression(2, [(1, "01")]))
         aligned = [r for r in records if r.labels == ((0, 0, "+"), (0, 0, "+"))]
         assert aligned[0].probability <= 1e-12
@@ -108,7 +110,8 @@ class TestEnumerationAgainstNaivePath:
             for gi, idx in enumerate(combo):
                 group = pattern.groups[gi]
                 local = tuple(positions.index(q) for q in group.qubits)
-                p, post = sv.project(state, group.basis.vector(idx), local)
+                vector = sv.StateVector(group.basis.num_qubits, group.basis.vectors[idx])
+                p, post = sv.project(state, vector, local)
                 prob *= p
                 if post is None:
                     alive = False
@@ -160,7 +163,7 @@ class TestOutcomeMaps:
     def test_mapping_follows_outcome_keys_and_stack(self, name):
         pattern = catalog.build_pattern(name)
         maps = oracle.outcome_maps(pattern)
-        keys = pattern.outcome_keys
+        keys = list(pattern.layout)
         reps, classes = maps.classes
         assert list(maps) == keys
         assert len(maps) == len(keys) == len(classes)
@@ -260,7 +263,7 @@ class TestOutcomeMaps:
         )
         pattern = catalog.chain_cz_pattern(3)
         oracle.derive_corrections(pattern)
-        assert len(pattern.outcome_keys) == 1024
+        assert len(pattern.layout) == 1024
         assert sum(rows) == 32
 
 
@@ -502,8 +505,8 @@ class TestBitExactMaps:
 def _full_grid_summaries(report):
     """The report's summaries recomputed from the full (outcomes, inputs)
     grids, the way they were computed before the grids were kept per pair."""
-    fids, probs = report.fidelities, report.probabilities
-    keys = report.outcome_keys
+    fids, probs = report.fidelities, report.pair_probabilities[report.pair_of]
+    keys = list(report.layout)
     finite = np.isfinite(fids)
     if finite.any():
         wo, wi = np.unravel_index(np.where(finite, fids, np.inf).argmin(), fids.shape)
@@ -534,7 +537,7 @@ def _verified(name):
 
 def _all_identity_loss_demo():
     pattern = catalog.build_pattern("cz-mismatched")
-    table = CorrectionTable.from_entries({key: CorrectionOp.identity() for key in pattern.outcome_keys})
+    table = CorrectionTable.from_entries({key: CorrectionOp.identity() for key in pattern.layout})
     return oracle.verify_pattern(pattern, corrections=table, loss_demo=True)
 
 
@@ -544,8 +547,8 @@ def _minimum_in_two_pairs():
     # so the pair of outcome 6 comes before that of outcome 1, although
     # outcome 1 holds the first minimum.
     pattern = catalog.chain_cz_pattern(3)
-    keys = pattern.outcome_keys
-    entries = dict(oracle.derive_corrections(pattern).entries)
+    keys = list(pattern.layout)
+    entries = dict(oracle.derive_corrections(pattern))
     for i in (1, 6):
         entries[keys[i]] = CorrectionOp(entries[keys[i]].factors + (("sx", (0,)),))
     return oracle.verify_pattern(pattern, corrections=CorrectionTable.from_entries(entries))
@@ -579,13 +582,12 @@ class TestPairSummaries:
         holders = np.flatnonzero((masked == report.min_fidelity).any(axis=1))
         firsts = [int(np.argmax(report.pair_of == p)) for p in holders]
         assert len(holders) == 2 and firsts[0] > firsts[1]
-        assert report.worst_outcome == report.outcome_keys[firsts[1]]
+        assert report.worst_outcome == report.layout.key(firsts[1])
 
     def test_grids_are_gathered_from_the_pair_rows(self):
         report = _verified("chain-cz-3")
-        assert len(report.pair_fidelities) == 32 < len(report.outcome_keys) == 1024
+        assert len(report.pair_fidelities) == 32 < len(report.layout) == 1024
         assert np.array_equal(report.fidelities, report.pair_fidelities[report.pair_of])
-        assert np.array_equal(report.probabilities, report.pair_probabilities[report.pair_of])
         assert report.fidelities is report.fidelities
 
     @pytest.mark.parametrize("columns", [1, 2, 30])
@@ -604,8 +606,8 @@ class TestPairSummaries:
         # verifier must carry the cells over to the pattern's layout.
         pattern = catalog.chain_cz_pattern(3)
         table = oracle.derive_corrections(pattern)
-        reordered = CorrectionTable.from_entries(reversed(list(table.entries.items())))
-        assert list(reordered.entries) != pattern.outcome_keys
+        reordered = CorrectionTable.from_entries(reversed(list(table.items())))
+        assert list(reordered) != list(pattern.layout)
         a = oracle.verify_pattern(pattern, corrections=table)
         b = oracle.verify_pattern(pattern, corrections=reordered)
         for f in dataclasses.fields(a):
@@ -998,7 +1000,7 @@ class TestControlledZ:
     def test_mismatched_row_filters_components(self):
         # The incompatible Bell-pair + GHZ-basis configuration keeps only
         # the outer input components on the aligned outcome.
-        pattern = catalog.cz_mismatched_pattern()
+        pattern = catalog.build_pattern("cz-mismatched")
         maps = oracle.outcome_maps(pattern)
         m = maps[((0, 0, "+"), (0, 0, "+"))]
         rng = np.random.default_rng(1)
@@ -1010,7 +1012,7 @@ class TestControlledZ:
         assert fid == pytest.approx(1.0, abs=1e-10)
 
     def test_mismatched_row_is_lossy_naming_inner_components(self):
-        report = oracle.detect_information_loss(catalog.cz_mismatched_pattern())
+        report = oracle.detect_information_loss(catalog.build_pattern("cz-mismatched"))
         assert report.lossy
         aligned = [o for o in report.outcomes if o.key == ((0, 0, "+"), (0, 0, "+"))]
         assert aligned and aligned[0].annihilated == (1, 2)
@@ -1024,7 +1026,7 @@ class TestControlledZ:
 
     def test_unlinked_pattern_lossy_for_both_basis_rows(self):
         for basis in ("ghz", "pm"):
-            report = oracle.detect_information_loss(catalog.cz_no_link_pattern(basis))
+            report = oracle.detect_information_loss(catalog.controlled_z_pattern("product", basis))
             assert report.lossy
 
     @pytest.mark.parametrize("cc,dd", [("psi+", "phi-"), ("phi+", "psi-")])
@@ -1352,14 +1354,14 @@ class TestVerifyMechanics:
 
     def test_missing_entry_names_outcome(self):
         pattern = catalog.phase_gate_pattern()
-        partial = CorrectionTable.from_entries(list(pattern.corrections.entries.items())[:3])
+        partial = CorrectionTable.from_entries(list(pattern.corrections.items())[:3])
         with pytest.raises(oracle.MissingCorrectionError, match=r"\(4\)"):
             oracle.verify_pattern(pattern, corrections=partial)
 
     def test_compare_tables_flags_forced_diff(self):
         pattern = catalog.phase_gate_pattern()
         derived = oracle.derive_corrections(pattern)
-        tampered = dict(derived.entries)
+        tampered = dict(derived)
         key = ((1,),)
         tampered[key] = CorrectionOp((("sx", (0,)),))
         diff = oracle.compare_tables(CorrectionTable.from_entries(tampered), pattern.corrections, 1)
@@ -1368,13 +1370,13 @@ class TestVerifyMechanics:
 
     def test_compare_tables_rejects_key_mismatch(self):
         pattern = catalog.phase_gate_pattern()
-        partial = CorrectionTable.from_entries(list(pattern.corrections.entries.items())[:3])
+        partial = CorrectionTable.from_entries(list(pattern.corrections.items())[:3])
         with pytest.raises(sv.UsageError):
             oracle.compare_tables(partial, pattern.corrections, 1)
 
     def test_wrong_correction_fails_verification(self):
         pattern = catalog.phase_gate_pattern()
-        tampered = dict(pattern.corrections.entries)
+        tampered = dict(pattern.corrections)
         tampered[((2,),)] = CorrectionOp((("sx", (0,)),))
         report = oracle.verify_pattern(pattern, corrections=CorrectionTable.from_entries(tampered))
         assert not report.passed
@@ -1406,7 +1408,7 @@ class TestVerifyMechanics:
             report = oracle.verify_pattern(pattern, corrections=table)
             return (
                 reports.render_verification(report),
-                reports.verification_to_json(report),
+                "".join(reports.verification_json_pieces(report)),
             )
 
         assert run() == run()
@@ -1432,7 +1434,7 @@ class TestVerifyMechanics:
             group.qubits, sv.MeasurementBasis(2, vectors), group.labels + ((5,),)
         )
         rigged_corrections = CorrectionTable.from_entries(
-            {**pattern.corrections.entries, ((5,),): pattern.corrections[((1,),)]}
+            {**pattern.corrections, ((5,),): pattern.corrections[((1,),)]}
         )
         rigged = dataclasses.replace(
             pattern, groups=(rigged_group,), corrections=rigged_corrections

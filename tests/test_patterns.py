@@ -14,10 +14,11 @@ from telegate.patterns import (
     load_pattern,
     pattern_from_document,
     pattern_to_document,
-    patterns_equal,
     save_pattern,
     validate_pattern,
 )
+
+from reference import patterns_equal
 
 
 class TestCorrectionOp:
@@ -88,7 +89,7 @@ class TestCachedFactors:
             tables += [pattern.corrections] if pattern.corrections is not None else []
             n = pattern.num_outputs
             for table in tables:
-                for op in table.entries.values():
+                for op in table.values():
                     assert op.matrix(n).tobytes() == _reference_matrix(op, n).tobytes()
                     checked += 1
         assert checked > 0

@@ -212,7 +212,7 @@ def _dense_gram_report(basis):
 
 def _reference_bases():
     from telegate import catalog
-    from telegate.gates import random_unitary
+    from reference import random_unitary
 
     bases = {}
     for name in catalog.catalog_entries():

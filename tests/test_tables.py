@@ -42,14 +42,14 @@ class TestTotality:
             ("controlled-phase", tables.cphase_table_transposed()),
         ):
             pattern = catalog.build_pattern(name)
-            assert set(table.keys()) == set(pattern.outcome_keys)
+            assert set(table.keys()) == set(pattern.layout)
 
     def test_catalog_metadata_names_each_printed_table_once(self):
         numbered = {}
         for name, entry in catalog.catalog_entries().items():
             if "reference" in entry:
                 pattern = catalog.build_pattern(name)
-                assert set(entry["reference"]().keys()) == set(pattern.outcome_keys)
+                assert set(entry["reference"]().keys()) == set(pattern.layout)
                 numbered[entry["table"]] = name
         assert sorted(numbered) == ["2", "3", "4", "5", "6"]
 
