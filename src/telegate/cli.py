@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -244,26 +245,22 @@ def cmd_derive(args) -> int:
         except oracle.DerivationError as exc:
             text = [f"derivation failed: {exc}"]
             return _failed(args, "correction-table", pattern, notes, text, exc.failures)
-    cells = reports.table_cells(table, pattern.num_outputs)
     if args.out:
         save_pattern(pattern.with_corrections(table), args.out)
         notes.append(f"pattern with derived corrections written to {args.out}")
 
-    def text():
-        lines = [f"derived corrections for {pattern.name} ({len(cells)} outcomes)"]
-        lines += [f"  {key}: {op}" for key, op in cells]
-        lines += [f"note: {n}" for n in notes]
-        return "\n".join(lines)
+    def cells(line: str):
+        """``line`` formatted with each cell's key text and op, one piece per block."""
+        for block in reports.table_cell_blocks(table, pattern.num_outputs):
+            yield "".join(line.format(key, op) for key, op in block)
 
-    def json_text():
-        return reports.dumps(reports.table_to_doc(pattern.name, cells))
-
-    def csv():
-        lines = ["outcome,op"]
-        lines += [f"\"{key}\",\"{op}\"" for key, op in cells]
-        return "\n".join(lines) + "\n"
-
-    _emit(args, text, json_text, csv)
+    head = f"derived corrections for {pattern.name} ({len(table)} outcomes)"
+    _emit(
+        args,
+        lambda: chain([head], cells("\n  {}: {}"), (f"\nnote: {n}" for n in notes)),
+        lambda: reports.table_json_pieces(pattern.name, table, pattern.num_outputs),
+        lambda: chain(["outcome,op\n"], cells('"{}","{}"\n')),
+    )
     return EXIT_PASS
 
 
@@ -289,17 +286,13 @@ def cmd_parity(args) -> int:
     return EXIT_PASS
 
 
+# The sign written before a unit coefficient, by its rounded (real, imag).
+_UNIT_SIGNS = {(1, 0): "+", (-1, 0): "-", (0, 1): "+i", (0, -1): "-i"}
+
+
 def _coeff_str(z: complex, var: str) -> str:
-    table = {
-        (1, 0): f"+{var}",
-        (-1, 0): f"-{var}",
-        (0, 1): f"+i{var}",
-        (0, -1): f"-i{var}",
-    }
-    key = (int(round(z.real)), int(round(z.imag)))
-    if key not in table:
-        return f"+({z.real:+.3f}{z.imag:+.3f}i){var}"
-    return table[key]
+    sign = _UNIT_SIGNS.get((int(round(z.real)), int(round(z.imag))))
+    return f"+({z.real:+.3f}{z.imag:+.3f}i){var}" if sign is None else sign + var
 
 
 def _teleport_state_strings(pattern: GatePattern) -> dict:
@@ -309,12 +302,8 @@ def _teleport_state_strings(pattern: GatePattern) -> dict:
     strings = {}
     for key, m in oracle.outcome_maps(pattern).items():
         scale = 1.0 / np.abs(m).max()
-        out = []
-        for r in range(2):
-            cols = np.flatnonzero(np.abs(m[r]) > sv.SHOWN_AMP)
-            for c in cols:
-                out.append(_coeff_str(m[r, c] * scale, "ab"[c]) + f"|{r}>")
-        text = " ".join(out)
+        shown = zip(*np.nonzero(np.abs(m) > sv.SHOWN_AMP))
+        text = " ".join(_coeff_str(m[r, c] * scale, "ab"[c]) + f"|{r}>" for r, c in shown)
         strings[format_key(key)] = text[1:] if text.startswith("+") else text
     return strings
 
@@ -332,37 +321,37 @@ def cmd_reproduce_table(args) -> int:
     pattern = catalog.build_pattern(table_id)
     derived = oracle.derive_corrections(pattern)
     diff = oracle.compare_tables(derived, entry["reference"](), pattern.num_outputs)
-
-    cells = reports.table_cells(derived, pattern.num_outputs)
-    diffs = {"printed": reports.table_diff_to_doc(diff)}
-    # The tables are small, so every format is built.
+    fields = {"diffs": {"printed": reports.table_diff_to_doc(diff)}}
+    title = f"reference table: {table_id}"
     if pattern.num_outputs == 1:
+        # A one-wire table has four cells, so every format is built.
         states = _teleport_state_strings(pattern)
-        lines = [f"reference table: {table_id}", "outcome | state before recovery | recovery"]
+        cells = [cell for block in reports.table_cell_blocks(derived, 1) for cell in block]
+        lines = [title, "outcome | state before recovery | recovery"]
         lines += [f"  {key:6s}| {states[key]:22s}| {op}" for key, op in cells]
         text = "\n".join(lines + [reports.render_table_diff(diff)])
-        doc = reports.table_to_doc(table_id, cells, diffs)
-        doc["states"] = [{"labels": key, "state": states[key]} for key, _ in cells]
-        rows = [f"\"{key}\",\"{states[key]}\",\"{op}\"" for key, op in cells]
-        csv = "\n".join(["outcome,state,op"] + rows) + "\n"
+        csv = "".join(["outcome,state,op\n", *(f'"{k}","{states[k]}","{op}"\n' for k, op in cells)])
+        fields["states"] = [{"labels": key, "state": states[key]} for key, _ in cells]
     else:
-        footer = (
+        fields["footer"] = footer = (
             "layout: first-group outcomes as rows, second-group outcomes as columns; "
             "the reference prints this split into two half-width blocks"
         )
-        text = reports.render_grid(f"reference table: {table_id}", derived, 2, footer)
-        text += "\n" + reports.render_table_diff(diff)
+        text = reports.render_grid(title, derived, 2, footer) + "\n" + reports.render_table_diff(diff)
         if "captioned" in entry:
             captioned = oracle.compare_tables(derived, entry["captioned"](), 2)
-            diffs["printed-as-captioned"] = reports.table_diff_to_doc(captioned)
+            fields["diffs"]["printed-as-captioned"] = reports.table_diff_to_doc(captioned)
             text += (
                 f"\nprinted grid matches the transposed reading ({diff.mismatch_count}"
                 f"/{diff.total} mismatches) not the captioned one "
                 f"({captioned.mismatch_count}/{captioned.total} mismatches)"
             )
-        doc = reports.table_to_doc(table_id, cells, diffs, footer)
         csv = reports.grid_to_csv(derived, 2)
-    _emit(args, lambda: text, lambda: reports.dumps(doc), lambda: csv)
+
+    def json_pieces():
+        return reports.table_json_pieces(table_id, derived, pattern.num_outputs, **fields)
+
+    _emit(args, lambda: text, json_pieces, lambda: csv)
     return EXIT_PASS
 
 

@@ -203,34 +203,37 @@ class OutcomeLayout:
                 raise KeyError(key) from None
         return index
 
-    def _digits(self, positions) -> list[tuple[int, ...]]:
+    def keys_at(self, positions) -> list[OutcomeKey]:
         positions = np.asarray(positions, dtype=np.intp)
         columns = np.unravel_index(positions, self.shape) if self.labels else ()
-        return list(zip(*(c.tolist() for c in columns))) or [()] * len(positions)
-
-    def keys_at(self, positions) -> list[OutcomeKey]:
-        return [tuple(map(tuple.__getitem__, self.labels, d)) for d in self._digits(positions)]
+        digits = list(zip(*(c.tolist() for c in columns))) or [()] * len(positions)
+        return [tuple(map(tuple.__getitem__, self.labels, d)) for d in digits]
 
     def key(self, position: int) -> OutcomeKey:
         return self.keys_at([position])[0]
 
-    def _label_texts(self) -> list[list[str]]:
-        return [list(map(_label_text, labels)) for labels in self.labels]
-
-    def texts(self, positions) -> list[str]:
-        """``format_key`` of the keys at ``positions``, joined from one text
-        per label."""
-        parts = self._label_texts()
-        return [";".join(map(list.__getitem__, parts, d)) for d in self._digits(positions)]
-
     def iter_texts(self) -> Iterator[str]:
         """``format_key`` of every key in position order, one at a time."""
-        return map(";".join, product(*self._label_texts()))
+        return map(";".join, product(*([_label_text(x) for x in labels] for labels in self.labels)))
+
+    def iter_sorted_texts(self) -> Iterator[str]:
+        """``format_key`` of every key in sorted order, one at a time."""
+        return map(";".join, product(*([_label_text(x) for x in sorted(ls)] for ls in self.labels)))
 
     def sorted_positions(self) -> np.ndarray:
         """Every position, in the sorted order of its key."""
-        orders = [sorted(range(len(labels)), key=labels.__getitem__) for labels in self.labels]
-        return np.arange(len(self)).reshape(self.shape)[np.ix_(*orders)].ravel()
+        return next(self.sorted_position_blocks(len(self) or 1), np.zeros(0, np.intp))
+
+    def sorted_position_blocks(self, size: int) -> Iterator[np.ndarray]:
+        """Every position in the sorted order of its key, ``size`` at a time."""
+        # A sorted rank's digit d for group g stands for that group's d-th
+        # smallest label, whose own digit is orders[g][d].
+        orders = [np.array(sorted(range(len(ls)), key=ls.__getitem__), np.intp) for ls in self.labels]
+        strides = [math.prod(self.shape[g + 1:]) for g in range(len(orders))]
+        for lo in range(0, len(self), size):
+            ranks = np.arange(lo, min(lo + size, len(self)))
+            digits = (o[ranks // s % len(o)] * s for o, s in zip(orders, strides))
+            yield sum(digits, np.zeros_like(ranks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -534,7 +537,9 @@ def pattern_to_document(pattern: GatePattern) -> dict:
 
 def pattern_from_document(doc: dict) -> GatePattern:
     try:
-        name = doc["name"]
+        name, variant = doc["name"], doc.get("variant", "")
+        if not isinstance(name, str) or not isinstance(variant, str):
+            raise PatternFormatError("pattern name and variant must be strings")
         num_qubits = int(doc["num_qubits"])
         if num_qubits > sv.MAX_REGISTER_QUBITS:
             raise PatternFormatError(
@@ -592,7 +597,7 @@ def pattern_from_document(doc: dict) -> GatePattern:
             output_wires=outputs,
             target=target,
             vocabulary=doc.get("vocabulary", "pauli_phase"),
-            variant=doc.get("variant", ""),
+            variant=variant,
         )
     except (PatternFormatError, sv.UsageError):
         raise

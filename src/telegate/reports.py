@@ -74,17 +74,17 @@ def verification_to_doc(report: VerificationReport) -> dict:
     return doc
 
 
-# The JSON and CSV writers yield one piece of text per this many outcomes.
+# Every streamed writer yields one piece of text per this many outcomes.
 _WRITE_BLOCK = 256
 
 
 def _outcome_blocks(report: VerificationReport):
     """Each block of at most ``_WRITE_BLOCK`` consecutive outcomes as
-    (first position, pair rows, label texts)."""
+    (pair rows, label texts)."""
     labels = report.layout.iter_texts()
     for lo in range(0, len(report.layout), _WRITE_BLOCK):
         pairs = report.pair_of[lo:lo + _WRITE_BLOCK].tolist()
-        yield lo, pairs, list(islice(labels, len(pairs)))
+        yield pairs, list(islice(labels, len(pairs)))
 
 
 def verification_json_pieces(report: VerificationReport):
@@ -93,26 +93,35 @@ def verification_json_pieces(report: VerificationReport):
     plus an ``outcomes`` list of {fidelities, labels, probabilities} per
     outcome (NaN fidelities as null). The grid is joined from one text per
     distinct cell value and one list text per (map, correction) pair row."""
-    doc = verification_to_doc(report)
-    doc["outcomes"] = None
-    # Only top-level keys start a line with one space of indent, so the
-    # placeholder is found exactly once.
-    head, tail = dumps(doc).split('\n "outcomes": null', 1)
-    if not len(report.layout):
-        yield f'{head}\n "outcomes": []{tail}'
-        return
     fids = [_json_list(row) for row in _cell_texts(report.pair_fidelities, _json_fidelity)]
     probs = [_json_list(row) for row in _cell_texts(report.pair_probabilities, json.dumps)]
-    yield f'{head}\n "outcomes": ['
-    for lo, pairs, labels in _outcome_blocks(report):
-        rows = [
+    rows = (
+        [
             '  {\n   "fidelities": ' + fids[p]
             + ',\n   "labels": ' + json.dumps(label)
             + ',\n   "probabilities": ' + probs[p] + "\n  }"
             for p, label in zip(pairs, labels)
         ]
-        yield (",\n" if lo else "\n") + ",\n".join(rows)
-    yield "\n ]" + tail
+        for pairs, labels in _outcome_blocks(report)
+    )
+    yield from _json_pieces(verification_to_doc(report), "outcomes", rows)
+
+
+def _json_pieces(doc: dict, key: str, blocks):
+    """``dumps`` of ``doc`` with a list under the top-level ``key``, in
+    pieces: the text before the list, one per non-empty block of item texts
+    (as ``dumps`` writes items two levels deep), and the rest; or one piece
+    when the list is empty."""
+    # Only top-level keys start a line with one space of indent, so the
+    # placeholder is found exactly once.
+    head, tail = dumps({**doc, key: None}).split(f'\n "{key}": null', 1)
+    opened = False
+    for block in filter(None, blocks):
+        if not opened:
+            yield f'{head}\n "{key}": ['
+        yield (",\n" if opened else "\n") + ",\n".join(block)
+        opened = True
+    yield "\n ]" + tail if opened else f'{head}\n "{key}": []{tail}'
 
 
 def _json_list(texts: list[str]) -> str:
@@ -192,7 +201,7 @@ def verification_csv_pieces(report: VerificationReport):
         for p, f in zip(probs, fids)
     ]
     yield "outcome,input,probability,fidelity\n"
-    for _, pairs, labels in _outcome_blocks(report):
+    for pairs, labels in _outcome_blocks(report):
         yield "".join(f'"{label}"' + tail for p, label in zip(pairs, labels) for tail in tails[p])
 
 
@@ -282,27 +291,25 @@ def render_parity(results: list[ParityResult]) -> str:
 # Correction tables
 # ---------------------------------------------------------------------------
 
-def table_cells(table: CorrectionTable, num_wires: int) -> list[tuple[str, str]]:
-    """(key text, op rendering) of every cell, in sorted key order; each
-    distinct op is rendered once."""
-    order = table.layout.sorted_positions()
-    order = order[table.index[order] >= 0]
+def table_cell_blocks(table: CorrectionTable, num_wires: int):
+    """The table's (key text, op rendering) cells in sorted key order, one
+    block per ``_WRITE_BLOCK`` outcomes; each distinct op is rendered once."""
     ops = [op.render(num_wires) for op in table.ops]
-    return list(zip(table.layout.texts(order), (ops[r] for r in table.index[order].tolist())))
+    keys = table.layout.iter_sorted_texts()
+    for positions in table.layout.sorted_position_blocks(_WRITE_BLOCK):
+        # Rows first, so zip stops without drawing a key past the block.
+        pairs = zip(table.index[positions].tolist(), keys)
+        yield [(key, ops[r]) for r, key in pairs if r >= 0]
 
 
-def table_to_doc(name: str, cells: list, diff_docs: dict | None = None, footer: str = "") -> dict:
-    """A correction table's document, from its (key text, op rendering) cells."""
-    doc = {
-        "kind": "correction-table",
-        "name": name,
-        "entries": [{"labels": key, "op": op} for key, op in cells],
-    }
-    if diff_docs:
-        doc["diffs"] = diff_docs
-    if footer:
-        doc["footer"] = footer
-    return doc
+def table_json_pieces(name: str, table: CorrectionTable, num_wires: int, **fields):
+    """A correction table's document in pieces: its ``kind``, ``name`` and
+    ``fields``, and an ``entries`` list of {labels, op} per cell."""
+    blocks = (
+        [f'  {{\n   "labels": {json.dumps(key)},\n   "op": {json.dumps(op)}\n  }}' for key, op in block]
+        for block in table_cell_blocks(table, num_wires)
+    )
+    yield from _json_pieces({"kind": "correction-table", "name": name, **fields}, "entries", blocks)
 
 
 def _grid(table: CorrectionTable, num_wires: int) -> tuple[list, list, list]:
@@ -317,16 +324,14 @@ def _grid(table: CorrectionTable, num_wires: int) -> tuple[list, list, list]:
 def render_grid(title: str, table: CorrectionTable, num_wires: int, footer: str = "") -> str:
     """Render a two-group correction table with one row per first-group outcome."""
     rows, cols, grid = _grid(table, num_wires)
-    widths = [max(map(len, [col, *column])) for col, column in zip(cols, zip(*grid))]
+    widths = [max(map(len, column)) for column in zip(cols, *grid)]
     row_w = max(map(len, rows))
-    lines = [title, " " * row_w + " | " + " | ".join(c.ljust(w) for c, w in zip(cols, widths))]
-    lines += [
+    # The column labels are the first row, under an empty row label.
+    lines = [
         r.ljust(row_w) + " | " + " | ".join(x.ljust(w) for x, w in zip(row, widths))
-        for r, row in zip(rows, grid)
+        for r, row in zip(["", *rows], [cols, *grid])
     ]
-    if footer:
-        lines.append(footer)
-    return "\n".join(lines)
+    return "\n".join([title, *lines, footer] if footer else [title, *lines])
 
 
 def grid_to_csv(table: CorrectionTable, num_wires: int) -> str:

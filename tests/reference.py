@@ -1,8 +1,10 @@
 """Reference helpers the tests compare the engine against."""
+import json
+
 import numpy as np
 
 from telegate import statevec as sv
-from telegate.patterns import GatePattern
+from telegate.patterns import CorrectionTable, GatePattern, format_key
 
 
 def patterns_equal(a: GatePattern, b: GatePattern, atol: float = sv.ATOL_AMP) -> bool:
@@ -32,3 +34,24 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def table_to_doc(name: str, cells: list, diff_docs: dict | None = None, footer: str = "") -> dict:
+    """A correction table's document, from its (key text, op rendering) cells."""
+    doc = {
+        "kind": "correction-table",
+        "name": name,
+        "entries": [{"labels": key, "op": op} for key, op in cells],
+    }
+    if diff_docs:
+        doc["diffs"] = diff_docs
+    if footer:
+        doc["footer"] = footer
+    return doc
+
+
+def table_json(name: str, table: CorrectionTable, num_wires: int, diff_docs=None, footer="") -> str:
+    """A correction table's JSON written as one document, cells in sorted
+    key order: the bytes the streamed table writer must reproduce."""
+    cells = [(format_key(key), op.render(num_wires)) for key, op in sorted(table.items())]
+    return json.dumps(table_to_doc(name, cells, diff_docs, footer), indent=1, sort_keys=True)

@@ -144,6 +144,9 @@ MALFORMED_INPUTS = {
     "list-valued-label": ("--pattern-file", (("groups", 0, "vectors", 0, "label"), [[0, 1]])),
     "sign-in-bit-slot": ("--pattern-file", (("groups", 0, "vectors", 1, "label"), ["+", 0, 0, "+"])),
     "object-vocabulary": ("--pattern-file", (("vocabulary",), {"a": 1})),
+    # A name or variant is printed in every report, so it must be a string.
+    "object-name": ("--pattern-file", (("name",), {"a": [1]}, catalog.phase_gate_pattern)),
+    "list-variant": ("--pattern-file", (("variant",), [1, 2], catalog.phase_gate_pattern)),
     # One correction cell of the phase document (one output wire) names a
     # factor its wires cannot carry.
     "factor-off-the-outputs": (
@@ -360,18 +363,20 @@ def fuzz_file(tmp_path_factory):
 @settings(max_examples=120, deadline=None)
 @given(mutated_documents())
 def test_mutated_documents_never_crash_verify(fuzz_file, doc):
-    # Exit 1 means verification failed, so it needs a document the parser
-    # accepts; any other defect must be a one-line usage error.
+    # Exit 1 means verification or derivation failed, so it needs a document
+    # the parser accepts; any other defect must be a one-line usage error.
+    # derive and loss-check read the same document.
     fuzz_file.write_text(json.dumps(doc))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["verify", "--pattern-file", str(fuzz_file)])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    if code == 2:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    else:
-        pattern_from_document(json.loads(fuzz_file.read_text()))
+    for command in ("verify", "derive", "loss-check"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--pattern-file", str(fuzz_file)])
+        assert code in (0, 1, 2), command
+        assert "Traceback" not in err.getvalue(), command
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, command
+        else:
+            pattern_from_document(json.loads(fuzz_file.read_text()))
 
 
 class TestList:

@@ -19,6 +19,8 @@ from telegate import catalog, cli, oracle, reports
 from telegate.cli import main
 from telegate.patterns import CorrectionOp, CorrectionTable, OutcomeLayout, format_key
 
+from reference import table_json
+
 GOLDEN = [
     ("verify --pattern single-qubit", 0, "4180b90ade33b9f20ebc3d56812b3fc400c19398326717d7b4aa24bc4534014c"),
     ("verify --pattern phase --format json", 0, "3297a706a327d2414de73b50d4ded6092b884f38f5075274e7d9607777be7319"),
@@ -43,6 +45,11 @@ GOLDEN = [
     ("parity --max-n 5", 0, "23689727ce5404362e526851aadcb75b119ac6e64e6d7f22a8df82fb929e0d03"),
     ("list", 0, "de10646bba48656553cd5e8b028268b29008dab51426b3e62bc2c76b09950662"),
     ("verify --pattern fredkin", 1, "608015fb27823b0e94992a0978d33c47438a14323ccda8a877572110c0b5baa2"),
+    # Correction-table writer outputs, pinned from the whole-document writer.
+    ("derive --pattern cnot --format csv", 0, "710741729cfd79381f69260f6f1a2ff36fd21e4c01ad69ea57f8531e7eea3b1b"),
+    ("derive --pattern toffoli --format json", 0, "3f1b5281c03a8a4add844e7db7be1b611b6905a56f984167fb7b9c13b1c04625"),
+    ("reproduce-table --table 4 --format json", 0, "86af386d90f93f8f4adc8ba0889dff13ce1b8397e8dfc7829f9df92b7bf094fd"),
+    ("reproduce-table --table 2 --format csv", 0, "7312ed5c61cc5ea6731789da705723555010aee3109e137433922c95dade671b"),
     # 16384 outcomes: more than one block of the stacked maps.
     ("verify --pattern chain-cz --n 5 --format json", 0, "2a449d3315eedaf7dc4244105571f894874e9b5459f2274994b8a5408f0e52ab"),
 ]
@@ -189,6 +196,48 @@ def test_grid_writers_match_json_and_repr(monkeypatch, name):
     assert "".join(pieces) == csv_text
 
 
+def _with_holes(table):
+    # Every fifth outcome has no cell.
+    holes = np.arange(len(table.layout)) % 5 == 2
+    return CorrectionTable(table.layout, table.ops, np.where(holes, -1, table.index))
+
+
+TABLES = {
+    "phase": lambda: (oracle.derive_corrections(catalog.phase_gate_pattern()), 1),
+    "cnot": lambda: (oracle.derive_corrections(catalog.cnot_pattern()), 2),
+    "triple-cz": lambda: (oracle.derive_corrections(catalog.triple_cz_pattern()), 3),
+    "cnot-with-holes": lambda: (_with_holes(oracle.derive_corrections(catalog.cnot_pattern())), 2),
+    "no-cells": lambda: (CorrectionTable(catalog.cnot_pattern().layout, (), np.full(128, -1)), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_table_writer_matches_the_whole_document(monkeypatch, name):
+    table, width = TABLES[name]()
+    diffs, footer = {"printed": {"mismatch_count": 0, "mismatches": [], "total": len(table)}}, "rows"
+    reference = table_json(name, table, width, diffs, footer)
+    pieces = list(reports.table_json_pieces(name, table, width, diffs=diffs, footer=footer))
+    assert "".join(pieces) == reference
+    # Blocks of 3 outcomes end every table here on a partial block.
+    outcomes = len(table.layout)
+    assert outcomes % 3
+    monkeypatch.setattr(reports, "_WRITE_BLOCK", 3)
+    pieces = list(reports.table_json_pieces(name, table, width, diffs=diffs, footer=footer))
+    assert len(pieces) == (-(-outcomes // 3) + 2 if len(table) else 1)
+    assert "".join(pieces) == reference
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command", ["derive --pattern cnot", "reproduce-table --table 2", "reproduce-table --table 4"])
+def test_table_commands_do_not_depend_on_the_write_block(capsys, monkeypatch, command, fmt):
+    argv = command.split() + ["--format", fmt]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(reports, "_WRITE_BLOCK", 3)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+
+
 class _ByteCount:
     """A text stream that keeps only the number of bytes written to it."""
 
@@ -204,24 +253,43 @@ class _ByteCount:
             self.write(piece)
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_cli_streams_reports_in_pieces_far_smaller_than_the_report(monkeypatch, fmt):
-    # chain-cz n=5 writes 18 MB of JSON or 29 MB of CSV; the CLI writes each
-    # block of outcomes as it is rendered, so no report-sized text exists.
-    report = _derived(catalog.chain_cz_pattern(5))
+@pytest.mark.parametrize(
+    "command,fmt,size",
+    [
+        ("verify", "json", 16 * 2**20),
+        ("verify", "csv", 16 * 2**20),
+        ("derive", "json", 2**20),
+        ("derive", "csv", 2**19),
+        ("derive", "text", 2**19),
+    ],
+    ids=["json", "csv", "derive-json", "derive-csv", "derive-text"],
+)
+def test_cli_streams_reports_in_pieces_far_smaller_than_the_report(monkeypatch, command, fmt, size):
+    # chain-cz n=5 writes 18 MB of JSON or 29 MB of CSV as a verification
+    # report, and 0.7-1.3 MB as a derived table; the CLI writes each block
+    # of outcomes as it is rendered, so no report-sized text exists.
+    pattern = catalog.chain_cz_pattern(5)
+    table = oracle.derive_corrections(pattern)
+    report = oracle.verify_pattern(pattern, corrections=table)
+    # derive runs on the table derived above, so only its writer is measured.
+    monkeypatch.setattr(cli, "resolve_pattern", lambda args: (pattern, [], None))
+    monkeypatch.setattr(oracle, "derive_corrections", lambda p: table)
     sink = _ByteCount()
     monkeypatch.setattr(sys, "stdout", sink)
-    args = argparse.Namespace(format=fmt)
+    args = argparse.Namespace(format=fmt, out=None)
     tracemalloc.start()
     try:
-        cli._emit(
-            args,
-            None,
-            lambda: reports.verification_json_pieces(report),
-            lambda: reports.verification_csv_pieces(report),
-        )
+        if command == "derive":
+            assert cli.cmd_derive(args) == cli.EXIT_PASS
+        else:
+            cli._emit(
+                args,
+                None,
+                lambda: reports.verification_json_pieces(report),
+                lambda: reports.verification_csv_pieces(report),
+            )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sink.size > 16 * 2**20
+    assert sink.size > size
     assert peak < sink.size / 4
