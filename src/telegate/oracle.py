@@ -102,18 +102,16 @@ class DerivationError(RuntimeError):
 _BLOCK = 256
 
 
-def _register_factors(pattern: GatePattern) -> tuple[list[np.ndarray], list[int]]:
+def _register_factors(pattern: GatePattern) -> list[np.ndarray]:
     """The factors whose broadcast product is the register of every
-    computational-basis input, plus its qubit order: the first group's
-    qubits lead, in group order, and the others follow in input-then-resource
-    order. The placed input identity comes first and each resource follows
-    in resource order, as np.kron multiplies them. Each factor has one axis
-    per qubit, of size 2 on its own qubits and 1 elsewhere, then its columns
-    (d_in for the identity, 1 for a resource)."""
+    computational-basis input, its qubits in measurement order: each group's
+    qubits in group order, group after group, then the output wires in
+    output order. The placed input identity comes first and each resource
+    follows in resource order, as np.kron multiplies them. Each factor has
+    one axis per qubit, of size 2 on its own qubits and 1 elsewhere, then
+    its columns (d_in for the identity, 1 for a resource)."""
     dim = 1 << len(pattern.input_wires)
-    built = list(pattern.input_wires) + [q for qubits, _ in pattern.resources for q in qubits]
-    lead = list(pattern.groups[0].qubits) if pattern.groups else []
-    qubits = lead + [q for q in built if q not in lead]
+    qubits = [q for group in pattern.groups for q in group.qubits] + list(pattern.output_wires)
     axis = {q: i for i, q in enumerate(qubits)}
 
     def placed(wires: tuple[int, ...], amps: np.ndarray, columns: int) -> np.ndarray:
@@ -127,7 +125,7 @@ def _register_factors(pattern: GatePattern) -> tuple[list[np.ndarray], list[int]
 
     factors = [placed(pattern.input_wires, np.eye(dim, dtype=complex), dim)]
     factors += [placed(wires, state.amps, 1) for wires, state in pattern.resources]
-    return factors, qubits
+    return factors
 
 
 def _register_rows(factors: list[np.ndarray], k: int, rows: np.ndarray) -> np.ndarray:
@@ -155,8 +153,10 @@ def _register_rows(factors: list[np.ndarray], k: int, rows: np.ndarray) -> np.nd
 
 # The contraction gathers at most this many amplitudes at a time (but always
 # one column of every basis row), and streams the first group's basis rows
-# in chunks of at most this many amplitudes (but always one row), which
-# bounds its temporaries.
+# in chunks that read at most this many register amplitudes and produce at
+# most as many (but always one row). A chunk's working set is then a few
+# such blocks: its register rows and their contraction, or a later group's
+# input and output, plus one gather.
 _GATHER = 1 << 16
 
 
@@ -195,21 +195,23 @@ def _contract(index: np.ndarray, coeffs: np.ndarray, flat: np.ndarray) -> np.nda
                 term = src[:, index[:, s]]
                 term *= coeffs[:, s]
                 acc += term
+                del term
     return out
 
 
-def _measure(
-    t: np.ndarray, qubits: list[int], measured: tuple[int, ...], plan: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, list[int]]:
-    """Contract the measured qubits of an (outcomes, 2, ..., 2, d_in)
-    register with the planned basis rows: every outcome so far becomes one
-    outcome per row. Returns the new register and its qubits."""
-    axes = [qubits.index(q) + 1 for q in measured]
-    k = len(axes)
-    flat = np.moveaxis(t, axes, range(1, k + 1)).reshape(t.shape[0], 1 << k, -1)
-    left = [q for q in qubits if q not in measured]
-    out = _contract(*plan, flat)
-    return out.reshape([-1] + [2] * len(left) + [t.shape[-1]]), left
+def _row_chunks(index: np.ndarray, cap: int) -> Iterator[slice]:
+    """Consecutive chunks of a nonzero plan's basis rows, each the longest
+    run of at most ``cap`` rows that reads at most ``cap`` distinct register
+    rows, but always one row."""
+    lo = 0
+    while lo < len(index):
+        window = index[lo:lo + cap]
+        # Each register row counts at the basis row that reads it first.
+        _, first = np.unique(window, return_index=True)
+        reads = np.bincount(first // window.shape[1], minlength=len(window)).cumsum()
+        hi = lo + max(1, int(np.searchsorted(reads, cap, side="right")))
+        yield slice(lo, hi)
+        lo = hi
 
 
 def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
@@ -217,58 +219,64 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
     label order, as arrays of shape (outcomes, 2^num_outputs, d_in): column
     j holds the residual output amplitudes for basis input j.
 
-    The register's first-group qubits lead, and the first group's basis
-    rows stream in chunks. A chunk builds only the register rows its
-    nonzero plan reads, contracts them, and goes through every later group
-    and the output-axis order on its own, so no array is register-sized.
+    The register's qubits are in measurement order, so each group's qubits
+    lead the axes left when it measures them and the outputs end in output
+    order: every flatten is a reshape, with no copy. The first group's basis
+    rows stream in chunks that read at most ``_GATHER`` register amplitudes
+    and produce at most as many (see :func:`_row_chunks`). A chunk builds
+    only the register rows it reads, contracts and drops them, and goes
+    through every later group on its own, so no array is register-sized.
     Each group's nonzero plan is made once for its whole basis, so every
     entry is the same sum however the rows are chunked.
     """
-    factors, qubits = _register_factors(pattern)
+    factors = _register_factors(pattern)
     dim = factors[0].shape[-1]
-    steps = [(g.qubits, _plan(g.basis.vectors)) for g in pattern.groups]
-    k = len(steps[0][0]) if steps else 0
-    rows = pattern.groups[0].size if steps else 1
-    step = max(1, _GATHER * rows // ((1 << len(qubits)) * dim))
-    for lo in range(0, rows, step):
-        if steps:
-            index, coeffs = steps[0][1]
-            index = index[lo:lo + step]
-            needed, at = np.unique(index, return_inverse=True)
-            flat = _register_rows(factors, k, needed).reshape(1, len(needed), -1)
-            chunk = _contract(at.reshape(index.shape), coeffs[lo:lo + step], flat)
-        else:
-            chunk = _register_rows(factors, 0, np.zeros(1, dtype=np.intp))
-        left = qubits[k:]
-        chunk = chunk.reshape([-1] + [2] * len(left) + [dim])
-        for measured, plan in steps[1:]:
-            chunk, left = _measure(chunk, left, measured, plan)
-        perm = [left.index(w) + 1 for w in pattern.output_wires]
-        yield chunk.transpose([0] + perm + [len(left) + 1]).reshape(chunk.shape[0], -1, dim)
+    if not pattern.groups:
+        yield _register_rows(factors, 0, np.zeros(1, dtype=np.intp)).reshape(1, -1, dim)
+        return
+    (k, (index, coeffs)), *later = [(len(g.qubits), _plan(g.basis.vectors)) for g in pattern.groups]
+    row = dim << (factors[0].ndim - 1 - k)  # amplitudes in one register row
+    for rows in _row_chunks(index, max(1, _GATHER // row)):
+        needed, at = np.unique(index[rows], return_inverse=True)
+        # The register rows the chunk reads, dropped once contracted; the
+        # chunk before goes once they are built.
+        chunk = _register_rows(factors, k, needed).reshape(1, len(needed), row)
+        chunk = _contract(at.reshape(-1, index.shape[1]), coeffs[rows], chunk)
+        for width, plan in later:
+            chunk = _contract(*plan, chunk.reshape(-1, 1 << width, chunk.shape[2] >> width))
+        yield chunk.reshape(-1, chunk.shape[2] // dim, dim)
 
 
-def _classify(chunks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The bitwise-distinct maps among consecutive chunks of maps, in
-    first-occurrence order; the first outcome carrying each; and each
+def _classify(chunks: Iterable[np.ndarray], total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bitwise-distinct maps among consecutive chunks of ``total`` maps,
+    in first-occurrence order; the first outcome carrying each; and each
     outcome's class (its position in that order). Maps are keyed by their
     bytes, so they share a class only if their bytes are equal: -0.0 and
     +0.0, or entries one ulp apart, stay apart."""
     firsts: dict[bytes, int] = {}
-    owners = []
+    classes = np.empty(total, dtype=np.intp)
     start = 0
     for chunk in chunks:
+        end = start + len(chunk)
+        seen = len(firsts)
         # One bytes object per map, straight from a void view of the chunk.
         keys = chunk.reshape(len(chunk), -1).view(np.dtype((np.void, chunk[0].nbytes)))
-        owners.append(np.fromiter(
+        owners = np.fromiter(
             map(firsts.setdefault, keys.ravel().tolist(), count(start)),
             dtype=np.intp, count=len(chunk),
-        ))
-        start += len(chunk)
-    # The keys are the distinct maps' bytes, and the first outcomes come in
-    # increasing order, so each outcome's class is its owner's rank.
+        )
+        # A map first seen here owns its own position and opens the next
+        # class; any other map's owner came before it and is classed already.
+        new = owners == np.arange(start, end)
+        ids = classes[start:end]
+        ids[new] = np.arange(seen, len(firsts))
+        ids[~new] = classes[owners[~new]]
+        start, shape = end, chunk.shape[1:]
+        # Let the chunk go before the next one is contracted.
+        del chunk, keys
     reps = np.fromiter(firsts.values(), dtype=np.intp, count=len(firsts))
-    distinct = np.frombuffer(b"".join(firsts), dtype=chunk.dtype).reshape(-1, *chunk.shape[1:])
-    return distinct, reps, np.searchsorted(reps, np.concatenate(owners))
+    distinct = np.frombuffer(b"".join(firsts), dtype=complex).reshape(-1, *shape)
+    return distinct, reps, classes
 
 
 class OutcomeMaps(Mapping):
@@ -316,7 +324,7 @@ def outcome_maps(pattern: GatePattern) -> OutcomeMaps:
     """
     maps = pattern._memo.get("outcome_maps")
     if maps is None:
-        maps = OutcomeMaps(pattern, *_classify(_map_chunks(pattern)))
+        maps = OutcomeMaps(pattern, *_classify(_map_chunks(pattern), len(pattern.layout)))
         pattern._memo["outcome_maps"] = maps
     return maps
 
@@ -1068,8 +1076,10 @@ def detect_information_loss(pattern: GatePattern, seed: int = DEFAULT_SEED) -> L
     Runs the enumeration on a seeded generic input (all amplitudes bounded
     away from zero), lists outcomes of vanishing probability, and for the
     surviving outcomes reports the rank of the input->output map and which
-    basis inputs it annihilates. A pattern is lossy when a basis-input
-    column vanishes on an outcome of nonzero probability.
+    basis inputs it annihilates. A pattern is lossy when an outcome of
+    nonzero probability annihilates a basis input (its map's column
+    vanishes) or has a rank-deficient map: either way that branch cannot
+    carry every input faithfully.
     """
     dim = 1 << len(pattern.input_wires)
     rng = np.random.default_rng(seed)
@@ -1102,7 +1112,7 @@ def detect_information_loss(pattern: GatePattern, seed: int = DEFAULT_SEED) -> L
     return LossReport(
         pattern=pattern.name,
         seed=seed,
-        lossy=bool(annihilated),
+        lossy=bool(flagged.any()),
         zero_probability_outcomes=maps.layout.keys_at(np.flatnonzero(~live[classes])),
         outcomes=outcomes,
         annihilated_components=annihilated,

@@ -212,13 +212,15 @@ class OutcomeLayout:
     def key(self, position: int) -> OutcomeKey:
         return self.keys_at([position])[0]
 
-    def iter_texts(self) -> Iterator[str]:
-        """``format_key`` of every key in position order, one at a time."""
-        return map(";".join, product(*([_label_text(x) for x in labels] for labels in self.labels)))
+    def iter_texts(self, escape=str) -> Iterator[str]:
+        """``format_key`` of every key in position order, one at a time,
+        each label's text passed through ``escape`` once per label."""
+        return map(";".join, product(*([escape(_label_text(x)) for x in ls] for ls in self.labels)))
 
-    def iter_sorted_texts(self) -> Iterator[str]:
-        """``format_key`` of every key in sorted order, one at a time."""
-        return map(";".join, product(*([_label_text(x) for x in sorted(ls)] for ls in self.labels)))
+    def iter_sorted_texts(self, escape=str) -> Iterator[str]:
+        """``format_key`` of every key in sorted order, one at a time,
+        each label's text passed through ``escape`` once per label."""
+        return map(";".join, product(*([escape(_label_text(x)) for x in sorted(ls)] for ls in self.labels)))
 
     def sorted_positions(self) -> np.ndarray:
         """Every position, in the sorted order of its key."""

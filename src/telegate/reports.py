@@ -78,10 +78,10 @@ def verification_to_doc(report: VerificationReport) -> dict:
 _WRITE_BLOCK = 256
 
 
-def _outcome_blocks(report: VerificationReport):
+def _outcome_blocks(report: VerificationReport, escape=str):
     """Each block of at most ``_WRITE_BLOCK`` consecutive outcomes as
-    (pair rows, label texts)."""
-    labels = report.layout.iter_texts()
+    (pair rows, label texts), each label's text passed through ``escape``."""
+    labels = report.layout.iter_texts(escape)
     for lo in range(0, len(report.layout), _WRITE_BLOCK):
         pairs = report.pair_of[lo:lo + _WRITE_BLOCK].tolist()
         yield pairs, list(islice(labels, len(pairs)))
@@ -92,17 +92,18 @@ def verification_json_pieces(report: VerificationReport):
     of outcomes each: the bytes ``dumps`` writes for the headline fields
     plus an ``outcomes`` list of {fidelities, labels, probabilities} per
     outcome (NaN fidelities as null). The grid is joined from one text per
-    distinct cell value and one list text per (map, correction) pair row."""
+    distinct cell value, one list text per (map, correction) pair row and
+    one escaped text per outcome label."""
     fids = [_json_list(row) for row in _cell_texts(report.pair_fidelities, _json_fidelity)]
     probs = [_json_list(row) for row in _cell_texts(report.pair_probabilities, json.dumps)]
     rows = (
         [
             '  {\n   "fidelities": ' + fids[p]
-            + ',\n   "labels": ' + json.dumps(label)
-            + ',\n   "probabilities": ' + probs[p] + "\n  }"
+            + ',\n   "labels": "' + label
+            + '",\n   "probabilities": ' + probs[p] + "\n  }"
             for p, label in zip(pairs, labels)
         ]
-        for pairs, labels in _outcome_blocks(report)
+        for pairs, labels in _outcome_blocks(report, _json_escaped)
     )
     yield from _json_pieces(verification_to_doc(report), "outcomes", rows)
 
@@ -122,6 +123,12 @@ def _json_pieces(doc: dict, key: str, blocks):
         yield (",\n" if opened else "\n") + ",\n".join(block)
         opened = True
     yield "\n ]" + tail if opened else f'{head}\n "{key}": []{tail}'
+
+
+def _json_escaped(text: str) -> str:
+    """``text`` as ``dumps`` writes it inside a string's quotes. JSON escapes
+    character by character, so joined escaped texts are the escaped join."""
+    return json.dumps(text)[1:-1]
 
 
 def _json_list(texts: list[str]) -> str:
@@ -291,11 +298,12 @@ def render_parity(results: list[ParityResult]) -> str:
 # Correction tables
 # ---------------------------------------------------------------------------
 
-def table_cell_blocks(table: CorrectionTable, num_wires: int):
+def table_cell_blocks(table: CorrectionTable, num_wires: int, escape=str):
     """The table's (key text, op rendering) cells in sorted key order, one
-    block per ``_WRITE_BLOCK`` outcomes; each distinct op is rendered once."""
-    ops = [op.render(num_wires) for op in table.ops]
-    keys = table.layout.iter_sorted_texts()
+    block per ``_WRITE_BLOCK`` outcomes. Each distinct op is rendered, and
+    each label and rendering passed through ``escape``, once."""
+    ops = [escape(op.render(num_wires)) for op in table.ops]
+    keys = table.layout.iter_sorted_texts(escape)
     for positions in table.layout.sorted_position_blocks(_WRITE_BLOCK):
         # Rows first, so zip stops without drawing a key past the block.
         pairs = zip(table.index[positions].tolist(), keys)
@@ -306,8 +314,8 @@ def table_json_pieces(name: str, table: CorrectionTable, num_wires: int, **field
     """A correction table's document in pieces: its ``kind``, ``name`` and
     ``fields``, and an ``entries`` list of {labels, op} per cell."""
     blocks = (
-        [f'  {{\n   "labels": {json.dumps(key)},\n   "op": {json.dumps(op)}\n  }}' for key, op in block]
-        for block in table_cell_blocks(table, num_wires)
+        [f'  {{\n   "labels": "{key}",\n   "op": "{op}"\n  }}' for key, op in block]
+        for block in table_cell_blocks(table, num_wires, _json_escaped)
     )
     yield from _json_pieces({"kind": "correction-table", "name": name, **fields}, "entries", blocks)
 

@@ -37,6 +37,8 @@ GOLDEN = [
     ("derive --pattern triple-cz --format json", 0, "78e571be10395b6c18e9b27872c643c6b82837d666cde879b3e71302c269e9a5"),
     ("loss-check --pattern cz", 0, "1a7f3ab089291e02f661750eae340d61665d1ee252f70fcd7588c10479cfd1a3"),
     ("loss-check --pattern cz --resource bell --basis ghz", 0, "43951fbfee50cb4782e00cade578c4893aced989889df776a37bf9d1221957cc"),
+    # Rank-deficient outcomes alone: lossy, with no annihilated component.
+    ("loss-check --pattern fredkin", 0, "909eeee7df2610eb641826d00985bf2631b1800bef02f59fee31aceb99cd8e52"),
     ("reproduce-table --table 2", 0, "678fde371c776f67b56f7ec54158ac7057ab5f68ebc1985a21c2ab4f45a573fe"),
     ("reproduce-table --table 3 --format json", 0, "2eb5fb57fae320c23549b161c0f7642cf9cb9ee410e657b81e1db87175c69696"),
     ("reproduce-table --table 4", 0, "e0209bfdfd829624509f85a9ac8b13360396360017f22b8b5b808d8456e3a0d5"),

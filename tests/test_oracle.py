@@ -219,7 +219,7 @@ class TestOutcomeMaps:
         # two chunks the way the contraction streams them.
         rows = np.array(rows, dtype=complex)
         chunks = [rows[:cut], rows[cut:]]
-        return oracle.OutcomeMaps(catalog.phase_gate_pattern(), *oracle._classify(chunks))
+        return oracle.OutcomeMaps(catalog.phase_gate_pattern(), *oracle._classify(chunks, len(rows)))
 
     def test_bitwise_equal_maps_share_a_class_in_first_occurrence_order(self):
         a, b = np.eye(2), np.array([[0, 1], [1, 0]])
@@ -500,6 +500,25 @@ class TestBitExactMaps:
         finally:
             tracemalloc.stop()
         assert peak <= register / 3
+
+    @pytest.mark.parametrize("make", [
+        catalog.fredkin_pattern, catalog.toffoli_pattern, CONTRACTED["cz-dense-basis"],
+    ], ids=["fredkin", "toffoli", "cz-dense-basis"])
+    def test_working_set_stays_a_few_gather_blocks(self, make):
+        # Each chunk of the first group's basis rows reads and produces at
+        # most _GATHER register amplitudes, and each step's input goes once
+        # the next step has it, so the contraction holds a few such blocks
+        # besides the distinct maps it keeps (2 MiB for fredkin).
+        import tracemalloc
+
+        pattern = make()
+        tracemalloc.start()
+        try:
+            oracle.outcome_maps(pattern)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * oracle._GATHER * 16
 
 
 def _full_grid_summaries(report):
@@ -1267,6 +1286,10 @@ class TestFredkin:
         report = oracle.detect_information_loss(pattern)
         assert len(report.outcomes) == 4096
         assert all(o.rank == 4 for o in report.outcomes)
+        # No outcome annihilates a basis input; the rank alone makes it lossy.
+        assert report.annihilated_components == []
+        assert all(o.annihilated == () for o in report.outcomes)
+        assert report.lossy
 
 
 def _digest(lines):
