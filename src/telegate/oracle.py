@@ -48,19 +48,15 @@ class MissingCorrectionError(LookupError):
 @dataclass(eq=False)
 class DerivationFailures(Sequence):
     """The outcomes no correction repairs, in outcome order, read as
-    ``(key, reason)``: outcome ``positions[i]`` of ``layout`` fails for the
-    reason of its map's class ``classes[i]``. A class marked ``outside``
-    needs a recovery outside ``vocabulary``; any other map (a row of
-    ``maps``) is not proportional to a unitary, and its rank is computed
-    when its reason is first read."""
+    ``(key, reason)``: outcome ``positions[i]`` of ``maps`` fails for the
+    reason of its map's class. A class marked ``outside`` needs a recovery
+    outside ``vocabulary``; any other failing map is not proportional to a
+    unitary, and its reason names its rank, read from ``maps.facts``."""
 
-    layout: OutcomeLayout
+    maps: OutcomeMaps
     positions: np.ndarray
-    classes: np.ndarray
-    maps: np.ndarray
     outside: np.ndarray
     vocabulary: str
-    _reasons: dict[int, str] = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -68,18 +64,15 @@ class DerivationFailures(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
-        return self.layout.key(self.positions[i]), self.reason(int(self.classes[i]))
+        position = self.positions[i]
+        return self.maps.layout.key(position), self.reason(int(self.maps.classes[1][position]))
 
     def reason(self, c: int) -> str:
         """Why class ``c``'s map has no correction."""
-        if c not in self._reasons:
-            if self.outside[c]:
-                text = f"needed recovery lies outside the {self.vocabulary} vocabulary"
-            else:
-                rank = np.linalg.matrix_rank(self.maps[c], tol=sv.RANK_TOL)
-                text = f"rank {rank}/{self.maps.shape[2]}, not proportional to a unitary"
-            self._reasons[c] = text
-        return self._reasons[c]
+        if self.outside[c]:
+            return f"needed recovery lies outside the {self.vocabulary} vocabulary"
+        rank = self.maps.facts.ranks([c])[0]
+        return f"rank {rank}/{self.maps.distinct.shape[2]}, not proportional to a unitary"
 
 
 class DerivationError(RuntimeError):
@@ -97,8 +90,8 @@ class DerivationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 # Enumeration walks the outcomes this many at a time, and derivation,
-# verification and loss checks walk the distinct maps this many at a time,
-# which bounds their temporaries.
+# verification and the per-map facts walk the distinct maps this many at a
+# time, which bounds their temporaries.
 _BLOCK = 256
 
 
@@ -289,7 +282,8 @@ class OutcomeMaps(Mapping):
     order, the order of the pattern's :attr:`GatePattern.layout`.
     ``maps[key]`` is one row of ``distinct``. Byproduct repairs leave few
     distinct maps among many outcomes, so per-map work runs once per row of
-    ``distinct``.
+    ``distinct``, and what derivation, verification and loss checks decide
+    about a map they read from :attr:`facts`.
     """
 
     def __init__(
@@ -309,6 +303,39 @@ class OutcomeMaps(Mapping):
 
     def __getitem__(self, key: OutcomeKey) -> np.ndarray:
         return self.distinct[self.classes[1][self.layout.position(key)]]
+
+    @cached_property
+    def facts(self) -> MapFacts:
+        """The facts of each distinct map, gathered on first read."""
+        return MapFacts(self.distinct)
+
+
+class MapFacts:
+    """Per-class facts of a (classes, d, d) stack of maps M, from one Gram
+    matrix M†M per map: ``scale`` s = tr(M†M)/d, the mean branch probability;
+    ``zero``, s < ZERO_PROB, the one zero rule; ``unitary``, nonzero and
+    ||M†M - s·I||_F <= SPREAD_TOL·s; and :meth:`ranks`, each read lazily."""
+
+    def __init__(self, distinct: np.ndarray):
+        dim = distinct.shape[2]
+        self.distinct, self.scale = distinct, np.empty(len(distinct))
+        spread = np.empty(len(distinct))
+        for block in _blocks(len(distinct)):
+            gram = distinct[block].conj().transpose(0, 2, 1) @ distinct[block]
+            self.scale[block] = np.real(np.trace(gram, axis1=1, axis2=2)) / dim
+            shifted = gram - self.scale[block, None, None] * np.eye(dim)
+            spread[block] = np.linalg.norm(shifted, axis=(1, 2))
+        self.zero = self.scale < ZERO_PROB
+        self.unitary = ~self.zero & (spread <= sv.SPREAD_TOL * self.scale)
+        self._ranks = np.full(len(distinct), -1)  # -1 until read
+
+    def ranks(self, classes) -> np.ndarray:
+        """Each listed class's rank (its singular values above RANK_TOL), computed once."""
+        todo = np.asarray(classes)[self._ranks[classes] < 0]
+        for block in _blocks(len(todo)):
+            stack = self.distinct[todo[block]]
+            self._ranks[todo[block]] = np.linalg.matrix_rank(stack, tol=sv.RANK_TOL)
+        return self._ranks[classes]
 
 
 def outcome_maps(pattern: GatePattern) -> OutcomeMaps:
@@ -655,48 +682,30 @@ def derive_corrections_with_failures(
     outcomes are filled with the identity."""
     dictionary = correction_dictionary(pattern.num_outputs, pattern.vocabulary)
     maps = outcome_maps(pattern)
+    facts = maps.facts
     reps, classes = maps.classes
     factored: dict[int, tuple[CorrectionOp, np.ndarray]] = {}
     identity = CorrectionOp.identity()
     class_ops = np.full(len(reps), identity, dtype=object)
     outside = np.zeros(len(reps), dtype=bool)
-    failing = np.zeros(len(reps), dtype=bool)
+    # Maps proportional to a unitary need the recovery T·M†/s, T the target.
     # Classes are in first-occurrence order, so decompose_monomial meets the
     # same first recovery per signature as a walk over every outcome would.
-    for block in _blocks(len(reps)):
-        zero, unitary, needed = _needed_corrections(maps.distinct[block], pattern.target)
-        named = _name_recoveries(needed[unitary], dictionary, factored)
-        unnamed = np.zeros(len(zero), dtype=bool)
-        unnamed[unitary] = [op is None for op in named]
-        ops = class_ops[block]
-        ops[unitary] = named
-        ops[unnamed] = identity
-        outside[block] = unnamed
-        failing[block] = unnamed | ~(zero | unitary)
+    unitary = np.flatnonzero(facts.unitary)
+    for block in _blocks(len(unitary)):
+        at = unitary[block]
+        adjoint = maps.distinct[at].conj().transpose(0, 2, 1)
+        needed = pattern.target @ adjoint / facts.scale[at, None, None]
+        named = _name_recoveries(needed, dictionary, factored)
+        outside[at] = [op is None for op in named]
+        class_ops[at] = [identity if op is None else op for op in named]
     # Classes are in first-occurrence order, so ops numbered by first class
     # are numbered by first outcome.
     rows: dict[CorrectionOp, int] = {}
     class_rows = np.array([rows.setdefault(op, len(rows)) for op in class_ops], dtype=np.intp)
-    hits = np.flatnonzero(failing[classes])
-    failures = DerivationFailures(
-        maps.layout, hits, classes[hits], maps.distinct, outside, dictionary.vocabulary
-    )
+    hits = np.flatnonzero((outside | ~(facts.zero | facts.unitary))[classes])
+    failures = DerivationFailures(maps, hits, outside, dictionary.vocabulary)
     return CorrectionTable(maps.layout, tuple(rows), class_rows[classes]), failures
-
-
-def _needed_corrections(maps: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Which maps in a (k, d, d) stack are zero and which are nonzero and
-    proportional to a unitary, both read off the scale s = tr(M†M)/d, and
-    every map's target @ m^{-1} rescaled to a unitary (meaningful only there)."""
-    dim = maps.shape[1]
-    adjoint = maps.conj().transpose(0, 2, 1)
-    gram = adjoint @ maps
-    scale = np.real(np.trace(gram, axis1=1, axis2=2)) / dim
-    spread = np.linalg.norm(gram - scale[:, None, None] * np.eye(dim), axis=(1, 2))
-    zero = scale < ZERO_PROB
-    unitary = ~zero & (spread <= sv.SPREAD_TOL * scale)
-    safe = np.where(unitary, scale, 1.0)
-    return zero, unitary, target @ adjoint / safe[:, None, None]
 
 
 def _name_recoveries(
@@ -945,8 +954,9 @@ def verify_pattern(
     """Certify the pattern against its target over all outcomes and inputs.
 
     Inputs default to all computational basis states plus RANDOM_INPUTS
-    seeded random states. The first random state doubles as the generic
-    probe for the zero-probability outcome list.
+    seeded random states. Zero-probability outcomes are those with a zero
+    map (see :class:`MapFacts`); the first random state (else the last
+    input) is the generic probe for the suspicious outcomes and the range.
     """
     table = corrections if corrections is not None else pattern.corrections
     if table is None:
@@ -985,7 +995,7 @@ def verify_pattern(
         overlaps = np.abs(np.sum(target_out.conj() * out, axis=1))
         np.divide(overlaps, norms, out=pair_fids[block], where=norms > np.sqrt(ZERO_PROB))
     generic = pair_probs[pair_of, generic_col]
-    zero_prob = layout.keys_at(np.flatnonzero(generic < ZERO_PROB))
+    zero_prob = layout.keys_at(np.flatnonzero(maps.facts.zero[classes]))
     suspicious = layout.keys_at(
         np.flatnonzero((generic >= ZERO_PROB) & (generic < SUSPICIOUS_PROB))
     )
@@ -1073,34 +1083,26 @@ class LossReport:
 def detect_information_loss(pattern: GatePattern, seed: int = DEFAULT_SEED) -> LossReport:
     """Check whether any outcome destroys input components.
 
-    Runs the enumeration on a seeded generic input (all amplitudes bounded
-    away from zero), lists outcomes of vanishing probability, and for the
-    surviving outcomes reports the rank of the input->output map and which
-    basis inputs it annihilates. A pattern is lossy when an outcome of
-    nonzero probability annihilates a basis input (its map's column
-    vanishes) or has a rank-deficient map: either way that branch cannot
-    carry every input faithfully.
+    Lists the outcomes whose map is zero (see :class:`MapFacts`), and for
+    the others reports the rank of the input->output map, which basis
+    inputs it annihilates and its probability on verification's generic
+    probe, the first seeded random input (all amplitudes bounded away from
+    zero). A pattern is lossy when an outcome with a nonzero map annihilates
+    a basis input (its map's column vanishes) or has a rank-deficient map:
+    either way that branch cannot carry every input faithfully.
     """
     dim = 1 << len(pattern.input_wires)
-    rng = np.random.default_rng(seed)
-    generic = random_state(dim.bit_length() - 1, rng, sv.MIN_GENERIC_AMP)
+    generic = default_inputs(dim, seed)[0][:, dim]
     maps = outcome_maps(pattern)
     reps, classes = maps.classes
-    probs: list[float] = []
-    dead = np.empty((len(reps), dim), dtype=bool)
-    ranks = np.empty(len(reps), dtype=np.intp)
-    for block in _blocks(len(reps)):
-        stack = maps.distinct[block]
-        # Probabilities formed as np.linalg.norm(m @ generic) ** 2 forms them
-        # for one map (dot products of the real and imaginary parts, then
-        # the root squared), so the printed values do not depend on batching.
-        out = (stack @ generic)[:, None, :]
-        sq = out.real @ out.real.transpose(0, 2, 1) + out.imag @ out.imag.transpose(0, 2, 1)
-        probs += [x**2 for x in np.sqrt(sq[:, 0, 0]).tolist()]
-        dead[block] = np.linalg.norm(stack, axis=1) < sv.RANK_TOL
-        ranks[block] = np.linalg.matrix_rank(stack, tol=sv.RANK_TOL)
-    live = np.array(probs) >= ZERO_PROB
-    dead &= live[:, None]
+    live, ranks = ~maps.facts.zero, maps.facts.ranks(np.arange(len(reps)))
+    dead = (np.linalg.norm(maps.distinct, axis=1) < sv.RANK_TOL) & live[:, None]
+    # Probabilities formed as np.linalg.norm(m @ generic) ** 2 forms them for
+    # one map (dot products of the real and imaginary parts, then the root
+    # squared), so the printed values do not depend on batching.
+    out = (maps.distinct @ generic)[:, None, :]
+    sq = out.real @ out.real.transpose(0, 2, 1) + out.imag @ out.imag.transpose(0, 2, 1)
+    probs = [x**2 for x in np.sqrt(sq[:, 0, 0]).tolist()]
     flagged = live & (dead.any(axis=1) | (ranks < dim))
     lost = {c: tuple(np.flatnonzero(dead[c]).tolist()) for c in np.flatnonzero(flagged).tolist()}
     hits = np.flatnonzero(flagged[classes])
@@ -1201,11 +1203,9 @@ def effective_outcome_operator(pattern: GatePattern, key: OutcomeKey) -> np.ndar
     maps = outcome_maps(pattern)
     if key not in maps:
         raise sv.UsageError(f"unknown outcome {format_key(key)}")
-    m = maps[key]
-    scale = np.linalg.norm(m) / np.sqrt(m.shape[0])
-    if scale**2 < ZERO_PROB:
-        return np.zeros_like(m)
-    return m / scale
+    c = maps.classes[1][maps.layout.position(key)]
+    m = maps.distinct[c]
+    return np.zeros_like(m) if maps.facts.zero[c] else m / np.sqrt(maps.facts.scale[c])
 
 
 def operator_distance(a: np.ndarray, b: np.ndarray) -> float:

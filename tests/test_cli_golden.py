@@ -47,6 +47,9 @@ GOLDEN = [
     ("parity --max-n 5", 0, "23689727ce5404362e526851aadcb75b119ac6e64e6d7f22a8df82fb929e0d03"),
     ("list", 0, "de10646bba48656553cd5e8b028268b29008dab51426b3e62bc2c76b09950662"),
     ("verify --pattern fredkin", 1, "608015fb27823b0e94992a0978d33c47438a14323ccda8a877572110c0b5baa2"),
+    # A failed derivation's JSON, with the rank reasons of its first outcomes.
+    ("verify --pattern fredkin --format json", 1, "3376b4996d5052503e73ca5359be12c9c3ee670bd52f6f376b3ac9c34ec6a18e"),
+    ("loss-check --pattern cz-no-ee --format json", 0, "5197a9fdb925ad322d5b388959e93165b650100eca47a12b3d308f70aedbbe9d"),
     # Correction-table writer outputs, pinned from the whole-document writer.
     ("derive --pattern cnot --format csv", 0, "710741729cfd79381f69260f6f1a2ff36fd21e4c01ad69ea57f8531e7eea3b1b"),
     ("derive --pattern toffoli --format json", 0, "3f1b5281c03a8a4add844e7db7be1b611b6905a56f984167fb7b9c13b1c04625"),

@@ -256,15 +256,43 @@ class TestOutcomeMaps:
         assert classes.tolist() == [0, 1, 2, 0]
 
     def test_per_map_arithmetic_runs_once_per_distinct_map(self, monkeypatch):
-        rows = []
-        needed = oracle._needed_corrections
+        # One facts pass (one Gram matrix per distinct map) serves
+        # derivation, verification and the loss check of a pattern object.
+        passes = []
+        facts = oracle.MapFacts
         monkeypatch.setattr(
-            oracle, "_needed_corrections", lambda m, t: rows.append(len(m)) or needed(m, t)
+            oracle, "MapFacts", lambda distinct: passes.append(len(distinct)) or facts(distinct)
         )
         pattern = catalog.chain_cz_pattern(3)
-        oracle.derive_corrections(pattern)
+        table = oracle.derive_corrections(pattern)
+        assert passes == [32]
+        oracle.verify_pattern(pattern, corrections=table)
+        oracle.detect_information_loss(pattern)
         assert len(pattern.layout) == 1024
-        assert sum(rows) == 32
+        assert passes == [32]
+
+    @pytest.mark.parametrize("fmt,shown", [("text", 4), ("json", 8)])
+    def test_verify_ranks_only_the_classes_it_prints(
+        self, monkeypatch, fredkin_partial, fmt, shown
+    ):
+        # The failed derivation names the first four outcomes (JSON lists
+        # the first eight); only their classes' ranks are computed.
+        from telegate.cli import main
+
+        pattern, _, failures = fredkin_partial
+        printed = np.unique(oracle.outcome_maps(pattern).classes[1][failures.positions[:shown]])
+        ranked = []
+        rank = np.linalg.matrix_rank
+        monkeypatch.setattr(
+            np.linalg, "matrix_rank", lambda m, tol: ranked.append(m.copy()) or rank(m, tol=tol)
+        )
+        assert main(["verify", "--pattern", "fredkin", "--format", fmt]) == 1
+        assert 0 < len(printed) < len(oracle.outcome_maps(pattern).distinct)
+        # Each printed class is ranked once, and no other map is.
+        expected = oracle.outcome_maps(pattern).distinct[printed]
+        assert sorted(m.tobytes() for m in np.concatenate(ranked)) == sorted(
+            m.tobytes() for m in expected
+        )
 
 
 # Every catalog pattern with its default arguments.
@@ -1508,6 +1536,55 @@ class TestZeroAndSpreadRules:
         report = oracle.verify_pattern(pattern, corrections=table)
         assert report.zero_probability_outcomes == FLAG_ONE
         assert not report.passed
+        loss = oracle.detect_information_loss(pattern)
+        assert loss.zero_probability_outcomes == FLAG_ONE
+        assert not loss.lossy and loss.outcomes == []
+
+    def test_verify_zero_list_does_not_depend_on_the_last_input(self):
+        # With the basis inputs alone the last input, |11>, used to serve as
+        # the probe, and on it 32 of the 64 outcomes have probability zero;
+        # yet every one of the 24 distinct maps is nonzero (s = 1/64), so no
+        # outcome is a zero-probability one.
+        pattern = catalog.build_pattern("cz-mismatched")
+        identity = CorrectionOp.identity()
+        table = CorrectionTable.from_entries({key: identity for key in pattern.layout})
+        report = oracle.verify_pattern(
+            pattern, inputs=np.eye(4, dtype=complex), corrections=table, loss_demo=True
+        )
+        last = report.pair_probabilities[report.pair_of, -1]
+        assert len(last) == 64 and (last < oracle.ZERO_PROB).sum() == 32
+        distinct = oracle.outcome_maps(pattern).distinct
+        assert len(distinct) == 24
+        assert all(np.linalg.norm(m) ** 2 / 4 > 0.0156 for m in distinct)
+        assert report.zero_probability_outcomes == []
+
+    @pytest.mark.parametrize(
+        "name", CATALOG_NAMES + ["chain-cz-3", "flagged-1e-06", "flagged-1e-09", "entangled-1e-03"]
+    )
+    def test_one_zero_rule(self, name):
+        # Derivation's zero classes, verify's zero list and the loss check's
+        # zero list name the outcomes whose map has s = ||M||_F^2 / d below
+        # ZERO_PROB, whatever the seed.
+        if name.startswith(("flagged", "entangled")):
+            kind, eps = name.split("-", 1)
+            pattern = _flagged_phase(float(eps), entangled=kind == "entangled")
+        else:
+            pattern = _catalog_pattern(name)
+        maps = oracle.outcome_maps(pattern)
+        scale = np.array([np.linalg.norm(m) ** 2 / m.shape[1] for m in maps.distinct])
+        expected = pattern.layout.keys_at(np.flatnonzero(scale[maps.classes[1]] < oracle.ZERO_PROB))
+        table, failures = oracle.derive_corrections_with_failures(pattern)
+        zero = pattern.layout.keys_at(np.flatnonzero(maps.facts.zero[maps.classes[1]]))
+        assert zero == expected
+        # A zero class is no failure and gets the identity.
+        failed = {key for key, _ in failures}
+        assert all(key not in failed and table[key] == CorrectionOp.identity() for key in zero)
+        for seed in (1, 7, 1337):
+            report = oracle.verify_pattern(pattern, corrections=table, seed=seed)
+            loss = oracle.detect_information_loss(pattern, seed=seed)
+            assert report.zero_probability_outcomes == loss.zero_probability_outcomes == expected
+        if name.startswith("flagged"):
+            assert expected == FLAG_ONE
 
     @pytest.mark.parametrize("eps", [0.1, 1e-3, 3e-4])
     def test_partly_entangled_pair_is_not_unitary_at_any_scale(self, eps):
