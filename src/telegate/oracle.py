@@ -8,9 +8,9 @@ resource/basis mismatch.
 Derivation reads each outcome's correction off its input->output map, with
 no probe states. Everything here is deterministic: the random verification
 and loss-check inputs come from a seeded generator (default seed below),
-outcome records are emitted in lexicographic label order, and dictionary
-search order is fixed (fewest factors first, then lexicographic rendering),
-so two runs with the same seed produce bit-identical reports.
+outcome records are emitted in lexicographic label order, and each
+dictionary signature names exactly one candidate, so two runs with the same
+seed produce bit-identical reports.
 """
 from __future__ import annotations
 
@@ -32,8 +32,6 @@ from .patterns import (
     OutcomeLayout,
     PatternFormatError,
     VOCABULARIES,
-    _chain_text,
-    _entangler_text,
     format_key,
 )
 
@@ -488,16 +486,15 @@ Factor = tuple[str, tuple[int, ...]]
 
 @dataclass(frozen=True, eq=False)
 class CorrectionDictionary(Sequence):
-    """Deterministically ordered candidate corrections for derivation, read
-    as the sequence of their ops (also ``ops``), each built when read.
+    """Candidate corrections for derivation in build order, read as the
+    sequence of their ops (also ``ops``), each built when read.
 
-    Candidate b in build order is prefix ``b % len(prefixes)`` times the
-    tensor product of the tails picked by the digits of
-    ``b // len(prefixes)`` in base ``len(tails)`` (wire 0 most
-    significant); position k holds candidate ``order[k]``. Every candidate
-    is a phased permutation, so its signature pins it up to phase: ``keys``
-    holds the distinct signatures, sorted, and ``firsts`` the position of
-    the first op carrying each.
+    Op k is prefix ``k % len(prefixes)`` times the tensor product of the
+    tails picked by the digits of ``k // len(prefixes)`` in base
+    ``len(tails)`` (wire 0 most significant). Every candidate is a phased
+    permutation, so its signature pins it up to phase, and no two share a
+    signature: ``keys`` holds the signatures, sorted, and ``positions`` the
+    op carrying each.
     """
 
     num_wires: int
@@ -506,26 +503,20 @@ class CorrectionDictionary(Sequence):
     prefixes: list[tuple[Factor, ...]]
     tail_mats: np.ndarray    # (len(tails), 2, 2)
     prefix_mats: np.ndarray  # (len(prefixes), d, d)
-    order: np.ndarray
     keys: np.ndarray
-    firsts: np.ndarray
+    positions: np.ndarray
 
     @property
     def ops(self) -> CorrectionDictionary:
         return self
 
-    @cached_property
-    def matrices(self) -> np.ndarray:
-        """Every op's matrix, stacked as (len(ops), d, d)."""
-        return self.rows(np.arange(len(self)))
-
     def __len__(self) -> int:
-        return len(self.order)
+        return len(self.keys)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(len(self))[k]]
-        local, prefix = divmod(int(self.order[k]), len(self.prefixes))
+        local, prefix = divmod(range(len(self))[k], len(self.prefixes))
         picks = np.unravel_index(local, (len(self.tails),) * self.num_wires)
         wire_tails = CorrectionOp.from_wire_products(tuple(self.tails[t] for t in picks))
         return CorrectionOp(self.prefixes[prefix] + wire_tails.factors)
@@ -534,7 +525,7 @@ class CorrectionDictionary(Sequence):
         """The matrices of the ops at ``positions``: each prefix's matrix
         times the kron of its tails' matrices. All entries are 0, +-1 or
         +-i, so these products equal CorrectionOp.matrix exactly."""
-        local, prefix = np.divmod(self.order[positions], len(self.prefixes))
+        local, prefix = np.divmod(positions, len(self.prefixes))
         mats = np.ones((len(prefix), 1, 1), dtype=complex)
         for pick in np.unravel_index(local, (len(self.tails),) * self.num_wires):
             size = 2 * mats.shape[1]
@@ -542,10 +533,10 @@ class CorrectionDictionary(Sequence):
         return self.prefix_mats[prefix] @ mats
 
     def find(self, signatures: np.ndarray) -> np.ndarray:
-        """The position of the first op carrying each signature (see
+        """The position of the op carrying each signature (see
         :func:`_signatures`), -1 where none does."""
         at = np.searchsorted(self.keys, signatures).clip(max=len(self.keys) - 1)
-        return np.where(self.keys[at] == signatures, self.firsts[at], -1)
+        return np.where(self.keys[at] == signatures, self.positions[at], -1)
 
 
 def _subset_products(units: list[tuple[Factor, ...]]) -> list[tuple[Factor, ...]]:
@@ -587,33 +578,6 @@ def _entangler_prefixes(num_wires: int) -> list[tuple[Factor, ...]]:
     return candidates
 
 
-def _sort_keys(
-    tails: list[tuple[str, ...]], prefixes: list[tuple[Factor, ...]], num_wires: int
-) -> list[str]:
-    """The sort key of every dictionary candidate, in build order (per-wire
-    tails in product order, each local part under every prefix), composed
-    from one text per tail and one per prefix. Each equals the candidate
-    op's ``chr(op.weight) + op.render(num_wires)``: the weight is one
-    leading character, so the keys sort as (weight, rendering) pairs do."""
-    chains = [
-        (len(names), _chain_text(names))
-        for names in ([name for name in tail if name != "I"] for tail in tails)
-    ]
-    bodies = [
-        (sum(w for w, _ in combo), " x ".join(text for _, text in combo))
-        for combo in product(chains, repeat=num_wires)
-    ]
-    wraps = [
-        (len(prefix), f"{_entangler_text(prefix, num_wires)}(", ")") if prefix else (0, "", "")
-        for prefix in prefixes
-    ]
-    return [
-        f"{chr(weight + extra)}{open_}{body}{close}"
-        for weight, body in bodies
-        for extra, open_, close in wraps
-    ]
-
-
 @lru_cache(maxsize=8)
 def correction_dictionary(num_wires: int, vocabulary: str = "pauli_phase") -> CorrectionDictionary:
     """Candidates: per-wire chains from {I, sx, sz, Up}; the ``full``
@@ -644,11 +608,10 @@ def correction_dictionary(num_wires: int, vocabulary: str = "pauli_phase") -> Co
         prefix_rows[:, rows].swapaxes(0, 1).reshape(-1, size),
         (turns[None] + prefix_turns[:, rows]).swapaxes(0, 1).reshape(-1, size),
     )
-    sort_keys = _sort_keys(tails, prefixes, num_wires)
-    order = np.array(sorted(range(len(sort_keys)), key=sort_keys.__getitem__), dtype=np.intp)
-    distinct, firsts = np.unique(signatures[order], return_index=True)
+    positions = np.argsort(signatures)
     return CorrectionDictionary(
-        num_wires, vocabulary, tails, prefixes, tail_mats, prefix_mats, order, distinct, firsts
+        num_wires, vocabulary, tails, prefixes, tail_mats, prefix_mats,
+        signatures[positions], positions,
     )
 
 
@@ -659,8 +622,8 @@ def derive_corrections(pattern: GatePattern) -> CorrectionTable:
     zero when s < ZERO_PROB: the outcome is unreachable and gets the
     identity. Otherwise M must be proportional to a unitary (||M†M - s·I||_F
     <= SPREAD_TOL·s), and the needed recovery is T·M†/s with T the target.
-    It is named by the first dictionary element equal to it up to phase,
-    found through the dictionary's signatures; with the ``full``
+    It is named by the dictionary op with its signature, confirmed equal
+    to it up to phase; with the ``full``
     vocabulary, a recovery outside the enumerated candidates but inside the
     vocabulary-generated group (a signed permutation with quarter-turn
     phases) is factored exactly by :func:`decompose_monomial`. Each
@@ -684,19 +647,16 @@ def derive_corrections_with_failures(
     maps = outcome_maps(pattern)
     facts = maps.facts
     reps, classes = maps.classes
-    factored: dict[int, tuple[CorrectionOp, np.ndarray]] = {}
     identity = CorrectionOp.identity()
     class_ops = np.full(len(reps), identity, dtype=object)
     outside = np.zeros(len(reps), dtype=bool)
     # Maps proportional to a unitary need the recovery T·M†/s, T the target.
-    # Classes are in first-occurrence order, so decompose_monomial meets the
-    # same first recovery per signature as a walk over every outcome would.
     unitary = np.flatnonzero(facts.unitary)
     for block in _blocks(len(unitary)):
         at = unitary[block]
         adjoint = maps.distinct[at].conj().transpose(0, 2, 1)
         needed = pattern.target @ adjoint / facts.scale[at, None, None]
-        named = _name_recoveries(needed, dictionary, factored)
+        named = _name_recoveries(needed, dictionary)
         outside[at] = [op is None for op in named]
         class_ops[at] = [identity if op is None else op for op in named]
     # Classes are in first-occurrence order, so ops numbered by first class
@@ -709,19 +669,13 @@ def derive_corrections_with_failures(
 
 
 def _name_recoveries(
-    needed: np.ndarray,
-    dictionary: CorrectionDictionary,
-    factored: dict[int, tuple[CorrectionOp, np.ndarray]],
+    needed: np.ndarray, dictionary: CorrectionDictionary
 ) -> list[CorrectionOp | None]:
-    """Name each needed recovery in a (k, d, d) stack: the first dictionary
-    op with its signature, confirmed equal up to phase; else, for the
-    ``full`` vocabulary, its exact factorization by
-    :func:`decompose_monomial`, memoised in ``factored`` by signature; None
-    when neither exists. The first unnamed recovery of each signature not
-    memoised is factored, and every reuse of the memo is confirmed equal up
-    to phase, so each recovery gets the op a walk in order would give it."""
-    sigs = _signatures(needed)
-    hits = dictionary.find(sigs)
+    """Name each needed recovery in a (k, d, d) stack: the dictionary op
+    with its signature, confirmed equal up to phase; else, for the ``full``
+    vocabulary, its exact factorization by :func:`decompose_monomial`; None
+    when neither exists."""
+    hits = dictionary.find(_signatures(needed))
     found = np.flatnonzero(hits >= 0)
     confirmed = np.zeros(len(needed), dtype=bool)
     confirmed[found] = _equal_up_to_phase(dictionary.rows(hits[found]), needed[found])
@@ -729,28 +683,12 @@ def _name_recoveries(
     named: list[CorrectionOp | None] = [
         ops[hit] if ok else None for hit, ok in zip(hits.tolist(), confirmed.tolist())
     ]
-    if dictionary.vocabulary != "full":
-        return named
-    keys = sigs.tolist()
-    todo = np.flatnonzero(~confirmed).tolist()
-    while todo:
-        memo = [i for i in todo if keys[i] in factored]
-        if memo:
-            mats = np.array([factored[keys[i]][1] for i in memo])
-            for i, ok in zip(memo, _equal_up_to_phase(mats, needed[memo]).tolist()):
-                if ok:
-                    named[i] = factored[keys[i]][0]
-        firsts: dict[int, int] = {}
-        for i in todo:
-            if named[i] is None:
-                firsts.setdefault(keys[i], i)
-        batch = list(firsts.values())
-        if batch:
-            for i, decomposed in zip(batch, decompose_monomial(needed[batch], dictionary.num_wires)):
-                if decomposed is not None:
-                    named[i] = decomposed[0]
-                    factored[keys[i]] = decomposed
-        todo = [i for i in todo if named[i] is None and firsts[keys[i]] != i]
+    todo = np.flatnonzero(~confirmed)
+    if dictionary.vocabulary == "full" and todo.size:
+        results = decompose_monomial(needed[todo], dictionary.num_wires)
+        for i, decomposed in zip(todo.tolist(), results):
+            if decomposed is not None:
+                named[i] = decomposed[0]
     return named
 
 
@@ -789,9 +727,10 @@ def decompose_monomial(
     parts become Up/sz factors, quadratic parts become Ucz factors, the
     affine part becomes sx flips plus a controlled-X word. That is
     precisely the group the correction vocabulary generates, so anything
-    else gets None. The checks run over the whole stack at once; each
-    success is the op with its matrix, the one confirmed equal to r up to
-    phase.
+    else gets None. The checks run over the whole stack at once, and each
+    distinct integer form (t, lin, cz, c) is built into its op and matrix
+    once; each success is the op with its matrix, confirmed equal to r up
+    to phase.
     """
     n = num_wires
     dim = 1 << n
@@ -825,25 +764,27 @@ def decompose_monomial(
     both = (bits[:, first] & bits[:, second]).astype(int)
     ok &= ((c @ bits.T + 2 * cz.astype(int) @ both.T) % 4 == q).all(axis=1)
 
+    # ok implies perm is a permutation, so lin is invertible and has a word.
     words = _linear_words(n)
     pairs = list(zip(first.tolist(), second.tolist()))
-    built: list[tuple[int, CorrectionOp]] = []
-    for m in np.flatnonzero(ok).tolist():
-        word = words.get(tuple(map(tuple, lin[m].tolist())))
-        if word is None:
-            continue
+    good = np.flatnonzero(ok)
+    forms = np.column_stack([t, lin.reshape(len(stack), n * n), cz, c])[good]
+    _, firsts, inverse = np.unique(forms, axis=0, return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    ops = []
+    for m in good[firsts].tolist():
         factors: list[Factor] = [("sx", (i,)) for i, bit in enumerate(bits[t[m]].tolist()) if bit]
-        factors += word
+        factors += words[tuple(map(tuple, lin[m].tolist()))]
         factors += [("Ucz", pair) for pair, on in zip(pairs, cz[m].tolist()) if on]
         for i, turns in enumerate(c[m].tolist()):  # i**turns is Up then sz, each optional
             factors += [(name, (i,)) for name in ("Up",) * (turns & 1) + ("sz",) * (turns >> 1)]
-        built.append((m, CorrectionOp(tuple(factors))))
+        ops.append(CorrectionOp(tuple(factors)))
+    mats = np.array([op.matrix(n) for op in ops]).reshape(-1, dim, dim)
+    same = _equal_up_to_phase(mats[inverse], u[good])
     results: list[tuple[CorrectionOp, np.ndarray] | None] = [None] * len(stack)
-    mats = np.array([op.matrix(n) for _, op in built]).reshape(-1, dim, dim)
-    same = _equal_up_to_phase(mats, u[[m for m, _ in built]])
-    for (m, op), mat, good in zip(built, mats, same.tolist()):
-        if good:
-            results[m] = (op, mat)
+    for m, f, ok_m in zip(good.tolist(), inverse.tolist(), same.tolist()):
+        if ok_m:
+            results[m] = (ops[f], mats[f])
     return results
 
 

@@ -418,6 +418,11 @@ def validate_pattern(pattern: GatePattern) -> None:
             f"target of shape {target.shape} does not act on "
             f"{len(pattern.output_wires)} output wires"
         )
+    if not pattern.output_wires or len(pattern.output_wires) != len(pattern.input_wires):
+        raise PatternFormatError(
+            f"pattern maps {len(pattern.input_wires)} input wires to "
+            f"{len(pattern.output_wires)} output wires; a gate needs as many, at least one"
+        )
     if not sv.is_unitary(target):
         raise PatternFormatError("target matrix is not unitary")
     if not isinstance(pattern.vocabulary, str) or pattern.vocabulary not in VOCABULARIES:

@@ -127,9 +127,29 @@ _PHASE_CELLS = pattern_to_document(catalog.phase_gate_pattern())["corrections"]
 _REPEATED_CELL = {"labels": [[1]], "ops": [{"name": "Up", "wires": [0]}]}
 
 
+def _phase_document_with_outputs(qubits, resources, groups, outputs, target):
+    """The phase document without its corrections, its register grown to
+    ``qubits`` with the extra resources and groups, the given outputs and
+    the real ``target`` matrix."""
+    doc = pattern_to_document(catalog.phase_gate_pattern())
+    del doc["corrections"]
+    doc["num_qubits"] = qubits
+    doc["resources"] += resources
+    doc["groups"] += groups
+    doc["outputs"] = outputs
+    doc["target"] = {"dim": len(target), "entries": [[[x, 0.0] for x in row] for row in target]}
+    return doc
+
+
+def _basis_state(bits):
+    """The terms of one computational-basis state."""
+    return [{"coeff": [1.0, 0.0], "bits": bits}]
+
+
 # Flag -> input file contents; pattern-file cases are (path, value) edits of
-# the cnot document, or (path, value, factory) edits of another pattern's
-# document, and "--n" cases give chain-cz's chain length instead.
+# the cnot document, (path, value, factory) edits of another pattern's
+# document or whole documents, and "--n" cases give chain-cz's chain length
+# instead.
 # DIRECTORY puts a directory where the file should be, and bytes are written
 # as they are; "--out" cases are derive's output path.
 # The register cases are one qubit or one chain link past
@@ -205,6 +225,29 @@ MALFORMED_INPUTS = {
     "huge-unitary-entry": ("--u", [[[1e300, 0], [0, 0]], [[0, 0], [1, 0]]]),
     "ragged-unitary": ("--u", [[[1, 0], [0, 0]], [[0, 0]]]),
     "object-unitary": ("--u", {"a": 1}),
+    # A gate maps its input wires to as many output wires: qubit 3 in |0>
+    # added as a second output of the one-wire phase gate, or its output
+    # measured in {|0>, |1>} so none is left.
+    "second-output-wire": (
+        "--pattern-file",
+        _phase_document_with_outputs(
+            4, [{"qubits": [3], "terms": _basis_state("0")}], [], [2, 3],
+            [[float(i == j) for j in range(4)] for i in range(4)],
+        ),
+    ),
+    "no-output-wire": (
+        "--pattern-file",
+        _phase_document_with_outputs(
+            3,
+            [],
+            [{"qubits": [2], "vectors": [
+                {"label": [0], "terms": _basis_state("0")},
+                {"label": [1], "terms": _basis_state("1")},
+            ]}],
+            [],
+            [[1.0]],
+        ),
+    ),
     "directory-pattern-file": ("--pattern-file", DIRECTORY),
     "binary-pattern-file": ("--pattern-file", b"\x89PNG\r\n\x1a\n\xff\xfe"),
     "directory-unitary": ("--u", DIRECTORY),
@@ -300,10 +343,17 @@ def test_group_vector_count_is_checked_before_any_vector_is_built(capsys, tmp_pa
         "factor-on-a-negative-wire",
         "directory-pattern-file",
         "directory-out",
+        "second-output-wire",
+        "no-output-wire",
     ],
 )
 def test_malformed_document_is_one_line_usage_error_for_derive(capsys, tmp_path, case):
     _run_malformed(capsys, tmp_path, "derive", case)
+
+
+@pytest.mark.parametrize("case", ["second-output-wire", "no-output-wire"])
+def test_output_count_error_is_one_line_usage_error_for_loss_check(capsys, tmp_path, case):
+    _run_malformed(capsys, tmp_path, "loss-check", case)
 
 
 @functools.cache

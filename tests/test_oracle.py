@@ -695,44 +695,53 @@ class TestDictionary:
         for a in paulis.values():
             for b in paulis.values():
                 want = np.kron(a, b).astype(complex)
-                assert any(
-                    oracle._equal_up_to_phase(m, want) for m in d.matrices
-                )
+                assert oracle._equal_up_to_phase(d.rows(np.arange(len(d))), want).any()
 
     def test_candidates_pairwise_inequivalent(self):
         d = oracle.correction_dictionary(1, "pauli_phase")
+        mats = d.rows(np.arange(len(d)))
         for i in range(len(d.ops)):
             for j in range(i + 1, len(d.ops)):
-                assert not oracle._equal_up_to_phase(d.matrices[i], d.matrices[j])
-
-    def test_sorted_by_weight(self):
-        d = oracle.correction_dictionary(2, "full")
-        weights = [op.weight for op in d.ops]
-        assert weights == sorted(weights)
+                assert not oracle._equal_up_to_phase(mats[i], mats[j])
 
     @pytest.mark.parametrize("num_wires,vocabulary", [(1, "pauli_phase"), (2, "full"), (3, "full")])
     def test_matrices_equal_op_matrices_exactly(self, num_wires, vocabulary):
         d = oracle.correction_dictionary(num_wires, vocabulary)
-        assert np.array_equal(d.matrices, np.stack([op.matrix(num_wires) for op in d.ops]))
-        assert set(np.unique(d.matrices).tolist()) <= {0, 1, -1, 1j, -1j}
+        mats = d.rows(np.arange(len(d)))
+        assert np.array_equal(mats, np.stack([op.matrix(num_wires) for op in d.ops]))
+        assert set(np.unique(mats).tolist()) <= {0, 1, -1, 1j, -1j}
 
     def test_signature_index_names_the_first_equivalent_op(self):
         d = oracle.correction_dictionary(3, "full")
         positions = [0, 1, 100, 2000, len(d.ops) - 1]
-        found = d.find(oracle._signatures(d.matrices[positions] * 1j))
+        mats = d.rows(np.arange(len(d)))
+        found = d.find(oracle._signatures(mats[positions] * 1j))
         for k, hit in zip(positions, found.tolist()):
             assert 0 <= hit <= k
-            assert oracle._equal_up_to_phase(d.matrices[hit], d.matrices[k])
-            assert not oracle._equal_up_to_phase(d.matrices[:hit], d.matrices[k]).any()
+            assert oracle._equal_up_to_phase(mats[hit], mats[k])
+            assert not oracle._equal_up_to_phase(mats[:hit], mats[k]).any()
+
+    @pytest.mark.parametrize("num_wires", [1, 2, 3, 4])
+    @pytest.mark.parametrize("vocabulary", ["pauli_phase", "full"])
+    def test_every_signature_names_one_op(self, num_wires, vocabulary):
+        # Naming rests on this: a signature found is the one candidate with
+        # it, so the dictionary's order cannot change a derived name.
+        d = oracle.correction_dictionary(num_wires, vocabulary)
+        assert len(np.unique(d.keys)) == len(d)
+        positions = np.arange(len(d))
+        phases = np.exp(2j * np.pi * np.random.default_rng(num_wires).uniform(size=len(d)))
+        found = d.find(oracle._signatures(d.rows(positions) * phases[:, None, None]))
+        assert np.array_equal(found, positions)
 
     def test_four_wire_signatures_exceed_int64_and_stay_exact(self):
         # 16 columns need 112 bits, so the keys are Python ints.
         d = oracle.correction_dictionary(4, "pauli_phase")
         assert d.keys.dtype == object
         positions = np.arange(0, len(d.ops), 293)
-        found = d.find(oracle._signatures(d.matrices[positions] * np.exp(0.3j)))
+        mats = d.rows(np.arange(len(d)))
+        found = d.find(oracle._signatures(mats[positions] * np.exp(0.3j)))
         for k, hit in zip(positions.tolist(), found.tolist()):
-            assert hit == np.flatnonzero(oracle._equal_up_to_phase(d.matrices, d.matrices[k]))[0]
+            assert hit == np.flatnonzero(oracle._equal_up_to_phase(mats, mats[k]))[0]
 
     def test_unknown_signature_finds_nothing(self):
         d = oracle.correction_dictionary(2, "pauli_phase")
@@ -742,7 +751,7 @@ class TestDictionary:
     def test_rows_and_ops_built_on_demand_match_the_whole_dictionary(self, num_wires, vocabulary):
         d = oracle.correction_dictionary(num_wires, vocabulary)
         positions = np.arange(len(d.ops))[::-7]
-        assert np.array_equal(d.rows(positions), d.matrices[positions])
+        assert np.array_equal(d.rows(positions), d.rows(np.arange(len(d)))[positions])
         assert [d.ops[k] for k in positions.tolist()] == list(d.ops)[::-7]
         assert d.ops[-1] == d.ops[len(d.ops) - 1] and d.ops[:2] == [d.ops[0], d.ops[1]]
         with pytest.raises(IndexError):
@@ -752,44 +761,47 @@ class TestDictionary:
     def test_shared_signature_still_confirms_each_recovery(self, vocabulary):
         d = oracle.correction_dictionary(2, vocabulary)
         k = 5
-        perturbed = d.matrices[k].copy()
+        [mat] = d.rows(np.array([k]))
+        perturbed = mat.copy()
         perturbed[np.abs(perturbed) == 0] += 0.1  # same signature, not a match
-        stack = np.stack([d.matrices[k], perturbed])
+        stack = np.stack([mat, perturbed])
         sigs = oracle._signatures(stack)
         assert sigs[0] == sigs[1]
-        assert oracle._name_recoveries(stack, d, {}) == [d.ops[k], None]
+        assert oracle._name_recoveries(stack, d) == [d.ops[k], None]
 
     def test_full_three_wire_includes_entanglers(self):
         d = oracle.correction_dictionary(3, "full")
         names = {f for op in d.ops for f, _ in op.factors}
         assert "Ucx" in names and "Ucz" in names
 
-    # sha256 of the ops' renderings joined by newlines, and of the stacked
-    # matrices' bytes, for each (num_wires, vocabulary) dictionary.
+    # sha256 of the ops' renderings, sorted and joined by newlines, and of
+    # their matrices stacked in that order, for each (num_wires, vocabulary)
+    # dictionary: the candidate set in rendering order, whatever order the
+    # dictionary builds it in.
     PINNED = {
         (1, "pauli_phase"): (
-            "c95ff667b8434ae320b701ab9dee6aa4d1c7f9f020117301e1a56b605fee67c4",
-            "a64be7bd52cc30515b18f1f5376467fc0c25e3081677b05a727f66eefae9ff77",
+            "cec255a8d37b80bf398555b8ff30b2b1a26f121ebd99cfd33ca1728457b36123",
+            "f282c4ba5f3da3fef2651285f0271f69c2b535b199012d8012d7fafb276a6dfb",
         ),
         (1, "full"): (
-            "c95ff667b8434ae320b701ab9dee6aa4d1c7f9f020117301e1a56b605fee67c4",
-            "a64be7bd52cc30515b18f1f5376467fc0c25e3081677b05a727f66eefae9ff77",
+            "cec255a8d37b80bf398555b8ff30b2b1a26f121ebd99cfd33ca1728457b36123",
+            "f282c4ba5f3da3fef2651285f0271f69c2b535b199012d8012d7fafb276a6dfb",
         ),
         (2, "pauli_phase"): (
-            "dbf9570b1164ab8a458f2e9e5a6ef5ae8e49aff2c02abd836863d6a41fcf2ade",
-            "b2239151f0864d4f7859e4388e40046318580635fbb6549a36915ec5c341271f",
+            "7d9b6a5b359d00b6338651269744ea7b21552cd87f27a41f85e473389c4910a8",
+            "938f0cbf46c0ba26485a2d43dcd51ca65232a25828c86629658e9d308aad3e87",
         ),
         (2, "full"): (
-            "51c3ba7f73b3dad5d475d0fe216176764c40708673d7d48e5370022bc2d6df57",
-            "47f842e41aab8ced9193b9ff796538301327b66142755d0348b33e721fb8c94b",
+            "dab4375e107ffb60cb032b9a7a60d47426bdd82650441c0079b6f6bfdff2952e",
+            "f6719e5bbbec4e7e1139a9461314d069294a053086163002ee8a6732bcd438a4",
         ),
         (3, "pauli_phase"): (
-            "2165a0b4d300da5b365f84fdfe1fb4091d7b702ba187d8eba9082c5f2d95f224",
-            "b797503238eb6f927e4a8170316adffbbfc018b3519a5391749be654566ae44f",
+            "652fb92ea5897091af8e3f39290244db8f927ea8f108e91cff3e7175da024e96",
+            "5c3f6b92e5b4603958410213f9bcde44eec80ca4736d1906da0e737db19d7777",
         ),
         (3, "full"): (
-            "6f7bba2727f4f88efffa6f04c6fe34ecbc3c8b9bf75c27fc64f887cf1fc927fb",
-            "a437691aad6868c86e4d8af09b27e71be119f2056942969bba285d3983b5285b",
+            "e79bac46cadc2c6d92dda61a2c72f3826207e9ac38c096126336329a21d94c51",
+            "6044bca050b4bc6cfa07ac5122dd429650f225d3e684803a082d017c054760dc",
         ),
     }
 
@@ -797,19 +809,10 @@ class TestDictionary:
     def test_order_and_matrices_are_pinned(self, num_wires, vocabulary):
         d = oracle.correction_dictionary(num_wires, vocabulary)
         renders = [op.render(num_wires) for op in d.ops]
+        order = sorted(range(len(d)), key=renders.__getitem__)
         texts, mats = self.PINNED[(num_wires, vocabulary)]
-        assert hashlib.sha256("\n".join(renders).encode()).hexdigest() == texts
-        assert hashlib.sha256(d.matrices.tobytes()).hexdigest() == mats
-
-    @pytest.mark.parametrize("num_wires,vocabulary", sorted(PINNED))
-    def test_composed_sort_key_is_weight_and_rendering(self, num_wires, vocabulary):
-        # The dictionary is sorted by the composed keys, so the k-th smallest
-        # composed key is the key of the k-th op.
-        d = oracle.correction_dictionary(num_wires, vocabulary)
-        keys = oracle._sort_keys(d.tails, d.prefixes, num_wires)
-        assert len(keys) == len(d.ops)
-        assert sorted(keys) == [chr(op.weight) + op.render(num_wires) for op in d.ops]
-        assert sorted(keys) == sorted(keys, key=lambda key: (ord(key[0]), key[1:]))
+        assert hashlib.sha256("\n".join(renders[k] for k in order).encode()).hexdigest() == texts
+        assert hashlib.sha256(d.rows(np.array(order)).tobytes()).hexdigest() == mats
 
 
 def _reference_decompose(r: np.ndarray, num_wires: int) -> CorrectionOp | None:
@@ -910,7 +913,7 @@ class TestDecomposeMonomial:
         monkeypatch.setattr(oracle, "decompose_monomial", spy)
         for pattern in (catalog.fredkin_pattern(), catalog.toffoli_pattern()):
             oracle.derive_corrections_with_failures(pattern)
-        assert len(fed) == 224  # all from fredkin; toffoli's are dictionary hits
+        assert len(fed) == 448  # all from fredkin; toffoli's are dictionary hits
         for r, n, (op, mat) in fed:
             assert op == _reference_decompose(r, n)
             assert np.array_equal(mat, op.matrix(n))
@@ -938,7 +941,7 @@ class TestDecomposeMonomial:
         rng = np.random.default_rng(5)
         d = oracle.correction_dictionary(3, "full")
         picks = rng.choice(len(d.ops), size=25, replace=False)
-        mats = d.matrices[picks] * np.exp(1j * rng.uniform(0, 2 * np.pi, size=25))[:, None, None]
+        mats = d.rows(picks) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=25))[:, None, None]
         for mat, (op, op_mat) in zip(mats, oracle.decompose_monomial(mats, 3)):
             assert np.array_equal(op_mat, op.matrix(3))
             assert oracle._equal_up_to_phase(op_mat, mat)
@@ -958,9 +961,10 @@ class TestDecomposeMonomial:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_naming_gives_the_first_equivalent_op_or_the_reference_factorization(self, data):
-        # Words repeat with other phases in one stack, so the memo is both
-        # filled and reused within a call, and again by a second call.
+        # Words repeat with other phases in one stack, so one factorization
+        # names several recoveries, and a second call names them the same.
         d = oracle.correction_dictionary(3, "full")
+        mats = d.rows(np.arange(len(d)))
         words = [_draw_word(data, 3) for _ in range(data.draw(st.integers(1, 3)))]
         picks = data.draw(st.lists(st.integers(0, len(words) - 1), min_size=1, max_size=6))
         phases = np.exp(1j * np.array([data.draw(st.floats(0, 2 * np.pi)) for _ in picks]))
@@ -968,11 +972,10 @@ class TestDecomposeMonomial:
         expected = []
         for r in stack:
             # The plain linear scan over the dictionary in order.
-            same = np.flatnonzero(oracle._equal_up_to_phase(d.matrices, r))
+            same = np.flatnonzero(oracle._equal_up_to_phase(mats, r))
             expected.append(d.ops[same[0]] if same.size else _reference_decompose(r, 3))
-        factored = {}
-        assert oracle._name_recoveries(stack, d, factored) == expected
-        assert oracle._name_recoveries(stack, d, factored) == expected
+        assert oracle._name_recoveries(stack, d) == expected
+        assert oracle._name_recoveries(stack, d) == expected
 
     def test_bare_controlled_x_between_first_wires(self):
         mat = CorrectionOp((("Ucx", (0, 1)),)).matrix(3)
@@ -983,6 +986,11 @@ class TestDecomposeMonomial:
     def test_hadamard_is_out_of_vocabulary(self):
         assert oracle.decompose_monomial(np.kron(HADAMARD, np.eye(4))[None], 3) == [None]
 
+    @pytest.mark.parametrize("num_wires", [1, 3])
+    def test_empty_stack_gives_no_results(self, num_wires):
+        dim = 1 << num_wires
+        assert oracle.decompose_monomial(np.zeros((0, dim, dim), dtype=complex), num_wires) == []
+
     def test_cubic_phase_is_out_of_vocabulary(self):
         ccz = np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex)
         assert oracle.decompose_monomial(ccz[None], 3) == [None]
@@ -990,9 +998,8 @@ class TestDecomposeMonomial:
     def test_fredkin_derivation_builds_each_correction_matrix_once(self, monkeypatch):
         # A cold derivation builds 16 matrices for the three-wire full
         # dictionary, one per entangler-prefix candidate, and one per
-        # factorization, the one its confirmation compares; the
-        # factorization memo keeps that one. Dense dictionary products
-        # built 255.
+        # distinct word a decompose_monomial call factors, the one its
+        # confirmations compare. Dense dictionary products built 255.
         calls = []
         matrix = CorrectionOp.matrix
         monkeypatch.setattr(CorrectionOp, "matrix", lambda op, n: calls.append(1) or matrix(op, n))
@@ -1009,9 +1016,9 @@ class TestDecomposeMonomial:
         oracle.correction_dictionary.cache_clear()
         d = oracle.correction_dictionary(3, "full")
         assert len(d.ops) == 7680
-        assert built == [] and "matrices" not in vars(d)
+        assert built == []
         assert d.ops[7679].render(3) == (
-            "Ucx[1,2]Ucx[2,1]Ucx[1,2]Ucx[0,1]Ucx[0,2]Ucz[0,1]Ucz[0,2](sz.sx x sz.sx x sz.sx)"
+            "Ucx[1,2]Ucx[2,1]Ucx[1,2]Ucx[0,1]Ucx[0,2]Ucz[0,1]Ucz[0,2](sx.Up x sx.Up x sx.Up)"
         )
         assert built == [7679]
 
