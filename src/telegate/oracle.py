@@ -755,7 +755,8 @@ def decompose_monomial(
 
     rel = phases / np.where(ok, phases[:, 0], 1.0)[:, None]
     q = np.rint(np.angle(rel) / (np.pi / 2)).astype(int) % 4
-    ok &= ~(np.abs(np.array([1, 1j, -1, -1j])[q] - rel) > sv.MONOMIAL_TOL).any(axis=1)
+    quarter_turns = np.array([1, 1j, -1, -1j])
+    ok &= ~(np.abs(quarter_turns[q] - rel) > sv.MONOMIAL_TOL).any(axis=1)
     c = q[:, place]
     first, second = np.triu_indices(n, 1)
     degree2 = (q[:, place[first] | place[second]] - c[:, first] - c[:, second]) % 4
@@ -771,15 +772,18 @@ def decompose_monomial(
     forms = np.column_stack([t, lin.reshape(len(stack), n * n), cz, c])[good]
     _, firsts, inverse = np.unique(forms, axis=0, return_index=True, return_inverse=True)
     inverse = inverse.reshape(-1)
+    built = good[firsts]
     ops = []
-    for m in good[firsts].tolist():
+    for m in built.tolist():
         factors: list[Factor] = [("sx", (i,)) for i, bit in enumerate(bits[t[m]].tolist()) if bit]
         factors += words[tuple(map(tuple, lin[m].tolist()))]
         factors += [("Ucz", pair) for pair, on in zip(pairs, cz[m].tolist()) if on]
         for i, turns in enumerate(c[m].tolist()):  # i**turns is Up then sz, each optional
             factors += [(name, (i,)) for name in ("Up",) * (turns & 1) + ("sz",) * (turns >> 1)]
         ops.append(CorrectionOp(tuple(factors)))
-    mats = np.array([op.matrix(n) for op in ops]).reshape(-1, dim, dim)
+    # Each form's op sends column x to row perm[x] with phase i**q[x].
+    mats = np.zeros((len(built), dim, dim), dtype=complex)
+    mats[np.arange(len(built))[:, None], perm[built], np.arange(dim)] = quarter_turns[q[built]]
     same = _equal_up_to_phase(mats[inverse], u[good])
     results: list[tuple[CorrectionOp, np.ndarray] | None] = [None] * len(stack)
     for m, f, ok_m in zip(good.tolist(), inverse.tolist(), same.tolist()):
@@ -896,8 +900,9 @@ def verify_pattern(
 
     Inputs default to all computational basis states plus RANDOM_INPUTS
     seeded random states. Zero-probability outcomes are those with a zero
-    map (see :class:`MapFacts`); the first random state (else the last
-    input) is the generic probe for the suspicious outcomes and the range.
+    map (see :class:`MapFacts`). The first default random state is the
+    generic probe for the suspicious outcomes and the range, whatever the
+    inputs.
     """
     table = corrections if corrections is not None else pattern.corrections
     if table is None:
@@ -905,11 +910,15 @@ def verify_pattern(
             f"pattern {pattern.name!r} has no correction table; derive one first"
         )
     dim = 1 << pattern.num_outputs
+    defaults, default_labels = default_inputs(dim, seed)
     if inputs is None:
-        inputs, input_labels = default_inputs(dim, seed)
+        inputs, input_labels = defaults, default_labels
     elif input_labels is None:
         input_labels = [f"input{i:02d}" for i in range(inputs.shape[1])]
-    generic_col = dim if inputs.shape[1] > dim else inputs.shape[1] - 1
+    # Column dim of the default inputs is the generic probe; other inputs
+    # carry it as one more column, which the report's grid leaves out.
+    probe_col = dim if inputs is defaults else inputs.shape[1]
+    columns = inputs if inputs is defaults else np.hstack([inputs, defaults[:, dim:dim + 1]])
 
     maps = outcome_maps(pattern)
     layout = pattern.layout
@@ -918,7 +927,7 @@ def verify_pattern(
     if (op_index < 0).any():
         missing = layout.key(int(np.argmax(op_index < 0)))
         raise MissingCorrectionError(f"no correction entry for outcome {format_key(missing)}")
-    target_out = pattern.target @ inputs
+    target_out = pattern.target @ columns
     # Outcomes with a bitwise-equal map and the same correction have equal
     # rows; each distinct (map, correction) pair is computed at its first
     # outcome, and the report keeps one row per pair.
@@ -926,16 +935,17 @@ def verify_pattern(
     _, first, pair_of = np.unique(
         classes * len(mats) + op_index, return_index=True, return_inverse=True
     )
-    pair_fids = np.full((len(first), inputs.shape[1]), np.nan)
+    pair_fids = np.full((len(first), columns.shape[1]), np.nan)
     pair_probs = np.zeros_like(pair_fids)
     for block in _blocks(len(first)):
         outcomes = first[block]
-        out = mats[op_index[outcomes]] @ (maps.distinct[classes[outcomes]] @ inputs)
+        out = mats[op_index[outcomes]] @ (maps.distinct[classes[outcomes]] @ columns)
         norms = np.linalg.norm(out, axis=1)
         pair_probs[block] = norms**2
         overlaps = np.abs(np.sum(target_out.conj() * out, axis=1))
         np.divide(overlaps, norms, out=pair_fids[block], where=norms > np.sqrt(ZERO_PROB))
-    generic = pair_probs[pair_of, generic_col]
+    generic = pair_probs[pair_of, probe_col]
+    pair_fids, pair_probs = pair_fids[:, :inputs.shape[1]], pair_probs[:, :inputs.shape[1]]
     zero_prob = layout.keys_at(np.flatnonzero(maps.facts.zero[classes]))
     suspicious = layout.keys_at(
         np.flatnonzero((generic >= ZERO_PROB) & (generic < SUSPICIOUS_PROB))

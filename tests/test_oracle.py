@@ -560,6 +560,10 @@ def _full_grid_summaries(report):
         worst = (float(fids[finite].min()), keys[wo], report.input_labels[wi])
     else:
         worst = (0.0, None, None)
+    # The generic probe is the default inputs' first random state, whatever
+    # the inputs; every report summarized here uses the default inputs, so
+    # it is their rand00 column (other inputs: see
+    # test_basis_inputs_keep_the_generic_probe).
     generic = probs[:, report.input_labels.index("rand00")]
     live = generic[generic >= oracle.ZERO_PROB]
     return {
@@ -582,10 +586,10 @@ def _verified(name):
     return oracle.verify_pattern(pattern, corrections=table)
 
 
-def _all_identity_loss_demo():
+def _all_identity_loss_demo(inputs=None):
     pattern = catalog.build_pattern("cz-mismatched")
     table = CorrectionTable.from_entries({key: CorrectionOp.identity() for key in pattern.layout})
-    return oracle.verify_pattern(pattern, corrections=table, loss_demo=True)
+    return oracle.verify_pattern(pattern, inputs=inputs, corrections=table, loss_demo=True)
 
 
 def _minimum_in_two_pairs():
@@ -630,6 +634,17 @@ class TestPairSummaries:
         firsts = [int(np.argmax(report.pair_of == p)) for p in holders]
         assert len(holders) == 2 and firsts[0] > firsts[1]
         assert report.worst_outcome == report.layout.key(firsts[1])
+
+    def test_basis_inputs_keep_the_generic_probe(self):
+        # On the last basis input |11> only 32 of the 64 outcomes have
+        # nonzero probability, each 1/32; the generic probe reaches all 64.
+        default = _all_identity_loss_demo()
+        basis = _all_identity_loss_demo(inputs=np.eye(4))
+        assert basis.input_labels == [f"input{i:02d}" for i in range(4)]
+        assert basis.pair_probabilities.shape == (len(basis.pair_fidelities), 4)
+        assert basis.suspicious_outcomes == default.suspicious_outcomes
+        assert basis.outcome_probability_range == default.outcome_probability_range
+        assert basis.outcome_probability_range == pytest.approx((0.0076, 0.0236), abs=5e-5)
 
     def test_grids_are_gathered_from_the_pair_rows(self):
         report = _verified("chain-cz-3")
@@ -997,9 +1012,10 @@ class TestDecomposeMonomial:
 
     def test_fredkin_derivation_builds_each_correction_matrix_once(self, monkeypatch):
         # A cold derivation builds 16 matrices for the three-wire full
-        # dictionary, one per entangler-prefix candidate, and one per
-        # distinct word a decompose_monomial call factors, the one its
-        # confirmations compare. Dense dictionary products built 255.
+        # dictionary, one per entangler-prefix candidate. decompose_monomial
+        # writes each factored word's phased permutation straight from its
+        # integer form, so its 224 words build none. Dense dictionary
+        # products built 255.
         calls = []
         matrix = CorrectionOp.matrix
         monkeypatch.setattr(CorrectionOp, "matrix", lambda op, n: calls.append(1) or matrix(op, n))
@@ -1007,7 +1023,7 @@ class TestDecomposeMonomial:
         pattern = catalog.fredkin_pattern()
         oracle.outcome_maps(pattern)
         oracle.derive_corrections_with_failures(pattern)
-        assert len(calls) == 16 + 224
+        assert len(calls) == 16
 
     def test_dictionary_length_builds_no_op_and_no_matrix(self, monkeypatch):
         built = []
