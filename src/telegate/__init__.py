@@ -60,7 +60,6 @@ from .statevec import (
     StateVector,
     UsageError,
     from_ket_expression,
-    project,
     validate_basis,
 )
 
@@ -95,7 +94,6 @@ __all__ = [
     "parameterized_phase_check",
     "parity_experiment",
     "phase_parameter_grid_search",
-    "project",
     "save_pattern",
     "select_toffoli_variant",
     "validate_basis",

@@ -49,7 +49,9 @@ class DerivationFailures(Sequence):
     ``(key, reason)``: outcome ``positions[i]`` of ``maps`` fails for the
     reason of its map's class. A class marked ``outside`` needs a recovery
     outside ``vocabulary``; any other failing map is not proportional to a
-    unitary, and its reason names its rank, read from ``maps.facts``."""
+    unitary, and its reason names its rank, read from ``maps.facts``, and
+    for a map of full rank its singular-value spread σ_min/σ_max, read from
+    the same singular values."""
 
     maps: OutcomeMaps
     positions: np.ndarray
@@ -69,8 +71,13 @@ class DerivationFailures(Sequence):
         """Why class ``c``'s map has no correction."""
         if self.outside[c]:
             return f"needed recovery lies outside the {self.vocabulary} vocabulary"
-        rank = self.maps.facts.ranks([c])[0]
-        return f"rank {rank}/{self.maps.distinct.shape[2]}, not proportional to a unitary"
+        facts, dim = self.maps.facts, self.maps.distinct.shape[2]
+        rank = facts.ranks([c])[0]
+        reason = f"rank {rank}/{dim}, not proportional to a unitary"
+        if rank < dim:
+            return reason
+        values = facts.singular_values([c])[0]
+        return f"{reason}, singular-value spread min/max {values[-1] / values[0]:.6g}"
 
 
 class DerivationError(RuntimeError):
@@ -151,15 +158,19 @@ def _register_rows(factors: list[np.ndarray], k: int, rows: np.ndarray) -> np.nd
 _GATHER = 1 << 16
 
 
-def _plan(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _plan(basis: sv.MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
     """A (rows, K) basis's nonzero plan for :func:`_contract`: each row's
     nonzero columns first, in column order, for as many slots as the widest
-    row has nonzeros (a shorter row's last slots fall on its zero entries),
-    and the conjugated coefficients there."""
-    nonzero = vectors != 0
-    width = max(1, int(nonzero.sum(axis=1).max()))
-    index = np.argsort(~nonzero, axis=1, kind="stable")[:, :width].copy()
-    coeffs = np.take_along_axis(vectors, index, axis=1).conj()[:, :, None]
+    row has nonzeros (a shorter row's last slots take its first zero
+    columns, in column order), and the conjugated coefficients there."""
+    rows, cols, _ = basis.entries
+    counts = np.bincount(rows, minlength=basis.size)
+    width = max(1, int(counts.max()))
+    full = counts == width
+    index = np.empty((basis.size, width), dtype=np.intp)
+    index[full] = cols[full[rows]].reshape(-1, width)
+    index[~full] = np.argsort(basis.vectors[~full] == 0, axis=1, kind="stable")[:, :width]
+    coeffs = np.take_along_axis(basis.vectors, index, axis=1).conj()[:, :, None]
     return index, coeffs
 
 
@@ -225,7 +236,7 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
     if not pattern.groups:
         yield _register_rows(factors, 0, np.zeros(1, dtype=np.intp)).reshape(1, -1, dim)
         return
-    (k, (index, coeffs)), *later = [(len(g.qubits), _plan(g.basis.vectors)) for g in pattern.groups]
+    (k, (index, coeffs)), *later = [(len(g.qubits), _plan(g.basis)) for g in pattern.groups]
     row = dim << (factors[0].ndim - 1 - k)  # amplitudes in one register row
     for rows in _row_chunks(index, max(1, _GATHER // row)):
         needed, at = np.unique(index[rows], return_inverse=True)
@@ -312,7 +323,8 @@ class MapFacts:
     """Per-class facts of a (classes, d, d) stack of maps M, from one Gram
     matrix M†M per map: ``scale`` s = tr(M†M)/d, the mean branch probability;
     ``zero``, s < ZERO_PROB, the one zero rule; ``unitary``, nonzero and
-    ||M†M - s·I||_F <= SPREAD_TOL·s; and :meth:`ranks`, each read lazily."""
+    ||M†M - s·I||_F <= SPREAD_TOL·s; and :meth:`singular_values`, with the
+    :meth:`ranks` they give, each read lazily."""
 
     def __init__(self, distinct: np.ndarray):
         dim = distinct.shape[2]
@@ -325,15 +337,18 @@ class MapFacts:
             spread[block] = np.linalg.norm(shifted, axis=(1, 2))
         self.zero = self.scale < ZERO_PROB
         self.unitary = ~self.zero & (spread <= sv.SPREAD_TOL * self.scale)
-        self._ranks = np.full(len(distinct), -1)  # -1 until read
+        self._singular = np.full(distinct.shape[:2], -1.0)  # -1 until read
+
+    def singular_values(self, classes) -> np.ndarray:
+        """Each listed class's singular values, largest first, computed once."""
+        todo = np.asarray(classes)[self._singular[classes, 0] < 0]
+        for block in _blocks(len(todo)):
+            self._singular[todo[block]] = np.linalg.svd(self.distinct[todo[block]], compute_uv=False)
+        return self._singular[classes]
 
     def ranks(self, classes) -> np.ndarray:
-        """Each listed class's rank (its singular values above RANK_TOL), computed once."""
-        todo = np.asarray(classes)[self._ranks[classes] < 0]
-        for block in _blocks(len(todo)):
-            stack = self.distinct[todo[block]]
-            self._ranks[todo[block]] = np.linalg.matrix_rank(stack, tol=sv.RANK_TOL)
-        return self._ranks[classes]
+        """Each listed class's rank: its singular values above RANK_TOL."""
+        return np.count_nonzero(self.singular_values(classes) > sv.RANK_TOL, axis=1)
 
 
 def outcome_maps(pattern: GatePattern) -> OutcomeMaps:

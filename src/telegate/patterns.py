@@ -461,6 +461,41 @@ def _validate_corrections(pattern: GatePattern) -> None:
 # Pattern document format (JSON)
 # ---------------------------------------------------------------------------
 
+# Every streamed writer yields one piece of text per this many outcomes.
+_WRITE_BLOCK = 256
+
+
+def dumps(doc) -> str:
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+def _indented(value, depth: int) -> str:
+    """``value`` as ``dumps`` writes it ``depth`` levels deep."""
+    return dumps(value).replace("\n", "\n" + " " * depth)
+
+
+def _json_pieces(doc: dict, key: str, blocks):
+    """``dumps`` of ``doc`` with a list under the top-level ``key``, in
+    pieces: the text before the list, one per non-empty block of item texts
+    (as ``dumps`` writes items two levels deep), and the rest; or one piece
+    when the list is empty."""
+    # Only top-level keys start a line with one space of indent, so the
+    # placeholder is found exactly once.
+    head, tail = dumps({**doc, key: None}).split(f'\n "{key}": null', 1)
+    opened = False
+    for block in filter(None, blocks):
+        if not opened:
+            yield f'{head}\n "{key}": ['
+        yield (",\n" if opened else "\n") + ",\n".join(block)
+        opened = True
+    yield "\n ]" + tail if opened else f'{head}\n "{key}": []{tail}'
+
+
+def _json_list(texts) -> str:
+    """Item texts as ``dumps`` writes a list three levels deep."""
+    return "[\n    " + ",\n    ".join(texts) + "\n   ]" if texts else "[]"
+
+
 def _terms_of(amps: np.ndarray, num_qubits: int) -> list[dict]:
     terms = []
     for idx in np.flatnonzero(np.abs(amps) > sv.WRITTEN_AMP):
@@ -533,7 +568,7 @@ def pattern_to_document(pattern: GatePattern) -> dict:
         doc["variant"] = pattern.variant
     table = pattern.corrections
     if table is not None:
-        ops = [[{"name": n, "wires": list(w)} for n, w in op.factors] for op in table.ops]
+        ops = [_op_document(op) for op in table.ops]
         present = np.flatnonzero(table.index >= 0)
         doc["corrections"] = [
             {"labels": [list(label) for label in key], "ops": ops[row]}
@@ -618,9 +653,37 @@ def pattern_from_document(doc: dict) -> GatePattern:
     return pattern
 
 
+def _op_document(op: CorrectionOp) -> list[dict]:
+    return [{"name": n, "wires": list(w)} for n, w in op.factors]
+
+
+def _correction_blocks(table: CorrectionTable):
+    """The items of a pattern document's ``corrections`` list as ``dumps``
+    writes them, one block per ``_WRITE_BLOCK`` outcomes, in outcome order.
+    Each is joined from one text per distinct op and one per group label."""
+    ops = [_indented(_op_document(op), 3) for op in table.ops]
+    keys = product(*([_indented(list(label), 4) for label in ls] for ls in table.layout.labels))
+    for lo in range(0, len(table.layout), _WRITE_BLOCK):
+        # Rows first, so zip stops without drawing a key past the block.
+        pairs = zip(table.index[lo:lo + _WRITE_BLOCK].tolist(), keys)
+        yield [
+            f'  {{\n   "labels": {_json_list(key)},\n   "ops": {ops[r]}\n  }}'
+            for r, key in pairs
+            if r >= 0
+        ]
+
+
 def save_pattern(pattern: GatePattern, path) -> None:
+    """Write the bytes ``json.dump`` writes for :func:`pattern_to_document`
+    (indent 1, sorted keys) plus a newline, the corrections streamed one
+    block of outcomes at a time."""
+    doc = pattern_to_document(pattern.with_corrections(None))
+    table = pattern.corrections
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pattern_to_document(pattern), fh, indent=1, sort_keys=True)
+        if table is None:
+            fh.write(dumps(doc))
+        else:
+            fh.writelines(_json_pieces(doc, "corrections", _correction_blocks(table)))
         fh.write("\n")
 
 

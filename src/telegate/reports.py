@@ -13,17 +13,21 @@ from itertools import islice
 import numpy as np
 
 from .oracle import LossReport, ParityResult, TableDiff, VerificationReport
-from .patterns import CorrectionTable, _label_text, format_key
+from .patterns import (
+    _WRITE_BLOCK,
+    CorrectionTable,
+    _json_list,
+    _json_pieces,
+    _label_text,
+    dumps,
+    format_key,
+)
 
 MAX_LISTED = 8  # outcomes or cells a text report lists before "and N more"
 
 
 def _f(x: float) -> str:
     return repr(float(x))
-
-
-def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=1, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +78,6 @@ def verification_to_doc(report: VerificationReport) -> dict:
     return doc
 
 
-# Every streamed writer yields one piece of text per this many outcomes.
-_WRITE_BLOCK = 256
-
-
 def _outcome_blocks(report: VerificationReport, escape=str):
     """Each block of at most ``_WRITE_BLOCK`` consecutive outcomes as
     (pair rows, label texts), each label's text passed through ``escape``."""
@@ -108,32 +108,10 @@ def verification_json_pieces(report: VerificationReport):
     yield from _json_pieces(verification_to_doc(report), "outcomes", rows)
 
 
-def _json_pieces(doc: dict, key: str, blocks):
-    """``dumps`` of ``doc`` with a list under the top-level ``key``, in
-    pieces: the text before the list, one per non-empty block of item texts
-    (as ``dumps`` writes items two levels deep), and the rest; or one piece
-    when the list is empty."""
-    # Only top-level keys start a line with one space of indent, so the
-    # placeholder is found exactly once.
-    head, tail = dumps({**doc, key: None}).split(f'\n "{key}": null', 1)
-    opened = False
-    for block in filter(None, blocks):
-        if not opened:
-            yield f'{head}\n "{key}": ['
-        yield (",\n" if opened else "\n") + ",\n".join(block)
-        opened = True
-    yield "\n ]" + tail if opened else f'{head}\n "{key}": []{tail}'
-
-
 def _json_escaped(text: str) -> str:
     """``text`` as ``dumps`` writes it inside a string's quotes. JSON escapes
     character by character, so joined escaped texts are the escaped join."""
     return json.dumps(text)[1:-1]
-
-
-def _json_list(texts: list[str]) -> str:
-    """Number texts as ``dumps`` writes a list three levels deep."""
-    return "[\n    " + ",\n    ".join(texts) + "\n   ]" if texts else "[]"
 
 
 def table_diff_to_doc(diff: TableDiff) -> dict:

@@ -8,8 +8,7 @@ Conventions used throughout the package:
 - States are renormalized on construction; declared prefactors of ket
   expressions are ignored (the physics is invariant to normalization).
 - Measurement removes the measured qubits from the register; the residual
-  state lives on the remaining qubits in ascending original order (see
-  :func:`project`).
+  state lives on the remaining qubits in ascending original order.
 
 All operations are pure functions of their inputs and safe to share across
 threads.
@@ -17,6 +16,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,33 +108,6 @@ def check_subset(indices: tuple[int, ...], num_qubits: int) -> tuple[int, ...]:
     return indices
 
 
-def project(
-    state: StateVector, basis_vector: StateVector, measured: tuple[int, ...]
-) -> tuple[float, StateVector | None]:
-    """Project the measured qubits onto ``basis_vector``.
-
-    Returns the outcome probability and the renormalized residual state on
-    the unmeasured qubits (in ascending original order), or ``None`` when the
-    probability falls below the zero threshold (a legal, flagged outcome).
-    """
-    n = state.num_qubits
-    measured = check_subset(measured, n)
-    if basis_vector.num_qubits != len(measured):
-        raise UsageError(
-            f"basis vector on {basis_vector.num_qubits} qubits cannot measure "
-            f"{len(measured)} qubits"
-        )
-    t = state.amps.reshape([2] * n)
-    t = np.moveaxis(t, measured, range(len(measured)))
-    mat = t.reshape(basis_vector.dim, -1)
-    residual = basis_vector.amps.conj() @ mat
-    prob = float(np.real(np.vdot(residual, residual)))
-    if prob <= ZERO_PROB:
-        return prob, None
-    post = residual / np.sqrt(prob)
-    return prob, StateVector(n - len(measured), np.ascontiguousarray(post))
-
-
 @dataclass(frozen=True)
 class MeasurementBasis:
     """Complete orthonormal joint-measurement basis over k qubits.
@@ -149,6 +122,13 @@ class MeasurementBasis:
     @property
     def size(self) -> int:
         return self.vectors.shape[0]
+
+    @cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The row, column and value of each nonzero entry of ``vectors``,
+        in row-major order: the one reading of the basis's sparsity."""
+        rows, cols = np.nonzero(self.vectors != 0)
+        return rows, cols, self.vectors[rows, cols]
 
 
 def basis_from_states(states: list[StateVector]) -> MeasurementBasis:
@@ -178,48 +158,33 @@ class BasisReport:
         )
 
 
-# Overlaps are summed for blocks of whole vectors with at most this many
-# pair terms (but always one vector), which bounds their temporaries.
-_PAIR_TERMS = 1 << 16
+# Bounds each block of overlaps to about this many Gram entries.
+_GRAM_ENTRIES = 1 << 16
 
 
 def validate_basis(basis: MeasurementBasis) -> BasisReport:
     """Report max pairwise overlap, max norm deviation and vector count.
 
-    Norms come from each vector's own nonzero entries, and overlaps only
-    from vectors that share a nonzero column: every other pair is exactly
-    orthogonal. Failures are report entries, not exceptions.
+    Norms come from each vector's own nonzero entries, and overlaps from a
+    Gram matrix of each block of vectors against every vector from its first
+    on that shares one of its nonzero columns, over those columns only: every
+    other pair is orthogonal. Failures are report entries, not exceptions.
     """
     vecs = basis.vectors
     count = vecs.shape[0]
-    rows, cols = np.nonzero(vecs != 0)
-    vals = vecs[rows, cols]
+    rows, cols, vals = basis.entries
     norms = np.sqrt(np.bincount(rows, weights=vals.real**2 + vals.imag**2, minlength=count))
-    # Column by column, each entry meets the later rows' entries in its
-    # column, so a pair of vectors meets once per shared column, always at
-    # an entry of its first vector. Entries above are row by row.
-    by_col = np.lexsort((rows, cols))
-    col_rows, col_vals = rows[by_col], vals[by_col]
-    at = np.empty_like(by_col)
-    at[by_col] = np.arange(len(by_col))
-    later = np.searchsorted(cols[by_col], cols, side="right") - at - 1
-    row_terms = np.concatenate([[0], np.cumsum(later)])[np.searchsorted(rows, np.arange(count + 1))]
+    step = max(1, _GRAM_ENTRIES // max(count, 1))
     max_overlap = 0.0
-    lo = 0
-    while lo < count:
-        hi = np.searchsorted(row_terms, row_terms[lo] + _PAIR_TERMS, side="right") - 1
-        hi = max(lo + 1, int(hi))
-        block = slice(*np.searchsorted(rows, [lo, hi]))
-        n = later[block]
-        first = np.repeat(at[block], n)
-        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(n) - n, n)
-        pairs, inverse = np.unique(col_rows[first] * count + col_rows[second], return_inverse=True)
-        terms = col_vals[first].conj() * col_vals[second]
-        overlaps = np.bincount(inverse, terms.real, len(pairs)) + 1j * np.bincount(
-            inverse, terms.imag, len(pairs)
-        )
-        max_overlap = max(max_overlap, float(np.abs(overlaps).max(initial=0.0)))
-        lo = hi
+    for lo in range(0, count, step):
+        start, end = np.searchsorted(rows, [lo, lo + step])
+        shared = np.zeros(vecs.shape[1], dtype=bool)
+        shared[cols[start:end]] = True
+        columns = np.flatnonzero(shared)
+        partners = np.flatnonzero(np.bincount(rows[start:][shared[cols[start:]]], minlength=count))
+        gram = vecs[lo:lo + step, columns].conj() @ vecs[np.ix_(partners, columns)].T
+        gram[np.arange(lo, lo + len(gram))[:, None] == partners] = 0
+        max_overlap = max(max_overlap, float(np.abs(gram).max(initial=0.0)))
     return BasisReport(
         num_qubits=basis.num_qubits,
         vector_count=count,

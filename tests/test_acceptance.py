@@ -18,7 +18,7 @@ from telegate import catalog, oracle, reports, tables
 from telegate import statevec as sv
 from telegate.gates import CZ, double_cz, random_state
 
-from reference import random_unitary
+from reference import project, random_unitary
 
 SEED = oracle.DEFAULT_SEED
 TOL = 1e-9
@@ -109,17 +109,17 @@ def test_criterion_3_controlled_z_rows_and_information_loss():
 
     half = {"aligned-0": register(ket(2, "00")), "aligned-1": register(ket(2, "11"))}
     measured = (1, 3, 7)
-    p_000_on_0, _ = sv.project(half["aligned-0"], ket(3, "000"), measured)
-    p_000_on_1, _ = sv.project(half["aligned-1"], ket(3, "000"), measured)
-    p_111_on_0, _ = sv.project(half["aligned-0"], ket(3, "111"), measured)
-    p_111_on_1, _ = sv.project(half["aligned-1"], ket(3, "111"), measured)
+    p_000_on_0, _ = project(half["aligned-0"], ket(3, "000"), measured)
+    p_000_on_1, _ = project(half["aligned-1"], ket(3, "000"), measured)
+    p_111_on_0, _ = project(half["aligned-0"], ket(3, "111"), measured)
+    p_111_on_1, _ = project(half["aligned-1"], ket(3, "111"), measured)
     assert p_000_on_0 > 1e-6 and p_111_on_1 > 1e-6
     assert p_000_on_1 <= 1e-12 and p_111_on_0 <= 1e-12
 
     for bit, sign in (("0", 1), ("1", -1)):
         component = register(sv.from_ket_expression(2, [(1, bit + "0"), (sign, bit + "1")]))
         for probe in ("000", "111"):
-            p, _ = sv.project(component, ket(3, probe), measured)
+            p, _ = project(component, ket(3, probe), measured)
             assert p > 1e-6
     print("criterion 3: PASS - both compatible rows verify over 64 outcomes; "
           "mismatched row keeps only the outer components and exactly the "

@@ -17,7 +17,7 @@ from telegate.patterns import (
     pattern_to_document,
 )
 
-from reference import random_unitary
+from reference import argsort_plan, project, ragged_basis, random_unitary
 
 
 def plus_state():
@@ -111,7 +111,7 @@ class TestEnumerationAgainstNaivePath:
                 group = pattern.groups[gi]
                 local = tuple(positions.index(q) for q in group.qubits)
                 vector = sv.StateVector(group.basis.num_qubits, group.basis.vectors[idx])
-                p, post = sv.project(state, vector, local)
+                p, post = project(state, vector, local)
                 prob *= p
                 if post is None:
                     alive = False
@@ -282,9 +282,9 @@ class TestOutcomeMaps:
         pattern, _, failures = fredkin_partial
         printed = np.unique(oracle.outcome_maps(pattern).classes[1][failures.positions[:shown]])
         ranked = []
-        rank = np.linalg.matrix_rank
+        svd = np.linalg.svd
         monkeypatch.setattr(
-            np.linalg, "matrix_rank", lambda m, tol: ranked.append(m.copy()) or rank(m, tol=tol)
+            np.linalg, "svd", lambda m, compute_uv: ranked.append(m.copy()) or svd(m, compute_uv=compute_uv)
         )
         assert main(["verify", "--pattern", "fredkin", "--format", fmt]) == 1
         assert 0 < len(printed) < len(oracle.outcome_maps(pattern).distinct)
@@ -396,7 +396,7 @@ class TestSparseContraction:
         vectors[0] = [1, 0, 0, 0]
         vectors[2, 1:3] = 0
         flat = rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))
-        index, coeffs = oracle._plan(vectors)
+        index, coeffs = oracle._plan(sv.MeasurementBasis(2, vectors))
         assert index.shape == (4, 4)
         np.testing.assert_allclose(
             oracle._contract(index, coeffs, flat), vectors.conj() @ flat, rtol=0, atol=self.TOL
@@ -404,6 +404,29 @@ class TestSparseContraction:
         # A chunk of the plan's rows contracts those rows alone, bit for bit.
         whole = oracle._contract(index, coeffs, flat)
         assert np.array_equal(oracle._contract(index[1:3], coeffs[1:3], flat), whole[:, 1:3])
+
+
+def _planned_bases():
+    bases = {}
+    for name in catalog.catalog_entries():
+        for gi, group in enumerate(catalog.build_pattern(name).groups):
+            bases[f"{name}-{gi}"] = group.basis
+    for n in range(1, 9):
+        for gi, group in enumerate(catalog.chain_cz_pattern(n).groups):
+            bases[f"chain-cz-{n}-{gi}"] = group.basis
+    bases["ragged"] = ragged_basis()
+    return bases
+
+
+@pytest.mark.parametrize("name, basis", sorted(_planned_bases().items()))
+def test_plan_equals_the_argsort_plan(name, basis):
+    # Equal to the bit, signed zeros included: a padding slot's coefficient
+    # is the basis's own zero entry there, conjugated.
+    index, coeffs = oracle._plan(basis)
+    expected_index, expected_coeffs = argsort_plan(basis.vectors)
+    assert index.dtype == expected_index.dtype and np.array_equal(index, expected_index)
+    assert coeffs.shape == expected_coeffs.shape
+    assert coeffs.tobytes() == expected_coeffs.tobytes()
 
 
 # sha256 of each pattern's maps in outcome order, of its class
@@ -1619,7 +1642,12 @@ class TestZeroAndSpreadRules:
         assert np.linalg.norm(gram - scale * np.eye(2)) / scale == pytest.approx(2.83e-3, rel=1e-3)
         _, failures = oracle.derive_corrections_with_failures(pattern)
         assert [key for key, _ in failures] == FLAG_ONE
-        assert {reason for _, reason in failures} == {"rank 2/2, not proportional to a unitary"}
+        # The map is full rank, so the reason adds its singular-value spread:
+        # cos t / sin t = 1/tan(pi/4 + 1e-3), whatever eps scales it by.
+        spread = 1 / np.tan(np.pi / 4 + 1e-3)
+        assert spread == pytest.approx(0.998, abs=1e-4)
+        expected = f"rank 2/2, not proportional to a unitary, singular-value spread min/max {spread:.6g}"
+        assert {reason for _, reason in failures} == {expected}
 
 
 @pytest.mark.xfail(

@@ -18,7 +18,7 @@ from telegate.patterns import (
     validate_pattern,
 )
 
-from reference import patterns_equal
+from reference import pattern_file_text, patterns_equal
 
 
 class TestCorrectionOp:
@@ -192,6 +192,23 @@ class TestValidation:
             validate_pattern(bad)
 
 
+def _derived(pattern):
+    table, _ = oracle.derive_corrections_with_failures(pattern)
+    return pattern.with_corrections(table)
+
+
+# Every catalog pattern as built (three carry the paper's corrections) and
+# with the corrections derivation finds, and a derived chain.
+SAVED = {
+    **{name: (lambda name=name: catalog.build_pattern(name)) for name in catalog.catalog_entries()},
+    **{
+        f"{name}-derived": (lambda name=name: _derived(catalog.build_pattern(name)))
+        for name in catalog.catalog_entries()
+    },
+    "chain-cz-3-derived": lambda: _derived(catalog.chain_cz_pattern(3).with_target(CZ)),
+}
+
+
 class TestDocuments:
     def test_round_trip_phase(self, tmp_path):
         pattern = catalog.phase_gate_pattern()
@@ -211,6 +228,23 @@ class TestDocuments:
         path = tmp_path / f"{name}.json"
         save_pattern(pattern, path)
         assert patterns_equal(pattern, load_pattern(path), atol=1e-12)
+
+    @pytest.mark.parametrize("block", [3, 256])
+    @pytest.mark.parametrize("name", sorted(SAVED))
+    def test_saved_bytes_equal_one_json_dump(self, tmp_path, monkeypatch, name, block):
+        # Blocks of 3 outcomes end inside every group's labels; fredkin's
+        # and cz-mismatched's partial tables leave outcomes without a cell.
+        pattern = SAVED[name]()
+        monkeypatch.setattr(patterns, "_WRITE_BLOCK", block)
+        path = tmp_path / f"{name}.json"
+        save_pattern(pattern, path)
+        assert path.read_bytes() == pattern_file_text(pattern).encode("utf-8")
+        loaded = load_pattern(path)
+        assert patterns_equal(pattern, loaded, atol=1e-12)
+        if pattern.corrections is None:
+            assert loaded.corrections is None
+        else:
+            assert dict(loaded.corrections.items()) == dict(pattern.corrections.items())
 
     def test_unnormalized_amplitudes_renormalized(self, tmp_path):
         doc = pattern_to_document(catalog.phase_gate_pattern())

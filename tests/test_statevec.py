@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from telegate import statevec as sv
 from telegate.gates import HADAMARD, I2, PHASE, SX, SZ
 
+from reference import project, ragged_basis, random_unitary
+
 
 def ket(num_qubits, *terms):
     return sv.from_ket_expression(num_qubits, list(terms))
@@ -72,12 +74,12 @@ def _rand_state(rng, n):
 
 class TestProject:
     def test_trivial_projection(self):
-        prob, post = sv.project(ket(2, (1, "00")), ket(1, (1, "0")), (0,))
+        prob, post = project(ket(2, (1, "00")), ket(1, (1, "0")), (0,))
         assert prob == pytest.approx(1.0)
         assert np.allclose(post.amps, [1, 0])
 
     def test_zero_probability_flagged(self):
-        prob, post = sv.project(ket(2, (1, "00")), ket(1, (1, "1")), (0,))
+        prob, post = project(ket(2, (1, "00")), ket(1, (1, "1")), (0,))
         assert prob == pytest.approx(0.0, abs=1e-15)
         assert post is None
 
@@ -85,7 +87,7 @@ class TestProject:
         rng = np.random.default_rng(11)
         state = sv.StateVector(4, _rand_state(rng, 4))
         vec = sv.StateVector(2, _rand_state(rng, 2))
-        prob, post = sv.project(state, vec, (1, 3))
+        prob, post = project(state, vec, (1, 3))
         # Naive reference: <vec| on qubits 1 and 3, summed index by index.
         residual = np.zeros(4, dtype=complex)
         for idx, amp in enumerate(state.amps):
@@ -103,9 +105,9 @@ class TestProject:
         full = sv.StateVector(8, np.kron(np.kron(np.kron(c, pair), pair), pair))
         ghz = ket(3, (1, "000"), (1, "111"))
         # Register order: a b e e' c c' d d'; group one = (a, e, c'), two = (b, e', d').
-        _, mid = sv.project(full, ghz, (0, 2, 5))
+        _, mid = project(full, ghz, (0, 2, 5))
         # Remaining qubits: b e' c d d' -> group two measures (b, e', d') = (0, 1, 4).
-        _, out = sv.project(mid, ghz, (0, 1, 4))
+        _, out = project(mid, ghz, (0, 1, 4))
         expected = np.array([c[0], 0, 0, c[3]])
         expected /= np.linalg.norm(expected)
         fid = abs(np.vdot(expected, out.amps))
@@ -125,10 +127,10 @@ class TestProject:
         probe0 = ket(3, (1, "000"))
         probe1 = ket(3, (1, "111"))
         measured = (1, 3, 7)  # (b, e', d')
-        p_00_1, _ = sv.project(phi1, probe0, measured)
-        p_00_2, _ = sv.project(phi2, probe0, measured)
-        p_11_1, _ = sv.project(phi1, probe1, measured)
-        p_11_2, _ = sv.project(phi2, probe1, measured)
+        p_00_1, _ = project(phi1, probe0, measured)
+        p_00_2, _ = project(phi2, probe0, measured)
+        p_11_1, _ = project(phi1, probe1, measured)
+        p_11_2, _ = project(phi2, probe1, measured)
         assert p_00_1 > 1e-3 and p_11_2 > 1e-3
         assert p_00_2 == pytest.approx(0.0, abs=1e-15)
         assert p_11_1 == pytest.approx(0.0, abs=1e-15)
@@ -140,7 +142,7 @@ class TestProject:
         h1, h2 = h_branch("0", 1), h_branch("1", -1)  # |0+> and |1-> components
         for phi in (h1, h2):
             for probe in (probe0, probe1):
-                p, _ = sv.project(phi, probe, measured)
+                p, _ = project(phi, probe, measured)
                 assert p > 1e-3
 
 
@@ -212,7 +214,6 @@ def _dense_gram_report(basis):
 
 def _reference_bases():
     from telegate import catalog
-    from reference import random_unitary
 
     bases = {}
     for name in catalog.catalog_entries():
@@ -228,15 +229,25 @@ def _reference_bases():
     skewed = random_unitary(8, rng) * np.linspace(0.5, 1.5, 8)
     bases["dense-skewed-8"] = sv.MeasurementBasis(3, skewed)
     bases["truncated"] = sv.MeasurementBasis(3, ghz_like_basis().vectors[:7])
+    bases["dense-64"] = sv.MeasurementBasis(6, random_unitary(64, rng))
+    bases["dense-256"] = sv.MeasurementBasis(8, random_unitary(256, rng))
+    bases["dense-rotated-256"] = sv.MeasurementBasis(8, _rotated(random_unitary(256, rng), 1e-3))
+    bases["ragged"] = ragged_basis()
     return bases
+
+
+def _rotated(vectors, angle):
+    """``vectors`` with its first row turned by ``angle`` toward its second,
+    which leaves both unit vectors that overlap by about sin(angle)."""
+    out = vectors.copy()
+    out[0] = np.cos(angle) * vectors[0] + np.sin(angle) * vectors[1]
+    return out
 
 
 REFERENCE_BASES = _reference_bases()
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE_BASES))
-def test_validate_basis_matches_the_dense_gram(name):
-    basis = REFERENCE_BASES[name]
+def _assert_agrees_with_the_dense_gram(basis):
     report, dense = sv.validate_basis(basis), _dense_gram_report(basis)
     assert report.passed == dense.passed
     assert report.vector_count == dense.vector_count
@@ -247,14 +258,49 @@ def test_validate_basis_matches_the_dense_gram(name):
     assert report.max_norm_deviation == pytest.approx(dense.max_norm_deviation, **close)
 
 
+@pytest.mark.parametrize("name", sorted(REFERENCE_BASES))
+def test_validate_basis_matches_the_dense_gram(name):
+    _assert_agrees_with_the_dense_gram(REFERENCE_BASES[name])
+
+
 def test_validate_basis_blocks_do_not_change_the_report(monkeypatch):
-    # One vector per block (a budget below every vector's pair terms) sums
-    # every pair exactly as one block does.
+    # One vector per block (a budget below the vector count), a few, or the
+    # whole basis in one block: each pair's overlap sums the same nonzero
+    # terms, so the report is the same to the bit.
     basis = REFERENCE_BASES["toffoli-literal-0"]
     whole = sv.validate_basis(basis)
-    monkeypatch.setattr(sv, "_PAIR_TERMS", 1)
-    assert sv.validate_basis(basis) == whole
+    for budget in (1, 7, 64, 1 << 30):
+        monkeypatch.setattr(sv, "_GRAM_ENTRIES", budget)
+        assert sv.validate_basis(basis) == whole
     assert not whole.passed and whole.max_pairwise_overlap > 0.99
+
+
+@st.composite
+def random_bases(draw):
+    """A random basis of 1 to 6 qubits: a unitary, dense or sparse (random
+    unitary blocks on the diagonal, rows and columns shuffled), with its
+    first vector turned toward its second by a drawn angle, often 0."""
+    k = draw(st.integers(1, 6))
+    dim = 1 << k
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        vectors = random_unitary(dim, rng)
+    else:
+        vectors = np.zeros((dim, dim), dtype=complex)
+        cuts = sorted(draw(st.sets(st.integers(1, dim - 1), max_size=dim - 1))) if dim > 1 else []
+        for lo, hi in zip([0, *cuts], [*cuts, dim]):
+            vectors[lo:hi, lo:hi] = random_unitary(hi - lo, rng)
+        vectors = vectors[rng.permutation(dim)][:, rng.permutation(dim)]
+    angle = draw(st.sampled_from([0.0, 1e-14, 1e-6, 0.3]))
+    if angle and dim > 1:
+        vectors = _rotated(vectors, angle)
+    return sv.MeasurementBasis(k, vectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_bases())
+def test_validate_basis_agrees_with_the_dense_gram_on_random_bases(basis):
+    _assert_agrees_with_the_dense_gram(basis)
 
 
 @st.composite
@@ -283,7 +329,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         big = sv.StateVector(3, np.kron(state.amps, _rand_state(rng, 1)))
         total = sum(
-            sv.project(big, sv.StateVector(3, vec), (0, 1, 2))[0] for vec in basis.vectors
+            project(big, sv.StateVector(3, vec), (0, 1, 2))[0] for vec in basis.vectors
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
