@@ -37,9 +37,8 @@ from .oracle import (
     detect_information_loss,
     enumerate_outcomes,
     outcome_maps,
-    parameterized_phase_check,
     parity_experiment,
-    phase_parameter_grid_search,
+    phase_family_obstruction,
     select_toffoli_variant,
     verify_pattern,
 )
@@ -91,9 +90,8 @@ __all__ = [
     "from_ket_expression",
     "load_pattern",
     "outcome_maps",
-    "parameterized_phase_check",
     "parity_experiment",
-    "phase_parameter_grid_search",
+    "phase_family_obstruction",
     "save_pattern",
     "select_toffoli_variant",
     "validate_basis",

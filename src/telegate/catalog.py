@@ -379,9 +379,9 @@ def parameterized_cz_pattern(
 
     The pair states carry phases p (linking pair), m, n (output pairs); the
     measurement branches carry k (first group) and kt (second group). The
-    nominal target stays controlled-Z; the point of this layout is reading
-    off the effective operator of a fixed outcome, which shows that no
-    assignment of these five phases realizes the controlled quarter-turn.
+    nominal target stays controlled-Z. ``oracle.phase_family_obstruction``
+    reads off the map of a fixed outcome, which shows that no assignment
+    of these five phases realizes the controlled quarter-turn.
     """
     for label, value in (("k", k), ("kt", kt), ("p", p), ("m", m), ("n", n)):
         if abs(abs(value) - 1.0) > sv.ATOL_ORTHO:
@@ -596,11 +596,12 @@ def fredkin_pattern() -> GatePattern:
     Known defect, surfaced by the oracle: the first group measures both
     regime selectors (h'' and i'') plus a, d, g, so it needs four index
     bits, but only three flip assignments (a, d, g) keep the two selectors
-    riding the branches together. Any completion of the basis contains
-    regime-disagreement outcomes; those carry probability 1/2 on generic
-    inputs and their input->output maps have rank 4 of 8, so no correction
-    exists and exhaustive verification fails on exactly the
-    h''-flip half of the first group's outcomes.
+    riding the branches together. This completion of the basis contains
+    regime-disagreement outcomes (no proof covers every completion); those
+    carry probability exactly 1/2 on every input and their input->output
+    maps have rank 4 of 8, so no correction exists and exhaustive
+    verification fails on exactly the h''-flip half of the first group's
+    outcomes.
     """
     ires = sv.from_ket_expression(
         4,

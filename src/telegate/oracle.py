@@ -1164,72 +1164,39 @@ def select_toffoli_variant(
     return VariantSelection(*(selected or built or (pattern, None, None)), record)
 
 
-def effective_outcome_operator(pattern: GatePattern, key: OutcomeKey) -> np.ndarray:
-    """The outcome's input->output map rescaled to unit leading norm."""
-    maps = outcome_maps(pattern)
-    if key not in maps:
-        raise sv.UsageError(f"unknown outcome {format_key(key)}")
-    c = maps.classes[1][maps.layout.position(key)]
-    m = maps.distinct[c]
-    return np.zeros_like(m) if maps.facts.zero[c] else m / np.sqrt(maps.facts.scale[c])
+def phase_family_obstruction() -> tuple[complex, float]:
+    """Why the controlled-Z wiring, phased on its pairs and branches, cannot
+    give the controlled quarter-turn diag(1, 1, 1, i).
 
+    ``catalog.parameterized_cz_pattern(k, kt, p, m, n)`` puts phases p, m, n
+    on its pair states and k, kt on its two groups' second branches. Its base
+    outcome's map, divided by its (0,0) entry, is the closed form
+    D = diag(1, n·p·k̄t, m·k̄, -m·n·p·k̄·k̄t). The map is multilinear in
+    (k̄, k̄t, p, m, n), so agreeing with D entrywise within ATOL_AMP at the 32
+    vertices {±1}^5, which this checks by simulation, pins it for every
+    assignment. A disagreement raises RuntimeError.
 
-def operator_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Phase-minimized Frobenius distance between unit-normalized operators."""
-    na = a / np.linalg.norm(a)
-    nb = b / np.linalg.norm(b)
-    return float(np.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(na, nb)))))
+    Returns two exact values:
 
-
-def parameterized_phase_check(
-    k: complex, kt: complex, p: complex, m: complex, n: complex
-) -> np.ndarray:
-    """Effective two-wire operator of the phase-parameterized CZ layout.
-
-    Builds the controlled-Z wiring whose pair states carry phases p, m, n
-    and whose bases carry branch phases k (first group) and kt (second
-    group), then reads off the operator of the base outcome pair. It equals
-    diag(1, n p conj(kt), m conj(k), -m n p conj(k) conj(kt)) up to global
-    phase, so no unit-modulus assignment realizes the controlled
-    quarter-turn phase gate.
+    - The phase-free invariant D_00·D_11/(D_01·D_10), D's diagonal indexed
+      by the two wires' bits, as read off the simulated vertices (the one
+      farthest from -1). It is -1 for every assignment, and diag(1, 1, 1, i)
+      has i, so no assignment realizes the gate, unit-modulus or not.
+    - The least phase-insensitive distance sqrt(2 - |tr(D†G)|/2) from D to
+      the gate G over unit phases, 2·sin(π/16). With x = n·p·k̄t and
+      y = m·k̄, tr(D†G) = (1 + x̄) + ȳ·(1 - i·x̄), whose modulus is at most
+      |1 + x̄| + |1 - i·x̄| <= 4·cos(π/8), with equality at x̄ = e^{iπ/4}.
     """
     from .catalog import parameterized_cz_pattern
 
-    pattern = parameterized_cz_pattern(k, kt, p, m, n)
     base = ((0, 0, "+"), (0, 0, "+"))
-    return effective_outcome_operator(pattern, base)
-
-
-def _parameterized_phase_form(
-    k: complex, kt: complex, p: complex, m: complex, n: complex
-) -> np.ndarray:
-    return np.diag(
-        [1.0, n * p * np.conj(kt), m * np.conj(k), -m * n * p * np.conj(k) * np.conj(kt)]
-    ).astype(complex)
-
-
-def phase_parameter_grid_search(points_per_axis: int = 5) -> tuple[float, tuple]:
-    """Scan unit-modulus parameter grids for the controlled quarter-turn.
-
-    The simulated outcome operator is multilinear in (conj k, conj kt, p,
-    m, n), so agreement with the diagonal closed form on the full {+1,-1}^5
-    grid pins it for every unit-modulus assignment; that agreement is
-    re-established here by simulation before the closed form is scanned.
-    Returns the minimum phase-insensitive operator distance to
-    diag(1,1,1,i) over the grid and the arg-min assignment.
-    """
-    from .gates import CPHASE
-
-    for signs in product((1.0, -1.0), repeat=5):
-        simulated = parameterized_phase_check(*signs)
-        form = _parameterized_phase_form(*signs)
-        if operator_distance(simulated, form) > sv.CLOSED_FORM_TOL:  # pragma: no cover
-            raise RuntimeError(f"closed form disagrees with simulation at {signs}")
-
-    phases = np.exp(2j * np.pi * np.arange(points_per_axis) / points_per_axis)
-    best = (np.inf, ())
-    for params in product(phases, repeat=5):
-        dist = operator_distance(_parameterized_phase_form(*params), CPHASE)
-        if dist < best[0]:
-            best = (dist, params)
-    return best
+    ratios = []
+    for k, kt, p, m, n in product((1.0, -1.0), repeat=5):
+        d = outcome_maps(parameterized_cz_pattern(k, kt, p, m, n))[base]
+        d = d / d[0, 0]
+        form = np.diag([1, n * p * kt, m * k, -m * n * p * k * kt])  # real: k̄ = k
+        if np.abs(d - form).max() > sv.ATOL_AMP:
+            raise RuntimeError(f"closed form disagrees with simulation at {(k, kt, p, m, n)}")
+        ratios.append(d[0, 0] * d[3, 3] / (d[1, 1] * d[2, 2]))
+    invariant = max(ratios, key=lambda r: abs(r + 1))
+    return complex(invariant), float(2 * np.sin(np.pi / 16))

@@ -34,7 +34,6 @@ SUM_TOL = 1e-9            # each input's outcome probabilities sum to 1 within t
 MONOMIAL_TOL = 1e-8       # unit-scaled phased permutations: entry zero, modulus 1, quarter turns
 SHOWN_AMP = 1e-9          # printed pre-recovery states leave out map entries up to this modulus
 WRITTEN_AMP = 1e-14       # pattern documents leave out amplitudes up to this modulus
-CLOSED_FORM_TOL = 1e-9    # a phase-minimized operator distance up to this counts as agreement
 MAX_REGISTER_QUBITS = 22  # widest register simulated densely (chain-cz n=8)
 
 

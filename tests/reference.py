@@ -1,6 +1,7 @@
 """Reference helpers the tests compare the engine against."""
 import io
 import json
+from itertools import product
 
 import numpy as np
 
@@ -118,3 +119,35 @@ def pattern_file_text(pattern: GatePattern) -> str:
     json.dump(pattern_to_document(pattern), fh, indent=1, sort_keys=True)
     fh.write("\n")
     return fh.getvalue()
+
+
+def operator_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Phase-minimized Frobenius distance between unit-normalized operators."""
+    na = a / np.linalg.norm(a)
+    nb = b / np.linalg.norm(b)
+    return float(np.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(na, nb)))))
+
+
+def parameterized_phase_form(
+    k: complex, kt: complex, p: complex, m: complex, n: complex
+) -> np.ndarray:
+    """The closed form of the phased controlled-Z wiring's base outcome map,
+    up to global phase."""
+    return np.diag(
+        [1.0, n * p * np.conj(kt), m * np.conj(k), -m * n * p * np.conj(k) * np.conj(kt)]
+    ).astype(complex)
+
+
+def phase_parameter_grid_search(points_per_axis: int = 5) -> tuple[float, tuple]:
+    """The minimum phase-insensitive distance from the closed form to
+    diag(1, 1, 1, i) over a grid of ``points_per_axis`` unit phases per
+    parameter (5 parameters), and the arg-min assignment."""
+    from telegate.gates import CPHASE
+
+    phases = np.exp(2j * np.pi * np.arange(points_per_axis) / points_per_axis)
+    best = (np.inf, ())
+    for params in product(phases, repeat=5):
+        dist = operator_distance(parameterized_phase_form(*params), CPHASE)
+        if dist < best[0]:
+            best = (dist, params)
+    return best

@@ -17,7 +17,15 @@ from telegate.patterns import (
     pattern_to_document,
 )
 
-from reference import argsort_plan, project, ragged_basis, random_unitary
+from reference import (
+    argsort_plan,
+    operator_distance,
+    parameterized_phase_form,
+    phase_parameter_grid_search,
+    project,
+    ragged_basis,
+    random_unitary,
+)
 
 
 def plus_state():
@@ -1152,34 +1160,70 @@ class TestParityLaw:
         assert report.passed
 
 
+def _phased_cz_base_map(k, kt, p, m, n):
+    pattern = catalog.parameterized_cz_pattern(k, kt, p, m, n)
+    return oracle.outcome_maps(pattern)[((0, 0, "+"), (0, 0, "+"))]
+
+
 class TestParameterizedPhase:
+    EXACT_MINIMUM = 0.3901806440322565  # 2 sin(pi/16)
+
     def test_all_ones_gives_controlled_z(self):
-        op = oracle.parameterized_phase_check(1, 1, 1, 1, 1)
-        assert oracle.operator_distance(op, CZ) < 1e-9
+        op = _phased_cz_base_map(1, 1, 1, 1, 1)
+        assert operator_distance(op, CZ) < 1e-9
 
     def test_quarter_turn_on_k(self):
-        op = oracle.parameterized_phase_check(1j, 1, 1, 1, 1)
+        op = _phased_cz_base_map(1j, 1, 1, 1, 1)
         expected = np.diag([1, 1, -1j, 1j]).astype(complex)
-        assert oracle.operator_distance(op, expected) < 1e-9
+        assert operator_distance(op, expected) < 1e-9
 
     def test_simulation_matches_closed_form_on_proving_grid(self):
-        # Covered inside the grid search (multilinear pinning); a direct
-        # sample with complex parameters double-checks the conjugations.
+        # The experiment checks the proving grid {+1,-1}^5, where every phase
+        # is its own conjugate; complex phases double-check the conjugations.
         k, kt, p, m, n = 1j, -1j, -1, 1j, 1
-        op = oracle.parameterized_phase_check(k, kt, p, m, n)
-        form = oracle._parameterized_phase_form(k, kt, p, m, n)
-        assert oracle.operator_distance(op, form) < 1e-9
+        op = _phased_cz_base_map(k, kt, p, m, n)
+        assert operator_distance(op, parameterized_phase_form(k, kt, p, m, n)) < 1e-9
+
+    def test_obstruction_values_are_exact(self):
+        invariant, dist = oracle.phase_family_obstruction()
+        assert abs(invariant + 1) <= sv.ATOL_AMP
+        assert abs(dist - self.EXACT_MINIMUM) <= 1e-15
+        assert dist > 0.1
 
     def test_grid_search_minimum_is_large(self):
-        dist, argmin = oracle.phase_parameter_grid_search(3)
-        assert dist > 0.1
-        assert len(argmin) == 5
+        # The reference scan keeps its values at 3 and 5 points per axis;
+        # both overstate the exact minimum.
+        for points, expected in ((3, 0.6471948469478181), (5, 0.5024340231108816)):
+            dist, argmin = phase_parameter_grid_search(points)
+            assert dist == expected
+            assert len(argmin) == 5
+            assert dist >= self.EXACT_MINIMUM > 0.1
+
+    def test_fine_scan_of_the_free_phases_reaches_the_minimum(self):
+        # The closed form is diag(1, x, y, -x y) with x = n p conj(kt) and
+        # y = m conj(k); its overlap with diag(1, 1, 1, i) over 1001 x 1001
+        # unit phases, each form and the gate unit-normalized (norm 2 each).
+        x = np.exp(2j * np.pi * np.arange(1001) / 1001)[:, None]
+        y = x.T
+        overlap = np.abs(1 + x.conj() + y.conj() + 1j * (-x * y).conj()) / 4
+        dist = np.sqrt(2 - 2 * overlap.max())
+        assert self.EXACT_MINIMUM <= dist <= self.EXACT_MINIMUM + 1e-6
 
     def test_closest_form_is_still_far_from_controlled_phase(self):
         # Forcing the (1,1) and (2,2) entries to match leaves the (3,3)
         # entry at -1 instead of i.
-        op = oracle._parameterized_phase_form(1, 1, 1, 1, 1)
-        assert oracle.operator_distance(op, CPHASE) > 0.1
+        op = parameterized_phase_form(1, 1, 1, 1, 1)
+        assert operator_distance(op, CPHASE) > 0.1
+
+    def test_self_check_catches_a_wrong_closed_form(self, monkeypatch):
+        # A wiring with m and n exchanged has the closed form
+        # diag(1, m p conj(kt), n conj(k), ...), not the documented one.
+        build = catalog.parameterized_cz_pattern
+        monkeypatch.setattr(
+            catalog, "parameterized_cz_pattern", lambda k, kt, p, m, n: build(k, kt, p, n, m)
+        )
+        with pytest.raises(RuntimeError, match="closed form disagrees with simulation"):
+            oracle.phase_family_obstruction()
 
 
 @pytest.fixture(scope="module")
@@ -1354,6 +1398,25 @@ class TestFredkin:
         key = failures[0][0]
         rank = np.linalg.matrix_rank(maps[key], tol=1e-10)
         assert rank == 4
+
+    def test_lossy_mass_is_exactly_one_half(self, fredkin_partial):
+        # Summed over outcomes, M†M of the rank-deficient maps is I/2, so those
+        # outcomes carry probability 1/2 on every input, not only on a probe.
+        pattern, _, _ = fredkin_partial
+        maps = oracle.outcome_maps(pattern)
+        counts = np.bincount(maps.classes[1])
+        live = np.flatnonzero(~maps.facts.zero)
+        lossy = live[maps.facts.ranks(live) < 8]
+        assert (len(lossy), counts[lossy].sum()) == (1024, 4096)
+
+        def mass(classes):
+            m = maps.distinct[classes]
+            return np.einsum("c,cji,cjk->ik", counts[classes], m.conj(), m)
+
+        eigenvalues = np.linalg.eigvalsh(mass(lossy))
+        assert abs(eigenvalues[0] - 0.5) <= 1e-12 and abs(eigenvalues[-1] - 0.5) <= 1e-12
+        everything = mass(np.arange(len(maps.distinct)))
+        assert np.linalg.norm(everything - np.eye(8), 2) <= sv.SUM_TOL
 
     def test_loss_report_flags_rank_deficiency(self, fredkin_partial):
         pattern, _, _ = fredkin_partial
