@@ -16,8 +16,6 @@ corrections need entangling factors flag the ``full`` vocabulary.
 """
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 from . import statevec as sv
@@ -43,6 +41,7 @@ from .patterns import (
     validate_pattern,
 )
 from .tables import (
+    bit_sign_labels,
     cnot_table,
     cphase_table_as_captioned,
     cphase_table_transposed,
@@ -102,8 +101,8 @@ def two_branch_group(
 
     ``index_slots`` lists (operator, slot) pairs, one per label bit; the
     remaining slot carries no index operator. Index operators are one-qubit
-    phased permutations such as sx and sz. Labels are (*bits, sign) with
-    "+" ordered before "-".
+    phased permutations such as sx and sz. Labels are
+    :func:`~telegate.tables.bit_sign_labels`.
     """
     k = len(qubits)
     if len(parts0) != k or len(parts1) != k:
@@ -122,9 +121,7 @@ def two_branch_group(
         done = vectors.reshape(1 << j, 2, -1, 2, 1 << slot, 2, 1 << (k - 1 - slot))
         source = done[:, 0, 0, :, :, ::-1] if flip else done[:, 0, 0]
         np.multiply(factor, source, out=done[:, 1, 0])
-    labels = tuple(
-        (*bits, sign) for bits in product((0, 1), repeat=len(index_slots)) for sign in "+-"
-    )
+    labels = bit_sign_labels(len(index_slots))
     return MeasurementGroup(qubits, sv.MeasurementBasis(k, vectors.reshape(len(labels), -1)), labels)
 
 
@@ -142,6 +139,10 @@ def _index_action(op: np.ndarray, slot: int, k: int) -> tuple[bool, np.ndarray]:
     return bool(cols[0]), op[[0, 1], cols][:, None]
 
 
+# The two group recipes. A joint measurement keeps every input component
+# only when its branches match the pair state on its link leg: GHZ branches
+# go with an H-type link, the +-linked branches with a Bell link.
+
 def ghz_group(qubits: tuple[int, ...], flip_slots: list[int]) -> MeasurementGroup:
     """All-zeros/all-ones branches with sx index factors on ``flip_slots``."""
     k = len(qubits)
@@ -150,10 +151,18 @@ def ghz_group(qubits: tuple[int, ...], flip_slots: list[int]) -> MeasurementGrou
     )
 
 
-def linked_group(qubits: tuple[int, ...]) -> MeasurementGroup:
-    """Three-qubit branches |0,+,0> +- |1,-,1> with sx/sz index factors."""
+def linked_group(
+    qubits: tuple[int, ...], flip_slots: tuple[int, ...] = (), second_link: np.ndarray = MINUS
+) -> MeasurementGroup:
+    """Branches |0,+,0,...> +- |1,l,1,...> with l = ``second_link`` on the
+    link leg (slot 1): sx on slot 0, sz on slot 1 and sx on each of
+    ``flip_slots`` index the basis."""
+    rest = len(qubits) - 2
     return two_branch_group(
-        qubits, [KET0, PLUS, KET0], [KET1, MINUS, KET1], [(SX, 0), (SZ, 1)]
+        qubits,
+        [KET0, PLUS] + [KET0] * rest,
+        [KET1, second_link] + [KET1] * rest,
+        [(SX, 0), (SZ, 1)] + [(SX, s) for s in flip_slots],
     )
 
 
@@ -177,28 +186,11 @@ def single_qubit_pattern(u: np.ndarray) -> GatePattern:
     if u.shape != (2, 2) or not sv.is_unitary(u):
         raise PatternFormatError("single-qubit pattern needs a 2x2 unitary")
     h_amps = pair_state("h").amps
-    states = []
-    labels = []
-    for alpha in ("1", "2", "3", "4"):
-        rot = np.kron(u.conj().T @ PAULIS[alpha], np.eye(2))
-        states.append(sv.StateVector(2, rot @ h_amps))
-        labels.append((int(alpha),))
-    group = MeasurementGroup((0, 1), sv.basis_from_states(states), tuple(labels))
-    return _finished(
-        GatePattern(
-            name="single-qubit",
-            num_qubits=3,
-            input_wires=(0,),
-            resources=(((1, 2), pair_state("h")),),
-            groups=(group,),
-            output_wires=(2,),
-            target=u,
-            corrections=single_qubit_table(),
-        )
-    )
+    vectors = [np.kron(u.conj().T @ PAULIS[alpha], np.eye(2)) @ h_amps for alpha in "1234"]
+    return _one_qubit_teleport("single-qubit", vectors, single_qubit_table(), u, "h")
 
 
-def _one_qubit_teleport(name, vectors, corrections, target) -> GatePattern:
+def _one_qubit_teleport(name, vectors, corrections, target, pair="phi+") -> GatePattern:
     states = [sv.StateVector(2, np.asarray(v, dtype=complex)) for v in vectors]
     labels = tuple((k + 1,) for k in range(4))
     group = MeasurementGroup((0, 1), sv.basis_from_states(states), labels)
@@ -207,7 +199,7 @@ def _one_qubit_teleport(name, vectors, corrections, target) -> GatePattern:
             name=name,
             num_qubits=3,
             input_wires=(0,),
-            resources=(((1, 2), pair_state("phi+")),),
+            resources=(((1, 2), pair_state(pair)),),
             groups=(group,),
             output_wires=(2,),
             target=target,
@@ -242,20 +234,50 @@ def pi8_gate_pattern() -> GatePattern:
 
 
 # ---------------------------------------------------------------------------
-# Controlled-Z family (8-qubit wiring: a b | e e' | c c' | d d')
+# Controlled-Z family: inputs a b | linking pairs e e' | output pairs c c', d d'
 # ---------------------------------------------------------------------------
 
-BASIS_KINDS = ("ghz", "pm")
 # The controlled-Z linking pairs by name, and the pair state each names.
 CZ_RESOURCES = {"h": "h", "bell": "phi+", "product": "product"}
 
+# The n-link wiring spans 2n + 6 qubits: two inputs, n linking pairs and two
+# output pairs.
+MAX_CHAIN_LENGTH = (sv.MAX_REGISTER_QUBITS - 6) // 2
 
-def _cz_alpha_group(kind: str) -> MeasurementGroup:
-    if kind == "ghz":
-        return ghz_group((0, 2, 5), [0, 1])
-    if kind == "pm":
-        return linked_group((0, 2, 5))
-    raise PatternFormatError(f"unknown basis kind {kind!r}; choose from {BASIS_KINDS}")
+
+def _cz_ghz_group(qubits: tuple[int, ...]) -> MeasurementGroup:
+    """GHZ branches with sx on every slot but the output pair's leg."""
+    return ghz_group(qubits, list(range(len(qubits) - 1)))
+
+
+# The first group's recipe on the controlled-Z wiring, by basis kind.
+_CZ_ALPHA_RECIPES = {"ghz": _cz_ghz_group, "pm": linked_group}
+BASIS_KINDS = tuple(_CZ_ALPHA_RECIPES)
+
+
+def _cz_wiring(name, links, outputs, alpha, beta, target, **fields) -> GatePattern:
+    """The controlled-Z wiring over the linking pair states ``links``.
+
+    Register: a=0, b=1, link k on (e_k, e'_k) = (2+2k, 3+2k), then the
+    output pairs (c, c') and (d, d') in the states ``outputs``. The group
+    recipe ``alpha`` measures (a, every e_k, c') and ``beta`` measures
+    (b, every e'_k, d'); outputs are (c, d). With one link that is a=0,
+    b=1, e=2, e'=3, c=4, c'=5, d=6, d'=7.
+    """
+    c = 2 + 2 * len(links)
+    resources = [((2 + 2 * k, 3 + 2 * k), link) for k, link in enumerate(links)]
+    resources += [((c, c + 1), outputs[0]), ((c + 2, c + 3), outputs[1])]
+    pattern = GatePattern(
+        name=name,
+        num_qubits=c + 4,
+        input_wires=(0, 1),
+        resources=tuple(resources),
+        groups=(alpha((0, *range(2, c, 2), c + 1)), beta((1, *range(3, c, 2), c + 3))),
+        output_wires=(c, c + 2),
+        target=target,
+        **fields,
+    )
+    return _finished(pattern)
 
 
 def cz_layout_pattern(
@@ -263,28 +285,23 @@ def cz_layout_pattern(
 ) -> GatePattern:
     """Controlled-Z wiring with configurable pair states and first basis.
 
-    Register: a=0, b=1, e=2, e'=3, c=4, c'=5, d=6, d'=7. Groups measure
-    (a, e, c') and (b, e', d'); outputs are (c, d). The linking pair ee'
-    must match the first basis (H-type pair with the GHZ basis, Bell pair
-    with the plus/minus-linked basis) or input components are lost; the
-    output pairs cc'/dd' only shape the byproduct, and Bell pairs keep it
-    inside the Pauli recovery vocabulary (an H-type output pair leaves a
-    Hadamard byproduct instead).
+    Groups measure (a, e, c') and (b, e', d'); outputs are (c, d). The
+    linking pair ee' must match the first basis (H-type pair with the GHZ
+    basis, Bell pair with the plus/minus-linked basis) or input components
+    are lost; the output pairs cc'/dd' only shape the byproduct, and Bell
+    pairs keep it inside the Pauli recovery vocabulary (an H-type output
+    pair leaves a Hadamard byproduct instead).
     """
-    pattern = GatePattern(
-        name=name,
-        num_qubits=8,
-        input_wires=(0, 1),
-        resources=(
-            ((2, 3), pair_state(ee)),
-            ((4, 5), pair_state(cc)),
-            ((6, 7), pair_state(dd)),
-        ),
-        groups=(_cz_alpha_group(alpha_basis), ghz_group((1, 3, 7), [0, 1])),
-        output_wires=(4, 6),
-        target=CZ,
+    if alpha_basis not in _CZ_ALPHA_RECIPES:
+        raise PatternFormatError(f"unknown basis kind {alpha_basis!r}; choose from {BASIS_KINDS}")
+    return _cz_wiring(
+        name,
+        [pair_state(ee)],
+        (pair_state(cc), pair_state(dd)),
+        _CZ_ALPHA_RECIPES[alpha_basis],
+        _cz_ghz_group,
+        CZ,
     )
-    return _finished(pattern)
 
 
 def controlled_z_pattern(
@@ -303,11 +320,6 @@ def controlled_z_pattern(
     )
 
 
-# The n-pair chain spans 2n + 6 qubits: two inputs, n linking pairs and two
-# output pairs.
-MAX_CHAIN_LENGTH = (sv.MAX_REGISTER_QUBITS - 6) // 2
-
-
 def chain_cz_pattern(n: int) -> GatePattern:
     """Controlled-Z wiring generalized to ``n`` linking pairs.
 
@@ -324,22 +336,14 @@ def chain_cz_pattern(n: int) -> GatePattern:
             f"chain length {n} needs {2 * n + 6} qubits, over the "
             f"{sv.MAX_REGISTER_QUBITS}-qubit register limit"
         )
-    c = 2 + 2 * n
-    resources = [((2 + 2 * k, 3 + 2 * k), pair_state("h")) for k in range(n)]
-    resources += [((c, c + 1), pair_state("phi+")), ((c + 2, c + 3), pair_state("phi+"))]
-    alpha_qubits = (0, *(2 + 2 * k for k in range(n)), c + 1)
-    beta_qubits = (1, *(3 + 2 * k for k in range(n)), c + 3)
-    flips = list(range(n + 1))
-    pattern = GatePattern(
-        name=f"chain-cz-{n}",
-        num_qubits=c + 4,
-        input_wires=(0, 1),
-        resources=tuple(resources),
-        groups=(ghz_group(alpha_qubits, flips), ghz_group(beta_qubits, flips)),
-        output_wires=(c, c + 2),
-        target=CZ if n % 2 else np.eye(4, dtype=complex),
+    return _cz_wiring(
+        f"chain-cz-{n}",
+        [pair_state("h") for _ in range(n)],
+        (pair_state("phi+"), pair_state("phi+")),
+        _cz_ghz_group,
+        _cz_ghz_group,
+        CZ if n % 2 else np.eye(4, dtype=complex),
     )
-    return _finished(pattern)
 
 
 def triple_cz_pattern() -> GatePattern:
@@ -386,26 +390,15 @@ def parameterized_cz_pattern(
     for label, value in (("k", k), ("kt", kt), ("p", p), ("m", m), ("n", n)):
         if abs(abs(value) - 1.0) > sv.ATOL_ORTHO:
             raise sv.UsageError(f"parameter {label} must have unit modulus")
-    alpha = two_branch_group(
-        (0, 2, 5), [KET0, PLUS, KET0], [k * KET1, MINUS, KET1], [(SX, 0), (SZ, 1)]
+    link, cc, dd = (sv.from_ket_expression(2, [(1, "00"), (x, "11")]) for x in (p, m, n))
+    return _cz_wiring(
+        "cz-parameterized",
+        [link],
+        (cc, dd),
+        lambda q: two_branch_group(q, [KET0, PLUS, KET0], [k * KET1, MINUS, KET1], [(SX, 0), (SZ, 1)]),
+        lambda q: two_branch_group(q, [KET0] * 3, [kt * KET1, KET1, KET1], [(SX, 0), (SX, 1)]),
+        CZ,
     )
-    beta = two_branch_group(
-        (1, 3, 7), [KET0] * 3, [kt * KET1, KET1, KET1], [(SX, 0), (SX, 1)]
-    )
-    pattern = GatePattern(
-        name="cz-parameterized",
-        num_qubits=8,
-        input_wires=(0, 1),
-        resources=(
-            ((2, 3), sv.from_ket_expression(2, [(1, "00"), (p, "11")])),
-            ((4, 5), sv.from_ket_expression(2, [(1, "00"), (m, "11")])),
-            ((6, 7), sv.from_ket_expression(2, [(1, "00"), (n, "11")])),
-        ),
-        groups=(alpha, beta),
-        output_wires=(4, 6),
-        target=CZ,
-    )
-    return _finished(pattern)
 
 
 def controlled_phase_pattern() -> GatePattern:
@@ -416,27 +409,15 @@ def controlled_phase_pattern() -> GatePattern:
     recovery vocabulary needs Ucz composites, so the pattern requests the
     extended dictionary.
     """
-    alpha = two_branch_group(
-        (0, 2, 5),
-        [KET0, PLUS, KET0],
-        [KET1, QPHASE, KET1],
-        [(SX, 0), (SZ, 1)],
-    )
-    pattern = GatePattern(
-        name="controlled-phase",
-        num_qubits=8,
-        input_wires=(0, 1),
-        resources=(
-            ((2, 3), pair_state("phi+")),
-            ((4, 5), pair_state("phi+")),
-            ((6, 7), pair_state("phi+")),
-        ),
-        groups=(alpha, ghz_group((1, 3, 7), [0, 1])),
-        output_wires=(4, 6),
-        target=CPHASE,
+    return _cz_wiring(
+        "controlled-phase",
+        [pair_state("phi+")],
+        (pair_state("phi+"), pair_state("phi+")),
+        lambda q: linked_group(q, second_link=QPHASE),
+        _cz_ghz_group,
+        CPHASE,
         vocabulary="full",
     )
-    return _finished(pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +435,6 @@ def cnot_pattern() -> GatePattern:
     ddd = sv.from_ket_expression(
         3, [(1, "000"), (1, "110"), (1, "101"), (-1, "011")]
     )
-    alpha = two_branch_group(
-        (0, 2, 5, 8),
-        [KET0, PLUS, KET0, KET0],
-        [KET1, MINUS, KET1, KET1],
-        [(SX, 0), (SZ, 1), (SX, 2)],
-    )
     pattern = GatePattern(
         name="cnot",
         num_qubits=9,
@@ -469,7 +444,7 @@ def cnot_pattern() -> GatePattern:
             ((4, 5), pair_state("phi+")),
             ((6, 7, 8), ddd),
         ),
-        groups=(alpha, ghz_group((1, 3, 7), [0, 1])),
+        groups=(linked_group((0, 2, 5, 8), (2,)), ghz_group((1, 3, 7), [0, 1])),
         output_wires=(4, 6),
         target=CNOT,
     )
@@ -489,12 +464,6 @@ def swap_pattern() -> GatePattern:
     ccc = sv.from_ket_expression(
         3, [(1, "000"), (1, "101"), (1, "010"), (-1, "111")]
     )
-    alpha = two_branch_group(
-        (0, 2, 5, 7),
-        [KET0, PLUS, KET0, KET0],
-        [KET1, MINUS, KET1, KET1],
-        [(SX, 0), (SZ, 1), (SX, 3)],
-    )
     pattern = GatePattern(
         name="swap",
         num_qubits=9,
@@ -504,7 +473,7 @@ def swap_pattern() -> GatePattern:
             ((4, 5, 6), ccc),
             ((7, 8), pair_state("phi+")),
         ),
-        groups=(alpha, ghz_group((1, 3, 6), [0, 1])),
+        groups=(linked_group((0, 2, 5, 7), (3,)), ghz_group((1, 3, 6), [0, 1])),
         output_wires=(4, 8),
         target=SWAP,
     )
@@ -558,12 +527,6 @@ def toffoli_pattern(variant: str = "corrected", validate: bool = True) -> GatePa
         [KET1, MINUS, second_idd, KET1],
         [(SX, 0), (SZ, 1), (SX, 3)],
     )
-    beta = two_branch_group(
-        (1, 4, 11, 8),
-        [KET0] * 4,
-        [KET1] * 4,
-        [(SX, 0), (SX, 1), (SX, 3)],
-    )
     pattern = GatePattern(
         name="toffoli",
         num_qubits=14,
@@ -574,7 +537,7 @@ def toffoli_pattern(variant: str = "corrected", validate: bool = True) -> GatePa
             ((8, 9), pair_state("phi+")),
             ((10, 13, 11, 12), _toffoli_four_leg_resource()),
         ),
-        groups=(alpha, beta, linked_group((2, 5, 10))),
+        groups=(alpha, ghz_group((1, 4, 11, 8), [0, 1, 3]), linked_group((2, 5, 10))),
         output_wires=(7, 9, 13),
         target=toffoli(),
         vocabulary="full",
@@ -629,24 +592,6 @@ def fredkin_pattern() -> GatePattern:
             (1, "1111"),
         ],
     )
-    alpha = two_branch_group(
-        (0, 3, 14, 10, 6),
-        [KET0, PLUS, KET0, KET0, KET0],
-        [KET1, MINUS, KET1, KET1, KET1],
-        [(SX, 0), (SZ, 1), (SX, 2), (SX, 4)],
-    )
-    beta = two_branch_group(
-        (1, 4, 9, 12),
-        [KET0] * 4,
-        [KET1] * 4,
-        [(SX, 0), (SX, 1), (SX, 3)],
-    )
-    gamma = two_branch_group(
-        (2, 5, 13, 8),
-        [KET0, PLUS, KET0, KET0],
-        [KET1, MINUS, KET1, KET1],
-        [(SX, 0), (SZ, 1), (SX, 2)],
-    )
     pattern = GatePattern(
         name="fredkin",
         num_qubits=16,
@@ -657,7 +602,11 @@ def fredkin_pattern() -> GatePattern:
             ((8, 11, 9, 10), ires),
             ((15, 13, 12, 14), hres),
         ),
-        groups=(alpha, beta, gamma),
+        groups=(
+            linked_group((0, 3, 14, 10, 6), (2, 4)),
+            ghz_group((1, 4, 9, 12), [0, 1, 3]),
+            linked_group((2, 5, 13, 8), (2,)),
+        ),
         output_wires=(7, 15, 11),
         target=fredkin(),
         vocabulary="full",

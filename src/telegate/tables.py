@@ -50,7 +50,7 @@ def _grid_table(
 ) -> CorrectionTable:
     """A printed grid whose rows and columns carry (bits, sign) labels; the
     first group's label is the row's, or the column's when ``transposed``."""
-    row_labels, col_labels = _bit_sign_labels(row_bits), _bit_sign_labels(col_bits)
+    row_labels, col_labels = bit_sign_labels(row_bits), bit_sign_labels(col_bits)
     cells = []
     for r, row in enumerate(rows):
         if len(row) != len(col_labels):
@@ -61,8 +61,10 @@ def _grid_table(
     return CorrectionTable.from_entries(cells)
 
 
-def _bit_sign_labels(bits: int) -> list[tuple]:
-    return [(*b, s) for b in product((0, 1), repeat=bits) for s in ("+", "-")]
+def bit_sign_labels(bits: int) -> tuple[tuple, ...]:
+    """The outcome labels of a two-branch group with ``bits`` index bits,
+    (*bits, sign) in order, with "+" before "-"."""
+    return tuple((*b, s) for b in product((0, 1), repeat=bits) for s in "+-")
 
 
 # Recovery column of the single-qubit construction: outcome alpha carries
