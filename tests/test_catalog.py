@@ -100,6 +100,8 @@ def test_cz_entries_are_one_builder_with_defaults():
     assert patterns_equal(unlinked, catalog.controlled_z_pattern("product", "ghz"))
     with pytest.raises(PatternFormatError, match="unknown linking pair 'phi[+]'"):
         catalog.controlled_z_pattern("phi+")
+    with pytest.raises(PatternFormatError, match="unknown basis kind 'bell'"):
+        catalog.controlled_z_pattern("h", "bell")
 
 
 def test_each_cli_flag_belongs_to_one_entry():
