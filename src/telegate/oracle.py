@@ -397,7 +397,7 @@ def enumerate_outcomes(pattern: GatePattern, input_state: sv.StateVector) -> lis
     branches = maps.distinct @ input_state.amps
     keys = list(pattern.layout)
     num_out = len(pattern.output_wires)
-    table = CorrectionTable.from_entries(pattern.corrections or (), pattern.layout)
+    table = (pattern.corrections or CorrectionTable.from_entries((), pattern.layout)).on(pattern.layout)
     mats, op_index = table.matrices(num_out), table.index
     records = []
     for block in _blocks(len(keys)):
@@ -825,12 +825,12 @@ class TableDiff:
 
 def compare_tables(derived: CorrectionTable, printed: CorrectionTable, num_wires: int) -> TableDiff:
     """Per-cell operator equivalence up to global phase, tested once per
-    distinct pair of ops; mismatches come in sorted key order."""
+    distinct pair of ops; mismatches come in the outcome order of
+    ``derived``'s layout, which for a pattern's layout is sorted key order."""
     other = printed.on(derived.layout)
     if len(other) != len(printed) or not np.array_equal(derived.index >= 0, other.index >= 0):
         raise sv.UsageError("correction tables address different outcome sets")
-    order = derived.layout.sorted_positions()
-    order = order[derived.index[order] >= 0].tolist()
+    order = np.flatnonzero(derived.index >= 0).tolist()
     pairs = list(zip(derived.index[order].tolist(), other.index[order].tolist()))
     a, b = derived.matrices(num_wires), other.matrices(num_wires)
     differ = {pair: not _equal_up_to_phase(a[pair[0]], b[pair[1]]) for pair in set(pairs)}

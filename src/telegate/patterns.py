@@ -11,7 +11,8 @@ Outcome labels are tuples in the written order of the basis construction,
 bits first and the branch sign last, e.g. ``(0, 1, "+")``. An outcome key
 holds one label per group in declared group order, and
 :class:`OutcomeLayout` numbers the keys; correction tables are indexed by
-that number.
+that number. Each group lists its labels sorted, so that number runs in
+key order.
 """
 from __future__ import annotations
 
@@ -134,11 +135,6 @@ class CorrectionOp:
             out = out @ _factor_matrix(name, wires, num_wires)
         return out
 
-    @property
-    def weight(self) -> int:
-        """Number of non-identity elementary factors."""
-        return sum(1 for name, _ in self.factors if name != "I")
-
     def render(self, num_wires: int) -> str:
         """Compact display, e.g. ``Ucz(sz.Up x I)`` or ``sx x sz.sx``;
         entangling factors on three or more wires name their pair, as in
@@ -170,10 +166,11 @@ def format_key(key: OutcomeKey) -> str:
 
 @dataclass(frozen=True)
 class OutcomeLayout:
-    """The outcomes of ordered measurement groups, in lexicographic label
-    order. Outcome i's key reads i in mixed radix: its digit for group g,
-    the last group varying fastest, picks ``labels[g][digit]``. Every
-    conversion between keys and positions goes through this class."""
+    """The outcomes of ordered measurement groups. Outcome i's key reads i
+    in mixed radix: its digit for group g, the last group varying fastest,
+    picks ``labels[g][digit]``. A pattern's groups list their labels sorted,
+    so its positions run in lexicographic key order. Every conversion
+    between keys and positions goes through this class."""
 
     labels: tuple[tuple[Label, ...], ...]
 
@@ -217,26 +214,6 @@ class OutcomeLayout:
         each label's text passed through ``escape`` once per label."""
         return map(";".join, product(*([escape(_label_text(x)) for x in ls] for ls in self.labels)))
 
-    def iter_sorted_texts(self, escape=str) -> Iterator[str]:
-        """``format_key`` of every key in sorted order, one at a time,
-        each label's text passed through ``escape`` once per label."""
-        return map(";".join, product(*([escape(_label_text(x)) for x in sorted(ls)] for ls in self.labels)))
-
-    def sorted_positions(self) -> np.ndarray:
-        """Every position, in the sorted order of its key."""
-        return next(self.sorted_position_blocks(len(self) or 1), np.zeros(0, np.intp))
-
-    def sorted_position_blocks(self, size: int) -> Iterator[np.ndarray]:
-        """Every position in the sorted order of its key, ``size`` at a time."""
-        # A sorted rank's digit d for group g stands for that group's d-th
-        # smallest label, whose own digit is orders[g][d].
-        orders = [np.array(sorted(range(len(ls)), key=ls.__getitem__), np.intp) for ls in self.labels]
-        strides = [math.prod(self.shape[g + 1:]) for g in range(len(orders))]
-        for lo in range(0, len(self), size):
-            ranks = np.arange(lo, min(lo + size, len(self)))
-            digits = (o[ranks // s % len(o)] * s for o, s in zip(orders, strides))
-            yield sum(digits, np.zeros_like(ranks))
-
 
 @dataclass(frozen=True, eq=False)
 class CorrectionTable(Mapping):
@@ -253,12 +230,12 @@ class CorrectionTable(Mapping):
     @classmethod
     def from_entries(cls, cells, layout: OutcomeLayout | None = None) -> "CorrectionTable":
         """The table of (key, op) cells, or of a key -> op mapping, over
-        ``layout``; by default over each key slot's labels in first-use
-        order. A key outside the layout, or listed twice, is refused."""
+        ``layout``; by default over each key slot's labels, sorted. A key
+        outside the layout, or listed twice, is refused."""
         cells = list(cells.items() if isinstance(cells, Mapping) else cells)
         if layout is None:
             slots = zip(*(key for key, _ in cells))
-            layout = OutcomeLayout(tuple(tuple(dict.fromkeys(labels)) for labels in slots))
+            layout = OutcomeLayout(tuple(tuple(sorted(set(labels))) for labels in slots))
         placed = []
         for key, op in cells:
             try:
@@ -276,7 +253,8 @@ class CorrectionTable(Mapping):
         return cls(layout, tuple(rows), np.array(index, dtype=np.intp))
 
     def on(self, layout: OutcomeLayout) -> "CorrectionTable":
-        """This table's cells for the outcomes of ``layout``."""
+        """This table's cells for the outcomes of ``layout``; the table
+        itself when ``layout`` is its own."""
         if layout == self.layout:
             return self
         keys = set(layout)
@@ -401,6 +379,8 @@ def validate_pattern(pattern: GatePattern) -> None:
             raise PatternFormatError(
                 f"group {gi} labels differ in length or in which slots hold signs"
             )
+        if list(group.labels) != sorted(group.labels):
+            raise PatternFormatError(f"group {gi} labels are not in sorted order")
 
     outputs = set(pattern.output_wires)
     if outputs & set(measured):
@@ -489,6 +469,14 @@ def _json_pieces(doc: dict, key: str, blocks):
         yield (",\n" if opened else "\n") + ",\n".join(block)
         opened = True
     yield "\n ]" + tail if opened else f'{head}\n "{key}": []{tail}'
+
+
+def _row_blocks(rows: np.ndarray, keys):
+    """(row, key) for each outcome whose row is not -1, one list per
+    ``_WRITE_BLOCK`` outcomes, given one row and one key per outcome."""
+    for lo in range(0, len(rows), _WRITE_BLOCK):
+        # Rows first, so zip stops without drawing a key past the block.
+        yield [(r, key) for r, key in zip(rows[lo:lo + _WRITE_BLOCK].tolist(), keys) if r >= 0]
 
 
 def _json_list(texts) -> str:
@@ -606,14 +594,16 @@ def pattern_from_document(doc: dict) -> GatePattern:
                     f"group {gi} basis has {len(grp['vectors'])} vectors, "
                     f"expected {1 << len(qubits)} (completeness violation)"
                 )
-            labels = []
-            states = []
-            for vec in grp["vectors"]:
-                labels.append(_label_of(vec["label"]))
-                states.append(_state_of(vec["terms"], len(qubits), f"group {gi}"))
-            groups.append(
-                MeasurementGroup(qubits, sv.basis_from_states(states), tuple(labels))
-            )
+            vectors = [
+                (_label_of(vec["label"]), _state_of(vec["terms"], len(qubits), f"group {gi}"))
+                for vec in grp["vectors"]
+            ]
+            # Listed in label order whatever the document's order. The key
+            # also orders labels that mix bits and signs in one slot, which
+            # validate_pattern then refuses by name.
+            vectors.sort(key=lambda v: [(isinstance(x, str), x) for x in v[0]])
+            labels, states = zip(*vectors)
+            groups.append(MeasurementGroup(qubits, sv.basis_from_states(states), labels))
 
         dim = int(doc["target"]["dim"])
         entries = doc["target"]["entries"]
@@ -663,14 +653,8 @@ def _correction_blocks(table: CorrectionTable):
     Each is joined from one text per distinct op and one per group label."""
     ops = [_indented(_op_document(op), 3) for op in table.ops]
     keys = product(*([_indented(list(label), 4) for label in ls] for ls in table.layout.labels))
-    for lo in range(0, len(table.layout), _WRITE_BLOCK):
-        # Rows first, so zip stops without drawing a key past the block.
-        pairs = zip(table.index[lo:lo + _WRITE_BLOCK].tolist(), keys)
-        yield [
-            f'  {{\n   "labels": {_json_list(key)},\n   "ops": {ops[r]}\n  }}'
-            for r, key in pairs
-            if r >= 0
-        ]
+    for block in _row_blocks(table.index, keys):
+        yield [f'  {{\n   "labels": {_json_list(key)},\n   "ops": {ops[r]}\n  }}' for r, key in block]
 
 
 def save_pattern(pattern: GatePattern, path) -> None:

@@ -8,17 +8,16 @@ flag and the minimum fidelity bit-exactly.
 from __future__ import annotations
 
 import json
-from itertools import islice
 
 import numpy as np
 
 from .oracle import LossReport, ParityResult, TableDiff, VerificationReport
 from .patterns import (
-    _WRITE_BLOCK,
     CorrectionTable,
     _json_list,
     _json_pieces,
     _label_text,
+    _row_blocks,
     dumps,
     format_key,
 )
@@ -78,15 +77,6 @@ def verification_to_doc(report: VerificationReport) -> dict:
     return doc
 
 
-def _outcome_blocks(report: VerificationReport, escape=str):
-    """Each block of at most ``_WRITE_BLOCK`` consecutive outcomes as
-    (pair rows, label texts), each label's text passed through ``escape``."""
-    labels = report.layout.iter_texts(escape)
-    for lo in range(0, len(report.layout), _WRITE_BLOCK):
-        pairs = report.pair_of[lo:lo + _WRITE_BLOCK].tolist()
-        yield pairs, list(islice(labels, len(pairs)))
-
-
 def verification_json_pieces(report: VerificationReport):
     """The report with its per-outcome grid as JSON, in pieces of one block
     of outcomes each: the bytes ``dumps`` writes for the headline fields
@@ -101,9 +91,9 @@ def verification_json_pieces(report: VerificationReport):
             '  {\n   "fidelities": ' + fids[p]
             + ',\n   "labels": "' + label
             + '",\n   "probabilities": ' + probs[p] + "\n  }"
-            for p, label in zip(pairs, labels)
+            for p, label in block
         ]
-        for pairs, labels in _outcome_blocks(report, _json_escaped)
+        for block in _row_blocks(report.pair_of, report.layout.iter_texts(_json_escaped))
     )
     yield from _json_pieces(verification_to_doc(report), "outcomes", rows)
 
@@ -186,8 +176,8 @@ def verification_csv_pieces(report: VerificationReport):
         for p, f in zip(probs, fids)
     ]
     yield "outcome,input,probability,fidelity\n"
-    for pairs, labels in _outcome_blocks(report):
-        yield "".join(f'"{label}"' + tail for p, label in zip(pairs, labels) for tail in tails[p])
+    for block in _row_blocks(report.pair_of, report.layout.iter_texts()):
+        yield "".join(f'"{label}"' + tail for p, label in block for tail in tails[p])
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +267,12 @@ def render_parity(results: list[ParityResult]) -> str:
 # ---------------------------------------------------------------------------
 
 def table_cell_blocks(table: CorrectionTable, num_wires: int, escape=str):
-    """The table's (key text, op rendering) cells in sorted key order, one
+    """The table's (key text, op rendering) cells in outcome order, one
     block per ``_WRITE_BLOCK`` outcomes. Each distinct op is rendered, and
     each label and rendering passed through ``escape``, once."""
     ops = [escape(op.render(num_wires)) for op in table.ops]
-    keys = table.layout.iter_sorted_texts(escape)
-    for positions in table.layout.sorted_position_blocks(_WRITE_BLOCK):
-        # Rows first, so zip stops without drawing a key past the block.
-        pairs = zip(table.index[positions].tolist(), keys)
-        yield [(key, ops[r]) for r, key in pairs if r >= 0]
+    for block in _row_blocks(table.index, table.layout.iter_texts(escape)):
+        yield [(key, ops[r]) for r, key in block]
 
 
 def table_json_pieces(name: str, table: CorrectionTable, num_wires: int, **fields):

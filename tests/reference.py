@@ -1,6 +1,7 @@
 """Reference helpers the tests compare the engine against."""
 import io
 import json
+import random
 from itertools import product
 
 import numpy as np
@@ -119,6 +120,18 @@ def pattern_file_text(pattern: GatePattern) -> str:
     json.dump(pattern_to_document(pattern), fh, indent=1, sort_keys=True)
     fh.write("\n")
     return fh.getvalue()
+
+
+def shuffled_document(doc: dict, seed: int) -> dict:
+    """A copy of a pattern document with each group's vectors, and its
+    correction cells, in an order drawn from ``random.Random(seed)``."""
+    doc = json.loads(json.dumps(doc))
+    rng = random.Random(seed)
+    for group in doc["groups"]:
+        rng.shuffle(group["vectors"])
+    if "corrections" in doc:
+        rng.shuffle(doc["corrections"])
+    return doc
 
 
 def operator_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -18,6 +18,8 @@ from telegate import catalog, oracle, reports
 from telegate.cli import main
 from telegate.patterns import format_key, pattern_from_document, pattern_to_document
 
+from reference import shuffled_document
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -305,12 +307,14 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, case):
         ("repeated-correction-cell", "correction table lists outcome (1) twice"),
         ("true-label-on-second-cell", "label [True] is not a list of bits and signs"),
         ("repeated-group-label-with-cells", "group 0 labels are not a bijection onto its basis vectors"),
+        ("sign-in-bit-slot", "group 0 labels differ in length or in which slots hold signs"),
+        ("false-in-group-label", "label [False, 0, 0, '+'] is not a list of bits and signs"),
     ],
-    ids=["repeated-cell", "boolean", "repeated-label"],
+    ids=["repeated-cell", "boolean", "repeated-label", "sign-in-bit-slot", "false-in-group-label"],
 )
 def test_document_errors_name_their_cause(capsys, tmp_path, case, error):
-    _, (path, value, factory) = MALFORMED_INPUTS[case]
-    (tmp_path / "input.json").write_text(json.dumps(_document_with(path, value, factory)))
+    _, edit = MALFORMED_INPUTS[case]
+    (tmp_path / "input.json").write_text(json.dumps(_document_with(*edit)))
     code, out, err = run(capsys, "verify", "--pattern-file", str(tmp_path / "input.json"))
     assert (code, out, err) == (2, "", f"error: {error}\n")
 
@@ -354,6 +358,23 @@ def test_malformed_document_is_one_line_usage_error_for_derive(capsys, tmp_path,
 @pytest.mark.parametrize("case", ["second-output-wire", "no-output-wire"])
 def test_output_count_error_is_one_line_usage_error_for_loss_check(capsys, tmp_path, case):
     _run_malformed(capsys, tmp_path, "loss-check", case)
+
+
+@pytest.mark.parametrize(
+    "name,kwargs", [("cnot", {}), ("cz-mismatched", {}), ("fredkin", {}), ("chain-cz", {"n": 3})],
+    ids=["cnot", "cz-mismatched", "fredkin", "chain-cz-3"],
+)
+def test_group_vector_order_does_not_change_any_report(capsys, tmp_path, name, kwargs):
+    # The catalog document and a copy with each group's vectors shuffled
+    # describe one pattern, so every report must come out byte for byte.
+    doc = pattern_to_document(catalog.build_pattern(name, **kwargs))
+    paths = tmp_path / "sorted.json", tmp_path / "shuffled.json"
+    for path, text in zip(paths, (doc, shuffled_document(doc, seed=7))):
+        path.write_text(json.dumps(text))
+    for command in ("verify", "derive", "loss-check"):
+        for fmt in ("text", "json", "csv"):
+            runs = [run(capsys, command, "--pattern-file", str(path), "--format", fmt) for path in paths]
+            assert runs[0] == runs[1], (command, fmt)
 
 
 @functools.cache

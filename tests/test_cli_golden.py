@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from telegate import catalog, cli, oracle, reports
+from telegate import catalog, cli, oracle, patterns, reports
 from telegate.cli import main
 from telegate.patterns import CorrectionOp, CorrectionTable, OutcomeLayout, format_key
 
@@ -192,7 +192,7 @@ def test_grid_writers_match_json_and_repr(monkeypatch, name):
     outcomes = len(report.layout)
     assert outcomes % 3 or not outcomes
     blocks = -(-outcomes // 3)
-    monkeypatch.setattr(reports, "_WRITE_BLOCK", 3)
+    monkeypatch.setattr(patterns, "_WRITE_BLOCK", 3)
     pieces = list(reports.verification_json_pieces(report))
     assert len(pieces) == (blocks + 2 if outcomes else 1)
     assert "".join(pieces) == text
@@ -226,7 +226,7 @@ def test_table_writer_matches_the_whole_document(monkeypatch, name):
     # Blocks of 3 outcomes end every table here on a partial block.
     outcomes = len(table.layout)
     assert outcomes % 3
-    monkeypatch.setattr(reports, "_WRITE_BLOCK", 3)
+    monkeypatch.setattr(patterns, "_WRITE_BLOCK", 3)
     pieces = list(reports.table_json_pieces(name, table, width, diffs=diffs, footer=footer))
     assert len(pieces) == (-(-outcomes // 3) + 2 if len(table) else 1)
     assert "".join(pieces) == reference
@@ -238,7 +238,7 @@ def test_table_commands_do_not_depend_on_the_write_block(capsys, monkeypatch, co
     argv = command.split() + ["--format", fmt]
     assert main(argv) == 0
     whole = capsys.readouterr().out
-    monkeypatch.setattr(reports, "_WRITE_BLOCK", 3)
+    monkeypatch.setattr(patterns, "_WRITE_BLOCK", 3)
     assert main(argv) == 0
     assert capsys.readouterr().out == whole
 

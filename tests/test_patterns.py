@@ -1,4 +1,6 @@
 """Pattern types, validation and the pattern document format."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from telegate.gates import CZ, PHASE, SX, SZ
 from telegate.patterns import (
     ELEMENTARY_OPS,
     CorrectionOp,
+    CorrectionTable,
     GatePattern,
     MeasurementGroup,
     PatternFormatError,
@@ -18,7 +21,7 @@ from telegate.patterns import (
     validate_pattern,
 )
 
-from reference import pattern_file_text, patterns_equal
+from reference import pattern_file_text, patterns_equal, shuffled_document
 
 
 class TestCorrectionOp:
@@ -53,10 +56,6 @@ class TestCorrectionOp:
         assert op.render(2) == "Ucz(sz.Up x I)"
         op3 = CorrectionOp((("Ucx", (1, 2)), ("sz", (0,))))
         assert op3.render(3) == "Ucx[1,2](sz x I x I)"
-
-    def test_weight_counts_non_identity(self):
-        op = CorrectionOp.from_wire_products((("sz", "sx"), ("I",)), cz_pairs=((0, 1),))
-        assert op.weight == 3
 
     def test_unknown_factor_rejected(self):
         with pytest.raises(PatternFormatError):
@@ -110,6 +109,18 @@ class TestValidation:
             if name == "chain-cz":
                 kwargs["n"] = 2
             validate_pattern(catalog.build_pattern(name, **kwargs))
+
+    def test_unsorted_group_labels_rejected(self):
+        # Group 0 of cnot with its vectors and labels listed in reverse.
+        pattern = catalog.cnot_pattern()
+        group = pattern.groups[0]
+        flipped = MeasurementGroup(
+            group.qubits, sv.MeasurementBasis(group.basis.num_qubits, group.basis.vectors[::-1]), group.labels[::-1]
+        )
+        bad = dataclasses.replace(pattern, groups=(flipped, *pattern.groups[1:]))
+        with pytest.raises(PatternFormatError) as err:
+            validate_pattern(bad)
+        assert str(err.value) == "group 0 labels are not in sorted order"
 
     def test_resource_overlap_rejected(self):
         pattern = catalog.phase_gate_pattern()
@@ -246,6 +257,21 @@ class TestDocuments:
         else:
             assert dict(loaded.corrections.items()) == dict(pattern.corrections.items())
 
+    @pytest.mark.parametrize(
+        "name", ["cnot-derived", "cz-mismatched-derived", "fredkin-derived", "chain-cz-3-derived"]
+    )
+    def test_shuffled_document_saves_the_sorted_bytes(self, tmp_path, name):
+        # Groups are listed in label order on load, whatever the order of
+        # the document's vectors and correction cells. Loading renormalizes
+        # amplitudes, so both files are written from a loaded document.
+        doc = pattern_to_document(SAVED[name]())
+        shuffled = shuffled_document(doc, seed=7)
+        assert shuffled["groups"] != doc["groups"]
+        paths = tmp_path / "sorted.json", tmp_path / "shuffled.json"
+        for path, loaded in zip(paths, map(pattern_from_document, (doc, shuffled))):
+            save_pattern(loaded, path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_unnormalized_amplitudes_renormalized(self, tmp_path):
         doc = pattern_to_document(catalog.phase_gate_pattern())
         for term in doc["resources"][0]["terms"]:
@@ -276,6 +302,15 @@ class TestDocuments:
         doc["groups"][0]["vectors"][1]["terms"] = doc["groups"][0]["vectors"][0]["terms"]
         with pytest.raises(PatternFormatError, match="orthonormal"):
             pattern_from_document(doc)
+
+
+def test_default_layout_sorts_each_key_slot():
+    op = CorrectionOp.identity()
+    table = CorrectionTable.from_entries([(((1, "-"), (1,)), op), (((0, "+"), (0,)), op), (((0, "+"), (1,)), op)])
+    assert table.layout.labels == (((0, "+"), (1, "-")), ((0,), (1,)))
+    pattern = catalog.cnot_pattern()
+    cells = [(key, op) for key in pattern.layout]
+    assert CorrectionTable.from_entries(reversed(cells)).layout == pattern.layout
 
 
 def test_package_exports_the_layout_and_failures():
