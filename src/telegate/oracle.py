@@ -14,10 +14,11 @@ seed produce bit-identical reports.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import count, product
+from itertools import count, cycle, product
 
 import numpy as np
 
@@ -126,7 +127,7 @@ def _register_factors(pattern: GatePattern) -> list[np.ndarray]:
     return factors
 
 
-def _register_rows(factors: list[np.ndarray], k: int, rows: np.ndarray) -> np.ndarray:
+def _register_rows(factors: list[np.ndarray], k: int, rows: np.ndarray, work: dict) -> np.ndarray:
     """The register's rows at the given indices over its k leading qubits
     (the first most significant), as an array of shape (rows, 2, ..., 2,
     d_in) over the other qubits. Each entry is its input amplitude times
@@ -135,7 +136,7 @@ def _register_rows(factors: list[np.ndarray], k: int, rows: np.ndarray) -> np.nd
     whichever other rows are built with it."""
     bits = (rows[:, None] >> np.arange(k - 1, -1, -1)) & 1
     t = None
-    for factor in factors:
+    for i, factor in enumerate(factors):
         # The factor's row for an index reads the index's bits on its own
         # leading qubits.
         own = [a for a in range(k) if factor.shape[a] == 2]
@@ -144,7 +145,7 @@ def _register_rows(factors: list[np.ndarray], k: int, rows: np.ndarray) -> np.nd
         if t is None:
             t = part
         else:
-            out = np.empty(np.broadcast_shapes(t.shape, part.shape), dtype=complex)
+            out = _buffer(work, (len(factors) - 1 - i) % 2, np.broadcast_shapes(t.shape, part.shape))
             t = np.multiply(t, part, out=out)
     return t
 
@@ -152,10 +153,20 @@ def _register_rows(factors: list[np.ndarray], k: int, rows: np.ndarray) -> np.nd
 # The contraction gathers at most this many amplitudes at a time (but always
 # one column of every basis row), and streams the first group's basis rows
 # in chunks that read at most this many register amplitudes and produce at
-# most as many (but always one row). A chunk's working set is then a few
-# such blocks: its register rows and their contraction, or a later group's
-# input and output, plus one gather.
+# most as many (but always one row). A stream writes its chunks into three
+# reused flat buffers: 0 holds the register rows, 1 their partial products
+# and then the gathers, 2 the first group's output; each later group writes
+# into the one of 0 and 2 it does not read.
 _GATHER = 1 << 16
+
+
+def _buffer(work: dict[int, np.ndarray], i: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading part of workspace buffer i as a C-ordered array of the
+    given shape, the buffer first made or grown if it is too small."""
+    size = math.prod(shape)
+    if i not in work or work[i].size < size:
+        work[i] = np.empty(size, dtype=complex)
+    return work[i][:size].reshape(shape)
 
 
 def _plan(basis: sv.MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -174,30 +185,35 @@ def _plan(basis: sv.MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
     return index, coeffs
 
 
-def _contract(index: np.ndarray, coeffs: np.ndarray, flat: np.ndarray) -> np.ndarray:
+def _contract(
+    index: np.ndarray, coeffs: np.ndarray, flat: np.ndarray, work: dict | None = None, into: int = 2
+) -> np.ndarray:
     """``vectors.conj() @ flat`` for the basis rows planned by :func:`_plan`
     and an (outcomes, K, columns) register, summed over each row's nonzero
-    entries only.
+    entries only, into workspace buffer ``into`` (not the one holding
+    ``flat``; by default a fresh workspace), gathering in buffer 1.
 
     Slot s adds every row's s-th planned entry times the register slice at
     its column. Catalog bases have at most 4 nonzeros per row, so this does
     a few gathers instead of a K-term sum; a dense basis has K per row.
     """
+    work = {} if work is None else work
     outcomes, _, columns = flat.shape
     rows, width = index.shape
-    out = np.empty((outcomes, rows, columns), dtype=complex)
+    out = _buffer(work, into, (outcomes, rows, columns))
     step_c = max(1, min(columns, _GATHER // rows))
     step_o = max(1, _GATHER // (rows * step_c))
     for lo in range(0, outcomes, step_o):
         for c in range(0, columns, step_c):
             src = flat[lo:lo + step_o, :, c:c + step_c]
             acc = out[lo:lo + step_o, :, c:c + step_c]
-            np.multiply(coeffs[:, 0], src[:, index[:, 0]], out=acc)
+            term = _buffer(work, 1, (len(src), rows, src.shape[2]))
+            np.take(src, index[:, 0], axis=1, out=term, mode="clip")
+            np.multiply(coeffs[:, 0], term, out=acc)
             for s in range(1, width):
-                term = src[:, index[:, s]]
+                np.take(src, index[:, s], axis=1, out=term, mode="clip")
                 term *= coeffs[:, s]
                 acc += term
-                del term
     return out
 
 
@@ -226,26 +242,28 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
     order: every flatten is a reshape, with no copy. The first group's basis
     rows stream in chunks that read at most ``_GATHER`` register amplitudes
     and produce at most as many (see :func:`_row_chunks`). A chunk builds
-    only the register rows it reads, contracts and drops them, and goes
-    through every later group on its own, so no array is register-sized.
-    Each group's nonzero plan is made once for its whole basis, so every
-    entry is the same sum however the rows are chunked.
+    only the register rows it reads and goes through every later group on
+    its own, all in the stream's one workspace (see ``_GATHER``), so no
+    array is register-sized and a yielded chunk is a view that stays valid
+    only until the next one is requested. Each group's nonzero plan is made
+    once for its whole basis, so every entry is the same sum however the
+    rows are chunked.
     """
     factors = _register_factors(pattern)
     dim = factors[0].shape[-1]
+    work: dict[int, np.ndarray] = {}
     if not pattern.groups:
-        yield _register_rows(factors, 0, np.zeros(1, dtype=np.intp)).reshape(1, -1, dim)
+        yield _register_rows(factors, 0, np.zeros(1, dtype=np.intp), work).reshape(1, -1, dim)
         return
     (k, (index, coeffs)), *later = [(len(g.qubits), _plan(g.basis)) for g in pattern.groups]
     row = dim << (factors[0].ndim - 1 - k)  # amplitudes in one register row
     for rows in _row_chunks(index, max(1, _GATHER // row)):
         needed, at = np.unique(index[rows], return_inverse=True)
-        # The register rows the chunk reads, dropped once contracted; the
-        # chunk before goes once they are built.
-        chunk = _register_rows(factors, k, needed).reshape(1, len(needed), row)
-        chunk = _contract(at.reshape(-1, index.shape[1]), coeffs[rows], chunk)
-        for width, plan in later:
-            chunk = _contract(*plan, chunk.reshape(-1, 1 << width, chunk.shape[2] >> width))
+        # The register rows the chunk reads, overwritten once contracted.
+        chunk = _register_rows(factors, k, needed, work).reshape(1, len(needed), row)
+        chunk = _contract(at.reshape(-1, index.shape[1]), coeffs[rows], chunk, work, 2)
+        for (width, plan), into in zip(later, cycle((0, 2))):
+            chunk = _contract(*plan, chunk.reshape(-1, 1 << width, chunk.shape[2] >> width), work, into)
         yield chunk.reshape(-1, chunk.shape[2] // dim, dim)
 
 
@@ -274,8 +292,6 @@ def _classify(chunks: Iterable[np.ndarray], total: int) -> tuple[np.ndarray, np.
         ids[new] = np.arange(seen, len(firsts))
         ids[~new] = classes[owners[~new]]
         start, shape = end, chunk.shape[1:]
-        # Let the chunk go before the next one is contracted.
-        del chunk, keys
     reps = np.fromiter(firsts.values(), dtype=np.intp, count=len(firsts))
     distinct = np.frombuffer(b"".join(firsts), dtype=complex).reshape(-1, *shape)
     return distinct, reps, classes
@@ -890,16 +906,19 @@ def default_inputs(dim: int, seed: int) -> tuple[np.ndarray, list[str]]:
 def _column_sums(pair_rows: np.ndarray, pair_of: np.ndarray) -> np.ndarray:
     """``pair_rows[pair_of].sum(axis=0)`` bit for bit, one block of rows at a
     time. numpy adds the rows of an axis-0 sum one after another, so each
-    block's sum continues from the running sum as its first row. A single
-    column is contiguous and numpy sums it pairwise instead, so it is
-    gathered whole."""
+    block is gathered into one reused buffer below the running sum, and its
+    sum continues from that row. A single column is contiguous and numpy
+    sums it pairwise instead, so it is gathered whole."""
     if pair_rows.shape[1] == 1:
         return pair_rows[pair_of].sum(axis=0)
-    sums = None
-    for block in _blocks(len(pair_of)):
-        rows = pair_rows[pair_of[block]]
-        sums = (rows if sums is None else np.vstack([sums, rows])).sum(axis=0)
-    return sums
+    step = 4 * _BLOCK
+    rows = np.empty((min(step + 1, len(pair_of)), pair_rows.shape[1]))
+    rows[0] = pair_rows[pair_of[0]]
+    for lo in range(1, len(pair_of), step):
+        block = pair_of[lo:lo + step]
+        np.take(pair_rows, block, axis=0, out=rows[1:len(block) + 1], mode="clip")
+        rows[0] = rows[:len(block) + 1].sum(axis=0)
+    return rows[0].copy()
 
 
 def verify_pattern(

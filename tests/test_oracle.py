@@ -1,6 +1,11 @@
 """Oracle behaviour: enumeration, derivation, verification, loss, parity."""
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,9 +414,12 @@ class TestSparseContraction:
         np.testing.assert_allclose(
             oracle._contract(index, coeffs, flat), vectors.conj() @ flat, rtol=0, atol=self.TOL
         )
-        # A chunk of the plan's rows contracts those rows alone, bit for bit.
+        # A chunk of the plan's rows contracts those rows alone, bit for bit,
+        # and each direct call writes into a workspace of its own.
         whole = oracle._contract(index, coeffs, flat)
-        assert np.array_equal(oracle._contract(index[1:3], coeffs[1:3], flat), whole[:, 1:3])
+        part = oracle._contract(index[1:3], coeffs[1:3], flat)
+        assert not np.shares_memory(part, whole)
+        assert np.array_equal(part, whole[:, 1:3])
 
 
 def _planned_bases():
@@ -578,6 +586,44 @@ class TestBitExactMaps:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * oracle._GATHER * 16
+
+
+class TestWorkspace:
+    def test_contraction_faults_in_no_fresh_block_per_chunk(self):
+        # chain-cz n=7 streams its 64 MiB register through 64 chunks, each
+        # written into the stream's one workspace of a few MiB, so the
+        # contraction takes a few thousand minor page faults. Fresh arrays
+        # per chunk took over 30000 here, the kernel zeroing each block again.
+        child = (
+            "import resource, telegate\n"
+            "from telegate import catalog, oracle\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "oracle.outcome_maps(catalog.chain_cz_pattern(7))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", child], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert int(out.stdout) < 15000
+
+    def test_interleaved_streams_keep_their_own_workspace(self, monkeypatch):
+        # A yielded chunk is a view into its stream's workspace. Streams
+        # advanced in turn, each chunk copied only after the other stream
+        # has made its next one, give the bytes of one stream after the other.
+        monkeypatch.setattr(oracle, "_GATHER", 1 << 8)
+        patterns = [catalog.chain_cz_pattern(3), catalog.build_pattern("triple-cz")]
+        copies = ([], [])
+        for pair in zip_longest(*map(oracle._map_chunks, patterns)):
+            for kept, chunk in zip(copies, pair):
+                if chunk is not None:
+                    kept.append(chunk.copy())
+        assert min(map(len, copies)) > 1
+        for pattern, chunks in zip(patterns, copies):
+            got = oracle._classify(chunks, len(pattern.layout))
+            alone = oracle._classify(oracle._map_chunks(pattern), len(pattern.layout))
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in alone]
 
 
 def _full_grid_summaries(report):
