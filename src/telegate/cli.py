@@ -37,7 +37,10 @@ def _flag_owners() -> dict[str, str]:
 
 def _load_unitary(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:
+            raise PatternFormatError(f"malformed document: {exc}") from exc
     try:
         u = np.array([[complex(re, im) for re, im in row] for row in doc], dtype=complex)
     except (TypeError, ValueError, OverflowError):

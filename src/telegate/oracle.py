@@ -66,7 +66,7 @@ class DerivationFailures(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         position = self.positions[i]
-        return self.maps.layout.key(position), self.reason(int(self.maps.classes[1][position]))
+        return self.maps.layout.key(position), self.reason(int(self.maps.classes[position]))
 
     def reason(self, c: int) -> str:
         """Why class ``c``'s map has no correction."""
@@ -150,13 +150,13 @@ def _register_rows(factors: list[np.ndarray], k: int, rows: np.ndarray, work: di
     return t
 
 
-# The contraction gathers at most this many amplitudes at a time (but always
-# one column of every basis row), and streams the first group's basis rows
-# in chunks that read at most this many register amplitudes and produce at
-# most as many (but always one row). A stream writes its chunks into three
-# reused flat buffers: 0 holds the register rows, 1 their partial products
-# and then the gathers, 2 the first group's output; each later group writes
-# into the one of 0 and 2 it does not read.
+# The contraction streams the first group's basis rows in chunks that read
+# at most this many register amplitudes and produce at most as many (but
+# always one row), so every step of a chunk gathers and writes at most this
+# many (or one register row's worth, where a row is wider). A stream writes
+# its chunks into three reused flat buffers: 0 holds the register rows, 1
+# their partial products and then the gathers, 2 the first group's output;
+# each later group writes into the one of 0 and 2 it does not read.
 _GATHER = 1 << 16
 
 
@@ -186,34 +186,27 @@ def _plan(basis: sv.MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _contract(
-    index: np.ndarray, coeffs: np.ndarray, flat: np.ndarray, work: dict | None = None, into: int = 2
+    index: np.ndarray, coeffs: np.ndarray, flat: np.ndarray, work: dict, into: int
 ) -> np.ndarray:
     """``vectors.conj() @ flat`` for the basis rows planned by :func:`_plan`
     and an (outcomes, K, columns) register, summed over each row's nonzero
     entries only, into workspace buffer ``into`` (not the one holding
-    ``flat``; by default a fresh workspace), gathering in buffer 1.
+    ``flat``), gathering in buffer 1.
 
     Slot s adds every row's s-th planned entry times the register slice at
-    its column. Catalog bases have at most 4 nonzeros per row, so this does
-    a few gathers instead of a K-term sum; a dense basis has K per row.
+    its column, in one pass over the whole chunk: :func:`_map_chunks` has
+    already cut it to the gather budget. Catalog bases have at most 4
+    nonzeros per row, so this does a few gathers instead of a K-term sum; a
+    dense basis has K per row.
     """
-    work = {} if work is None else work
-    outcomes, _, columns = flat.shape
-    rows, width = index.shape
-    out = _buffer(work, into, (outcomes, rows, columns))
-    step_c = max(1, min(columns, _GATHER // rows))
-    step_o = max(1, _GATHER // (rows * step_c))
-    for lo in range(0, outcomes, step_o):
-        for c in range(0, columns, step_c):
-            src = flat[lo:lo + step_o, :, c:c + step_c]
-            acc = out[lo:lo + step_o, :, c:c + step_c]
-            term = _buffer(work, 1, (len(src), rows, src.shape[2]))
-            np.take(src, index[:, 0], axis=1, out=term, mode="clip")
-            np.multiply(coeffs[:, 0], term, out=acc)
-            for s in range(1, width):
-                np.take(src, index[:, s], axis=1, out=term, mode="clip")
-                term *= coeffs[:, s]
-                acc += term
+    out = _buffer(work, into, (len(flat), len(index), flat.shape[2]))
+    term = _buffer(work, 1, out.shape)
+    np.take(flat, index[:, 0], axis=1, out=term, mode="clip")
+    np.multiply(coeffs[:, 0], term, out=out)
+    for s in range(1, index.shape[1]):
+        np.take(flat, index[:, s], axis=1, out=term, mode="clip")
+        term *= coeffs[:, s]
+        out += term
     return out
 
 
@@ -241,13 +234,17 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
     lead the axes left when it measures them and the outputs end in output
     order: every flatten is a reshape, with no copy. The first group's basis
     rows stream in chunks that read at most ``_GATHER`` register amplitudes
-    and produce at most as many (see :func:`_row_chunks`). A chunk builds
-    only the register rows it reads and goes through every later group on
-    its own, all in the stream's one workspace (see ``_GATHER``), so no
-    array is register-sized and a yielded chunk is a view that stays valid
-    only until the next one is requested. Each group's nonzero plan is made
-    once for its whole basis, so every entry is the same sum however the
-    rows are chunked.
+    and produce at most as many (see :func:`_row_chunks`); a complete basis
+    keeps the amplitude count, so every later group's step stays in that
+    budget too, and each step is one :func:`_contract` pass. A register row
+    wider than the budget makes chunks of one basis row, whose steps gather
+    and write that row's whole output at once. A chunk builds only the
+    register rows it reads and goes through every later group on its own,
+    all in the stream's one workspace (see ``_GATHER``), so no array is
+    register-sized and a yielded chunk is a view that stays valid only until
+    the next one is requested. Each group's nonzero plan is made once for
+    its whole basis, so every entry is the same sum however the rows are
+    chunked.
     """
     factors = _register_factors(pattern)
     dim = factors[0].shape[-1]
@@ -267,12 +264,12 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
         yield chunk.reshape(-1, chunk.shape[2] // dim, dim)
 
 
-def _classify(chunks: Iterable[np.ndarray], total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _classify(chunks: Iterable[np.ndarray], total: int) -> tuple[np.ndarray, np.ndarray]:
     """The bitwise-distinct maps among consecutive chunks of ``total`` maps,
-    in first-occurrence order; the first outcome carrying each; and each
-    outcome's class (its position in that order). Maps are keyed by their
-    bytes, so they share a class only if their bytes are equal: -0.0 and
-    +0.0, or entries one ulp apart, stay apart."""
+    in first-occurrence order, and each outcome's class (its position in
+    that order). Maps are keyed by their bytes, so they share a class only
+    if their bytes are equal: -0.0 and +0.0, or entries one ulp apart, stay
+    apart."""
     firsts: dict[bytes, int] = {}
     classes = np.empty(total, dtype=np.intp)
     start = 0
@@ -292,18 +289,16 @@ def _classify(chunks: Iterable[np.ndarray], total: int) -> tuple[np.ndarray, np.
         ids[new] = np.arange(seen, len(firsts))
         ids[~new] = classes[owners[~new]]
         start, shape = end, chunk.shape[1:]
-    reps = np.fromiter(firsts.values(), dtype=np.intp, count=len(firsts))
     distinct = np.frombuffer(b"".join(firsts), dtype=complex).reshape(-1, *shape)
-    return distinct, reps, classes
+    return distinct, classes
 
 
 class OutcomeMaps(Mapping):
     """Read-only view of every outcome's input->output map.
 
     ``distinct`` holds each bitwise-distinct map once, as an array of shape
-    (classes, d_out, d_in) in first-occurrence order; ``classes`` is
-    ``(reps, classes)``, the first outcome carrying each distinct map and
-    each outcome's row of ``distinct``, over outcomes in lexicographic label
+    (classes, d_out, d_in) in first-occurrence order; ``classes`` holds each
+    outcome's row of ``distinct``, over outcomes in lexicographic label
     order, the order of the pattern's :attr:`GatePattern.layout`.
     ``maps[key]`` is one row of ``distinct``. Byproduct repairs leave few
     distinct maps among many outcomes, so per-map work runs once per row of
@@ -311,23 +306,21 @@ class OutcomeMaps(Mapping):
     about a map they read from :attr:`facts`.
     """
 
-    def __init__(
-        self, pattern: GatePattern, distinct: np.ndarray, reps: np.ndarray, classes: np.ndarray
-    ):
-        for array in (distinct, reps, classes):
+    def __init__(self, pattern: GatePattern, distinct: np.ndarray, classes: np.ndarray):
+        for array in (distinct, classes):
             array.flags.writeable = False
         self.distinct = distinct
-        self.classes = (reps, classes)
+        self.classes = classes
         self.layout = pattern.layout
 
     def __len__(self) -> int:
-        return len(self.classes[1])
+        return len(self.classes)
 
     def __iter__(self):
         return iter(self.layout)
 
     def __getitem__(self, key: OutcomeKey) -> np.ndarray:
-        return self.distinct[self.classes[1][self.layout.position(key)]]
+        return self.distinct[self.classes[self.layout.position(key)]]
 
     @cached_property
     def facts(self) -> MapFacts:
@@ -409,7 +402,7 @@ def enumerate_outcomes(pattern: GatePattern, input_state: sv.StateVector) -> lis
             f"{len(pattern.input_wires)} input wires"
         )
     maps = outcome_maps(pattern)
-    _, classes = maps.classes
+    classes = maps.classes
     branches = maps.distinct @ input_state.amps
     keys = list(pattern.layout)
     num_out = len(pattern.output_wires)
@@ -676,11 +669,10 @@ def derive_corrections_with_failures(
     outcomes are filled with the identity."""
     dictionary = correction_dictionary(pattern.num_outputs, pattern.vocabulary)
     maps = outcome_maps(pattern)
-    facts = maps.facts
-    reps, classes = maps.classes
+    facts, classes = maps.facts, maps.classes
     identity = CorrectionOp.identity()
-    class_ops = np.full(len(reps), identity, dtype=object)
-    outside = np.zeros(len(reps), dtype=bool)
+    class_ops = np.full(len(maps.distinct), identity, dtype=object)
+    outside = np.zeros(len(maps.distinct), dtype=bool)
     # Maps proportional to a unitary need the recovery T·M†/s, T the target.
     unitary = np.flatnonzero(facts.unitary)
     for block in _blocks(len(unitary)):
@@ -716,10 +708,8 @@ def _name_recoveries(
     ]
     todo = np.flatnonzero(~confirmed)
     if dictionary.vocabulary == "full" and todo.size:
-        results = decompose_monomial(needed[todo], dictionary.num_wires)
-        for i, decomposed in zip(todo.tolist(), results):
-            if decomposed is not None:
-                named[i] = decomposed[0]
+        for i, op in zip(todo.tolist(), decompose_monomial(needed[todo], dictionary.num_wires)):
+            named[i] = op
     return named
 
 
@@ -746,9 +736,7 @@ def _linear_words(num_wires: int) -> dict:
     return words
 
 
-def decompose_monomial(
-    stack: np.ndarray, num_wires: int
-) -> list[tuple[CorrectionOp, np.ndarray] | None]:
+def decompose_monomial(stack: np.ndarray, num_wires: int) -> list[CorrectionOp | None]:
     """Factor each phased permutation unitary of a (k, d, d) stack into
     named correction ops.
 
@@ -760,8 +748,8 @@ def decompose_monomial(
     precisely the group the correction vocabulary generates, so anything
     else gets None. The checks run over the whole stack at once, and each
     distinct integer form (t, lin, cz, c) is built into its op and matrix
-    once; each success is the op with its matrix, confirmed equal to r up
-    to phase.
+    once. Each success is that op, its matrix confirmed equal to r up to
+    phase.
     """
     n = num_wires
     dim = 1 << n
@@ -816,10 +804,10 @@ def decompose_monomial(
     mats = np.zeros((len(built), dim, dim), dtype=complex)
     mats[np.arange(len(built))[:, None], perm[built], np.arange(dim)] = quarter_turns[q[built]]
     same = _equal_up_to_phase(mats[inverse], u[good])
-    results: list[tuple[CorrectionOp, np.ndarray] | None] = [None] * len(stack)
+    results: list[CorrectionOp | None] = [None] * len(stack)
     for m, f, ok_m in zip(good.tolist(), inverse.tolist(), same.tolist()):
         if ok_m:
-            results[m] = (ops[f], mats[f])
+            results[m] = ops[f]
     return results
 
 
@@ -924,7 +912,6 @@ def _column_sums(pair_rows: np.ndarray, pair_of: np.ndarray) -> np.ndarray:
 def verify_pattern(
     pattern: GatePattern,
     inputs: np.ndarray | None = None,
-    input_labels: list[str] | None = None,
     corrections: CorrectionTable | None = None,
     seed: int = DEFAULT_SEED,
     fidelity_tol: float = FIDELITY_TOL,
@@ -933,7 +920,8 @@ def verify_pattern(
     """Certify the pattern against its target over all outcomes and inputs.
 
     Inputs default to all computational basis states plus RANDOM_INPUTS
-    seeded random states. Zero-probability outcomes are those with a zero
+    seeded random states; the columns of other inputs are labelled
+    ``input00``, ``input01`` and so on. Zero-probability outcomes are those with a zero
     map (see :class:`MapFacts`). The first default random state is the
     generic probe for the suspicious outcomes and the range, whatever the
     inputs.
@@ -944,10 +932,10 @@ def verify_pattern(
             f"pattern {pattern.name!r} has no correction table; derive one first"
         )
     dim = 1 << pattern.num_outputs
-    defaults, default_labels = default_inputs(dim, seed)
+    defaults, input_labels = default_inputs(dim, seed)
     if inputs is None:
-        inputs, input_labels = defaults, default_labels
-    elif input_labels is None:
+        inputs = defaults
+    else:
         input_labels = [f"input{i:02d}" for i in range(inputs.shape[1])]
     # Column dim of the default inputs is the generic probe; other inputs
     # carry it as one more column, which the report's grid leaves out.
@@ -965,7 +953,7 @@ def verify_pattern(
     # Outcomes with a bitwise-equal map and the same correction have equal
     # rows; each distinct (map, correction) pair is computed at its first
     # outcome, and the report keeps one row per pair.
-    _, classes = maps.classes
+    classes = maps.classes
     _, first, pair_of = np.unique(
         classes * len(mats) + op_index, return_index=True, return_inverse=True
     )
@@ -1079,8 +1067,8 @@ def detect_information_loss(pattern: GatePattern, seed: int = DEFAULT_SEED) -> L
     dim = 1 << len(pattern.input_wires)
     generic = default_inputs(dim, seed)[0][:, dim]
     maps = outcome_maps(pattern)
-    reps, classes = maps.classes
-    live, ranks = ~maps.facts.zero, maps.facts.ranks(np.arange(len(reps)))
+    classes = maps.classes
+    live, ranks = ~maps.facts.zero, maps.facts.ranks(np.arange(len(maps.distinct)))
     dead = (np.linalg.norm(maps.distinct, axis=1) < sv.RANK_TOL) & live[:, None]
     # Probabilities formed as np.linalg.norm(m @ generic) ** 2 forms them for
     # one map (dot products of the real and imaginary parts, then the root

@@ -673,8 +673,10 @@ def save_pattern(pattern: GatePattern, path) -> None:
 
 def load_pattern(path) -> GatePattern:
     with open(path, "r", encoding="utf-8") as fh:
+        # A document nested past the interpreter's recursion limit cannot be
+        # decoded either.
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise PatternFormatError(f"not a valid pattern document: {exc}") from exc
     return pattern_from_document(doc)

@@ -52,10 +52,6 @@ class StateVector:
     num_qubits: int
     amps: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
-
 
 def bits_to_index(bits: str) -> int:
     if bits and not set(bits) <= {"0", "1"}:

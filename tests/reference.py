@@ -5,9 +5,17 @@ import random
 from itertools import product
 
 import numpy as np
+from hypothesis import strategies as st
 
 from telegate import statevec as sv
-from telegate.patterns import CorrectionTable, GatePattern, format_key, pattern_to_document
+from telegate.patterns import (
+    CorrectionTable,
+    GatePattern,
+    MeasurementGroup,
+    format_key,
+    pattern_to_document,
+    validate_pattern,
+)
 
 
 def patterns_equal(a: GatePattern, b: GatePattern, atol: float = sv.ATOL_AMP) -> bool:
@@ -49,7 +57,7 @@ def project(
         )
     t = state.amps.reshape([2] * n)
     t = np.moveaxis(t, measured, range(len(measured)))
-    mat = t.reshape(basis_vector.dim, -1)
+    mat = t.reshape(basis_vector.amps.size, -1)
     residual = basis_vector.amps.conj() @ mat
     prob = float(np.real(np.vdot(residual, residual)))
     if prob <= sv.ZERO_PROB:
@@ -99,6 +107,91 @@ def ragged_basis() -> sv.MeasurementBasis:
     haar[3] *= 1j
     haar[5] *= -1
     return sv.MeasurementBasis(3, haar[[4, 0, 2, 5, 1, 6, 3, 7]])
+
+
+def dense_maps(pattern: GatePattern) -> np.ndarray:
+    """Every outcome's map in outcome order, from the whole register built
+    by successive outer products, one axis per qubit in input-then-resource
+    order, then one dense matmul per group."""
+    dim = 1 << len(pattern.input_wires)
+    amps = np.eye(dim, dtype=complex)
+    qubits = list(pattern.input_wires)
+    for resource_qubits, state in pattern.resources:
+        amps = (amps[:, None, :] * state.amps[None, :, None]).reshape(-1, dim)
+        qubits.extend(resource_qubits)
+    t = amps.reshape([1] + [2] * len(qubits) + [dim])
+    for group in pattern.groups:
+        axes = [qubits.index(q) + 1 for q in group.qubits]
+        k = len(axes)
+        flat = np.moveaxis(t, axes, range(1, k + 1)).reshape(t.shape[0], 1 << k, -1)
+        qubits = [q for q in qubits if q not in group.qubits]
+        t = (group.basis.vectors.conj() @ flat).reshape([-1] + [2] * len(qubits) + [dim])
+    perm = [qubits.index(w) + 1 for w in pattern.output_wires]
+    return t.transpose([0] + perm + [len(qubits) + 1]).reshape(t.shape[0], -1, dim)
+
+
+def _block_basis(num_qubits: int, sizes: list[int], rng: np.random.Generator) -> np.ndarray:
+    """A basis whose columns, shuffled, fall into blocks of the given sizes,
+    each block a Haar-random unitary on its columns, with the rows shuffled:
+    one block is a dense unitary, blocks of one a phased permutation, and
+    mixed sizes give rows of unequal nonzero counts."""
+    dim = 1 << num_qubits
+    vectors = np.zeros((dim, dim), dtype=complex)
+    lo = 0
+    for size in sizes:
+        vectors[lo:lo + size, lo:lo + size] = random_unitary(size, rng)
+        lo += size
+    return vectors[rng.permutation(dim)][:, rng.permutation(dim)]
+
+
+@st.composite
+def small_patterns(draw) -> GatePattern:
+    """Small random valid patterns, without corrections: one or two inputs;
+    one to four random resource states of one or two qubits; wire numbers
+    shuffled; one or two groups of at most five qubits (at most 32 basis
+    columns) whose bases are dense random unitaries, phased permutations or
+    ragged rows; at most ten qubits. The amplitudes come from a generator
+    seeded by one drawn integer."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_inputs = draw(st.integers(1, 2))
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=4))
+    num_qubits = num_inputs + sum(sizes)
+    wires = [int(q) for q in rng.permutation(num_qubits)]
+    inputs, wires = tuple(wires[:num_inputs]), wires[num_inputs:]
+    resources = []
+    for size in sizes:
+        amps = rng.standard_normal(1 << size) + 1j * rng.standard_normal(1 << size)
+        resources.append((tuple(wires[:size]), sv.StateVector(size, amps / np.linalg.norm(amps))))
+        wires = wires[size:]
+    order = [int(q) for q in rng.permutation(num_qubits)]
+    outputs, measured = tuple(order[:num_inputs]), order[num_inputs:]
+    # The first group's size; the rest, if any, form a second group.
+    cut = draw(st.integers(max(1, len(measured) - 5), min(5, len(measured))))
+    groups = []
+    for qubits in filter(None, (measured[:cut], measured[cut:])):
+        k = len(qubits)
+        kind = draw(st.sampled_from(["dense", "phased-permutation", "ragged"]))
+        if kind == "dense":
+            blocks = [1 << k]
+        elif kind == "phased-permutation":
+            blocks = [1] * (1 << k)
+        else:
+            cuts = sorted(draw(st.sets(st.integers(1, (1 << k) - 1), max_size=3)))
+            blocks = np.diff([0, *cuts, 1 << k]).tolist()
+        labels = tuple(tuple((i >> (k - 1 - j)) & 1 for j in range(k)) for i in range(1 << k))
+        basis = sv.MeasurementBasis(k, _block_basis(k, blocks, rng))
+        groups.append(MeasurementGroup(tuple(qubits), basis, labels))
+    pattern = GatePattern(
+        name="random",
+        num_qubits=num_qubits,
+        input_wires=inputs,
+        resources=tuple(resources),
+        groups=tuple(groups),
+        output_wires=outputs,
+        target=random_unitary(1 << num_inputs, rng),
+    )
+    validate_pattern(pattern)
+    return pattern
 
 
 def argsort_plan(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,15 +24,12 @@ SEED = oracle.DEFAULT_SEED
 TOL = 1e-9
 
 
-def _verify_over(pattern, table, inputs, labels=None):
-    return oracle.verify_pattern(
-        pattern, inputs=inputs, input_labels=labels, corrections=table, seed=SEED
-    )
+def _verify_over(pattern, table, inputs):
+    return oracle.verify_pattern(pattern, inputs=inputs, corrections=table, seed=SEED)
 
 
 def _random_inputs(num_qubits, count, rng):
-    cols = np.column_stack([random_state(num_qubits, rng, 1e-6) for _ in range(count)])
-    return cols, [f"rand{i:02d}" for i in range(count)]
+    return np.column_stack([random_state(num_qubits, rng, 1e-6) for _ in range(count)])
 
 
 def test_criterion_1_single_qubit_teleportation():
@@ -147,8 +144,8 @@ def test_criterion_5_triple_cz():
     assert np.allclose(pattern.target, double_cz())
     table = oracle.derive_corrections(pattern)
     rng = np.random.default_rng(SEED)
-    inputs, labels = _random_inputs(3, 10, rng)
-    report = _verify_over(pattern, table, inputs, labels)
+    inputs = _random_inputs(3, 10, rng)
+    report = _verify_over(pattern, table, inputs)
     assert len(report.layout) == 512
     assert report.min_fidelity >= 1 - TOL
     print(f"criterion 5: PASS - 512 outcome triples x 10 random inputs, "
@@ -180,10 +177,8 @@ def test_criterion_7_cnot_and_swap(cnot_derived, swap_derived):
         (swap_derived, tables.swap_table()),
     ):
         dim = 1 << len(pattern.input_wires)
-        rand, rand_labels = _random_inputs(2, 20, rng)
-        inputs = np.hstack([np.eye(dim, dtype=complex), rand])
-        labels = [f"|{i:02b}>" for i in range(dim)] + rand_labels
-        report = _verify_over(pattern, table, inputs, labels)
+        inputs = np.hstack([np.eye(dim, dtype=complex), _random_inputs(2, 20, rng)])
+        report = _verify_over(pattern, table, inputs)
         assert len(report.layout) == 128
         assert len(table) == 128
         assert report.min_fidelity >= 1 - TOL
@@ -203,8 +198,8 @@ def test_criterion_8_toffoli(toffoli_selected):
     assert "rejected" in record["literal"]
     assert "verified" in record["corrected"]
     rng = np.random.default_rng(SEED)
-    inputs, labels = _random_inputs(3, 10, rng)
-    report = _verify_over(pattern, table, inputs, labels)
+    inputs = _random_inputs(3, 10, rng)
+    report = _verify_over(pattern, table, inputs)
     assert len(report.layout) == 16 * 16 * 8
     assert report.min_fidelity >= 1 - TOL
     worked = table[((0, 1, 1, "-"), (0, 1, 0, "-"), (1, 1, "-"))]
@@ -235,8 +230,8 @@ def test_criterion_8_fredkin(fredkin_partial):
     pattern, table, failures = fredkin_partial
     assert not failures, f"{len(failures)} outcomes admit no correction"
     rng = np.random.default_rng(SEED)
-    inputs, labels = _random_inputs(3, 10, rng)
-    report = _verify_over(pattern, table, inputs, labels)
+    inputs = _random_inputs(3, 10, rng)
+    report = _verify_over(pattern, table, inputs)
     assert len(report.layout) == 32 * 16 * 16
     assert report.min_fidelity >= 1 - TOL
 

@@ -254,6 +254,10 @@ MALFORMED_INPUTS = {
     "binary-pattern-file": ("--pattern-file", b"\x89PNG\r\n\x1a\n\xff\xfe"),
     "directory-unitary": ("--u", DIRECTORY),
     "binary-unitary": ("--u", b"\xff\xfe\x00"),
+    # Arrays nested past the interpreter's recursion limit: the JSON
+    # decoder gives up before the document can be read at all.
+    "deeply-nested-pattern-file": ("--pattern-file", b"[" * 100000 + b"]" * 100000),
+    "deeply-nested-unitary": ("--u", b"[" * 100000 + b"]" * 100000),
     "directory-out": ("--out", DIRECTORY),
     # Flags that do not apply to the chosen pattern; FILE is a valid
     # document, and the error names the flag before FILE or the value.

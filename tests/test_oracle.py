@@ -6,6 +6,7 @@ import subprocess
 import sys
 from itertools import zip_longest
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,12 +25,14 @@ from telegate.patterns import (
 
 from reference import (
     argsort_plan,
+    dense_maps,
     operator_distance,
     parameterized_phase_form,
     phase_parameter_grid_search,
     project,
     ragged_basis,
     random_unitary,
+    small_patterns,
 )
 
 
@@ -168,7 +171,13 @@ class TestEnumerationAgainstNaivePath:
 
 def _stack(maps):
     """Every outcome's map, in outcome-key order, as one array."""
-    return maps.distinct[maps.classes[1]]
+    return maps.distinct[maps.classes]
+
+
+def _reps(classes):
+    """The first outcome of each class, in class order: classes are numbered
+    in first-occurrence order."""
+    return np.unique(classes, return_index=True)[1]
 
 
 class TestOutcomeMaps:
@@ -177,11 +186,10 @@ class TestOutcomeMaps:
         pattern = catalog.build_pattern(name)
         maps = oracle.outcome_maps(pattern)
         keys = list(pattern.layout)
-        reps, classes = maps.classes
         assert list(maps) == keys
-        assert len(maps) == len(keys) == len(classes)
+        assert len(maps) == len(keys) == len(maps.classes)
         dim_in = 1 << len(pattern.input_wires)
-        assert maps.distinct.shape == (len(reps), 1 << pattern.num_outputs, dim_in)
+        assert maps.distinct.shape == (maps.classes.max() + 1, 1 << pattern.num_outputs, dim_in)
         stack = _stack(maps)
         for i, key in enumerate(keys):
             assert np.array_equal(maps[key], stack[i])
@@ -238,9 +246,8 @@ class TestOutcomeMaps:
         a, b = np.eye(2), np.array([[0, 1], [1, 0]])
         for cut in (1, 2, 3):
             maps = self._crafted(b, a, b, a, cut=cut)
-            reps, classes = maps.classes
-            assert reps.tolist() == [0, 1]
-            assert classes.tolist() == [0, 1, 0, 1]
+            assert _reps(maps.classes).tolist() == [0, 1]
+            assert maps.classes.tolist() == [0, 1, 0, 1]
             assert np.array_equal(maps.distinct, [b, a])
 
     @pytest.mark.parametrize("make", [
@@ -248,7 +255,8 @@ class TestOutcomeMaps:
     ], ids=["chain-cz-3", "triple-cz"])
     def test_classes_are_exactly_the_distinct_maps(self, make):
         maps = oracle.outcome_maps(make())
-        reps, classes = maps.classes
+        classes = maps.classes
+        reps = _reps(classes)
         words = _stack(maps).reshape(len(maps), -1).view(np.uint64)
         _, first, inverse = np.unique(words, axis=0, return_index=True, return_inverse=True)
         assert len(reps) == len(first) < len(maps)
@@ -264,8 +272,8 @@ class TestOutcomeMaps:
         ulp = a.copy()
         ulp[1, 1] = np.nextafter(0.5, 1.0)
         assert np.array_equal(negzero, a)
-        reps, classes = self._crafted(a, negzero, ulp, a).classes
-        assert reps.tolist() == [0, 1, 2]
+        classes = self._crafted(a, negzero, ulp, a).classes
+        assert _reps(classes).tolist() == [0, 1, 2]
         assert classes.tolist() == [0, 1, 2, 0]
 
     def test_per_map_arithmetic_runs_once_per_distinct_map(self, monkeypatch):
@@ -293,7 +301,7 @@ class TestOutcomeMaps:
         from telegate.cli import main
 
         pattern, _, failures = fredkin_partial
-        printed = np.unique(oracle.outcome_maps(pattern).classes[1][failures.positions[:shown]])
+        printed = np.unique(oracle.outcome_maps(pattern).classes[failures.positions[:shown]])
         ranked = []
         svd = np.linalg.svd
         monkeypatch.setattr(
@@ -346,48 +354,27 @@ CONTRACTED = {
 
 class TestSparseContraction:
     """The streamed contraction over basis nonzeros against a dense matmul
-    of every group's basis on the whole register, kept here as the
-    reference."""
+    of every group's basis on the whole register (``reference.dense_maps``)."""
 
     # A K-term sum of products of entries bounded by 1 in magnitude; groups
     # here have K <= 32 columns, each term rounding by about one ulp.
     TOL = 64 * np.finfo(float).eps
 
-    @staticmethod
-    def _dense_maps(pattern):
-        # The register by successive outer products, one axis per qubit in
-        # input-then-resource order, then one dense matmul per group.
-        dim = 1 << len(pattern.input_wires)
-        amps = np.eye(dim, dtype=complex)
-        qubits = list(pattern.input_wires)
-        for resource_qubits, state in pattern.resources:
-            amps = (amps[:, None, :] * state.amps[None, :, None]).reshape(-1, dim)
-            qubits.extend(resource_qubits)
-        t = amps.reshape([1] + [2] * len(qubits) + [dim])
-        for group in pattern.groups:
-            axes = [qubits.index(q) + 1 for q in group.qubits]
-            k = len(axes)
-            flat = np.moveaxis(t, axes, range(1, k + 1)).reshape(t.shape[0], 1 << k, -1)
-            qubits = [q for q in qubits if q not in group.qubits]
-            t = (group.basis.vectors.conj() @ flat).reshape([-1] + [2] * len(qubits) + [dim])
-        perm = [qubits.index(w) + 1 for w in pattern.output_wires]
-        return t.transpose([0] + perm + [len(qubits) + 1]).reshape(t.shape[0], -1, dim)
-
     @pytest.mark.parametrize("name", sorted(CONTRACTED))
     def test_matches_dense_reference(self, name):
         pattern = CONTRACTED[name]()
         maps = _stack(oracle.outcome_maps(pattern))
-        dense = self._dense_maps(pattern)
+        dense = dense_maps(pattern)
         assert maps.shape == dense.shape
         np.testing.assert_allclose(maps, dense, rtol=0, atol=self.TOL)
 
     @pytest.mark.parametrize("budget", [1, 5, 37])
     @pytest.mark.parametrize("name", ["chain-cz-3", "triple-cz", "cz-dense-basis"])
     def test_gather_budget_does_not_change_results(self, monkeypatch, name, budget):
-        # Budgets under one column of every basis row, and budgets whose
-        # column chunks end inside an outcome's columns, split each sum
-        # only between independent entries, so the bits do not move. They
-        # also stream the first group one basis row at a time.
+        # Budgets narrower than one register row stream the first group one
+        # basis row at a time, and each step gathers and writes its chunk's
+        # whole output at once. Every entry is still the same sum over the
+        # same plan slots in the same order, so the bits do not move.
         exact = oracle.outcome_maps(CONTRACTED[name]())
         monkeypatch.setattr(oracle, "_GATHER", budget)
         sizes = []
@@ -399,8 +386,26 @@ class TestSparseContraction:
         chunked = oracle.outcome_maps(pattern)
         assert len(sizes) == pattern.groups[0].size
         assert chunked.distinct.tobytes() == exact.distinct.tobytes()
-        for ours, theirs in zip(chunked.classes, exact.classes):
-            assert np.array_equal(ours, theirs)
+        assert np.array_equal(chunked.classes, exact.classes)
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_patterns())
+    def test_random_patterns_match_dense_reference(self, pattern):
+        np.testing.assert_allclose(
+            _stack(oracle.outcome_maps(pattern)), dense_maps(pattern), rtol=0, atol=self.TOL
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_patterns())
+    def test_gather_budget_does_not_change_random_patterns(self, pattern):
+        # Budgets this small make most register rows wider than the budget,
+        # where each step gathers and writes a whole one-row chunk at once.
+        exact = oracle.outcome_maps(pattern)
+        for budget in (1, 5, 37):
+            with mock.patch.object(oracle, "_GATHER", budget):
+                narrow = oracle.outcome_maps(pattern.with_target(pattern.target))
+            assert narrow.distinct.tobytes() == exact.distinct.tobytes()
+            assert narrow.classes.tobytes() == exact.classes.tobytes()
 
     def test_rows_of_unequal_width(self):
         # Rows padded with zero coefficients up to the widest row's count.
@@ -412,12 +417,13 @@ class TestSparseContraction:
         index, coeffs = oracle._plan(sv.MeasurementBasis(2, vectors))
         assert index.shape == (4, 4)
         np.testing.assert_allclose(
-            oracle._contract(index, coeffs, flat), vectors.conj() @ flat, rtol=0, atol=self.TOL
+            oracle._contract(index, coeffs, flat, {}, 2), vectors.conj() @ flat,
+            rtol=0, atol=self.TOL,
         )
         # A chunk of the plan's rows contracts those rows alone, bit for bit,
         # and each direct call writes into a workspace of its own.
-        whole = oracle._contract(index, coeffs, flat)
-        part = oracle._contract(index[1:3], coeffs[1:3], flat)
+        whole = oracle._contract(index, coeffs, flat, {}, 2)
+        part = oracle._contract(index[1:3], coeffs[1:3], flat, {}, 2)
         assert not np.shares_memory(part, whole)
         assert np.array_equal(part, whole[:, 1:3])
 
@@ -546,9 +552,9 @@ class TestBitExactMaps:
     @pytest.mark.parametrize("name", sorted(MAP_DIGESTS))
     def test_maps_and_classes_match_the_stacked_contraction(self, name):
         maps = oracle.outcome_maps(_catalog_pattern(name))
-        reps, classes = maps.classes
         got = tuple(
-            hashlib.sha256(array.tobytes()).hexdigest() for array in (_stack(maps), reps, classes)
+            hashlib.sha256(array.tobytes()).hexdigest()
+            for array in (_stack(maps), _reps(maps.classes), maps.classes)
         )
         assert got == MAP_DIGESTS[name]
 
@@ -1006,9 +1012,8 @@ class TestDecomposeMonomial:
         for pattern in (catalog.fredkin_pattern(), catalog.toffoli_pattern()):
             oracle.derive_corrections_with_failures(pattern)
         assert len(fed) == 448  # all from fredkin; toffoli's are dictionary hits
-        for r, n, (op, mat) in fed:
+        for r, n, op in fed:
             assert op == _reference_decompose(r, n)
-            assert np.array_equal(mat, op.matrix(n))
 
     def test_matches_the_loop_reference_on_rejections(self):
         t_gate = np.diag([1, np.exp(1j * np.pi / 4)])
@@ -1027,16 +1032,15 @@ class TestDecomposeMonomial:
         word = CorrectionOp((("Ucx", (2, 0)), ("Up", (1,))))
         results = oracle.decompose_monomial(np.array(cases + [word.matrix(3)]), 3)
         assert results[:-1] == [None] * len(cases)
-        assert results[-1][0] == _reference_decompose(word.matrix(3), 3)
+        assert results[-1] == _reference_decompose(word.matrix(3), 3)
 
     def test_round_trips_vocabulary_products(self):
         rng = np.random.default_rng(5)
         d = oracle.correction_dictionary(3, "full")
         picks = rng.choice(len(d.ops), size=25, replace=False)
         mats = d.rows(picks) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=25))[:, None, None]
-        for mat, (op, op_mat) in zip(mats, oracle.decompose_monomial(mats, 3)):
-            assert np.array_equal(op_mat, op.matrix(3))
-            assert oracle._equal_up_to_phase(op_mat, mat)
+        for mat, op in zip(mats, oracle.decompose_monomial(mats, 3)):
+            assert oracle._equal_up_to_phase(op.matrix(3), mat)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -1046,9 +1050,8 @@ class TestDecomposeMonomial:
         num_wires = data.draw(st.integers(1, 3))
         phase = np.exp(1j * data.draw(st.floats(0, 2 * np.pi)))
         mat = CorrectionOp(_draw_word(data, num_wires)).matrix(num_wires) * phase
-        [(op, op_mat)] = oracle.decompose_monomial(mat[None], num_wires)
-        assert np.array_equal(op_mat, op.matrix(num_wires))
-        assert oracle._equal_up_to_phase(op_mat, mat)
+        [op] = oracle.decompose_monomial(mat[None], num_wires)
+        assert oracle._equal_up_to_phase(op.matrix(num_wires), mat)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -1071,9 +1074,8 @@ class TestDecomposeMonomial:
 
     def test_bare_controlled_x_between_first_wires(self):
         mat = CorrectionOp((("Ucx", (0, 1)),)).matrix(3)
-        [(op, op_mat)] = oracle.decompose_monomial(mat[None], 3)
-        assert np.array_equal(op_mat, op.matrix(3))
-        assert oracle._equal_up_to_phase(op_mat, mat)
+        [op] = oracle.decompose_monomial(mat[None], 3)
+        assert oracle._equal_up_to_phase(op.matrix(3), mat)
 
     def test_hadamard_is_out_of_vocabulary(self):
         assert oracle.decompose_monomial(np.kron(HADAMARD, np.eye(4))[None], 3) == [None]
@@ -1450,7 +1452,7 @@ class TestFredkin:
         # outcomes carry probability 1/2 on every input, not only on a probe.
         pattern, _, _ = fredkin_partial
         maps = oracle.outcome_maps(pattern)
-        counts = np.bincount(maps.classes[1])
+        counts = np.bincount(maps.classes)
         live = np.flatnonzero(~maps.facts.zero)
         lossy = live[maps.facts.ranks(live) < 8]
         assert (len(lossy), counts[lossy].sum()) == (1024, 4096)
@@ -1727,9 +1729,9 @@ class TestZeroAndSpreadRules:
             pattern = _catalog_pattern(name)
         maps = oracle.outcome_maps(pattern)
         scale = np.array([np.linalg.norm(m) ** 2 / m.shape[1] for m in maps.distinct])
-        expected = pattern.layout.keys_at(np.flatnonzero(scale[maps.classes[1]] < oracle.ZERO_PROB))
+        expected = pattern.layout.keys_at(np.flatnonzero(scale[maps.classes] < oracle.ZERO_PROB))
         table, failures = oracle.derive_corrections_with_failures(pattern)
-        zero = pattern.layout.keys_at(np.flatnonzero(maps.facts.zero[maps.classes[1]]))
+        zero = pattern.layout.keys_at(np.flatnonzero(maps.facts.zero[maps.classes]))
         assert zero == expected
         # A zero class is no failure and gets the identity.
         failed = {key for key, _ in failures}

@@ -1,8 +1,11 @@
 """Pattern types, validation and the pattern document format."""
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
 
 from telegate import catalog, oracle, patterns
 from telegate import statevec as sv
@@ -21,7 +24,7 @@ from telegate.patterns import (
     validate_pattern,
 )
 
-from reference import pattern_file_text, patterns_equal, shuffled_document
+from reference import pattern_file_text, patterns_equal, shuffled_document, small_patterns
 
 
 class TestCorrectionOp:
@@ -239,6 +242,37 @@ class TestDocuments:
         path = tmp_path / f"{name}.json"
         save_pattern(pattern, path)
         assert patterns_equal(pattern, load_pattern(path), atol=1e-12)
+
+    @staticmethod
+    def _save_load_save(pattern) -> tuple[bytes, GatePattern, bytes]:
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+            save_pattern(pattern, first)
+            loaded = load_pattern(first)
+            save_pattern(loaded, second)
+            return first.read_bytes(), loaded, second.read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_patterns())
+    def test_random_patterns_round_trip_amplitudes(self, pattern):
+        _, loaded, _ = self._save_load_save(pattern)
+        assert patterns_equal(pattern, loaded, atol=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "loading renormalizes every resource and basis vector, and a unit "
+            "vector divided by its computed norm can move by an ulp, so the "
+            "second save differs in the last digit of some amplitudes; every "
+            "catalog pattern's document does too"
+        ),
+    )
+    @settings(max_examples=20, deadline=None, phases=[Phase.generate])
+    @given(small_patterns())
+    def test_save_load_save_gives_the_same_bytes(self, pattern):
+        first, _, second = self._save_load_save(pattern)
+        assert second == first
 
     @pytest.mark.parametrize("block", [3, 256])
     @pytest.mark.parametrize("name", sorted(SAVED))
