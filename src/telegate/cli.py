@@ -18,7 +18,7 @@ import numpy as np
 from . import catalog, oracle, reports
 from . import statevec as sv
 from .gates import CZ
-from .patterns import GatePattern, PatternFormatError, format_key, load_pattern, save_pattern
+from .patterns import GatePattern, PatternFormatError, complex_of, format_key, load_pattern, save_pattern
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -39,10 +39,10 @@ def _load_unitary(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except RecursionError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise PatternFormatError(f"malformed document: {exc}") from exc
     try:
-        u = np.array([[complex(re, im) for re, im in row] for row in doc], dtype=complex)
+        u = np.array([[complex_of(z) for z in row] for row in doc], dtype=complex)
     except (TypeError, ValueError, OverflowError):
         u = None
     if u is None or u.shape != (2, 2) or not sv.is_unitary(u):
@@ -441,9 +441,6 @@ def main(argv: list[str] | None = None) -> int:
         PatternFormatError, sv.UsageError, sv.DegenerateStateError, OSError, UnicodeDecodeError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed document: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except oracle.MissingCorrectionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -406,8 +406,13 @@ def enumerate_outcomes(pattern: GatePattern, input_state: sv.StateVector) -> lis
     branches = maps.distinct @ input_state.amps
     keys = list(pattern.layout)
     num_out = len(pattern.output_wires)
-    table = (pattern.corrections or CorrectionTable.from_entries((), pattern.layout)).on(pattern.layout)
-    mats, op_index = table.matrices(num_out), table.index
+    table = pattern.corrections
+    if table is None:
+        mats, op_index = np.empty((0, 1 << num_out, 1 << num_out)), np.full(len(keys), -1)
+    elif table.layout != pattern.layout:
+        raise sv.UsageError("correction table is not over the pattern's outcomes")
+    else:
+        mats, op_index = table.matrices(num_out), table.index
     records = []
     for block in _blocks(len(keys)):
         amps = branches[classes[block]]
@@ -829,17 +834,16 @@ class TableDiff:
 
 def compare_tables(derived: CorrectionTable, printed: CorrectionTable, num_wires: int) -> TableDiff:
     """Per-cell operator equivalence up to global phase, tested once per
-    distinct pair of ops; mismatches come in the outcome order of
-    ``derived``'s layout, which for a pattern's layout is sorted key order."""
-    other = printed.on(derived.layout)
-    if len(other) != len(printed) or not np.array_equal(derived.index >= 0, other.index >= 0):
+    distinct pair of ops, for two tables with cells at the same outcomes of
+    one layout; mismatches come in that layout's order, sorted key order."""
+    if printed.layout != derived.layout or not np.array_equal(derived.index >= 0, printed.index >= 0):
         raise sv.UsageError("correction tables address different outcome sets")
     order = np.flatnonzero(derived.index >= 0).tolist()
-    pairs = list(zip(derived.index[order].tolist(), other.index[order].tolist()))
-    a, b = derived.matrices(num_wires), other.matrices(num_wires)
+    pairs = list(zip(derived.index[order].tolist(), printed.index[order].tolist()))
+    a, b = derived.matrices(num_wires), printed.matrices(num_wires)
     differ = {pair: not _equal_up_to_phase(a[pair[0]], b[pair[1]]) for pair in set(pairs)}
     hits = [(i, pair) for i, pair in zip(order, pairs) if differ[pair]]
-    d_text, p_text = ([op.render(num_wires) for op in t.ops] for t in (derived, other))
+    d_text, p_text = ([op.render(num_wires) for op in t.ops] for t in (derived, printed))
     keys = derived.layout.keys_at([i for i, _ in hits])
     mismatches = tuple((key, d_text[d], p_text[p]) for key, (_, (d, p)) in zip(keys, hits))
     return TableDiff(total=len(derived), mismatches=mismatches)
@@ -944,7 +948,8 @@ def verify_pattern(
 
     maps = outcome_maps(pattern)
     layout = pattern.layout
-    table = table.on(layout)
+    if table.layout != layout:
+        raise sv.UsageError("correction table is not over the pattern's outcomes")
     mats, op_index = table.matrices(pattern.num_outputs), table.index
     if (op_index < 0).any():
         missing = layout.key(int(np.argmax(op_index < 0)))

@@ -220,7 +220,8 @@ class CorrectionTable(Mapping):
     """The correction of each outcome of ``layout``, kept once per distinct
     op: outcome i gets ``ops[index[i]]`` and has no cell where ``index[i]``
     is -1. Ops are numbered by first outcome. As a mapping it reads
-    key -> op over its cells in outcome order.
+    key -> op over its cells in outcome order. A table fits a pattern only
+    when ``layout`` equals the pattern's :attr:`GatePattern.layout`.
     """
 
     layout: OutcomeLayout
@@ -251,14 +252,6 @@ class CorrectionTable(Mapping):
                 )
             index[position] = rows.setdefault(op, len(rows))
         return cls(layout, tuple(rows), np.array(index, dtype=np.intp))
-
-    def on(self, layout: OutcomeLayout) -> "CorrectionTable":
-        """This table's cells for the outcomes of ``layout``; the table
-        itself when ``layout`` is its own."""
-        if layout == self.layout:
-            return self
-        keys = set(layout)
-        return CorrectionTable.from_entries([c for c in self.items() if c[0] in keys], layout)
 
     def matrices(self, num_wires: int) -> np.ndarray:
         """Each op's matrix, stacked as (len(ops), d, d)."""
@@ -413,9 +406,9 @@ def validate_pattern(pattern: GatePattern) -> None:
 
 
 def _validate_corrections(pattern: GatePattern) -> None:
-    table = pattern.corrections.on(pattern.layout)
-    if len(table) != len(pattern.corrections):
-        raise PatternFormatError("correction table has keys that name no outcome")
+    table = pattern.corrections
+    if table.layout != pattern.layout:
+        raise PatternFormatError("correction table is not over the pattern's outcomes")
     if len(table) != len(pattern.layout):
         raise PatternFormatError(
             f"correction table has {len(table)} entries, expected {len(pattern.layout)}"
@@ -494,15 +487,31 @@ def _terms_of(amps: np.ndarray, num_qubits: int) -> list[dict]:
     return terms
 
 
+def _integer(value) -> int:
+    """A count, qubit, wire or dimension: a JSON integer. true and false
+    parse as bool, a subclass of int; they are refused with fractions and
+    strings."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise PatternFormatError(f"{value!r} is not an integer")
+    return value
+
+
+def complex_of(pair) -> complex:
+    """A coefficient or matrix entry written as [re, im]: two JSON numbers,
+    not true, false or strings."""
+    re, im = pair
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
+        raise PatternFormatError(f"{pair!r} is not a pair of numbers")
+    return complex(re, im)
+
+
 def _state_of(terms: list[dict], num_qubits: int, where: str) -> sv.StateVector:
     parsed = []
     for term in terms:
         try:
-            re, im = term["coeff"]
-            bits = term["bits"]
+            coeff, bits = complex_of(term["coeff"]), term["bits"]
         except (KeyError, TypeError, ValueError) as exc:
             raise PatternFormatError(f"malformed term in {where}: {term!r}") from exc
-        coeff = complex(re, im)
         if not cmath.isfinite(coeff):
             raise PatternFormatError(f"non-finite coefficient in {where}: {term!r}")
         parsed.append((coeff, bits))
@@ -570,23 +579,23 @@ def pattern_from_document(doc: dict) -> GatePattern:
         name, variant = doc["name"], doc.get("variant", "")
         if not isinstance(name, str) or not isinstance(variant, str):
             raise PatternFormatError("pattern name and variant must be strings")
-        num_qubits = int(doc["num_qubits"])
+        num_qubits = _integer(doc["num_qubits"])
         if num_qubits > sv.MAX_REGISTER_QUBITS:
             raise PatternFormatError(
                 f"{num_qubits} qubits exceed the {sv.MAX_REGISTER_QUBITS}-qubit register limit"
             )
-        inputs = tuple(int(q) for q in doc["inputs"])
-        outputs = tuple(int(q) for q in doc["outputs"])
+        inputs = tuple(map(_integer, doc["inputs"]))
+        outputs = tuple(map(_integer, doc["outputs"]))
 
         resources = []
         for ri, res in enumerate(doc["resources"]):
-            qubits = sv.check_subset(res["qubits"], num_qubits)
+            qubits = sv.check_subset(tuple(map(_integer, res["qubits"])), num_qubits)
             state = _state_of(res["terms"], len(qubits), f"resource {ri}")
             resources.append((qubits, state))
 
         groups = []
         for gi, grp in enumerate(doc["groups"]):
-            qubits = sv.check_subset(grp["qubits"], num_qubits)
+            qubits = sv.check_subset(tuple(map(_integer, grp["qubits"])), num_qubits)
             # Refused before any vector is built, so the document's length
             # cannot size an allocation.
             if len(grp["vectors"]) != 1 << len(qubits):
@@ -605,19 +614,18 @@ def pattern_from_document(doc: dict) -> GatePattern:
             labels, states = zip(*vectors)
             groups.append(MeasurementGroup(qubits, sv.basis_from_states(states), labels))
 
-        dim = int(doc["target"]["dim"])
+        dim = _integer(doc["target"]["dim"])
         entries = doc["target"]["entries"]
         if len(entries) != dim or any(len(row) != dim for row in entries):
             raise PatternFormatError("target entries do not form a dim x dim matrix")
-        target = np.array(
-            [[complex(re, im) for re, im in row] for row in entries], dtype=complex
-        )
+        target = np.array([[complex_of(z) for z in row] for row in entries], dtype=complex)
 
         cells = None
         if "corrections" in doc:
             cells = []
             for cell in doc["corrections"]:
-                factors = ((str(f["name"]), tuple(int(w) for w in f["wires"])) for f in cell["ops"])
+                # Wires are read per cell, before equal ops are merged.
+                factors = ((str(f["name"]), tuple(map(_integer, f["wires"]))) for f in cell["ops"])
                 cells.append((tuple(map(_label_of, cell["labels"])), CorrectionOp(tuple(factors))))
 
         pattern = GatePattern(

@@ -212,6 +212,41 @@ MALFORMED_INPUTS = {
     "repeated-group-label-with-cells": (
         "--pattern-file", (("groups", 0, "vectors", 1, "label"), [1], catalog.phase_gate_pattern),
     ),
+    # Counts, qubits, wires and dimensions are JSON integers, and the parts
+    # of a coefficient or matrix entry are JSON numbers: true and false,
+    # fractions and digit strings were once read as numbers.
+    "boolean-inputs": ("--pattern-file", (("inputs",), [False, True])),
+    "fractional-inputs": ("--pattern-file", (("inputs",), [0.0, 1.9])),
+    "fractional-qubit-count": ("--pattern-file", (("num_qubits",), 9.5)),
+    "string-qubit-count": ("--pattern-file", (("num_qubits",), "9")),
+    "string-outputs": ("--pattern-file", (("outputs",), "46")),
+    "boolean-group-qubits": (
+        "--pattern-file", (("groups", 0, "qubits"), [False, True], catalog.phase_gate_pattern),
+    ),
+    "fractional-resource-qubits": (
+        "--pattern-file", (("resources", 0, "qubits"), [1.5, 2.2], catalog.phase_gate_pattern),
+    ),
+    "boolean-factor-wire": (
+        "--pattern-file", (("corrections", 0, "ops", 0, "wires"), [False], catalog.phase_gate_pattern),
+    ),
+    "string-factor-wires": (
+        "--pattern-file", (("corrections", 0, "ops", 0, "wires"), "0", catalog.phase_gate_pattern),
+    ),
+    "fractional-target-dim": ("--pattern-file", (("target", "dim"), 2.7, catalog.phase_gate_pattern)),
+    "boolean-coefficient": (
+        "--pattern-file",
+        (("resources", 0, "terms", 0, "coeff"), [True, False], catalog.phase_gate_pattern),
+    ),
+    "boolean-target-entry": (
+        "--pattern-file", (("target", "entries", 0, 0), [True, False], catalog.phase_gate_pattern),
+    ),
+    "boolean-unitary": ("--u", [[[True, False], [0, 0]], [[0, 0], [True, False]]]),
+    # Three of the phase document's four cells, or none: every outcome
+    # needs one.
+    "missing-correction-cell": (
+        "--pattern-file", (("corrections",), _PHASE_CELLS[:3], catalog.phase_gate_pattern),
+    ),
+    "empty-correction-list": ("--pattern-file", (("corrections",), [], catalog.phase_gate_pattern)),
     # Numbers a float cannot hold, or that overflow once summed, squared or
     # multiplied; JSON's Infinity and NaN are read as floats.
     "overflowing-coefficient": ("--pattern-file", (("resources", 0, "terms", 0, "coeff"), [10**400, 0])),
@@ -258,6 +293,7 @@ MALFORMED_INPUTS = {
     # decoder gives up before the document can be read at all.
     "deeply-nested-pattern-file": ("--pattern-file", b"[" * 100000 + b"]" * 100000),
     "deeply-nested-unitary": ("--u", b"[" * 100000 + b"]" * 100000),
+    "truncated-unitary": ("--u", b"[[1, 2"),
     "directory-out": ("--out", DIRECTORY),
     # Flags that do not apply to the chosen pattern; FILE is a valid
     # document, and the error names the flag before FILE or the value.
@@ -296,6 +332,7 @@ def _run_malformed(capsys, tmp_path, command, case):
     assert "Traceback" not in err
     if flag == "flags":
         assert argv[-2] in err
+    return err
 
 
 @pytest.mark.parametrize(
@@ -313,14 +350,19 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, case):
         ("repeated-group-label-with-cells", "group 0 labels are not a bijection onto its basis vectors"),
         ("sign-in-bit-slot", "group 0 labels differ in length or in which slots hold signs"),
         ("false-in-group-label", "label [False, 0, 0, '+'] is not a list of bits and signs"),
+        ("missing-correction-cell", "correction table has 3 entries, expected 4"),
+        ("empty-correction-list", "correction table has 0 entries, expected 4"),
+        ("string-qubit-count", "'9' is not an integer"),
+        ("boolean-target-entry", "[True, False] is not a pair of numbers"),
+        ("truncated-unitary", "malformed document: Expecting ',' delimiter: line 1 column 7 (char 6)"),
     ],
-    ids=["repeated-cell", "boolean", "repeated-label", "sign-in-bit-slot", "false-in-group-label"],
+    ids=[
+        "repeated-cell", "boolean", "repeated-label", "sign-in-bit-slot", "false-in-group-label",
+        "missing-cell", "no-cells", "string-count", "boolean-entry", "truncated-unitary",
+    ],
 )
 def test_document_errors_name_their_cause(capsys, tmp_path, case, error):
-    _, edit = MALFORMED_INPUTS[case]
-    (tmp_path / "input.json").write_text(json.dumps(_document_with(*edit)))
-    code, out, err = run(capsys, "verify", "--pattern-file", str(tmp_path / "input.json"))
-    assert (code, out, err) == (2, "", f"error: {error}\n")
+    assert _run_malformed(capsys, tmp_path, "verify", case) == f"error: {error}\n"
 
 
 def test_group_vector_count_is_checked_before_any_vector_is_built(capsys, tmp_path, monkeypatch):

@@ -19,8 +19,10 @@ from telegate.patterns import (
     CorrectionOp,
     CorrectionTable,
     MeasurementGroup,
+    PatternFormatError,
     pattern_from_document,
     pattern_to_document,
+    validate_pattern,
 )
 
 from reference import (
@@ -81,6 +83,16 @@ class TestEnumeration:
             oracle.enumerate_outcomes(
                 catalog.phase_gate_pattern(), sv.from_ket_expression(2, [(1, "00")])
             )
+
+    def test_missing_cells_give_no_corrected_state(self):
+        # A table over the pattern's outcomes may lack cells, and a pattern
+        # may ship no table: those outcomes are enumerated uncorrected.
+        pattern = catalog.phase_gate_pattern()
+        partial = CorrectionTable.from_entries(list(pattern.corrections.items())[:3], pattern.layout)
+        records = oracle.enumerate_outcomes(pattern.with_corrections(partial), plus_state())
+        assert [r.corrected_state is None for r in records] == [False, False, False, True]
+        records = oracle.enumerate_outcomes(pattern.with_corrections(None), plus_state())
+        assert all(r.corrected_state is None and r.pre_correction_state for r in records)
 
     def test_annihilated_branches_flagged_as_zero_probability(self):
         # The mismatched controlled-Z configuration kills the inner input
@@ -1562,7 +1574,7 @@ class TestVerifyMechanics:
 
     def test_missing_entry_names_outcome(self):
         pattern = catalog.phase_gate_pattern()
-        partial = CorrectionTable.from_entries(list(pattern.corrections.items())[:3])
+        partial = CorrectionTable.from_entries(list(pattern.corrections.items())[:3], pattern.layout)
         with pytest.raises(oracle.MissingCorrectionError, match=r"\(4\)"):
             oracle.verify_pattern(pattern, corrections=partial)
 
@@ -1581,6 +1593,27 @@ class TestVerifyMechanics:
         partial = CorrectionTable.from_entries(list(pattern.corrections.items())[:3])
         with pytest.raises(sv.UsageError):
             oracle.compare_tables(partial, pattern.corrections, 1)
+
+    @pytest.mark.parametrize("extra", [True, False], ids=["extra-outcome", "three-outcomes"])
+    def test_table_over_other_outcomes_is_refused(self, extra):
+        # A table fits a pattern only when it is over the pattern's layout.
+        # The phase table plus a cell for an outcome (9) the pattern lacks,
+        # or three of its cells over their own labels, are refused alike.
+        pattern = catalog.phase_gate_pattern()
+        cells = list(pattern.corrections.items())
+        cells = cells + [(((9,),), CorrectionOp.identity())] if extra else cells[:3]
+        table = CorrectionTable.from_entries(cells)
+        other = pattern.with_corrections(table)
+        refused = "correction table is not over the pattern's outcomes"
+        with pytest.raises(PatternFormatError, match=refused):
+            validate_pattern(other)
+        with pytest.raises(sv.UsageError, match=refused):
+            oracle.verify_pattern(pattern, corrections=table)
+        with pytest.raises(sv.UsageError, match=refused):
+            oracle.enumerate_outcomes(other, plus_state())
+        for pair in ((table, pattern.corrections), (pattern.corrections, table)):
+            with pytest.raises(sv.UsageError, match="different outcome sets"):
+                oracle.compare_tables(*pair, 1)
 
     def test_wrong_correction_fails_verification(self):
         pattern = catalog.phase_gate_pattern()

@@ -1,13 +1,14 @@
 """Pattern types, validation and the pattern document format."""
 import dataclasses
+import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, given, settings, strategies as st
 
-from telegate import catalog, oracle, patterns
+from telegate import catalog, oracle, patterns, reports
 from telegate import statevec as sv
 from telegate.gates import CZ, PHASE, SX, SZ
 from telegate.patterns import (
@@ -273,6 +274,33 @@ class TestDocuments:
     def test_save_load_save_gives_the_same_bytes(self, pattern):
         first, _, second = self._save_load_save(pattern)
         assert second == first
+
+    @staticmethod
+    def _report_texts(pattern) -> tuple[str, ...]:
+        verified = oracle.verify_pattern(pattern)
+        loss = oracle.detect_information_loss(pattern)
+        return (
+            reports.render_verification(verified),
+            "".join(reports.verification_json_pieces(verified)),
+            "".join(reports.verification_csv_pieces(verified)),
+            reports.render_loss(loss),
+            reports.dumps(reports.loss_to_doc(loss)),
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_patterns(), st.integers(0, 2**16))
+    def test_shuffled_random_documents_give_the_same_reports(self, pattern, seed):
+        # A random pattern with an all-identity table over its layout, saved
+        # and loaded as written and with its vectors and cells shuffled: one
+        # pattern, so verify's and loss-check's reports keep their bytes.
+        identity = CorrectionOp.identity()
+        table = CorrectionTable.from_entries({key: identity for key in pattern.layout}, pattern.layout)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "random.json")
+            save_pattern(pattern.with_corrections(table), path)
+            doc = json.loads(path.read_text())
+        written, shuffled = (pattern_from_document(d) for d in (doc, shuffled_document(doc, seed)))
+        assert self._report_texts(written) == self._report_texts(shuffled)
 
     @pytest.mark.parametrize("block", [3, 256])
     @pytest.mark.parametrize("name", sorted(SAVED))
