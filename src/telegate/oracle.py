@@ -485,12 +485,29 @@ def _first_per_phase_class(candidates: list, mats: list[np.ndarray]) -> tuple[li
 
 def _phases(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per matrix in a (k, d, d) stack: each column's largest-magnitude row,
-    and that entry's phase relative to column 0's in eighth turns. For a
-    phased permutation this pins the matrix up to global phase."""
+    and that entry's phase relative to column 0's in eighth turns (0 against
+    a zero entry). For a phased permutation this pins the matrix up to
+    global phase."""
     rows = np.abs(mats).argmax(axis=1)
     lead = np.take_along_axis(mats, rows[:, None, :], axis=1)[:, 0, :]
-    turns = np.rint(np.angle(lead / lead[:, :1]) / (np.pi / 4)).astype(np.intp) % 8
+    turns = np.rint(np.angle(lead * lead[:, :1].conj()) / (np.pi / 4)).astype(np.intp) % 8
     return rows, turns
+
+
+def _monomial_forms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per matrix in a (k, d, d) stack: the rows of its :func:`_phases`, the
+    turns as quarter turns q, and whether the matrix is the phased
+    permutation they describe, sending column x to row rows[x] with phase
+    i**q[x]: the turns are even, the rows a permutation, and the matrix
+    equals that permutation up to phase. The one phased-permutation test of
+    both recovery paths."""
+    rows, turns = _phases(stack)
+    q = turns >> 1
+    dim = stack.shape[-1]
+    mats = np.zeros(stack.shape, dtype=complex)
+    mats[np.arange(len(stack))[:, None], rows, np.arange(dim)] = np.array([1, 1j, -1, -1j])[q]
+    ok = ((turns & 1) == 0).all(axis=1) & (np.sort(rows, axis=1) == np.arange(dim)).all(axis=1)
+    return rows, q, ok & _equal_up_to_phase(mats, stack)
 
 
 def _packed(rows: np.ndarray, turns: np.ndarray) -> np.ndarray:
@@ -530,8 +547,6 @@ class CorrectionDictionary(Sequence):
     vocabulary: str
     tails: list[tuple[str, ...]]
     prefixes: list[tuple[Factor, ...]]
-    tail_mats: np.ndarray    # (len(tails), 2, 2)
-    prefix_mats: np.ndarray  # (len(prefixes), d, d)
     keys: np.ndarray
     positions: np.ndarray
 
@@ -549,17 +564,6 @@ class CorrectionDictionary(Sequence):
         picks = np.unravel_index(local, (len(self.tails),) * self.num_wires)
         wire_tails = CorrectionOp.from_wire_products(tuple(self.tails[t] for t in picks))
         return CorrectionOp(self.prefixes[prefix] + wire_tails.factors)
-
-    def rows(self, positions: np.ndarray) -> np.ndarray:
-        """The matrices of the ops at ``positions``: each prefix's matrix
-        times the kron of its tails' matrices. All entries are 0, +-1 or
-        +-i, so these products equal CorrectionOp.matrix exactly."""
-        local, prefix = np.divmod(positions, len(self.prefixes))
-        mats = np.ones((len(prefix), 1, 1), dtype=complex)
-        for pick in np.unravel_index(local, (len(self.tails),) * self.num_wires):
-            size = 2 * mats.shape[1]
-            mats = np.einsum("lab,lcd->lacbd", mats, self.tail_mats[pick]).reshape(-1, size, size)
-        return self.prefix_mats[prefix] @ mats
 
     def find(self, signatures: np.ndarray) -> np.ndarray:
         """The position of the op carrying each signature (see
@@ -638,10 +642,7 @@ def correction_dictionary(num_wires: int, vocabulary: str = "pauli_phase") -> Co
         (turns[None] + prefix_turns[:, rows]).swapaxes(0, 1).reshape(-1, size),
     )
     positions = np.argsort(signatures)
-    return CorrectionDictionary(
-        num_wires, vocabulary, tails, prefixes, tail_mats, prefix_mats,
-        signatures[positions], positions,
-    )
+    return CorrectionDictionary(num_wires, vocabulary, tails, prefixes, signatures[positions], positions)
 
 
 def derive_corrections(pattern: GatePattern) -> CorrectionTable:
@@ -651,14 +652,14 @@ def derive_corrections(pattern: GatePattern) -> CorrectionTable:
     zero when s < ZERO_PROB: the outcome is unreachable and gets the
     identity. Otherwise M must be proportional to a unitary (||M†M - s·I||_F
     <= SPREAD_TOL·s), and the needed recovery is T·M†/s with T the target.
-    It is named by the dictionary op with its signature, confirmed equal
-    to it up to phase; with the ``full``
-    vocabulary, a recovery outside the enumerated candidates but inside the
-    vocabulary-generated group (a signed permutation with quarter-turn
-    phases) is factored exactly by :func:`decompose_monomial`. Each
-    bitwise-distinct map is resolved once and its result goes to every
-    outcome carrying it. Raises :class:`DerivationError` listing the
-    outcomes no correction repairs.
+    A recovery confirmed to be a phased permutation (see
+    :func:`_monomial_forms`) is named by the dictionary op with its
+    signature; with the ``full`` vocabulary, one outside the enumerated
+    candidates but inside the vocabulary-generated group (a signed
+    permutation with quarter-turn phases) is factored exactly by
+    :func:`decompose_monomial`. Each bitwise-distinct map is resolved once
+    and its result goes to every outcome carrying it. Raises
+    :class:`DerivationError` listing the outcomes no correction repairs.
     """
     table, failures = derive_corrections_with_failures(pattern)
     if failures:
@@ -699,19 +700,16 @@ def derive_corrections_with_failures(
 def _name_recoveries(
     needed: np.ndarray, dictionary: CorrectionDictionary
 ) -> list[CorrectionOp | None]:
-    """Name each needed recovery in a (k, d, d) stack: the dictionary op
-    with its signature, confirmed equal up to phase; else, for the ``full``
-    vocabulary, its exact factorization by :func:`decompose_monomial`; None
-    when neither exists."""
-    hits = dictionary.find(_signatures(needed))
-    found = np.flatnonzero(hits >= 0)
-    confirmed = np.zeros(len(needed), dtype=bool)
-    confirmed[found] = _equal_up_to_phase(dictionary.rows(hits[found]), needed[found])
-    ops = {hit: dictionary.ops[hit] for hit in set(hits[confirmed].tolist())}
-    named: list[CorrectionOp | None] = [
-        ops[hit] if ok else None for hit, ok in zip(hits.tolist(), confirmed.tolist())
-    ]
-    todo = np.flatnonzero(~confirmed)
+    """Name each needed recovery in a (k, d, d) stack that is a phased
+    permutation (see :func:`_monomial_forms`): the dictionary op with its
+    signature; else, for the ``full`` vocabulary, its exact factorization by
+    :func:`decompose_monomial`; None when neither exists."""
+    rows, q, ok = _monomial_forms(needed)
+    hits = np.full(len(needed), -1)
+    hits[ok] = dictionary.find(_packed(rows[ok], 2 * q[ok]))
+    ops = {hit: dictionary.ops[hit] for hit in set(hits[hits >= 0].tolist())}
+    named: list[CorrectionOp | None] = [ops.get(hit) for hit in hits.tolist()]
+    todo = np.flatnonzero(ok & (hits < 0))
     if dictionary.vocabulary == "full" and todo.size:
         for i, op in zip(todo.tolist(), decompose_monomial(needed[todo], dictionary.num_wires)):
             named[i] = op
@@ -751,23 +749,15 @@ def decompose_monomial(stack: np.ndarray, num_wires: int) -> list[CorrectionOp |
     parts become Up/sz factors, quadratic parts become Ucz factors, the
     affine part becomes sx flips plus a controlled-X word. That is
     precisely the group the correction vocabulary generates, so anything
-    else gets None. The checks run over the whole stack at once, and each
-    distinct integer form (t, lin, cz, c) is built into its op and matrix
-    once. Each success is that op, its matrix confirmed equal to r up to
-    phase.
+    else gets None. Whether r is a phased permutation at all, and which,
+    :func:`_monomial_forms` decides; the affine map and the phase degree are
+    exact integer checks over the whole stack at once, and each distinct
+    integer form (t, lin, cz, c) is built into its op once.
     """
     n = num_wires
     dim = 1 << n
-    scale = np.linalg.norm(stack, axis=(1, 2)) / np.sqrt(dim)
-    ok = scale**2 >= ZERO_PROB
-    u = stack / np.where(ok, scale, 1.0)[:, None, None]
-    # Every column holds exactly one entry, of unit modulus, at row perm[x],
-    # and every row holds one too, so perm is a permutation.
-    big = np.abs(u) > sv.MONOMIAL_TOL
-    ok &= (big.sum(axis=1) == 1).all(axis=1) & (big.sum(axis=2) == 1).all(axis=1)
-    perm = big.argmax(axis=1)
-    phases = np.take_along_axis(u, perm[:, None, :], axis=1)[:, 0, :]
-    ok &= ~(np.abs(np.abs(phases) - 1.0) > sv.MONOMIAL_TOL).any(axis=1)
+    # Column x of r goes to row perm[x] with phase i**q[x].
+    perm, q, ok = _monomial_forms(stack)
 
     # bits[x, i] is bit i (wire i, most significant first) of basis index x.
     place = 1 << np.arange(n - 1, -1, -1)
@@ -777,10 +767,6 @@ def decompose_monomial(stack: np.ndarray, num_wires: int) -> list[CorrectionOp |
     lin = bits[perm[:, place] ^ t[:, None]].transpose(0, 2, 1).astype(int)
     ok &= ((((bits @ lin.transpose(0, 2, 1)) & 1) @ place) ^ t[:, None] == perm).all(axis=1)
 
-    rel = phases / np.where(ok, phases[:, 0], 1.0)[:, None]
-    q = np.rint(np.angle(rel) / (np.pi / 2)).astype(int) % 4
-    quarter_turns = np.array([1, 1j, -1, -1j])
-    ok &= ~(np.abs(quarter_turns[q] - rel) > sv.MONOMIAL_TOL).any(axis=1)
     c = q[:, place]
     first, second = np.triu_indices(n, 1)
     degree2 = (q[:, place[first] | place[second]] - c[:, first] - c[:, second]) % 4
@@ -795,24 +781,17 @@ def decompose_monomial(stack: np.ndarray, num_wires: int) -> list[CorrectionOp |
     good = np.flatnonzero(ok)
     forms = np.column_stack([t, lin.reshape(len(stack), n * n), cz, c])[good]
     _, firsts, inverse = np.unique(forms, axis=0, return_index=True, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    built = good[firsts]
     ops = []
-    for m in built.tolist():
+    for m in good[firsts].tolist():
         factors: list[Factor] = [("sx", (i,)) for i, bit in enumerate(bits[t[m]].tolist()) if bit]
         factors += words[tuple(map(tuple, lin[m].tolist()))]
         factors += [("Ucz", pair) for pair, on in zip(pairs, cz[m].tolist()) if on]
         for i, turns in enumerate(c[m].tolist()):  # i**turns is Up then sz, each optional
             factors += [(name, (i,)) for name in ("Up",) * (turns & 1) + ("sz",) * (turns >> 1)]
         ops.append(CorrectionOp(tuple(factors)))
-    # Each form's op sends column x to row perm[x] with phase i**q[x].
-    mats = np.zeros((len(built), dim, dim), dtype=complex)
-    mats[np.arange(len(built))[:, None], perm[built], np.arange(dim)] = quarter_turns[q[built]]
-    same = _equal_up_to_phase(mats[inverse], u[good])
     results: list[CorrectionOp | None] = [None] * len(stack)
-    for m, f, ok_m in zip(good.tolist(), inverse.tolist(), same.tolist()):
-        if ok_m:
-            results[m] = ops[f]
+    for m, f in zip(good.tolist(), inverse.reshape(-1).tolist()):
+        results[m] = ops[f]
     return results
 
 

@@ -496,6 +496,14 @@ def _integer(value) -> int:
     return value
 
 
+def _integers(value, field: str) -> tuple[int, ...]:
+    """Qubits or wires: a JSON list of integers. Any other value, a digit
+    string included, is refused as a whole under the name ``field``."""
+    if not isinstance(value, list):
+        raise PatternFormatError(f"{field} must be a list of integers, got {value!r}")
+    return tuple(map(_integer, value))
+
+
 def complex_of(pair) -> complex:
     """A coefficient or matrix entry written as [re, im]: two JSON numbers,
     not true, false or strings."""
@@ -584,18 +592,18 @@ def pattern_from_document(doc: dict) -> GatePattern:
             raise PatternFormatError(
                 f"{num_qubits} qubits exceed the {sv.MAX_REGISTER_QUBITS}-qubit register limit"
             )
-        inputs = tuple(map(_integer, doc["inputs"]))
-        outputs = tuple(map(_integer, doc["outputs"]))
+        inputs = _integers(doc["inputs"], "inputs")
+        outputs = _integers(doc["outputs"], "outputs")
 
         resources = []
         for ri, res in enumerate(doc["resources"]):
-            qubits = sv.check_subset(tuple(map(_integer, res["qubits"])), num_qubits)
+            qubits = sv.check_subset(_integers(res["qubits"], f"resource {ri} qubits"), num_qubits)
             state = _state_of(res["terms"], len(qubits), f"resource {ri}")
             resources.append((qubits, state))
 
         groups = []
         for gi, grp in enumerate(doc["groups"]):
-            qubits = sv.check_subset(tuple(map(_integer, grp["qubits"])), num_qubits)
+            qubits = sv.check_subset(_integers(grp["qubits"], f"group {gi} qubits"), num_qubits)
             # Refused before any vector is built, so the document's length
             # cannot size an allocation.
             if len(grp["vectors"]) != 1 << len(qubits):
@@ -625,7 +633,7 @@ def pattern_from_document(doc: dict) -> GatePattern:
             cells = []
             for cell in doc["corrections"]:
                 # Wires are read per cell, before equal ops are merged.
-                factors = ((str(f["name"]), tuple(map(_integer, f["wires"]))) for f in cell["ops"])
+                factors = ((str(f["name"]), _integers(f["wires"], "factor wires")) for f in cell["ops"])
                 cells.append((tuple(map(_label_of, cell["labels"])), CorrectionOp(tuple(factors))))
 
         pattern = GatePattern(

@@ -31,7 +31,6 @@ RANK_TOL = 1e-10          # singular values and column norms below this count as
 FIDELITY_TOL = 1e-9       # a fidelity shortfall 1 - F up to this counts as equivalence
 SPREAD_TOL = 1e-9         # relative spread ||M^dag M - sI||_F / s (s = ||M||_F^2/d) of a unitary M
 SUM_TOL = 1e-9            # each input's outcome probabilities sum to 1 within this
-MONOMIAL_TOL = 1e-8       # unit-scaled phased permutations: entry zero, modulus 1, quarter turns
 SHOWN_AMP = 1e-9          # printed pre-recovery states leave out map entries up to this modulus
 WRITTEN_AMP = 1e-14       # pattern documents leave out amplitudes up to this modulus
 MAX_REGISTER_QUBITS = 22  # widest register simulated densely (chain-cz n=8)

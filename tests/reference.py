@@ -2,13 +2,16 @@
 import io
 import json
 import random
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 from hypothesis import strategies as st
 
+from telegate import oracle
 from telegate import statevec as sv
 from telegate.patterns import (
+    CorrectionOp,
     CorrectionTable,
     GatePattern,
     MeasurementGroup,
@@ -72,6 +75,25 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+@lru_cache(maxsize=8)
+def dictionary_matrices(d) -> np.ndarray:
+    """Every op's matrix of correction dictionary ``d``, in op order and
+    read-only, composed as the dictionary defines its ops: op k's prefix
+    matrix times the kron of the tail matrices its digits pick (wire 0 most
+    significant). Every entry is 0, +-1 or +-i, so op k's matrix equals
+    ``d.ops[k].matrix(d.num_wires)`` exactly, up to the signs of zeros."""
+    local, prefix = np.divmod(np.arange(len(d)), len(d.prefixes))
+    tails = np.array([oracle._matrix_of_tail(tail) for tail in d.tails])
+    mats = np.ones((len(d), 1, 1), dtype=complex)
+    for pick in np.unravel_index(local, (len(d.tails),) * d.num_wires):
+        size = 2 * mats.shape[1]
+        mats = np.einsum("lab,lcd->lacbd", mats, tails[pick]).reshape(-1, size, size)
+    prefixes = np.array([CorrectionOp(factors).matrix(d.num_wires) for factors in d.prefixes])
+    mats = prefixes[prefix] @ mats
+    mats.flags.writeable = False
+    return mats
 
 
 def table_to_doc(name: str, cells: list, diff_docs: dict | None = None, footer: str = "") -> dict:

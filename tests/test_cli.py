@@ -220,6 +220,15 @@ MALFORMED_INPUTS = {
     "fractional-qubit-count": ("--pattern-file", (("num_qubits",), 9.5)),
     "string-qubit-count": ("--pattern-file", (("num_qubits",), "9")),
     "string-outputs": ("--pattern-file", (("outputs",), "46")),
+    # A string where a list of qubits or wires is due is refused as a
+    # whole, not one character at a time.
+    "string-inputs": ("--pattern-file", (("inputs",), "01")),
+    "number-outputs": ("--pattern-file", (("outputs",), 4)),
+    "string-resource-qubits": ("--pattern-file", (("resources", 0, "qubits"), "12")),
+    "string-group-qubits": ("--pattern-file", (("groups", 0, "qubits"), "0123")),
+    "object-factor-wires": (
+        "--pattern-file", (("corrections", 0, "ops", 0, "wires"), {"0": 0}, catalog.phase_gate_pattern),
+    ),
     "boolean-group-qubits": (
         "--pattern-file", (("groups", 0, "qubits"), [False, True], catalog.phase_gate_pattern),
     ),
@@ -353,12 +362,15 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, case):
         ("missing-correction-cell", "correction table has 3 entries, expected 4"),
         ("empty-correction-list", "correction table has 0 entries, expected 4"),
         ("string-qubit-count", "'9' is not an integer"),
+        ("string-outputs", "outputs must be a list of integers, got '46'"),
+        ("string-resource-qubits", "resource 0 qubits must be a list of integers, got '12'"),
         ("boolean-target-entry", "[True, False] is not a pair of numbers"),
         ("truncated-unitary", "malformed document: Expecting ',' delimiter: line 1 column 7 (char 6)"),
     ],
     ids=[
         "repeated-cell", "boolean", "repeated-label", "sign-in-bit-slot", "false-in-group-label",
-        "missing-cell", "no-cells", "string-count", "boolean-entry", "truncated-unitary",
+        "missing-cell", "no-cells", "string-count", "string-outputs", "string-resource-qubits",
+        "boolean-entry", "truncated-unitary",
     ],
 )
 def test_document_errors_name_their_cause(capsys, tmp_path, case, error):
@@ -824,6 +836,17 @@ class TestCatalogMetadata:
         assert code == 0
         assert "reference corrections verify: FAIL" in out
         assert "64/128" in out
+
+    @pytest.mark.parametrize(
+        "name,kind",
+        sorted((n, k) for n, e in catalog.catalog_entries().items() for k in ("reference", "captioned") if k in e),
+    )
+    def test_printed_tables_cover_their_pattern_outcomes(self, name, kind):
+        # verify diffs a derived table against these with compare_tables,
+        # which refuses tables over other outcomes; so it need not catch that.
+        table = catalog.catalog_entries()[name][kind]()
+        assert table.layout == catalog.build_pattern(name).layout
+        assert (table.index >= 0).all()
 
     def test_reproduce_table(self, capsys, renamed_cnot):
         code, out, _ = run(capsys, "reproduce-table", "--table", "7")

@@ -28,6 +28,7 @@ from telegate.patterns import (
 from reference import (
     argsort_plan,
     dense_maps,
+    dictionary_matrices,
     operator_distance,
     parameterized_phase_form,
     phase_parameter_grid_search,
@@ -805,11 +806,11 @@ class TestDictionary:
         for a in paulis.values():
             for b in paulis.values():
                 want = np.kron(a, b).astype(complex)
-                assert oracle._equal_up_to_phase(d.rows(np.arange(len(d))), want).any()
+                assert oracle._equal_up_to_phase(dictionary_matrices(d), want).any()
 
     def test_candidates_pairwise_inequivalent(self):
         d = oracle.correction_dictionary(1, "pauli_phase")
-        mats = d.rows(np.arange(len(d)))
+        mats = dictionary_matrices(d)
         for i in range(len(d.ops)):
             for j in range(i + 1, len(d.ops)):
                 assert not oracle._equal_up_to_phase(mats[i], mats[j])
@@ -817,14 +818,14 @@ class TestDictionary:
     @pytest.mark.parametrize("num_wires,vocabulary", [(1, "pauli_phase"), (2, "full"), (3, "full")])
     def test_matrices_equal_op_matrices_exactly(self, num_wires, vocabulary):
         d = oracle.correction_dictionary(num_wires, vocabulary)
-        mats = d.rows(np.arange(len(d)))
+        mats = dictionary_matrices(d)
         assert np.array_equal(mats, np.stack([op.matrix(num_wires) for op in d.ops]))
         assert set(np.unique(mats).tolist()) <= {0, 1, -1, 1j, -1j}
 
     def test_signature_index_names_the_first_equivalent_op(self):
         d = oracle.correction_dictionary(3, "full")
         positions = [0, 1, 100, 2000, len(d.ops) - 1]
-        mats = d.rows(np.arange(len(d)))
+        mats = dictionary_matrices(d)
         found = d.find(oracle._signatures(mats[positions] * 1j))
         for k, hit in zip(positions, found.tolist()):
             assert 0 <= hit <= k
@@ -840,7 +841,7 @@ class TestDictionary:
         assert len(np.unique(d.keys)) == len(d)
         positions = np.arange(len(d))
         phases = np.exp(2j * np.pi * np.random.default_rng(num_wires).uniform(size=len(d)))
-        found = d.find(oracle._signatures(d.rows(positions) * phases[:, None, None]))
+        found = d.find(oracle._signatures(dictionary_matrices(d) * phases[:, None, None]))
         assert np.array_equal(found, positions)
 
     def test_four_wire_signatures_exceed_int64_and_stay_exact(self):
@@ -848,7 +849,7 @@ class TestDictionary:
         d = oracle.correction_dictionary(4, "pauli_phase")
         assert d.keys.dtype == object
         positions = np.arange(0, len(d.ops), 293)
-        mats = d.rows(np.arange(len(d)))
+        mats = dictionary_matrices(d)
         found = d.find(oracle._signatures(mats[positions] * np.exp(0.3j)))
         for k, hit in zip(positions.tolist(), found.tolist()):
             assert hit == np.flatnonzero(oracle._equal_up_to_phase(mats, mats[k]))[0]
@@ -861,7 +862,6 @@ class TestDictionary:
     def test_rows_and_ops_built_on_demand_match_the_whole_dictionary(self, num_wires, vocabulary):
         d = oracle.correction_dictionary(num_wires, vocabulary)
         positions = np.arange(len(d.ops))[::-7]
-        assert np.array_equal(d.rows(positions), d.rows(np.arange(len(d)))[positions])
         assert [d.ops[k] for k in positions.tolist()] == list(d.ops)[::-7]
         assert d.ops[-1] == d.ops[len(d.ops) - 1] and d.ops[:2] == [d.ops[0], d.ops[1]]
         with pytest.raises(IndexError):
@@ -871,7 +871,7 @@ class TestDictionary:
     def test_shared_signature_still_confirms_each_recovery(self, vocabulary):
         d = oracle.correction_dictionary(2, vocabulary)
         k = 5
-        [mat] = d.rows(np.array([k]))
+        mat = dictionary_matrices(d)[k]
         perturbed = mat.copy()
         perturbed[np.abs(perturbed) == 0] += 0.1  # same signature, not a match
         stack = np.stack([mat, perturbed])
@@ -922,7 +922,7 @@ class TestDictionary:
         order = sorted(range(len(d)), key=renders.__getitem__)
         texts, mats = self.PINNED[(num_wires, vocabulary)]
         assert hashlib.sha256("\n".join(renders[k] for k in order).encode()).hexdigest() == texts
-        assert hashlib.sha256(d.rows(np.array(order)).tobytes()).hexdigest() == mats
+        assert hashlib.sha256(dictionary_matrices(d)[order].tobytes()).hexdigest() == mats
 
 
 def _reference_decompose(r: np.ndarray, num_wires: int) -> CorrectionOp | None:
@@ -1045,12 +1045,16 @@ class TestDecomposeMonomial:
         results = oracle.decompose_monomial(np.array(cases + [word.matrix(3)]), 3)
         assert results[:-1] == [None] * len(cases)
         assert results[-1] == _reference_decompose(word.matrix(3), 3)
+        # Naming refuses them too, the non-permutation and the zero matrix
+        # without a warning (the suite turns warnings into errors).
+        d = oracle.correction_dictionary(3, "full")
+        assert oracle._name_recoveries(np.array(cases), d) == [None] * len(cases)
 
     def test_round_trips_vocabulary_products(self):
         rng = np.random.default_rng(5)
         d = oracle.correction_dictionary(3, "full")
         picks = rng.choice(len(d.ops), size=25, replace=False)
-        mats = d.rows(picks) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=25))[:, None, None]
+        mats = dictionary_matrices(d)[picks] * np.exp(1j * rng.uniform(0, 2 * np.pi, size=25))[:, None, None]
         for mat, op in zip(mats, oracle.decompose_monomial(mats, 3)):
             assert oracle._equal_up_to_phase(op.matrix(3), mat)
 
@@ -1071,7 +1075,7 @@ class TestDecomposeMonomial:
         # Words repeat with other phases in one stack, so one factorization
         # names several recoveries, and a second call names them the same.
         d = oracle.correction_dictionary(3, "full")
-        mats = d.rows(np.arange(len(d)))
+        mats = dictionary_matrices(d)
         words = [_draw_word(data, 3) for _ in range(data.draw(st.integers(1, 3)))]
         picks = data.draw(st.lists(st.integers(0, len(words) - 1), min_size=1, max_size=6))
         phases = np.exp(1j * np.array([data.draw(st.floats(0, 2 * np.pi)) for _ in picks]))
@@ -1083,6 +1087,20 @@ class TestDecomposeMonomial:
             expected.append(d.ops[same[0]] if same.size else _reference_decompose(r, 3))
         assert oracle._name_recoveries(stack, d) == expected
         assert oracle._name_recoveries(stack, d) == expected
+
+    def test_both_paths_confirm_to_one_standard(self):
+        # The same 1e-7 noise on a word outside the dictionary and on a
+        # dictionary op: both are one phased-permutation test away from a name.
+        d = oracle.correction_dictionary(3, "full")
+        word = CorrectionOp((("Ucx", (2, 0)), ("Up", (1,))))
+        assert word.render(3) == "Ucx[2,0](I x Up x I)"
+        assert d.find(oracle._signatures(word.matrix(3)[None])).tolist() == [-1]
+        rng = np.random.default_rng(29)
+        noise = 1e-7 * (rng.standard_normal((2, 8, 8)) + 1j * rng.standard_normal((2, 8, 8)))
+        stack = np.stack([word.matrix(3), dictionary_matrices(d)[1234]]) * np.exp(0.4j) + noise
+        named = oracle._name_recoveries(stack, d)
+        assert named == [oracle.decompose_monomial(stack[:1], 3)[0], d.ops[1234]]
+        assert oracle._equal_up_to_phase(named[0].matrix(3), word.matrix(3))
 
     def test_bare_controlled_x_between_first_wires(self):
         mat = CorrectionOp((("Ucx", (0, 1)),)).matrix(3)
