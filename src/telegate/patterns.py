@@ -487,21 +487,26 @@ def _terms_of(amps: np.ndarray, num_qubits: int) -> list[dict]:
     return terms
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer. true and false parse as bool, a subclass of int; they
+    are refused with fractions and strings."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _integer(value) -> int:
-    """A count, qubit, wire or dimension: a JSON integer. true and false
-    parse as bool, a subclass of int; they are refused with fractions and
-    strings."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    """A count or dimension: a JSON integer."""
+    if not _is_integer(value):
         raise PatternFormatError(f"{value!r} is not an integer")
     return value
 
 
 def _integers(value, field: str) -> tuple[int, ...]:
     """Qubits or wires: a JSON list of integers. Any other value, a digit
-    string included, is refused as a whole under the name ``field``."""
-    if not isinstance(value, list):
+    string or a list with one bad element included, is refused as a whole
+    under the name ``field``."""
+    if not isinstance(value, list) or not all(map(_is_integer, value)):
         raise PatternFormatError(f"{field} must be a list of integers, got {value!r}")
-    return tuple(map(_integer, value))
+    return tuple(value)
 
 
 def complex_of(pair) -> complex:

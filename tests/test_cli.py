@@ -364,13 +364,15 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, case):
         ("string-qubit-count", "'9' is not an integer"),
         ("string-outputs", "outputs must be a list of integers, got '46'"),
         ("string-resource-qubits", "resource 0 qubits must be a list of integers, got '12'"),
+        ("boolean-inputs", "inputs must be a list of integers, got [False, True]"),
+        ("fractional-inputs", "inputs must be a list of integers, got [0.0, 1.9]"),
         ("boolean-target-entry", "[True, False] is not a pair of numbers"),
         ("truncated-unitary", "malformed document: Expecting ',' delimiter: line 1 column 7 (char 6)"),
     ],
     ids=[
         "repeated-cell", "boolean", "repeated-label", "sign-in-bit-slot", "false-in-group-label",
         "missing-cell", "no-cells", "string-count", "string-outputs", "string-resource-qubits",
-        "boolean-entry", "truncated-unitary",
+        "boolean-inputs", "fractional-inputs", "boolean-entry", "truncated-unitary",
     ],
 )
 def test_document_errors_name_their_cause(capsys, tmp_path, case, error):

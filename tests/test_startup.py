@@ -1,5 +1,6 @@
 """What importing telegate does to the process: OpenBLAS's idle worker
-stops spinning, and the environment is left as the caller set it."""
+stops spinning, the environment is left as the caller set it, and only the
+CLI module freezes the collector's import-time heap."""
 import json
 import os
 import statistics
@@ -95,3 +96,22 @@ def test_nothing_is_set_when_numpy_came_first():
     assert got["set"] == []
     assert got["unchanged"]
     assert got["value"] is None
+
+
+def _collector_after(module):
+    out = subprocess.run(
+        [sys.executable, "-c", f"import gc, json, {module}; "
+         "print(json.dumps([gc.get_freeze_count(), gc.isenabled()]))"],
+        env=_env(), capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(out.stdout)
+
+
+def test_the_cli_freezes_its_import_time_heap():
+    frozen, enabled = _collector_after("telegate.cli")
+    assert frozen > 0
+    assert enabled
+
+
+def test_the_library_leaves_the_collector_as_it_found_it():
+    assert _collector_after("telegate") == [0, True]
