@@ -31,7 +31,6 @@ from .oracle import (
     DerivationFailures,
     MissingCorrectionError,
     compare_tables,
-    correction_dictionary,
     derive_corrections,
     derive_corrections_with_failures,
     detect_information_loss,
@@ -82,7 +81,6 @@ __all__ = [
     "build_pattern",
     "catalog_entries",
     "compare_tables",
-    "correction_dictionary",
     "derive_corrections",
     "derive_corrections_with_failures",
     "detect_information_loss",

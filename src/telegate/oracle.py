@@ -9,8 +9,8 @@ Derivation reads each outcome's correction off its input->output map, with
 no probe states. Everything here is deterministic: the random verification
 and loss-check inputs come from a seeded generator (default seed below),
 outcome records are emitted in lexicographic label order, and each
-dictionary signature names exactly one candidate, so two runs with the same
-seed produce bit-identical reports.
+recovery has exactly one name, so two runs with the same seed produce
+bit-identical reports.
 """
 from __future__ import annotations
 
@@ -436,17 +436,8 @@ def enumerate_outcomes(pattern: GatePattern, input_state: sv.StateVector) -> lis
 
 
 # ---------------------------------------------------------------------------
-# Correction dictionary
+# Recovery naming
 # ---------------------------------------------------------------------------
-
-def _matrix_of_tail(tail: tuple[str, ...]) -> np.ndarray:
-    from .patterns import ELEMENTARY_OPS
-
-    out = np.eye(2, dtype=complex)
-    for name in tail:
-        out = out @ ELEMENTARY_OPS[name]
-    return out
-
 
 def _equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per pair of matrices in broadcast stacks: both zero (mean probability
@@ -457,30 +448,6 @@ def _equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     zero_a, zero_b = aa < a.shape[-1] * ZERO_PROB, bb < b.shape[-1] * ZERO_PROB
     overlap = abs((ac * b).sum(axis=(-2, -1)))
     return (zero_a == zero_b) & (zero_a | (overlap >= (1.0 - FIDELITY_TOL) * np.sqrt(aa * bb)))
-
-
-def _canonical_tails() -> tuple[list[tuple[str, ...]], np.ndarray]:
-    """Single-wire factor chains of length <= 3, deduplicated up to phase,
-    with their matrices.
-
-    Enumeration order (length, then alphabet position) makes the first
-    representative of each operator class the canonical, shortest name.
-    sz precedes sx so the canonical name of the z-then-x class is sz.sx,
-    the way recovery products are conventionally written.
-    """
-    alphabet = ("I", "Up", "sz", "sx")
-    combos = [combo for length in (1, 2, 3) for combo in product(alphabet, repeat=length)]
-    return _first_per_phase_class(combos, [_matrix_of_tail(combo) for combo in combos])
-
-
-def _first_per_phase_class(candidates: list, mats: list[np.ndarray]) -> tuple[list, np.ndarray]:
-    """The candidates whose matrix equals no earlier one's up to phase, with
-    their matrices stacked. Every candidate is a phased permutation with
-    quarter-turn phases, so equal signatures mean equal up to phase."""
-    mats = np.array(mats)
-    _, firsts = np.unique(_signatures(mats), return_index=True)
-    keep = np.sort(firsts)
-    return [candidates[i] for i in keep.tolist()], mats[keep]
 
 
 def _phases(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -500,7 +467,7 @@ def _monomial_forms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     permutation they describe, sending column x to row rows[x] with phase
     i**q[x]: the turns are even, the rows a permutation, and the matrix
     equals that permutation up to phase. The one phased-permutation test of
-    both recovery paths."""
+    recovery naming."""
     rows, turns = _phases(stack)
     q = turns >> 1
     dim = stack.shape[-1]
@@ -510,66 +477,7 @@ def _monomial_forms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return rows, q, ok & _equal_up_to_phase(mats, stack)
 
 
-def _packed(rows: np.ndarray, turns: np.ndarray) -> np.ndarray:
-    """One integer key per row of (k, d) column rows and eighth turns, equal
-    exactly when the rows and the turns relative to column 0 are: the
-    digits 8·row + turn in base 8d. The keys are int64 where d such digits
-    fit (d <= 8), Python ints beyond."""
-    k, dim = rows.shape
-    keys = np.zeros(k, dtype=np.int64 if (8 * dim) ** dim < 2**63 else object)
-    for digit in (rows * 8 + (turns - turns[:, :1]) % 8).T:
-        keys = keys * (8 * dim) + digit.astype(keys.dtype)
-    return keys
-
-
-def _signatures(mats: np.ndarray) -> np.ndarray:
-    """The packed key of each matrix's :func:`_phases`."""
-    return _packed(*_phases(mats))
-
-
 Factor = tuple[str, tuple[int, ...]]
-
-
-@dataclass(frozen=True, eq=False)
-class CorrectionDictionary(Sequence):
-    """Candidate corrections for derivation in build order, read as the
-    sequence of their ops (also ``ops``), each built when read.
-
-    Op k is prefix ``k % len(prefixes)`` times the tensor product of the
-    tails picked by the digits of ``k // len(prefixes)`` in base
-    ``len(tails)`` (wire 0 most significant). Every candidate is a phased
-    permutation, so its signature pins it up to phase, and no two share a
-    signature: ``keys`` holds the signatures, sorted, and ``positions`` the
-    op carrying each.
-    """
-
-    num_wires: int
-    vocabulary: str
-    tails: list[tuple[str, ...]]
-    prefixes: list[tuple[Factor, ...]]
-    keys: np.ndarray
-    positions: np.ndarray
-
-    @property
-    def ops(self) -> CorrectionDictionary:
-        return self
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(len(self))[k]]
-        local, prefix = divmod(range(len(self))[k], len(self.prefixes))
-        picks = np.unravel_index(local, (len(self.tails),) * self.num_wires)
-        wire_tails = CorrectionOp.from_wire_products(tuple(self.tails[t] for t in picks))
-        return CorrectionOp(self.prefixes[prefix] + wire_tails.factors)
-
-    def find(self, signatures: np.ndarray) -> np.ndarray:
-        """The position of the op carrying each signature (see
-        :func:`_signatures`), -1 where none does."""
-        at = np.searchsorted(self.keys, signatures).clip(max=len(self.keys) - 1)
-        return np.where(self.keys[at] == signatures, self.positions[at], -1)
 
 
 def _subset_products(units: list[tuple[Factor, ...]]) -> list[tuple[Factor, ...]]:
@@ -584,8 +492,9 @@ def _subset_products(units: list[tuple[Factor, ...]]) -> list[tuple[Factor, ...]
 
 
 def _entangler_prefixes(num_wires: int) -> list[tuple[Factor, ...]]:
-    """Entangling correction prefixes for the ``full`` vocabulary, before
-    deduplication up to phase.
+    """The entangling prefixes naming tries first for the ``full``
+    vocabulary, in order. One listed twice, as ``()`` is for three wires,
+    does no harm: the first prefix that fits wins.
 
     Two wires: the optional controlled-Z. Three wires: the closures of the
     byproduct conjugations through the doubly-controlled-X and the
@@ -611,38 +520,29 @@ def _entangler_prefixes(num_wires: int) -> list[tuple[Factor, ...]]:
     return candidates
 
 
+# _TAILS[flip][turn] names the one-wire factor that sends bit b to
+# b ^ flip with phase i**(turn·b), up to global phase: the first chain over
+# I, Up, sz, sx in that class in (length, alphabet) order. sz precedes sx,
+# so the z-then-x class reads sz.sx, the way recovery products are written.
+_TAILS = (
+    (("I",), ("Up",), ("sz",), ("Up", "sz")),
+    (("sx",), ("sx", "Up"), ("sz", "sx"), ("Up", "sx")),
+)
+
+
 @lru_cache(maxsize=8)
-def correction_dictionary(num_wires: int, vocabulary: str = "pauli_phase") -> CorrectionDictionary:
-    """Candidates: per-wire chains from {I, sx, sz, Up}; the ``full``
-    vocabulary additionally composes entangling factors on output-wire
-    pairs (byproducts on the control/target channels of non-Clifford
-    targets propagate into exactly such controlled-Z/controlled-X
-    recoveries)."""
-    if vocabulary not in VOCABULARIES:
-        raise PatternFormatError(f"unknown correction vocabulary {vocabulary!r}")
-    tails, tail_mats = _canonical_tails()
-    candidates = _entangler_prefixes(num_wires) if vocabulary == "full" else [()]
-    prefixes, prefix_mats = _first_per_phase_class(
-        candidates, [CorrectionOp(prefix).matrix(num_wires) for prefix in candidates]
-    )
-    # Each candidate's signature, composed from its parts' rows and turns
-    # without forming its matrix. A local part (the kron of one tail per
-    # wire, wire 0 most significant) sends column x to row rows[l, x]; its
-    # prefix then sends that row on to prefix_rows[p, rows[l, x]], and the
-    # turns of both add.
-    tail_rows, tail_turns = _phases(tail_mats)
-    rows = turns = np.zeros((1, 1), dtype=np.intp)
-    for _ in range(num_wires):
-        size = 2 * rows.shape[1]
-        rows = (2 * rows[:, None, :, None] + tail_rows[None, :, None, :]).reshape(-1, size)
-        turns = (turns[:, None, :, None] + tail_turns[None, :, None, :]).reshape(-1, size)
-    prefix_rows, prefix_turns = _phases(prefix_mats)
-    signatures = _packed(
-        prefix_rows[:, rows].swapaxes(0, 1).reshape(-1, size),
-        (turns[None] + prefix_turns[:, rows]).swapaxes(0, 1).reshape(-1, size),
-    )
-    positions = np.argsort(signatures)
-    return CorrectionDictionary(num_wires, vocabulary, tails, prefixes, signatures[positions], positions)
+def _prefix_forms(num_wires: int, vocabulary: str) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The fixed prefixes naming tries, in order: ``()`` for ``pauli_phase``,
+    :func:`_entangler_prefixes` for ``full``. With them, each one's inverse
+    in integer form: the prefix sends column inverse[y] to row y with
+    i**back[y]."""
+    prefixes = tuple(_entangler_prefixes(num_wires)) if vocabulary == "full" else ((),)
+    rows, q, _ = _monomial_forms(np.array([CorrectionOp(p).matrix(num_wires) for p in prefixes]))
+    inverse = np.argsort(rows, axis=1)
+    back = np.take_along_axis(q, inverse, axis=1)
+    for array in (inverse, back):
+        array.flags.writeable = False  # shared by every caller
+    return prefixes, inverse, back
 
 
 def derive_corrections(pattern: GatePattern) -> CorrectionTable:
@@ -653,13 +553,13 @@ def derive_corrections(pattern: GatePattern) -> CorrectionTable:
     identity. Otherwise M must be proportional to a unitary (||M†M - s·I||_F
     <= SPREAD_TOL·s), and the needed recovery is T·M†/s with T the target.
     A recovery confirmed to be a phased permutation (see
-    :func:`_monomial_forms`) is named by the dictionary op with its
-    signature; with the ``full`` vocabulary, one outside the enumerated
-    candidates but inside the vocabulary-generated group (a signed
-    permutation with quarter-turn phases) is factored exactly by
-    :func:`decompose_monomial`. Each bitwise-distinct map is resolved once
-    and its result goes to every outcome carrying it. Raises
-    :class:`DerivationError` listing the outcomes no correction repairs.
+    :func:`_monomial_forms`) is named as an entangling prefix times one
+    tail per wire (see :func:`_name_recoveries`) when the vocabulary
+    generates it: per-wire flips and quarter turns for ``pauli_phase``,
+    and those with controlled-X and controlled-Z factors for ``full``. Each
+    bitwise-distinct map is resolved once and its result goes to every
+    outcome carrying it. Raises :class:`DerivationError` listing the
+    outcomes no correction repairs.
     """
     table, failures = derive_corrections_with_failures(pattern)
     if failures:
@@ -673,7 +573,8 @@ def derive_corrections_with_failures(
     """Like :func:`derive_corrections`, but returns the unrepairable
     outcomes (with the reason read off their map) instead of raising; such
     outcomes are filled with the identity."""
-    dictionary = correction_dictionary(pattern.num_outputs, pattern.vocabulary)
+    if pattern.vocabulary not in VOCABULARIES:
+        raise PatternFormatError(f"unknown correction vocabulary {pattern.vocabulary!r}")
     maps = outcome_maps(pattern)
     facts, classes = maps.facts, maps.classes
     identity = CorrectionOp.identity()
@@ -685,7 +586,7 @@ def derive_corrections_with_failures(
         at = unitary[block]
         adjoint = maps.distinct[at].conj().transpose(0, 2, 1)
         needed = pattern.target @ adjoint / facts.scale[at, None, None]
-        named = _name_recoveries(needed, dictionary)
+        named = _name_recoveries(needed, pattern.num_outputs, pattern.vocabulary)
         outside[at] = [op is None for op in named]
         class_ops[at] = [identity if op is None else op for op in named]
     # Classes are in first-occurrence order, so ops numbered by first class
@@ -693,26 +594,75 @@ def derive_corrections_with_failures(
     rows: dict[CorrectionOp, int] = {}
     class_rows = np.array([rows.setdefault(op, len(rows)) for op in class_ops], dtype=np.intp)
     hits = np.flatnonzero((outside | ~(facts.zero | facts.unitary))[classes])
-    failures = DerivationFailures(maps, hits, outside, dictionary.vocabulary)
+    failures = DerivationFailures(maps, hits, outside, pattern.vocabulary)
     return CorrectionTable(maps.layout, tuple(rows), class_rows[classes]), failures
 
 
 def _name_recoveries(
-    needed: np.ndarray, dictionary: CorrectionDictionary
+    stack: np.ndarray, num_wires: int, vocabulary: str
 ) -> list[CorrectionOp | None]:
-    """Name each needed recovery in a (k, d, d) stack that is a phased
-    permutation (see :func:`_monomial_forms`): the dictionary op with its
-    signature; else, for the ``full`` vocabulary, its exact factorization by
-    :func:`decompose_monomial`; None when neither exists."""
-    rows, q, ok = _monomial_forms(needed)
-    hits = np.full(len(needed), -1)
-    hits[ok] = dictionary.find(_packed(rows[ok], 2 * q[ok]))
-    ops = {hit: dictionary.ops[hit] for hit in set(hits[hits >= 0].tolist())}
-    named: list[CorrectionOp | None] = [ops.get(hit) for hit in hits.tolist()]
-    todo = np.flatnonzero(ok & (hits < 0))
-    if dictionary.vocabulary == "full" and todo.size:
-        for i, op in zip(todo.tolist(), decompose_monomial(needed[todo], dictionary.num_wires)):
-            named[i] = op
+    """Name each recovery g of a (k, d, d) stack as a prefix P times one
+    tail per wire, or None where the vocabulary does not generate it.
+
+    g must be a phased permutation (see :func:`_monomial_forms`), whose
+    integer form sends column x to row r[x] with i**q[x]. The candidate
+    prefixes are the fixed ones of :func:`_prefix_forms`, then, for
+    ``full``, g's own entangler E: the controlled-X word of its linear
+    part, then its controlled-Z pairs, which leaves a local remainder
+    exactly when the vocabulary generates g. The first P whose remainder P⁻¹·g is local
+    names g: the remainder sends x to x ^ t with turns linear in the bits of
+    x, and wire i's tail is ``_TAILS[t_i][turn_i]``. Every step is integer
+    arithmetic on the forms, done once per distinct form.
+    """
+    n, dim = num_wires, 1 << num_wires
+    rows, q, ok = _monomial_forms(stack)
+    named: list[CorrectionOp | None] = [None] * len(stack)
+    good = np.flatnonzero(ok)
+    if not good.size:
+        return named
+    forms, which = np.unique(np.hstack([rows, q])[good], axis=0, return_inverse=True)
+    rows, q = forms[:, :dim], forms[:, dim:]
+    place = 1 << np.arange(n - 1, -1, -1)
+    bits = ((np.arange(dim)[:, None] & place) != 0).astype(np.intp)  # bits[x, i]: wire i of x
+    prefixes, inverse, back = _prefix_forms(n, vocabulary)
+    # P⁻¹ sends row r[x] back to column rest[x] and undoes P's turns there.
+    rest, back = inverse[:, rows], back[:, rows]
+    if vocabulary == "full":
+        # E sends column x to row lin·x with sign (-1)**cz(x); column j of
+        # lin is the image of wire j's unit vector.
+        lin = bits[rows[:, place] ^ rows[:, :1]].transpose(0, 2, 1)
+        first, second = np.triu_indices(n, 1)
+        cz = (q[:, place[first] | place[second]] - q[:, place[first]] - q[:, place[second]]) % 4 == 2
+        e_rows = ((bits @ lin.transpose(0, 2, 1)) & 1) @ place
+        e_turns = 2 * cz.astype(np.intp) @ (bits[:, first] & bits[:, second]).T
+        e_inverse = np.argsort(e_rows, axis=1)
+        e_back = np.take_along_axis(e_turns, e_inverse, axis=1)
+        rest = np.concatenate([rest, np.take_along_axis(e_inverse, rows, axis=1)[None]])
+        back = np.concatenate([back, np.take_along_axis(e_back, rows, axis=1)[None]])
+    turns = q - back
+    turns = (turns - turns[..., :1]) % 4
+    flips, wire_turns = rest[..., 0], turns[..., place]
+    fits = (rest == np.arange(dim) ^ flips[..., None]).all(axis=2)
+    fits &= (turns == wire_turns @ bits.T % 4).all(axis=2)
+    pick = fits.argmax(axis=0)
+    at = (pick, np.arange(len(forms)))
+    ops: list[CorrectionOp | None] = []
+    for f, (k, found, flip, turn) in enumerate(
+        zip(pick.tolist(), fits[at].tolist(), bits[flips[at]].tolist(), wire_turns[at].tolist())
+    ):
+        if not found:
+            ops.append(None)
+            continue
+        if k < len(prefixes):
+            prefix = prefixes[k]
+        else:
+            pairs = zip(first.tolist(), second.tolist(), cz[f].tolist())
+            prefix = _linear_words(n)[tuple(map(tuple, lin[f].tolist()))]
+            prefix += tuple(("Ucz", (i, j)) for i, j, on in pairs if on)
+        tails = tuple(_TAILS[a][b] for a, b in zip(flip, turn))
+        ops.append(CorrectionOp(prefix + CorrectionOp.from_wire_products(tails).factors))
+    for i, f in zip(good.tolist(), which.reshape(-1).tolist()):
+        named[i] = ops[f]
     return named
 
 
@@ -737,62 +687,6 @@ def _linear_words(num_wires: int) -> dict:
                 words[b] = (("Ucx", (c, t)),) + words[a]
                 queue.append(b)
     return words
-
-
-def decompose_monomial(stack: np.ndarray, num_wires: int) -> list[CorrectionOp | None]:
-    """Factor each phased permutation unitary of a (k, d, d) stack into
-    named correction ops.
-
-    Succeeds exactly when a matrix r is, up to global phase, a permutation
-    realizing an invertible affine map over F2^num_wires together with
-    quarter-turn phases of degree at most two in the bits: linear phase
-    parts become Up/sz factors, quadratic parts become Ucz factors, the
-    affine part becomes sx flips plus a controlled-X word. That is
-    precisely the group the correction vocabulary generates, so anything
-    else gets None. Whether r is a phased permutation at all, and which,
-    :func:`_monomial_forms` decides; the affine map and the phase degree are
-    exact integer checks over the whole stack at once, and each distinct
-    integer form (t, lin, cz, c) is built into its op once.
-    """
-    n = num_wires
-    dim = 1 << n
-    # Column x of r goes to row perm[x] with phase i**q[x].
-    perm, q, ok = _monomial_forms(stack)
-
-    # bits[x, i] is bit i (wire i, most significant first) of basis index x.
-    place = 1 << np.arange(n - 1, -1, -1)
-    bits = (np.arange(dim)[:, None] & place) != 0
-    t = perm[:, 0]
-    # Column j of lin[m] is the image of wire j's unit vector.
-    lin = bits[perm[:, place] ^ t[:, None]].transpose(0, 2, 1).astype(int)
-    ok &= ((((bits @ lin.transpose(0, 2, 1)) & 1) @ place) ^ t[:, None] == perm).all(axis=1)
-
-    c = q[:, place]
-    first, second = np.triu_indices(n, 1)
-    degree2 = (q[:, place[first] | place[second]] - c[:, first] - c[:, second]) % 4
-    cz = degree2 == 2
-    ok &= ((degree2 == 0) | cz).all(axis=1)
-    both = (bits[:, first] & bits[:, second]).astype(int)
-    ok &= ((c @ bits.T + 2 * cz.astype(int) @ both.T) % 4 == q).all(axis=1)
-
-    # ok implies perm is a permutation, so lin is invertible and has a word.
-    words = _linear_words(n)
-    pairs = list(zip(first.tolist(), second.tolist()))
-    good = np.flatnonzero(ok)
-    forms = np.column_stack([t, lin.reshape(len(stack), n * n), cz, c])[good]
-    _, firsts, inverse = np.unique(forms, axis=0, return_index=True, return_inverse=True)
-    ops = []
-    for m in good[firsts].tolist():
-        factors: list[Factor] = [("sx", (i,)) for i, bit in enumerate(bits[t[m]].tolist()) if bit]
-        factors += words[tuple(map(tuple, lin[m].tolist()))]
-        factors += [("Ucz", pair) for pair, on in zip(pairs, cz[m].tolist()) if on]
-        for i, turns in enumerate(c[m].tolist()):  # i**turns is Up then sz, each optional
-            factors += [(name, (i,)) for name in ("Up",) * (turns & 1) + ("sz",) * (turns >> 1)]
-        ops.append(CorrectionOp(tuple(factors)))
-    results: list[CorrectionOp | None] = [None] * len(stack)
-    for m, f in zip(good.tolist(), inverse.reshape(-1).tolist()):
-        results[m] = ops[f]
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ ELEMENTARY_OPS: dict[str, np.ndarray] = {
 
 ENTANGLING_OPS = ("Ucz", "Ucx")
 
-# Correction vocabularies derivation can search (see oracle.correction_dictionary).
+# Correction vocabularies derivation names recoveries in (see oracle._name_recoveries).
 VOCABULARIES = ("pauli_phase", "full")
 
 

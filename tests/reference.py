@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from telegate import oracle
 from telegate import statevec as sv
 from telegate.patterns import (
+    ELEMENTARY_OPS,
     CorrectionOp,
     CorrectionTable,
     GatePattern,
@@ -77,23 +78,59 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _first_per_phase_class(candidates: list, mats: list[np.ndarray]) -> tuple[list, np.ndarray]:
+    """The candidates whose matrix equals no earlier one's up to phase, with
+    their matrices stacked."""
+    keep: list[int] = []
+    for i, mat in enumerate(mats):
+        if not any(oracle._equal_up_to_phase(mats[j], mat) for j in keep):
+            keep.append(i)
+    return [candidates[i] for i in keep], np.array([mats[i] for i in keep])
+
+
+def _tail_matrix(tail: tuple[str, ...]) -> np.ndarray:
+    out = np.eye(2, dtype=complex)
+    for name in tail:
+        out = out @ ELEMENTARY_OPS[name]
+    return out
+
+
 @lru_cache(maxsize=8)
-def dictionary_matrices(d) -> np.ndarray:
-    """Every op's matrix of correction dictionary ``d``, in op order and
-    read-only, composed as the dictionary defines its ops: op k's prefix
-    matrix times the kron of the tail matrices its digits pick (wire 0 most
-    significant). Every entry is 0, +-1 or +-i, so op k's matrix equals
-    ``d.ops[k].matrix(d.num_wires)`` exactly, up to the signs of zeros."""
-    local, prefix = np.divmod(np.arange(len(d)), len(d.prefixes))
-    tails = np.array([oracle._matrix_of_tail(tail) for tail in d.tails])
-    mats = np.ones((len(d), 1, 1), dtype=complex)
-    for pick in np.unravel_index(local, (len(d.tails),) * d.num_wires):
-        size = 2 * mats.shape[1]
-        mats = np.einsum("lab,lcd->lacbd", mats, tails[pick]).reshape(-1, size, size)
-    prefixes = np.array([CorrectionOp(factors).matrix(d.num_wires) for factors in d.prefixes])
-    mats = prefixes[prefix] @ mats
+def reference_dictionary(num_wires: int, vocabulary: str) -> tuple[list[CorrectionOp], np.ndarray]:
+    """The enumerated correction dictionary derivation once looked recoveries
+    up in: every prefix times every choice of one tail per wire, as a list
+    of ops and their matrices, in build order and read-only.
+
+    The tails are the single-wire chains over I, Up, sz, sx of length 1 to
+    3, the first of each class up to phase in (length, alphabet) order; the
+    prefixes are ``()`` for ``pauli_phase`` and the first of each class
+    among ``oracle._entangler_prefixes`` for ``full``. Op k is prefix
+    ``k % len(prefixes)`` times the tails picked by the digits of
+    ``k // len(prefixes)`` in base ``len(tails)`` (wire 0 most
+    significant). Its
+    matrix is the prefix matrix times the kron of the tail matrices; every
+    entry is 0, +-1 or +-i, so it equals ``op.matrix`` exactly, up to the
+    signs of zeros."""
+    combos = [c for length in (1, 2, 3) for c in product(("I", "Up", "sz", "sx"), repeat=length)]
+    tails, tail_mats = _first_per_phase_class(combos, [_tail_matrix(c) for c in combos])
+    candidates = oracle._entangler_prefixes(num_wires) if vocabulary == "full" else [()]
+    prefixes, prefix_mats = _first_per_phase_class(
+        candidates, [CorrectionOp(p).matrix(num_wires) for p in candidates]
+    )
+    size = len(prefixes) * len(tails) ** num_wires
+    local, prefix = np.divmod(np.arange(size), len(prefixes))
+    picks = np.unravel_index(local, (len(tails),) * num_wires)
+    ops = [
+        CorrectionOp(prefixes[p] + CorrectionOp.from_wire_products(tuple(tails[t] for t in ts)).factors)
+        for p, *ts in zip(prefix.tolist(), *(pick.tolist() for pick in picks))
+    ]
+    mats = np.ones((size, 1, 1), dtype=complex)
+    for pick in picks:
+        width = 2 * mats.shape[1]
+        mats = np.einsum("lab,lcd->lacbd", mats, tail_mats[pick]).reshape(-1, width, width)
+    mats = prefix_mats[prefix] @ mats
     mats.flags.writeable = False
-    return mats
+    return ops, mats
 
 
 def table_to_doc(name: str, cells: list, diff_docs: dict | None = None, footer: str = "") -> dict:

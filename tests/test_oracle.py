@@ -28,13 +28,13 @@ from telegate.patterns import (
 from reference import (
     argsort_plan,
     dense_maps,
-    dictionary_matrices,
     operator_distance,
     parameterized_phase_form,
     phase_parameter_grid_search,
     project,
     ragged_basis,
     random_unitary,
+    reference_dictionary,
     small_patterns,
 )
 
@@ -791,12 +791,15 @@ class TestProbabilityConservation:
 
 
 class TestDictionary:
+    """The enumerated dictionary derivation once looked recoveries up in,
+    kept as ``reference.reference_dictionary``, and the namer against it."""
+
     def test_contains_identity_first(self):
-        d = oracle.correction_dictionary(2, "pauli_phase")
-        assert d.ops[0].render(2) == "I x I"
+        ops, _ = reference_dictionary(2, "pauli_phase")
+        assert ops[0].render(2) == "I x I"
 
     def test_contains_all_two_wire_pauli_strings(self):
-        d = oracle.correction_dictionary(2, "pauli_phase")
+        _, mats = reference_dictionary(2, "pauli_phase")
         paulis = {
             "I": np.eye(2),
             "X": np.array([[0, 1], [1, 0]]),
@@ -806,82 +809,71 @@ class TestDictionary:
         for a in paulis.values():
             for b in paulis.values():
                 want = np.kron(a, b).astype(complex)
-                assert oracle._equal_up_to_phase(dictionary_matrices(d), want).any()
+                assert oracle._equal_up_to_phase(mats, want).any()
 
     def test_candidates_pairwise_inequivalent(self):
-        d = oracle.correction_dictionary(1, "pauli_phase")
-        mats = dictionary_matrices(d)
-        for i in range(len(d.ops)):
-            for j in range(i + 1, len(d.ops)):
+        ops, mats = reference_dictionary(1, "pauli_phase")
+        for i in range(len(ops)):
+            for j in range(i + 1, len(ops)):
                 assert not oracle._equal_up_to_phase(mats[i], mats[j])
 
     @pytest.mark.parametrize("num_wires,vocabulary", [(1, "pauli_phase"), (2, "full"), (3, "full")])
     def test_matrices_equal_op_matrices_exactly(self, num_wires, vocabulary):
-        d = oracle.correction_dictionary(num_wires, vocabulary)
-        mats = dictionary_matrices(d)
-        assert np.array_equal(mats, np.stack([op.matrix(num_wires) for op in d.ops]))
+        ops, mats = reference_dictionary(num_wires, vocabulary)
+        assert np.array_equal(mats, np.stack([op.matrix(num_wires) for op in ops]))
         assert set(np.unique(mats).tolist()) <= {0, 1, -1, 1j, -1j}
 
     def test_signature_index_names_the_first_equivalent_op(self):
-        d = oracle.correction_dictionary(3, "full")
-        positions = [0, 1, 100, 2000, len(d.ops) - 1]
-        mats = dictionary_matrices(d)
-        found = d.find(oracle._signatures(mats[positions] * 1j))
-        for k, hit in zip(positions, found.tolist()):
-            assert 0 <= hit <= k
-            assert oracle._equal_up_to_phase(mats[hit], mats[k])
-            assert not oracle._equal_up_to_phase(mats[:hit], mats[k]).any()
+        # A reference op times a phase is named as that op, the first (and
+        # only) reference op equal to it up to phase.
+        ops, mats = reference_dictionary(3, "full")
+        positions = [0, 1, 100, 2000, len(ops) - 1]
+        named = oracle._name_recoveries(mats[positions] * 1j, 3, "full")
+        for k, op in zip(positions, named):
+            assert op == ops[k]
+            assert not oracle._equal_up_to_phase(mats[:k], mats[k]).any()
 
     @pytest.mark.parametrize("num_wires", [1, 2, 3, 4])
     @pytest.mark.parametrize("vocabulary", ["pauli_phase", "full"])
     def test_every_signature_names_one_op(self, num_wires, vocabulary):
-        # Naming rests on this: a signature found is the one candidate with
-        # it, so the dictionary's order cannot change a derived name.
-        d = oracle.correction_dictionary(num_wires, vocabulary)
-        assert len(np.unique(d.keys)) == len(d)
-        positions = np.arange(len(d))
-        phases = np.exp(2j * np.pi * np.random.default_rng(num_wires).uniform(size=len(d)))
-        found = d.find(oracle._signatures(dictionary_matrices(d) * phases[:, None, None]))
-        assert np.array_equal(found, positions)
-
-    def test_four_wire_signatures_exceed_int64_and_stay_exact(self):
-        # 16 columns need 112 bits, so the keys are Python ints.
-        d = oracle.correction_dictionary(4, "pauli_phase")
-        assert d.keys.dtype == object
-        positions = np.arange(0, len(d.ops), 293)
-        mats = dictionary_matrices(d)
-        found = d.find(oracle._signatures(mats[positions] * np.exp(0.3j)))
-        for k, hit in zip(positions.tolist(), found.tolist()):
-            assert hit == np.flatnonzero(oracle._equal_up_to_phase(mats, mats[k]))[0]
+        # Naming rests on this: no two reference ops share an integer form
+        # (rows and quarter turns), so each is one prefix times one choice
+        # of tails, and the order prefixes are tried in cannot change a
+        # name the reference has.
+        ops, mats = reference_dictionary(num_wires, vocabulary)
+        rows, q, ok = oracle._monomial_forms(mats)
+        assert ok.all()
+        assert len(np.unique(np.hstack([rows, q]), axis=0)) == len(ops)
 
     def test_unknown_signature_finds_nothing(self):
-        d = oracle.correction_dictionary(2, "pauli_phase")
-        assert d.find(oracle._signatures(CorrectionOp((("Ucz", (0, 1)),)).matrix(2)[None])) == [-1]
+        cz = CorrectionOp((("Ucz", (0, 1)),)).matrix(2)[None]
+        assert oracle._name_recoveries(cz, 2, "pauli_phase") == [None]
+        assert [op.render(2) for op in oracle._name_recoveries(cz, 2, "full")] == ["Ucz(I x I)"]
 
     @pytest.mark.parametrize("num_wires,vocabulary", [(1, "pauli_phase"), (2, "full"), (3, "full")])
     def test_rows_and_ops_built_on_demand_match_the_whole_dictionary(self, num_wires, vocabulary):
-        d = oracle.correction_dictionary(num_wires, vocabulary)
-        positions = np.arange(len(d.ops))[::-7]
-        assert [d.ops[k] for k in positions.tolist()] == list(d.ops)[::-7]
-        assert d.ops[-1] == d.ops[len(d.ops) - 1] and d.ops[:2] == [d.ops[0], d.ops[1]]
-        with pytest.raises(IndexError):
-            d.ops[len(d.ops)]
+        # Each distinct form is named on its own, so a name does not depend
+        # on what else the stack holds.
+        ops, mats = reference_dictionary(num_wires, vocabulary)
+        assert oracle._name_recoveries(mats, num_wires, vocabulary) == ops
+        assert oracle._name_recoveries(mats[::-7], num_wires, vocabulary) == ops[::-7]
+        assert oracle._name_recoveries(np.concatenate([mats[:2], mats[:2]]), num_wires, vocabulary) == ops[:2] * 2
 
     @pytest.mark.parametrize("vocabulary", ["pauli_phase", "full"])
     def test_shared_signature_still_confirms_each_recovery(self, vocabulary):
-        d = oracle.correction_dictionary(2, vocabulary)
+        ops, mats = reference_dictionary(2, vocabulary)
         k = 5
-        mat = dictionary_matrices(d)[k]
-        perturbed = mat.copy()
-        perturbed[np.abs(perturbed) == 0] += 0.1  # same signature, not a match
-        stack = np.stack([mat, perturbed])
-        sigs = oracle._signatures(stack)
-        assert sigs[0] == sigs[1]
-        assert oracle._name_recoveries(stack, d) == [d.ops[k], None]
+        perturbed = mats[k].copy()
+        perturbed[np.abs(perturbed) == 0] += 0.1  # same integer form, not a match
+        stack = np.stack([mats[k], perturbed])
+        rows, q, ok = oracle._monomial_forms(stack)
+        assert np.array_equal(rows[0], rows[1]) and np.array_equal(q[0], q[1])
+        assert ok.tolist() == [True, False]
+        assert oracle._name_recoveries(stack, 2, vocabulary) == [ops[k], None]
 
     def test_full_three_wire_includes_entanglers(self):
-        d = oracle.correction_dictionary(3, "full")
-        names = {f for op in d.ops for f, _ in op.factors}
+        ops, _ = reference_dictionary(3, "full")
+        names = {f for op in ops for f, _ in op.factors}
         assert "Ucx" in names and "Ucz" in names
 
     # sha256 of the ops' renderings, sorted and joined by newlines, and of
@@ -917,17 +909,28 @@ class TestDictionary:
 
     @pytest.mark.parametrize("num_wires,vocabulary", sorted(PINNED))
     def test_order_and_matrices_are_pinned(self, num_wires, vocabulary):
-        d = oracle.correction_dictionary(num_wires, vocabulary)
-        renders = [op.render(num_wires) for op in d.ops]
-        order = sorted(range(len(d)), key=renders.__getitem__)
-        texts, mats = self.PINNED[(num_wires, vocabulary)]
+        ops, mats = reference_dictionary(num_wires, vocabulary)
+        renders = [op.render(num_wires) for op in ops]
+        order = sorted(range(len(ops)), key=renders.__getitem__)
+        texts, digest = self.PINNED[(num_wires, vocabulary)]
         assert hashlib.sha256("\n".join(renders[k] for k in order).encode()).hexdigest() == texts
-        assert hashlib.sha256(dictionary_matrices(d)[order].tobytes()).hexdigest() == mats
+        assert hashlib.sha256(mats[order].tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("num_wires,vocabulary", sorted(PINNED) + [(4, "pauli_phase")])
+    def test_names_every_reference_op_exactly(self, num_wires, vocabulary):
+        # Every reference op, times a random phase, is named as exactly that
+        # op: where the reference has an element, its prefix and tails are
+        # the only ones that fit.
+        ops, mats = reference_dictionary(num_wires, vocabulary)
+        phases = np.exp(2j * np.pi * np.random.default_rng(num_wires).uniform(size=len(ops)))
+        assert oracle._name_recoveries(mats * phases[:, None, None], num_wires, vocabulary) == ops
 
 
 def _reference_decompose(r: np.ndarray, num_wires: int) -> CorrectionOp | None:
-    """decompose_monomial as a loop over columns and basis states, the way
-    it was written before it was vectorised."""
+    """The factorization that once named every recovery outside the
+    dictionary, as a loop over columns and basis states: sx flips, a
+    controlled-X word, controlled-Z pairs, then phases. None when the
+    vocabulary does not generate r."""
     dim = 1 << num_wires
     scale = np.linalg.norm(r) / np.sqrt(dim)
     if scale < oracle.ZERO_PROB:
@@ -1011,21 +1014,26 @@ def _draw_word(data, num_wires: int) -> tuple:
 
 
 class TestDecomposeMonomial:
+    """The namer against ``_reference_decompose``, the loop form of the
+    factorization that once named every recovery outside the dictionary."""
+
     def test_matches_the_loop_reference_on_derivation_recoveries(self, monkeypatch):
         fed = []
-        decompose = oracle.decompose_monomial
+        name = oracle._name_recoveries
 
-        def spy(stack, n):
-            results = decompose(stack, n)
+        def spy(stack, n, vocabulary):
+            results = name(stack, n, vocabulary)
             fed.extend((r.copy(), n, result) for r, result in zip(stack, results))
             return results
 
-        monkeypatch.setattr(oracle, "decompose_monomial", spy)
+        monkeypatch.setattr(oracle, "_name_recoveries", spy)
         for pattern in (catalog.fredkin_pattern(), catalog.toffoli_pattern()):
             oracle.derive_corrections_with_failures(pattern)
-        assert len(fed) == 448  # all from fredkin; toffoli's are dictionary hits
+        assert len(fed) == 1024 + 512  # every unitary-proportional map of each
         for r, n, op in fed:
-            assert op == _reference_decompose(r, n)
+            want = _reference_decompose(r, n)
+            assert (op is None) == (want is None)
+            assert op is None or oracle._equal_up_to_phase(op.matrix(n), want.matrix(n))
 
     def test_matches_the_loop_reference_on_rejections(self):
         t_gate = np.diag([1, np.exp(1j * np.pi / 4)])
@@ -1037,115 +1045,103 @@ class TestDecomposeMonomial:
             ccx,
             np.eye(8, dtype=complex)[[0, 0, 2, 3, 4, 5, 6, 7]],
             np.zeros((8, 8), dtype=complex),
+            # A permutation whose unit-vector images are dependent (1 ^ 2 = 3),
+            # so it has no linear part.
+            np.eye(8, dtype=complex)[:, [0, 3, 2, 4, 1, 5, 6, 7]],
         ]
         for r in cases:
             assert _reference_decompose(r, 3) is None
-        # One success among the rejections: each matrix of a stack is judged on its own.
-        word = CorrectionOp((("Ucx", (2, 0)), ("Up", (1,))))
-        results = oracle.decompose_monomial(np.array(cases + [word.matrix(3)]), 3)
-        assert results[:-1] == [None] * len(cases)
-        assert results[-1] == _reference_decompose(word.matrix(3), 3)
-        # Naming refuses them too, the non-permutation and the zero matrix
+        # One success among the rejections: each matrix of a stack is judged
+        # on its own. The zero matrix and the non-permutation are refused
         # without a warning (the suite turns warnings into errors).
-        d = oracle.correction_dictionary(3, "full")
-        assert oracle._name_recoveries(np.array(cases), d) == [None] * len(cases)
+        word = CorrectionOp((("Ucx", (2, 0)), ("Up", (1,))))
+        results = oracle._name_recoveries(np.array(cases + [word.matrix(3)]), 3, "full")
+        assert results == [None] * len(cases) + [word]
 
     def test_round_trips_vocabulary_products(self):
         rng = np.random.default_rng(5)
-        d = oracle.correction_dictionary(3, "full")
-        picks = rng.choice(len(d.ops), size=25, replace=False)
-        mats = dictionary_matrices(d)[picks] * np.exp(1j * rng.uniform(0, 2 * np.pi, size=25))[:, None, None]
-        for mat, op in zip(mats, oracle.decompose_monomial(mats, 3)):
+        ops, mats = reference_dictionary(3, "full")
+        picks = rng.choice(len(ops), size=25, replace=False)
+        mats = mats[picks] * np.exp(1j * rng.uniform(0, 2 * np.pi, size=25))[:, None, None]
+        for mat, op in zip(mats, oracle._name_recoveries(mats, 3, "full")):
             assert oracle._equal_up_to_phase(op.matrix(3), mat)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_round_trips_arbitrary_factor_words(self, data):
         # Any product of vocabulary factors in any order on any wires must
-        # decompose back to an equivalent operator.
+        # be named as an equivalent operator.
         num_wires = data.draw(st.integers(1, 3))
         phase = np.exp(1j * data.draw(st.floats(0, 2 * np.pi)))
         mat = CorrectionOp(_draw_word(data, num_wires)).matrix(num_wires) * phase
-        [op] = oracle.decompose_monomial(mat[None], num_wires)
+        [op] = oracle._name_recoveries(mat[None], num_wires, "full")
         assert oracle._equal_up_to_phase(op.matrix(num_wires), mat)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_naming_gives_the_first_equivalent_op_or_the_reference_factorization(self, data):
-        # Words repeat with other phases in one stack, so one factorization
-        # names several recoveries, and a second call names them the same.
-        d = oracle.correction_dictionary(3, "full")
-        mats = dictionary_matrices(d)
+        # Words repeat with other phases in one stack, so one name covers
+        # several recoveries, and a second call names them the same. A word
+        # the reference dictionary lacks is named up to phase as the loop
+        # reference factors it, with its entanglers leading.
+        ops, mats = reference_dictionary(3, "full")
         words = [_draw_word(data, 3) for _ in range(data.draw(st.integers(1, 3)))]
         picks = data.draw(st.lists(st.integers(0, len(words) - 1), min_size=1, max_size=6))
         phases = np.exp(1j * np.array([data.draw(st.floats(0, 2 * np.pi)) for _ in picks]))
         stack = np.array([CorrectionOp(words[i]).matrix(3) for i in picks]) * phases[:, None, None]
-        expected = []
-        for r in stack:
-            # The plain linear scan over the dictionary in order.
+        named = oracle._name_recoveries(stack, 3, "full")
+        for r, op in zip(stack, named):
             same = np.flatnonzero(oracle._equal_up_to_phase(mats, r))
-            expected.append(d.ops[same[0]] if same.size else _reference_decompose(r, 3))
-        assert oracle._name_recoveries(stack, d) == expected
-        assert oracle._name_recoveries(stack, d) == expected
+            if same.size:
+                assert op == ops[same[0]]
+            else:
+                assert oracle._equal_up_to_phase(op.matrix(3), _reference_decompose(r, 3).matrix(3))
+            assert "@" not in op.render(3)
+        assert oracle._name_recoveries(stack, 3, "full") == named
 
     def test_both_paths_confirm_to_one_standard(self):
-        # The same 1e-7 noise on a word outside the dictionary and on a
-        # dictionary op: both are one phased-permutation test away from a name.
-        d = oracle.correction_dictionary(3, "full")
+        # The same 1e-7 noise on a word the reference dictionary lacks and
+        # on one of its ops: both are one phased-permutation test away from
+        # a name.
+        ops, mats = reference_dictionary(3, "full")
         word = CorrectionOp((("Ucx", (2, 0)), ("Up", (1,))))
         assert word.render(3) == "Ucx[2,0](I x Up x I)"
-        assert d.find(oracle._signatures(word.matrix(3)[None])).tolist() == [-1]
+        assert not oracle._equal_up_to_phase(mats, word.matrix(3)).any()
         rng = np.random.default_rng(29)
         noise = 1e-7 * (rng.standard_normal((2, 8, 8)) + 1j * rng.standard_normal((2, 8, 8)))
-        stack = np.stack([word.matrix(3), dictionary_matrices(d)[1234]]) * np.exp(0.4j) + noise
-        named = oracle._name_recoveries(stack, d)
-        assert named == [oracle.decompose_monomial(stack[:1], 3)[0], d.ops[1234]]
-        assert oracle._equal_up_to_phase(named[0].matrix(3), word.matrix(3))
+        stack = np.stack([word.matrix(3), mats[1234]]) * np.exp(0.4j) + noise
+        assert oracle._name_recoveries(stack, 3, "full") == [word, ops[1234]]
 
     def test_bare_controlled_x_between_first_wires(self):
         mat = CorrectionOp((("Ucx", (0, 1)),)).matrix(3)
-        [op] = oracle.decompose_monomial(mat[None], 3)
-        assert oracle._equal_up_to_phase(op.matrix(3), mat)
+        [op] = oracle._name_recoveries(mat[None], 3, "full")
+        assert op.render(3) == "Ucx[0,1](I x I x I)"
 
     def test_hadamard_is_out_of_vocabulary(self):
-        assert oracle.decompose_monomial(np.kron(HADAMARD, np.eye(4))[None], 3) == [None]
+        assert oracle._name_recoveries(np.kron(HADAMARD, np.eye(4))[None], 3, "full") == [None]
 
     @pytest.mark.parametrize("num_wires", [1, 3])
     def test_empty_stack_gives_no_results(self, num_wires):
         dim = 1 << num_wires
-        assert oracle.decompose_monomial(np.zeros((0, dim, dim), dtype=complex), num_wires) == []
+        assert oracle._name_recoveries(np.zeros((0, dim, dim), dtype=complex), num_wires, "full") == []
 
     def test_cubic_phase_is_out_of_vocabulary(self):
         ccz = np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex)
-        assert oracle.decompose_monomial(ccz[None], 3) == [None]
+        assert oracle._name_recoveries(ccz[None], 3, "full") == [None]
 
     def test_fredkin_derivation_builds_each_correction_matrix_once(self, monkeypatch):
-        # A cold derivation builds 16 matrices for the three-wire full
-        # dictionary, one per entangler-prefix candidate. decompose_monomial
-        # writes each factored word's phased permutation straight from its
-        # integer form, so its 224 words build none. Dense dictionary
-        # products built 255.
+        # A cold derivation builds the 16 matrices of the three-wire fixed
+        # prefixes, once. Every other step, each recovery's own entangler
+        # included, is integer arithmetic on the forms, so the 512 names
+        # build none.
         calls = []
         matrix = CorrectionOp.matrix
         monkeypatch.setattr(CorrectionOp, "matrix", lambda op, n: calls.append(1) or matrix(op, n))
-        oracle.correction_dictionary.cache_clear()
+        oracle._prefix_forms.cache_clear()
         pattern = catalog.fredkin_pattern()
         oracle.outcome_maps(pattern)
         oracle.derive_corrections_with_failures(pattern)
         assert len(calls) == 16
-
-    def test_dictionary_length_builds_no_op_and_no_matrix(self, monkeypatch):
-        built = []
-        op = oracle.CorrectionDictionary.__getitem__
-        monkeypatch.setattr(oracle.CorrectionDictionary, "__getitem__", lambda d, k: built.append(k) or op(d, k))
-        oracle.correction_dictionary.cache_clear()
-        d = oracle.correction_dictionary(3, "full")
-        assert len(d.ops) == 7680
-        assert built == []
-        assert d.ops[7679].render(3) == (
-            "Ucx[1,2]Ucx[2,1]Ucx[1,2]Ucx[0,1]Ucx[0,2]Ucz[0,1]Ucz[0,2](sx.Up x sx.Up x sx.Up)"
-        )
-        assert built == [7679]
 
 
 class TestSingleQubit:
@@ -1538,7 +1534,7 @@ DERIVATION_GOLDEN = {
     "cnot": ("d9dc34a4e8bb3c5d", *NO_FAILURES),
     "swap": ("f42ed14ff1f41e70", *NO_FAILURES),
     "toffoli": ("9c343be2ce09bc5d", *NO_FAILURES),
-    "fredkin": ("b9ad99350d3f81d0", 4096, "cc6edf87aebc0861"),
+    "fredkin": ("1c8544231f3c7eb2", 4096, "cc6edf87aebc0861"),
     "chain-cz-2-vs-cz": ("3c755dd472f17fab", 256, "5fa59a4659ae280b"),
     "chain-cz-4-vs-cz": ("d42c12b36dc76b07", 4096, "abcec943993494f3"),
     "cz-h-output": ("c0e6fda75659a4ce", 64, "621ea86cb2388650"),
@@ -1566,6 +1562,14 @@ class TestDerivationGolden:
         assert len(failures) == num_failures
         assert _digest(oracle.format_key(k) for k, _ in failures) == failure_keys
 
+    def test_no_derived_op_renders_as_a_raw_chain(self, request):
+        # Every name is entanglers first, then one tail per wire, so none
+        # falls back to the raw factor chain (``sx@(2,).Ucx@(0, 2)``).
+        for name in sorted(DERIVATION_GOLDEN):
+            pattern, table, _ = self._derive(name, request)
+            renders = [op.render(pattern.num_outputs) for op in table.ops]
+            assert not any("@" in text for text in renders), name
+
     @pytest.mark.parametrize(
         "name,reason",
         [
@@ -1578,6 +1582,11 @@ class TestDerivationGolden:
     def test_failure_reasons_come_from_the_operator(self, name, reason, request):
         _, _, failures = self._derive(name, request)
         assert failures and {r for _, r in failures} == {reason}
+
+    def test_unknown_vocabulary_is_refused(self):
+        pattern = dataclasses.replace(catalog.cnot_pattern(), vocabulary="bogus")
+        with pytest.raises(PatternFormatError, match="unknown correction vocabulary 'bogus'"):
+            oracle.derive_corrections_with_failures(pattern)
 
     def test_derivation_error_names_the_reason(self):
         pattern = catalog.chain_cz_pattern(2).with_target(CZ)
