@@ -407,7 +407,7 @@ def controlled_phase_pattern() -> GatePattern:
     All pairs are phi+; the first group's branches carry |+> against
     (|0>-i|1>)/sqrt(2), which is where the quarter-turn phase enters. The
     recovery vocabulary needs Ucz composites, so the pattern requests the
-    extended dictionary.
+    full vocabulary.
     """
     return _cz_wiring(
         "controlled-phase",
@@ -505,28 +505,33 @@ def _toffoli_four_leg_resource() -> sv.StateVector:
     )
 
 
-def toffoli_pattern(variant: str = "corrected", validate: bool = True) -> GatePattern:
+def _toffoli_first_group(variant: str) -> MeasurementGroup:
+    """Toffoli's first group on (a, d, i'', g) in one of the two readings of
+    the source construction: ``literal`` keeps the i'' leg at |0> in both
+    branches, ``corrected`` flips it in the second."""
+    if variant not in TOFFOLI_VARIANTS:
+        raise PatternFormatError(
+            f"unknown variant {variant!r}; choose from {TOFFOLI_VARIANTS}"
+        )
+    second_idd = KET1 if variant == "corrected" else KET0
+    return two_branch_group(
+        (0, 3, 12, 6),
+        [KET0, PLUS, KET0, KET0],
+        [KET1, MINUS, second_idd, KET1],
+        [(SX, 0), (SZ, 1), (SX, 3)],
+    )
+
+
+def toffoli_pattern(variant: str = "corrected") -> GatePattern:
     """Doubly-controlled NOT; controls on the first two output wires.
 
     Register: a b c | d e f (GHZ) | g m | h n | i i' i'' p. The first
     group's transcription is ambiguous in the source construction: the
     ``literal`` variant keeps the i'' leg at |0> in both branches (its 16
     label combinations collapse to 8 distinct vectors, so it fails basis
-    validation); the ``corrected`` variant flips i'' in the second branch,
-    matching the structure of every other group. Pass ``validate=False`` to
-    build the literal variant for inspection.
+    validation and this raises); the ``corrected`` variant flips i'' in
+    the second branch, matching the structure of every other group.
     """
-    if variant not in TOFFOLI_VARIANTS:
-        raise PatternFormatError(
-            f"unknown variant {variant!r}; choose from {TOFFOLI_VARIANTS}"
-        )
-    second_idd = KET1 if variant == "corrected" else KET0
-    alpha = two_branch_group(
-        (0, 3, 12, 6),
-        [KET0, PLUS, KET0, KET0],
-        [KET1, MINUS, second_idd, KET1],
-        [(SX, 0), (SZ, 1), (SX, 3)],
-    )
     pattern = GatePattern(
         name="toffoli",
         num_qubits=14,
@@ -537,15 +542,13 @@ def toffoli_pattern(variant: str = "corrected", validate: bool = True) -> GatePa
             ((8, 9), pair_state("phi+")),
             ((10, 13, 11, 12), _toffoli_four_leg_resource()),
         ),
-        groups=(alpha, ghz_group((1, 4, 11, 8), [0, 1, 3]), linked_group((2, 5, 10))),
+        groups=(_toffoli_first_group(variant), ghz_group((1, 4, 11, 8), [0, 1, 3]), linked_group((2, 5, 10))),
         output_wires=(7, 9, 13),
         target=toffoli(),
         vocabulary="full",
         variant=variant,
     )
-    if validate:
-        validate_pattern(pattern)
-    return pattern
+    return _finished(pattern)
 
 
 def fredkin_pattern() -> GatePattern:
@@ -708,7 +711,6 @@ def catalog_entries() -> dict[str, dict]:
             "factory": toffoli_pattern,
             "params": "variant: corrected | literal",
             "target": "doubly-controlled-NOT",
-            "flags": ("variant",),
         },
         "fredkin": {
             "factory": fredkin_pattern,

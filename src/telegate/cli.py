@@ -37,7 +37,7 @@ EXIT_PIPE = 141
 
 # The pattern flags, in the order they are declared and checked. Each
 # applies only to the catalog entry whose ``flags`` name it.
-PATTERN_FLAGS = ("n", "variant", "resource", "basis", "u")
+PATTERN_FLAGS = ("n", "resource", "basis", "u")
 
 
 def _flag_owners() -> dict[str, str]:
@@ -93,18 +93,13 @@ def resolve_pattern(args, select=True) -> tuple[GatePattern, list[str], oracle.V
                 "verification below runs against controlled-Z (parity law)"
             )
         return catalog.build_pattern(name, **flags).with_target(CZ), notes, None
-    # Metadata cannot run the auto selection, which derives and verifies each variant.
-    if name == "toffoli":
-        variant = flags.pop("variant", "auto")
-        if variant != "auto":
-            notes.append(f"variant {variant} forced by --variant")
-            return catalog.build_pattern(name, variant=variant, validate=False), notes, None
-        if select:
-            tol = getattr(args, "tolerance", oracle.FIDELITY_TOL)  # verify alone has the flag
-            selection = oracle.select_toffoli_variant(args.seed, tol)
-            notes += [f"variant {var}: {text}" for var, text in sorted(selection.record.items())]
-            return selection.pattern, notes, selection
-        # Unselected, auto is the default: the literal variant fails basis validation alone.
+    # Metadata cannot run the selection, which derives and verifies each variant.
+    # Unselected, the catalog default is the one variant that validates.
+    if name == "toffoli" and select:
+        tol = getattr(args, "tolerance", oracle.FIDELITY_TOL)  # verify alone has the flag
+        selection = oracle.select_toffoli_variant(args.seed, tol)
+        notes += [f"variant {var}: {text}" for var, text in sorted(selection.record.items())]
+        return selection.pattern, notes, selection
     return catalog.build_pattern(name, **flags), notes, None
 
 
@@ -384,11 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--pattern", help="catalog pattern name")
             p.add_argument("--pattern-file", help="pattern document path")
             p.add_argument("--n", type=int, help=f"chain length for {owners['n']}")
-            p.add_argument(
-                "--variant",
-                choices=(*catalog.TOFFOLI_VARIANTS, "auto"),
-                help=f"three-control basis variant for {owners['variant']}",
-            )
             p.add_argument(
                 "--resource", choices=tuple(catalog.CZ_RESOURCES),
                 help=f"linking-pair state for {owners['resource']}",

@@ -938,9 +938,10 @@ def detect_information_loss(pattern: GatePattern, seed: int = DEFAULT_SEED) -> L
     the others reports the rank of the input->output map, which basis
     inputs it annihilates and its probability on verification's generic
     probe, the first seeded random input (all amplitudes bounded away from
-    zero). A pattern is lossy when an outcome with a nonzero map annihilates
-    a basis input (its map's column vanishes) or has a rank-deficient map:
-    either way that branch cannot carry every input faithfully.
+    zero). A pattern is lossy when an outcome with a nonzero map has a
+    rank-deficient map, so that branch cannot carry every input faithfully.
+    A map that annihilates a basis input is one: the vanishing column's norm
+    bounds its smallest singular value.
     """
     dim = 1 << len(pattern.input_wires)
     generic = default_inputs(dim, seed)[0][:, dim]
@@ -954,7 +955,7 @@ def detect_information_loss(pattern: GatePattern, seed: int = DEFAULT_SEED) -> L
     out = (maps.distinct @ generic)[:, None, :]
     sq = out.real @ out.real.transpose(0, 2, 1) + out.imag @ out.imag.transpose(0, 2, 1)
     probs = [x**2 for x in np.sqrt(sq[:, 0, 0]).tolist()]
-    flagged = live & (dead.any(axis=1) | (ranks < dim))
+    flagged = live & (ranks < dim)
     lost = {c: tuple(np.flatnonzero(dead[c]).tolist()) for c in np.flatnonzero(flagged).tolist()}
     hits = np.flatnonzero(flagged[classes])
     outcomes = [
@@ -1011,8 +1012,8 @@ def parity_experiment(max_n: int, seed: int = DEFAULT_SEED) -> list[ParityResult
 @dataclass(frozen=True)
 class VariantSelection:
     """The toffoli variant shown (the first that verifies, else the last
-    built, else the last tried), its derived table and report (None if
-    rejected first) and each variant's record."""
+    built, else the last that validated), its derived table and report
+    (None if rejected first) and each variant's record."""
 
     pattern: GatePattern
     table: CorrectionTable | None
@@ -1027,14 +1028,12 @@ def select_toffoli_variant(
     derived and verified once. The literal one cannot form a complete
     orthonormal basis and is rejected before simulation."""
     from .catalog import TOFFOLI_VARIANTS, toffoli_pattern
-    from .patterns import validate_pattern
 
     record: dict[str, str] = {}
     selected = built = None
     for variant in TOFFOLI_VARIANTS:
-        pattern = toffoli_pattern(variant, validate=False)
         try:
-            validate_pattern(pattern)
+            pattern = toffoli_pattern(variant)
             table = derive_corrections(pattern)
         except (PatternFormatError, DerivationError) as exc:
             record[variant] = f"rejected: {exc}"

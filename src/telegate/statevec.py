@@ -5,8 +5,8 @@ Conventions used throughout the package:
 - A register of n qubits is a complex amplitude array of length 2**n.
 - Qubit 0 is the leftmost symbol of a ket string and the most significant
   bit of the amplitude index, so ``|101>`` on three qubits sits at index 5.
-- States are renormalized on construction; declared prefactors of ket
-  expressions are ignored (the physics is invariant to normalization).
+- Ket expressions are normalized when built, ignoring declared
+  prefactors; a sum already of unit norm is kept as written.
 - Measurement removes the measured qubits from the register; the residual
   state lives on the remaining qubits in ascending original order.
 
@@ -64,17 +64,22 @@ def from_ket_expression(
     """Sum of coefficient * basis ket, renormalized to unit norm. A sum
     whose computed norm is within 4 machine epsilons of 1 is already a unit
     vector and is kept as written, so a saved state loads back bit for bit.
+    The first term at each index is placed, not added to 0.0, which keeps
+    the sign of a -0.0 part.
 
     Raises :class:`DegenerateStateError` if the terms cancel to the zero
     vector.
     """
     amps = np.zeros(1 << num_qubits, dtype=complex)
+    placed = set()
     for coeff, bits in terms:
         if len(bits) != num_qubits:
             raise UsageError(
                 f"term {bits!r} has length {len(bits)}, expected {num_qubits}"
             )
-        amps[bits_to_index(bits)] += coeff
+        i = bits_to_index(bits)
+        amps[i] = amps[i] + coeff if i in placed else coeff
+        placed.add(i)
     norm = np.linalg.norm(amps)
     if norm < ATOL_AMP:
         raise DegenerateStateError("ket expression sums to the zero vector")

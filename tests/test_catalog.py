@@ -1,4 +1,5 @@
 """Catalog wiring and basis invariants."""
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -149,8 +150,7 @@ def test_triple_cz_target_signs():
 def test_toffoli_literal_variant_fails_validation():
     with pytest.raises(PatternFormatError, match="orthonormal"):
         catalog.toffoli_pattern("literal")
-    literal = catalog.toffoli_pattern("literal", validate=False)
-    report = sv.validate_basis(literal.groups[0].basis)
+    report = sv.validate_basis(catalog._toffoli_first_group("literal").basis)
     assert not report.passed
     assert report.max_pairwise_overlap > 0.99
 
@@ -188,6 +188,14 @@ def test_parameterized_cz_reduces_to_plain_wiring():
         assert np.allclose(sa.amps, sb.amps)
 
 
+def _toffoli_literal():
+    """The default toffoli with its first group read literally, which no
+    builder returns since that group fails basis validation."""
+    corrected = catalog.toffoli_pattern()
+    literal = catalog._toffoli_first_group("literal")
+    return dataclasses.replace(corrected, groups=(literal, *corrected.groups[1:]), variant="literal")
+
+
 # Every builder path, including those no catalog entry's defaults reach.
 BUILDER_PATHS = {
     **{name: (lambda name=name: catalog.build_pattern(name)) for name in ALL_NAMES},
@@ -200,7 +208,7 @@ BUILDER_PATHS = {
     "cz-parameterized": lambda: catalog.parameterized_cz_pattern(
         1j, np.exp(0.25j * np.pi), -1, -1j, np.exp(-0.75j * np.pi)
     ),
-    "toffoli-literal": lambda: catalog.toffoli_pattern("literal", validate=False),
+    "toffoli-literal": _toffoli_literal,
     "single-qubit[sz]": lambda: catalog.single_qubit_pattern(np.diag([1, -1])),
 }
 
@@ -271,7 +279,7 @@ BASIS_DIGESTS = {
     "cz-parameterized": (
         "003568e13f479e9b1cfc16bfa812243a8e363a0075f6fe55b738975b51b1b409",
         "070b8c621afa3fa8f8cbaa8baf0456d9a8aa10ce136e08303320f03e1c0b1581",
-        "b684c975a5e6014af20a37b2487342830cad16da86172efd2d4eb7e578be0595",
+        "4c6f4f957e0ae8813b93df41315d7c3dafcc57839aee04022bcf31b54bde99ba",
     ),
     "cz[bell,pm]": (
         "d0a309f62a9ad8d41f773d36142f3df3f2b6ac7135020295b16dd39e12681403",

@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import telegate
 from telegate import catalog, oracle, reports
-from telegate.cli import main
-from telegate.patterns import format_key, pattern_from_document, pattern_to_document
+from telegate.cli import build_parser, main, resolve_pattern
+from telegate.patterns import format_key, pattern_from_document, pattern_to_document, validate_pattern
 
 from reference import shuffled_document
 
@@ -63,6 +63,15 @@ class TestExitCodes:
     def test_missing_pattern_arg_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["verify", "derive", "loss-check"])
+    def test_variant_flag_is_refused(self, capsys, command):
+        # The engine alone picks toffoli's variant; the literal one is not a
+        # measurement, so no flag can make a command simulate it.
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--pattern", "toffoli", "--variant", "literal"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --variant literal" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -308,9 +317,26 @@ MALFORMED_INPUTS = {
     # document, and the error names the flag before FILE or the value.
     "pattern-with-pattern-file": ("flags", ("--pattern", "cnot", "--pattern-file", "FILE")),
     "chain-length-on-cnot": ("flags", ("--pattern", "cnot", "--n", "3")),
-    "variant-on-cz": ("flags", ("--pattern", "cz", "--variant", "literal")),
     "resource-with-pattern-file": ("flags", ("--pattern-file", "FILE", "--resource", "bell")),
 }
+
+
+@pytest.mark.parametrize(
+    "argv,select",
+    [
+        *((("--pattern", name), True) for name in sorted(catalog.catalog_entries()) if name != "chain-cz"),
+        (("--pattern", "chain-cz", "--n", "3"), True),
+        *((("--pattern", "cz", "--resource", r, "--basis", b), True)
+          for r in catalog.CZ_RESOURCES for b in catalog.BASIS_KINDS),
+        (("--pattern", "toffoli"), False),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, tuple) else f"select={value}",
+)
+def test_every_resolved_catalog_pattern_validates(argv, select):
+    # Toffoli's selected pattern included: no command simulates a pattern
+    # that basis validation refuses.
+    pattern, _, _ = resolve_pattern(build_parser().parse_args(["verify", *argv]), select=select)
+    validate_pattern(pattern)
 
 
 def _run_malformed(capsys, tmp_path, command, case):
@@ -754,7 +780,6 @@ class TestLossCheck:
         code, out, err = run(capsys, "loss-check", "--pattern", "toffoli")
         assert (code, err) == (0, "") and "not lossy" in out
         assert calls == []
-        assert run(capsys, "loss-check", "--pattern", "toffoli", "--variant", "corrected") == (0, out, "")
 
     def test_json_loss_report(self, capsys):
         code, out, _ = run(

@@ -1220,6 +1220,39 @@ class TestControlledZ:
             oracle.derive_corrections(pattern)
 
 
+def _assert_loss_flags_by_rank_alone(pattern):
+    """Every live class with a column below RANK_TOL is rank-deficient, so
+    the loss check's outcomes are the live rank-deficient ones."""
+    maps = oracle.outcome_maps(pattern)
+    live, dim = ~maps.facts.zero, maps.distinct.shape[2]
+    ranks = maps.facts.ranks(np.arange(len(maps.distinct)))
+    dead = (np.linalg.norm(maps.distinct, axis=1) < sv.RANK_TOL) & live[:, None]
+    assert (ranks[dead.any(axis=1)] < dim).all()
+    flagged = live & (ranks < dim)
+    expected = pattern.layout.keys_at(np.flatnonzero(flagged[maps.classes]))
+    assert [o.key for o in oracle.detect_information_loss(pattern).outcomes] == expected
+
+
+class TestLossRule:
+    """A column of norm below RANK_TOL bounds the smallest singular value
+    by that norm, so the rank test alone flags an annihilated input."""
+
+    ROWS = {
+        f"cz[{r},{b}]": (lambda r=r, b=b: catalog.controlled_z_pattern(r, b))
+        for r in catalog.CZ_RESOURCES for b in catalog.BASIS_KINDS
+    }
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ["chain-cz-2", "chain-cz-3", *ROWS])
+    def test_catalog(self, name):
+        pattern = self.ROWS[name]() if name in self.ROWS else _catalog_pattern(name)
+        _assert_loss_flags_by_rank_alone(pattern)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_patterns())
+    def test_random_patterns(self, pattern):
+        _assert_loss_flags_by_rank_alone(pattern)
+
+
 class TestParityLaw:
     def test_chain_parity(self):
         results = oracle.parity_experiment(4)
@@ -1411,6 +1444,12 @@ class TestToffoli:
         _, _, record = toffoli_selected
         assert record["literal"].startswith("rejected")
         assert "orthonormal" in record["literal"]
+
+    def test_literal_builder_raises_the_selections_reason(self, toffoli_selected):
+        _, _, record = toffoli_selected
+        with pytest.raises(PatternFormatError) as raised:
+            catalog.toffoli_pattern("literal")
+        assert record["literal"] == f"rejected: {raised.value}"
 
     def test_corrected_variant_verifies(self, toffoli_selected):
         pattern, table, record = toffoli_selected

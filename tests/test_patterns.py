@@ -286,6 +286,25 @@ class TestDocuments:
         assert np.array_equal(maps.distinct, loaded_maps.distinct)
         assert np.array_equal(maps.classes, loaded_maps.classes)
 
+    @pytest.mark.parametrize("name", sorted(catalog.catalog_entries()))
+    def test_catalog_documents_are_save_load_save_fixed_points(self, name):
+        # The first term at an amplitude is placed, not added to 0.0, so a
+        # -0.0 part (the real part of -1j, say) is written back as -0.0.
+        first, _, second = self._save_load_save(catalog.build_pattern(name))
+        assert second == first
+
+    @pytest.mark.parametrize("name", sorted(catalog.catalog_entries()))
+    def test_catalog_documents_verify_as_the_patterns_that_wrote_them(self, name):
+        pattern = SAVED[f"{name}-derived"]()
+        loaded = pattern_from_document(pattern_to_document(pattern))
+        written, read = (oracle.verify_pattern(p, corrections=p.corrections) for p in (pattern, loaded))
+        for f in dataclasses.fields(oracle.VerificationReport):
+            ours, theirs = getattr(written, f.name), getattr(read, f.name)
+            if isinstance(ours, np.ndarray):
+                assert np.array_equal(ours, theirs, equal_nan=True), f.name
+            elif f.name != "notes":
+                assert ours == theirs, f.name
+
     @staticmethod
     def _report_texts(pattern) -> tuple[str, ...]:
         verified = oracle.verify_pattern(pattern)

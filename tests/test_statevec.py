@@ -221,8 +221,7 @@ def _reference_bases():
             bases[f"{name}-{gi}"] = group.basis
     for n in (4, 7):
         bases[f"chain-cz-{n}-0"] = catalog.chain_cz_pattern(n).groups[0].basis
-    literal = catalog.toffoli_pattern("literal", validate=False)
-    bases["toffoli-literal-0"] = literal.groups[0].basis
+    bases["toffoli-literal-0"] = catalog._toffoli_first_group("literal").basis
     rng = np.random.default_rng(11)
     bases["dense-16"] = sv.MeasurementBasis(4, random_unitary(16, rng))
     # Every row of this one overlaps every other: columns scaled unevenly.
