@@ -5,12 +5,12 @@ the outcome corrections, certifies that each corrected branch implements the
 target gate up to global phase, and detects information loss caused by
 resource/basis mismatch.
 
-Derivation reads each outcome's correction off its input->output map, with
-no probe states. Everything here is deterministic: the random verification
-and loss-check inputs come from a seeded generator (default seed below),
-outcome records are emitted in lexicographic label order, and each
-recovery has exactly one name, so two runs with the same seed produce
-bit-identical reports.
+Derivation and the verification verdict read each outcome's input->output
+map, with no probe states. Everything here is deterministic: the random
+inputs of verification's diagnostic grid and of the loss check come from a
+seeded generator (default seed below), outcome records are emitted in
+lexicographic label order, and each recovery has exactly one name, so two
+runs with the same seed produce bit-identical reports.
 """
 from __future__ import annotations
 
@@ -439,15 +439,15 @@ def enumerate_outcomes(pattern: GatePattern, input_state: sv.StateVector) -> lis
 # Recovery naming
 # ---------------------------------------------------------------------------
 
-def _equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = FIDELITY_TOL) -> np.ndarray:
     """Per pair of matrices in broadcast stacks: both zero (mean probability
     ||m||_F^2 / d below ZERO_PROB), or neither and |tr(a†b)| >=
-    (1 - FIDELITY_TOL)·||a||_F·||b||_F, which only proportional ones reach."""
+    (1 - tol)·||a||_F·||b||_F, which only proportional ones reach."""
     ac = a.conj()
     aa, bb = (ac * a).real.sum(axis=(-2, -1)), (b.conj() * b).real.sum(axis=(-2, -1))
     zero_a, zero_b = aa < a.shape[-1] * ZERO_PROB, bb < b.shape[-1] * ZERO_PROB
     overlap = abs((ac * b).sum(axis=(-2, -1)))
-    return (zero_a == zero_b) & (zero_a | (overlap >= (1.0 - FIDELITY_TOL) * np.sqrt(aa * bb)))
+    return (zero_a == zero_b) & (zero_a | (overlap >= (1.0 - tol) * np.sqrt(aa * bb)))
 
 
 def _phases(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -770,12 +770,10 @@ def default_inputs(dim: int, seed: int) -> tuple[np.ndarray, list[str]]:
 
 def _column_sums(pair_rows: np.ndarray, pair_of: np.ndarray) -> np.ndarray:
     """``pair_rows[pair_of].sum(axis=0)`` bit for bit, one block of rows at a
-    time. numpy adds the rows of an axis-0 sum one after another, so each
-    block is gathered into one reused buffer below the running sum, and its
-    sum continues from that row. A single column is contiguous and numpy
-    sums it pairwise instead, so it is gathered whole."""
-    if pair_rows.shape[1] == 1:
-        return pair_rows[pair_of].sum(axis=0)
+    time, for a grid of several columns (the default inputs give at least
+    22). numpy adds the rows of such an axis-0 sum one after another, so
+    each block is gathered into one reused buffer below the running sum,
+    and its sum continues from that row."""
     step = 4 * _BLOCK
     rows = np.empty((min(step + 1, len(pair_of)), pair_rows.shape[1]))
     rows[0] = pair_rows[pair_of[0]]
@@ -788,20 +786,21 @@ def _column_sums(pair_rows: np.ndarray, pair_of: np.ndarray) -> np.ndarray:
 
 def verify_pattern(
     pattern: GatePattern,
-    inputs: np.ndarray | None = None,
     corrections: CorrectionTable | None = None,
     seed: int = DEFAULT_SEED,
     fidelity_tol: float = FIDELITY_TOL,
     loss_demo: bool = False,
 ) -> VerificationReport:
-    """Certify the pattern against its target over all outcomes and inputs.
+    """Certify the pattern against its target T over all outcomes.
 
-    Inputs default to all computational basis states plus RANDOM_INPUTS
-    seeded random states; the columns of other inputs are labelled
-    ``input00``, ``input01`` and so on. Zero-probability outcomes are those with a zero
-    map (see :class:`MapFacts`). The first default random state is the
-    generic probe for the suspicious outcomes and the range, whatever the
-    inputs.
+    The verdict reads no input state: each distinct (map, correction) pair
+    of a nonzero map M has R·M proportional to T (see
+    :func:`_equal_up_to_phase`, at ``fidelity_tol``), the outcomes' M†M sum
+    to I within SUM_TOL in spectral norm, and no map is zero (see
+    :class:`MapFacts`) unless ``loss_demo`` is set. The grid over all
+    computational basis states plus RANDOM_INPUTS seeded random states is
+    diagnostic; its first random state is the generic probe for the
+    suspicious outcomes and the range.
     """
     table = corrections if corrections is not None else pattern.corrections
     if table is None:
@@ -809,15 +808,7 @@ def verify_pattern(
             f"pattern {pattern.name!r} has no correction table; derive one first"
         )
     dim = 1 << pattern.num_outputs
-    defaults, input_labels = default_inputs(dim, seed)
-    if inputs is None:
-        inputs = defaults
-    else:
-        input_labels = [f"input{i:02d}" for i in range(inputs.shape[1])]
-    # Column dim of the default inputs is the generic probe; other inputs
-    # carry it as one more column, which the report's grid leaves out.
-    probe_col = dim if inputs is defaults else inputs.shape[1]
-    columns = inputs if inputs is defaults else np.hstack([inputs, defaults[:, dim:dim + 1]])
+    columns, input_labels = default_inputs(dim, seed)
 
     maps = outcome_maps(pattern)
     layout = pattern.layout
@@ -829,24 +820,27 @@ def verify_pattern(
         raise MissingCorrectionError(f"no correction entry for outcome {format_key(missing)}")
     target_out = pattern.target @ columns
     # Outcomes with a bitwise-equal map and the same correction have equal
-    # rows; each distinct (map, correction) pair is computed at its first
-    # outcome, and the report keeps one row per pair.
-    classes = maps.classes
+    # rows; each distinct (map, correction) pair is computed and certified
+    # at its first outcome, and the report keeps one row per pair.
+    classes, zero = maps.classes, maps.facts.zero
     _, first, pair_of = np.unique(
         classes * len(mats) + op_index, return_index=True, return_inverse=True
     )
     pair_fids = np.full((len(first), columns.shape[1]), np.nan)
     pair_probs = np.zeros_like(pair_fids)
+    certified = True
     for block in _blocks(len(first)):
         outcomes = first[block]
-        out = mats[op_index[outcomes]] @ (maps.distinct[classes[outcomes]] @ columns)
+        recoveries, held = mats[op_index[outcomes]], classes[outcomes]
+        out = recoveries @ (maps.distinct[held] @ columns)
         norms = np.linalg.norm(out, axis=1)
         pair_probs[block] = norms**2
         overlaps = np.abs(np.sum(target_out.conj() * out, axis=1))
         np.divide(overlaps, norms, out=pair_fids[block], where=norms > np.sqrt(ZERO_PROB))
-    generic = pair_probs[pair_of, probe_col]
-    pair_fids, pair_probs = pair_fids[:, :inputs.shape[1]], pair_probs[:, :inputs.shape[1]]
-    zero_prob = layout.keys_at(np.flatnonzero(maps.facts.zero[classes]))
+        fits = _equal_up_to_phase(pattern.target, recoveries @ maps.distinct[held], fidelity_tol)
+        certified &= bool((fits | zero[held]).all())
+    generic = pair_probs[pair_of, dim]
+    zero_prob = layout.keys_at(np.flatnonzero(zero[classes]))
     suspicious = layout.keys_at(
         np.flatnonzero((generic >= ZERO_PROB) & (generic < SUSPICIOUS_PROB))
     )
@@ -870,20 +864,22 @@ def verify_pattern(
         (float(live_gen.min()), float(live_gen.max())) if live_gen.size else (0.0, 0.0)
     )
     sums = _column_sums(pair_probs, pair_of)
-    conserved = bool(np.max(np.abs(sums - 1.0)) <= sv.SUM_TOL)
+    # Complete measurements: Σ_c n_c·M_c†M_c = I within SUM_TOL in spectral
+    # norm, n_c the outcomes of class c. The Frobenius norm bounds it, so the
+    # SVD runs only when that bound is over.
+    counts = np.bincount(classes, minlength=len(maps.distinct))
+    gram = np.tensordot(counts[:, None, None] * maps.distinct.conj(), maps.distinct, ([0, 1], [0, 1]))
+    residual = gram - np.eye(len(gram))
+    complete = any(np.linalg.norm(residual, norm) <= sv.SUM_TOL for norm in ("fro", 2))
     notes = []
-    if not conserved:
-        # Sums off 1 mean the measurement groups are not honest projective
+    if not complete:
+        # Incomplete means the measurement groups are not honest projective
         # measurements (e.g. an overcomplete basis smuggled past validation).
         notes.append(
             f"probability sums deviate from 1 (max {float(np.max(np.abs(sums - 1.0)))!r}); "
             "the pattern's measurements are not complete projective measurements"
         )
-    passed = (
-        min_fidelity >= 1.0 - fidelity_tol
-        and (not zero_prob or loss_demo)
-        and conserved
-    )
+    passed = certified and complete and (not zero_prob or loss_demo)
     return VerificationReport(
         pattern=pattern.name,
         variant=pattern.variant,

@@ -375,7 +375,7 @@ def validate_pattern(pattern: GatePattern) -> None:
         if list(group.labels) != sorted(group.labels):
             raise PatternFormatError(f"group {gi} labels are not in sorted order")
 
-    outputs = set(pattern.output_wires)
+    outputs = set(sv.check_subset(pattern.output_wires, n))
     if outputs & set(measured):
         clash = sorted(outputs & set(measured))
         raise PatternFormatError(f"output wires {clash} are also measured")

@@ -8,7 +8,8 @@ Conventions used throughout the package:
 - Ket expressions are normalized when built, ignoring declared
   prefactors; a sum already of unit norm is kept as written.
 - Measurement removes the measured qubits from the register; the residual
-  state lives on the remaining qubits in ascending original order.
+  state lives on the pattern's output wires in output order, not in
+  register order (fredkin's outputs, for example, are (7, 15, 11)).
 
 All operations are pure functions of their inputs and safe to share across
 threads.
@@ -28,9 +29,9 @@ ZERO_PROB = 1e-12         # a probability (a map's: its mean branch probability)
 SUSPICIOUS_PROB = 1e-6    # a probability in [ZERO_PROB, this) is flagged as numerical dust
 MIN_GENERIC_AMP = 1e-6    # generic probe states keep every amplitude above this
 RANK_TOL = 1e-10          # singular values and column norms below this count as zero
-FIDELITY_TOL = 1e-9       # a fidelity shortfall 1 - F up to this counts as equivalence
+FIDELITY_TOL = 1e-9       # 1 - |tr(A^dag B)|/(||A||_F ||B||_F) up to this counts as equivalence
 SPREAD_TOL = 1e-9         # relative spread ||M^dag M - sI||_F / s (s = ||M||_F^2/d) of a unitary M
-SUM_TOL = 1e-9            # each input's outcome probabilities sum to 1 within this
+SUM_TOL = 1e-9            # the outcomes' M^dag M sum to I within this, in spectral norm
 SHOWN_AMP = 1e-9          # printed pre-recovery states leave out map entries up to this modulus
 WRITTEN_AMP = 1e-14       # pattern documents leave out amplitudes up to this modulus
 MAX_REGISTER_QUBITS = 22  # widest register simulated densely (chain-cz n=8)

@@ -253,6 +253,19 @@ def small_patterns(draw) -> GatePattern:
     return pattern
 
 
+def sampled_verdict(report: oracle.VerificationReport, fidelity_tol: float = sv.FIDELITY_TOL) -> bool:
+    """The verdict verification read off its sampled grid before it became
+    exact: the minimum fidelity over the default inputs within
+    ``fidelity_tol`` of 1, each input's outcome probabilities summing to 1
+    within SUM_TOL, and no zero-probability outcome unless the report is a
+    loss demonstration."""
+    return bool(
+        report.min_fidelity >= 1.0 - fidelity_tol
+        and (not report.zero_probability_outcomes or report.loss_demo)
+        and np.max(np.abs(report.probability_sums - 1.0)) <= sv.SUM_TOL
+    )
+
+
 def argsort_plan(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The contraction's nonzero plan from a stable argsort of each row's
     zero mask: each row's nonzero columns, then its zero columns, in column

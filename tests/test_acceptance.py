@@ -24,12 +24,12 @@ SEED = oracle.DEFAULT_SEED
 TOL = 1e-9
 
 
-def _verify_over(pattern, table, inputs):
-    return oracle.verify_pattern(pattern, inputs=inputs, corrections=table, seed=SEED)
-
-
-def _random_inputs(num_qubits, count, rng):
-    return np.column_stack([random_state(num_qubits, rng, 1e-6) for _ in range(count)])
+def _verify_over(pattern, table):
+    """The exact verdict, with its diagnostic grid on the default inputs
+    (the basis states plus 20 seeded random states)."""
+    report = oracle.verify_pattern(pattern, corrections=table, seed=SEED)
+    assert report.passed
+    return report
 
 
 def test_criterion_1_single_qubit_teleportation():
@@ -143,12 +143,10 @@ def test_criterion_5_triple_cz():
     pattern = catalog.triple_cz_pattern()
     assert np.allclose(pattern.target, double_cz())
     table = oracle.derive_corrections(pattern)
-    rng = np.random.default_rng(SEED)
-    inputs = _random_inputs(3, 10, rng)
-    report = _verify_over(pattern, table, inputs)
+    report = _verify_over(pattern, table)
     assert len(report.layout) == 512
     assert report.min_fidelity >= 1 - TOL
-    print(f"criterion 5: PASS - 512 outcome triples x 10 random inputs, "
+    print(f"criterion 5: PASS - 512 outcome triples certified, grid of 28 inputs, "
           f"min fidelity {report.min_fidelity:.15f}")
 
 
@@ -171,14 +169,11 @@ def test_criterion_6_controlled_phase(cphase_derived):
 
 
 def test_criterion_7_cnot_and_swap(cnot_derived, swap_derived):
-    rng = np.random.default_rng(SEED)
     for (pattern, table), printed in (
         (cnot_derived, tables.cnot_table()),
         (swap_derived, tables.swap_table()),
     ):
-        dim = 1 << len(pattern.input_wires)
-        inputs = np.hstack([np.eye(dim, dtype=complex), _random_inputs(2, 20, rng)])
-        report = _verify_over(pattern, table, inputs)
+        report = _verify_over(pattern, table)
         assert len(report.layout) == 128
         assert len(table) == 128
         assert report.min_fidelity >= 1 - TOL
@@ -197,16 +192,14 @@ def test_criterion_8_toffoli(toffoli_selected):
     pattern, table, record = toffoli_selected
     assert "rejected" in record["literal"]
     assert "verified" in record["corrected"]
-    rng = np.random.default_rng(SEED)
-    inputs = _random_inputs(3, 10, rng)
-    report = _verify_over(pattern, table, inputs)
+    report = _verify_over(pattern, table)
     assert len(report.layout) == 16 * 16 * 8
     assert report.min_fidelity >= 1 - TOL
     worked = table[((0, 1, 1, "-"), (0, 1, 0, "-"), (1, 1, "-"))]
     assert worked.render(3) == "sx x sz x sx"
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
-    print(f"criterion 8 (toffoli): PASS - 2048 outcomes x 10 random inputs, "
+    print(f"criterion 8 (toffoli): PASS - 2048 outcomes certified, grid of 28 inputs, "
           f"min fidelity {report.min_fidelity:.15f}, variant report: "
           f"literal rejected / corrected verified, {elapsed:.1f}s "
           f"(controlled-swap clause: documented expected failure, see below)")
@@ -229,9 +222,7 @@ def test_criterion_8_toffoli(toffoli_selected):
 def test_criterion_8_fredkin(fredkin_partial):
     pattern, table, failures = fredkin_partial
     assert not failures, f"{len(failures)} outcomes admit no correction"
-    rng = np.random.default_rng(SEED)
-    inputs = _random_inputs(3, 10, rng)
-    report = _verify_over(pattern, table, inputs)
+    report = _verify_over(pattern, table)
     assert len(report.layout) == 32 * 16 * 16
     assert report.min_fidelity >= 1 - TOL
 

@@ -16,7 +16,10 @@ from hypothesis import given, settings, strategies as st
 import telegate
 from telegate import catalog, oracle, reports
 from telegate.cli import build_parser, main, resolve_pattern
-from telegate.patterns import format_key, pattern_from_document, pattern_to_document, validate_pattern
+from telegate.patterns import (
+    CorrectionOp, CorrectionTable, format_key, pattern_from_document, pattern_to_document,
+    validate_pattern,
+)
 
 from reference import shuffled_document
 
@@ -155,6 +158,24 @@ def _phase_document_with_outputs(qubits, resources, groups, outputs, target):
 def _basis_state(bits):
     """The terms of one computational-basis state."""
     return [{"coeff": [1.0, 0.0], "bits": bits}]
+
+
+def _two_wire_phase_document(outputs):
+    """The phase document with qubit 3 as a second input wire, measured
+    alone in {|0>, |1>}, the given two output wires and the identity
+    target."""
+    doc = _phase_document_with_outputs(
+        4,
+        [],
+        [{"qubits": [3], "vectors": [
+            {"label": [0], "terms": _basis_state("0")},
+            {"label": [1], "terms": _basis_state("1")},
+        ]}],
+        outputs,
+        [[float(i == j) for j in range(4)] for i in range(4)],
+    )
+    doc["inputs"] = [0, 3]
+    return doc
 
 
 # Flag -> input file contents; pattern-file cases are (path, value) edits of
@@ -303,6 +324,12 @@ MALFORMED_INPUTS = {
             [[1.0]],
         ),
     ),
+    # Output wires are an ordered subset of the register: one past it,
+    # one repeated or one negative once passed validation and failed in
+    # the contraction with a traceback.
+    "output-past-register": ("--pattern-file", _two_wire_phase_document([2, 99])),
+    "repeated-output": ("--pattern-file", _two_wire_phase_document([2, 2])),
+    "negative-output": ("--pattern-file", _two_wire_phase_document([2, -1])),
     "directory-pattern-file": ("--pattern-file", DIRECTORY),
     "binary-pattern-file": ("--pattern-file", b"\x89PNG\r\n\x1a\n\xff\xfe"),
     "directory-unitary": ("--u", DIRECTORY),
@@ -394,11 +421,15 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, case):
         ("fractional-inputs", "inputs must be a list of integers, got [0.0, 1.9]"),
         ("boolean-target-entry", "[True, False] is not a pair of numbers"),
         ("truncated-unitary", "malformed document: Expecting ',' delimiter: line 1 column 7 (char 6)"),
+        ("output-past-register", "qubit index 99 out of range for 4 qubits"),
+        ("repeated-output", "qubit subset (2, 2) contains duplicates"),
+        ("negative-output", "qubit index -1 out of range for 4 qubits"),
     ],
     ids=[
         "repeated-cell", "boolean", "repeated-label", "sign-in-bit-slot", "false-in-group-label",
         "missing-cell", "no-cells", "string-count", "string-outputs", "string-resource-qubits",
         "boolean-inputs", "fractional-inputs", "boolean-entry", "truncated-unitary",
+        "output-past-register", "repeated-output", "negative-output",
     ],
 )
 def test_document_errors_name_their_cause(capsys, tmp_path, case, error):
@@ -435,13 +466,19 @@ def test_group_vector_count_is_checked_before_any_vector_is_built(capsys, tmp_pa
         "directory-out",
         "second-output-wire",
         "no-output-wire",
+        "output-past-register",
+        "repeated-output",
+        "negative-output",
     ],
 )
 def test_malformed_document_is_one_line_usage_error_for_derive(capsys, tmp_path, case):
     _run_malformed(capsys, tmp_path, "derive", case)
 
 
-@pytest.mark.parametrize("case", ["second-output-wire", "no-output-wire"])
+@pytest.mark.parametrize(
+    "case",
+    ["second-output-wire", "no-output-wire", "output-past-register", "repeated-output", "negative-output"],
+)
 def test_output_count_error_is_one_line_usage_error_for_loss_check(capsys, tmp_path, case):
     _run_malformed(capsys, tmp_path, "loss-check", case)
 
@@ -661,10 +698,26 @@ class TestVerify:
         assert code == 0 and out.endswith("verdict: PASS\n")
         assert len(calls) == 1
 
-    def test_toffoli_auto_note_agrees_with_verdict(self, capsys):
-        # At tolerance 0 no variant verifies: the corrected variant's report
-        # fails, and the notes list both variants' records.
+    def test_toffoli_auto_note_agrees_with_verdict(self, capsys, monkeypatch):
+        # The exact verdict certifies the corrected variant even at
+        # tolerance 0.
         code, out, err = run(capsys, "verify", "--pattern", "toffoli", "--tolerance", "0")
+        assert code == 0 and err == ""
+        assert "note: variant corrected: verified" in out
+        assert out.endswith("verdict: PASS\n")
+        # With a wrong table (Up appended to one cell) no variant verifies:
+        # the corrected variant's report fails, and the notes list both
+        # variants' records.
+        derive = oracle.derive_corrections
+
+        def wrong(pattern):
+            cells = list(derive(pattern).items())
+            key, op = cells[0]
+            cells[0] = (key, CorrectionOp(op.factors + (("Up", (0,)),)))
+            return CorrectionTable.from_entries(cells, pattern.layout)
+
+        monkeypatch.setattr(oracle, "derive_corrections", wrong)
+        code, out, err = run(capsys, "verify", "--pattern", "toffoli")
         assert code == 1 and err == ""
         assert "note: variant corrected: built but failed verification" in out
         assert "note: variant literal: rejected" in out
