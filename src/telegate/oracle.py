@@ -18,7 +18,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import count, cycle, product
+from itertools import count, product
 
 import numpy as np
 
@@ -102,38 +102,36 @@ _BLOCK = 256
 
 
 def _register_factors(pattern: GatePattern) -> list[np.ndarray]:
-    """The factors whose broadcast product is the register of every
-    computational-basis input, its qubits in measurement order: each group's
-    qubits in group order, group after group, then the output wires in
-    output order. The placed input identity comes first and each resource
-    follows in resource order, as np.kron multiplies them. Each factor has
-    one axis per qubit, of size 2 on its own qubits and 1 elsewhere, then
-    its columns (d_in for the identity, 1 for a resource)."""
-    dim = 1 << len(pattern.input_wires)
-    qubits = [q for group in pattern.groups for q in group.qubits] + list(pattern.output_wires)
+    """The factors whose broadcast product is the register the resource
+    states make, over the qubits that are not input wires, in measurement
+    order: each group's other qubits in group order, group after group, then
+    the other output wires in output order. Each resource is one factor, in
+    resource order, as np.kron multiplies them; a pattern without resources
+    has the scalar 1. Each factor has one axis per qubit, of size 2 on its
+    own qubits and 1 elsewhere."""
+    inputs = set(pattern.input_wires)
+    measured = [q for group in pattern.groups for q in group.qubits]
+    qubits = [q for q in measured + list(pattern.output_wires) if q not in inputs]
     axis = {q: i for i, q in enumerate(qubits)}
 
-    def placed(wires: tuple[int, ...], amps: np.ndarray, columns: int) -> np.ndarray:
+    def placed(wires: tuple[int, ...], amps: np.ndarray) -> np.ndarray:
         # The factor's axes in register order, with size-1 axes elsewhere.
         order = sorted(range(len(wires)), key=lambda i: axis[wires[i]])
-        t = amps.reshape([2] * len(wires) + [columns]).transpose(order + [len(wires)])
-        shape = [1] * len(qubits) + [columns]
+        shape = [1] * len(qubits)
         for q in wires:
             shape[axis[q]] = 2
-        return t.reshape(shape)
+        return amps.reshape([2] * len(wires)).transpose(order).reshape(shape)
 
-    factors = [placed(pattern.input_wires, np.eye(dim, dtype=complex), dim)]
-    factors += [placed(wires, state.amps, 1) for wires, state in pattern.resources]
-    return factors
+    factors = [placed(wires, state.amps) for wires, state in pattern.resources]
+    return factors or [np.ones((), dtype=complex)]
 
 
 def _register_rows(factors: list[np.ndarray], k: int, rows: np.ndarray, work: dict) -> np.ndarray:
     """The register's rows at the given indices over its k leading qubits
-    (the first most significant), as an array of shape (rows, 2, ..., 2,
-    d_in) over the other qubits. Each entry is its input amplitude times
-    each resource amplitude in resource order: the products np.kron forms,
-    broadcast straight into that layout, so a row holds the same bits
-    whichever other rows are built with it."""
+    (the first most significant), as an array of shape (rows, 2, ..., 2)
+    over the other qubits. Each entry is the product of its resource
+    amplitudes in resource order, broadcast straight into that layout, so a
+    row holds the same bits whichever other rows are built with it."""
     bits = (rows[:, None] >> np.arange(k - 1, -1, -1)) & 1
     t = None
     for i, factor in enumerate(factors):
@@ -146,17 +144,18 @@ def _register_rows(factors: list[np.ndarray], k: int, rows: np.ndarray, work: di
             t = part
         else:
             out = _buffer(work, (len(factors) - 1 - i) % 2, np.broadcast_shapes(t.shape, part.shape))
-            t = np.multiply(t, part, out=out)
+            t = _multiply(t, part, out)
     return t
 
 
-# The contraction streams the first group's basis rows in chunks that read
-# at most this many register amplitudes and produce at most as many (but
-# always one row), so every step of a chunk gathers and writes at most this
-# many (or one register row's worth, where a row is wider). A stream writes
-# its chunks into three reused flat buffers: 0 holds the register rows, 1
-# their partial products and then the gathers, 2 the first group's output;
-# each later group writes into the one of 0 and 2 it does not read.
+# The contraction streams the first group's basis rows in chunks whose maps
+# hold at most this many amplitudes (but always one row's), and that read at
+# most as many register rows, each narrower than a row's maps, so every step
+# of a chunk gathers and writes at most this many. A stream writes its
+# chunks into five reused flat buffers: 0 holds the register rows, 1 their
+# partial products and then the gathers, 2 and 3 one basis input's partial
+# contractions, each group writing into the one it does not read, and 4 the
+# chunk's maps, which the last group writes.
 _GATHER = 1 << 16
 
 
@@ -167,6 +166,16 @@ def _buffer(work: dict[int, np.ndarray], i: int, shape: tuple[int, ...]) -> np.n
     if i not in work or work[i].size < size:
         work[i] = np.empty(size, dtype=complex)
     return work[i][:size].reshape(shape)
+
+
+def _multiply(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.multiply(a, b, out=out)``, every entry rounded as numpy's vector
+    loops round a complex product. numpy may form a lone product in a loop
+    that rounds differently, so a one-entry product is the first of two."""
+    if out.size == 1:
+        out[...] = (np.full(2, a.item()) * b.item())[0]
+        return out
+    return np.multiply(a, b, out=out)
 
 
 def _plan(basis: sv.MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -185,28 +194,59 @@ def _plan(basis: sv.MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
     return index, coeffs
 
 
+def _pinned_plans(
+    index: np.ndarray, coeffs: np.ndarray, qubits: tuple[int, ...], wire: dict[int, int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A group's nonzero plans for :func:`_contract`, one per basis input c,
+    from the group's :func:`_plan`; ``wire`` gives each input wire's bit of
+    c. Each row keeps its nonzero slots whose columns hold c's bits on the
+    group's input wires, in slot order, each column read on the group's
+    other qubits alone. A row has as many slots as the most such in any
+    row; its spare slots have coefficient 0 and read one of its own planned
+    columns. Inputs that agree on the group's input wires share one plan."""
+    bits = (index[..., None] >> np.arange(len(qubits) - 1, -1, -1)) & 1
+    held = np.array([q in wire for q in qubits], dtype=bool)
+    columns = bits[..., ~held] @ (1 << np.arange(np.count_nonzero(~held) - 1, -1, -1))
+    on_inputs = bits[..., held]
+    pins = [tuple((c >> wire[q]) & 1 for q in qubits if q in wire) for c in range(1 << len(wire))]
+    plans: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    for pin in pins:
+        if pin in plans:
+            continue
+        keep = (coeffs[:, :, 0] != 0) & (on_inputs == pin).all(axis=2)
+        order = np.argsort(~keep, axis=1, kind="stable")[:, :max(1, keep.sum(axis=1).max())]
+        kept = np.take_along_axis(keep, order, axis=1)[:, :, None]
+        taken = np.take_along_axis(coeffs, order[:, :, None], axis=1)
+        plans[pin] = np.take_along_axis(columns, order, axis=1), np.where(kept, taken, 0)
+    return [plans[pin] for pin in pins]
+
+
 def _contract(
-    index: np.ndarray, coeffs: np.ndarray, flat: np.ndarray, work: dict, into: int
+    index: np.ndarray, coeffs: np.ndarray, flat: np.ndarray, work: dict, into: int | np.ndarray
 ) -> np.ndarray:
     """``vectors.conj() @ flat`` for the basis rows planned by :func:`_plan`
-    and an (outcomes, K, columns) register, summed over each row's nonzero
-    entries only, into workspace buffer ``into`` (not the one holding
-    ``flat``), gathering in buffer 1.
+    or :func:`_pinned_plans` and an (outcomes, K, columns) register, summed
+    over each row's planned entries only, gathering in workspace buffer 1.
+    ``into`` is the workspace buffer to write (not the one holding
+    ``flat``), or an array of shape (outcomes, rows, ...) to write, its
+    trailing axes holding the columns.
 
-    Slot s adds every row's s-th planned entry times the register slice at
-    its column, in one pass over the whole chunk: :func:`_map_chunks` has
-    already cut it to the gather budget. Catalog bases have at most 4
-    nonzeros per row, so this does a few gathers instead of a K-term sum; a
-    dense basis has K per row.
+    Slot s adds every row's s-th planned entry, formed as the register slice
+    at its column times its coefficient, in one pass over the whole chunk:
+    :func:`_map_chunks` has already cut it to the gather budget. Catalog
+    bases have at most 4 nonzeros per row, so this does a few gathers
+    instead of a K-term sum; a dense basis has K per row.
     """
-    out = _buffer(work, into, (len(flat), len(index), flat.shape[2]))
-    term = _buffer(work, 1, out.shape)
+    shape = (len(flat), len(index), flat.shape[2])
+    out = _buffer(work, into, shape) if isinstance(into, int) else into
+    term = _buffer(work, 1, shape)
+    terms = term.reshape(out.shape)
+    coeffs = coeffs.reshape(*index.shape, *[1] * (out.ndim - 2))
     np.take(flat, index[:, 0], axis=1, out=term, mode="clip")
-    np.multiply(coeffs[:, 0], term, out=out)
+    _multiply(terms, coeffs[:, 0], out)
     for s in range(1, index.shape[1]):
         np.take(flat, index[:, s], axis=1, out=term, mode="clip")
-        term *= coeffs[:, s]
-        out += term
+        out += _multiply(terms, coeffs[:, s], terms)
     return out
 
 
@@ -228,48 +268,83 @@ def _row_chunks(index: np.ndarray, cap: int) -> Iterator[slice]:
 def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
     """Every outcome's input->output map, unnormalized, in lexicographic
     label order, as arrays of shape (outcomes, 2^num_outputs, d_in): column
-    j holds the residual output amplitudes for basis input j.
+    c holds the residual output amplitudes for basis input c.
 
-    The register's qubits are in measurement order, so each group's qubits
-    lead the axes left when it measures them and the outputs end in output
-    order: every flatten is a reshape, with no copy. The first group's basis
-    rows stream in chunks that read at most ``_GATHER`` register amplitudes
-    and produce at most as many (see :func:`_row_chunks`); a complete basis
-    keeps the amplitude count, so every later group's step stays in that
-    budget too, and each step is one :func:`_contract` pass. A register row
-    wider than the budget makes chunks of one basis row, whose steps gather
-    and write that row's whole output at once. A chunk builds only the
-    register rows it reads and goes through every later group on its own,
-    all in the stream's one workspace (see ``_GATHER``), so no array is
-    register-sized and a yielded chunk is a view that stays valid only until
-    the next one is requested. Each group's nonzero plan is made once for
-    its whole basis, so every entry is the same sum however the rows are
-    chunked.
+    The maps are linear in the input, so each basis input c is contracted
+    on its own, its input wires pinned to c's bits. The register is then
+    the resource states' product alone, shared by every column, over the
+    other qubits in measurement order (see :func:`_register_factors`): each
+    group's qubits lead the axes left when it measures them and the outputs
+    end in output order, so every flatten is a reshape, with no copy. Each
+    group reads it through its plan for c (see :func:`_pinned_plans`), one
+    :func:`_contract` pass, and the last group writes straight into column
+    c of the chunk's maps. An output wire that is an input wire holds c's
+    bit there, and the rest of the column is 0. Every nonzero component is
+    the sum the input identity's register gave, less its zero terms, and
+    each chunk has 0.0 added, so no component is -0.0.
+
+    The first group's basis rows stream in chunks whose maps hold at most
+    ``_GATHER`` amplitudes (see :func:`_row_chunks`), or one basis row's
+    maps where those are wider. A chunk builds only the register rows it
+    reads, and every step writes into the stream's one workspace (see
+    ``_GATHER``), so no array is register-sized and a yielded chunk is a
+    view that stays valid only until the next one is requested. Each
+    group's plans are made once for its whole basis, so every entry is the
+    same sum however the rows are chunked.
     """
     factors = _register_factors(pattern)
-    dim = factors[0].shape[-1]
+    inputs, outputs, groups = pattern.input_wires, pattern.output_wires, pattern.groups
+    dim, axes = 1 << len(inputs), [2] * len(outputs)
+    wire = {w: len(inputs) - 1 - i for i, w in enumerate(inputs)}
+    # Where column c lies in maps with an axis per output wire: at c's bit
+    # on an output wire that is an input wire, whole on any other.
+    at = [(..., *[(c >> wire[w]) & 1 if w in wire else slice(None) for w in outputs], c) for c in range(dim)]
+    tail = [2] * sum(w not in wire for w in outputs)
     work: dict[int, np.ndarray] = {}
-    if not pattern.groups:
-        yield _register_rows(factors, 0, np.zeros(1, dtype=np.intp), work).reshape(1, -1, dim)
+    if not groups:
+        register = _register_rows(factors, 0, np.zeros(1, dtype=np.intp), work)
+        maps = np.zeros((1, *axes, dim), dtype=complex)
+        for c in range(dim):
+            maps[at[c]] = register
+        yield maps.reshape(1, -1, dim) + 0.0
         return
-    (k, (index, coeffs)), *later = [(len(g.qubits), _plan(g.basis)) for g in pattern.groups]
-    row = dim << (factors[0].ndim - 1 - k)  # amplitudes in one register row
-    for rows in _row_chunks(index, max(1, _GATHER // row)):
-        needed, at = np.unique(index[rows], return_inverse=True)
-        # The register rows the chunk reads, overwritten once contracted.
-        chunk = _register_rows(factors, k, needed, work).reshape(1, len(needed), row)
-        chunk = _contract(at.reshape(-1, index.shape[1]), coeffs[rows], chunk, work, 2)
-        for (width, plan), into in zip(later, cycle((0, 2))):
-            chunk = _contract(*plan, chunk.reshape(-1, 1 << width, chunk.shape[2] >> width), work, into)
-        yield chunk.reshape(-1, chunk.shape[2] // dim, dim)
+    full = [_plan(g.basis) for g in groups]
+    plans = [_pinned_plans(*plan, g.qubits, wire) for plan, g in zip(full, groups)]
+    widths = [sum(q not in wire for q in g.qubits) for g in groups]
+    first = list({id(plan): plan for plan in plans[0]}.values())
+    row = dim << (pattern.num_qubits - len(groups[0].qubits))  # maps amplitudes per basis row
+    for rows in _row_chunks(full[0][0], max(1, _GATHER // row)):
+        read = np.zeros(1 << widths[0], dtype=bool)
+        for index, _ in first:
+            read[index[rows]] = True
+        needed, place = np.flatnonzero(read), np.cumsum(read) - 1
+        register = _register_rows(factors, widths[0], needed, work).reshape(1, len(needed), -1)
+        maps = _buffer(work, 4, ((rows.stop - rows.start) * row // (dim << len(axes)), *axes, dim))
+        if len(tail) < len(axes):
+            maps.fill(0)
+        for c in range(dim):
+            t = register
+            for g, plan in enumerate(plans):
+                index, coeffs = plan[c]
+                if g == 0:
+                    index, coeffs = place[index[rows]], coeffs[rows]
+                else:
+                    t = t.reshape(-1, 1 << widths[g], t.shape[2] >> widths[g])
+                last = g == len(groups) - 1
+                into = maps[at[c]].reshape(-1, len(index), *tail) if last else 2 + g % 2
+                t = _contract(index, coeffs, t, work, into)
+        maps += 0.0
+        yield maps.reshape(len(maps), -1, dim)
 
 
 def _classify(chunks: Iterable[np.ndarray], total: int) -> tuple[np.ndarray, np.ndarray]:
     """The bitwise-distinct maps among consecutive chunks of ``total`` maps,
     in first-occurrence order, and each outcome's class (its position in
     that order). Maps are keyed by their bytes, so they share a class only
-    if their bytes are equal: -0.0 and +0.0, or entries one ulp apart, stay
-    apart."""
+    if their bytes are equal: entries one ulp apart stay apart, and so would
+    -0.0 and +0.0, but :func:`_map_chunks` makes every zero +0.0. Each
+    distinct map is held once: its key is dropped as its bytes join the
+    returned stack."""
     firsts: dict[bytes, int] = {}
     classes = np.empty(total, dtype=np.intp)
     start = 0
@@ -289,7 +364,14 @@ def _classify(chunks: Iterable[np.ndarray], total: int) -> tuple[np.ndarray, np.
         ids[new] = np.arange(seen, len(firsts))
         ids[~new] = classes[owners[~new]]
         start, shape = end, chunk.shape[1:]
-    distinct = np.frombuffer(b"".join(firsts), dtype=complex).reshape(-1, *shape)
+    # Each key leaves as its bytes join the distinct maps, so every distinct
+    # map is held once, not once as a key and once more in the stack.
+    keys, data = list(firsts), bytearray()
+    firsts.clear()
+    for i, key in enumerate(keys):
+        data += key
+        keys[i] = None
+    distinct = np.frombuffer(data, dtype=complex).reshape(-1, *shape)
     return distinct, classes
 
 
@@ -297,7 +379,8 @@ class OutcomeMaps(Mapping):
     """Read-only view of every outcome's input->output map.
 
     ``distinct`` holds each bitwise-distinct map once, as an array of shape
-    (classes, d_out, d_in) in first-occurrence order; ``classes`` holds each
+    (classes, d_out, d_in) in first-occurrence order, every zero component
+    +0.0 (see :func:`_map_chunks`); ``classes`` holds each
     outcome's row of ``distinct``, over outcomes in lexicographic label
     order, the order of the pattern's :attr:`GatePattern.layout`.
     ``maps[key]`` is one row of ``distinct``. Byproduct repairs leave few
@@ -784,6 +867,17 @@ def _column_sums(pair_rows: np.ndarray, pair_of: np.ndarray) -> np.ndarray:
     return rows[0].copy()
 
 
+def _first_occurrences(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """For ids below ``size``, each distinct id's first position, in id
+    order, and each position's rank among them, as ``np.unique(ids,
+    return_index=True, return_inverse=True)[1:]`` gives them, read from a
+    dense table of each value's first position instead of a sort."""
+    table = np.full(size, len(ids))
+    np.minimum.at(table, ids, np.arange(len(ids)))
+    held = table < len(ids)
+    return table[held], (np.cumsum(held) - 1)[ids]
+
+
 def verify_pattern(
     pattern: GatePattern,
     corrections: CorrectionTable | None = None,
@@ -823,9 +917,13 @@ def verify_pattern(
     # rows; each distinct (map, correction) pair is computed and certified
     # at its first outcome, and the report keeps one row per pair.
     classes, zero = maps.classes, maps.facts.zero
-    _, first, pair_of = np.unique(
-        classes * len(mats) + op_index, return_index=True, return_inverse=True
-    )
+    ids, size = classes * len(mats) + op_index, len(zero) * len(mats)
+    if size <= len(ids):
+        # A table over the possible pairs, no larger than the outcomes,
+        # finds the distinct ones without sorting every outcome.
+        first, pair_of = _first_occurrences(ids, size)
+    else:
+        _, first, pair_of = np.unique(ids, return_index=True, return_inverse=True)
     pair_fids = np.full((len(first), columns.shape[1]), np.nan)
     pair_probs = np.zeros_like(pair_fids)
     certified = True

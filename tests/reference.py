@@ -329,3 +329,77 @@ def phase_parameter_grid_search(points_per_axis: int = 5) -> tuple[float, tuple]
         if dist < best[0]:
             best = (dist, params)
     return best
+
+
+def _identity_register_factors(pattern: GatePattern) -> list[np.ndarray]:
+    """The factors whose broadcast product is the register of every
+    computational-basis input, its qubits in measurement order: each group's
+    qubits in group order, group after group, then the output wires in
+    output order. The placed input identity comes first and each resource
+    follows in resource order. Each factor has one axis per qubit, of size
+    2 on its own qubits and 1 elsewhere, then its columns (d_in for the
+    identity, 1 for a resource)."""
+    dim = 1 << len(pattern.input_wires)
+    qubits = [q for group in pattern.groups for q in group.qubits] + list(pattern.output_wires)
+    axis = {q: i for i, q in enumerate(qubits)}
+
+    def placed(wires: tuple[int, ...], amps: np.ndarray, columns: int) -> np.ndarray:
+        order = sorted(range(len(wires)), key=lambda i: axis[wires[i]])
+        t = amps.reshape([2] * len(wires) + [columns]).transpose(order + [len(wires)])
+        shape = [1] * len(qubits) + [columns]
+        for q in wires:
+            shape[axis[q]] = 2
+        return t.reshape(shape)
+
+    factors = [placed(pattern.input_wires, np.eye(dim, dtype=complex), dim)]
+    factors += [placed(wires, state.amps, 1) for wires, state in pattern.resources]
+    return factors
+
+
+def _identity_register_rows(factors: list[np.ndarray], k: int, rows: np.ndarray) -> np.ndarray:
+    """The register's rows at the given indices over its k leading qubits,
+    as an array of shape (rows, 2, ..., 2, d_in): the input amplitude times
+    each resource amplitude in resource order."""
+    bits = (rows[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    t = None
+    for factor in factors:
+        own = [a for a in range(k) if factor.shape[a] == 2]
+        at = bits[:, own] @ (1 << np.arange(len(own) - 1, -1, -1))
+        part = factor.reshape(-1, *factor.shape[k:])[at]
+        t = part if t is None else t * part
+    return t
+
+
+def _identity_contract(index: np.ndarray, coeffs: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The planned rows of a basis against an (outcomes, K, columns)
+    register, every slot's product formed as term·coef and folded in plan
+    slot order."""
+    out = None
+    for s in range(index.shape[1]):
+        term = np.take(flat, index[:, s], axis=1) * coeffs[:, s]
+        out = term if out is None else out + term
+    return out
+
+
+def identity_register_maps(pattern: GatePattern) -> np.ndarray:
+    """Every outcome's map in outcome order, contracted the way the engine
+    once did: the placed input identity times the resource states is one
+    register with a column per basis input, whose first group's basis rows
+    stream in chunks of oracle's gather budget, each chunk then going
+    through every later group's nonzero plan. Zero terms of the identity
+    stay in every sum, so a component can come out as -0.0."""
+    factors = _identity_register_factors(pattern)
+    dim = factors[0].shape[-1]
+    if not pattern.groups:
+        return _identity_register_rows(factors, 0, np.zeros(1, dtype=np.intp)).reshape(1, -1, dim)
+    (k, (index, coeffs)), *later = [(len(g.qubits), oracle._plan(g.basis)) for g in pattern.groups]
+    row = dim << (factors[0].ndim - 1 - k)
+    chunks = []
+    for rows in oracle._row_chunks(index, max(1, oracle._GATHER // row)):
+        needed, at = np.unique(index[rows], return_inverse=True)
+        chunk = _identity_register_rows(factors, k, needed).reshape(1, len(needed), row)
+        chunk = _identity_contract(at.reshape(-1, index.shape[1]), coeffs[rows], chunk)
+        for width, plan in later:
+            chunk = _identity_contract(*plan, chunk.reshape(-1, 1 << width, chunk.shape[2] >> width))
+        chunks.append(chunk.reshape(-1, chunk.shape[2] // dim, dim))
+    return np.concatenate(chunks)

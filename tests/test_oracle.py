@@ -29,6 +29,7 @@ from telegate.patterns import (
 from reference import (
     argsort_plan,
     dense_maps,
+    identity_register_maps,
     operator_distance,
     parameterized_phase_form,
     phase_parameter_grid_search,
@@ -560,6 +561,14 @@ MAP_DIGESTS = {
         "ae90c8e6364cca10fce0e1fbce31e55f7aacfb5f5dfe8403f97cb4ecf9dde2c6",
         "4325406dfdc4d6e1ec570a8a079accc500d55d0706a60261b9dd6c003e1f07c9",
     ),
+    # Recorded from the stream that contracted the input identity's register
+    # (reference.identity_register_maps), before each basis input was
+    # contracted on its own.
+    "chain-cz-7": (
+        "fb0496d9610b810beff1b5d801bfb621f6361d4752a99c3dedd531d33adade32",
+        "0e0e6e0659580c6731f7a1854d68e823956517babc8c6172b96349bb47af2067",
+        "ce5aad35bcfdcaffd04436eae300c8b93d84bf4eb73623bf52490120d1a1f746",
+    ),
 }
 
 
@@ -607,6 +616,76 @@ class TestBitExactMaps:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * oracle._GATHER * 16
+
+    def test_distinct_maps_are_held_once(self):
+        # fredkin keeps 2048 distinct 8x8 maps, 2 MiB. Holding each one both
+        # as a key of the class table and in the stack joined from those
+        # keys took the contraction's peak to 4.9 MiB.
+        import tracemalloc
+
+        pattern = catalog.fredkin_pattern()
+        tracemalloc.start()
+        try:
+            maps = oracle.outcome_maps(pattern)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert maps.distinct.nbytes == 2 << 20
+        assert peak < 4 << 20
+
+
+class TestPinnedContraction:
+    """Each basis input contracted on its own, its input wires pinned,
+    against the stream that contracted the input identity's register
+    (``reference.identity_register_maps``): every nonzero component is the
+    same sum less its zero terms, so the bytes are equal once 0.0 is added
+    to the reference, which turns its -0.0 components into +0.0."""
+
+    @staticmethod
+    def _streamed(pattern):
+        return np.concatenate([chunk.copy() for chunk in oracle._map_chunks(pattern)])
+
+    @staticmethod
+    def _has_negative_zero(maps):
+        parts = maps.view(float)
+        return bool(np.signbit(parts[parts == 0]).any())
+
+    @pytest.mark.parametrize("name", sorted(CONTRACTED))
+    def test_catalog_equals_the_identity_register(self, name):
+        pattern = CONTRACTED[name]()
+        expected = identity_register_maps(pattern) + 0.0
+        assert self._streamed(pattern).tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_patterns())
+    def test_random_patterns_equal_the_identity_register(self, pattern):
+        # small_patterns has outputs on input wires, single groups and dense
+        # bases; one-row chunks of a one-amplitude register make products
+        # of one entry, which numpy rounds in a loop of its own.
+        expected = (identity_register_maps(pattern) + 0.0).tobytes()
+        for budget in (oracle._GATHER, 1):
+            with mock.patch.object(oracle, "_GATHER", budget):
+                assert self._streamed(pattern).tobytes() == expected
+
+    def test_group_less_pattern_passes_its_inputs_through(self):
+        # No resources and no groups: each output wire is an input wire, so
+        # the one map is the wire permutation.
+        pattern = dataclasses.replace(
+            catalog.phase_gate_pattern(), num_qubits=2, input_wires=(0, 1), resources=(),
+            groups=(), output_wires=(1, 0), target=np.eye(4), corrections=None,
+        )
+        streamed = self._streamed(pattern).tobytes()
+        assert streamed == np.eye(4, dtype=complex)[None, [0, 2, 1, 3]].tobytes()
+        assert streamed == (identity_register_maps(pattern) + 0.0).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(CONTRACTED))
+    def test_no_catalog_map_holds_negative_zero(self, name):
+        assert not self._has_negative_zero(oracle.outcome_maps(CONTRACTED[name]()).distinct)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_patterns())
+    def test_no_random_map_holds_negative_zero(self, pattern):
+        assert not self._has_negative_zero(oracle.outcome_maps(pattern).distinct)
 
 
 class TestWorkspace:
@@ -1590,6 +1669,16 @@ class TestDerivationGolden:
         assert len(failures) == num_failures
         assert _digest(oracle.format_key(k) for k, _ in failures) == failure_keys
 
+    @pytest.mark.parametrize("name", sorted(DERIVATION_GOLDEN))
+    def test_pair_table_equals_the_sort(self, name, request):
+        # verify_pattern's distinct (map, correction) pairs over the cells
+        # each golden table holds.
+        pattern, table, _ = self._derive(name, request)
+        classes = oracle.outcome_maps(pattern).classes
+        ops = len(table.matrices(pattern.num_outputs))
+        held = table.index >= 0
+        _assert_first_occurrences(classes[held] * ops + table.index[held], (classes.max() + 1) * ops)
+
     def test_no_derived_op_renders_as_a_raw_chain(self, request):
         # Every name is entanglers first, then one tail per wire, so none
         # falls back to the raw factor chain (``sx@(2,).Ucx@(0, 2)``).
@@ -1620,6 +1709,24 @@ class TestDerivationGolden:
         pattern = catalog.chain_cz_pattern(2).with_target(CZ)
         with pytest.raises(oracle.DerivationError, match="outside the pauli_phase vocabulary"):
             oracle.derive_corrections(pattern)
+
+
+def _assert_first_occurrences(ids, size):
+    """The dense first-occurrence table gives what np.unique's sort does."""
+    ids = np.asarray(ids, dtype=np.intp)
+    first, rank = oracle._first_occurrences(ids, size)
+    _, expected_first, expected_rank = np.unique(ids, return_index=True, return_inverse=True)
+    assert first.dtype == expected_first.dtype and np.array_equal(first, expected_first)
+    assert rank.dtype == expected_rank.dtype and np.array_equal(rank, expected_rank)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64).flatmap(
+    lambda size: st.tuples(st.just(size), st.lists(st.integers(0, size - 1), min_size=1, max_size=300))
+))
+def test_first_occurrence_table_equals_the_sort(drawn):
+    size, ids = drawn
+    _assert_first_occurrences(ids, size)
 
 
 class TestVerifyMechanics:
