@@ -18,7 +18,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import count, product
+from itertools import product
 
 import numpy as np
 
@@ -99,6 +99,10 @@ class DerivationError(RuntimeError):
 # verification and the per-map facts walk the distinct maps this many at a
 # time, which bounds their temporaries.
 _BLOCK = 256
+# Classification confirms maps at most this many amplitudes at a time (but
+# always one map), so each block's gathered copy, 64 KiB, stays below
+# glibc's default mmap threshold and reuses heap memory.
+_CONFIRM = 1 << 12
 
 
 def _register_factors(pattern: GatePattern) -> list[np.ndarray]:
@@ -152,10 +156,10 @@ def _register_rows(factors: list[np.ndarray], k: int, rows: np.ndarray, work: di
 # hold at most this many amplitudes (but always one row's), and that read at
 # most as many register rows, each narrower than a row's maps, so every step
 # of a chunk gathers and writes at most this many. A stream writes its
-# chunks into five reused flat buffers: 0 holds the register rows, 1 their
-# partial products and then the gathers, 2 and 3 one basis input's partial
-# contractions, each group writing into the one it does not read, and 4 the
-# chunk's maps, which the last group writes.
+# chunks into reused flat buffers: 0 holds the register rows, 1 their
+# partial products and then the gathers, 2 the chunk's maps, which the last
+# group writes, and 3 + g the output of every group g before the last, kept
+# while later basis inputs share it.
 _GATHER = 1 << 16
 
 
@@ -283,6 +287,14 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
     the sum the input identity's register gave, less its zero terms, and
     each chunk has 0.0 added, so no component is -0.0.
 
+    Inputs that agree on the input wires of groups 0..g share those groups'
+    plans, and so their steps. The inputs run in order of their bits on
+    each group's input wires, group by group, and each input redoes only
+    the groups from the first whose plan differs from the previous input's,
+    and always the last group, which writes its own column. Every group
+    before the last writes a workspace buffer of its own, so an output kept
+    for later inputs is never overwritten.
+
     The first group's basis rows stream in chunks whose maps hold at most
     ``_GATHER`` amplitudes (see :func:`_row_chunks`), or one basis row's
     maps where those are wider. A chunk builds only the register rows it
@@ -312,6 +324,13 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
     plans = [_pinned_plans(*plan, g.qubits, wire) for plan, g in zip(full, groups)]
     widths = [sum(q not in wire for q in g.qubits) for g in groups]
     first = list({id(plan): plan for plan in plans[0]}.values())
+    pins = [[wire[q] for q in g.qubits if q in wire] for g in groups]
+    order = sorted(range(dim), key=lambda c: [(c >> b) & 1 for pin in pins for b in pin])
+    last = len(groups) - 1
+    redo = [0] + [
+        next((g for g in range(last) if plans[g][c] is not plans[g][b]), last)
+        for b, c in zip(order, order[1:])
+    ]
     row = dim << (pattern.num_qubits - len(groups[0].qubits))  # maps amplitudes per basis row
     for rows in _row_chunks(full[0][0], max(1, _GATHER // row)):
         read = np.zeros(1 << widths[0], dtype=bool)
@@ -319,55 +338,81 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
             read[index[rows]] = True
         needed, place = np.flatnonzero(read), np.cumsum(read) - 1
         register = _register_rows(factors, widths[0], needed, work).reshape(1, len(needed), -1)
-        maps = _buffer(work, 4, ((rows.stop - rows.start) * row // (dim << len(axes)), *axes, dim))
+        # Group g's input: the register rows, then group g - 1's output.
+        steps = [register] + [None] * len(groups)
+        maps = _buffer(work, 2, ((rows.stop - rows.start) * row // (dim << len(axes)), *axes, dim))
         if len(tail) < len(axes):
             maps.fill(0)
-        for c in range(dim):
-            t = register
-            for g, plan in enumerate(plans):
-                index, coeffs = plan[c]
+        for c, g0 in zip(order, redo):
+            for g in range(g0, len(groups)):
+                index, coeffs = plans[g][c]
+                t = steps[g]
                 if g == 0:
                     index, coeffs = place[index[rows]], coeffs[rows]
                 else:
                     t = t.reshape(-1, 1 << widths[g], t.shape[2] >> widths[g])
-                last = g == len(groups) - 1
-                into = maps[at[c]].reshape(-1, len(index), *tail) if last else 2 + g % 2
-                t = _contract(index, coeffs, t, work, into)
+                into = maps[at[c]].reshape(-1, len(index), *tail) if g == last else 3 + g
+                steps[g + 1] = _contract(index, coeffs, t, work, into)
         maps += 0.0
         yield maps.reshape(len(maps), -1, dim)
+
+
+@lru_cache
+def _key_weights(width: int) -> np.ndarray:
+    """Fixed weights that fold a map's ``width`` float64 parts into one key:
+    sin 1, sin 2, ..., with no simple rational relation among them, so
+    distinct maps rarely share a key."""
+    weights = np.sin(np.arange(1.0, width + 1))
+    weights.flags.writeable = False
+    return weights
 
 
 def _classify(chunks: Iterable[np.ndarray], total: int) -> tuple[np.ndarray, np.ndarray]:
     """The bitwise-distinct maps among consecutive chunks of ``total`` maps,
     in first-occurrence order, and each outcome's class (its position in
-    that order). Maps are keyed by their bytes, so they share a class only
-    if their bytes are equal: entries one ulp apart stay apart, and so would
-    -0.0 and +0.0, but :func:`_map_chunks` makes every zero +0.0. Each
-    distinct map is held once: its key is dropped as its bytes join the
+    that order).
+
+    Each map of a chunk gets one 64-bit key, the bits of its float64 parts'
+    sum against :func:`_key_weights`, and every map is confirmed bit for bit
+    equal to the first map with its key, a block of maps at a time (see
+    ``_CONFIRM``). Only those first maps and any map that fails confirmation
+    are looked up by their bytes in the class table, in position order, so
+    a map first seen there opens the next class. The key only groups maps: they share a
+    class only if their bytes are equal, so entries one ulp apart stay
+    apart, and so would -0.0 and +0.0, but :func:`_map_chunks` makes every
+    zero +0.0. The class table is the only store of the maps, so each
+    distinct map is held once: its bytes leave the table as they join the
     returned stack."""
-    firsts: dict[bytes, int] = {}
+    table: dict[bytes, int] = {}
     classes = np.empty(total, dtype=np.intp)
     start = 0
     for chunk in chunks:
-        end = start + len(chunk)
-        seen = len(firsts)
-        # One bytes object per map, straight from a void view of the chunk.
-        keys = chunk.reshape(len(chunk), -1).view(np.dtype((np.void, chunk[0].nbytes)))
-        owners = np.fromiter(
-            map(firsts.setdefault, keys.ravel().tolist(), count(start)),
-            dtype=np.intp, count=len(chunk),
-        )
-        # A map first seen here owns its own position and opens the next
-        # class; any other map's owner came before it and is classed already.
-        new = owners == np.arange(start, end)
-        ids = classes[start:end]
-        ids[new] = np.arange(seen, len(firsts))
-        ids[~new] = classes[owners[~new]]
-        start, shape = end, chunk.shape[1:]
+        rows = chunk.reshape(len(chunk), -1)
+        bits = rows.view(np.uint64)
+        # Each row's owner: the first row with its key, read off a stable sort.
+        sums = (rows.view(float) @ _key_weights(bits.shape[1])).view(np.int64)
+        order = np.argsort(sums, kind="stable")
+        ordered = sums[order]
+        heads = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        owner = np.empty(len(rows), dtype=np.intp)
+        owner[order] = np.repeat(order[heads], np.diff(heads, append=len(rows)))
+        loose = [
+            block.start + np.flatnonzero((bits[block] != bits[owner[block]]).any(axis=1))
+            for block in _blocks(len(rows), max(1, _CONFIRM // rows.shape[1]))
+            if not np.array_equal(bits[block], bits[owner[block]])
+        ]
+        # A map that differs from its group's first is looked up on its own.
+        for rest in loose:
+            owner[rest] = rest
+        looked = np.flatnonzero(owner == np.arange(len(rows)))
+        ids = classes[start:start + len(rows)]
+        ids[looked] = [table.setdefault(rows[i].tobytes(), len(table)) for i in looked.tolist()]
+        ids[:] = ids[owner]
+        start, shape = start + len(rows), chunk.shape[1:]
     # Each key leaves as its bytes join the distinct maps, so every distinct
     # map is held once, not once as a key and once more in the stack.
-    keys, data = list(firsts), bytearray()
-    firsts.clear()
+    keys, data = list(table), bytearray()
+    table.clear()
     for i, key in enumerate(keys):
         data += key
         keys[i] = None
@@ -382,7 +427,9 @@ class OutcomeMaps(Mapping):
     (classes, d_out, d_in) in first-occurrence order, every zero component
     +0.0 (see :func:`_map_chunks`); ``classes`` holds each
     outcome's row of ``distinct``, over outcomes in lexicographic label
-    order, the order of the pattern's :attr:`GatePattern.layout`.
+    order, the order of the pattern's :attr:`GatePattern.layout`. Both come
+    from :func:`_classify`, which reads each map's bytes only where a
+    chunk's keyed grouping cannot vouch for it.
     ``maps[key]`` is one row of ``distinct``. Byproduct repairs leave few
     distinct maps among many outcomes, so per-map work runs once per row of
     ``distinct``, and what derivation, verification and loss checks decide
@@ -461,10 +508,10 @@ def outcome_maps(pattern: GatePattern) -> OutcomeMaps:
     return maps
 
 
-def _blocks(count: int):
-    """Consecutive outcome slices of at most ``_BLOCK`` outcomes."""
-    for lo in range(0, count, _BLOCK):
-        yield slice(lo, min(lo + _BLOCK, count))
+def _blocks(count: int, size: int = _BLOCK):
+    """Consecutive outcome slices of at most ``size`` outcomes."""
+    for lo in range(0, count, size):
+        yield slice(lo, min(lo + size, count))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 import io
 import json
 import random
+from collections.abc import Iterable
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 from hypothesis import strategies as st
@@ -403,3 +404,41 @@ def identity_register_maps(pattern: GatePattern) -> np.ndarray:
             chunk = _identity_contract(*plan, chunk.reshape(-1, 1 << width, chunk.shape[2] >> width))
         chunks.append(chunk.reshape(-1, chunk.shape[2] // dim, dim))
     return np.concatenate(chunks)
+
+
+def classify(chunks: Iterable[np.ndarray], total: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bitwise-distinct maps among consecutive chunks of ``total`` maps,
+    in first-occurrence order, and each outcome's class (its position in
+    that order), one bytes lookup per map, as ``oracle._classify`` did
+    before it grouped maps by a numeric key. Maps are keyed by their bytes,
+    so they share a class only if their bytes are equal: entries one ulp
+    apart stay apart, and so would -0.0 and +0.0. Each distinct map is held
+    once: its key is dropped as its bytes join the returned stack."""
+    firsts: dict[bytes, int] = {}
+    classes = np.empty(total, dtype=np.intp)
+    start = 0
+    for chunk in chunks:
+        end = start + len(chunk)
+        seen = len(firsts)
+        # One bytes object per map, straight from a void view of the chunk.
+        keys = chunk.reshape(len(chunk), -1).view(np.dtype((np.void, chunk[0].nbytes)))
+        owners = np.fromiter(
+            map(firsts.setdefault, keys.ravel().tolist(), count(start)),
+            dtype=np.intp, count=len(chunk),
+        )
+        # A map first seen here owns its own position and opens the next
+        # class; any other map's owner came before it and is classed already.
+        new = owners == np.arange(start, end)
+        ids = classes[start:end]
+        ids[new] = np.arange(seen, len(firsts))
+        ids[~new] = classes[owners[~new]]
+        start, shape = end, chunk.shape[1:]
+    # Each key leaves as its bytes join the distinct maps, so every distinct
+    # map is held once, not once as a key and once more in the stack.
+    keys, data = list(firsts), bytearray()
+    firsts.clear()
+    for i, key in enumerate(keys):
+        data += key
+        keys[i] = None
+    distinct = np.frombuffer(data, dtype=complex).reshape(-1, *shape)
+    return distinct, classes

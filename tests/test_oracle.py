@@ -19,6 +19,7 @@ from telegate.gates import CPHASE, CZ, HADAMARD, random_state
 from telegate.patterns import (
     CorrectionOp,
     CorrectionTable,
+    GatePattern,
     MeasurementGroup,
     PatternFormatError,
     pattern_from_document,
@@ -28,6 +29,7 @@ from telegate.patterns import (
 
 from reference import (
     argsort_plan,
+    classify as reference_classify,
     dense_maps,
     identity_register_maps,
     operator_distance,
@@ -724,6 +726,123 @@ class TestWorkspace:
             got = oracle._classify(chunks, len(pattern.layout))
             alone = oracle._classify(oracle._map_chunks(pattern), len(pattern.layout))
             assert [a.tobytes() for a in got] == [a.tobytes() for a in alone]
+
+
+def _twins():
+    """A 2x2 map and maps that differ from it only in one entry's bits: -0.0
+    for +0.0, one ulp, and a NaN of either of two payloads."""
+    base = np.array([[0.5 + 0.25j, 0.0], [0.0, -0.5j]])
+    parts = np.repeat(base[None], 5, axis=0).view(float).reshape(5, -1)
+    parts[1, 2] = -0.0
+    parts[2, 0] = np.nextafter(0.5, 1.0)
+    parts.view(np.uint64)[3:, 1] = [0x7FF8000000000001, 0x7FF8000000000002]
+    return parts.view(complex).reshape(5, 2, 2)
+
+
+class TestKeyedClassify:
+    """``oracle._classify`` groups each chunk's maps by a numeric key and
+    looks up by bytes only each group's first map and the maps that fail
+    the bitwise confirmation. Its classes and distinct maps must be the
+    bytes of one lookup per map (``reference.classify``), whatever the keys:
+    with the weights set to zero every finite map's key collides, and only
+    the confirmation keeps maps apart."""
+
+    WEIGHTS = {"own": oracle._key_weights, "zero": lambda width: np.zeros(width)}
+
+    @staticmethod
+    def _assert_classes_equal_the_reference(chunks, total):
+        got = oracle._classify(iter(chunks), total)
+        expected = reference_classify(iter(chunks), total)
+        assert got[0].shape == expected[0].shape
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize("weights", sorted(WEIGHTS))
+    @pytest.mark.parametrize("name", sorted(CONTRACTED))
+    def test_catalog_classes_equal_the_reference(self, monkeypatch, name, weights):
+        monkeypatch.setattr(oracle, "_key_weights", self.WEIGHTS[weights])
+        pattern = CONTRACTED[name]()
+        chunks = [chunk.copy() for chunk in oracle._map_chunks(pattern)]
+        self._assert_classes_equal_the_reference(chunks, len(pattern.layout))
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_patterns(), st.sampled_from(sorted(WEIGHTS)))
+    def test_random_classes_equal_the_reference(self, pattern, weights):
+        chunks = [chunk.copy() for chunk in oracle._map_chunks(pattern)]
+        with mock.patch.object(oracle, "_key_weights", self.WEIGHTS[weights]):
+            self._assert_classes_equal_the_reference(chunks, len(pattern.layout))
+
+    @pytest.mark.parametrize("weights", sorted(WEIGHTS))
+    @pytest.mark.parametrize("cut", [1, 3, 7])
+    def test_bitwise_twins_stay_apart(self, monkeypatch, weights, cut):
+        # Twins first met inside a chunk, across chunks, and after a map
+        # that fails confirmation, so new classes open in position order.
+        monkeypatch.setattr(oracle, "_key_weights", self.WEIGHTS[weights])
+        a, negzero, ulp, nan1, nan2 = _twins()
+        rows = np.array([a, negzero, ulp, a, nan1, nan2, negzero, nan1, ulp, a, nan2, a])
+        chunks = [rows[lo:lo + cut] for lo in range(0, len(rows), cut)]
+        self._assert_classes_equal_the_reference(chunks, len(rows))
+        distinct, classes = oracle._classify(iter(chunks), len(rows))
+        assert classes.tolist() == [0, 1, 2, 0, 3, 4, 1, 3, 2, 0, 4, 0]
+        assert distinct.tobytes() == np.array([a, negzero, ulp, nan1, nan2]).tobytes()
+
+
+def _four_group_pattern():
+    """Three inputs read by groups 0, 1 and 2 of four, the last group
+    reading resources alone, with dense, ragged and phased-permutation
+    bases."""
+    rng = np.random.default_rng(11)
+    resources = []
+    for wires in ((3, 4), (5, 6), (7, 8), (9, 10), (11, 12)):
+        amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        resources.append((wires, sv.StateVector(2, amps / np.linalg.norm(amps))))
+    bases = [
+        random_unitary(4, rng),
+        ragged_basis().vectors,
+        random_unitary(8, rng),
+        np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))[rng.permutation(4)],
+    ]
+    groups = []
+    for qubits, vectors in zip(((0, 3), (1, 4, 5), (2, 6, 7), (8, 9)), bases):
+        k = len(qubits)
+        labels = tuple(tuple((i >> (k - 1 - j)) & 1 for j in range(k)) for i in range(1 << k))
+        groups.append(MeasurementGroup(qubits, sv.MeasurementBasis(k, vectors), labels))
+    pattern = GatePattern(
+        name="four-groups", num_qubits=13, input_wires=(0, 1, 2), resources=tuple(resources),
+        groups=tuple(groups), output_wires=(10, 11, 12), target=random_unitary(8, rng),
+    )
+    validate_pattern(pattern)
+    return pattern
+
+
+class TestSharedSteps:
+    """Basis inputs that share the plans of groups 0..g share those groups'
+    steps, so each group's step runs once per distinct prefix of plans."""
+
+    @pytest.mark.parametrize("make, steps", [
+        (lambda: catalog.chain_cz_pattern(3), 6),
+        (catalog.fredkin_pattern, 14),
+        (catalog.toffoli_pattern, 14),
+        (_four_group_pattern, 22),
+    ], ids=["chain-cz-3", "fredkin", "toffoli", "four-groups"])
+    def test_contract_calls_per_chunk(self, monkeypatch, make, steps):
+        # chain-cz: 2 group-0 plans and 4 inputs, not 2 x 4 steps; fredkin
+        # and toffoli: 2 + 4 + 8, not 3 x 8; four groups: 2 + 4 + 8 + 8.
+        calls = []
+        contract = oracle._contract
+        monkeypatch.setattr(oracle, "_contract", lambda *a: calls.append(1) or contract(*a))
+        chunks = sum(1 for _ in oracle._map_chunks(make()))
+        assert len(calls) == steps * chunks
+
+    @pytest.mark.parametrize("budget", [oracle._GATHER, 37, 1])
+    def test_four_groups_equal_the_identity_register(self, budget):
+        # Groups 0, 1 and 2 each keep their output while later groups run
+        # for other inputs, so each needs a buffer of its own.
+        pattern = _four_group_pattern()
+        expected = (identity_register_maps(pattern) + 0.0).tobytes()
+        with mock.patch.object(oracle, "_GATHER", budget):
+            streamed = np.concatenate([chunk.copy() for chunk in oracle._map_chunks(pattern)])
+        assert streamed.tobytes() == expected
 
 
 def _full_grid_summaries(report):
