@@ -162,7 +162,8 @@ def _failed(args, kind: str, pattern: GatePattern, notes: list[str], lines, fail
         return reports.dumps(doc)
 
     def csv_text():
-        return "\n".join(["outcome,reason", *(f'"{k}","{r}"' for k, r in listed())]) + "\n"
+        rows = (f'"{reports.csv_escaped(k)}","{reports.csv_escaped(r)}"' for k, r in listed())
+        return "\n".join(["outcome,reason", *rows]) + "\n"
 
     _emit(args, lambda: "\n".join(lines), json_text, csv_text)
     return EXIT_FAIL
@@ -254,9 +255,10 @@ def cmd_derive(args) -> int:
         save_pattern(pattern.with_corrections(table), args.out)
         notes.append(f"pattern with derived corrections written to {args.out}")
 
-    def cells(line: str):
-        """``line`` formatted with each cell's key text and op, one piece per block."""
-        for block in reports.table_cell_blocks(table, pattern.num_outputs):
+    def cells(line: str, escape=str):
+        """``line`` formatted with each cell's key text and op, each passed
+        through ``escape``, one piece per block."""
+        for block in reports.table_cell_blocks(table, pattern.num_outputs, escape):
             yield "".join(line.format(key, op) for key, op in block)
 
     head = f"derived corrections for {pattern.name} ({len(table)} outcomes)"
@@ -264,7 +266,7 @@ def cmd_derive(args) -> int:
         args,
         lambda: chain([head], cells("\n  {}: {}"), (f"\nnote: {n}" for n in notes)),
         lambda: reports.table_json_pieces(pattern.name, table, pattern.num_outputs),
-        lambda: chain(["outcome,op\n"], cells('"{}","{}"\n')),
+        lambda: chain(["outcome,op\n"], cells('"{}","{}"\n', reports.csv_escaped)),
     )
     return EXIT_PASS
 

@@ -105,14 +105,13 @@ _BLOCK = 256
 _CONFIRM = 1 << 12
 
 
-def _register_factors(pattern: GatePattern) -> list[np.ndarray]:
-    """The factors whose broadcast product is the register the resource
-    states make, over the qubits that are not input wires, in measurement
-    order: each group's other qubits in group order, group after group, then
-    the other output wires in output order. Each resource is one factor, in
-    resource order, as np.kron multiplies them; a pattern without resources
-    has the scalar 1. Each factor has one axis per qubit, of size 2 on its
-    own qubits and 1 elsewhere."""
+def _register(pattern: GatePattern) -> np.ndarray:
+    """The register the resource states make, over the qubits that are not
+    input wires, in measurement order, one axis of size 2 per qubit: each
+    group's other qubits in group order, group after group, then the other
+    output wires in output order. Each entry is the product of its resource
+    amplitudes in resource order, as np.kron multiplies them; a pattern
+    without resources has the scalar 1."""
     inputs = set(pattern.input_wires)
     measured = [q for group in pattern.groups for q in group.qubits]
     qubits = [q for q in measured + list(pattern.output_wires) if q not in inputs]
@@ -127,39 +126,22 @@ def _register_factors(pattern: GatePattern) -> list[np.ndarray]:
         return amps.reshape([2] * len(wires)).transpose(order).reshape(shape)
 
     factors = [placed(wires, state.amps) for wires, state in pattern.resources]
-    return factors or [np.ones((), dtype=complex)]
-
-
-def _register_rows(factors: list[np.ndarray], k: int, rows: np.ndarray, work: dict) -> np.ndarray:
-    """The register's rows at the given indices over its k leading qubits
-    (the first most significant), as an array of shape (rows, 2, ..., 2)
-    over the other qubits. Each entry is the product of its resource
-    amplitudes in resource order, broadcast straight into that layout, so a
-    row holds the same bits whichever other rows are built with it."""
-    bits = (rows[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    t = None
-    for i, factor in enumerate(factors):
-        # The factor's row for an index reads the index's bits on its own
-        # leading qubits.
-        own = [a for a in range(k) if factor.shape[a] == 2]
-        at = bits[:, own] @ (1 << np.arange(len(own) - 1, -1, -1))
-        part = factor.reshape(-1, *factor.shape[k:])[at]
-        if t is None:
-            t = part
-        else:
-            out = _buffer(work, (len(factors) - 1 - i) % 2, np.broadcast_shapes(t.shape, part.shape))
-            t = _multiply(t, part, out)
-    return t
+    if not factors:
+        return np.ones((), dtype=complex)
+    register = factors[0]
+    for factor in factors[1:]:
+        shape = np.broadcast_shapes(register.shape, factor.shape)
+        register = _multiply(register, factor, np.empty(shape, dtype=complex))
+    return register
 
 
 # The contraction streams the first group's basis rows in chunks whose maps
-# hold at most this many amplitudes (but always one row's), and that read at
-# most as many register rows, each narrower than a row's maps, so every step
-# of a chunk gathers and writes at most this many. A stream writes its
-# chunks into reused flat buffers: 0 holds the register rows, 1 their
-# partial products and then the gathers, 2 the chunk's maps, which the last
-# group writes, and 3 + g the output of every group g before the last, kept
-# while later basis inputs share it.
+# hold at most this many amplitudes (but always one row's), so every step of
+# a chunk gathers and writes at most this many besides the register, which
+# the stream builds once. A stream writes its chunks into reused flat
+# buffers: 0 holds the gathers, 1 the chunk's maps, which the last group
+# writes, and 2 + g the output of every group g before the last, kept while
+# later basis inputs share it.
 _GATHER = 1 << 16
 
 
@@ -230,7 +212,7 @@ def _contract(
 ) -> np.ndarray:
     """``vectors.conj() @ flat`` for the basis rows planned by :func:`_plan`
     or :func:`_pinned_plans` and an (outcomes, K, columns) register, summed
-    over each row's planned entries only, gathering in workspace buffer 1.
+    over each row's planned entries only, gathering in workspace buffer 0.
     ``into`` is the workspace buffer to write (not the one holding
     ``flat``), or an array of shape (outcomes, rows, ...) to write, its
     trailing axes holding the columns.
@@ -243,7 +225,7 @@ def _contract(
     """
     shape = (len(flat), len(index), flat.shape[2])
     out = _buffer(work, into, shape) if isinstance(into, int) else into
-    term = _buffer(work, 1, shape)
+    term = _buffer(work, 0, shape)
     terms = term.reshape(out.shape)
     coeffs = coeffs.reshape(*index.shape, *[1] * (out.ndim - 2))
     np.take(flat, index[:, 0], axis=1, out=term, mode="clip")
@@ -254,21 +236,6 @@ def _contract(
     return out
 
 
-def _row_chunks(index: np.ndarray, cap: int) -> Iterator[slice]:
-    """Consecutive chunks of a nonzero plan's basis rows, each the longest
-    run of at most ``cap`` rows that reads at most ``cap`` distinct register
-    rows, but always one row."""
-    lo = 0
-    while lo < len(index):
-        window = index[lo:lo + cap]
-        # Each register row counts at the basis row that reads it first.
-        _, first = np.unique(window, return_index=True)
-        reads = np.bincount(first // window.shape[1], minlength=len(window)).cumsum()
-        hi = lo + max(1, int(np.searchsorted(reads, cap, side="right")))
-        yield slice(lo, hi)
-        lo = hi
-
-
 def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
     """Every outcome's input->output map, unnormalized, in lexicographic
     label order, as arrays of shape (outcomes, 2^num_outputs, d_in): column
@@ -276,16 +243,17 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
 
     The maps are linear in the input, so each basis input c is contracted
     on its own, its input wires pinned to c's bits. The register is then
-    the resource states' product alone, shared by every column, over the
-    other qubits in measurement order (see :func:`_register_factors`): each
-    group's qubits lead the axes left when it measures them and the outputs
-    end in output order, so every flatten is a reshape, with no copy. Each
-    group reads it through its plan for c (see :func:`_pinned_plans`), one
-    :func:`_contract` pass, and the last group writes straight into column
-    c of the chunk's maps. An output wire that is an input wire holds c's
-    bit there, and the rest of the column is 0. Every nonzero component is
-    the sum the input identity's register gave, less its zero terms, and
-    each chunk has 0.0 added, so no component is -0.0.
+    the resource states' product alone, built once and shared by every
+    column, over the other qubits in measurement order (see
+    :func:`_register`): each group's qubits lead the axes left when it
+    measures them and the outputs end in output order, so every flatten is
+    a reshape, with no copy. Each group reads it through its plan for c (see
+    :func:`_pinned_plans`), one :func:`_contract` pass, and the last group
+    writes straight into column c of the chunk's maps. An output wire that
+    is an input wire holds c's bit there, and the rest of the column is 0.
+    Every nonzero component is the sum the input identity's register gave,
+    less its zero terms, and each chunk has 0.0 added, so no component is
+    -0.0.
 
     Inputs that agree on the input wires of groups 0..g share those groups'
     plans, and so their steps. The inputs run in order of their bits on
@@ -296,15 +264,14 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
     for later inputs is never overwritten.
 
     The first group's basis rows stream in chunks whose maps hold at most
-    ``_GATHER`` amplitudes (see :func:`_row_chunks`), or one basis row's
-    maps where those are wider. A chunk builds only the register rows it
-    reads, and every step writes into the stream's one workspace (see
-    ``_GATHER``), so no array is register-sized and a yielded chunk is a
-    view that stays valid only until the next one is requested. Each
-    group's plans are made once for its whole basis, so every entry is the
-    same sum however the rows are chunked.
+    ``_GATHER`` amplitudes, or one basis row's maps where those are wider,
+    and every step writes into the stream's one workspace (see
+    ``_GATHER``), so the register is the one array of its size and a
+    yielded chunk is a view that stays valid only until the next one is
+    requested. Each group's plans are made once for its whole basis, so
+    every entry is the same sum however the rows are chunked.
     """
-    factors = _register_factors(pattern)
+    register = _register(pattern)
     inputs, outputs, groups = pattern.input_wires, pattern.output_wires, pattern.groups
     dim, axes = 1 << len(inputs), [2] * len(outputs)
     wire = {w: len(inputs) - 1 - i for i, w in enumerate(inputs)}
@@ -312,18 +279,14 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
     # on an output wire that is an input wire, whole on any other.
     at = [(..., *[(c >> wire[w]) & 1 if w in wire else slice(None) for w in outputs], c) for c in range(dim)]
     tail = [2] * sum(w not in wire for w in outputs)
-    work: dict[int, np.ndarray] = {}
     if not groups:
-        register = _register_rows(factors, 0, np.zeros(1, dtype=np.intp), work)
         maps = np.zeros((1, *axes, dim), dtype=complex)
         for c in range(dim):
             maps[at[c]] = register
         yield maps.reshape(1, -1, dim) + 0.0
         return
-    full = [_plan(g.basis) for g in groups]
-    plans = [_pinned_plans(*plan, g.qubits, wire) for plan, g in zip(full, groups)]
+    plans = [_pinned_plans(*_plan(g.basis), g.qubits, wire) for g in groups]
     widths = [sum(q not in wire for q in g.qubits) for g in groups]
-    first = list({id(plan): plan for plan in plans[0]}.values())
     pins = [[wire[q] for q in g.qubits if q in wire] for g in groups]
     order = sorted(range(dim), key=lambda c: [(c >> b) & 1 for pin in pins for b in pin])
     last = len(groups) - 1
@@ -332,15 +295,11 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
         for b, c in zip(order, order[1:])
     ]
     row = dim << (pattern.num_qubits - len(groups[0].qubits))  # maps amplitudes per basis row
-    for rows in _row_chunks(full[0][0], max(1, _GATHER // row)):
-        read = np.zeros(1 << widths[0], dtype=bool)
-        for index, _ in first:
-            read[index[rows]] = True
-        needed, place = np.flatnonzero(read), np.cumsum(read) - 1
-        register = _register_rows(factors, widths[0], needed, work).reshape(1, len(needed), -1)
-        # Group g's input: the register rows, then group g - 1's output.
-        steps = [register] + [None] * len(groups)
-        maps = _buffer(work, 2, ((rows.stop - rows.start) * row // (dim << len(axes)), *axes, dim))
+    # Group g's input: the register, then group g - 1's output.
+    steps = [register.reshape(1, 1 << widths[0], -1)] + [None] * len(groups)
+    work: dict[int, np.ndarray] = {}
+    for rows in _blocks(groups[0].size, max(1, _GATHER // row)):
+        maps = _buffer(work, 1, ((rows.stop - rows.start) * row // (dim << len(axes)), *axes, dim))
         if len(tail) < len(axes):
             maps.fill(0)
         for c, g0 in zip(order, redo):
@@ -348,10 +307,10 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
                 index, coeffs = plans[g][c]
                 t = steps[g]
                 if g == 0:
-                    index, coeffs = place[index[rows]], coeffs[rows]
+                    index, coeffs = index[rows], coeffs[rows]
                 else:
                     t = t.reshape(-1, 1 << widths[g], t.shape[2] >> widths[g])
-                into = maps[at[c]].reshape(-1, len(index), *tail) if g == last else 3 + g
+                into = maps[at[c]].reshape(-1, len(index), *tail) if g == last else 2 + g
                 steps[g + 1] = _contract(index, coeffs, t, work, into)
         maps += 0.0
         yield maps.reshape(len(maps), -1, dim)

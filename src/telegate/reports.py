@@ -104,6 +104,13 @@ def _json_escaped(text: str) -> str:
     return json.dumps(text)[1:-1]
 
 
+def csv_escaped(text: str) -> str:
+    """``text`` as a CSV field holds it inside its quotes, each ``"``
+    doubled (RFC 4180). Each character escapes on its own, so joined
+    escaped texts are the escaped join."""
+    return text.replace('"', '""')
+
+
 def table_diff_to_doc(diff: TableDiff) -> dict:
     return {
         "total": diff.total,
@@ -176,7 +183,7 @@ def verification_csv_pieces(report: VerificationReport):
         for p, f in zip(probs, fids)
     ]
     yield "outcome,input,probability,fidelity\n"
-    for block in _row_blocks(report.pair_of, report.layout.iter_texts()):
+    for block in _row_blocks(report.pair_of, report.layout.iter_texts(csv_escaped)):
         yield "".join(f'"{label}"' + tail for p, label in block for tail in tails[p])
 
 
@@ -238,7 +245,7 @@ def loss_to_csv(report: LossReport) -> str:
     lines = ["outcome,probability,rank,annihilated"]
     for o in report.outcomes:
         ann = ";".join(f"c{i}" for i in o.annihilated)
-        lines.append(f"\"{format_key(o.key)}\",{_f(o.probability)},{o.rank},{ann}")
+        lines.append(f'"{csv_escaped(format_key(o.key))}",{_f(o.probability)},{o.rank},{ann}')
     return "\n".join(lines) + "\n"
 
 

@@ -386,9 +386,9 @@ def identity_register_maps(pattern: GatePattern) -> np.ndarray:
     """Every outcome's map in outcome order, contracted the way the engine
     once did: the placed input identity times the resource states is one
     register with a column per basis input, whose first group's basis rows
-    stream in chunks of oracle's gather budget, each chunk then going
-    through every later group's nonzero plan. Zero terms of the identity
-    stay in every sum, so a component can come out as -0.0."""
+    stream in fixed chunks of 16 rows (chunking changes no sum), each chunk
+    then going through every later group's nonzero plan. Zero terms of the
+    identity stay in every sum, so a component can come out as -0.0."""
     factors = _identity_register_factors(pattern)
     dim = factors[0].shape[-1]
     if not pattern.groups:
@@ -396,7 +396,7 @@ def identity_register_maps(pattern: GatePattern) -> np.ndarray:
     (k, (index, coeffs)), *later = [(len(g.qubits), oracle._plan(g.basis)) for g in pattern.groups]
     row = dim << (factors[0].ndim - 1 - k)
     chunks = []
-    for rows in oracle._row_chunks(index, max(1, oracle._GATHER // row)):
+    for rows in oracle._blocks(len(index), 16):
         needed, at = np.unique(index[rows], return_inverse=True)
         chunk = _identity_register_rows(factors, k, needed).reshape(1, len(needed), row)
         chunk = _identity_contract(at.reshape(-1, index.shape[1]), coeffs[rows], chunk)

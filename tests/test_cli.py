@@ -760,6 +760,37 @@ class TestDerive:
         assert out.splitlines()[0] == "outcome,op"
 
 
+class TestCsvQuotedLabels:
+    """A pattern file may use any string as a label. A CSV field that holds
+    label text doubles each quote inside it (RFC 4180), so csv.reader gives
+    every row as many fields as the header and the key text back whole."""
+
+    @pytest.mark.parametrize("name,command", [
+        ("cz", "derive"), ("cz", "verify"),
+        # cz-no-ee derives no table, so these are the failed-derivation rows
+        # and the lossy outcomes.
+        ("cz-no-ee", "derive"), ("cz-no-ee", "verify"), ("cz-no-ee", "loss-check"),
+    ])
+    def test_rows_parse_and_keys_round_trip(self, capsys, tmp_path, name, command):
+        doc = pattern_to_document(catalog.build_pattern(name))
+        # '"' sorts before '+' and '-' as "+" did, so the outcome order stays.
+        for group in doc["groups"]:
+            for vector in group["vectors"]:
+                vector["label"] = ['"' if x == "+" else x for x in vector["label"]]
+        path = tmp_path / "quoted.json"
+        path.write_text(json.dumps(doc))
+        pattern = pattern_from_document(doc)
+        keys = [format_key(pattern.layout.key(i)) for i in range(len(pattern.layout))]
+        _, out, err = run(capsys, command, "--pattern-file", str(path), "--format", "csv")
+        assert err == ""
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert all(row[0] in keys for row in rows)
+        assert any('"' in row[0] for row in rows)
+        if (name, command) == ("cz", "derive"):
+            assert [row[0] for row in rows] == keys
+
+
 class TestFailedDerivationFormats:
     """A failed derivation writes the chosen format and still exits 1."""
 

@@ -585,9 +585,12 @@ class TestBitExactMaps:
         assert got == MAP_DIGESTS[name]
 
     def test_peak_memory_stays_near_the_register(self):
-        # chain-cz n=7 has a 20-qubit register over 4 basis inputs: 64 MiB.
-        # Each chunk of the first group's rows builds only the register rows
-        # it reads, so the whole contraction peaks well below the register.
+        # chain-cz n=7's input identity times its resources would be a
+        # 20-qubit register over 4 basis inputs: 64 MiB. Each basis input is
+        # contracted on its own against the resource register over the 18
+        # other qubits, 4 MiB, built once per stream, and the chunks go
+        # through a workspace of a few gather blocks, so the whole
+        # contraction peaks well below that identity register.
         import tracemalloc
 
         pattern = catalog.chain_cz_pattern(7)
@@ -604,10 +607,11 @@ class TestBitExactMaps:
         catalog.fredkin_pattern, catalog.toffoli_pattern, CONTRACTED["cz-dense-basis"],
     ], ids=["fredkin", "toffoli", "cz-dense-basis"])
     def test_working_set_stays_a_few_gather_blocks(self, make):
-        # Each chunk of the first group's basis rows reads and produces at
-        # most _GATHER register amplitudes, and each step's input goes once
-        # the next step has it, so the contraction holds a few such blocks
-        # besides the distinct maps it keeps (2 MiB for fredkin).
+        # Each chunk of the first group's basis rows produces at most
+        # _GATHER amplitudes, the register these patterns build once is
+        # smaller than that (128 KiB for fredkin), and each step's input
+        # goes once the next step has it, so the contraction holds a few
+        # such blocks besides the distinct maps it keeps (2 MiB for fredkin).
         import tracemalloc
 
         pattern = make()
@@ -692,10 +696,11 @@ class TestPinnedContraction:
 
 class TestWorkspace:
     def test_contraction_faults_in_no_fresh_block_per_chunk(self):
-        # chain-cz n=7 streams its 64 MiB register through 64 chunks, each
-        # written into the stream's one workspace of a few MiB, so the
-        # contraction takes a few thousand minor page faults. Fresh arrays
-        # per chunk took over 30000 here, the kernel zeroing each block again.
+        # chain-cz n=7 builds its 4 MiB resource register once and streams
+        # its maps in 64 chunks, each written into the stream's one
+        # workspace of a few MiB, so the contraction takes a few thousand
+        # minor page faults. Fresh arrays per chunk took over 30000 here,
+        # the kernel zeroing each block again.
         child = (
             "import resource, telegate\n"
             "from telegate import catalog, oracle\n"
@@ -785,6 +790,56 @@ class TestKeyedClassify:
         distinct, classes = oracle._classify(iter(chunks), len(rows))
         assert classes.tolist() == [0, 1, 2, 0, 3, 4, 1, 3, 2, 0, 4, 0]
         assert distinct.tobytes() == np.array([a, negzero, ulp, nan1, nan2]).tobytes()
+
+
+class TestChunks:
+    """The contraction builds the resource register once per stream and cuts
+    the first group's basis rows into consecutive chunks whose maps hold at
+    most ``_GATHER`` amplitudes, or one row's maps where those are wider."""
+
+    @staticmethod
+    def _assert_chunks_cover_the_rows(pattern):
+        maps = _stack(oracle.outcome_maps(pattern))
+        per_row = len(pattern.layout) // pattern.groups[0].size  # outcomes per basis row
+        cap = max(oracle._GATHER, per_row * maps[0].size)
+        start = 0
+        for chunk in oracle._map_chunks(pattern):
+            assert chunk.size <= cap
+            assert len(chunk) and len(chunk) % per_row == 0
+            # Rows start..end in order: the maps the whole stream gives there.
+            assert chunk.tobytes() == maps[start:start + len(chunk)].tobytes()
+            start += len(chunk)
+        assert start == len(pattern.layout)
+
+    @pytest.mark.parametrize("name", sorted(CONTRACTED))
+    def test_catalog_chunks_stay_within_the_budget(self, name):
+        self._assert_chunks_cover_the_rows(CONTRACTED[name]())
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_patterns())
+    def test_random_chunks_stay_within_the_budget(self, pattern):
+        self._assert_chunks_cover_the_rows(pattern)
+
+    @pytest.mark.parametrize("make, chunks, rows", [
+        (catalog.fredkin_pattern, 8, 4),
+        (lambda: catalog.chain_cz_pattern(7), 64, 8),
+    ], ids=["fredkin", "chain-cz-7"])
+    def test_chunk_counts(self, make, chunks, rows):
+        # fredkin's 32 basis rows each hold 256 outcomes of 8x8 maps, 16384
+        # amplitudes, so 4 rows fill the budget. Chunks that also counted
+        # the register rows their plan read, input-wire bits included, held
+        # 2 rows. chain-cz n=7's 512 rows each hold 8192 amplitudes.
+        pattern = make()
+        per_row = len(pattern.layout) // pattern.groups[0].size
+        sizes = [len(chunk) for chunk in oracle._map_chunks(pattern)]
+        assert sizes == [rows * per_row] * chunks
+
+    def test_register_is_built_once_per_stream(self, monkeypatch):
+        calls = []
+        register = oracle._register
+        monkeypatch.setattr(oracle, "_register", lambda p: calls.append(1) or register(p))
+        chunks = sum(1 for _ in oracle._map_chunks(catalog.fredkin_pattern()))
+        assert chunks > 1 and len(calls) == 1
 
 
 def _four_group_pattern():
