@@ -106,12 +106,11 @@ def resolve_pattern(args, select=True) -> tuple[GatePattern, list[str], oracle.V
 def _emit(args, text_fn, json_fn, csv_fn=None) -> None:
     """Write the output in the chosen format: each function returns the
     text, or an iterable of its pieces, which are written as they come.
-    Text and JSON end with a newline."""
+    Text and JSON end with a newline. A command whose ``--format`` offers
+    no csv passes no csv function."""
     if args.format == "json":
         out, end = json_fn(), "\n"
     elif args.format == "csv":
-        if csv_fn is None:
-            raise PatternFormatError("csv output is not available for this command")
         out, end = csv_fn(), ""
     else:
         out, end = text_fn(), "\n"
@@ -374,9 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     owners = _flag_owners()
 
-    def add_common(p, pattern_args=True):
+    def add_common(p, pattern_args=True, formats=("text", "json", "csv")):
         p.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED)
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--format", choices=formats, default="text")
         if pattern_args:
             p.add_argument("--pattern", help="catalog pattern name")
             p.add_argument("--pattern-file", help="pattern document path")
@@ -410,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_loss_check)
 
     p = sub.add_parser("parity", help="chain-length parity experiment")
-    add_common(p, pattern_args=False)
+    add_common(p, pattern_args=False, formats=("text", "json"))
     p.add_argument("--max-n", type=int, default=5)
     p.set_defaults(func=cmd_parity)
 

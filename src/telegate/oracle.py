@@ -164,54 +164,44 @@ def _multiply(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(a, b, out=out)
 
 
-def _plan(basis: sv.MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
-    """A (rows, K) basis's nonzero plan for :func:`_contract`: each row's
-    nonzero columns first, in column order, for as many slots as the widest
-    row has nonzeros (a shorter row's last slots take its first zero
-    columns, in column order), and the conjugated coefficients there."""
-    rows, cols, _ = basis.entries
-    counts = np.bincount(rows, minlength=basis.size)
-    width = max(1, int(counts.max()))
-    full = counts == width
-    index = np.empty((basis.size, width), dtype=np.intp)
-    index[full] = cols[full[rows]].reshape(-1, width)
-    index[~full] = np.argsort(basis.vectors[~full] == 0, axis=1, kind="stable")[:, :width]
-    coeffs = np.take_along_axis(basis.vectors, index, axis=1).conj()[:, :, None]
-    return index, coeffs
-
-
 def _pinned_plans(
-    index: np.ndarray, coeffs: np.ndarray, qubits: tuple[int, ...], wire: dict[int, int]
+    basis: sv.MeasurementBasis, qubits: tuple[int, ...], wire: dict[int, int]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """A group's nonzero plans for :func:`_contract`, one per basis input c,
-    from the group's :func:`_plan`; ``wire`` gives each input wire's bit of
-    c. Each row keeps its nonzero slots whose columns hold c's bits on the
-    group's input wires, in slot order, each column read on the group's
-    other qubits alone. A row has as many slots as the most such in any
-    row; its spare slots have coefficient 0 and read one of its own planned
-    columns. Inputs that agree on the group's input wires share one plan."""
-    bits = (index[..., None] >> np.arange(len(qubits) - 1, -1, -1)) & 1
+    read from ``basis.entries`` alone; ``wire`` gives each input wire's bit
+    of c. Each row keeps its nonzero entries whose columns hold c's bits on
+    the group's input wires, in column order, each column read on the
+    group's other qubits alone and each coefficient conjugated. A row has
+    as many slots as the most such in any row (at least one); its spare
+    slots have coefficient 0. Inputs that agree on the group's input wires
+    share one plan."""
+    rows, cols, vals = basis.entries
+    bits = (cols[:, None] >> np.arange(len(qubits) - 1, -1, -1)) & 1
     held = np.array([q in wire for q in qubits], dtype=bool)
-    columns = bits[..., ~held] @ (1 << np.arange(np.count_nonzero(~held) - 1, -1, -1))
-    on_inputs = bits[..., held]
+    columns = bits[:, ~held] @ (1 << np.arange(np.count_nonzero(~held) - 1, -1, -1))
     pins = [tuple((c >> wire[q]) & 1 for q in qubits if q in wire) for c in range(1 << len(wire))]
     plans: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     for pin in pins:
         if pin in plans:
             continue
-        keep = (coeffs[:, :, 0] != 0) & (on_inputs == pin).all(axis=2)
-        order = np.argsort(~keep, axis=1, kind="stable")[:, :max(1, keep.sum(axis=1).max())]
-        kept = np.take_along_axis(keep, order, axis=1)[:, :, None]
-        taken = np.take_along_axis(coeffs, order[:, :, None], axis=1)
-        plans[pin] = np.take_along_axis(columns, order, axis=1), np.where(kept, taken, 0)
+        keep = (bits[:, held] == pin).all(axis=1)
+        kept = rows[keep]
+        counts = np.bincount(kept, minlength=basis.size)
+        # Each kept entry's slot is its rank within its row.
+        slot = np.arange(len(kept)) - (np.cumsum(counts) - counts)[kept]
+        index = np.zeros((basis.size, max(1, counts.max())), dtype=np.intp)
+        coeffs = np.zeros(index.shape, dtype=complex)
+        index[kept, slot] = columns[keep]
+        coeffs[kept, slot] = vals[keep].conj()
+        plans[pin] = index, coeffs
     return [plans[pin] for pin in pins]
 
 
 def _contract(
     index: np.ndarray, coeffs: np.ndarray, flat: np.ndarray, work: dict, into: int | np.ndarray
 ) -> np.ndarray:
-    """``vectors.conj() @ flat`` for the basis rows planned by :func:`_plan`
-    or :func:`_pinned_plans` and an (outcomes, K, columns) register, summed
+    """``vectors.conj() @ flat`` for the basis rows planned by
+    :func:`_pinned_plans` and an (outcomes, K, columns) register, summed
     over each row's planned entries only, gathering in workspace buffer 0.
     ``into`` is the workspace buffer to write (not the one holding
     ``flat``), or an array of shape (outcomes, rows, ...) to write, its
@@ -252,8 +242,8 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
     writes straight into column c of the chunk's maps. An output wire that
     is an input wire holds c's bit there, and the rest of the column is 0.
     Every nonzero component is the sum the input identity's register gave,
-    less its zero terms, and each chunk has 0.0 added, so no component is
-    -0.0.
+    less its zero terms; a plan's spare slot adds a term times 0, a signed
+    zero, and each chunk has 0.0 added, so no component is -0.0.
 
     Inputs that agree on the input wires of groups 0..g share those groups'
     plans, and so their steps. The inputs run in order of their bits on
@@ -285,7 +275,7 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
             maps[at[c]] = register
         yield maps.reshape(1, -1, dim) + 0.0
         return
-    plans = [_pinned_plans(*_plan(g.basis), g.qubits, wire) for g in groups]
+    plans = [_pinned_plans(g.basis, g.qubits, wire) for g in groups]
     widths = [sum(q not in wire for q in g.qubits) for g in groups]
     pins = [[wire[q] for q in g.qubits if q in wire] for g in groups]
     order = sorted(range(dim), key=lambda c: [(c >> b) & 1 for pin in pins for b in pin])

@@ -609,8 +609,15 @@ def pattern_from_document(doc: dict) -> GatePattern:
         groups = []
         for gi, grp in enumerate(doc["groups"]):
             qubits = sv.check_subset(_integers(grp["qubits"], f"group {gi} qubits"), num_qubits)
-            # Refused before any vector is built, so the document's length
-            # cannot size an allocation.
+            # Refused before any vector is built, so neither the document's
+            # length nor a group's width can size an allocation: a k-qubit
+            # basis holds 4^k amplitudes, at most the register's 2^22.
+            if 2 * len(qubits) > sv.MAX_REGISTER_QUBITS:
+                raise PatternFormatError(
+                    f"group {gi} has {len(qubits)} qubits, but a basis wider than "
+                    f"{sv.MAX_REGISTER_QUBITS // 2} qubits exceeds the "
+                    f"{sv.MAX_REGISTER_QUBITS}-qubit register limit"
+                )
             if len(grp["vectors"]) != 1 << len(qubits):
                 raise PatternFormatError(
                     f"group {gi} basis has {len(grp['vectors'])} vectors, "

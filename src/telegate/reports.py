@@ -63,7 +63,7 @@ def verification_to_doc(report: VerificationReport) -> dict:
         "passed": report.passed,
         "loss_demo": report.loss_demo,
         "min_fidelity": float(report.min_fidelity),
-        "worst_outcome": format_key(report.worst_outcome) if report.worst_outcome else None,
+        "worst_outcome": format_key(report.worst_outcome) if report.worst_outcome is not None else None,
         "worst_input": report.worst_input,
         "zero_probability_outcomes": list(map(format_key, report.zero_probability_outcomes)),
         "suspicious_outcomes": list(map(format_key, report.suspicious_outcomes)),
@@ -131,7 +131,7 @@ def render_verification(report: VerificationReport) -> str:
         f"min fidelity: {_f(report.min_fidelity)}"
         + (
             f" (outcome {format_key(report.worst_outcome)}, input {report.worst_input})"
-            if report.worst_outcome
+            if report.worst_outcome is not None
             else ""
         ),
         "probability sums per input: "

@@ -393,7 +393,7 @@ def identity_register_maps(pattern: GatePattern) -> np.ndarray:
     dim = factors[0].shape[-1]
     if not pattern.groups:
         return _identity_register_rows(factors, 0, np.zeros(1, dtype=np.intp)).reshape(1, -1, dim)
-    (k, (index, coeffs)), *later = [(len(g.qubits), oracle._plan(g.basis)) for g in pattern.groups]
+    (k, (index, coeffs)), *later = [(len(g.qubits), argsort_plan(g.basis.vectors)) for g in pattern.groups]
     row = dim << (factors[0].ndim - 1 - k)
     chunks = []
     for rows in oracle._blocks(len(index), 16):
@@ -442,3 +442,29 @@ def classify(chunks: Iterable[np.ndarray], total: int) -> tuple[np.ndarray, np.n
         keys[i] = None
     distinct = np.frombuffer(data, dtype=complex).reshape(-1, *shape)
     return distinct, classes
+
+
+def wide_group_document(k: int) -> dict:
+    """A pattern document whose one group measures k qubits in the
+    computational basis: input wire 0 and the first k - 1 legs of a k-leg
+    GHZ resource over qubits 1..k, whose last leg is the output. Its wiring
+    is sound, so only a bound on the group's width can refuse it."""
+    half = [2 ** -0.5, 0.0]
+    return {
+        "name": f"wide-group-{k}",
+        "num_qubits": k + 1,
+        "inputs": [0],
+        "resources": [
+            {"qubits": list(range(1, k + 1)), "terms": [
+                {"coeff": half, "bits": "0" * k}, {"coeff": half, "bits": "1" * k},
+            ]},
+        ],
+        "groups": [
+            {"qubits": list(range(k)), "vectors": [
+                {"label": [i], "terms": [{"coeff": [1.0, 0.0], "bits": format(i, f"0{k}b")}]}
+                for i in range(1 << k)
+            ]},
+        ],
+        "outputs": [k],
+        "target": {"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+    }

@@ -15,13 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 import telegate
 from telegate import catalog, oracle, reports
+from telegate import statevec as sv
 from telegate.cli import build_parser, main, resolve_pattern
 from telegate.patterns import (
     CorrectionOp, CorrectionTable, format_key, pattern_from_document, pattern_to_document,
     validate_pattern,
 )
 
-from reference import shuffled_document
+from reference import shuffled_document, wide_group_document
 
 
 def run(capsys, *argv):
@@ -100,6 +101,35 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: max_n must lie in 1..") and err.count("\n") == 1
         assert calls == []
+
+    def test_parity_csv_is_refused_before_any_chain(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parity_experiment ran")
+
+        monkeypatch.setattr(oracle, "parity_experiment", refuse)
+        with pytest.raises(SystemExit) as exited:
+            main(["parity", "--format", "csv"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+    def test_group_less_worst_outcome_is_named(self, capsys, tmp_path):
+        # A pattern without groups has one outcome, whose key () is empty;
+        # it is still the worst outcome, and both reports name it.
+        identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        doc = {
+            "name": "wire", "num_qubits": 1, "inputs": [0], "resources": [], "groups": [],
+            "outputs": [0], "target": {"dim": 2, "entries": identity},
+        }
+        path = tmp_path / "wire.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", "--pattern-file", str(path))
+        assert code == 0
+        [line] = [line for line in out.splitlines() if line.startswith("min fidelity: ")]
+        assert line.endswith(" (outcome , input rand04)")
+        code, out, _ = run(capsys, "verify", "--pattern-file", str(path), "--format", "json")
+        report = json.loads(out)
+        assert code == 0
+        assert (report["worst_outcome"], report["worst_input"]) == ("", "rand04")
 
     def test_closed_stdout_exits_141_silently(self):
         # The report is far larger than a pipe buffer, so the writer is
@@ -330,6 +360,9 @@ MALFORMED_INPUTS = {
     "output-past-register": ("--pattern-file", _two_wire_phase_document([2, 99])),
     "repeated-output": ("--pattern-file", _two_wire_phase_document([2, 2])),
     "negative-output": ("--pattern-file", _two_wire_phase_document([2, -1])),
+    # A group one qubit past half the register limit: its basis alone would
+    # hold more amplitudes than the widest register.
+    "group-past-register-limit": ("--pattern-file", wide_group_document(sv.MAX_REGISTER_QUBITS // 2 + 1)),
     "directory-pattern-file": ("--pattern-file", DIRECTORY),
     "binary-pattern-file": ("--pattern-file", b"\x89PNG\r\n\x1a\n\xff\xfe"),
     "directory-unitary": ("--u", DIRECTORY),
@@ -424,12 +457,16 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, case):
         ("output-past-register", "qubit index 99 out of range for 4 qubits"),
         ("repeated-output", "qubit subset (2, 2) contains duplicates"),
         ("negative-output", "qubit index -1 out of range for 4 qubits"),
+        (
+            "group-past-register-limit",
+            "group 0 has 12 qubits, but a basis wider than 11 qubits exceeds the 22-qubit register limit",
+        ),
     ],
     ids=[
         "repeated-cell", "boolean", "repeated-label", "sign-in-bit-slot", "false-in-group-label",
         "missing-cell", "no-cells", "string-count", "string-outputs", "string-resource-qubits",
         "boolean-inputs", "fractional-inputs", "boolean-entry", "truncated-unitary",
-        "output-past-register", "repeated-output", "negative-output",
+        "output-past-register", "repeated-output", "negative-output", "wide-group",
     ],
 )
 def test_document_errors_name_their_cause(capsys, tmp_path, case, error):
@@ -469,6 +506,7 @@ def test_group_vector_count_is_checked_before_any_vector_is_built(capsys, tmp_pa
         "output-past-register",
         "repeated-output",
         "negative-output",
+        "group-past-register-limit",
     ],
 )
 def test_malformed_document_is_one_line_usage_error_for_derive(capsys, tmp_path, case):
@@ -477,7 +515,10 @@ def test_malformed_document_is_one_line_usage_error_for_derive(capsys, tmp_path,
 
 @pytest.mark.parametrize(
     "case",
-    ["second-output-wire", "no-output-wire", "output-past-register", "repeated-output", "negative-output"],
+    [
+        "second-output-wire", "no-output-wire", "output-past-register", "repeated-output",
+        "negative-output", "group-past-register-limit",
+    ],
 )
 def test_output_count_error_is_one_line_usage_error_for_loss_check(capsys, tmp_path, case):
     _run_malformed(capsys, tmp_path, "loss-check", case)

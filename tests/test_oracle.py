@@ -432,7 +432,7 @@ class TestSparseContraction:
         vectors[0] = [1, 0, 0, 0]
         vectors[2, 1:3] = 0
         flat = rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))
-        index, coeffs = oracle._plan(sv.MeasurementBasis(2, vectors))
+        [(index, coeffs)] = oracle._pinned_plans(sv.MeasurementBasis(2, vectors), (0, 1), {})
         assert index.shape == (4, 4)
         np.testing.assert_allclose(
             oracle._contract(index, coeffs, flat, {}, 2), vectors.conj() @ flat,
@@ -446,27 +446,68 @@ class TestSparseContraction:
         assert np.array_equal(part, whole[:, 1:3])
 
 
-def _planned_bases():
-    bases = {}
+def _plan_cases():
+    """(basis, qubits, wire) for every catalog group and every chain-cz
+    group, each with its pattern's input-wire map, and for the ragged basis
+    with zero input wires, in name order, then with one and with two."""
+    cases = {}
+
+    def add(name, pattern):
+        inputs = pattern.input_wires
+        wire = {w: len(inputs) - 1 - i for i, w in enumerate(inputs)}
+        for gi, group in enumerate(pattern.groups):
+            cases[f"{name}-{gi}"] = group.basis, group.qubits, wire
+
     for name in catalog.catalog_entries():
-        for gi, group in enumerate(catalog.build_pattern(name).groups):
-            bases[f"{name}-{gi}"] = group.basis
+        add(name, catalog.build_pattern(name))
     for n in range(1, 9):
-        for gi, group in enumerate(catalog.chain_cz_pattern(n).groups):
-            bases[f"chain-cz-{n}-{gi}"] = group.basis
-    bases["ragged"] = ragged_basis()
-    return bases
+        add(f"chain-cz-{n}", catalog.chain_cz_pattern(n))
+    cases["ragged"] = ragged_basis(), (0, 1, 2), {}
+    cases = dict(sorted(cases.items()))
+    for wire in ({1: 0}, {2: 1, 0: 0}):
+        cases[f"ragged-{len(wire)}"] = ragged_basis(), (0, 1, 2), wire
+    return cases
 
 
-@pytest.mark.parametrize("name, basis", sorted(_planned_bases().items()))
+_PLAN_CASES = _plan_cases()
+
+
+@pytest.mark.parametrize("name, basis", [(name, case[0]) for name, case in _PLAN_CASES.items()])
 def test_plan_equals_the_argsort_plan(name, basis):
-    # Equal to the bit, signed zeros included: a padding slot's coefficient
-    # is the basis's own zero entry there, conjugated.
-    index, coeffs = oracle._plan(basis)
+    # Each pin's plan leads with the argsort plan's nonzero slots whose
+    # columns hold the pin, in slot order, each column read on the other
+    # qubits and each coefficient the same to the bit; every spare slot
+    # has coefficient +0.0.
+    _, qubits, wire = _PLAN_CASES[name]
     expected_index, expected_coeffs = argsort_plan(basis.vectors)
-    assert index.dtype == expected_index.dtype and np.array_equal(index, expected_index)
-    assert coeffs.shape == expected_coeffs.shape
-    assert coeffs.tobytes() == expected_coeffs.tobytes()
+    expected_coeffs = expected_coeffs[:, :, 0]
+    bits = (expected_index[..., None] >> np.arange(len(qubits) - 1, -1, -1)) & 1
+    held = np.array([q in wire for q in qubits], dtype=bool)
+    others = [1 << i for i in range(np.count_nonzero(~held) - 1, -1, -1)]
+    plans = oracle._pinned_plans(basis, qubits, wire)
+    assert len(plans) == 1 << len(wire)
+    shared = {}
+    for c, (index, coeffs) in enumerate(plans):
+        pin = tuple((c >> wire[q]) & 1 for q in qubits if q in wire)
+        assert shared.setdefault(pin, index) is index
+        keep = (expected_coeffs != 0) & (bits[..., held] == pin).all(axis=2)
+        counts = keep.sum(axis=1)
+        assert index.shape == coeffs.shape == (basis.size, max(1, counts.max()))
+        for r, n in enumerate(counts):
+            columns = [sum(int(b) * w for b, w in zip(col, others)) for col in bits[r][keep[r]][:, ~held]]
+            assert index[r, :n].tolist() == columns
+            assert coeffs[r, :n].tobytes() == expected_coeffs[r][keep[r]].tobytes()
+            assert coeffs[r, n:].tobytes() == bytes(16 * (index.shape[1] - n))
+
+
+def test_pinned_plans_read_only_entries_and_size():
+    # A stand-in without ``vectors`` plans as the basis itself does.
+    basis = ragged_basis()
+    stand_in = type("Entries", (), {"entries": basis.entries, "size": basis.size})()
+    for wire in ({}, {1: 0}, {2: 1, 0: 0}):
+        planned = oracle._pinned_plans(basis, (0, 1, 2), wire)
+        for got, want in zip_longest(oracle._pinned_plans(stand_in, (0, 1, 2), wire), planned):
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
 # sha256 of each pattern's maps in outcome order, of its class

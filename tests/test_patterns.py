@@ -31,6 +31,7 @@ from reference import (
     reference_dictionary,
     shuffled_document,
     small_patterns,
+    wide_group_document,
 )
 
 
@@ -394,6 +395,22 @@ class TestDocuments:
         doc["groups"][0]["vectors"][1]["terms"] = doc["groups"][0]["vectors"][0]["terms"]
         with pytest.raises(PatternFormatError, match="orthonormal"):
             pattern_from_document(doc)
+
+
+def test_wide_group_is_refused_in_little_memory():
+    # A 12-qubit group's dense basis would take 2 * 4^12 * 16 bytes (512
+    # MiB) at load; refused by its width, the document costs almost none.
+    import tracemalloc
+
+    doc = wide_group_document(sv.MAX_REGISTER_QUBITS // 2 + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PatternFormatError, match="group 0 has 12 qubits"):
+            pattern_from_document(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_default_layout_sorts_each_key_slot():
