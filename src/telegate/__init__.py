@@ -10,13 +10,14 @@ import sys as _sys
 
 # numpy's bundled OpenBLAS starts a worker thread when it loads, and an idle
 # worker busy-waits about 2**28 cycles (about 0.1 s of CPU) before it
-# sleeps. telegate's products are too small for OpenBLAS to hand any of them
-# to a second thread, so every short run paid that spin for nothing. The
-# timeout's minimum, 4, puts idle workers to sleep at once. It is read only
-# when OpenBLAS loads, so it is set around numpy's first import and removed
-# afterwards: os.environ and child processes see the caller's environment
-# unchanged. The thread count stays OpenBLAS's default, and a timeout the
-# caller set, or a numpy imported before telegate, is left alone.
+# sleeps. No CLI command on a catalog pattern hands a product to a second
+# thread (validating a basis with a component of 64 or more vectors, such as
+# a dense 6-qubit basis, does), so every short run paid that spin for
+# nothing. The timeout's minimum, 4, puts idle workers to sleep at once. It
+# is read only when OpenBLAS loads, so it is set around numpy's first import
+# and removed afterwards: os.environ and child processes see the caller's
+# environment unchanged. The thread count stays OpenBLAS's default, and a
+# timeout the caller set, or a numpy imported before telegate, is left alone.
 if "numpy" not in _sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in _os.environ:
     _os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
     try:

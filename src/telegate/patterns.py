@@ -351,7 +351,14 @@ def validate_pattern(pattern: GatePattern) -> None:
                     f"qubit {q} measured by both group {measured[q]} and group {gi}"
                 )
             measured[q] = gi
-        report = sv.validate_basis(group.basis)
+        k, basis = len(group.qubits), group.basis
+        if basis.num_qubits != k or basis.vectors.shape[1] != 1 << k:
+            raise PatternFormatError(
+                f"group {gi} basis has {basis.num_qubits} qubits and vectors of "
+                f"{basis.vectors.shape[1]} amplitudes, expected {k} and {1 << k} "
+                f"for its {k} measured qubits"
+            )
+        report = sv.validate_basis(basis)
         if report.vector_count != report.expected_count:
             raise PatternFormatError(
                 f"group {gi} basis has {report.vector_count} vectors, "

@@ -162,37 +162,86 @@ class BasisReport:
         )
 
 
-# Bounds each block of overlaps to about this many Gram entries.
+# Bounds each product of overlaps to about this many Gram entries.
 _GRAM_ENTRIES = 1 << 16
+
+
+def _components(basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The component of each vector and of each column: vectors joined
+    through shared nonzero columns, labelled by their least vector index.
+    A zero column is labelled ``basis.size``, a zero vector is its own
+    component, and vectors of different components are orthogonal.
+
+    Min-label propagation between vectors and columns, each round followed
+    by one pointer jump, until every entry's vector and column agree: each
+    round carries a component's least label at least one vector further, so
+    it takes at most ``basis.size`` rounds.
+    """
+    count = basis.size
+    rows, cols, _ = basis.entries
+    label = np.arange(count)
+    while True:
+        column = np.full(basis.vectors.shape[1], count)
+        np.minimum.at(column, cols, label[rows])
+        reached = column[cols]
+        np.minimum.at(label, rows, reached)
+        if np.array_equal(label[rows], reached):
+            return label, column
+        label = label[label]
+
+
+def _runs(label: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The indices in label order (stable), and each label's count and
+    where its run starts in that order."""
+    counts = np.bincount(label, minlength=size)
+    return np.argsort(label, kind="stable"), counts, np.cumsum(counts) - counts
 
 
 def validate_basis(basis: MeasurementBasis) -> BasisReport:
     """Report max pairwise overlap, max norm deviation and vector count.
 
-    Norms come from each vector's own nonzero entries, and overlaps from a
-    Gram matrix of each block of vectors against every vector from its first
-    on that shares one of its nonzero columns, over those columns only: every
-    other pair is orthogonal. Failures are report entries, not exceptions.
+    Norms come from each vector's own nonzero entries. Overlaps come only
+    from within each component (see ``_components``): the components of one
+    shape, r vectors over c columns, are stacked and their r x r Gram
+    matrices formed in batched products of about ``_GRAM_ENTRIES`` entries
+    each, a component with more than that a block of its vectors at a time.
+    Failures are report entries, not exceptions.
     """
     vecs = basis.vectors
     count = vecs.shape[0]
     rows, cols, vals = basis.entries
     norms = np.sqrt(np.bincount(rows, weights=vals.real**2 + vals.imag**2, minlength=count))
-    step = max(1, _GRAM_ENTRIES // max(count, 1))
+    label, column = _components(basis)
+    roots = np.flatnonzero(label == np.arange(count))
+    row_order, heights, row_starts = _runs(label, count)
+    col_order, widths, col_starts = _runs(column, count + 1)
+    # A component of one vector has no pair to overlap.
+    shaped = roots[heights[roots] > 1]
+    shaped = shaped[np.lexsort((widths[shaped], heights[shaped]))]
+    cuts = np.flatnonzero(np.diff(heights[shaped]) | np.diff(widths[shaped])) + 1
     max_overlap = 0.0
-    for lo in range(0, count, step):
-        start, end = np.searchsorted(rows, [lo, lo + step])
-        shared = np.zeros(vecs.shape[1], dtype=bool)
-        shared[cols[start:end]] = True
-        columns = np.flatnonzero(shared)
-        partners = np.flatnonzero(np.bincount(rows[start:][shared[cols[start:]]], minlength=count))
-        gram = vecs[lo:lo + step, columns].conj() @ vecs[np.ix_(partners, columns)].T
-        gram[np.arange(lo, lo + len(gram))[:, None] == partners] = 0
-        max_overlap = max(max_overlap, float(np.abs(gram).max(initial=0.0)))
+    for same in np.split(shaped, cuts) if len(shaped) else ():
+        r, c = int(heights[same[0]]), int(widths[same[0]])
+        members = row_order[row_starts[same][:, None] + np.arange(r)]
+        places = col_order[col_starts[same][:, None] + np.arange(c)]
+        batch = max(1, _GRAM_ENTRIES // (r * r))
+        # Every block of rows has the same height, at least 2 (the last one
+        # overlaps its neighbour): a one-row product would be a BLAS
+        # matrix-vector call, whose sums may round otherwise, and the report
+        # must not depend on the budget.
+        step = r if r * r <= _GRAM_ENTRIES else max(2, _GRAM_ENTRIES // r)
+        for lo in range(0, len(same), batch):
+            block = vecs[members[lo:lo + batch, :, None], places[lo:lo + batch, None, :]]
+            for top in range(0, r, step):
+                top = min(top, r - step)
+                gram = block[:, top:top + step].conj() @ block.transpose(0, 2, 1)
+                diagonal = np.arange(gram.shape[1])
+                gram[:, diagonal, top + diagonal] = 0
+                max_overlap = max(max_overlap, float(np.abs(gram).max()))
     return BasisReport(
         num_qubits=basis.num_qubits,
         vector_count=count,
         expected_count=1 << basis.num_qubits,
         max_pairwise_overlap=max_overlap,
-        max_norm_deviation=float(np.max(np.abs(norms - 1.0))),
+        max_norm_deviation=float(np.max(np.abs(norms - 1.0), initial=0.0)),
     )

@@ -184,6 +184,45 @@ class TestValidation:
         with pytest.raises(PatternFormatError, match="completeness"):
             validate_pattern(bad)
 
+    @staticmethod
+    def _cnot_with_first_basis(basis, labels=None):
+        pattern = catalog.cnot_pattern()
+        group = pattern.groups[0]
+        first = MeasurementGroup(group.qubits, basis, group.labels if labels is None else labels)
+        return dataclasses.replace(pattern, groups=(first, *pattern.groups[1:]))
+
+    def test_basis_wider_than_its_group_rejected(self):
+        # cnot's first basis placed in columns 16-31 of 32: orthonormal and
+        # complete, but over amplitudes its 4 measured qubits do not have.
+        vectors = catalog.cnot_pattern().groups[0].basis.vectors
+        wide = np.zeros((16, 32), dtype=complex)
+        wide[:, 16:] = vectors
+        bad = self._cnot_with_first_basis(sv.MeasurementBasis(4, wide))
+        with pytest.raises(PatternFormatError) as err:
+            validate_pattern(bad)
+        assert str(err.value) == (
+            "group 0 basis has 4 qubits and vectors of 32 amplitudes, "
+            "expected 4 and 16 for its 4 measured qubits"
+        )
+
+    def test_basis_on_another_qubit_count_rejected(self):
+        # A complete 3-qubit basis with 8 labels, in a 4-qubit group.
+        pattern = catalog.cnot_pattern()
+        labels = pattern.groups[0].labels[:8]
+        bad = self._cnot_with_first_basis(sv.MeasurementBasis(3, np.eye(8, dtype=complex)), labels)
+        with pytest.raises(PatternFormatError) as err:
+            validate_pattern(bad)
+        assert str(err.value) == (
+            "group 0 basis has 3 qubits and vectors of 8 amplitudes, "
+            "expected 4 and 16 for its 4 measured qubits"
+        )
+
+    def test_basis_without_vectors_rejected(self):
+        bad = self._cnot_with_first_basis(sv.MeasurementBasis(4, np.zeros((0, 16), dtype=complex)), ())
+        with pytest.raises(PatternFormatError) as err:
+            validate_pattern(bad)
+        assert str(err.value) == "group 0 basis has 0 vectors, expected 16 (completeness violation)"
+
     def test_double_measured_qubit_rejected(self):
         cz = catalog.controlled_z_pattern("h")
         groups = (cz.groups[0], MeasurementGroup((1, 2, 7), cz.groups[1].basis, cz.groups[1].labels))

@@ -1,4 +1,6 @@
 """State-vector engine tests against independently computed values."""
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -263,15 +265,94 @@ def test_validate_basis_matches_the_dense_gram(name):
 
 
 def test_validate_basis_blocks_do_not_change_the_report(monkeypatch):
-    # One vector per block (a budget below the vector count), a few, or the
-    # whole basis in one block: each pair's overlap sums the same nonzero
-    # terms, so the report is the same to the bit.
-    basis = REFERENCE_BASES["toffoli-literal-0"]
-    whole = sv.validate_basis(basis)
-    for budget in (1, 7, 64, 1 << 30):
-        monkeypatch.setattr(sv, "_GRAM_ENTRIES", budget)
-        assert sv.validate_basis(basis) == whole
-    assert not whole.passed and whole.max_pairwise_overlap > 0.99
+    # Two vectors of a component per product (a budget below the vector
+    # count), a few, or every component whole and stacked: each overlap sums
+    # the same terms in the same order, so the report is the same to the bit.
+    for name in ("toffoli-literal-0", "dense-64", "ragged"):
+        basis = REFERENCE_BASES[name]
+        monkeypatch.setattr(sv, "_GRAM_ENTRIES", 1 << 16)
+        whole = sv.validate_basis(basis)
+        for budget in (1, 7, 64, 1 << 30):
+            monkeypatch.setattr(sv, "_GRAM_ENTRIES", budget)
+            assert sv.validate_basis(basis) == whole, (name, budget)
+        if name == "toffoli-literal-0":
+            assert not whole.passed and whole.max_pairwise_overlap > 0.99
+        else:
+            assert whole.passed
+
+
+def _component_shapes(basis):
+    """How many components of each shape (vectors, columns) a basis has."""
+    label, column = sv._components(basis)
+    roots = np.flatnonzero(label == np.arange(basis.size))
+    heights = np.bincount(label, minlength=basis.size)[roots]
+    widths = np.bincount(column, minlength=basis.size + 1)[roots]
+    return Counter(zip(heights.tolist(), widths.tolist()))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_chain_cz_bases_split_into_pairs_of_vectors(n):
+    # Each vector has 2 nonzero amplitudes and shares both with exactly one
+    # other vector: 2^(k-1) components of 2 vectors over 2 columns.
+    from telegate import catalog
+
+    for group in catalog.chain_cz_pattern(n).groups:
+        k = len(group.qubits)
+        assert _component_shapes(group.basis) == {(2, 2): 1 << (k - 1)}
+
+
+def test_components_of_ragged_dense_and_zero_vectors():
+    # The ragged basis's two full rows join every vector and column.
+    assert _component_shapes(ragged_basis()) == {(8, 8): 1}
+    assert _component_shapes(REFERENCE_BASES["dense-16"]) == {(16, 16): 1}
+    # A zero vector is a component of its own, over no column; the vector
+    # that shared its columns with it is left alone on those.
+    vectors = ghz_like_basis().vectors.copy()
+    vectors[3] = 0
+    basis = sv.MeasurementBasis(3, vectors)
+    assert _component_shapes(basis) == {(2, 2): 3, (1, 2): 1, (1, 0): 1}
+    label, column = sv._components(basis)
+    assert label[3] == 3 and 3 not in column
+    report = sv.validate_basis(basis)
+    assert report.max_pairwise_overlap < sv.ATOL_AMP and report.max_norm_deviation == 1.0
+
+
+def test_validate_basis_without_vectors_reports_failure():
+    report = sv.validate_basis(sv.MeasurementBasis(1, np.zeros((0, 2), dtype=complex)))
+    assert (report.vector_count, report.expected_count) == (0, 2)
+    assert report.max_pairwise_overlap == 0.0 and report.max_norm_deviation == 0.0
+    assert not report.passed
+
+
+def _traced_peak(basis):
+    """tracemalloc's peak over one validate_basis call, the basis's kept
+    entries read before tracing starts."""
+    import tracemalloc
+
+    basis.entries
+    tracemalloc.start()
+    try:
+        sv.validate_basis(basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_validate_basis_memory_on_a_dense_basis():
+    # One component of 1024 vectors (16 MiB), its Gram matrix formed 64
+    # rows at a time (1 MiB each): 18.0 MiB when every block gathered the
+    # whole matrix.
+    basis = sv.MeasurementBasis(10, random_unitary(1024, np.random.default_rng(5)))
+    assert _traced_peak(basis) <= 20 * 2**20
+
+
+def test_validate_basis_memory_on_chain_cz_8():
+    # 512 components of 2 x 2: 0.26 MiB when the Gram blocks spanned the
+    # 1024 vectors.
+    from telegate import catalog
+
+    assert _traced_peak(catalog.chain_cz_pattern(8).groups[0].basis) <= 0.26 * 2**20
 
 
 @st.composite
