@@ -41,7 +41,7 @@ RANDOM_INPUTS = 20  # seeded random states verification adds to the basis inputs
 
 
 class MissingCorrectionError(LookupError):
-    """A correction entry required for verification is absent."""
+    """A pattern to verify has no correction table."""
 
 
 @dataclass(eq=False)
@@ -486,12 +486,9 @@ def enumerate_outcomes(pattern: GatePattern, input_state: sv.StateVector) -> lis
     keys = list(pattern.layout)
     num_out = len(pattern.output_wires)
     table = pattern.corrections
-    if table is None:
-        mats, op_index = np.empty((0, 1 << num_out, 1 << num_out)), np.full(len(keys), -1)
-    elif table.layout != pattern.layout:
+    if table is not None and table.layout != pattern.layout:
         raise sv.UsageError("correction table is not over the pattern's outcomes")
-    else:
-        mats, op_index = table.matrices(num_out), table.index
+    mats = None if table is None else table.matrices(num_out)
     records = []
     for block in _blocks(len(keys)):
         amps = branches[classes[block]]
@@ -499,15 +496,13 @@ def enumerate_outcomes(pattern: GatePattern, input_state: sv.StateVector) -> lis
         live = probs > ZERO_PROB
         pre = np.zeros_like(amps)
         pre[live] = amps[live] / np.sqrt(probs[live])[:, None]
-        corrected = np.zeros_like(amps)
-        fixed = live & (op_index[block] >= 0)
-        corrected[fixed] = (mats[op_index[block][fixed]] @ pre[fixed][:, :, None])[:, :, 0]
+        corrected = None if mats is None else (mats[table.index[block]] @ pre[:, :, None])[:, :, 0]
         records += [
             OutcomeRecord(
                 key,
                 float(probs[i]),
                 sv.StateVector(num_out, pre[i]) if live[i] else None,
-                sv.StateVector(num_out, corrected[i]) if fixed[i] else None,
+                sv.StateVector(num_out, corrected[i]) if corrected is not None and live[i] else None,
             )
             for i, key in enumerate(keys[block])
         ]
@@ -736,13 +731,28 @@ def _name_recoveries(
             prefix = prefixes[k]
         else:
             pairs = zip(first.tolist(), second.tolist(), cz[f].tolist())
-            prefix = _linear_words(n)[tuple(map(tuple, lin[f].tolist()))]
+            prefix = _linear_word(lin[f])
             prefix += tuple(("Ucz", (i, j)) for i, j, on in pairs if on)
         tails = tuple(_TAILS[a][b] for a, b in zip(flip, turn))
         ops.append(CorrectionOp(prefix + CorrectionOp.from_wire_products(tails).factors))
     for i, f in zip(good.tolist(), which.reshape(-1).tolist()):
         named[i] = ops[f]
     return named
+
+
+def _linear_word(lin: np.ndarray) -> tuple[Factor, ...]:
+    """The shortest controlled-X word of the invertible bit matrix ``lin``:
+    empty for the identity, else read from :func:`_linear_words`. That table
+    spans GL(n, 2), 20160 maps for 4 wires but 9999360 for 5, so any other
+    map on more than 4 wires is refused."""
+    n = len(lin)
+    if (lin == np.eye(n, dtype=lin.dtype)).all():
+        return ()
+    if n > 4:
+        raise sv.UsageError(
+            f"the full vocabulary names controlled-X recoveries on at most 4 output wires, not {n}"
+        )
+    return _linear_words(n)[tuple(map(tuple, lin.tolist()))]
 
 
 @lru_cache(maxsize=4)
@@ -786,18 +796,18 @@ class TableDiff:
 
 def compare_tables(derived: CorrectionTable, printed: CorrectionTable, num_wires: int) -> TableDiff:
     """Per-cell operator equivalence up to global phase, tested once per
-    distinct pair of ops, for two tables with cells at the same outcomes of
-    one layout; mismatches come in that layout's order, sorted key order."""
-    if printed.layout != derived.layout or not np.array_equal(derived.index >= 0, printed.index >= 0):
+    distinct pair of ops, for two tables over one layout; mismatches come
+    in that layout's order, sorted key order."""
+    if printed.layout != derived.layout:
         raise sv.UsageError("correction tables address different outcome sets")
-    order = np.flatnonzero(derived.index >= 0).tolist()
-    pairs = list(zip(derived.index[order].tolist(), printed.index[order].tolist()))
-    a, b = derived.matrices(num_wires), printed.matrices(num_wires)
-    differ = {pair: not _equal_up_to_phase(a[pair[0]], b[pair[1]]) for pair in set(pairs)}
-    hits = [(i, pair) for i, pair in zip(order, pairs) if differ[pair]]
+    width = len(printed.ops)
+    first, pair_of = _distinct(derived.index * width + printed.index, len(derived.ops) * width)
+    d, p = derived.index[first], printed.index[first]
+    differ = ~_equal_up_to_phase(derived.matrices(num_wires)[d], printed.matrices(num_wires)[p])
+    hits = np.flatnonzero(differ[pair_of])
     d_text, p_text = ([op.render(num_wires) for op in t.ops] for t in (derived, printed))
-    keys = derived.layout.keys_at([i for i, _ in hits])
-    mismatches = tuple((key, d_text[d], p_text[p]) for key, (_, (d, p)) in zip(keys, hits))
+    cells = zip(derived.layout.keys_at(hits), derived.index[hits].tolist(), printed.index[hits].tolist())
+    mismatches = tuple((key, d_text[a], p_text[b]) for key, a, b in cells)
     return TableDiff(total=len(derived), mismatches=mismatches)
 
 
@@ -874,6 +884,14 @@ def _first_occurrences(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarr
     return table[held], (np.cumsum(held) - 1)[ids]
 
 
+def _distinct(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_index=True, return_inverse=True)[1:]`` for ids
+    below ``size``, from :func:`_first_occurrences` when ``size`` is no larger."""
+    if size <= len(ids):
+        return _first_occurrences(ids, size)
+    return np.unique(ids, return_index=True, return_inverse=True)[1:]
+
+
 def verify_pattern(
     pattern: GatePattern,
     corrections: CorrectionTable | None = None,
@@ -905,21 +923,12 @@ def verify_pattern(
     if table.layout != layout:
         raise sv.UsageError("correction table is not over the pattern's outcomes")
     mats, op_index = table.matrices(pattern.num_outputs), table.index
-    if (op_index < 0).any():
-        missing = layout.key(int(np.argmax(op_index < 0)))
-        raise MissingCorrectionError(f"no correction entry for outcome {format_key(missing)}")
     target_out = pattern.target @ columns
     # Outcomes with a bitwise-equal map and the same correction have equal
     # rows; each distinct (map, correction) pair is computed and certified
     # at its first outcome, and the report keeps one row per pair.
     classes, zero = maps.classes, maps.facts.zero
-    ids, size = classes * len(mats) + op_index, len(zero) * len(mats)
-    if size <= len(ids):
-        # A table over the possible pairs, no larger than the outcomes,
-        # finds the distinct ones without sorting every outcome.
-        first, pair_of = _first_occurrences(ids, size)
-    else:
-        _, first, pair_of = np.unique(ids, return_index=True, return_inverse=True)
+    first, pair_of = _distinct(classes * len(mats) + op_index, len(zero) * len(mats))
     pair_fids = np.full((len(first), columns.shape[1]), np.nan)
     pair_probs = np.zeros_like(pair_fids)
     certified = True

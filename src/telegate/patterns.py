@@ -218,21 +218,29 @@ class OutcomeLayout:
 @dataclass(frozen=True, eq=False)
 class CorrectionTable(Mapping):
     """The correction of each outcome of ``layout``, kept once per distinct
-    op: outcome i gets ``ops[index[i]]`` and has no cell where ``index[i]``
-    is -1. Ops are numbered by first outcome. As a mapping it reads
-    key -> op over its cells in outcome order. A table fits a pattern only
-    when ``layout`` equals the pattern's :attr:`GatePattern.layout`.
+    op: outcome i gets ``ops[index[i]]``, and every outcome has one. Ops are
+    numbered by first outcome. As a mapping it reads key -> op in outcome
+    order. A table fits a pattern only when ``layout`` equals the pattern's
+    :attr:`GatePattern.layout`.
     """
 
     layout: OutcomeLayout
     ops: tuple[CorrectionOp, ...]
     index: np.ndarray  # intp, one per outcome of layout
 
+    def __post_init__(self):
+        index, count = self.index, len(self.layout)
+        if index.shape != (count,) or (count and not 0 <= index.min() <= index.max() < len(self.ops)):
+            raise PatternFormatError(
+                f"correction index must give each of {count} outcomes one of {len(self.ops)} ops"
+            )
+
     @classmethod
     def from_entries(cls, cells, layout: OutcomeLayout | None = None) -> "CorrectionTable":
         """The table of (key, op) cells, or of a key -> op mapping, over
         ``layout``; by default over each key slot's labels, sorted. A key
-        outside the layout, or listed twice, is refused."""
+        outside the layout or listed twice is refused, and so is a layout
+        outcome without a cell."""
         cells = list(cells.items() if isinstance(cells, Mapping) else cells)
         if layout is None:
             slots = zip(*(key for key, _ in cells))
@@ -244,14 +252,18 @@ class CorrectionTable(Mapping):
             except KeyError:
                 raise PatternFormatError(f"correction key {key} names no outcome") from None
         placed.sort(key=lambda cell: cell[0])
-        index, rows = [-1] * len(layout), {}
-        for position, op in placed:
-            if index[position] >= 0:
+        for (position, _), (following, _) in zip(placed, placed[1:]):
+            if position == following:
                 raise PatternFormatError(
                     f"correction table lists outcome {format_key(layout.key(position))} twice"
                 )
-            index[position] = rows.setdefault(op, len(rows))
-        return cls(layout, tuple(rows), np.array(index, dtype=np.intp))
+        if len(placed) != len(layout):
+            raise PatternFormatError(
+                f"correction table has {len(placed)} entries, expected {len(layout)}"
+            )
+        rows: dict[CorrectionOp, int] = {}
+        index = np.array([rows.setdefault(op, len(rows)) for _, op in placed], dtype=np.intp)
+        return cls(layout, tuple(rows), index)
 
     def matrices(self, num_wires: int) -> np.ndarray:
         """Each op's matrix, stacked as (len(ops), d, d)."""
@@ -259,16 +271,13 @@ class CorrectionTable(Mapping):
         return np.array([op.matrix(num_wires) for op in self.ops]).reshape(-1, dim, dim)
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self.index >= 0))
+        return len(self.index)
 
     def __getitem__(self, key: OutcomeKey) -> CorrectionOp:
-        row = self.index[self.layout.position(key)]
-        if row < 0:
-            raise KeyError(key)
-        return self.ops[row]
+        return self.ops[self.index[self.layout.position(key)]]
 
     def __iter__(self):
-        return iter(self.layout.keys_at(np.flatnonzero(self.index >= 0)))
+        return iter(self.layout)
 
 
 @dataclass(frozen=True)
@@ -321,6 +330,18 @@ class GatePattern:
         return copy
 
 
+def _claim(owners: dict[int, str], qubits: tuple[int, ...], owner: str) -> None:
+    """Give each of ``qubits`` to ``owner``: ``resource`` among the inputs'
+    and resources' qubits, ``group g`` among the measured ones. A qubit that
+    already has an owner is refused."""
+    for q in qubits:
+        if q in owners:
+            if owner == "resource":
+                raise PatternFormatError(f"qubit {q} declared by both {owners[q]} and a resource")
+            raise PatternFormatError(f"qubit {q} measured by both {owners[q]} and {owner}")
+        owners[q] = owner
+
+
 def validate_pattern(pattern: GatePattern) -> None:
     """Check the wiring, basis and correction invariants; raise on violation."""
     n = pattern.num_qubits
@@ -328,12 +349,7 @@ def validate_pattern(pattern: GatePattern) -> None:
     seen: dict[int, str] = {q: "input" for q in pattern.input_wires}
     for qubits, state in pattern.resources:
         sv.check_subset(qubits, n)
-        for q in qubits:
-            if q in seen:
-                raise PatternFormatError(
-                    f"qubit {q} declared by both {seen[q]} and a resource"
-                )
-            seen[q] = "resource"
+        _claim(seen, qubits, "resource")
         if state.num_qubits != len(qubits):
             raise PatternFormatError(
                 f"resource on qubits {qubits} has a {state.num_qubits}-qubit state"
@@ -342,15 +358,10 @@ def validate_pattern(pattern: GatePattern) -> None:
         missing = sorted(set(range(n)) - set(seen))
         raise PatternFormatError(f"register qubits {missing} have no preparation")
 
-    measured: dict[int, int] = {}
+    measured: dict[int, str] = {}
     for gi, group in enumerate(pattern.groups):
         sv.check_subset(group.qubits, n)
-        for q in group.qubits:
-            if q in measured:
-                raise PatternFormatError(
-                    f"qubit {q} measured by both group {measured[q]} and group {gi}"
-                )
-            measured[q] = gi
+        _claim(measured, group.qubits, f"group {gi}")
         k, basis = len(group.qubits), group.basis
         if basis.num_qubits != k or basis.vectors.shape[1] != 1 << k:
             raise PatternFormatError(
@@ -416,10 +427,6 @@ def _validate_corrections(pattern: GatePattern) -> None:
     table = pattern.corrections
     if table.layout != pattern.layout:
         raise PatternFormatError("correction table is not over the pattern's outcomes")
-    if len(table) != len(pattern.layout):
-        raise PatternFormatError(
-            f"correction table has {len(table)} entries, expected {len(pattern.layout)}"
-        )
     width = pattern.num_outputs
     factors = {f for op in table.ops for f in op.factors}
     for name, wires in sorted(factors, key=repr):
@@ -472,11 +479,11 @@ def _json_pieces(doc: dict, key: str, blocks):
 
 
 def _row_blocks(rows: np.ndarray, keys):
-    """(row, key) for each outcome whose row is not -1, one list per
-    ``_WRITE_BLOCK`` outcomes, given one row and one key per outcome."""
+    """(row, key) for each outcome, one list per ``_WRITE_BLOCK`` outcomes,
+    given one row and one key per outcome."""
     for lo in range(0, len(rows), _WRITE_BLOCK):
         # Rows first, so zip stops without drawing a key past the block.
-        yield [(r, key) for r, key in zip(rows[lo:lo + _WRITE_BLOCK].tolist(), keys) if r >= 0]
+        yield list(zip(rows[lo:lo + _WRITE_BLOCK].tolist(), keys))
 
 
 def _json_list(texts) -> str:
@@ -586,10 +593,9 @@ def pattern_to_document(pattern: GatePattern) -> dict:
     table = pattern.corrections
     if table is not None:
         ops = [_op_document(op) for op in table.ops]
-        present = np.flatnonzero(table.index >= 0)
         doc["corrections"] = [
             {"labels": [list(label) for label in key], "ops": ops[row]}
-            for key, row in zip(table.layout.keys_at(present), table.index[present].tolist())
+            for key, row in zip(table.layout, table.index.tolist())
         ]
     return doc
 
@@ -607,18 +613,26 @@ def pattern_from_document(doc: dict) -> GatePattern:
         inputs = _integers(doc["inputs"], "inputs")
         outputs = _integers(doc["outputs"], "outputs")
 
+        # Each entry claims its qubits, as validate_pattern does, before its
+        # state or vectors are built: a qubit given twice is refused before
+        # the second entry allocates, so repeated entries cannot add up.
+        prepared = {q: "input" for q in sv.check_subset(inputs, num_qubits)}
         resources = []
         for ri, res in enumerate(doc["resources"]):
             qubits = sv.check_subset(_integers(res["qubits"], f"resource {ri} qubits"), num_qubits)
+            _claim(prepared, qubits, "resource")
             state = _state_of(res["terms"], len(qubits), f"resource {ri}")
             resources.append((qubits, state))
 
+        measured: dict[int, str] = {}
         groups = []
         for gi, grp in enumerate(doc["groups"]):
             qubits = sv.check_subset(_integers(grp["qubits"], f"group {gi} qubits"), num_qubits)
-            # Refused before any vector is built, so neither the document's
-            # length nor a group's width can size an allocation: a k-qubit
-            # basis holds 4^k amplitudes, at most the register's 2^22.
+            _claim(measured, qubits, f"group {gi}")
+            # Refused before any vector is built, so with the claims neither
+            # the document's length nor a group's width can size an
+            # allocation: a k-qubit basis holds 4^k amplitudes, at most the
+            # register's 2^22.
             if 2 * len(qubits) > sv.MAX_REGISTER_QUBITS:
                 raise PatternFormatError(
                     f"group {gi} has {len(qubits)} qubits, but a basis wider than "

@@ -9,7 +9,7 @@ from itertools import count, product
 import numpy as np
 from hypothesis import strategies as st
 
-from telegate import oracle
+from telegate import catalog, oracle
 from telegate import statevec as sv
 from telegate.patterns import (
     ELEMENTARY_OPS,
@@ -468,3 +468,51 @@ def wide_group_document(k: int) -> dict:
         "outputs": [k],
         "target": {"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
     }
+
+
+def reused_resource_document(count: int, width: int) -> dict:
+    """The phase document on width + 1 qubits with ``count`` resources that
+    all prepare qubits 1..width, each from one term of coefficient 2: only
+    the claim of its qubits can refuse the second before its state is
+    built."""
+    doc = pattern_to_document(catalog.phase_gate_pattern())
+    doc["num_qubits"] = width + 1
+    resource = {"qubits": list(range(1, width + 1)), "terms": [{"coeff": [2.0, 0.0], "bits": "0" * width}]}
+    doc["resources"] = [resource] * count
+    return doc
+
+
+def reused_group_document(count: int, width: int) -> dict:
+    """:func:`wide_group_document` with its group listed ``count`` times,
+    each measuring qubits 0..width-1."""
+    doc = wide_group_document(width)
+    doc["groups"] *= count
+    return doc
+
+
+def teleports_document(num_wires: int, target: np.ndarray) -> dict:
+    """``num_wires`` single-qubit teleports side by side as one uncorrected
+    document aimed at ``target`` with the full vocabulary: wire i's input
+    is qubit 3i and its pair sits on 3i + 1 and 3i + 2, the output. Every
+    outcome map is a Pauli string, so each needed recovery is the target
+    times a Pauli string."""
+    one = catalog.single_qubit_pattern(np.eye(2))
+
+    def moved(qubits, wire):
+        return tuple(q + 3 * wire for q in qubits)
+
+    wires = range(num_wires)
+    pattern = GatePattern(
+        name=f"teleports-{num_wires}",
+        num_qubits=3 * num_wires,
+        input_wires=tuple(3 * i for i in wires),
+        resources=tuple((moved(q, i), state) for i in wires for q, state in one.resources),
+        groups=tuple(
+            MeasurementGroup(moved(g.qubits, i), g.basis, g.labels) for i in wires for g in one.groups
+        ),
+        output_wires=tuple(3 * i + 2 for i in wires),
+        target=np.asarray(target, dtype=complex),
+        vocabulary="full",
+    )
+    validate_pattern(pattern)
+    return pattern_to_document(pattern)

@@ -10,19 +10,24 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import telegate
 from telegate import catalog, oracle, reports
 from telegate import statevec as sv
+from telegate.gates import CZ
 from telegate.cli import build_parser, main, resolve_pattern
 from telegate.patterns import (
     CorrectionOp, CorrectionTable, format_key, pattern_from_document, pattern_to_document,
     validate_pattern,
 )
 
-from reference import shuffled_document, wide_group_document
+from reference import (
+    reused_group_document, reused_resource_document, shuffled_document, teleports_document,
+    wide_group_document,
+)
 
 
 def run(capsys, *argv):
@@ -316,6 +321,10 @@ MALFORMED_INPUTS = {
         "--pattern-file", (("corrections",), _PHASE_CELLS[:3], catalog.phase_gate_pattern),
     ),
     "empty-correction-list": ("--pattern-file", (("corrections",), [], catalog.phase_gate_pattern)),
+    # Entries that repeat qubits, each refused before it builds its state or
+    # basis (they once all did, and 40 such resources took 1.3 GB).
+    "reused-resource-qubits": ("--pattern-file", reused_resource_document(8, 20)),
+    "reused-group-qubits": ("--pattern-file", reused_group_document(3, 10)),
     # Numbers a float cannot hold, or that overflow once summed, squared or
     # multiplied; JSON's Infinity and NaN are read as floats.
     "overflowing-coefficient": ("--pattern-file", (("resources", 0, "terms", 0, "coeff"), [10**400, 0])),
@@ -522,6 +531,38 @@ def test_malformed_document_is_one_line_usage_error_for_derive(capsys, tmp_path,
 )
 def test_output_count_error_is_one_line_usage_error_for_loss_check(capsys, tmp_path, case):
     _run_malformed(capsys, tmp_path, "loss-check", case)
+
+
+@pytest.mark.parametrize(
+    "gate,wires,code,line",
+    [
+        (
+            "cnot", 5, 2,
+            "error: the full vocabulary names controlled-X recoveries on at most 4 output wires, not 5",
+        ),
+        ("cz", 5, 0, "  (4);(4);(4);(4);(4): Ucz[0,1](I x I x I x I x I)"),
+        ("cnot", 4, 0, "  (4);(4);(4);(4): Ucx[0,1](I x I x I x I)"),
+    ],
+    ids=["cnot-5-wires", "cz-5-wires", "cnot-4-wires"],
+)
+def test_controlled_x_recoveries_are_named_on_at_most_four_wires(tmp_path, gate, wires, code, line):
+    # A controlled-X word is read from a table of GL(n, 2): 20160 maps for 4
+    # wires, 9999360 for 5. An identity linear part (controlled-Z) needs no
+    # table, and a wider one is refused by its wire count. Each derivation
+    # runs in a fresh process, so building the 5-wire table would time out.
+    two_wire = np.eye(4)[[0, 1, 3, 2]] if gate == "cnot" else CZ
+    path = tmp_path / "teleports.json"
+    path.write_text(json.dumps(teleports_document(wires, np.kron(two_wire, np.eye(1 << (wires - 2))))))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(telegate.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "telegate.cli", "derive", "--pattern-file", str(path)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == code
+    if code:
+        assert (proc.stdout, proc.stderr) == ("", line + "\n")
+    else:
+        assert line in proc.stdout.splitlines()
 
 
 @pytest.mark.parametrize(

@@ -90,13 +90,9 @@ class TestEnumeration:
                 catalog.phase_gate_pattern(), sv.from_ket_expression(2, [(1, "00")])
             )
 
-    def test_missing_cells_give_no_corrected_state(self):
-        # A table over the pattern's outcomes may lack cells, and a pattern
-        # may ship no table: those outcomes are enumerated uncorrected.
+    def test_no_table_gives_no_corrected_state(self):
+        # A pattern may ship no table: its outcomes are enumerated uncorrected.
         pattern = catalog.phase_gate_pattern()
-        partial = CorrectionTable.from_entries(list(pattern.corrections.items())[:3], pattern.layout)
-        records = oracle.enumerate_outcomes(pattern.with_corrections(partial), plus_state())
-        assert [r.corrected_state is None for r in records] == [False, False, False, True]
         records = oracle.enumerate_outcomes(pattern.with_corrections(None), plus_state())
         assert all(r.corrected_state is None and r.pre_correction_state for r in records)
 
@@ -1891,8 +1887,7 @@ class TestDerivationGolden:
         pattern, table, _ = self._derive(name, request)
         classes = oracle.outcome_maps(pattern).classes
         ops = len(table.matrices(pattern.num_outputs))
-        held = table.index >= 0
-        _assert_first_occurrences(classes[held] * ops + table.index[held], (classes.max() + 1) * ops)
+        _assert_first_occurrences(classes * ops + table.index, (classes.max() + 1) * ops)
 
     def test_no_derived_op_renders_as_a_raw_chain(self, request):
         # Every name is entanglers first, then one tail per wire, so none
@@ -1949,12 +1944,6 @@ class TestVerifyMechanics:
         with pytest.raises(oracle.MissingCorrectionError):
             oracle.verify_pattern(catalog.controlled_z_pattern("h"))
 
-    def test_missing_entry_names_outcome(self):
-        pattern = catalog.phase_gate_pattern()
-        partial = CorrectionTable.from_entries(list(pattern.corrections.items())[:3], pattern.layout)
-        with pytest.raises(oracle.MissingCorrectionError, match=r"\(4\)"):
-            oracle.verify_pattern(pattern, corrections=partial)
-
     def test_compare_tables_flags_forced_diff(self):
         pattern = catalog.phase_gate_pattern()
         derived = oracle.derive_corrections(pattern)
@@ -1964,6 +1953,30 @@ class TestVerifyMechanics:
         diff = oracle.compare_tables(CorrectionTable.from_entries(tampered), pattern.corrections, 1)
         assert diff.mismatch_count == 1
         assert diff.mismatches[0][0] == key
+
+    @pytest.mark.parametrize(
+        "name,kind",
+        [
+            (n, k) for n, e in sorted(catalog.catalog_entries().items())
+            for k in ("reference", "captioned") if k in e
+        ] + [("cnot", "identity")],
+    )
+    def test_compare_tables_equals_the_cell_by_cell_loop(self, name, kind):
+        # The printed tables' op pairs outnumber their outcomes, so they are
+        # found by the sort; the all-identity table's by the dense table.
+        pattern = catalog.build_pattern(name)
+        n, derived = pattern.num_outputs, oracle.derive_corrections(pattern)
+        if kind == "identity":
+            printed = CorrectionTable.from_entries({key: CorrectionOp.identity() for key in derived})
+        else:
+            printed = catalog.catalog_entries()[name][kind]()
+        expected = [
+            (key, derived[key].render(n), printed[key].render(n))
+            for key in derived
+            if not oracle._equal_up_to_phase(derived[key].matrix(n), printed[key].matrix(n))
+        ]
+        diff = oracle.compare_tables(derived, printed, n)
+        assert (list(diff.mismatches), diff.total) == (expected, len(pattern.layout))
 
     def test_compare_tables_rejects_key_mismatch(self):
         pattern = catalog.phase_gate_pattern()

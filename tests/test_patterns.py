@@ -29,6 +29,8 @@ from reference import (
     pattern_file_text,
     patterns_equal,
     reference_dictionary,
+    reused_group_document,
+    reused_resource_document,
     shuffled_document,
     small_patterns,
     wide_group_document,
@@ -452,9 +454,57 @@ def test_wide_group_is_refused_in_little_memory():
     assert peak < 10 * 2**20
 
 
+@pytest.mark.parametrize(
+    "doc,bound,error",
+    [
+        (reused_resource_document(8, 20), 24, "qubit 1 declared by both resource and a resource"),
+        (reused_group_document(3, 10), 40, "qubit 0 measured by both group 0 and group 1"),
+    ],
+    ids=["8-resources-of-20-qubits", "3-groups-of-10-qubits"],
+)
+def test_reused_qubits_are_refused_in_little_memory(doc, bound, error):
+    # Each entry claims its qubits before it builds its state (16 MiB for 20
+    # qubits) or its basis (16 MiB for 10): only the first entry allocates,
+    # however many repeat its qubits.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(PatternFormatError) as err:
+            pattern_from_document(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == error
+    assert peak < bound * 2**20
+
+
+@pytest.mark.parametrize("count", [3, 0])
+def test_table_needs_a_cell_for_every_outcome(count):
+    pattern = catalog.phase_gate_pattern()
+    cells = list(pattern.corrections.items())[:count]
+    with pytest.raises(PatternFormatError) as err:
+        CorrectionTable.from_entries(cells, pattern.layout)
+    assert str(err.value) == f"correction table has {count} entries, expected 4"
+
+
+@pytest.mark.parametrize("edit", ["minus-one", "past-the-ops", "short"])
+def test_table_index_must_give_every_outcome_an_op(edit):
+    table = catalog.phase_gate_pattern().corrections
+    index = table.index.copy()
+    if edit == "short":
+        index = index[:3]
+    else:
+        index[1] = -1 if edit == "minus-one" else len(table.ops)
+    with pytest.raises(PatternFormatError) as err:
+        CorrectionTable(table.layout, table.ops, index)
+    assert str(err.value) == "correction index must give each of 4 outcomes one of 4 ops"
+
+
 def test_default_layout_sorts_each_key_slot():
     op = CorrectionOp.identity()
-    table = CorrectionTable.from_entries([(((1, "-"), (1,)), op), (((0, "+"), (0,)), op), (((0, "+"), (1,)), op)])
+    keys = [((1, "-"), (1,)), ((0, "+"), (0,)), ((1, "-"), (0,)), ((0, "+"), (1,))]
+    table = CorrectionTable.from_entries([(key, op) for key in keys])
     assert table.layout.labels == (((0, "+"), (1, "-")), ((0,), (1,)))
     pattern = catalog.cnot_pattern()
     cells = [(key, op) for key in pattern.layout]
