@@ -554,44 +554,26 @@ def _monomial_forms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 Factor = tuple[str, tuple[int, ...]]
 
 
-def _subset_products(units: list[tuple[Factor, ...]]) -> list[tuple[Factor, ...]]:
-    combos: list[tuple[Factor, ...]] = []
-    for bits in product((0, 1), repeat=len(units)):
-        flat: tuple[Factor, ...] = ()
-        for unit, bit in zip(units, bits):
-            if bit:
-                flat += unit
-        combos.append(flat)
-    return combos
-
-
-def _entangler_prefixes(num_wires: int) -> list[tuple[Factor, ...]]:
-    """The entangling prefixes naming tries first for the ``full``
-    vocabulary, in order. One listed twice, as ``()`` is for three wires,
-    does no harm: the first prefix that fits wins.
-
-    Two wires: the optional controlled-Z. Three wires: the closures of the
-    byproduct conjugations through the doubly-controlled-X and the
-    controlled-swap (mutually commuting generator sets, so plain subset
-    products), fewest factors first.
-    """
-    if num_wires == 2:
-        return [(), (("Ucz", (0, 1)),)]
-    if num_wires != 3:
-        return [()]
-    ccx_units = [
-        (("Ucx", (1, 2)),),
-        (("Ucx", (0, 2)),),
-        (("Ucz", (0, 1)),),
-    ]
-    cswap_units = [
-        (("Ucx", (1, 2)), ("Ucx", (2, 1)), ("Ucx", (1, 2))),  # swap of wires 1,2
-        (("Ucx", (0, 1)), ("Ucx", (0, 2))),
-        (("Ucz", (0, 1)), ("Ucz", (0, 2))),
-    ]
-    candidates = _subset_products(ccx_units) + _subset_products(cswap_units)
-    candidates.sort(key=lambda f: (len(f), str(f)))
-    return candidates
+# Four three-wire recovery classes, keyed by their linear part (the image
+# of each wire's unit vector, wire 0 the leading bit) and their controlled-Z
+# pairs, are named by the controlled-swap closure's word rather than by
+# their own entangler's: the swap of wires 1 and 2 or not, wire 0's fan-out
+# onto wires 1 and 2, then the controlled-Z pairs of wire 0 with each or
+# not. Each word's matrix is its class's entangler; only the name differs,
+# and fredkin's derived table reads these names.
+_CSWAP_WORDS = {
+    ((0b111, 0b010, 0b001), ()): (("Ucx", (0, 1)), ("Ucx", (0, 2))),
+    ((0b111, 0b010, 0b001), ((0, 1), (0, 2))): (
+        ("Ucx", (0, 1)), ("Ucx", (0, 2)), ("Ucz", (0, 1)), ("Ucz", (0, 2)),
+    ),
+    ((0b111, 0b001, 0b010), ()): (
+        ("Ucx", (1, 2)), ("Ucx", (2, 1)), ("Ucx", (1, 2)), ("Ucx", (0, 1)), ("Ucx", (0, 2)),
+    ),
+    ((0b111, 0b001, 0b010), ((0, 1), (0, 2))): (
+        ("Ucx", (1, 2)), ("Ucx", (2, 1)), ("Ucx", (1, 2)), ("Ucx", (0, 1)), ("Ucx", (0, 2)),
+        ("Ucz", (0, 1)), ("Ucz", (0, 2)),
+    ),
+}
 
 
 # _TAILS[flip][turn] names the one-wire factor that sends bit b to
@@ -604,21 +586,6 @@ _TAILS = (
 )
 
 
-@lru_cache(maxsize=8)
-def _prefix_forms(num_wires: int, vocabulary: str) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """The fixed prefixes naming tries, in order: ``()`` for ``pauli_phase``,
-    :func:`_entangler_prefixes` for ``full``. With them, each one's inverse
-    in integer form: the prefix sends column inverse[y] to row y with
-    i**back[y]."""
-    prefixes = tuple(_entangler_prefixes(num_wires)) if vocabulary == "full" else ((),)
-    rows, q, _ = _monomial_forms(np.array([CorrectionOp(p).matrix(num_wires) for p in prefixes]))
-    inverse = np.argsort(rows, axis=1)
-    back = np.take_along_axis(q, inverse, axis=1)
-    for array in (inverse, back):
-        array.flags.writeable = False  # shared by every caller
-    return prefixes, inverse, back
-
-
 def derive_corrections(pattern: GatePattern) -> CorrectionTable:
     """The correction repairing each outcome, found from its map alone.
 
@@ -627,7 +594,7 @@ def derive_corrections(pattern: GatePattern) -> CorrectionTable:
     identity. Otherwise M must be proportional to a unitary (||M†M - s·I||_F
     <= SPREAD_TOL·s), and the needed recovery is T·M†/s with T the target.
     A recovery confirmed to be a phased permutation (see
-    :func:`_monomial_forms`) is named as an entangling prefix times one
+    :func:`_monomial_forms`) is named as its own entangler times one
     tail per wire (see :func:`_name_recoveries`) when the vocabulary
     generates it: per-wire flips and quarter turns for ``pauli_phase``,
     and those with controlled-X and controlled-Z factors for ``full``. Each
@@ -675,18 +642,19 @@ def derive_corrections_with_failures(
 def _name_recoveries(
     stack: np.ndarray, num_wires: int, vocabulary: str
 ) -> list[CorrectionOp | None]:
-    """Name each recovery g of a (k, d, d) stack as a prefix P times one
-    tail per wire, or None where the vocabulary does not generate it.
+    """Name each recovery g of a (k, d, d) stack as its entangler E times
+    one tail per wire, or None where the vocabulary does not generate it.
 
     g must be a phased permutation (see :func:`_monomial_forms`), whose
-    integer form sends column x to row r[x] with i**q[x]. The candidate
-    prefixes are the fixed ones of :func:`_prefix_forms`, then, for
-    ``full``, g's own entangler E: the controlled-X word of its linear
-    part, then its controlled-Z pairs, which leaves a local remainder
-    exactly when the vocabulary generates g. The first P whose remainder P⁻¹·g is local
-    names g: the remainder sends x to x ^ t with turns linear in the bits of
-    x, and wire i's tail is ``_TAILS[t_i][turn_i]``. Every step is integer
-    arithmetic on the forms, done once per distinct form.
+    integer form sends column x to row r[x] with i**q[x]. E is the identity
+    for ``pauli_phase``; for ``full`` it is g's own entangler: the
+    controlled-X word of g's linear part, then its controlled-Z pairs
+    (or, for four three-wire classes, the word of ``_CSWAP_WORDS``). The
+    remainder E⁻¹·g is local exactly when the vocabulary generates g: it
+    sends x to x ^ t with turns linear in the bits of x, and wire i's tail
+    is ``_TAILS[t_i][turn_i]``. Every step is integer arithmetic on the
+    forms, done once per distinct form, and each distinct E's word is built
+    once per call.
     """
     n, dim = num_wires, 1 << num_wires
     rows, q, ok = _monomial_forms(stack)
@@ -698,43 +666,41 @@ def _name_recoveries(
     rows, q = forms[:, :dim], forms[:, dim:]
     place = 1 << np.arange(n - 1, -1, -1)
     bits = ((np.arange(dim)[:, None] & place) != 0).astype(np.intp)  # bits[x, i]: wire i of x
-    prefixes, inverse, back = _prefix_forms(n, vocabulary)
-    # P⁻¹ sends row r[x] back to column rest[x] and undoes P's turns there.
-    rest, back = inverse[:, rows], back[:, rows]
+    first, second = np.triu_indices(n, 1)
     if vocabulary == "full":
         # E sends column x to row lin·x with sign (-1)**cz(x); column j of
-        # lin is the image of wire j's unit vector.
-        lin = bits[rows[:, place] ^ rows[:, :1]].transpose(0, 2, 1)
-        first, second = np.triu_indices(n, 1)
+        # lin is images[j], the image of wire j's unit vector.
+        images = rows[:, place] ^ rows[:, :1]
         cz = (q[:, place[first] | place[second]] - q[:, place[first]] - q[:, place[second]]) % 4 == 2
-        e_rows = ((bits @ lin.transpose(0, 2, 1)) & 1) @ place
-        e_turns = 2 * cz.astype(np.intp) @ (bits[:, first] & bits[:, second]).T
-        e_inverse = np.argsort(e_rows, axis=1)
-        e_back = np.take_along_axis(e_turns, e_inverse, axis=1)
-        rest = np.concatenate([rest, np.take_along_axis(e_inverse, rows, axis=1)[None]])
-        back = np.concatenate([back, np.take_along_axis(e_back, rows, axis=1)[None]])
-    turns = q - back
-    turns = (turns - turns[..., :1]) % 4
-    flips, wire_turns = rest[..., 0], turns[..., place]
-    fits = (rest == np.arange(dim) ^ flips[..., None]).all(axis=2)
-    fits &= (turns == wire_turns @ bits.T % 4).all(axis=2)
-    pick = fits.argmax(axis=0)
-    at = (pick, np.arange(len(forms)))
+    else:
+        images = np.broadcast_to(place, (len(forms), n))
+        cz = np.zeros((len(forms), len(first)), dtype=bool)
+    e_rows = ((bits @ bits[images]) & 1) @ place
+    e_turns = 2 * cz.astype(np.intp) @ (bits[:, first] & bits[:, second]).T
+    # E⁻¹ sends row r[x] back to column rest[x] and undoes E's turns there.
+    e_inverse = np.argsort(e_rows, axis=1)
+    rest = np.take_along_axis(e_inverse, rows, axis=1)
+    turns = q - np.take_along_axis(np.take_along_axis(e_turns, e_inverse, axis=1), rows, axis=1)
+    turns = (turns - turns[:, :1]) % 4
+    flips, wire_turns = rest[:, 0], turns[:, place]
+    fits = (rest == np.arange(dim) ^ flips[:, None]).all(axis=1)
+    fits &= (turns == wire_turns @ bits.T % 4).all(axis=1)
+    pairs = list(zip(first.tolist(), second.tolist()))
+    words: dict[tuple, tuple[Factor, ...]] = {}
     ops: list[CorrectionOp | None] = []
-    for f, (k, found, flip, turn) in enumerate(
-        zip(pick.tolist(), fits[at].tolist(), bits[flips[at]].tolist(), wire_turns[at].tolist())
+    for f, (found, flip, turn, image, on) in enumerate(
+        zip(fits.tolist(), bits[flips].tolist(), wire_turns.tolist(), images.tolist(), cz.tolist())
     ):
         if not found:
             ops.append(None)
             continue
-        if k < len(prefixes):
-            prefix = prefixes[k]
-        else:
-            pairs = zip(first.tolist(), second.tolist(), cz[f].tolist())
-            prefix = _linear_word(lin[f])
-            prefix += tuple(("Ucz", (i, j)) for i, j, on in pairs if on)
+        key = (tuple(image), tuple(p for p, o in zip(pairs, on) if o))
+        if key not in words:
+            words[key] = _CSWAP_WORDS.get(key) or (
+                _linear_word(bits[images[f]].T) + tuple(("Ucz", p) for p in key[1])
+            )
         tails = tuple(_TAILS[a][b] for a, b in zip(flip, turn))
-        ops.append(CorrectionOp(prefix + CorrectionOp.from_wire_products(tails).factors))
+        ops.append(CorrectionOp(words[key] + CorrectionOp.from_wire_products(tails).factors))
     for i, f in zip(good.tolist(), which.reshape(-1).tolist()):
         named[i] = ops[f]
     return named
@@ -752,28 +718,26 @@ def _linear_word(lin: np.ndarray) -> tuple[Factor, ...]:
         raise sv.UsageError(
             f"the full vocabulary names controlled-X recoveries on at most 4 output wires, not {n}"
         )
-    return _linear_words(n)[tuple(map(tuple, lin.tolist()))]
+    return _linear_words(n)[int(lin.reshape(-1) @ (1 << np.arange(n * n)))]
 
 
 @lru_cache(maxsize=4)
-def _linear_words(num_wires: int) -> dict:
+def _linear_words(num_wires: int) -> dict[int, tuple[Factor, ...]]:
     """Shortest controlled-X factor words for every invertible linear map
-    over F2^num_wires (bit i = wire i). Words are in matrix order."""
-    from collections import deque
-
-    n = num_wires
-    gens = [(c, t) for c in range(n) for t in range(n) if c != t]
-    identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    words: dict[tuple, tuple] = {identity: ()}
-    queue = deque([identity])
-    while queue:
-        a = queue.popleft()
-        for c, t in gens:
-            rows = [list(r) for r in a]
-            rows[t] = [x ^ y for x, y in zip(rows[t], rows[c])]
-            b = tuple(tuple(r) for r in rows)
+    over F2^num_wires (bit i = wire i), keyed by its bit matrix with entry
+    (i, j) at bit i·num_wires + j, so row i is one mask of num_wires bits.
+    Words are in matrix order: Ucx[c,t] before a word is the map whose row
+    t is XORed with its row c."""
+    n, row = num_wires, (1 << num_wires) - 1
+    gens = [(c * n, t * n, ("Ucx", (c, t))) for c in range(n) for t in range(n) if c != t]
+    identity = sum(1 << (i * n + i) for i in range(n))
+    words: dict[int, tuple[Factor, ...]] = {identity: ()}
+    queue = [identity]
+    for a in queue:  # breadth first: the queue grows as it is read
+        for c, t, factor in gens:
+            b = a ^ ((a >> c) & row) << t
             if b not in words:
-                words[b] = (("Ucx", (c, t)),) + words[a]
+                words[b] = (factor,) + words[a]
                 queue.append(b)
     return words
 

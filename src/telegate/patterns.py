@@ -644,16 +644,19 @@ def pattern_from_document(doc: dict) -> GatePattern:
                     f"group {gi} basis has {len(grp['vectors'])} vectors, "
                     f"expected {1 << len(qubits)} (completeness violation)"
                 )
-            vectors = [
-                (_label_of(vec["label"]), _state_of(vec["terms"], len(qubits), f"group {gi}"))
-                for vec in grp["vectors"]
-            ]
-            # Listed in label order whatever the document's order. The key
-            # also orders labels that mix bits and signs in one slot, which
-            # validate_pattern then refuses by name.
-            vectors.sort(key=lambda v: [(isinstance(x, str), x) for x in v[0]])
-            labels, states = zip(*vectors)
-            groups.append(MeasurementGroup(qubits, sv.basis_from_states(states), labels))
+            # One array holds the basis: each vector is parsed into its row in
+            # document order, then the rows are put in label order in place.
+            # The key also orders labels that mix bits and signs in one slot,
+            # which validate_pattern then refuses by name.
+            vectors = np.empty((len(grp["vectors"]), 1 << len(qubits)), dtype=complex)
+            labels = []
+            for row, vec in zip(vectors, grp["vectors"]):
+                labels.append(_label_of(vec["label"]))
+                row[:] = _state_of(vec["terms"], len(qubits), f"group {gi}").amps
+            order = sorted(range(len(labels)), key=lambda i: [(isinstance(x, str), x) for x in labels[i]])
+            _sort_rows(vectors, order)
+            basis = sv.MeasurementBasis(len(qubits), vectors)
+            groups.append(MeasurementGroup(qubits, basis, tuple(labels[i] for i in order)))
 
         dim = _integer(doc["target"]["dim"])
         entries = doc["target"]["entries"]
@@ -690,6 +693,24 @@ def pattern_from_document(doc: dict) -> GatePattern:
         pattern = pattern.with_corrections(CorrectionTable.from_entries(cells, pattern.layout))
         _validate_corrections(pattern)
     return pattern
+
+
+def _sort_rows(rows: np.ndarray, order: list[int]) -> None:
+    """Move row order[i] of ``rows`` to row i in place. Each cycle of the
+    permutation passes through one spare row, so the array is never held
+    twice."""
+    done = [False] * len(order)
+    for start in range(len(order)):
+        if done[start] or order[start] == start:
+            continue
+        spare = rows[start].copy()
+        i = start
+        while order[i] != start:
+            rows[i] = rows[order[i]]
+            done[i] = True
+            i = order[i]
+        rows[i] = spare
+        done[i] = True
 
 
 def _op_document(op: CorrectionOp) -> list[dict]:

@@ -96,6 +96,150 @@ def _tail_matrix(tail: tuple[str, ...]) -> np.ndarray:
     return out
 
 
+Factor = tuple[str, tuple[int, ...]]
+
+
+def _subset_products(units: list[tuple[Factor, ...]]) -> list[tuple[Factor, ...]]:
+    combos: list[tuple[Factor, ...]] = []
+    for bits in product((0, 1), repeat=len(units)):
+        flat: tuple[Factor, ...] = ()
+        for unit, bit in zip(units, bits):
+            if bit:
+                flat += unit
+        combos.append(flat)
+    return combos
+
+
+def entangler_prefixes(num_wires: int) -> list[tuple[Factor, ...]]:
+    """The entangling prefixes naming once tried first for the ``full``
+    vocabulary, in order. One listed twice, as ``()`` is for three wires,
+    does no harm: the first prefix that fits wins.
+
+    Two wires: the optional controlled-Z. Three wires: the closures of the
+    byproduct conjugations through the doubly-controlled-X and the
+    controlled-swap (mutually commuting generator sets, so plain subset
+    products), fewest factors first.
+    """
+    if num_wires == 2:
+        return [(), (("Ucz", (0, 1)),)]
+    if num_wires != 3:
+        return [()]
+    ccx_units = [
+        (("Ucx", (1, 2)),),
+        (("Ucx", (0, 2)),),
+        (("Ucz", (0, 1)),),
+    ]
+    cswap_units = [
+        (("Ucx", (1, 2)), ("Ucx", (2, 1)), ("Ucx", (1, 2))),  # swap of wires 1,2
+        (("Ucx", (0, 1)), ("Ucx", (0, 2))),
+        (("Ucz", (0, 1)), ("Ucz", (0, 2))),
+    ]
+    candidates = _subset_products(ccx_units) + _subset_products(cswap_units)
+    candidates.sort(key=lambda f: (len(f), str(f)))
+    return candidates
+
+
+@lru_cache(maxsize=4)
+def linear_words_by_rows(num_wires: int) -> dict:
+    """Shortest controlled-X factor words for every invertible linear map
+    over F2^num_wires (bit i = wire i), keyed by the bit matrix's rows as
+    tuples: the breadth-first search ``oracle._linear_words`` runs on
+    integer row masks, with the same generators, queue order and words.
+    Words are in matrix order."""
+    from collections import deque
+
+    n = num_wires
+    gens = [(c, t) for c in range(n) for t in range(n) if c != t]
+    identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    words: dict[tuple, tuple] = {identity: ()}
+    queue = deque([identity])
+    while queue:
+        a = queue.popleft()
+        for c, t in gens:
+            rows = [list(r) for r in a]
+            rows[t] = [x ^ y for x, y in zip(rows[t], rows[c])]
+            b = tuple(tuple(r) for r in rows)
+            if b not in words:
+                words[b] = (("Ucx", (c, t)),) + words[a]
+                queue.append(b)
+    return words
+
+
+@lru_cache(maxsize=8)
+def _prefix_forms(num_wires: int, vocabulary: str) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The fixed prefixes :func:`two_stage_names` tries, in order: ``()``
+    for ``pauli_phase``, :func:`entangler_prefixes` for ``full``. With
+    them, each one's inverse in integer form: the prefix sends column
+    inverse[y] to row y with i**back[y]."""
+    prefixes = tuple(entangler_prefixes(num_wires)) if vocabulary == "full" else ((),)
+    rows, q, _ = oracle._monomial_forms(np.array([CorrectionOp(p).matrix(num_wires) for p in prefixes]))
+    inverse = np.argsort(rows, axis=1)
+    back = np.take_along_axis(q, inverse, axis=1)
+    for array in (inverse, back):
+        array.flags.writeable = False  # shared by every caller
+    return prefixes, inverse, back
+
+
+def two_stage_names(stack: np.ndarray, num_wires: int, vocabulary: str) -> list[CorrectionOp | None]:
+    """The namer derivation once used: each recovery g of a (k, d, d) stack
+    as a prefix P times one tail per wire, or None where the vocabulary does
+    not generate it. The candidate prefixes are the fixed ones of
+    :func:`_prefix_forms`, then, for ``full``, g's own entangler E (the
+    controlled-X word of its linear part, read from
+    :func:`linear_words_by_rows`, then its controlled-Z pairs); the first P
+    whose remainder P⁻¹·g is local names g. At most 4 wires for ``full``."""
+    n, dim = num_wires, 1 << num_wires
+    rows, q, ok = oracle._monomial_forms(stack)
+    named: list[CorrectionOp | None] = [None] * len(stack)
+    good = np.flatnonzero(ok)
+    if not good.size:
+        return named
+    forms, which = np.unique(np.hstack([rows, q])[good], axis=0, return_inverse=True)
+    rows, q = forms[:, :dim], forms[:, dim:]
+    place = 1 << np.arange(n - 1, -1, -1)
+    bits = ((np.arange(dim)[:, None] & place) != 0).astype(np.intp)  # bits[x, i]: wire i of x
+    prefixes, inverse, back = _prefix_forms(n, vocabulary)
+    # P⁻¹ sends row r[x] back to column rest[x] and undoes P's turns there.
+    rest, back = inverse[:, rows], back[:, rows]
+    if vocabulary == "full":
+        # E sends column x to row lin·x with sign (-1)**cz(x); column j of
+        # lin is the image of wire j's unit vector.
+        lin = bits[rows[:, place] ^ rows[:, :1]].transpose(0, 2, 1)
+        first, second = np.triu_indices(n, 1)
+        cz = (q[:, place[first] | place[second]] - q[:, place[first]] - q[:, place[second]]) % 4 == 2
+        e_rows = ((bits @ lin.transpose(0, 2, 1)) & 1) @ place
+        e_turns = 2 * cz.astype(np.intp) @ (bits[:, first] & bits[:, second]).T
+        e_inverse = np.argsort(e_rows, axis=1)
+        e_back = np.take_along_axis(e_turns, e_inverse, axis=1)
+        rest = np.concatenate([rest, np.take_along_axis(e_inverse, rows, axis=1)[None]])
+        back = np.concatenate([back, np.take_along_axis(e_back, rows, axis=1)[None]])
+    turns = q - back
+    turns = (turns - turns[..., :1]) % 4
+    flips, wire_turns = rest[..., 0], turns[..., place]
+    fits = (rest == np.arange(dim) ^ flips[..., None]).all(axis=2)
+    fits &= (turns == wire_turns @ bits.T % 4).all(axis=2)
+    pick = fits.argmax(axis=0)
+    at = (pick, np.arange(len(forms)))
+    ops: list[CorrectionOp | None] = []
+    for f, (k, found, flip, turn) in enumerate(
+        zip(pick.tolist(), fits[at].tolist(), bits[flips[at]].tolist(), wire_turns[at].tolist())
+    ):
+        if not found:
+            ops.append(None)
+            continue
+        if k < len(prefixes):
+            prefix = prefixes[k]
+        else:
+            pairs = zip(first.tolist(), second.tolist(), cz[f].tolist())
+            prefix = linear_words_by_rows(n)[tuple(map(tuple, lin[f].tolist()))]
+            prefix += tuple(("Ucz", (i, j)) for i, j, on in pairs if on)
+        tails = tuple(oracle._TAILS[a][b] for a, b in zip(flip, turn))
+        ops.append(CorrectionOp(prefix + CorrectionOp.from_wire_products(tails).factors))
+    for i, f in zip(good.tolist(), which.reshape(-1).tolist()):
+        named[i] = ops[f]
+    return named
+
+
 @lru_cache(maxsize=8)
 def reference_dictionary(num_wires: int, vocabulary: str) -> tuple[list[CorrectionOp], np.ndarray]:
     """The enumerated correction dictionary derivation once looked recoveries
@@ -105,7 +249,7 @@ def reference_dictionary(num_wires: int, vocabulary: str) -> tuple[list[Correcti
     The tails are the single-wire chains over I, Up, sz, sx of length 1 to
     3, the first of each class up to phase in (length, alphabet) order; the
     prefixes are ``()`` for ``pauli_phase`` and the first of each class
-    among ``oracle._entangler_prefixes`` for ``full``. Op k is prefix
+    among :func:`entangler_prefixes` for ``full``. Op k is prefix
     ``k % len(prefixes)`` times the tails picked by the digits of
     ``k // len(prefixes)`` in base ``len(tails)`` (wire 0 most
     significant). Its
@@ -114,7 +258,7 @@ def reference_dictionary(num_wires: int, vocabulary: str) -> tuple[list[Correcti
     signs of zeros."""
     combos = [c for length in (1, 2, 3) for c in product(("I", "Up", "sz", "sx"), repeat=length)]
     tails, tail_mats = _first_per_phase_class(combos, [_tail_matrix(c) for c in combos])
-    candidates = oracle._entangler_prefixes(num_wires) if vocabulary == "full" else [()]
+    candidates = entangler_prefixes(num_wires) if vocabulary == "full" else [()]
     prefixes, prefix_mats = _first_per_phase_class(
         candidates, [CorrectionOp(p).matrix(num_wires) for p in candidates]
     )

@@ -565,6 +565,33 @@ def test_controlled_x_recoveries_are_named_on_at_most_four_wires(tmp_path, gate,
         assert line in proc.stdout.splitlines()
 
 
+FAN_OUT = (("Ucx", (0, 1)), ("Ucx", (0, 2)))
+SWAP_12 = (("Ucx", (1, 2)), ("Ucx", (2, 1)), ("Ucx", (1, 2)))
+
+
+@pytest.mark.parametrize(
+    "word,entangler",
+    [
+        (FAN_OUT, "Ucx[0,1]Ucx[0,2]"),
+        (FAN_OUT + (("Ucz", (0, 1)),), "Ucx[0,2]Ucx[0,1]Ucz[0,1]"),
+        (SWAP_12 + FAN_OUT, "Ucx[1,2]Ucx[2,1]Ucx[1,2]Ucx[0,1]Ucx[0,2]"),
+    ],
+    ids=["fan-out", "fan-out-cz01", "swap12-fan-out"],
+)
+def test_three_wire_recoveries_print_their_entangler(capsys, tmp_path, word, entangler):
+    # Each recovery of three teleports aimed at T is T times a Pauli string,
+    # so every line names T's entangler. Fan-out, with or without the swap
+    # of wires 1 and 2, keeps its controlled-swap word; fan-out then CZ01
+    # is not one of those classes and is named by its own entangler.
+    path = tmp_path / "teleports.json"
+    path.write_text(json.dumps(teleports_document(3, CorrectionOp(word).matrix(3))))
+    code, out, _ = run(capsys, "derive", "--pattern-file", str(path))
+    assert code == 0
+    ops = [line.split(": ")[1] for line in out.splitlines()[1:]]
+    assert len(ops) == 64
+    assert all(op.startswith(entangler + "(") for op in ops)
+
+
 @pytest.mark.parametrize(
     "name,kwargs", [("cnot", {}), ("cz-mismatched", {}), ("fredkin", {}), ("chain-cz", {"n": 3})],
     ids=["cnot", "cz-mismatched", "fredkin", "chain-cz-3"],

@@ -5,7 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
-from itertools import zip_longest
+from itertools import combinations, product, zip_longest
 from pathlib import Path
 from unittest import mock
 
@@ -38,9 +38,11 @@ from reference import (
     project,
     ragged_basis,
     random_unitary,
+    linear_words_by_rows,
     reference_dictionary,
     sampled_verdict,
     small_patterns,
+    two_stage_names,
 )
 
 
@@ -1239,7 +1241,8 @@ def _reference_decompose(r: np.ndarray, num_wires: int) -> CorrectionOp | None:
             y = (y << 1) | b
         if (y ^ t) != perm[x]:
             return None
-    word = oracle._linear_words(num_wires).get(lin)
+    key = sum(bit << (i * num_wires + j) for i, row in enumerate(lin) for j, bit in enumerate(row))
+    word = oracle._linear_words(num_wires).get(key)
     if word is None:
         return None
     rel = phases / phases[0]
@@ -1409,18 +1412,79 @@ class TestDecomposeMonomial:
         assert oracle._name_recoveries(ccz[None], 3, "full") == [None]
 
     def test_fredkin_derivation_builds_each_correction_matrix_once(self, monkeypatch):
-        # A cold derivation builds the 16 matrices of the three-wire fixed
-        # prefixes, once. Every other step, each recovery's own entangler
-        # included, is integer arithmetic on the forms, so the 512 names
-        # build none.
+        # Every step of naming, each recovery's own entangler included, is
+        # integer arithmetic on the forms, so a cold derivation's 512 names
+        # build no correction matrix.
         calls = []
         matrix = CorrectionOp.matrix
         monkeypatch.setattr(CorrectionOp, "matrix", lambda op, n: calls.append(1) or matrix(op, n))
-        oracle._prefix_forms.cache_clear()
+        oracle._linear_words.cache_clear()
         pattern = catalog.fredkin_pattern()
         oracle.outcome_maps(pattern)
         oracle.derive_corrections_with_failures(pattern)
-        assert len(calls) == 16
+        assert len(calls) == 0
+
+
+def _class_recoveries(classes, num_wires: int, rng: np.random.Generator) -> np.ndarray:
+    """One recovery per (controlled-X word, controlled-Z pairs) class: the
+    class's entangler times a random one-wire word on every wire, at a
+    random global phase."""
+    mats = []
+    for word, pairs in classes:
+        tails = tuple(
+            (str(name), (wire,))
+            for wire in range(num_wires)
+            for name in rng.choice(["sx", "sz", "Up"], size=rng.integers(0, 4))
+        )
+        op = CorrectionOp(word + tuple(("Ucz", p) for p in pairs) + tails)
+        mats.append(op.matrix(num_wires) * np.exp(2j * np.pi * rng.uniform()))
+    return np.array(mats)
+
+
+class TestOneEntanglerPerForm:
+    """The namer against ``reference.two_stage_names``, the namer that once
+    tried fixed entangling prefixes before each recovery's own entangler."""
+
+    @pytest.mark.parametrize("num_wires", [2, 3, 4])
+    def test_linear_words_match_the_tuple_search(self, num_wires):
+        # Same generators, queue order and words, so the same table in the
+        # same order, keyed by bit masks instead of tuple rows.
+        def key(rows):
+            return sum(bit << (i * num_wires + j) for i, row in enumerate(rows) for j, bit in enumerate(row))
+
+        want = [(key(rows), word) for rows, word in linear_words_by_rows(num_wires).items()]
+        assert list(oracle._linear_words(num_wires).items()) == want
+
+    @pytest.mark.parametrize("num_wires", [2, 3])
+    def test_every_class_is_named_as_the_two_stage_namer_named_it(self, num_wires):
+        pairs = list(combinations(range(num_wires), 2))
+        classes = [
+            (word, tuple(p for p, on in zip(pairs, bits) if on))
+            for word in linear_words_by_rows(num_wires).values()
+            for bits in product((0, 1), repeat=len(pairs))
+        ]
+        assert len(classes) == {2: 12, 3: 1344}[num_wires]
+        stack = _class_recoveries(classes, num_wires, np.random.default_rng(num_wires))
+        for vocabulary in ("pauli_phase", "full"):
+            named = oracle._name_recoveries(stack, num_wires, vocabulary)
+            want = two_stage_names(stack, num_wires, vocabulary)
+            assert [k for k, (a, b) in enumerate(zip(named, want)) if a != b] == []
+        assert None not in named
+
+    def test_sampled_four_wire_recoveries_are_named_as_the_two_stage_namer_named_them(self):
+        rng = np.random.default_rng(4)
+        words = list(linear_words_by_rows(4).values())
+        pairs = list(combinations(range(4), 2))
+        classes = [
+            (words[rng.integers(len(words))], tuple(p for p in pairs if rng.integers(2)))
+            for _ in range(5000)
+        ]
+        stack = _class_recoveries(classes, 4, rng)
+        for vocabulary in ("pauli_phase", "full"):
+            named = oracle._name_recoveries(stack, 4, vocabulary)
+            want = two_stage_names(stack, 4, vocabulary)
+            assert [k for k, (a, b) in enumerate(zip(named, want)) if a != b] == []
+        assert None not in named
 
 
 class TestSingleQubit:

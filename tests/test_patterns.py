@@ -479,6 +479,27 @@ def test_reused_qubits_are_refused_in_little_memory(doc, bound, error):
     assert peak < bound * 2**20
 
 
+@pytest.mark.parametrize("seed", [None, 3], ids=["label-order", "shuffled"])
+def test_group_basis_is_held_once_while_loading(seed):
+    # A 10-qubit computational-basis group is a 16 MiB basis. Each vector is
+    # parsed into its row of one array and the rows are sorted in place, so
+    # the load never holds the basis twice, whatever the vectors' order.
+    import tracemalloc
+
+    doc = wide_group_document(10)
+    if seed is not None:
+        doc = shuffled_document(doc, seed)
+    tracemalloc.start()
+    try:
+        pattern = pattern_from_document(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
+    assert pattern.groups[0].labels == tuple((i,) for i in range(1024))
+    assert np.array_equal(pattern.groups[0].basis.vectors, np.eye(1024))
+
+
 @pytest.mark.parametrize("count", [3, 0])
 def test_table_needs_a_cell_for_every_outcome(count):
     pattern = catalog.phase_gate_pattern()
