@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -108,10 +108,9 @@ _CONFIRM = 1 << 12
 def _register(pattern: GatePattern) -> np.ndarray:
     """The register the resource states make, over the qubits that are not
     input wires, in measurement order, one axis of size 2 per qubit: each
-    group's other qubits in group order, group after group, then the other
-    output wires in output order. Each entry is the product of its resource
-    amplitudes in resource order, as np.kron multiplies them; a pattern
-    without resources has the scalar 1."""
+    group's other qubits in group order, group after group, then the output
+    wires in output order. Each entry is the product of its resource
+    amplitudes in resource order, as np.kron multiplies them."""
     inputs = set(pattern.input_wires)
     measured = [q for group in pattern.groups for q in group.qubits]
     qubits = [q for q in measured + list(pattern.output_wires) if q not in inputs]
@@ -126,13 +125,7 @@ def _register(pattern: GatePattern) -> np.ndarray:
         return amps.reshape([2] * len(wires)).transpose(order).reshape(shape)
 
     factors = [placed(wires, state.amps) for wires, state in pattern.resources]
-    if not factors:
-        return np.ones((), dtype=complex)
-    register = factors[0]
-    for factor in factors[1:]:
-        shape = np.broadcast_shapes(register.shape, factor.shape)
-        register = _multiply(register, factor, np.empty(shape, dtype=complex))
-    return register
+    return reduce(np.multiply, factors)
 
 
 # The contraction streams the first group's basis rows in chunks whose maps
@@ -152,16 +145,6 @@ def _buffer(work: dict[int, np.ndarray], i: int, shape: tuple[int, ...]) -> np.n
     if i not in work or work[i].size < size:
         work[i] = np.empty(size, dtype=complex)
     return work[i][:size].reshape(shape)
-
-
-def _multiply(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.multiply(a, b, out=out)``, every entry rounded as numpy's vector
-    loops round a complex product. numpy may form a lone product in a loop
-    that rounds differently, so a one-entry product is the first of two."""
-    if out.size == 1:
-        out[...] = (np.full(2, a.item()) * b.item())[0]
-        return out
-    return np.multiply(a, b, out=out)
 
 
 def _pinned_plans(
@@ -204,8 +187,7 @@ def _contract(
     :func:`_pinned_plans` and an (outcomes, K, columns) register, summed
     over each row's planned entries only, gathering in workspace buffer 0.
     ``into`` is the workspace buffer to write (not the one holding
-    ``flat``), or an array of shape (outcomes, rows, ...) to write, its
-    trailing axes holding the columns.
+    ``flat``), or an array of shape (outcomes, rows, columns) to write.
 
     Slot s adds every row's s-th planned entry, formed as the register slice
     at its column times its coefficient, in one pass over the whole chunk:
@@ -216,13 +198,12 @@ def _contract(
     shape = (len(flat), len(index), flat.shape[2])
     out = _buffer(work, into, shape) if isinstance(into, int) else into
     term = _buffer(work, 0, shape)
-    terms = term.reshape(out.shape)
-    coeffs = coeffs.reshape(*index.shape, *[1] * (out.ndim - 2))
+    coeffs = coeffs[:, :, None]
     np.take(flat, index[:, 0], axis=1, out=term, mode="clip")
-    _multiply(terms, coeffs[:, 0], out)
+    np.multiply(term, coeffs[:, 0], out=out)
     for s in range(1, index.shape[1]):
         np.take(flat, index[:, s], axis=1, out=term, mode="clip")
-        out += _multiply(terms, coeffs[:, s], terms)
+        out += np.multiply(term, coeffs[:, s], out=term)
     return out
 
 
@@ -239,11 +220,13 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
     measures them and the outputs end in output order, so every flatten is
     a reshape, with no copy. Each group reads it through its plan for c (see
     :func:`_pinned_plans`), one :func:`_contract` pass, and the last group
-    writes straight into column c of the chunk's maps. An output wire that
-    is an input wire holds c's bit there, and the rest of the column is 0.
-    Every nonzero component is the sum the input identity's register gave,
-    less its zero terms; a plan's spare slot adds a term times 0, a signed
-    zero, and each chunk has 0.0 added, so no component is -0.0.
+    writes straight into column c of the chunk's maps. Every input wire is
+    measured (see :func:`~telegate.patterns.validate_pattern`), so every
+    output wire is a resource leg and the last group writes the whole
+    column. Every nonzero component is the sum the input identity's
+    register gave, less its zero terms; a plan's spare slot adds a term
+    times 0, a signed zero, and each chunk has 0.0 added, so no component
+    is -0.0.
 
     Inputs that agree on the input wires of groups 0..g share those groups'
     plans, and so their steps. The inputs run in order of their bits on
@@ -262,19 +245,9 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
     every entry is the same sum however the rows are chunked.
     """
     register = _register(pattern)
-    inputs, outputs, groups = pattern.input_wires, pattern.output_wires, pattern.groups
-    dim, axes = 1 << len(inputs), [2] * len(outputs)
+    inputs, groups = pattern.input_wires, pattern.groups
+    dim, width = 1 << len(inputs), 1 << len(pattern.output_wires)
     wire = {w: len(inputs) - 1 - i for i, w in enumerate(inputs)}
-    # Where column c lies in maps with an axis per output wire: at c's bit
-    # on an output wire that is an input wire, whole on any other.
-    at = [(..., *[(c >> wire[w]) & 1 if w in wire else slice(None) for w in outputs], c) for c in range(dim)]
-    tail = [2] * sum(w not in wire for w in outputs)
-    if not groups:
-        maps = np.zeros((1, *axes, dim), dtype=complex)
-        for c in range(dim):
-            maps[at[c]] = register
-        yield maps.reshape(1, -1, dim) + 0.0
-        return
     plans = [_pinned_plans(g.basis, g.qubits, wire) for g in groups]
     widths = [sum(q not in wire for q in g.qubits) for g in groups]
     pins = [[wire[q] for q in g.qubits if q in wire] for g in groups]
@@ -289,9 +262,7 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
     steps = [register.reshape(1, 1 << widths[0], -1)] + [None] * len(groups)
     work: dict[int, np.ndarray] = {}
     for rows in _blocks(groups[0].size, max(1, _GATHER // row)):
-        maps = _buffer(work, 1, ((rows.stop - rows.start) * row // (dim << len(axes)), *axes, dim))
-        if len(tail) < len(axes):
-            maps.fill(0)
+        maps = _buffer(work, 1, ((rows.stop - rows.start) * row // (dim * width), width, dim))
         for c, g0 in zip(order, redo):
             for g in range(g0, len(groups)):
                 index, coeffs = plans[g][c]
@@ -300,10 +271,10 @@ def _map_chunks(pattern: GatePattern) -> Iterator[np.ndarray]:
                     index, coeffs = index[rows], coeffs[rows]
                 else:
                     t = t.reshape(-1, 1 << widths[g], t.shape[2] >> widths[g])
-                into = maps[at[c]].reshape(-1, len(index), *tail) if g == last else 2 + g
+                into = maps[..., c].reshape(-1, len(index), width) if g == last else 2 + g
                 steps[g + 1] = _contract(index, coeffs, t, work, into)
         maps += 0.0
-        yield maps.reshape(len(maps), -1, dim)
+        yield maps
 
 
 @lru_cache

@@ -402,6 +402,11 @@ def validate_pattern(pattern: GatePattern) -> None:
         raise PatternFormatError(
             f"register qubits {sorted(leftover)} are neither measured nor outputs"
         )
+    # Each input is teleported through a joint measurement, so every output
+    # wire is a resource leg.
+    unmeasured = sorted(set(pattern.input_wires) - set(measured))
+    if unmeasured:
+        raise PatternFormatError(f"input wires {unmeasured} are not measured by any group")
 
     target = np.asarray(pattern.target)
     if target.shape != (1 << len(pattern.output_wires),) * 2:

@@ -351,24 +351,27 @@ def _block_basis(num_qubits: int, sizes: list[int], rng: np.random.Generator) ->
 @st.composite
 def small_patterns(draw) -> GatePattern:
     """Small random valid patterns, without corrections: one or two inputs;
-    one to four random resource states of one or two qubits; wire numbers
-    shuffled; one or two groups of at most five qubits (at most 32 basis
-    columns) whose bases are dense random unitaries, phased permutations or
-    ragged rows; at most ten qubits. The amplitudes come from a generator
-    seeded by one drawn integer."""
+    one to four random resource states of one or two qubits, with at least
+    as many qubits as inputs; wire numbers shuffled; outputs drawn from the
+    resource legs; one or two groups of at most five qubits (at most 32
+    basis columns), which measure every input and the other legs, whose
+    bases are dense random unitaries, phased permutations or ragged rows;
+    at most ten qubits. The amplitudes come from a generator seeded by one
+    drawn integer."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     num_inputs = draw(st.integers(1, 2))
-    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=4))
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=4).filter(lambda s: sum(s) >= num_inputs))
     num_qubits = num_inputs + sum(sizes)
     wires = [int(q) for q in rng.permutation(num_qubits)]
     inputs, wires = tuple(wires[:num_inputs]), wires[num_inputs:]
+    legs = [int(q) for q in rng.permutation(wires)]
     resources = []
     for size in sizes:
         amps = rng.standard_normal(1 << size) + 1j * rng.standard_normal(1 << size)
         resources.append((tuple(wires[:size]), sv.StateVector(size, amps / np.linalg.norm(amps))))
         wires = wires[size:]
-    order = [int(q) for q in rng.permutation(num_qubits)]
-    outputs, measured = tuple(order[:num_inputs]), order[num_inputs:]
+    outputs = tuple(legs[:num_inputs])
+    measured = [int(q) for q in rng.permutation([*inputs, *legs[num_inputs:]])]
     # The first group's size; the rest, if any, form a second group.
     cut = draw(st.integers(max(1, len(measured) - 5), min(5, len(measured))))
     groups = []
@@ -535,8 +538,6 @@ def identity_register_maps(pattern: GatePattern) -> np.ndarray:
     identity stay in every sum, so a component can come out as -0.0."""
     factors = _identity_register_factors(pattern)
     dim = factors[0].shape[-1]
-    if not pattern.groups:
-        return _identity_register_rows(factors, 0, np.zeros(1, dtype=np.intp)).reshape(1, -1, dim)
     (k, (index, coeffs)), *later = [(len(g.qubits), argsort_plan(g.basis.vectors)) for g in pattern.groups]
     row = dim << (factors[0].ndim - 1 - k)
     chunks = []

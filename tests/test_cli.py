@@ -117,25 +117,6 @@ class TestExitCodes:
         assert exited.value.code == 2
         assert "invalid choice: 'csv'" in capsys.readouterr().err
 
-    def test_group_less_worst_outcome_is_named(self, capsys, tmp_path):
-        # A pattern without groups has one outcome, whose key () is empty;
-        # it is still the worst outcome, and both reports name it.
-        identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
-        doc = {
-            "name": "wire", "num_qubits": 1, "inputs": [0], "resources": [], "groups": [],
-            "outputs": [0], "target": {"dim": 2, "entries": identity},
-        }
-        path = tmp_path / "wire.json"
-        path.write_text(json.dumps(doc))
-        code, out, _ = run(capsys, "verify", "--pattern-file", str(path))
-        assert code == 0
-        [line] = [line for line in out.splitlines() if line.startswith("min fidelity: ")]
-        assert line.endswith(" (outcome , input rand04)")
-        code, out, _ = run(capsys, "verify", "--pattern-file", str(path), "--format", "json")
-        report = json.loads(out)
-        assert code == 0
-        assert (report["worst_outcome"], report["worst_input"]) == ("", "rand04")
-
     def test_closed_stdout_exits_141_silently(self):
         # The report is far larger than a pipe buffer, so the writer is
         # still streaming its pieces when the reader closes its end, and the
@@ -211,6 +192,21 @@ def _two_wire_phase_document(outputs):
     )
     doc["inputs"] = [0, 3]
     return doc
+
+
+def _pass_through_phase_document():
+    """The two-wire phase document without qubit 3's group, so that input
+    wire passes through unmeasured to the second output wire."""
+    doc = _two_wire_phase_document([2, 3])
+    del doc["groups"][-1]
+    return doc
+
+
+# A one-qubit wire: no resources and no groups, its input its output.
+_GROUP_LESS_DOCUMENT = {
+    "name": "wire", "num_qubits": 1, "inputs": [0], "resources": [], "groups": [],
+    "outputs": [0], "target": {"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+}
 
 
 # Flag -> input file contents; pattern-file cases are (path, value) edits of
@@ -369,6 +365,11 @@ MALFORMED_INPUTS = {
     "output-past-register": ("--pattern-file", _two_wire_phase_document([2, 99])),
     "repeated-output": ("--pattern-file", _two_wire_phase_document([2, 2])),
     "negative-output": ("--pattern-file", _two_wire_phase_document([2, -1])),
+    # Every input wire is teleported through some group: a pattern without
+    # groups, or one whose input wire passes through unmeasured to an
+    # output, once verified.
+    "group-less": ("--pattern-file", _GROUP_LESS_DOCUMENT),
+    "pass-through-input": ("--pattern-file", _pass_through_phase_document()),
     # A group one qubit past half the register limit: its basis alone would
     # hold more amplitudes than the widest register.
     "group-past-register-limit": ("--pattern-file", wide_group_document(sv.MAX_REGISTER_QUBITS // 2 + 1)),
@@ -466,6 +467,8 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, case):
         ("output-past-register", "qubit index 99 out of range for 4 qubits"),
         ("repeated-output", "qubit subset (2, 2) contains duplicates"),
         ("negative-output", "qubit index -1 out of range for 4 qubits"),
+        ("group-less", "input wires [0] are not measured by any group"),
+        ("pass-through-input", "input wires [3] are not measured by any group"),
         (
             "group-past-register-limit",
             "group 0 has 12 qubits, but a basis wider than 11 qubits exceeds the 22-qubit register limit",
@@ -475,7 +478,8 @@ def test_malformed_input_is_one_line_usage_error(capsys, tmp_path, case):
         "repeated-cell", "boolean", "repeated-label", "sign-in-bit-slot", "false-in-group-label",
         "missing-cell", "no-cells", "string-count", "string-outputs", "string-resource-qubits",
         "boolean-inputs", "fractional-inputs", "boolean-entry", "truncated-unitary",
-        "output-past-register", "repeated-output", "negative-output", "wide-group",
+        "output-past-register", "repeated-output", "negative-output", "group-less",
+        "pass-through-input", "wide-group",
     ],
 )
 def test_document_errors_name_their_cause(capsys, tmp_path, case, error):
@@ -515,6 +519,8 @@ def test_group_vector_count_is_checked_before_any_vector_is_built(capsys, tmp_pa
         "output-past-register",
         "repeated-output",
         "negative-output",
+        "group-less",
+        "pass-through-input",
         "group-past-register-limit",
     ],
 )
@@ -526,7 +532,7 @@ def test_malformed_document_is_one_line_usage_error_for_derive(capsys, tmp_path,
     "case",
     [
         "second-output-wire", "no-output-wire", "output-past-register", "repeated-output",
-        "negative-output", "group-past-register-limit",
+        "negative-output", "group-less", "pass-through-input", "group-past-register-limit",
     ],
 )
 def test_output_count_error_is_one_line_usage_error_for_loss_check(capsys, tmp_path, case):

@@ -166,6 +166,25 @@ class TestValidation:
         with pytest.raises(PatternFormatError, match="no preparation"):
             validate_pattern(bad)
 
+    @pytest.mark.parametrize(
+        "wiring,unmeasured",
+        [
+            # The phase gate with qubit 3 a second input wire that passes
+            # through unmeasured to a second output.
+            (dict(num_qubits=4, input_wires=(0, 3), output_wires=(2, 3)), [3]),
+            # Two wires swapped, with no resources and no groups.
+            (dict(num_qubits=2, input_wires=(1, 0), resources=(), groups=(), output_wires=(0, 1)), [0, 1]),
+        ],
+        ids=["pass-through", "group-less"],
+    )
+    def test_unmeasured_input_wires_rejected(self, wiring, unmeasured):
+        pattern = dataclasses.replace(
+            catalog.phase_gate_pattern(), target=np.eye(4), corrections=None, **wiring
+        )
+        with pytest.raises(PatternFormatError) as err:
+            validate_pattern(pattern)
+        assert str(err.value) == f"input wires {unmeasured} are not measured by any group"
+
     def test_incomplete_basis_rejected(self):
         pattern = catalog.phase_gate_pattern()
         group = pattern.groups[0]
